@@ -22,7 +22,7 @@ from qmix import (
     conjugacy_classes,
     random_ensemble,
     theorem_bound,
-    theta_defect,
+    theta_defects,
 )
 
 
@@ -56,10 +56,7 @@ def measure(cfg: DecayConfig) -> list[DecayRow]:
             random_ensemble(G, f"indicator:{cfg.density}", (cfg.seed, G.n, role), cfg.trials)
             for role in range(3)
         ]
-        thetas = [
-            theta_defect(streams[0][t], streams[1][t], streams[2][t], T).theta
-            for t in range(cfg.trials)
-        ]
+        thetas = [rep.theta for rep in theta_defects(*streams, T)]
         rows.append(
             DecayRow(
                 spec=spec,

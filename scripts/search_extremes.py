@@ -20,7 +20,7 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
     random_ensemble,
-    theta_defect,
+    theta_defects,
 )
 
 
@@ -57,10 +57,7 @@ def run_one(cfg: SearchConfig, spec: str) -> SearchRow:
         random_ensemble(G, "indicator:0.5", (cfg.seed, 77, role), cfg.baseline_trials)
         for role in range(3)
     ]
-    baseline = max(
-        theta_defect(streams[0][t], streams[1][t], streams[2][t], T).theta
-        for t in range(cfg.baseline_trials)
-    )
+    baseline = max(rep.theta for rep in theta_defects(*streams, T))
     return SearchRow(
         spec=spec,
         n=G.n,

@@ -11,9 +11,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +37,7 @@ from .mixing import (
     adversarial_search,
     gamma_functional,
     random_ensemble,
-    theta_defect,
-    theorem_bound,
+    theta_defects,
     verify_bnp,
     verify_derivative_bound,
 )
@@ -61,28 +58,6 @@ class RunConfig:
     restarts: int = 5
     output_path: str | None = None
     format: str = "text"
-
-
-def _workers() -> int:
-    env = os.environ.get("QMIX_THREADS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise QmixError(f"QMIX_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise QmixError(f"QMIX_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _run_indexed(fn, count: int) -> list:
-    """Run fn(0..count-1), possibly concurrently; results in index order."""
-    workers = _workers()
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _fmt(x) -> str:
@@ -186,49 +161,45 @@ def cmd_chartab(cfg: RunConfig) -> int:
 
 def _verify_bnp_rows(G, C, T, cfg: RunConfig) -> list[dict]:
     fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 101), 2 * cfg.trials)
-
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(cfg.trials):
         f1, f2 = fns[2 * i], fns[2 * i + 1]
         rep = verify_bnp(f1, f2, T, tol=cfg.tol)
-        return _lemma_row(rep, i, cfg, _hash_functions(f1, f2))
-
-    return _run_indexed(one, cfg.trials)
+        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f1, f2)))
+    return rows
 
 
 def _verify_derivative_rows(G, C, T, cfg: RunConfig) -> list[dict]:
     fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 102), cfg.trials)
-
-    def one(i: int) -> dict:
-        rep = verify_derivative_bound(fns[i], T, tol=cfg.tol)
-        return _lemma_row(rep, i, cfg, _hash_functions(fns[i]))
-
-    return _run_indexed(one, cfg.trials)
+    rows = []
+    for i, f in enumerate(fns):
+        rep = verify_derivative_bound(f, T, tol=cfg.tol)
+        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f)))
+    return rows
 
 
 def _verify_gamma_rows(G, C, T, cfg: RunConfig) -> list[dict]:
     fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 103), cfg.trials)
-
-    def one(i: int) -> dict:
+    rows = []
+    for i, f in enumerate(fns):
         rep = gamma_functional(
-            fns[i],
+            f,
             T,
             C,
             budget=cfg.budget,
             seed=cfg.seed * 1_000_003 + i,
             tol=cfg.tol,
         )
-        return _lemma_row(rep, i, cfg, _hash_functions(fns[i]))
-
-    return _run_indexed(one, cfg.trials)
+        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f)))
+    return rows
 
 
 def _verify_parseval_rows(G, C, T, cfg: RunConfig) -> list[dict]:
     fns = random_ensemble(G, "unimodular", (cfg.seed, 105), cfg.trials)
-
-    def one(i: int) -> dict:
-        profile = spectral_profile(fns[i], T, C, tol=math.inf)
-        residual = profile.parseval_residual
-        return {
+    rows = []
+    for i, f in enumerate(fns):
+        residual = spectral_profile(f, T, C, tol=math.inf).parseval_residual
+        rows.append({
             "lemma_id": "parseval",
             "trial": i,
             "mode": "exhaustive",
@@ -237,10 +208,9 @@ def _verify_parseval_rows(G, C, T, cfg: RunConfig) -> list[dict]:
             "margin": cfg.tol - residual,
             "stderr": None,
             "passed": residual <= cfg.tol,
-            "hash": _hash_functions(fns[i]),
-        }
-
-    return _run_indexed(one, cfg.trials)
+            "hash": _hash_functions(f),
+        })
+    return rows
 
 
 def _verify_fcmu_rows(G, C, T, cfg: RunConfig) -> list[dict]:
@@ -269,14 +239,14 @@ def _verify_fcmu_rows(G, C, T, cfg: RunConfig) -> list[dict]:
 def _verify_chain_rows(G, C, T, cfg: RunConfig) -> list[dict]:
     pair = random_ensemble(G, "rademacher", (cfg.seed, 106), 2 * cfg.trials)
     thirds = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 107), cfg.trials)
-
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(cfg.trials):
         f1, f2, f3 = pair[2 * i], pair[2 * i + 1], thirds[i]
         rep = cs_chain_diagnostics(
             f1, f2, f3, T, C, max_order=CHAIN_CLI_MAX_ORDER, tol=max(cfg.tol, 1e-9)
         )
         vals = dict(rep.values)
-        return {
+        rows.append({
             "lemma_id": "chain",
             "trial": i,
             "mode": "exhaustive",
@@ -287,9 +257,8 @@ def _verify_chain_rows(G, C, T, cfg: RunConfig) -> list[dict]:
             "passed": rep.passed,
             "hash": _hash_functions(f1, f2, f3),
             "values": vals,
-        }
-
-    return _run_indexed(one, cfg.trials)
+        })
+    return rows
 
 
 def _lemma_row(rep, trial: int, cfg: RunConfig, fn_hash: str) -> dict:
@@ -389,12 +358,8 @@ def cmd_mix(cfg: RunConfig, sets_arg: str | None, density: float | None) -> int:
     G = build_group(cfg.group_spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C, seed=42, tol=1e-8)
-    rows = []
     if sets_arg is not None:
-        sets = _parse_sets_arg(sets_arg)
-        fs = [indicator_function(G, s) for s in sets]
-        rep = theta_defect(fs[0], fs[1], fs[2], T)
-        rows.append(_mixing_row(rep, 0, tuple(len(s) for s in sets)))
+        streams = [[indicator_function(G, s)] for s in _parse_sets_arg(sets_arg)]
     else:
         if density is None:
             raise QmixError("mix needs either --sets or --random")
@@ -404,14 +369,10 @@ def cmd_mix(cfg: RunConfig, sets_arg: str | None, density: float | None) -> int:
             random_ensemble(G, f"indicator:{density}", (cfg.seed, 11 + role), cfg.trials)
             for role in range(3)
         ]
-
-        def one(i: int) -> dict:
-            f1, f2, f3 = streams[0][i], streams[1][i], streams[2][i]
-            rep = theta_defect(f1, f2, f3, T)
-            sizes = tuple(int(np.count_nonzero(f.values)) for f in (f1, f2, f3))
-            return _mixing_row(rep, i, sizes)
-
-        rows = _run_indexed(one, cfg.trials)
+    rows = []
+    for i, (rep, *triple) in enumerate(zip(theta_defects(*streams, T), *streams)):
+        sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
+        rows.append(_mixing_row(rep, i, sizes))
 
     columns = [
         "group", "n", "D", "trial", "sizes", "theta",
@@ -479,19 +440,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
+    def common(
+        p: argparse.ArgumentParser,
+        *,
+        formats: tuple[str, ...] = ("text", "json", "csv"),
+        seed: bool = True,
+        tol: bool = True,
+    ) -> None:
         p.add_argument("spec", help="group spec, e.g. alt:5 or prod:sl2:5+cyclic:3")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=1e-8)
+        if seed:
+            p.add_argument("--seed", type=int, default=42)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", default=None, help="write output to this path")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "json", "csv"), default="text"
-            )
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("group", help="build a group, print its shape")
-    common(p, fmt=False)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, formats=("text", "json"), seed=False, tol=False)
 
     p = sub.add_parser("chartab", help="certified character table")
     common(p)
@@ -504,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample budget for sampled-mode suites")
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--sets", default=None,
                    help="JSON [[...],[...],[...]] of element indices, or @file")
     p.add_argument("--random", type=float, default=None, metavar="P",
@@ -512,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("search", help="adversarial search for large defect")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=5)
     return parser

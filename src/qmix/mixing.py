@@ -23,15 +23,16 @@ from .errors import (
     SizeGuardError,
 )
 from .fourier import (
+    CHUNK,
     GroupFunction,
     _check_index_set,
+    _translated_class_support,
     convolve,
     mean,
     p_norm,
 )
 from .groups import GroupTable
 
-CHUNK = 256
 EXHAUSTIVE_LIMIT = 200
 
 SUP_SLACK = 1e-12
@@ -100,13 +101,6 @@ def _same_group3(f1: GroupFunction, f2: GroupFunction, f3: GroupFunction) -> Gro
     return f1.group
 
 
-def _square_map(G: GroupTable) -> np.ndarray:
-    """Index vector s with s[y] = y*y."""
-    if G.is_dense:
-        return np.ascontiguousarray(G.mul.diagonal())
-    return np.fromiter((G.mul_fn(y, y) for y in range(G.n)), np.int32, G.n)
-
-
 def theorem_bound(D: int) -> float:
     """(2 / sqrt(D))^{1/4}; above 1 (hence vacuous) for D < 4."""
     D = int(D)
@@ -115,47 +109,96 @@ def theorem_bound(D: int) -> float:
     return float((2.0 / math.sqrt(D)) ** 0.25)
 
 
-def _progression_raw(
-    G: GroupTable, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray
-) -> complex:
-    """Sum over (x, y) of v1(x) v2(xy) v3(xy^2), not yet normalized."""
-    t = G.require_table("progression expectation")
-    ysq = _square_map(G)
-    total = 0.0 + 0.0j
-    for lo in range(0, G.n, CHUNK):
-        hi = min(lo + CHUNK, G.n)
+def _progression_pass(
+    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Progression sums of m stacked triples in one pass over the table t.
+
+    V1, V2, V3 are (n x m) stacks; the pass works in their own dtype.
+    Returns S with S[x, j] = sum_y V2[xy, j] V3[xy^2, j] and totals with
+    totals[j] = sum_x V1[x, j] S[x, j].  Rows go in blocks of
+    max(1, CHUNK // m), so a gathered block holds at most CHUNK * n
+    entries.  Each total is a per-column dot accumulated over CHUNK-row
+    blocks, which keeps one-triple results (and the JSON that prints
+    them) the same bits as an unbatched row loop; a single reduction over
+    the (n x m) product of V1 and S sums in another order.
+    """
+    n, m = V2.shape
+    ysq = t.diagonal()
+    S = np.empty((n, m), dtype=np.result_type(V2, V3))
+    step = max(1, CHUNK // m)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         U = t[lo:hi]
-        inner = (v2[U] * v3[U[:, ysq]]).sum(axis=1)
-        total += v1[lo:hi] @ inner
-    return complex(total)
+        S[lo:hi] = (V2[U] * V3[U[:, ysq]]).sum(axis=1)
+    totals = np.zeros(m, dtype=np.result_type(V1, S))
+    for j in range(m):
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            totals[j] += V1[lo:hi, j] @ S[lo:hi, j]
+    return S, totals
+
+
+def theta_defects(
+    F1: list[GroupFunction],
+    F2: list[GroupFunction],
+    F3: list[GroupFunction],
+    T: CharacterTable,
+) -> list[MixingReport]:
+    """theta_defect of every triple (F1[j], F2[j], F3[j]).
+
+    Triples go through the progression pass CHUNK at a time, so memory
+    stays near CHUNK * n entries per stack whatever the ensemble size.
+    Real-valued blocks are summed in float64, others in complex128.
+    """
+    if not len(F1) == len(F2) == len(F3):
+        raise PreconditionError("the three function lists must have equal length")
+    if not F1:
+        return []
+    G = F1[0].group
+    for f1, f2, f3 in zip(F1, F2, F3):
+        if _same_group3(f1, f2, f3) is not G:
+            raise GroupMismatchError("functions live on different groups")
+    if T.n != G.n:
+        raise GroupMismatchError("character table does not match the group")
+    sup = max(p_norm(f, np.inf) for F in (F1, F2, F3) for f in F)
+    if sup > 1.0 + SUP_SLACK:
+        warnings.warn(
+            f"sup norm {sup:.6g} exceeds 1; the theorem bound does not apply",
+            stacklevel=2,
+        )
+    t = G.require_table("progression expectation")
+    n2 = G.n * G.n
+    bound = theorem_bound(T.D) if T.D >= 2 else math.inf
+    reports = []
+    for lo in range(0, len(F1), CHUNK):
+        block = [F[lo:lo + CHUNK] for F in (F1, F2, F3)]
+        stacks = [np.stack([f.values for f in fs], axis=1) for fs in block]
+        if not any(np.any(V.imag) for V in stacks):
+            stacks = [np.ascontiguousarray(V.real) for V in stacks]
+        _, totals = _progression_pass(t, *stacks)
+        for total, f1, f2, f3 in zip(totals, *block):
+            raw = complex(total) / n2
+            prod = mean(f1) * mean(f2) * mean(f3)
+            theta = abs(raw - prod)
+            reports.append(
+                MixingReport(
+                    theta=theta,
+                    raw_expectation=raw,
+                    product_of_means=prod,
+                    bound=bound,
+                    D=T.D,
+                    margin=bound - theta,
+                )
+            )
+    return reports
 
 
 def theta_defect(
     f1: GroupFunction, f2: GroupFunction, f3: GroupFunction, T: CharacterTable
 ) -> MixingReport:
     """Exact O(n^2) defect |E[f1(x) f2(xy) f3(xy^2)] - prod of means|."""
-    G = _same_group3(f1, f2, f3)
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    sup = max(p_norm(f, np.inf) for f in (f1, f2, f3))
-    if sup > 1.0 + SUP_SLACK:
-        warnings.warn(
-            f"sup norm {sup:.6g} exceeds 1; the theorem bound does not apply",
-            stacklevel=2,
-        )
-    n = G.n
-    raw = _progression_raw(G, f1.values, f2.values, f3.values) / (n * n)
-    prod = mean(f1) * mean(f2) * mean(f3)
-    theta = abs(raw - prod)
-    bound = theorem_bound(T.D) if T.D >= 2 else math.inf
-    return MixingReport(
-        theta=theta,
-        raw_expectation=raw,
-        product_of_means=prod,
-        bound=bound,
-        D=T.D,
-        margin=bound - theta,
-    )
+    return theta_defects([f1], [f2], [f3], T)[0]
 
 
 def count_progressions(A1, A2, A3, G: GroupTable) -> int:
@@ -163,20 +206,13 @@ def count_progressions(A1, A2, A3, G: GroupTable) -> int:
     t = G.require_table("progression count")
 
     def indicator(A) -> np.ndarray:
-        v = np.zeros(G.n, dtype=np.int64)
+        v = np.zeros((G.n, 1), dtype=np.int64)
         if len(np.asarray(A)) > 0:
             v[_check_index_set(G, A)] = 1
         return v
 
-    v1, v2, v3 = indicator(A1), indicator(A2), indicator(A3)
-    ysq = _square_map(G)
-    total = 0
-    for lo in range(0, G.n, CHUNK):
-        hi = min(lo + CHUNK, G.n)
-        U = t[lo:hi]
-        inner = (v2[U] * v3[U[:, ysq]]).sum(axis=1)
-        total += int(v1[lo:hi] @ inner)
-    return total
+    _, totals = _progression_pass(t, indicator(A1), indicator(A2), indicator(A3))
+    return int(totals[0])
 
 
 def _report(
@@ -253,15 +289,6 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_support(G: GroupTable, C: ConjugacyData, g: int) -> np.ndarray:
-    """Support of the scaled density on g^{-1} C(g^{-1})."""
-    ig = int(G.inv[g])
-    members = C.class_elements[int(C.class_of[ig])]
-    if G.is_dense:
-        return G.mul[ig, members]
-    return np.fromiter((G.mul_fn(ig, int(c)) for c in members), np.int64, len(members))
-
-
 def _scatter_matrix(G: GroupTable, support: np.ndarray) -> np.ndarray:
     """Matrix P with P[x, u] = (1/|S|) #{a in S : x a^{-1} = u}.
 
@@ -284,6 +311,38 @@ def _conj_map(G: GroupTable, g: int) -> np.ndarray:
     return t[t[ig], g]
 
 
+def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, selections):
+    """Class-convolution integrands of f, one g at a time.
+
+    For each (g, b) in ``selections``, b indexing a subset of the group,
+    yields (inner0, inner_mean) over the selected b's:
+      inner0     = E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ]
+      inner_mean = E_x[D_b] * E_x[D_{g^{-1}bg}]
+    where D_b(x) = f(x) f(xb) is the multiplicative derivative, D0 its
+    mean-zero part and mu_g the scaled density on g^{-1} C(g^{-1}).
+    Real f stays float64, so each class convolution is one real GEMM.
+    It is a generator so that one g's n x n temporaries are still alive
+    when the next g's are allocated, as in an inline loop: freeing them
+    all between g's lets the allocator return the pages to the system
+    and fault them in again for every g, a quarter of the run time.
+    """
+    t = G.require_table("class convolution")
+    W = V if np.any(V.imag) else V.real
+    deriv = W[:, None] * W[t]  # deriv[x, b] = f(x) f(x b)
+    D_rows = np.ascontiguousarray(deriv.T)  # D_rows[b, x] = D_b(x)
+    mu_vec = deriv.mean(axis=0)  # mu_vec[b] = E_x D_b(x)
+    for g, b in selections:
+        P = _scatter_matrix(G, _translated_class_support(G, C, int(G.inv[g])))
+        c_idx = _conj_map(G, g)[b]
+        mu_c = mu_vec[c_idx]
+        H0 = D_rows[c_idx] - mu_c[:, None]  # H0[b, x] = D0_{g^{-1}bg}(x)
+        if np.isrealobj(H0):
+            conv0 = H0 @ P.T
+        else:
+            conv0 = (H0.real @ P.T) + 1j * (H0.imag @ P.T)
+        yield (D_rows[b] * conv0).mean(axis=1), mu_c * mu_vec[b]
+
+
 def _class_conv_stats(
     G: GroupTable, C: ConjugacyData, V: np.ndarray
 ) -> tuple[float, float, float]:
@@ -297,31 +356,12 @@ def _class_conv_stats(
     and mu_g the scaled density on g^{-1} C(g^{-1}).
     """
     n = G.n
-    t = G.require_table("class convolution statistics")
-    is_real = not np.any(V.imag)
-    W = V.real if is_real else V
-    P_right = W[t]  # P_right[x, b] = f(x b)
-    deriv = W[:, None] * P_right  # deriv[x, b]
-    D_rows = np.ascontiguousarray(deriv.T)  # D_rows[b, x]
-    mu_vec = deriv.mean(axis=0)  # mu_vec[b] = E_x D_b(x)
-
     gamma_sum = 0.0
     c4_sum = 0.0 + 0.0j
     mean_sum = 0.0
-    for g in range(n):
-        support = _class_support(G, C, g)
-        P = _scatter_matrix(G, support)
-        cmap = _conj_map(G, g)
-        H = D_rows[cmap]  # H[b, x] = D_{g^{-1}bg}(x)
-        mu_c = mu_vec[cmap]
-        H0 = H - mu_c[:, None]
-        if is_real:
-            conv0 = H0 @ P.T
-        else:
-            conv0 = (H0.real @ P.T) + 1j * (H0.imag @ P.T)
-        inner0 = (D_rows * conv0).mean(axis=1)
+    all_b = ((g, slice(None)) for g in range(n))
+    for inner0, inner_mean in _class_conv_terms(G, C, V, all_b):
         gamma_sum += float(np.abs(inner0).sum())
-        inner_mean = mu_c * mu_vec
         c4_sum += (inner0 + inner_mean).sum()
         mean_sum += float(np.abs(inner_mean).sum())
     scale = float(n) * float(n)
@@ -373,33 +413,14 @@ def gamma_functional(
 
     if budget < 2:
         raise PreconditionError("sampled mode needs a budget of at least 2")
-    n = G.n
-    t = G.require_table("sampled class convolution")
     rng = np.random.default_rng(seed)
-    g_draw = rng.integers(0, n, size=budget)
-    b_draw = rng.integers(0, n, size=budget)
-    V = f.values
-    is_real = not np.any(V.imag)
-    W = V.real if is_real else V
-    P_right = W[t]
-    deriv = W[:, None] * P_right
-    D_rows = np.ascontiguousarray(deriv.T)
-    mu_vec = deriv.mean(axis=0)
-
+    g_draw = rng.integers(0, G.n, size=budget)
+    b_draw = rng.integers(0, G.n, size=budget)
+    g_seen = np.unique(g_draw)
+    sels = [np.flatnonzero(g_draw == g) for g in g_seen]
+    drawn = ((int(g), b_draw[sel]) for g, sel in zip(g_seen, sels))
     values = np.empty(budget, dtype=np.float64)
-    for g in np.unique(g_draw):
-        sel = np.flatnonzero(g_draw == g)
-        support = _class_support(G, C, int(g))
-        P = _scatter_matrix(G, support)
-        cmap = _conj_map(G, int(g))
-        c_idx = cmap[b_draw[sel]]
-        H = D_rows[c_idx]
-        H0 = H - mu_vec[c_idx][:, None]
-        if is_real:
-            conv0 = H0 @ P.T
-        else:
-            conv0 = (H0.real @ P.T) + 1j * (H0.imag @ P.T)
-        inner0 = (D_rows[b_draw[sel]] * conv0).mean(axis=1)
+    for sel, (inner0, _) in zip(sels, _class_conv_terms(G, C, f.values, drawn)):
         values[sel] = np.abs(inner0)
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
@@ -455,9 +476,9 @@ def cs_chain_diagnostics(
     v2 = f2.values.real.copy()
     v3 = f3.values.real.copy()
     ar = np.arange(n)
-    ysq = _square_map(G)
 
-    theta = abs(_progression_raw(G, v1, v2, v3)) / (n * n)
+    _, total = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
+    theta = abs(float(total[0])) / (n * n)
     c1 = theta**4
 
     F1 = v1[t[:, G.inv]]  # F1[x, z] = f1(x z^{-1})
@@ -465,7 +486,7 @@ def cs_chain_diagnostics(
     inner_xz = (F1 * F3).mean(axis=1)
     c2 = float((inner_xz**2).mean()) ** 2
 
-    U = t[:, ysq]  # U[y, z] = y z^2
+    U = t[:, t.diagonal()]  # U[y, z] = y z^2
     acc = 0.0
     for a in range(n):
         arr_a = t[t[G.inv, G.inv[a]], ar]  # arr_a[z] = z^{-1} a^{-1} z
@@ -514,9 +535,20 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
     """
     if count < 0:
         raise PreconditionError("count must be nonnegative")
+    base, _, density = kind.partition(":")
+    if base == "indicator":
+        if not density:
+            raise PreconditionError("indicator kind needs a density, e.g. indicator:0.5")
+        try:
+            p = float(density)
+        except ValueError:
+            raise PreconditionError(f"bad indicator density {density!r}") from None
+        if not 0.0 < p < 1.0:
+            raise PreconditionError(f"indicator density must be in (0, 1), got {p}")
+    elif base not in ("rademacher", "unimodular", "mean_zero_rademacher"):
+        raise PreconditionError(f"unknown ensemble kind {kind!r}")
     rng = np.random.default_rng(seed)
     n = G.n
-    base = kind.split(":", 1)[0]
     out: list[GroupFunction] = []
     for _ in range(count):
         if base == "rademacher":
@@ -524,22 +556,11 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
         elif base == "unimodular":
             vals = np.exp(2j * np.pi * rng.random(n))
         elif base == "indicator":
-            parts = kind.split(":", 1)
-            if len(parts) != 2:
-                raise PreconditionError("indicator kind needs a density, e.g. indicator:0.5")
-            try:
-                p = float(parts[1])
-            except ValueError:
-                raise PreconditionError(f"bad indicator density {parts[1]!r}") from None
-            if not 0.0 < p < 1.0:
-                raise PreconditionError(f"indicator density must be in (0, 1), got {p}")
             vals = (rng.random(n) < p).astype(np.complex128)
-        elif base == "mean_zero_rademacher":
+        else:
             v = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
             m = v.mean()
             vals = ((v - m) / (1.0 + abs(m))).astype(np.complex128)
-        else:
-            raise PreconditionError(f"unknown ensemble kind {kind!r}")
         out.append(GroupFunction(G, vals))
     return out
 
@@ -556,18 +577,16 @@ def _toggle_gain_tables(
     t = G.require_table("adversarial search")
     n = G.n
     iv = G.inv
-    ysq = _square_map(G)
-    iysq = iv[ysq]
-    S1 = np.empty(n, dtype=np.int64)
+    iysq = iv[t.diagonal()]
+    S, _ = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
     S2 = np.empty(n, dtype=np.int64)
     S3 = np.empty(n, dtype=np.int64)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         U = t[lo:hi]
-        S1[lo:hi] = (v2[U] * v3[U[:, ysq]]).sum(axis=1)
         S2[lo:hi] = (v1[U[:, iv]] * v3[U]).sum(axis=1)
         S3[lo:hi] = (v1[U[:, iysq]] * v2[U[:, iv]]).sum(axis=1)
-    return S1, S2, S3
+    return S[:, 0], S2, S3
 
 
 def adversarial_search(

@@ -111,20 +111,6 @@ class TestVerifyCommand:
         rows = json.loads(out)
         assert [r["trial"] for r in rows] == list(range(5))
 
-    def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
-        args = ("verify", "alt:5", "--suite", "chain", "--trials", "4")
-        monkeypatch.delenv("QMIX_THREADS", raising=False)
-        _, out_serial, _ = run(capsys, *args)
-        monkeypatch.setenv("QMIX_THREADS", "4")
-        _, out_parallel, _ = run(capsys, *args)
-        assert out_serial == out_parallel
-
-    def test_bad_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMIX_THREADS", "zero")
-        code, _, err = run(capsys, "verify", "alt:5", "--suite", "bnp", "--trials", "2")
-        assert code == 2
-        assert "QMIX_THREADS" in err
-
     def test_failure_prints_witness_and_exits_1(self, capsys, monkeypatch):
         import qmix.cli as cli_module
 
@@ -239,6 +225,20 @@ class TestHarness:
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("group", "cyclic:5", "--seed", "1"),
+            ("group", "cyclic:5", "--tol", "1"),
+            ("mix", "cyclic:5", "--sets", "[[0],[0],[0]]", "--tol", "5"),
+            ("search", "sym:3", "--budget", "0", "--tol", "5"),
+        ],
+    )
+    def test_options_a_command_ignores_are_rejected(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
     def test_text_output_rounds_to_six_digits(self, capsys):
         _, out, _ = run(capsys, "chartab", "psl2:7")

@@ -28,9 +28,11 @@ from qmix import (
     random_ensemble,
     theorem_bound,
     theta_defect,
+    theta_defects,
     verify_bnp,
     verify_derivative_bound,
 )
+from qmix.mixing import _toggle_gain_tables
 
 
 def cyclic5_phase_triple(G):
@@ -95,6 +97,36 @@ class TestThetaDefect:
         c1, c2 = constant_function(G1), constant_function(G2)
         with pytest.raises(GroupMismatchError):
             theta_defect(c1, c1, c2, T1)
+
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    def test_batch_matches_single_triples_bit_for_bit(self, bundle, m):
+        G, _, T = bundle("psl2:7")
+        streams = [
+            random_ensemble(G, "indicator:0.5", (m, role), m) for role in range(3)
+        ]
+        batch = theta_defects(*streams, T)
+        single = [theta_defect(f1, f2, f3, T) for f1, f2, f3 in zip(*streams)]
+        assert len(batch) == m
+        for b, s in zip(batch, single):
+            assert (b.theta, b.raw_expectation, b.product_of_means, b.margin) == (
+                s.theta, s.raw_expectation, s.product_of_means, s.margin
+            )
+
+    def test_batch_matches_single_triples_on_unimodular(self, bundle):
+        G, _, T = bundle("psl2:7")
+        streams = [random_ensemble(G, "unimodular", (9, role), 7) for role in range(3)]
+        batch = theta_defects(*streams, T)
+        for b, f1, f2, f3 in zip(batch, *streams):
+            s = theta_defect(f1, f2, f3, T)
+            assert abs(b.raw_expectation - s.raw_expectation) < 1e-12
+            assert abs(b.theta - s.theta) < 1e-12
+
+    def test_batch_rejects_unequal_lists(self, bundle):
+        G, _, T = bundle("sym:3")
+        c = constant_function(G, 1.0)
+        assert theta_defects([], [], [], T) == []
+        with pytest.raises(PreconditionError):
+            theta_defects([c, c], [c, c], [c], T)
 
     def test_vacuous_flag_tracks_bound(self, bundle):
         _, _, T5 = bundle("sl2:11")
@@ -442,8 +474,9 @@ class TestRandomEnsemble:
     def test_invalid_kinds(self, bundle):
         G, _, _ = bundle("sym:3")
         for bad in ("nope", "indicator:0", "indicator:1", "indicator:x", "indicator:1.5"):
-            with pytest.raises(PreconditionError):
-                random_ensemble(G, bad, 0, 1)
+            for count in (0, 1):
+                with pytest.raises(PreconditionError):
+                    random_ensemble(G, bad, 0, count)
 
 
 class TestAdversarialSearch:
@@ -481,6 +514,19 @@ class TestAdversarialSearch:
         G, _, T = bundle("psl2:7")
         *_, rep = adversarial_search(G, T, budget=5000, restarts=5, seed=1)
         assert rep.theta <= theorem_bound(T.D) + 1e-9
+
+    def test_toggle_tables_match_recounts(self, bundle):
+        G, _, _ = bundle("sym:4")
+        rng = np.random.default_rng(2)
+        ind = [rng.integers(0, 2, size=G.n).astype(np.int64) for _ in range(3)]
+        tables = _toggle_gain_tables(G, *ind)
+        base = count_progressions(*(np.flatnonzero(v) for v in ind), G)
+        for slot in range(3):
+            for e in range(G.n):
+                toggled = [v.copy() for v in ind]
+                toggled[slot][e] ^= 1
+                recount = count_progressions(*(np.flatnonzero(v) for v in toggled), G)
+                assert abs(recount - base) == tables[slot][e]
 
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")

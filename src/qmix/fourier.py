@@ -102,14 +102,6 @@ def mu_set(G: GroupTable, indices) -> GroupFunction:
     return GroupFunction(G, vals)
 
 
-def _translated_class_support(G: GroupTable, C: ConjugacyData, g: int) -> np.ndarray:
-    """Elements of the translated class {g*c : c in C(g)}."""
-    members = C.class_elements[int(C.class_of[g])]
-    if G.is_dense:
-        return G.mul[g, members]
-    return np.fromiter((G.mul_fn(g, int(c)) for c in members), np.int64, len(members))
-
-
 def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunction:
     """Scaled density of the translated class {g*c : c in C(g)}.
 
@@ -118,7 +110,15 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
     """
     if C.group is not G:
         raise GroupMismatchError("class data belongs to a different group")
-    return mu_set(G, _translated_class_support(G, C, G._check_index(g)))
+    g = G._check_index(g)
+    members = C.class_elements[int(C.class_of[g])]
+    if G.is_dense:
+        support = G.mul[g, members]
+    else:
+        support = np.fromiter(
+            (G.mul_fn(g, int(c)) for c in members), np.int64, len(members)
+        )
+    return mu_set(G, support)
 
 
 def character_function(T: CharacterTable, C: ConjugacyData, r: int) -> GroupFunction:

@@ -26,7 +26,6 @@ from .fourier import (
     CHUNK,
     GroupFunction,
     _check_index_set,
-    _translated_class_support,
     convolve,
     mean,
     p_norm,
@@ -289,58 +288,85 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _scatter_matrix(G: GroupTable, support: np.ndarray) -> np.ndarray:
-    """Matrix P with P[x, u] = (1/|S|) #{a in S : x a^{-1} = u}.
+def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, draws=None):
+    """Class-convolution integrands of f, class by class.
 
-    Right-multiplying a stack of functions by P.T convolves each with
-    the scaled density mu_S.
-    """
-    n = G.n
-    t = G.require_table("class convolution")
-    A = t[:, G.inv[support]]
-    flat = (np.arange(n, dtype=np.int64)[:, None] * n + A).ravel()
-    P = np.bincount(flat, minlength=n * n).astype(np.float64).reshape(n, n)
-    P /= len(support)
-    return P
-
-
-def _conj_map(G: GroupTable, g: int) -> np.ndarray:
-    """Index vector m with m[b] = g^{-1} b g."""
-    t = G.mul
-    ig = int(G.inv[g])
-    return t[t[ig], g]
-
-
-def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, selections):
-    """Class-convolution integrands of f, one g at a time.
-
-    For each (g, b) in ``selections``, b indexing a subset of the group,
-    yields (inner0, inner_mean) over the selected b's:
+    With D_b(x) = f(x) f(xb), mu_b = E_x D_b and mu_g the scaled density
+    on g^{-1} C(g^{-1}), the integrands at a pair (g, b) are
       inner0     = E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ]
-      inner_mean = E_x[D_b] * E_x[D_{g^{-1}bg}]
-    where D_b(x) = f(x) f(xb) is the multiplicative derivative, D0 its
-    mean-zero part and mu_g the scaled density on g^{-1} C(g^{-1}).
-    Real f stays float64, so each class convolution is one real GEMM.
-    It is a generator so that one g's n x n temporaries are still alive
-    when the next g's are allocated, as in an inline loop: freeing them
-    all between g's lets the allocator return the pages to the system
-    and fault them in again for every g, a quarter of the run time.
+      inner_mean = mu_{g^{-1}bg} * mu_b
+    where D0_c = D_c - mu_c.  Substituting z = x c^{-1} in the
+    convolution gives, for K the class of g^{-1} and F_g(z) = f(zg),
+      inner0 + inner_mean = E_z[ F_g(z) F_g(zb) A_K[z, b] ],
+      A_K[z, b] = mean_{c in K} f(zc) f(zcb),
+    and mu_{g^{-1}bg} = E_z[F_g(z) F_g(zb)].  A_K depends only on the
+    class and costs |K| row gathers of the derivative table, so all
+    classes together cost n^3 gathers; each g then costs one gather of
+    F_g and two matrix-vector products over its b's.
+
+    ``draws`` is None for every pair (g, b); the generator then yields
+    (g, inner0, inner_mean) over all b for each g.  Otherwise it is a
+    pair of index arrays (g_draw, b_draw); the generator yields (where,
+    inner0, inner_mean) with where the positions of some draws of one g,
+    and builds the derivative columns only at the distinct b's drawn for
+    each class, at most CHUNK of them at a time.
     """
     t = G.require_table("class convolution")
+    n = G.n
     W = V if np.any(V.imag) else V.real
-    deriv = W[:, None] * W[t]  # deriv[x, b] = f(x) f(x b)
-    D_rows = np.ascontiguousarray(deriv.T)  # D_rows[b, x] = D_b(x)
-    mu_vec = deriv.mean(axis=0)  # mu_vec[b] = E_x D_b(x)
-    for g, b in selections:
-        P = _scatter_matrix(G, _translated_class_support(G, C, int(G.inv[g])))
-        c_idx = _conj_map(G, g)[b]
-        mu_c = mu_vec[c_idx]
-        H0 = D_rows[c_idx] - mu_c[:, None]  # H0[b, x] = D0_{g^{-1}bg}(x)
-        if np.isrealobj(H0):
-            conv0 = H0 @ P.T
+    inv = G.inv
+    if draws is None:
+        # One derivative table over every b serves all classes.  Gathers
+        # through intp indices run about twice as fast as through the
+        # int32 table, which numpy would convert on every use.
+        tB = t.astype(np.intp)
+        deriv = W[:, None] * W[tB]  # deriv[x, b] = f(x) f(x b)
+        mu_b = deriv.mean(axis=0)
+        blocks = [(members, None) for members in C.class_elements]
+    else:
+        # A_K is needed only at the distinct b's drawn for the class, and
+        # they go CHUNK columns at a time: whatever the budget, the cost
+        # stays below the exhaustive n^3 and memory near CHUNK * n entries.
+        g_draw, b_draw = draws
+        k_draw = C.class_of[inv[g_draw]]
+        order = np.argsort(k_draw, kind="stable")
+        blocks = []
+        for J in np.split(order, np.flatnonzero(np.diff(k_draw[order])) + 1):
+            members = C.class_elements[k_draw[J[0]]]
+            cols, col_of = np.unique(b_draw[J], return_inverse=True)
+            for lo in range(0, len(cols), CHUNK):
+                inside = (col_of >= lo) & (col_of < lo + CHUNK)
+                drawn = (cols[lo:lo + CHUNK], J[inside], col_of[inside] - lo)
+                blocks.append((members, drawn))
+    for members, drawn in blocks:
+        if drawn is None:
+            per_g = [(int(g), int(g), slice(None)) for g in inv[members]]
         else:
-            conv0 = (H0.real @ P.T) + 1j * (H0.imag @ P.T)
-        yield (D_rows[b] * conv0).mean(axis=1), mu_c * mu_vec[b]
+            cols, J, col_of = drawn
+            tB = t[:, cols].astype(np.intp)
+            deriv = W[:, None] * W[tB]  # deriv[x, j] = f(x) f(x cols_j)
+            mu_b = deriv.mean(axis=0)
+            by_g = np.argsort(g_draw[J], kind="stable")
+            J, col_of = J[by_g], col_of[by_g]
+            g_sorted = g_draw[J]
+            starts = np.flatnonzero(np.r_[True, g_sorted[1:] != g_sorted[:-1]])
+            ends = np.r_[starts[1:], len(J)]
+            per_g = [
+                (int(g_sorted[s]), J[s:e], col_of[s:e]) for s, e in zip(starts, ends)
+            ]
+        # A[z, j] = mean_{c in K} deriv[zc, j], gathered a block of rows z
+        # at a time so that the gathered rows stay in cache.
+        zK = t[:, members]
+        A = np.empty_like(deriv)
+        step = max(1, CHUNK * CHUNK // (len(members) * deriv.shape[1]))
+        for lo in range(0, n, step):
+            A[lo:lo + step] = deriv[zK[lo:lo + step]].mean(axis=1)
+        for g, where, sel in per_g:
+            Fg = W[t[:, g]]
+            FgB = Fg[tB[:, sel]]  # FgB[z, j] = F_g(z b_j)
+            inner_mean = (Fg @ FgB / n) * mu_b[sel]
+            FgB *= A[:, sel]
+            yield where, Fg @ FgB / n - inner_mean, inner_mean
 
 
 def _class_conv_stats(
@@ -353,14 +379,15 @@ def _class_conv_stats(
       c4        = |E_{g,b,x}[ D_b(x) * (D_{g^{-1}bg} * mu_g)(x) ]|
       mean_term = E_{g,b} |E_x[D_b] * E_x[D_{g^{-1}bg}]|
     where D_b is the multiplicative derivative, D0 its mean-zero part
-    and mu_g the scaled density on g^{-1} C(g^{-1}).
+    and mu_g the scaled density on g^{-1} C(g^{-1}).  Through the
+    class-averaged derivative table of ``_class_conv_terms`` this costs
+    O(n^3) gathers.
     """
     n = G.n
     gamma_sum = 0.0
     c4_sum = 0.0 + 0.0j
     mean_sum = 0.0
-    all_b = ((g, slice(None)) for g in range(n))
-    for inner0, inner_mean in _class_conv_terms(G, C, V, all_b):
+    for _, inner0, inner_mean in _class_conv_terms(G, C, V):
         gamma_sum += float(np.abs(inner0).sum())
         c4_sum += (inner0 + inner_mean).sum()
         mean_sum += float(np.abs(inner_mean).sum())
@@ -385,6 +412,13 @@ def gamma_functional(
     1/sqrt(D).  Exhaustive over all n^2 pairs when n <= 200 (or forced),
     else estimated from ``budget`` seeded uniform pairs with a reported
     standard error; sampled runs pass with 3 * stderr slack.
+
+    Both modes evaluate E_z[f(zg) f(zbg) A_K[z, b]] - mu_{g^{-1}bg} mu_b,
+    with A_K[z, b] = mean_{c in K} f(zc) f(zcb) shared by every g whose
+    inverse lies in the class K (see ``_class_conv_terms``).  Exhaustive
+    mode costs O(n^3) gathers.  Sampled mode costs O(n |K|) per distinct
+    b drawn for the class K, so never more than exhaustive mode, and
+    holds about CHUNK * n entries, never an n x n table.
     """
     G = f.group
     if T.n != G.n:
@@ -416,11 +450,8 @@ def gamma_functional(
     rng = np.random.default_rng(seed)
     g_draw = rng.integers(0, G.n, size=budget)
     b_draw = rng.integers(0, G.n, size=budget)
-    g_seen = np.unique(g_draw)
-    sels = [np.flatnonzero(g_draw == g) for g in g_seen]
-    drawn = ((int(g), b_draw[sel]) for g, sel in zip(g_seen, sels))
     values = np.empty(budget, dtype=np.float64)
-    for sel, (inner0, _) in zip(sels, _class_conv_terms(G, C, f.values, drawn)):
+    for sel, inner0, _ in _class_conv_terms(G, C, f.values, (g_draw, b_draw)):
         values[sel] = np.abs(inner0)
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
@@ -487,11 +518,14 @@ def cs_chain_diagnostics(
     c2 = float((inner_xz**2).mean()) ** 2
 
     U = t[:, t.diagonal()]  # U[y, z] = y z^2
+    v3U = v3[U]
+    U_rows = U * np.int32(n)  # flat offsets into t; n^2 < 2^31 for dense tables
+    t_flat = t.ravel()
     acc = 0.0
     for a in range(n):
         arr_a = t[t[G.inv, G.inv[a]], ar]  # arr_a[z] = z^{-1} a^{-1} z
-        Wm = t[U, arr_a[None, :]]  # Wm[y, z] = y z^2 z^{-1} a^{-1} z
-        inner = (v3[U] * v3[Wm]).mean(axis=1)
+        Wm = t_flat[U_rows + arr_a]  # Wm[y, z] = y z^2 z^{-1} a^{-1} z
+        inner = (v3U * v3[Wm]).mean(axis=1)
         acc += float((inner**2).sum())
     c3 = acc / (n * n)
 

@@ -32,7 +32,8 @@ from qmix import (
     verify_bnp,
     verify_derivative_bound,
 )
-from qmix.mixing import _toggle_gain_tables
+from qmix import mixing
+from qmix.mixing import _class_conv_stats, _toggle_gain_tables
 
 
 def cyclic5_phase_triple(G):
@@ -259,20 +260,43 @@ class TestDerivativeBound:
             verify_derivative_bound(GroupFunction(G, v), T)
 
 
-def gamma_brute_force(f, T, C):
-    """Direct composition of the averaged class-convolution functional."""
+def class_conv_integrands(f, C, g, b):
+    """(inner0, inner_full, inner_mean) at (g, b), composed from fourier.
+
+    inner_full uses the derivative at g^{-1}bg itself and inner0 its
+    mean-zero part; inner_mean is the product of the two derivative means.
+    """
     G = f.group
-    total = 0.0
-    for g in range(G.n):
-        mu = mu_translated_class(G, C, inverse(G, g))
-        g_inv = inverse(G, g)
-        for b in range(G.n):
-            gbg = mul(G, mul(G, g_inv, b), g)
-            _, f0 = mean_zero_decompose(delta_shift(f, gbg))
-            conv = convolve(f0, mu)
-            inner = mean(GroupFunction(G, delta_shift(f, b).values * conv.values))
-            total += abs(inner)
-    return total / G.n**2
+    mu = mu_translated_class(G, C, inverse(G, g))
+    gbg = mul(G, mul(G, inverse(G, g), b), g)
+    d_b = delta_shift(f, b)
+    d_c = delta_shift(f, gbg)
+    m_c, f0 = mean_zero_decompose(d_c)
+    inner0 = mean(GroupFunction(G, d_b.values * convolve(f0, mu).values))
+    inner_full = mean(GroupFunction(G, d_b.values * convolve(d_c, mu).values))
+    return inner0, inner_full, mean(d_b) * m_c
+
+
+def class_conv_brute_force(f, C):
+    """(gamma, c4, mean_term) by direct composition over every (g, b)."""
+    n = f.group.n
+    gamma = c4 = mean_term = 0.0
+    for g in range(n):
+        for b in range(n):
+            inner0, inner_full, inner_mean = class_conv_integrands(f, C, g, b)
+            gamma += abs(inner0)
+            c4 += inner_full
+            mean_term += abs(inner_mean)
+    return gamma / n**2, abs(c4) / n**2, mean_term / n**2
+
+
+def bounded_mean_zero(G, seed, complex_values):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, G.n)
+    if complex_values:
+        v = v * np.exp(2j * np.pi * rng.random(G.n))
+    v = v - v.mean()
+    return GroupFunction(G, v / (np.abs(v).max() + 1e-9))
 
 
 class TestGammaFunctional:
@@ -284,15 +308,44 @@ class TestGammaFunctional:
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_brute_force_oracle(self, complex_values, bundle):
         G, C, T = bundle("sym:3")
-        rng = np.random.default_rng(7)
-        v = rng.uniform(-1, 1, G.n)
-        if complex_values:
-            v = v * np.exp(2j * np.pi * rng.random(G.n))
-        v = v - v.mean()
-        v = v / (np.abs(v).max() + 1e-9)
-        f = GroupFunction(G, v)
+        f = bounded_mean_zero(G, 7, complex_values)
         rep = gamma_functional(f, T, C, mode="exhaustive")
-        assert rep.lhs_value == pytest.approx(gamma_brute_force(f, T, C), abs=1e-12)
+        want = class_conv_brute_force(f, C)
+        assert rep.lhs_value == pytest.approx(want[0], abs=1e-12)
+        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    # cyclic:6 has only singleton classes; sl2:3 has a center of order 2.
+    @pytest.mark.parametrize("spec", ["cyclic:6", "sl2:3"])
+    def test_class_conv_stats_brute_force(self, spec, complex_values, bundle):
+        G, C, _ = bundle(spec)
+        f = bounded_mean_zero(G, 41, complex_values)
+        got = _class_conv_stats(G, C, f.values)
+        assert got == pytest.approx(class_conv_brute_force(f, C), abs=1e-12)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    # A block size of 3 splits every class's drawn b's into several blocks
+    # of columns and the class average into several blocks of rows.
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_sampled_equals_mean_over_the_drawn_pairs(
+        self, chunk, complex_values, bundle, monkeypatch
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(mixing, "CHUNK", chunk)
+        G, C, T = bundle("sl2:3")
+        f = bounded_mean_zero(G, 43, complex_values)
+        budget, seed = 300, 11
+        rng = np.random.default_rng(seed)
+        g_draw = rng.integers(0, G.n, size=budget)
+        b_draw = rng.integers(0, G.n, size=budget)
+        values = np.array(
+            [abs(class_conv_integrands(f, C, int(g), int(b))[0])
+             for g, b in zip(g_draw, b_draw)]
+        )
+        rep = gamma_functional(f, T, C, mode="sampled", budget=budget, seed=seed)
+        assert rep.lhs_value == pytest.approx(values.mean(), abs=1e-12)
+        stderr = values.std(ddof=1) / math.sqrt(budget)
+        assert rep.stderr_estimate == pytest.approx(stderr, abs=1e-12)
 
     def test_exhaustive_on_alt5(self, bundle):
         G, C, T = bundle("alt:5")

@@ -43,8 +43,10 @@ class CharacterTable:
 
     Row 0 is the trivial character; rows are sorted by degree, then by
     rounded entry values, so equal inputs give identical tables across
-    seeds.  ``residual`` is the worst deviation found in either
-    orthogonality relation at certification time.
+    seeds.  ``D`` is the quasirandom degree, the smallest degree among
+    nontrivial irreducibles; 1 means the bound downstream is vacuous.
+    ``residual`` is the worst deviation found in either orthogonality
+    relation at certification time.
     """
 
     n: int
@@ -59,59 +61,37 @@ class CharacterTable:
 def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     """Partition G by conjugation orbits.
 
-    With generators available the orbit of x under conjugation by
-    generators equals its full class, so a flood fill over per-generator
-    conjugation maps suffices; a dense group without generators (loaded
-    from a file) falls back to conjugating by all elements at once.
+    The orbit of x under conjugation by the generators is its full class,
+    so a flood fill over one conjugation map per generator finds every
+    class.  Every GroupTable carries generators, file-loaded ones too.
     """
     n = G.n
     class_of = np.full(n, -1, dtype=np.int32)
     reps: list[int] = []
     elems: list[np.ndarray] = []
-    gens = [int(g) for g in G.generator_indices if int(g) != 0]
-
-    if gens:
-        if G.is_dense:
-            t = G.mul
-            maps = [t[t[G.inv[g]], g] for g in gens]
-        else:
-            maps = []
-            for g in gens:
-                ig = int(G.inv[g])
-                maps.append(
-                    np.array(
-                        [G.product(G.product(ig, x), g) for x in range(n)],
-                        dtype=np.int32,
-                    )
-                )
-        for x0 in range(n):
-            if class_of[x0] >= 0:
-                continue
-            c = len(reps)
-            class_of[x0] = c
-            members = [x0]
-            stack = [x0]
-            while stack:
-                x = stack.pop()
-                for m in maps:
-                    y = int(m[x])
-                    if class_of[y] < 0:
-                        class_of[y] = c
-                        members.append(y)
-                        stack.append(y)
-            reps.append(x0)
-            elems.append(np.sort(np.asarray(members, dtype=np.int32)))
-    else:
-        t = G.require_table("conjugacy enumeration without generators")
-        ar = np.arange(n)
-        for x0 in range(n):
-            if class_of[x0] >= 0:
-                continue
-            c = len(reps)
-            orbit = np.unique(t[t[G.inv, x0], ar])
-            class_of[orbit] = c
-            reps.append(x0)
-            elems.append(orbit.astype(np.int32))
+    ar = np.arange(n)
+    maps = [
+        G.compose(G.compose(G.inv[g], ar), g).tolist()
+        for g in G.generator_indices
+        if g != 0
+    ]
+    for x0 in range(n):
+        if class_of[x0] >= 0:
+            continue
+        c = len(reps)
+        class_of[x0] = c
+        members = [x0]
+        stack = [x0]
+        while stack:
+            x = stack.pop()
+            for m in maps:
+                y = m[x]
+                if class_of[y] < 0:
+                    class_of[y] = c
+                    members.append(y)
+                    stack.append(y)
+        reps.append(x0)
+        elems.append(np.sort(np.asarray(members, dtype=np.int32)))
 
     sizes = np.array([len(e) for e in elems], dtype=np.int64)
     k = len(reps)
@@ -140,14 +120,7 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData, i: int) -> np.ndarr
     reps = C.representatives
     Ei = C.class_elements[i]
     k = C.k
-    if G.is_dense:
-        B = G.mul[np.ix_(G.inv[Ei], reps)]
-    else:
-        B = np.empty((len(Ei), k), dtype=np.int32)
-        for ai, a in enumerate(Ei):
-            ia = int(G.inv[a])
-            for l in range(k):
-                B[ai, l] = G.product(ia, int(reps[l]))
+    B = G.compose(G.inv[Ei][:, None], reps)
     cls = C.class_of[B].astype(np.int64)
     flat = cls * k + np.arange(k, dtype=np.int64)[None, :]
     return np.bincount(flat.ravel(), minlength=k * k).reshape(k, k)
@@ -257,12 +230,6 @@ def compute_character_table(
     raise CertificationError(
         f"character table failed certification after {retries} attempts: {last_error}"
     )
-
-
-def quasirandom_degree(T: CharacterTable) -> int:
-    """Smallest degree among nontrivial irreducibles; 1 means the bound
-    downstream is vacuous."""
-    return T.D
 
 
 def witten_zeta(T: CharacterTable, s: float) -> float:

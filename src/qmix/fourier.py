@@ -57,22 +57,6 @@ def _same_group(f: GroupFunction, h: GroupFunction) -> GroupTable:
     return f.group
 
 
-def _right_mul_vector(G: GroupTable, b: int) -> np.ndarray:
-    """Index vector m with m[x] = x*b."""
-    b = G._check_index(b)
-    if G.is_dense:
-        return G.mul[:, b]
-    return np.fromiter((G.mul_fn(x, b) for x in range(G.n)), np.int32, G.n)
-
-
-def _left_mul_vector(G: GroupTable, a: int) -> np.ndarray:
-    """Index vector m with m[x] = a*x."""
-    a = G._check_index(a)
-    if G.is_dense:
-        return G.mul[a]
-    return np.fromiter((G.mul_fn(a, x) for x in range(G.n)), np.int32, G.n)
-
-
 def constant_function(G: GroupTable, value: complex = 1.0) -> GroupFunction:
     return GroupFunction(G, np.full(G.n, value, dtype=np.complex128))
 
@@ -110,14 +94,9 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
     """
     if C.group is not G:
         raise GroupMismatchError("class data belongs to a different group")
-    g = G._check_index(g)
+    g = int(G._check_indices(g))
     members = C.class_elements[int(C.class_of[g])]
-    if G.is_dense:
-        support = G.mul[g, members]
-    else:
-        support = np.fromiter(
-            (G.mul_fn(g, int(c)) for c in members), np.int64, len(members)
-        )
+    support = G.compose(g, members)
     return mu_set(G, support)
 
 
@@ -161,14 +140,15 @@ def convolve(f: GroupFunction, h: GroupFunction, *, sparse: bool | None = None) 
         sparse = min(nnz_f, nnz_h) <= max(1, n // 8)
     if sparse:
         out = np.zeros(n, dtype=np.complex128)
+        ar = np.arange(n)
         if nnz_h <= nnz_f:
             for y in np.flatnonzero(h.values):
-                col = _right_mul_vector(G, int(G.inv[y]))
+                col = G.compose(ar, G.inv[y])  # col[x] = x * y^{-1}
                 out += h.values[y] * f.values[col]
         else:
             # Same sum seen from the left factor: z = x y^{-1}.
             for z in np.flatnonzero(f.values):
-                row = _left_mul_vector(G, int(G.inv[z]))
+                row = G.compose(G.inv[z], ar)  # row[x] = z^{-1} * x
                 out += f.values[z] * h.values[row]
         return GroupFunction(G, out / n)
     t = G.require_table("dense convolution")
@@ -185,7 +165,8 @@ def convolve(f: GroupFunction, h: GroupFunction, *, sparse: bool | None = None) 
 
 def delta_shift(f: GroupFunction, b: int) -> GroupFunction:
     """Multiplicative derivative f(x) * f(xb); deliberately unconjugated."""
-    col = _right_mul_vector(f.group, b)
+    G = f.group
+    col = G.compose(np.arange(G.n), b)
     return GroupFunction(f.group, f.values * f.values[col])
 
 

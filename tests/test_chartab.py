@@ -15,7 +15,6 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
     is_abelian,
-    quasirandom_degree,
     witten_zeta,
 )
 
@@ -196,7 +195,6 @@ class TestQuasirandomDegree:
             ("cyclic:6", 1),
         ]:
             _, _, T = bundle(spec)
-            assert quasirandom_degree(T) == expected
             assert T.D == expected
 
     def test_product_of_quasirandom_factors(self, bundle):

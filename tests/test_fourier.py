@@ -20,7 +20,6 @@ from qmix import (
     function_from_json,
     function_to_json,
     indicator_function,
-    inverse,
     invert_class_function,
     mean,
     mean_zero_decompose,
@@ -153,7 +152,7 @@ class TestConvolve:
             [
                 np.mean(
                     [
-                        f.values[G.product(x, inverse(G, y))] * h.values[y]
+                        f.values[G.product(x, G.inverse(y))] * h.values[y]
                         for y in range(G.n)
                     ]
                 )
@@ -268,7 +267,7 @@ class TestSpectralProfile:
             total = 0.0 + 0.0j
             for x in range(G.n):
                 for y in range(G.n):
-                    c = int(C.class_of[G.product(inverse(G, x), y)])
+                    c = int(C.class_of[G.product(G.inverse(x), y)])
                     total += np.conj(v[x]) * v[y] * T.chi[r, c]
             hs2[r] = (total / G.n**2).real
         profile = spectral_profile(f, T, C)

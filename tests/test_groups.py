@@ -12,15 +12,18 @@ from qmix import (
     build_group,
     construct_group,
     direct_product,
-    inverse,
     is_abelian,
-    mul,
     parse_spec,
     read_group,
     validate_group,
     write_group,
 )
-from qmix.groups import DENSE_CAP, MAX_ORDER
+from qmix import (
+    class_mult_coefficients,
+    compute_character_table,
+    conjugacy_classes,
+)
+from qmix.groups import DENSE_CAP, MAX_ORDER, GroupTable, _model
 
 ORDER_ORACLES = {
     "cyclic:12": 12,
@@ -93,7 +96,15 @@ class TestParse:
         # 157*(157^2 - 1)/2 = 1934634 > 50000, but the prime itself is fine
         with pytest.raises(SpecError):
             parse_spec("psl2:157")
+        with pytest.raises(SpecError):
+            parse_spec("sl2:41")
         assert parse_spec("psl2:29").order() == 12180
+        # 37*(37^2 - 1) = 50616 is above the cap, but psl2:37 has half that.
+        assert parse_spec("psl2:37").order() == 25308
+        assert parse_spec("psl2:43").order() == 39732
+        G = build_group("psl2:37")
+        assert G.n == 25308
+        assert G.mul is None
 
 
 class TestConstruction:
@@ -136,15 +147,17 @@ class TestConstruction:
             orders.append(k)
         assert sorted(orders) == [1, 2, 2, 2, 3, 3]
 
-    def test_mul_helpers_and_bounds(self):
+    def test_product_bounds(self):
         G = build_group("cyclic:6")
-        assert mul(G, 2, 3) == G.product(2, 3)
-        assert inverse(G, 2) == G.inverse(2)
+        assert G.product(2, 3) == 5
+        assert G.inverse(2) == 4
         for bad in (-1, 6):
             with pytest.raises(PreconditionError):
-                mul(G, bad, 0)
+                G.product(bad, 0)
             with pytest.raises(PreconditionError):
-                inverse(G, bad)
+                G.inverse(bad)
+            with pytest.raises(PreconditionError):
+                G.compose(np.arange(6), [0, 1, bad, 2, 3, 4])
 
     def test_generators_listed_and_valid(self):
         for text in ("cyclic:5", "dihedral:4", "alt:5", "sl2:5"):
@@ -234,7 +247,7 @@ class TestSerialization:
             read_group(path)
 
     def test_non_group_table_rejected(self, tmp_path):
-        # mul row [1, 1, 1] breaks the Latin-square property
+        # mul row [1, 1, 1] breaks the Latin-square property and the inverse law
         n = 3
         mul_bad = np.array([[0, 1, 2], [1, 1, 1], [2, 0, 1]], dtype="<u4")
         inv_bad = np.array([0, 2, 1], dtype="<u4")
@@ -255,7 +268,6 @@ class TestLazyPath:
         G = build_group("psl2:29")
         assert G.n == 12180
         assert G.n > DENSE_CAP
-        assert not G.is_dense
         assert G.mul is None
         with pytest.raises(SizeGuardError):
             G.require_table("anything")
@@ -313,10 +325,8 @@ class TestValidateGroup:
         G = build_group("cyclic:8")
         bad = G.mul.copy()
         bad[3, 4], bad[3, 5] = bad[3, 5], bad[3, 4]
-        from qmix.groups import GroupTable
-
         H = GroupTable(
-            n=8, mul=bad, inv=G.inv.copy(), spec=None, generator_indices=()
+            n=8, mul=bad, inv=G.inv.copy(), spec=None, generator_indices=(1,)
         )
         with pytest.raises(GroupFormatError):
             validate_group(H)
@@ -326,3 +336,103 @@ class TestValidateGroup:
         G = construct_group(spec)
         assert G.n == 12
         assert G.spec == spec
+
+    def test_rejects_an_intercalate_swap(self, tmp_path):
+        # Rows 1, 151 and columns 2, 152 of cyclic:300 hold 3, 153 / 153, 3.
+        # Swapping them keeps a Latin square with identity and inverses: a
+        # loop, but not a group.
+        G = build_group("cyclic:300")
+        bad = G.mul.copy()
+        for a, b in ((1, 2), (1, 152), (151, 2), (151, 152)):
+            bad[a, b] = (a + b + 150) % 300
+        ar = np.arange(300)
+        assert np.array_equal(np.sort(bad, axis=0), np.broadcast_to(ar[:, None], bad.shape))
+        assert np.array_equal(np.sort(bad, axis=1), np.broadcast_to(ar, bad.shape))
+        assert np.all(bad[ar, G.inv] == 0)
+        H = GroupTable(n=300, mul=bad, inv=G.inv.copy(), spec=None, generator_indices=(1,))
+        with pytest.raises(GroupFormatError, match="associativity"):
+            validate_group(H)
+        write_group(H, tmp_path / "loop.qmg")
+        with pytest.raises(GroupFormatError, match="associativity"):
+            read_group(tmp_path / "loop.qmg")
+
+    def test_too_many_greedy_generators_rejected(self):
+        # Identity and inverses hold, but x*y = x for x, y outside {0, y^-1}
+        # keeps every right-multiplication span at {0, g}.
+        n = 8
+        t = np.zeros((n, n), dtype=np.int32)
+        t[0] = t[:, 0] = np.arange(n)
+        for x in range(1, n):
+            t[x, 1:] = x
+            t[x, x] = 0
+        H = GroupTable(n=n, mul=t, inv=np.arange(n), spec=None, generator_indices=(1,))
+        with pytest.raises(GroupFormatError, match="greedy generators"):
+            validate_group(H)
+
+    def test_every_group_has_generators(self):
+        G = build_group("cyclic:4")
+        with pytest.raises(PreconditionError):
+            GroupTable(n=4, mul=G.mul, inv=G.inv, spec=None, generator_indices=())
+
+
+def test_file_group_matches_spec_group(tmp_path):
+    G = build_group("sl2:13")
+    write_group(G, tmp_path / "g.qmg")
+    H = read_group(tmp_path / "g.qmg")
+    assert H.generator_indices
+    assert len(H.generator_indices) <= int(np.log2(H.n))
+    assert is_abelian(H) is False
+    CG, CH = conjugacy_classes(G), conjugacy_classes(H)
+    assert CH.k == CG.k
+    for name in ("class_of", "representatives", "sizes"):
+        assert np.array_equal(getattr(CH, name), getattr(CG, name))
+    assert all(np.array_equal(a, b) for a, b in zip(CH.class_elements, CG.class_elements))
+    TG, TH = compute_character_table(G, CG), compute_character_table(H, CH)
+    assert np.array_equal(TH.chi, TG.chi)
+    assert np.array_equal(TH.degrees, TG.degrees)
+
+
+@pytest.mark.parametrize("text", ["psl2:7", "alt:5", "sl2:5"])
+def test_lazy_backend_matches_dense(text):
+    spec = parse_spec(text)
+    gens, law, identity, inv_elem, order = _model(spec)
+    D = build_closure(gens, law, identity, inv_elem, spec=spec, expected_order=order)
+    L = build_closure(
+        gens, law, identity, inv_elem, spec=spec, expected_order=order, dense_cap=1
+    )
+    assert D.mul is not None and L.mul is None
+    assert np.array_equal(L.inv, D.inv)
+    assert L.generator_indices == D.generator_indices
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, D.n, size=(40, 7))
+    b = rng.integers(0, D.n, size=7)
+    assert np.array_equal(L.compose(a, b), D.mul[a, b])
+    assert np.array_equal(L.compose(a[:, :1], b), D.mul[a[:, :1], b])
+    assert L.product(5, 9) == D.product(5, 9)
+    assert is_abelian(L) == is_abelian(D)
+    CD, CL = conjugacy_classes(D), conjugacy_classes(L)
+    assert CL.k == CD.k
+    for name in ("class_of", "representatives", "sizes"):
+        assert np.array_equal(getattr(CL, name), getattr(CD, name))
+    assert all(np.array_equal(x, y) for x, y in zip(CL.class_elements, CD.class_elements))
+    for i in range(CD.k):
+        assert np.array_equal(
+            class_mult_coefficients(L, CL, i), class_mult_coefficients(D, CD, i)
+        )
+    TD, TL = compute_character_table(D, CD), compute_character_table(L, CL)
+    assert np.array_equal(TL.chi, TD.chi)
+    assert np.array_equal(TL.degrees, TD.degrees)
+
+
+@pytest.mark.parametrize("first,second", [("sl2:13", "cyclic:5"), ("cyclic:5", "sl2:13")])
+def test_lazy_product_composes_through_its_factors(first, second):
+    G = build_group(f"prod:{first}+{second}")
+    G1, G2 = build_group(first), build_group(second)
+    assert G.n == 10920 and G.mul is None
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, G.n, size=(300, 1))
+    b = rng.integers(0, G.n, size=300)
+    n2 = G2.n
+    expected = G1.mul[a // n2, b // n2] * n2 + G2.mul[a % n2, b % n2]
+    assert np.array_equal(G.compose(a, b), expected)
+    assert np.array_equal(G.compose(G.inv[b], b), np.zeros(300))

@@ -20,11 +20,9 @@ from qmix import (
     delta_shift,
     gamma_functional,
     indicator_function,
-    inverse,
     mean,
     mean_zero_decompose,
     mu_translated_class,
-    mul,
     random_ensemble,
     theorem_bound,
     theta_defect,
@@ -162,8 +160,8 @@ class TestCountProgressions:
                 for x in range(G.n)
                 for y in range(G.n)
                 if x in sets[0]
-                and mul(G, x, y) in sets[1]
-                and mul(G, mul(G, x, y), y) in sets[2]
+                and G.product(x, y) in sets[1]
+                and G.product(G.product(x, y), y) in sets[2]
             )
             assert count_progressions(*sets, G) == expected
 
@@ -267,8 +265,8 @@ def class_conv_integrands(f, C, g, b):
     mean-zero part; inner_mean is the product of the two derivative means.
     """
     G = f.group
-    mu = mu_translated_class(G, C, inverse(G, g))
-    gbg = mul(G, mul(G, inverse(G, g), b), g)
+    mu = mu_translated_class(G, C, G.inverse(g))
+    gbg = G.product(G.product(G.inverse(g), b), g)
     d_b = delta_shift(f, b)
     d_c = delta_shift(f, gbg)
     m_c, f0 = mean_zero_decompose(d_c)
@@ -430,7 +428,7 @@ class TestChain:
         v1 = fs[0].values.real
 
         inner = [
-            np.mean([v1[mul(G, x, inverse(G, z))] * v3[mul(G, x, z)] for z in range(n)])
+            np.mean([v1[G.product(x, G.inverse(z))] * v3[G.product(x, z)] for z in range(n)])
             for x in range(n)
         ]
         c2 = float(np.mean(np.array(inner) ** 2)) ** 2
@@ -441,10 +439,10 @@ class TestChain:
             for a in range(n):
                 acc = 0.0
                 for z in range(n):
-                    zsq = mul(G, z, z)
-                    shift = mul(G, mul(G, inverse(G, z), inverse(G, a)), z)
-                    x = mul(G, y, zsq)
-                    acc += v3[x] * v3[mul(G, x, shift)]
+                    zsq = G.product(z, z)
+                    shift = G.product(G.product(G.inverse(z), G.inverse(a)), z)
+                    x = G.product(y, zsq)
+                    acc += v3[x] * v3[G.product(x, shift)]
                 total += (acc / n) ** 2
         c3 = total / n**2
         assert v["c3"] == pytest.approx(c3, abs=1e-12)

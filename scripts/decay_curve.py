@@ -26,15 +26,6 @@ from qmix import (
 )
 
 
-@dataclass(frozen=True)
-class DecayConfig:
-    specs: tuple[str, ...] = ("sl2:5", "sl2:7", "sl2:11", "sl2:13")
-    trials: int = 50
-    density: float = 0.5
-    seed: int = 7
-    out: str | None = None
-
-
 @dataclass
 class DecayRow:
     spec: str
@@ -46,14 +37,15 @@ class DecayRow:
     samples: list = field(repr=False, default_factory=list)
 
 
-def measure(cfg: DecayConfig) -> list[DecayRow]:
+def measure(args: argparse.Namespace) -> list[DecayRow]:
     rows = []
-    for spec in cfg.specs:
+    for spec in args.specs:
         G = build_group(spec)
         C = conjugacy_classes(G)
         T = compute_character_table(G, C)
+        kind = f"indicator:{args.density}"
         streams = [
-            random_ensemble(G, f"indicator:{cfg.density}", (cfg.seed, G.n, role), cfg.trials)
+            random_ensemble(G, kind, (args.seed, G.n, role), args.trials)
             for role in range(3)
         ]
         thetas = [rep.theta for rep in theta_defects(*streams, T)]
@@ -73,21 +65,14 @@ def measure(cfg: DecayConfig) -> list[DecayRow]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--specs", nargs="+", default=list(DecayConfig.specs))
+    parser.add_argument("--specs", nargs="+", default="sl2:5 sl2:7 sl2:11 sl2:13".split())
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--density", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
-    cfg = DecayConfig(
-        specs=tuple(args.specs),
-        trials=args.trials,
-        density=args.density,
-        seed=args.seed,
-        out=args.out,
-    )
 
-    rows = measure(cfg)
+    rows = measure(args)
     print(f"{'group':>10} {'n':>6} {'D':>3} {'median':>12} {'max':>12} {'bound':>10}")
     for row in rows:
         print(
@@ -101,14 +86,14 @@ def main(argv=None) -> int:
         ) else "NOT monotone"
         print(f"median trend across listed groups: {trend}")
 
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["group", "n", "D", "trial", "theta", "bound"])
             for row in rows:
                 for t, theta in enumerate(row.samples):
                     writer.writerow([row.spec, row.n, row.D, t, repr(theta), row.bound])
-        print(f"wrote per-trial samples to {cfg.out}")
+        print(f"wrote per-trial samples to {args.out}")
     return 0
 
 

@@ -24,16 +24,6 @@ from qmix import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    specs: tuple[str, ...] = ("psl2:5", "psl2:7", "sl2:7")
-    budget: int = 10_000
-    restarts: int = 5
-    seed: int = 1
-    baseline_trials: int = 20
-    out: str | None = None
-
-
 @dataclass
 class SearchRow:
     spec: str
@@ -46,15 +36,15 @@ class SearchRow:
     sizes: tuple[int, int, int]
 
 
-def run_one(cfg: SearchConfig, spec: str) -> SearchRow:
+def run_one(args: argparse.Namespace, spec: str) -> SearchRow:
     G = build_group(spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     A1, A2, A3, rep = adversarial_search(
-        G, T, budget=cfg.budget, restarts=cfg.restarts, seed=cfg.seed
+        G, T, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
     streams = [
-        random_ensemble(G, "indicator:0.5", (cfg.seed, 77, role), cfg.baseline_trials)
+        random_ensemble(G, "indicator:0.5", (args.seed, 77, role), args.baseline_trials)
         for role in range(3)
     ]
     baseline = max(rep.theta for rep in theta_defects(*streams, T))
@@ -72,23 +62,15 @@ def run_one(cfg: SearchConfig, spec: str) -> SearchRow:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--specs", nargs="+", default=list(SearchConfig.specs))
+    parser.add_argument("--specs", nargs="+", default=["psl2:5", "psl2:7", "sl2:7"])
     parser.add_argument("--budget", type=int, default=10_000)
     parser.add_argument("--restarts", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--baseline-trials", type=int, default=20)
     parser.add_argument("--out", default=None, help="optional JSON path")
     args = parser.parse_args(argv)
-    cfg = SearchConfig(
-        specs=tuple(args.specs),
-        budget=args.budget,
-        restarts=args.restarts,
-        seed=args.seed,
-        baseline_trials=args.baseline_trials,
-        out=args.out,
-    )
 
-    rows = [run_one(cfg, spec) for spec in cfg.specs]
+    rows = [run_one(args, spec) for spec in args.specs]
     print(
         f"{'group':>10} {'n':>6} {'D':>3} {'searched':>12} {'random max':>12} "
         f"{'bound':>10} {'gain':>7}"
@@ -100,10 +82,10 @@ def main(argv=None) -> int:
             f"{row.improvement_over_random:>7.2f}x"
         )
 
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump([asdict(row) for row in rows], fh, indent=2)
-        print(f"wrote rows to {cfg.out}")
+        print(f"wrote rows to {args.out}")
     return 0
 
 

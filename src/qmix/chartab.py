@@ -19,6 +19,8 @@ from .errors import CertificationError, PreconditionError, SizeGuardError
 from .groups import GroupTable, is_abelian
 
 MAX_CLASSES = 200
+RETRIES = 5
+DEGREE_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -152,16 +154,14 @@ def compute_character_table(
     *,
     seed: int = 42,
     tol: float = 1e-8,
-    degree_tol: float = 1e-6,
-    retries: int = 5,
 ) -> CharacterTable:
     """Compute and certify the full character table of G.
 
-    Raises CertificationError if no attempt yields a table passing all
-    of: eigenvalue separation, integral degrees (pre-rounding deviation
-    below degree_tol), sum of squared degrees equal to n exactly, both
-    orthogonality relations within tol, trivial row all ones, and
-    agreement of the all-degrees-one test with abelianness.
+    Raises CertificationError if none of RETRIES attempts yields a table
+    passing all of: eigenvalue separation, integral degrees (pre-rounding
+    deviation below DEGREE_TOL), sum of squared degrees equal to n
+    exactly, both orthogonality relations within tol, trivial row all
+    ones, and agreement of the all-degrees-one test with abelianness.
     """
     if C is None:
         C = conjugacy_classes(G)
@@ -178,7 +178,7 @@ def compute_character_table(
 
     abelian = is_abelian(G)
     last_error = "no attempt made"
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         rng = np.random.default_rng((seed, attempt))
         r = rng.uniform(1.0, 2.0, size=k)
         M = np.tensordot(r, M_all, axes=1)
@@ -199,7 +199,7 @@ def compute_character_table(
         s = (np.abs(omega) ** 2 / sizes_f[:, None]).sum(axis=0)
         degrees_f = np.sqrt(n / s)
         degrees = np.rint(degrees_f).astype(np.int64)
-        if np.any(degrees < 1) or float(np.abs(degrees_f - degrees).max()) > degree_tol:
+        if np.any(degrees < 1) or float(np.abs(degrees_f - degrees).max()) > DEGREE_TOL:
             last_error = "non-integral degree before rounding"
             continue
         if int((degrees**2).sum()) != n:
@@ -228,7 +228,7 @@ def compute_character_table(
         )
 
     raise CertificationError(
-        f"character table failed certification after {retries} attempts: {last_error}"
+        f"character table failed certification after {RETRIES} attempts: {last_error}"
     )
 
 

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +21,12 @@ from .chartab import (
     character_table_report,
     compute_character_table,
     conjugacy_classes,
-    witten_zeta,
 )
 from .errors import CertificationError, QmixError
-from .fourier import (
-    GroupFunction,
-    indicator_function,
-    mu_translated_class,
-    spectral_profile,
-)
+from .fourier import GroupFunction, indicator_function
 from .groups import build_group, is_abelian, write_group
 from .mixing import (
+    LemmaReport,
     cs_chain_diagnostics,
     adversarial_search,
     gamma_functional,
@@ -40,24 +34,11 @@ from .mixing import (
     theta_defects,
     verify_bnp,
     verify_derivative_bound,
+    verify_fcmu,
+    verify_parseval,
 )
 
-SUITES = ("bnp", "derivative", "gamma", "fcmu", "parseval", "chain", "all")
 QUASIRANDOM_SUITES = {"bnp", "derivative", "gamma"}
-CHAIN_CLI_MAX_ORDER = 512
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    group_spec: str
-    seed: int = 42
-    trials: int = 100
-    tol: float = 1e-8
-    budget: int = 2000
-    restarts: int = 5
-    output_path: str | None = None
-    format: str = "text"
 
 
 def _fmt(x) -> str:
@@ -117,151 +98,49 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_group(cfg: RunConfig) -> int:
-    G = build_group(cfg.group_spec)
+def cmd_group(args) -> int:
+    G = build_group(args.spec)
     C = conjugacy_classes(G)
     info = {
-        "group": cfg.group_spec,
+        "group": args.spec,
         "n": G.n,
         "abelian": is_abelian(G),
         "classes": C.k,
     }
-    if cfg.output_path:
-        write_group(G, cfg.output_path)
-        info["written"] = cfg.output_path
-    if cfg.format == "json":
+    if args.out:
+        write_group(G, args.out)
+        info["written"] = args.out
+    if args.format == "json":
         _emit(json.dumps(info, indent=2), None)
     else:
         _emit(" ".join(f"{k}={_fmt(v)}" for k, v in info.items()), None)
     return 0
 
 
-def cmd_chartab(cfg: RunConfig) -> int:
-    G = build_group(cfg.group_spec)
+def cmd_chartab(args) -> int:
+    G = build_group(args.spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C, seed=cfg.seed, tol=cfg.tol)
-    if cfg.format == "csv":
-        _emit(character_table_csv(T, C), cfg.output_path)
+    T = compute_character_table(G, C, seed=args.seed, tol=args.tol)
+    if args.format == "csv":
+        _emit(character_table_csv(T, C), args.out)
         return 0
     report = character_table_report(T)
-    report["group"] = cfg.group_spec
-    if cfg.format == "json":
-        _emit(json.dumps(report, indent=2, default=_json_default), cfg.output_path)
+    report["group"] = args.spec
+    if args.format == "json":
+        _emit(json.dumps(report, indent=2, default=_json_default), args.out)
         return 0
     lines = [
-        f"group={cfg.group_spec} n={T.n} k={T.k}",
+        f"group={args.spec} n={T.n} k={T.k}",
         f"degrees={report['degrees']}",
         f"D={T.D}" + (" (not quasirandom)" if T.D < 2 else ""),
         f"zeta1={_fmt(report['zeta1'])}",
         f"orthogonality_residual={_fmt(T.residual)}",
     ]
-    _emit("\n".join(lines), cfg.output_path)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def _verify_bnp_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 101), 2 * cfg.trials)
-    rows = []
-    for i in range(cfg.trials):
-        f1, f2 = fns[2 * i], fns[2 * i + 1]
-        rep = verify_bnp(f1, f2, T, tol=cfg.tol)
-        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f1, f2)))
-    return rows
-
-
-def _verify_derivative_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 102), cfg.trials)
-    rows = []
-    for i, f in enumerate(fns):
-        rep = verify_derivative_bound(f, T, tol=cfg.tol)
-        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f)))
-    return rows
-
-
-def _verify_gamma_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 103), cfg.trials)
-    rows = []
-    for i, f in enumerate(fns):
-        rep = gamma_functional(
-            f,
-            T,
-            C,
-            budget=cfg.budget,
-            seed=cfg.seed * 1_000_003 + i,
-            tol=cfg.tol,
-        )
-        rows.append(_lemma_row(rep, i, cfg, _hash_functions(f)))
-    return rows
-
-
-def _verify_parseval_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    fns = random_ensemble(G, "unimodular", (cfg.seed, 105), cfg.trials)
-    rows = []
-    for i, f in enumerate(fns):
-        residual = spectral_profile(f, T, C, tol=math.inf).parseval_residual
-        rows.append({
-            "lemma_id": "parseval",
-            "trial": i,
-            "mode": "exhaustive",
-            "lhs": residual,
-            "rhs": cfg.tol,
-            "margin": cfg.tol - residual,
-            "stderr": None,
-            "passed": residual <= cfg.tol,
-            "hash": _hash_functions(f),
-        })
-    return rows
-
-
-def _verify_fcmu_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    worst = 0.0
-    for g in range(G.n):
-        mu = mu_translated_class(G, C, g)
-        profile = spectral_profile(mu, T, C, tol=math.inf)
-        cls = int(C.class_of[g])
-        predicted = (np.abs(T.chi[:, cls]) ** 2) / T.degrees
-        worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
-    return [
-        {
-            "lemma_id": "fcmu",
-            "trial": 0,
-            "mode": "exhaustive",
-            "lhs": worst,
-            "rhs": cfg.tol,
-            "margin": cfg.tol - worst,
-            "stderr": None,
-            "passed": worst <= cfg.tol,
-            "hash": None,
-        }
-    ]
-
-
-def _verify_chain_rows(G, C, T, cfg: RunConfig) -> list[dict]:
-    pair = random_ensemble(G, "rademacher", (cfg.seed, 106), 2 * cfg.trials)
-    thirds = random_ensemble(G, "mean_zero_rademacher", (cfg.seed, 107), cfg.trials)
-    rows = []
-    for i in range(cfg.trials):
-        f1, f2, f3 = pair[2 * i], pair[2 * i + 1], thirds[i]
-        rep = cs_chain_diagnostics(
-            f1, f2, f3, T, C, max_order=CHAIN_CLI_MAX_ORDER, tol=max(cfg.tol, 1e-9)
-        )
-        vals = dict(rep.values)
-        rows.append({
-            "lemma_id": "chain",
-            "trial": i,
-            "mode": "exhaustive",
-            "lhs": vals["split"],
-            "rhs": vals["bound"],
-            "margin": vals["bound"] - vals["split"],
-            "stderr": None,
-            "passed": rep.passed,
-            "hash": _hash_functions(f1, f2, f3),
-            "values": vals,
-        })
-    return rows
-
-
-def _lemma_row(rep, trial: int, cfg: RunConfig, fn_hash: str) -> dict:
+def _lemma_row(rep: LemmaReport, trial: int, *fns: GroupFunction) -> dict:
     return {
         "lemma_id": rep.lemma_id,
         "trial": trial,
@@ -271,8 +150,53 @@ def _lemma_row(rep, trial: int, cfg: RunConfig, fn_hash: str) -> dict:
         "margin": rep.margin,
         "stderr": rep.stderr_estimate,
         "passed": rep.passed,
-        "hash": fn_hash,
+        "hash": _hash_functions(*fns) if fns else None,
     }
+
+
+def _verify_bnp_rows(G, C, T, args) -> list[dict]:
+    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 101), 2 * args.trials)
+    return [
+        _lemma_row(verify_bnp(f1, f2, T, tol=args.tol), i, f1, f2)
+        for i, (f1, f2) in enumerate(zip(fns[::2], fns[1::2]))
+    ]
+
+
+def _verify_derivative_rows(G, C, T, args) -> list[dict]:
+    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 102), args.trials)
+    return [
+        _lemma_row(verify_derivative_bound(f, T, tol=args.tol), i, f)
+        for i, f in enumerate(fns)
+    ]
+
+
+def _verify_gamma_rows(G, C, T, args) -> list[dict]:
+    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
+    rows = []
+    for i, f in enumerate(fns):
+        seed = args.seed * 1_000_003 + i
+        rep = gamma_functional(f, T, C, budget=args.budget, seed=seed, tol=args.tol)
+        rows.append(_lemma_row(rep, i, f))
+    return rows
+
+
+def _verify_fcmu_rows(G, C, T, args) -> list[dict]:
+    return [_lemma_row(verify_fcmu(T, C, args.tol), 0)]
+
+
+def _verify_parseval_rows(G, C, T, args) -> list[dict]:
+    fns = random_ensemble(G, "unimodular", (args.seed, 105), args.trials)
+    return [_lemma_row(verify_parseval(f, T, C, args.tol), i, f) for i, f in enumerate(fns)]
+
+
+def _verify_chain_rows(G, C, T, args) -> list[dict]:
+    pair = random_ensemble(G, "rademacher", (args.seed, 106), 2 * args.trials)
+    thirds = random_ensemble(G, "mean_zero_rademacher", (args.seed, 107), args.trials)
+    rows = []
+    for i, triple in enumerate(zip(pair[::2], pair[1::2], thirds)):
+        rep = cs_chain_diagnostics(*triple, T, C, tol=max(args.tol, 1e-9))
+        rows.append({**_lemma_row(rep.lemma, i, *triple), "values": dict(rep.values)})
+    return rows
 
 
 _SUITE_RUNNERS = {
@@ -285,14 +209,14 @@ _SUITE_RUNNERS = {
 }
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    G = build_group(cfg.group_spec)
+def cmd_verify(args) -> int:
+    G = build_group(args.spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C, seed=cfg.seed, tol=min(cfg.tol, 1e-8))
-    suites = list(_SUITE_RUNNERS) if suite == "all" else [suite]
+    T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
+    suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         print(
-            f"error: {cfg.group_spec} is not quasirandom (D={T.D}); "
+            f"error: {args.spec} is not quasirandom (D={T.D}); "
             f"suite requires D >= 2",
             file=sys.stderr,
         )
@@ -300,26 +224,23 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
     rows: list[dict] = []
     for s in suites:
-        for row in _SUITE_RUNNERS[s](G, C, T, cfg):
-            row["group"] = cfg.group_spec
+        for row in _SUITE_RUNNERS[s](G, C, T, args):
+            row["group"] = args.spec
             row["n"] = G.n
             row["D"] = T.D
-            row["seed"] = cfg.seed
+            row["seed"] = args.seed
             rows.append(row)
 
-    columns = [
-        "group", "n", "D", "lemma_id", "trial", "mode",
-        "lhs", "rhs", "margin", "stderr", "seed", "passed",
-    ]
-    _emit(_render_rows(rows, columns, cfg.format), cfg.output_path)
+    columns = "group n D lemma_id trial mode lhs rhs margin stderr seed passed".split()
+    _emit(_render_rows(rows, columns, args.format), args.out)
     failed = [r for r in rows if not r["passed"]]
     for r in failed:
         replay = (
-            f"qmix verify {cfg.group_spec} --suite {r['lemma_id']} "
-            f"--trials {cfg.trials} --seed {cfg.seed} --tol {cfg.tol:g}"
+            f"qmix verify {args.spec} --suite {r['lemma_id']} "
+            f"--trials {args.trials} --seed {args.seed} --tol {args.tol:g}"
         )
         print(
-            f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={cfg.seed} "
+            f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={args.seed} "
             f"hash={r.get('hash')} -- replay: {replay}",
             file=sys.stderr,
         )
@@ -354,19 +275,22 @@ def _parse_sets_arg(arg: str) -> list[list[int]]:
     return data
 
 
-def cmd_mix(cfg: RunConfig, sets_arg: str | None, density: float | None) -> int:
-    G = build_group(cfg.group_spec)
+def cmd_mix(args) -> int:
+    if args.sets is not None and args.random is not None:
+        raise QmixError("--sets and --random are mutually exclusive")
+    G = build_group(args.spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C, seed=42, tol=1e-8)
-    if sets_arg is not None:
-        streams = [[indicator_function(G, s)] for s in _parse_sets_arg(sets_arg)]
+    T = compute_character_table(G, C)
+    density = args.random
+    if args.sets is not None:
+        streams = [[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]
     else:
         if density is None:
             raise QmixError("mix needs either --sets or --random")
         if not 0.0 < density < 1.0:
             raise QmixError(f"density must be in (0, 1), got {density}")
         streams = [
-            random_ensemble(G, f"indicator:{density}", (cfg.seed, 11 + role), cfg.trials)
+            random_ensemble(G, f"indicator:{density}", (args.seed, 11 + role), args.trials)
             for role in range(3)
         ]
     rows = []
@@ -374,59 +298,58 @@ def cmd_mix(cfg: RunConfig, sets_arg: str | None, density: float | None) -> int:
         sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
         rows.append(_mixing_row(rep, i, sizes))
 
-    columns = [
-        "group", "n", "D", "trial", "sizes", "theta",
-        "raw_re", "raw_im", "prod_re", "prod_im",
-        "bound", "margin", "vacuous", "passed",
-    ]
+    columns = (
+        "group n D trial sizes theta raw_re raw_im prod_re prod_im "
+        "bound margin vacuous passed"
+    ).split()
     for row in rows:
-        row["group"] = cfg.group_spec
+        row["group"] = args.spec
         row["n"] = G.n
         row["D"] = T.D
-        if cfg.format == "csv":
+        if args.format == "csv":
             row["sizes"] = "|".join(str(s) for s in row["sizes"])
-    _emit(_render_rows(rows, columns, cfg.format), cfg.output_path)
+    _emit(_render_rows(rows, columns, args.format), args.out)
     failed = [r for r in rows if not r["passed"]]
     for r in failed:
         print(
             f"FAIL theta={_fmt(r['theta'])} exceeds bound={_fmt(r['bound'])} "
-            f"trial={r['trial']} seed={cfg.seed}",
+            f"trial={r['trial']} seed={args.seed}",
             file=sys.stderr,
         )
     return 1 if failed else 0
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    G = build_group(cfg.group_spec)
+def cmd_search(args) -> int:
+    G = build_group(args.spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C, seed=42, tol=1e-8)
+    T = compute_character_table(G, C)
     A1, A2, A3, rep = adversarial_search(
-        G, T, budget=cfg.budget, restarts=cfg.restarts, seed=cfg.seed
+        G, T, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
     row = _mixing_row(rep, 0, (len(A1), len(A2), len(A3)))
-    row["group"] = cfg.group_spec
+    row["group"] = args.spec
     row["n"] = G.n
     row["D"] = T.D
     sets = {"A1": A1.tolist(), "A2": A2.tolist(), "A3": A3.tolist()}
-    if cfg.format == "json":
+    if args.format == "json":
         row["sets"] = sets
         if math.isinf(row["bound"]):
             row["bound"] = None
-        _emit(json.dumps(row, indent=2, default=_json_default), cfg.output_path)
+        _emit(json.dumps(row, indent=2, default=_json_default), args.out)
     else:
         lines = [
-            f"group={cfg.group_spec} n={G.n} D={T.D}",
+            f"group={args.spec} n={G.n} D={T.D}",
             f"best_theta={_fmt(rep.theta)} bound={_fmt(rep.bound)} "
             f"margin={_fmt(rep.margin)} vacuous={rep.vacuous}",
             f"A1={json.dumps(sets['A1'])}",
             f"A2={json.dumps(sets['A2'])}",
             f"A3={json.dumps(sets['A3'])}",
         ]
-        _emit("\n".join(lines), cfg.output_path)
+        _emit("\n".join(lines), args.out)
     if not row["passed"]:
         print(
             f"FAIL theta={_fmt(rep.theta)} exceeds bound={_fmt(rep.bound)} "
-            f"seed={cfg.seed} budget={cfg.budget} restarts={cfg.restarts}",
+            f"seed={args.seed} budget={args.budget} restarts={args.restarts}",
             file=sys.stderr,
         )
         return 1
@@ -457,19 +380,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="build a group, print its shape")
     common(p, formats=("text", "json"), seed=False, tol=False)
+    p.set_defaults(run=cmd_group)
 
     p = sub.add_parser("chartab", help="certified character table")
     common(p)
+    p.set_defaults(run=cmd_chartab)
 
     p = sub.add_parser("verify", help="run inequality verification suites")
     common(p)
-    p.add_argument("--suite", choices=SUITES, default="all")
+    p.set_defaults(run=cmd_verify)
+    p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--budget", type=int, default=2000,
                    help="sample budget for sampled-mode suites")
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
     common(p, tol=False)
+    p.set_defaults(run=cmd_mix)
     p.add_argument("--sets", default=None,
                    help="JSON [[...],[...],[...]] of element indices, or @file")
     p.add_argument("--random", type=float, default=None, metavar="P",
@@ -478,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="adversarial search for large defect")
     common(p, tol=False)
+    p.set_defaults(run=cmd_search)
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=5)
     return parser
@@ -485,32 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        group_spec=args.spec,
-        seed=getattr(args, "seed", 42),
-        trials=getattr(args, "trials", 100),
-        tol=getattr(args, "tol", 1e-8),
-        budget=getattr(args, "budget", 2000),
-        restarts=getattr(args, "restarts", 5),
-        output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "text"),
-    )
-    if cfg.trials < 1:
+    if "trials" in args and args.trials < 1:
         raise QmixError("--trials must be >= 1")
-    if args.command == "group":
-        return cmd_group(cfg)
-    if args.command == "chartab":
-        return cmd_chartab(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.suite)
-    if args.command == "mix":
-        if args.sets is not None and args.random is not None:
-            raise QmixError("--sets and --random are mutually exclusive")
-        return cmd_mix(cfg, args.sets, args.random)
-    if args.command == "search":
-        return cmd_search(cfg)
-    raise QmixError(f"unknown command {args.command!r}")
+    return args.run(args)
 
 
 def main(argv=None) -> int:

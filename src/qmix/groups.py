@@ -203,7 +203,6 @@ class GroupTable:
     inv: np.ndarray
     spec: GroupSpec | None
     generator_indices: tuple[int, ...]
-    identity: int = 0
     _compose: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -242,9 +241,6 @@ class GroupTable:
 
     def inverse(self, a: int) -> int:
         return int(self.inv[self._check_indices(a)])
-
-    def text(self) -> str:
-        return self.spec.text() if self.spec is not None else f"<file group n={self.n}>"
 
 
 def build_closure(
@@ -471,18 +467,13 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return G1.compose(a // n2, b // n2) * n2 + G2.compose(a % n2, b % n2)
 
-    G = GroupTable(
-        n=n, mul=None, inv=inv, spec=spec, generator_indices=gens, _compose=compose
-    )
+    mul = None
     if n <= DENSE_CAP:
-        table = np.empty((n, n), dtype=np.int32)
-        cols = np.arange(n)
-        step = max(1, (1 << 20) // n)
-        for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
-            table[lo : lo + step] = compose(rows[:, None], cols)
-        G.mul = table
-    return G
+        # Both factors are at most n, so both keep their tables.
+        mul = (G1.mul[:, None, :, None] * n2 + G2.mul[None, :, None, :]).reshape(n, n)
+    return GroupTable(
+        n=n, mul=mul, inv=inv, spec=spec, generator_indices=gens, _compose=compose
+    )
 
 
 def is_abelian(G: GroupTable) -> bool:
@@ -569,30 +560,30 @@ def read_group(path) -> GroupTable:
     The file holds no generators, so the group gets the greedy generating
     set that validation also uses.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 8 or data[:4] != _MAGIC:
-        raise GroupFormatError("not a QMG1 group file")
-    n = struct.unpack_from("<I", data, 4)[0]
-    if n < 2 or n > DENSE_CAP:
-        raise GroupFormatError(f"group order {n} outside the supported range 2..{DENSE_CAP}")
-    expected = 8 + 4 * n * n + 4 * n
-    if len(data) != expected:
-        raise GroupFormatError(
-            f"file length {len(data)} does not match order {n} (expected {expected})"
-        )
-    raw = np.frombuffer(data, dtype="<u4", count=n * n, offset=8)
-    if raw.max() >= n:
-        raise GroupFormatError("multiplication entry out of range")
-    table = raw.reshape(n, n).astype(np.int32)
-    raw_inv = np.frombuffer(data, dtype="<u4", count=n, offset=8 + 4 * n * n)
-    if raw_inv.max() >= n:
-        raise GroupFormatError("inverse entry out of range")
+    path = Path(path)
+    with path.open("rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != _MAGIC:
+            raise GroupFormatError("not a QMG1 group file")
+        n = struct.unpack_from("<I", head, 4)[0]
+        if n < 2 or n > DENSE_CAP:
+            raise GroupFormatError(
+                f"group order {n} outside the supported range 2..{DENSE_CAP}"
+            )
+        size = path.stat().st_size
+        expected = 8 + 4 * n * n + 4 * n
+        if size != expected:
+            raise GroupFormatError(
+                f"file length {size} does not match order {n} (expected {expected})"
+            )
+        # Entries are stored unsigned; one above 2^31 - 1 reads negative here.
+        raw = np.fromfile(fh, dtype="<i4", count=n * n + n)
+    table, inv = raw[: n * n].reshape(n, n), raw[n * n :]
+    for part, name in ((table, "multiplication"), (inv, "inverse")):
+        if part.min() < 0 or part.max() >= n:
+            raise GroupFormatError(f"{name} entry out of range")
     G = GroupTable(
-        n=n,
-        mul=table,
-        inv=raw_inv.astype(np.int32),
-        spec=None,
-        generator_indices=_greedy_generators(table),
+        n=n, mul=table, inv=inv, spec=None, generator_indices=_greedy_generators(table)
     )
     validate_group(G)
     return G

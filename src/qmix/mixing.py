@@ -4,7 +4,8 @@ theta_defect measures how far E[f1(x) f2(xy) f3(xy^2)] sits from the
 product of means; the remaining entry points certify, instance by
 instance, every inequality used to bound that defect on a quasirandom
 group: the convolution bound, the derivative average, the conjugated
-convolution functional, the full Cauchy-Schwarz chain, and the end
+convolution functional, Parseval, the Fourier mass of the
+translated-class densities, the full Cauchy-Schwarz chain, and the end
 bound (2/sqrt(D))^{1/4} itself.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +29,14 @@ from .fourier import (
     _check_index_set,
     convolve,
     mean,
+    mu_translated_class,
     p_norm,
+    spectral_profile,
 )
 from .groups import GroupTable
 
 EXHAUSTIVE_LIMIT = 200
+CHAIN_MAX_ORDER = 512
 
 SUP_SLACK = 1e-12
 MEAN_ZERO_TOL = 1e-10
@@ -87,11 +91,18 @@ class ChainCheck:
 
 @dataclass(eq=False)
 class ChainReport:
+    """Chain values and checks; ``lemma`` is the chain's verdict as a
+    LemmaReport (lhs split, rhs 2/sqrt(D), passed iff every check does)."""
+
     values: tuple
     checks: tuple
-    passed: bool
+    lemma: LemmaReport
     D: int
     tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lemma.passed
 
 
 def _same_group3(f1: GroupFunction, f2: GroupFunction, f3: GroupFunction) -> GroupTable:
@@ -273,6 +284,26 @@ def verify_bnp(
     lhs = p_norm(convolve(f1, f2), 2)
     rhs = p_norm(f1, 2) * p_norm(f2, 2) / math.sqrt(T.D)
     return _report("bnp", lhs, rhs, tol)
+
+
+def verify_parseval(
+    f: GroupFunction, T: CharacterTable, C: ConjugacyData, tol: float
+) -> LemmaReport:
+    """Parseval residual |sum_r d_r ||f^(r)||_HS^2 - ||f||_2^2| <= tol."""
+    residual = spectral_profile(f, T, C, tol=math.inf).parseval_residual
+    return _report("parseval", residual, tol, 0.0)
+
+
+def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
+    """Fourier mass of every translated-class density mu_g matches the
+    class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry."""
+    G = C.group
+    worst = 0.0
+    for g in range(G.n):
+        profile = spectral_profile(mu_translated_class(G, C, g), T, C, tol=math.inf)
+        predicted = np.abs(T.chi[:, C.class_of[g]]) ** 2 / T.degrees
+        worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
+    return _report("fcmu", worst, tol, 0.0)
 
 
 def _derivative_means(G: GroupTable, V: np.ndarray) -> np.ndarray:
@@ -480,7 +511,6 @@ def cs_chain_diagnostics(
     T: CharacterTable,
     C: ConjugacyData | None = None,
     *,
-    max_order: int = 120,
     tol: float = 1e-9,
 ) -> ChainReport:
     """Every intermediate value of the fourth-power Cauchy-Schwarz chain.
@@ -493,14 +523,14 @@ def cs_chain_diagnostics(
       split = gamma term + mean term after centering D_{g^{-1}bg} f3,
     and checks c1 <= c2 <= c3, c3 = c4 (exact change of variables),
     c4 <= split, split <= 2/sqrt(D).  The c3 pass is O(n^3), hence the
-    ``max_order`` guard.
+    CHAIN_MAX_ORDER guard.
     """
     G = _same_group3(f1, f2, f3)
     if T.n != G.n:
         raise GroupMismatchError("character table does not match the group")
-    if G.n > max_order:
+    if G.n > CHAIN_MAX_ORDER:
         raise SizeGuardError(
-            f"chain diagnostics are O(n^3) and capped at n <= {max_order}"
+            f"chain diagnostics are O(n^3) and capped at n <= {CHAIN_MAX_ORDER}"
         )
     for i, f in enumerate((f1, f2, f3), start=1):
         if np.any(np.abs(f.values.imag) > 0.0):
@@ -563,13 +593,10 @@ def cs_chain_diagnostics(
         ("split", split),
         ("bound", bound),
     )
-    return ChainReport(
-        values=values,
-        checks=checks,
-        passed=all(c.passed for c in checks),
-        D=T.D,
-        tol=tol,
+    lemma = replace(
+        _report("chain", split, bound, tol), passed=all(c.passed for c in checks)
     )
+    return ChainReport(values=values, checks=checks, lemma=lemma, D=T.D, tol=tol)
 
 
 def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFunction]:

@@ -79,7 +79,9 @@ class TestVerifyCommand:
         assert code == 2
         assert "not quasirandom" in err
 
-    @pytest.mark.parametrize("suite", ["bnp", "derivative", "gamma", "parseval", "chain"])
+    @pytest.mark.parametrize(
+        "suite", ["bnp", "derivative", "gamma", "fcmu", "parseval", "chain"]
+    )
     def test_small_runs_pass(self, capsys, suite):
         code, out, _ = run(
             capsys, "verify", "alt:5", "--suite", suite,
@@ -88,8 +90,36 @@ class TestVerifyCommand:
         assert code == 0
         rows = [line for line in out.strip().splitlines() if "lemma_id" in line]
         expected_rows = 1 if suite == "fcmu" else 3
-        assert len(rows) == expected_rows or suite == "fcmu"
+        assert len(rows) == expected_rows
         assert all("passed=True" in r for r in rows)
+
+    def test_chain_row_carries_its_values(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "alt:5", "--suite", "chain", "--trials", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        for row in json.loads(out):
+            assert list(row["values"]) == [
+                "c1", "c2", "c3", "c4", "gamma_term", "mean_term", "split", "bound"
+            ]
+            assert row["lhs"] == row["values"]["split"]
+            assert row["rhs"] == row["values"]["bound"]
+            assert row["mode"] == "exhaustive" and row["stderr"] is None
+            assert len(row["hash"]) == 16
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "alt:5", "--suite", "bnp", "--trials", "0"),
+            ("mix", "sl2:5", "--random", "0.5", "--trials", "0"),
+        ],
+    )
+    def test_zero_trials_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be >= 1" in err
 
     def test_suite_all_emits_every_lemma(self, capsys):
         code, out, _ = run(
@@ -102,6 +132,7 @@ class TestVerifyCommand:
         assert lemmas == {"bnp", "derivative", "gamma", "fcmu", "parseval", "chain"}
         assert all(row["passed"] for row in rows)
         assert all(row["group"] == "psl2:5" for row in rows)
+        assert all((row["hash"] is None) == (row["lemma_id"] == "fcmu") for row in rows)
 
     def test_rows_ordered_by_trial(self, capsys):
         code, out, _ = run(

@@ -214,6 +214,22 @@ class TestDirectProduct:
         validate_group(P)
         assert not is_abelian(P)
 
+    @pytest.mark.parametrize(
+        "factors", [("alt:5", "cyclic:3"), ("sym:3", "cyclic:4", "alt:4")]
+    )
+    def test_dense_table_matches_factor_tables(self, factors):
+        G = build_group("prod:" + "+".join(factors))
+        tables = [build_group(f).mul for f in factors]
+        shape = tuple(t.shape[0] for t in tables)
+        assert G.n == int(np.prod(shape)) and G.mul.dtype == np.int32
+        a = np.unravel_index(np.arange(G.n)[:, None], shape)
+        b = np.unravel_index(np.arange(G.n)[None, :], shape)
+        expected = np.ravel_multi_index(
+            tuple(t[x, y] for t, x, y in zip(tables, a, b)), shape
+        )
+        assert np.array_equal(G.mul, expected)
+        validate_group(G)
+
     def test_big_product_guarded(self):
         with pytest.raises(SpecError):
             parse_spec("prod:sl2:13+sl2:13")
@@ -239,6 +255,30 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(GroupFormatError):
             read_group(path)
+
+    def test_written_sl2_13_rejects_damage(self, tmp_path):
+        G = build_group("sl2:13")
+        path = tmp_path / "g.qmg"
+        write_group(G, path)
+        blob = path.read_bytes()
+        H = read_group(path)
+        assert H.mul.dtype == np.int32 and H.inv.dtype == np.int32
+        assert np.array_equal(H.mul, G.mul) and np.array_equal(H.inv, G.inv)
+        path.write_bytes(blob[:-4])
+        with pytest.raises(GroupFormatError, match="file length"):
+            read_group(path)
+        n = G.n
+        table_at, inv_at = 8 + 4 * (5 * n + 7), 8 + 4 * (n * n + 3)
+        for offset, value, what in [
+            (table_at, n, "multiplication"),
+            (table_at, 2**31 + 5, "multiplication"),
+            (inv_at, n, "inverse"),
+        ]:
+            damaged = bytearray(blob)
+            damaged[offset:offset + 4] = np.array([value], dtype="<u4").tobytes()
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(GroupFormatError, match=f"{what} entry out of range"):
+                read_group(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "g.qmg"

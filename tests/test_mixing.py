@@ -29,6 +29,8 @@ from qmix import (
     theta_defects,
     verify_bnp,
     verify_derivative_bound,
+    verify_fcmu,
+    verify_parseval,
 )
 from qmix import mixing
 from qmix.mixing import _class_conv_stats, _toggle_gain_tables
@@ -225,6 +227,25 @@ class TestBnp:
         f0 = mean_zero_decompose(random_ensemble(G, "rademacher", 3, 1)[0])[1]
         assert verify_bnp(c, f0, T).passed
         assert verify_bnp(f0, c, T).passed
+
+
+class TestParsevalAndFcmu:
+    def test_parseval_passes_and_fails_below_zero_tol(self, bundle):
+        G, C, T = bundle("alt:5")
+        for f in random_ensemble(G, "unimodular", 5, 3):
+            rep = verify_parseval(f, T, C, 1e-8)
+            assert rep.lemma_id == "parseval" and rep.mode == "exhaustive"
+            assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
+            assert rep.margin == rep.rhs_bound - rep.lhs_value
+            assert not verify_parseval(f, T, C, -1e-3).passed
+
+    def test_fcmu_passes_and_fails_below_zero_tol(self, bundle):
+        G, C, T = bundle("alt:5")
+        rep = verify_fcmu(T, C, 1e-8)
+        assert rep.lemma_id == "fcmu" and rep.mode == "exhaustive"
+        assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
+        assert rep.stderr_estimate is None
+        assert not verify_fcmu(T, C, -1e-3).passed
 
 
 class TestDerivativeBound:
@@ -482,12 +503,29 @@ class TestChain:
             cs_chain_diagnostics(c, c, c, T, C)
 
     def test_size_guard(self, bundle):
+        assert mixing.CHAIN_MAX_ORDER == 512
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
+        assert cs_chain_diagnostics(c, c, zero, T, C).passed
+        G, C, T = bundle("psl2:11")
+        assert G.n == 660
+        zero = constant_function(G, 0.0)
+        c = constant_function(G, 1.0)
         with pytest.raises(SizeGuardError):
-            cs_chain_diagnostics(c, c, zero, T, C, max_order=120)
-        assert cs_chain_diagnostics(c, c, zero, T, C, max_order=200).passed
+            cs_chain_diagnostics(c, c, zero, T, C)
+
+    def test_lemma_verdict(self, bundle):
+        G, C, T = bundle("alt:4")
+        pair = random_ensemble(G, "rademacher", 29, 2)
+        f3 = random_ensemble(G, "mean_zero_rademacher", 31, 1)[0]
+        rep = cs_chain_diagnostics(pair[0], pair[1], f3, T, C)
+        v = dict(rep.values)
+        lemma = rep.lemma
+        assert (lemma.lemma_id, lemma.mode) == ("chain", "exhaustive")
+        assert (lemma.lhs_value, lemma.rhs_bound) == (v["split"], v["bound"])
+        assert lemma.margin == v["bound"] - v["split"]
+        assert rep.passed is lemma.passed is True
 
 
 class TestRandomEnsemble:

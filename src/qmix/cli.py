@@ -29,6 +29,7 @@ from .mixing import (
     LemmaReport,
     cs_chain_diagnostics,
     adversarial_search,
+    check_budget,
     gamma_functional,
     random_ensemble,
     theta_defects,
@@ -221,6 +222,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    for s in suites:
+        check_budget(s, C, args.budget)
 
     rows: list[dict] = []
     for s in suites:
@@ -237,7 +240,8 @@ def cmd_verify(args) -> int:
     for r in failed:
         replay = (
             f"qmix verify {args.spec} --suite {r['lemma_id']} "
-            f"--trials {args.trials} --seed {args.seed} --tol {args.tol:g}"
+            f"--trials {args.trials} --seed {args.seed} --tol {args.tol!r} "
+            f"--budget {args.budget}"
         )
         print(
             f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={args.seed} "

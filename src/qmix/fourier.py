@@ -1,15 +1,16 @@
 """Functions on a finite group and their character-side spectra.
 
 Everything spectral is computed through character kernels; irreducible
-representation matrices are never materialized.  The only O(n^2) passes
-are convolution and the class-correlation aggregation inside
-spectral_profile, both chunked so peak memory stays near CHUNK * n
-complex entries.
+representation matrices are never materialized.  The two table kernels,
+convolution and the class correlation inside spectral_profile, sum only
+over the support of one factor: they cost n gathers per support point,
+O(n^2) for a dense function and O(n |S|) for a density on a set S.  Both
+go CHUNK support points or rows at a time, so peak memory stays near
+CHUNK * n entries.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ CHUNK = 256
 class GroupFunction:
     """A complex-valued function on a group, stored as a length-n vector.
 
-    Values are copied, checked finite, and frozen; the instance is safe
-    to share across workers.
+    Values are copied, checked finite, and frozen, so no caller can
+    change a function another object holds.
     """
 
     __slots__ = ("group", "values")
@@ -120,47 +121,23 @@ def p_norm(f: GroupFunction, p: float) -> float:
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
-def mean_zero_decompose(f: GroupFunction) -> tuple[complex, GroupFunction]:
-    m = mean(f)
-    return m, GroupFunction(f.group, f.values - m)
-
-
-def convolve(f: GroupFunction, h: GroupFunction, *, sparse: bool | None = None) -> GroupFunction:
+def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     """(f*h)(x) = E_y[f(x y^{-1}) h(y)].
 
-    The dense kernel is O(n^2); when either factor has small support a
-    translate-accumulate pass in O(n * support) is used instead (forced
-    on or off via ``sparse``).
+    The sum runs only over the support of h, so the kernel costs
+    n * |supp h| gathers: O(n^2) for a dense h, O(n |S|) for a density on
+    a set S.  Rows x go CHUNK at a time.
     """
     G = _same_group(f, h)
-    n = G.n
-    nnz_f = int(np.count_nonzero(f.values))
-    nnz_h = int(np.count_nonzero(h.values))
-    if sparse is None:
-        sparse = min(nnz_f, nnz_h) <= max(1, n // 8)
-    if sparse:
-        out = np.zeros(n, dtype=np.complex128)
-        ar = np.arange(n)
-        if nnz_h <= nnz_f:
-            for y in np.flatnonzero(h.values):
-                col = G.compose(ar, G.inv[y])  # col[x] = x * y^{-1}
-                out += h.values[y] * f.values[col]
-        else:
-            # Same sum seen from the left factor: z = x y^{-1}.
-            for z in np.flatnonzero(f.values):
-                row = G.compose(G.inv[z], ar)  # row[x] = z^{-1} * x
-                out += f.values[z] * h.values[row]
-        return GroupFunction(G, out / n)
-    t = G.require_table("dense convolution")
-    iv = G.inv
-    out = np.empty(n, dtype=np.complex128)
-    hv = h.values
-    fv = f.values
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        rows = t[lo:hi][:, iv]  # rows[x, y] = x * y^{-1}
-        out[lo:hi] = fv[rows] @ hv
-    return GroupFunction(G, out / n)
+    t = G.require_table("convolution")
+    ys = np.flatnonzero(h.values)
+    hy = h.values[ys]
+    iy = G.inv[ys]
+    out = np.empty(G.n, dtype=np.complex128)
+    for lo in range(0, G.n, CHUNK):
+        rows = t[lo:lo + CHUNK][:, iy]  # rows[x, j] = x * ys_j^{-1}
+        out[lo:lo + CHUNK] = f.values[rows] @ hy
+    return GroupFunction(G, out / G.n)
 
 
 def delta_shift(f: GroupFunction, b: int) -> GroupFunction:
@@ -184,10 +161,13 @@ def spectral_profile(
 ) -> SpectralProfile:
     """Per-irreducible squared HS norms via the class-correlation kernel.
 
-    One O(n^2) pass aggregates R[c] = sum over pairs with x^{-1} y in
-    class c of conj(f(x)) f(y); then hs2[r] = (chi_r . R) / n^2 for all
-    rows at O(k^2) total.  Parseval is checked against the 2-norm and a
-    violation raises (pass tol=inf to skip when deliberately probing).
+    One pass aggregates R[c] = sum over pairs with x^{-1} y in class c of
+    conj(f(x)) f(y); then hs2[r] = (chi_r . R) / n^2 for all rows at
+    O(k^2) total.  The outer sum runs only over the support of f, CHUNK
+    points x at a time, so the pass costs n * |supp f| gathers: O(n^2)
+    for a dense f, n |K| for a translated-class density.  Parseval is
+    checked against the 2-norm and a violation raises (pass tol=inf to
+    skip when deliberately probing).
     """
     G = f.group
     if C.group is not G:
@@ -196,10 +176,15 @@ def spectral_profile(
         raise GroupMismatchError("character table does not match the class data")
     t = G.require_table("spectral profile")
     V = f.values
+    xs = np.flatnonzero(V)
     corr = np.zeros(G.n, dtype=np.complex128)
-    for lo in range(0, G.n, CHUNK):
-        hi = min(lo + CHUNK, G.n)
-        corr += np.conj(V[lo:hi]) @ V[t[lo:hi]]
+    for lo in range(0, len(xs), CHUNK):
+        rows = xs[lo:lo + CHUNK]
+        if rows[-1] - rows[0] == len(rows) - 1:
+            # A run of consecutive points, as in every block of a dense f:
+            # a slice reads the table rows without copying them.
+            rows = slice(rows[0], rows[-1] + 1)
+        corr += np.conj(V[rows]) @ V[t[rows]]  # corr[j] += conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k
     )
@@ -259,19 +244,3 @@ def invert_class_function(
         raise PreconditionError(f"need {T.k} scalars, got shape {s.shape}")
     cls_values = (T.degrees.astype(np.float64) * s) @ np.conj(T.chi)
     return GroupFunction(C.group, cls_values[C.class_of])
-
-
-def function_to_json(f: GroupFunction) -> str:
-    return json.dumps([[v.real, v.imag] for v in f.values])
-
-
-def function_from_json(G: GroupTable, text: str) -> GroupFunction:
-    data = json.loads(text)
-    if not isinstance(data, list) or len(data) != G.n:
-        raise PreconditionError(f"function file must hold {G.n} [re, im] pairs")
-    vals = np.empty(G.n, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise PreconditionError("function file entries must be [re, im] pairs")
-        vals[i] = complex(float(pair[0]), float(pair[1]))
-    return GroupFunction(G, vals)

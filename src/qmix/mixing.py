@@ -35,8 +35,10 @@ from .fourier import (
 )
 from .groups import GroupTable
 
-EXHAUSTIVE_LIMIT = 200
-CHAIN_MAX_ORDER = 512
+# The one size limit of the O(n^3) checks, in table gathers per call (see
+# gather_estimate): the chain, fcmu and sampled gamma refuse a larger
+# estimate, and gamma runs exhaustively whenever its full pass fits.
+GATHER_BUDGET = 800_000_000
 
 SUP_SLACK = 1e-12
 MEAN_ZERO_TOL = 1e-10
@@ -296,7 +298,11 @@ def verify_parseval(
 
 def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     """Fourier mass of every translated-class density mu_g matches the
-    class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry."""
+    class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry.
+
+    Each mu_g has |C(g)| support points, so its spectral profile costs
+    n |C(g)| gathers and the check n * sum_K |K|^2 in all."""
+    check_budget("fcmu", C)
     G = C.group
     worst = 0.0
     for g in range(G.n):
@@ -304,6 +310,36 @@ def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
         predicted = np.abs(T.chi[:, C.class_of[g]]) ** 2 / T.degrees
         worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
     return _report("fcmu", worst, tol, 0.0)
+
+
+def gather_estimate(suite: str, C: ConjugacyData, draws: int | None = None) -> int:
+    """Table gathers one call of a verify suite makes on the group of C.
+
+    gamma over every pair (g, b) costs 2n^3: n^3 for the class-averaged
+    tables A_K and n^2 per g.  With ``draws`` sampled pairs it costs n
+    per draw plus n |K| per distinct b drawn for the class K (about
+    draws |K| / n of them, at most n).  The chain adds 2n^3 for its c3
+    pass, fcmu costs n |K| per element of K; the other suites are O(n^2).
+    """
+    n = C.group.n
+    sizes = [int(k) for k in C.sizes]
+    if suite == "gamma" and draws is not None:
+        return sum(min(draws * k, n * n) * k for k in sizes) + n * draws
+    cost = {"gamma": 2 * n**3, "chain": 4 * n**3, "fcmu": n * sum(k * k for k in sizes)}
+    return cost.get(suite, n * n)
+
+
+def check_budget(suite: str, C: ConjugacyData, budget: int = 2000) -> None:
+    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET;
+    gamma counts ``budget`` draws when its exhaustive pass does not fit."""
+    cost = gather_estimate(suite, C)
+    if suite == "gamma" and cost > GATHER_BUDGET:
+        cost = gather_estimate(suite, C, budget)
+    if cost > GATHER_BUDGET:
+        raise SizeGuardError(
+            f"{suite} on n={C.group.n} needs about {cost:.2g} table gathers, "
+            f"above the budget of {GATHER_BUDGET:.2g}"
+        )
 
 
 def _derivative_means(G: GroupTable, V: np.ndarray) -> np.ndarray:
@@ -444,7 +480,6 @@ def gamma_functional(
     T: CharacterTable,
     C: ConjugacyData | None = None,
     *,
-    mode: str = "auto",
     budget: int = 2000,
     seed: int = 0,
     tol: float = 1e-9,
@@ -453,9 +488,11 @@ def gamma_functional(
 
     D_b f is the multiplicative derivative, f0_c the mean-zero part of
     D_c f, and mu_g the scaled density on g^{-1} C(g^{-1}); the bound is
-    1/sqrt(D).  Exhaustive over all n^2 pairs when n <= 200 (or forced),
-    else estimated from ``budget`` seeded uniform pairs with a reported
-    standard error; sampled runs pass with 3 * stderr slack.
+    1/sqrt(D).  Exhaustive over all n^2 pairs whenever that pass fits
+    GATHER_BUDGET, else estimated from ``budget`` seeded uniform pairs
+    with a reported standard error; sampled runs pass with 3 * stderr
+    slack, and a budget whose estimate exceeds GATHER_BUDGET raises
+    SizeGuardError before any draw.
 
     Both modes evaluate E_z[f(zg) f(zbg) A_K[z, b]] - mu_{g^{-1}bg} mu_b,
     with A_K[z, b] = mean_{c in K} f(zc) f(zcb) shared by every g whose
@@ -475,22 +512,15 @@ def gamma_functional(
         C = conjugacy_classes(G)
     if C.group is not G:
         raise GroupMismatchError("class data belongs to a different group")
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exhaustive" if G.n <= EXHAUSTIVE_LIMIT else "sampled"
     rhs = 1.0 / math.sqrt(T.D)
 
-    if mode == "exhaustive":
-        if G.n > EXHAUSTIVE_LIMIT:
-            raise SizeGuardError(
-                f"exhaustive mode is capped at n <= {EXHAUSTIVE_LIMIT}"
-            )
+    if gather_estimate("gamma", C) <= GATHER_BUDGET:
         gamma, _, _ = _class_conv_stats(G, C, f.values)
         return _report("gamma", gamma, rhs, tol)
 
     if budget < 2:
         raise PreconditionError("sampled mode needs a budget of at least 2")
+    check_budget("gamma", C, budget)
     rng = np.random.default_rng(seed)
     g_draw = rng.integers(0, G.n, size=budget)
     b_draw = rng.integers(0, G.n, size=budget)
@@ -522,16 +552,18 @@ def cs_chain_diagnostics(
       c4 = |E_{g,b,x}[D_b f3(x) (D_{g^{-1}bg} f3 * mu_g)(x)]|,
       split = gamma term + mean term after centering D_{g^{-1}bg} f3,
     and checks c1 <= c2 <= c3, c3 = c4 (exact change of variables),
-    c4 <= split, split <= 2/sqrt(D).  The c3 pass is O(n^3), hence the
-    CHAIN_MAX_ORDER guard.
+    c4 <= split, split <= 2/sqrt(D).  The c3 pass and the class
+    convolution are O(n^3) each, so a group whose estimate exceeds
+    GATHER_BUDGET raises SizeGuardError before any work.
     """
     G = _same_group3(f1, f2, f3)
     if T.n != G.n:
         raise GroupMismatchError("character table does not match the group")
-    if G.n > CHAIN_MAX_ORDER:
-        raise SizeGuardError(
-            f"chain diagnostics are O(n^3) and capped at n <= {CHAIN_MAX_ORDER}"
-        )
+    if C is None:
+        C = conjugacy_classes(G)
+    if C.group is not G:
+        raise GroupMismatchError("class data belongs to a different group")
+    check_budget("chain", C)
     for i, f in enumerate((f1, f2, f3), start=1):
         if np.any(np.abs(f.values.imag) > 0.0):
             raise PreconditionError(f"f{i} must be real-valued")
@@ -539,10 +571,6 @@ def cs_chain_diagnostics(
             raise PreconditionError(f"f{i} must have sup norm at most 1")
     if abs(mean(f3)) > MEAN_ZERO_TOL:
         raise PreconditionError("f3 must be mean-zero")
-    if C is None:
-        C = conjugacy_classes(G)
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
 
     t = G.require_table("chain diagnostics")
     n = G.n

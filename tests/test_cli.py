@@ -161,6 +161,57 @@ class TestVerifyCommand:
         assert "replay: qmix verify alt:5 --suite bnp" in err
         assert "hash=" in err
 
+        # A sampled gamma failure replays with the same draws and the full tol.
+        def broken_gamma(f, T, C, *, budget, seed, tol):
+            return LemmaReport(
+                lemma_id="gamma", lhs_value=2.0, rhs_bound=1.0,
+                mode=f"sampled(m={budget},seed={seed})", passed=False, margin=-1.0,
+                stderr_estimate=0.0, sample_count=budget, sample_seed=seed,
+            )
+
+        monkeypatch.setattr(cli_module, "gamma_functional", broken_gamma)
+        argv = (
+            "verify", "alt:5", "--suite", "gamma", "--trials", "1",
+            "--seed", "7", "--tol", "1.2345678e-09", "--budget", "500",
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "mode=sampled(m=500,seed=7000021)" in out
+        assert "FAIL lemma=gamma" in err
+        replay = err.split("replay: qmix ")[1].split()
+        assert replay == list(argv)
+        assert run(capsys, *replay) == (code, out, err)
+
+    def test_suite_all_refused_before_any_suite_runs(self, capsys, monkeypatch):
+        import qmix.cli as cli_module
+
+        def never(*args):
+            raise AssertionError("a suite ran")
+
+        for suite in list(cli_module._SUITE_RUNNERS):
+            monkeypatch.setitem(cli_module._SUITE_RUNNERS, suite, never)
+        code, out, err = run(
+            capsys, "verify", "psl2:11", "--suite", "all", "--trials", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "chain on n=660 needs about 1.1e+09 table gathers" in err
+
+    def test_oversized_budget_refused_before_drawing(self, capsys, monkeypatch):
+        import qmix.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("gamma ran")
+
+        monkeypatch.setattr(cli_module, "gamma_functional", never)
+        code, out, err = run(
+            capsys, "verify", "psl2:13", "--suite", "gamma", "--trials", "1",
+            "--budget", "1000000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "gamma on n=1092" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "alt:5", "--suite", "derivative",

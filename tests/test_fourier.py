@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,17 +16,15 @@ from qmix import (
     constant_function,
     convolve,
     delta_shift,
-    function_from_json,
-    function_to_json,
     indicator_function,
     invert_class_function,
     mean,
-    mean_zero_decompose,
     mu_set,
     mu_translated_class,
     p_norm,
     spectral_profile,
 )
+from qmix import fourier
 
 
 def random_function(G, seed, complex_values=True):
@@ -68,14 +65,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             f.values[0] = 5.0
 
-    def test_json_roundtrip(self, bundle):
-        G, _, _ = bundle("sym:3")
-        f = random_function(G, 3)
-        g = function_from_json(G, function_to_json(f))
-        assert np.array_equal(f.values, g.values)
-        parsed = json.loads(function_to_json(f))
-        assert len(parsed) == G.n and len(parsed[0]) == 2
-
 
 class TestBasics:
     def test_mean_oracles(self, bundle):
@@ -97,16 +86,6 @@ class TestBasics:
         assert p_norm(signs, np.inf) == 1.0
         with pytest.raises(PreconditionError):
             p_norm(signs, 0.5)
-
-    def test_mean_zero_decompose(self, bundle):
-        G, _, _ = bundle("cyclic:6")
-        m, f0 = mean_zero_decompose(constant_function(G, 2 + 1j))
-        assert m == pytest.approx(2 + 1j)
-        assert np.abs(f0.values).max() < 1e-15
-        half = indicator_function(G, [0, 1, 2])
-        m, f0 = mean_zero_decompose(half)
-        assert m == pytest.approx(0.5)
-        assert set(np.round(f0.values.real, 12)) == {-0.5, 0.5}
 
     def test_mu_set_oracles(self, bundle):
         G, _, _ = bundle("sym:3")
@@ -147,20 +126,20 @@ class TestConvolve:
         h_vals = np.zeros(G.n, dtype=complex)
         h_vals[2] = 1.5 - 0.5j
         h_vals[4] = -2.0j
-        h = GroupFunction(G, h_vals)
-        expected = np.array(
-            [
-                np.mean(
-                    [
-                        f.values[G.product(x, G.inverse(y))] * h.values[y]
-                        for y in range(G.n)
-                    ]
-                )
-                for x in range(G.n)
-            ]
-        )
-        for sparse in (None, True, False):
-            out = convolve(f, h, sparse=sparse)
+        # The kernel sums over the support of h: two points, then all six.
+        for h in (GroupFunction(G, h_vals), random_function(G, 8)):
+            expected = np.array(
+                [
+                    np.mean(
+                        [
+                            f.values[G.product(x, G.inverse(y))] * h.values[y]
+                            for y in range(G.n)
+                        ]
+                    )
+                    for x in range(G.n)
+                ]
+            )
+            out = convolve(f, h)
             assert np.abs(out.values - expected).max() < 1e-12
 
     def test_mean_multiplies(self, bundle):
@@ -232,6 +211,25 @@ class TestMuTranslatedClass:
 
 
 class TestSpectralProfile:
+    # A block size of 3 splits the support of f over several blocks.
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_scattered_zeros_brute_force(self, chunk, bundle, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(fourier, "CHUNK", chunk)
+        G, C, T = bundle("sl2:3")
+        rng = np.random.default_rng(29)
+        v = random_function(G, 29).values * (rng.random(G.n) < 0.4)
+        v[np.flatnonzero(v)[0]] = 0.5j  # a support point with zero real part
+        f = GroupFunction(G, v)
+        R = np.zeros(C.k, dtype=complex)
+        for x in range(G.n):
+            for y in range(G.n):
+                R[C.class_of[G.product(G.inverse(x), y)]] += np.conj(v[x]) * v[y]
+        expected = (T.chi @ R).real / G.n**2
+        assert 0 < np.count_nonzero(v) < G.n
+        profile = spectral_profile(f, T, C)
+        assert np.abs(profile.hs2 - expected).max() < 1e-12
+
     def test_point_mass_gives_degrees(self, bundle):
         G, C, T = bundle("alt:5")
         profile = spectral_profile(mu_set(G, [0]), T, C)

@@ -21,7 +21,6 @@ from qmix import (
     gamma_functional,
     indicator_function,
     mean,
-    mean_zero_decompose,
     mu_translated_class,
     random_ensemble,
     theorem_bound,
@@ -224,7 +223,8 @@ class TestBnp:
     def test_one_mean_zero_factor_suffices(self, bundle):
         G, _, T = bundle("alt:5")
         c = constant_function(G, 1.0)
-        f0 = mean_zero_decompose(random_ensemble(G, "rademacher", 3, 1)[0])[1]
+        f = random_ensemble(G, "rademacher", 3, 1)[0]
+        f0 = GroupFunction(G, f.values - mean(f))
         assert verify_bnp(c, f0, T).passed
         assert verify_bnp(f0, c, T).passed
 
@@ -246,6 +246,16 @@ class TestParsevalAndFcmu:
         assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
         assert rep.stderr_estimate is None
         assert not verify_fcmu(T, C, -1e-3).passed
+
+    def test_fcmu_size_guard(self, bundle, monkeypatch):
+        G, C, T = bundle("alt:5")
+        cost = mixing.gather_estimate("fcmu", C)
+        assert cost == G.n * sum(int(k) ** 2 for k in C.sizes)
+        monkeypatch.setattr(mixing, "GATHER_BUDGET", cost)
+        assert verify_fcmu(T, C, 1e-8).passed
+        monkeypatch.setattr(mixing, "GATHER_BUDGET", cost - 1)
+        with pytest.raises(SizeGuardError):
+            verify_fcmu(T, C, 1e-8)
 
 
 class TestDerivativeBound:
@@ -290,7 +300,8 @@ def class_conv_integrands(f, C, g, b):
     gbg = G.product(G.product(G.inverse(g), b), g)
     d_b = delta_shift(f, b)
     d_c = delta_shift(f, gbg)
-    m_c, f0 = mean_zero_decompose(d_c)
+    m_c = mean(d_c)
+    f0 = GroupFunction(G, d_c.values - m_c)
     inner0 = mean(GroupFunction(G, d_b.values * convolve(f0, mu).values))
     inner_full = mean(GroupFunction(G, d_b.values * convolve(d_c, mu).values))
     return inner0, inner_full, mean(d_b) * m_c
@@ -307,6 +318,11 @@ def class_conv_brute_force(f, C):
             c4 += inner_full
             mean_term += abs(inner_mean)
     return gamma / n**2, abs(c4) / n**2, mean_term / n**2
+
+
+def force_sampled(monkeypatch, C):
+    """Set the gather budget just below gamma's exhaustive pass on C."""
+    monkeypatch.setattr(mixing, "GATHER_BUDGET", mixing.gather_estimate("gamma", C) - 1)
 
 
 def bounded_mean_zero(G, seed, complex_values):
@@ -328,7 +344,8 @@ class TestGammaFunctional:
     def test_brute_force_oracle(self, complex_values, bundle):
         G, C, T = bundle("sym:3")
         f = bounded_mean_zero(G, 7, complex_values)
-        rep = gamma_functional(f, T, C, mode="exhaustive")
+        rep = gamma_functional(f, T, C)
+        assert rep.mode == "exhaustive"
         want = class_conv_brute_force(f, C)
         assert rep.lhs_value == pytest.approx(want[0], abs=1e-12)
         assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
@@ -352,8 +369,13 @@ class TestGammaFunctional:
         if chunk is not None:
             monkeypatch.setattr(mixing, "CHUNK", chunk)
         G, C, T = bundle("sl2:3")
+        force_sampled(monkeypatch, C)
         f = bounded_mean_zero(G, 43, complex_values)
         budget, seed = 300, 11
+        # Class sizes 1, 1, 6, 4, 4, 4, 4; a drawn column b of class K costs
+        # 24 |K| gathers.  About 300 |K| / 24 draws land in K: 12.5 columns
+        # for each central class, all 24 for the others.  Each draw adds 24.
+        assert mixing.gather_estimate("gamma", C, budget) == 2 * 300 + 576 * 22 + 24 * 300
         rng = np.random.default_rng(seed)
         g_draw = rng.integers(0, G.n, size=budget)
         b_draw = rng.integers(0, G.n, size=budget)
@@ -361,7 +383,8 @@ class TestGammaFunctional:
             [abs(class_conv_integrands(f, C, int(g), int(b))[0])
              for g, b in zip(g_draw, b_draw)]
         )
-        rep = gamma_functional(f, T, C, mode="sampled", budget=budget, seed=seed)
+        rep = gamma_functional(f, T, C, budget=budget, seed=seed)
+        assert rep.mode == f"sampled(m={budget},seed={seed})"
         assert rep.lhs_value == pytest.approx(values.mean(), abs=1e-12)
         stderr = values.std(ddof=1) / math.sqrt(budget)
         assert rep.stderr_estimate == pytest.approx(stderr, abs=1e-12)
@@ -374,35 +397,47 @@ class TestGammaFunctional:
             assert rep.lhs_value <= 1 / math.sqrt(3) + 1e-9
             assert rep.passed
 
-    def test_sampled_mode_consistent_with_exhaustive(self, bundle):
+    def test_sampled_mode_consistent_with_exhaustive(self, bundle, monkeypatch):
         G, C, T = bundle("alt:5")
         f = random_ensemble(G, "mean_zero_rademacher", 13, 1)[0]
-        exact = gamma_functional(f, T, C, mode="exhaustive").lhs_value
-        sampled = gamma_functional(f, T, C, mode="sampled", budget=1500, seed=5)
+        exact = gamma_functional(f, T, C).lhs_value
+        force_sampled(monkeypatch, C)
+        sampled = gamma_functional(f, T, C, budget=1500, seed=5)
         assert sampled.mode.startswith("sampled(")
         assert sampled.stderr_estimate is not None
         assert sampled.sample_count == 1500
         assert abs(sampled.lhs_value - exact) < 5 * sampled.stderr_estimate + 1e-3
 
-    def test_sampled_determinism(self, bundle):
+    def test_sampled_determinism(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:5")
+        force_sampled(monkeypatch, C)
         f = random_ensemble(G, "mean_zero_rademacher", 17, 1)[0]
         a = gamma_functional(f, T, C, budget=300, seed=9)
         b = gamma_functional(f, T, C, budget=300, seed=9)
+        assert a.mode == "sampled(m=300,seed=9)"
         assert a.lhs_value == b.lhs_value
         assert a.stderr_estimate == b.stderr_estimate
 
-    def test_exhaustive_size_guard(self, bundle):
+    def test_exhaustive_size_guard(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:7")
         f = random_ensemble(G, "mean_zero_rademacher", 19, 1)[0]
+        assert mixing.gather_estimate("gamma", C) == 2 * G.n**3 <= mixing.GATHER_BUDGET
+        monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3)
+        assert gamma_functional(f, T, C).mode == "exhaustive"
+        # One gather short of the exhaustive pass, gamma samples; a budget
+        # whose draws alone exceed the limit is refused before any draw.
+        force_sampled(monkeypatch, C)
+        assert gamma_functional(f, T, C, budget=300).mode.startswith("sampled(")
+        assert G.n * 10**7 > mixing.GATHER_BUDGET
         with pytest.raises(SizeGuardError):
-            gamma_functional(f, T, C, mode="exhaustive")
+            gamma_functional(f, T, C, budget=10**7)
 
-    def test_tiny_budget_rejected(self, bundle):
+    def test_tiny_budget_rejected(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:5")
+        force_sampled(monkeypatch, C)
         f = random_ensemble(G, "mean_zero_rademacher", 23, 1)[0]
         with pytest.raises(PreconditionError):
-            gamma_functional(f, T, C, mode="sampled", budget=1)
+            gamma_functional(f, T, C, budget=1)
 
     def test_preconditions(self, bundle):
         G, C, T = bundle("sym:3")
@@ -482,7 +517,7 @@ class TestChain:
         real_triple = (
             GroupFunction(G, f1.values.real),
             GroupFunction(G, f2.values.real),
-            mean_zero_decompose(GroupFunction(G, f3.values.imag))[1],
+            GroupFunction(G, f3.values.imag - f3.values.imag.mean()),
         )
         rep = cs_chain_diagnostics(*real_triple, T, C)
         assert dict(rep.values)["bound"] == pytest.approx(2.0)
@@ -503,13 +538,16 @@ class TestChain:
             cs_chain_diagnostics(c, c, c, T, C)
 
     def test_size_guard(self, bundle):
-        assert mixing.CHAIN_MAX_ORDER == 512
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
         assert cs_chain_diagnostics(c, c, zero, T, C).passed
         G, C, T = bundle("psl2:11")
         assert G.n == 660
+        assert mixing.gather_estimate("chain", C) == 4 * 660**3 > mixing.GATHER_BUDGET
+        # gamma's exhaustive pass fits here, so no sample budget is refused.
+        assert mixing.gather_estimate("gamma", C) == 2 * 660**3
+        mixing.check_budget("gamma", C, 10**12)
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
         with pytest.raises(SizeGuardError):

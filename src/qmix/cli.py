@@ -26,6 +26,7 @@ from .errors import CertificationError, QmixError
 from .fourier import GroupFunction, indicator_function
 from .groups import build_group, is_abelian, write_group
 from .mixing import (
+    GAMMA_COLUMNS,
     LemmaReport,
     cs_chain_diagnostics,
     adversarial_search,
@@ -395,8 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--budget", type=int, default=2000,
-                   help="sample budget for sampled-mode suites")
+    p.add_argument("--budget", type=int, default=GAMMA_COLUMNS,
+                   help="columns b that gamma draws where its exhaustive pass "
+                   "does not fit (at least 2)")
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
     common(p, tol=False)
@@ -408,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("search", help="adversarial search for large defect")
-    common(p, tol=False)
+    common(p, formats=("text", "json"), tol=False)
     p.set_defaults(run=cmd_search)
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=5)

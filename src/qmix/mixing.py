@@ -40,6 +40,9 @@ from .groups import GroupTable
 # estimate, and gamma runs exhaustively whenever its full pass fits.
 GATHER_BUDGET = 800_000_000
 
+# Columns b that sampled gamma draws by default (see gamma_functional).
+GAMMA_COLUMNS = 32
+
 SUP_SLACK = 1e-12
 MEAN_ZERO_TOL = 1e-10
 
@@ -69,7 +72,9 @@ class LemmaReport:
     """One verified inequality instance.
 
     Exhaustive mode passes iff lhs <= rhs + tol; sampled mode allows an
-    extra 3 * stderr_estimate of Monte Carlo slack.
+    extra 3 * stderr_estimate of Monte Carlo slack.  A sampled mode reads
+    sampled(m=<sample_count>,seed=<sample_seed>), where for gamma m counts
+    the columns b drawn, each averaged over every g.
     """
 
     lemma_id: str
@@ -312,29 +317,39 @@ def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     return _report("fcmu", worst, tol, 0.0)
 
 
-def gather_estimate(suite: str, C: ConjugacyData, draws: int | None = None) -> int:
+def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) -> int:
     """Table gathers one call of a verify suite makes on the group of C.
 
-    gamma over every pair (g, b) costs 2n^3: n^3 for the class-averaged
-    tables A_K and n^2 per g.  With ``draws`` sampled pairs it costs n
-    per draw plus n |K| per distinct b drawn for the class K (about
-    draws |K| / n of them, at most n).  The chain adds 2n^3 for its c3
-    pass, fcmu costs n |K| per element of K; the other suites are O(n^2).
+    gamma at m columns b costs 2n^2 m: n^2 m for the class-averaged
+    tables A_K and n m per g; ``columns`` is m, or None for all n
+    columns (2n^3).  The chain adds 2n^3 for its c3 pass, fcmu costs
+    n |K| per element of K; the other suites are O(n^2).
     """
     n = C.group.n
-    sizes = [int(k) for k in C.sizes]
-    if suite == "gamma" and draws is not None:
-        return sum(min(draws * k, n * n) * k for k in sizes) + n * draws
-    cost = {"gamma": 2 * n**3, "chain": 4 * n**3, "fcmu": n * sum(k * k for k in sizes)}
+    m = n if columns is None else columns
+    cost = {
+        "gamma": 2 * n * n * m,
+        "chain": 4 * n**3,
+        "fcmu": n * sum(int(k) ** 2 for k in C.sizes),
+    }
     return cost.get(suite, n * n)
 
 
-def check_budget(suite: str, C: ConjugacyData, budget: int = 2000) -> None:
-    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET;
-    gamma counts ``budget`` draws when its exhaustive pass does not fit."""
+def check_budget(suite: str, C: ConjugacyData, budget: int = GAMMA_COLUMNS) -> None:
+    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET.
+
+    gamma needs a ``budget`` of at least 2 columns (PreconditionError
+    otherwise), and counts only those columns when its exhaustive pass
+    does not fit.
+    """
     cost = gather_estimate(suite, C)
-    if suite == "gamma" and cost > GATHER_BUDGET:
-        cost = gather_estimate(suite, C, budget)
+    if suite == "gamma":
+        if budget < 2:
+            raise PreconditionError(
+                f"gamma needs a budget of at least 2 columns, got {budget}"
+            )
+        if cost > GATHER_BUDGET:
+            cost = gather_estimate(suite, C, budget)
     if cost > GATHER_BUDGET:
         raise SizeGuardError(
             f"{suite} on n={C.group.n} needs about {cost:.2g} table gathers, "
@@ -368,8 +383,8 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, draws=None):
-    """Class-convolution integrands of f, class by class.
+def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols=None):
+    """Class-convolution integrands of f at the columns b in ``cols``.
 
     With D_b(x) = f(x) f(xb), mu_b = E_x D_b and mu_g the scaled density
     on g^{-1} C(g^{-1}), the integrands at a pair (g, b) are
@@ -381,72 +396,35 @@ def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, draws=None
       A_K[z, b] = mean_{c in K} f(zc) f(zcb),
     and mu_{g^{-1}bg} = E_z[F_g(z) F_g(zb)].  A_K depends only on the
     class and costs |K| row gathers of the derivative table, so all
-    classes together cost n^3 gathers; each g then costs one gather of
-    F_g and two matrix-vector products over its b's.
+    classes together cost n^2 m gathers for m columns; each g then costs
+    one gather of F_g and two matrix-vector products over the columns.
 
-    ``draws`` is None for every pair (g, b); the generator then yields
-    (g, inner0, inner_mean) over all b for each g.  Otherwise it is a
-    pair of index arrays (g_draw, b_draw); the generator yields (where,
-    inner0, inner_mean) with where the positions of some draws of one g,
-    and builds the derivative columns only at the distinct b's drawn for
-    each class, at most CHUNK of them at a time.
+    ``cols`` is an index array of m columns b, or None for all n.  The
+    generator yields (g, inner0, inner_mean) for every g, the last two
+    as vectors over the columns, and holds a few n x m tables.
     """
     t = G.require_table("class convolution")
     n = G.n
     W = V if np.any(V.imag) else V.real
-    inv = G.inv
-    if draws is None:
-        # One derivative table over every b serves all classes.  Gathers
-        # through intp indices run about twice as fast as through the
-        # int32 table, which numpy would convert on every use.
-        tB = t.astype(np.intp)
-        deriv = W[:, None] * W[tB]  # deriv[x, b] = f(x) f(x b)
-        mu_b = deriv.mean(axis=0)
-        blocks = [(members, None) for members in C.class_elements]
-    else:
-        # A_K is needed only at the distinct b's drawn for the class, and
-        # they go CHUNK columns at a time: whatever the budget, the cost
-        # stays below the exhaustive n^3 and memory near CHUNK * n entries.
-        g_draw, b_draw = draws
-        k_draw = C.class_of[inv[g_draw]]
-        order = np.argsort(k_draw, kind="stable")
-        blocks = []
-        for J in np.split(order, np.flatnonzero(np.diff(k_draw[order])) + 1):
-            members = C.class_elements[k_draw[J[0]]]
-            cols, col_of = np.unique(b_draw[J], return_inverse=True)
-            for lo in range(0, len(cols), CHUNK):
-                inside = (col_of >= lo) & (col_of < lo + CHUNK)
-                drawn = (cols[lo:lo + CHUNK], J[inside], col_of[inside] - lo)
-                blocks.append((members, drawn))
-    for members, drawn in blocks:
-        if drawn is None:
-            per_g = [(int(g), int(g), slice(None)) for g in inv[members]]
-        else:
-            cols, J, col_of = drawn
-            tB = t[:, cols].astype(np.intp)
-            deriv = W[:, None] * W[tB]  # deriv[x, j] = f(x) f(x cols_j)
-            mu_b = deriv.mean(axis=0)
-            by_g = np.argsort(g_draw[J], kind="stable")
-            J, col_of = J[by_g], col_of[by_g]
-            g_sorted = g_draw[J]
-            starts = np.flatnonzero(np.r_[True, g_sorted[1:] != g_sorted[:-1]])
-            ends = np.r_[starts[1:], len(J)]
-            per_g = [
-                (int(g_sorted[s]), J[s:e], col_of[s:e]) for s, e in zip(starts, ends)
-            ]
+    # Gathers through intp indices run about twice as fast as through
+    # the int32 table, which numpy would convert on every use.
+    tB = (t if cols is None else t[:, cols]).astype(np.intp)
+    deriv = W[:, None] * W[tB]  # deriv[x, j] = f(x) f(x b_j)
+    mu_b = deriv.mean(axis=0)
+    A = np.empty_like(deriv)
+    for members in C.class_elements:
         # A[z, j] = mean_{c in K} deriv[zc, j], gathered a block of rows z
         # at a time so that the gathered rows stay in cache.
         zK = t[:, members]
-        A = np.empty_like(deriv)
         step = max(1, CHUNK * CHUNK // (len(members) * deriv.shape[1]))
         for lo in range(0, n, step):
             A[lo:lo + step] = deriv[zK[lo:lo + step]].mean(axis=1)
-        for g, where, sel in per_g:
+        for g in G.inv[members]:
             Fg = W[t[:, g]]
-            FgB = Fg[tB[:, sel]]  # FgB[z, j] = F_g(z b_j)
-            inner_mean = (Fg @ FgB / n) * mu_b[sel]
-            FgB *= A[:, sel]
-            yield where, Fg @ FgB / n - inner_mean, inner_mean
+            FgB = Fg[tB]  # FgB[z, j] = F_g(z b_j)
+            inner_mean = (Fg @ FgB / n) * mu_b
+            FgB *= A
+            yield int(g), Fg @ FgB / n - inner_mean, inner_mean
 
 
 def _class_conv_stats(
@@ -480,7 +458,7 @@ def gamma_functional(
     T: CharacterTable,
     C: ConjugacyData | None = None,
     *,
-    budget: int = 2000,
+    budget: int = GAMMA_COLUMNS,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> LemmaReport:
@@ -489,17 +467,20 @@ def gamma_functional(
     D_b f is the multiplicative derivative, f0_c the mean-zero part of
     D_c f, and mu_g the scaled density on g^{-1} C(g^{-1}); the bound is
     1/sqrt(D).  Exhaustive over all n^2 pairs whenever that pass fits
-    GATHER_BUDGET, else estimated from ``budget`` seeded uniform pairs
-    with a reported standard error; sampled runs pass with 3 * stderr
-    slack, and a budget whose estimate exceeds GATHER_BUDGET raises
-    SizeGuardError before any draw.
+    GATHER_BUDGET.  Otherwise ``budget`` distinct seeded columns b are
+    drawn, each averaged over every g, and the report gives the mean of
+    those m column means with stderr std(ddof=1)/sqrt(m) (conservative:
+    no finite-population correction); sampled runs pass with 3 * stderr
+    slack.  A budget below 2 raises PreconditionError, and a sampled run
+    whose 2n^2 m gathers exceed GATHER_BUDGET raises SizeGuardError, both
+    before any work.
 
-    Both modes evaluate E_z[f(zg) f(zbg) A_K[z, b]] - mu_{g^{-1}bg} mu_b,
-    with A_K[z, b] = mean_{c in K} f(zc) f(zcb) shared by every g whose
-    inverse lies in the class K (see ``_class_conv_terms``).  Exhaustive
-    mode costs O(n^3) gathers.  Sampled mode costs O(n |K|) per distinct
-    b drawn for the class K, so never more than exhaustive mode, and
-    holds about CHUNK * n entries, never an n x n table.
+    Both modes run ``_class_conv_terms``, which evaluates
+    E_z[f(zg) f(zbg) A_K[z, b]] - mu_{g^{-1}bg} mu_b through tables
+    A_K[z, b] = mean_{c in K} f(zc) f(zcb) shared by every g whose
+    inverse lies in the class K, at O(n^2) gathers per column.  Since
+    sampling starts only where 2n^3 exceeds GATHER_BUDGET, m < n there,
+    and sampled mode holds a few n x m tables.
     """
     G = f.group
     if T.n != G.n:
@@ -512,21 +493,18 @@ def gamma_functional(
         C = conjugacy_classes(G)
     if C.group is not G:
         raise GroupMismatchError("class data belongs to a different group")
+    check_budget("gamma", C, budget)
     rhs = 1.0 / math.sqrt(T.D)
 
     if gather_estimate("gamma", C) <= GATHER_BUDGET:
         gamma, _, _ = _class_conv_stats(G, C, f.values)
         return _report("gamma", gamma, rhs, tol)
 
-    if budget < 2:
-        raise PreconditionError("sampled mode needs a budget of at least 2")
-    check_budget("gamma", C, budget)
-    rng = np.random.default_rng(seed)
-    g_draw = rng.integers(0, G.n, size=budget)
-    b_draw = rng.integers(0, G.n, size=budget)
-    values = np.empty(budget, dtype=np.float64)
-    for sel, inner0, _ in _class_conv_terms(G, C, f.values, (g_draw, b_draw)):
-        values[sel] = np.abs(inner0)
+    cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
+    col_sums = np.zeros(budget)
+    for _, inner0, _ in _class_conv_terms(G, C, f.values, cols):
+        col_sums += np.abs(inner0)
+    values = col_sums / G.n
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
     return _report(

@@ -212,6 +212,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "gamma on n=1092" in err
 
+    @pytest.mark.parametrize("spec", ["sl2:7", "psl2:13"])
+    def test_budget_below_two_columns_refused(self, capsys, spec):
+        # sl2:7 runs gamma exhaustively and psl2:13 samples; both refuse.
+        code, out, err = run(
+            capsys, "verify", spec, "--suite", "gamma", "--trials", "1", "--budget", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 2 columns" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "alt:5", "--suite", "derivative",
@@ -321,6 +331,14 @@ class TestHarness:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+    def test_search_has_no_csv_format(self, capsys):
+        code, out, err = run(
+            capsys, "search", "sym:3", "--budget", "0", "--format", "csv"
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'csv'" in err
 
     def test_text_output_rounds_to_six_digits(self, capsys):
         _, out, _ = run(capsys, "chartab", "psl2:7")

@@ -360,10 +360,9 @@ class TestGammaFunctional:
         assert got == pytest.approx(class_conv_brute_force(f, C), abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
-    # A block size of 3 splits every class's drawn b's into several blocks
-    # of columns and the class average into several blocks of rows.
+    # A block size of 3 splits every class average into several blocks of rows.
     @pytest.mark.parametrize("chunk", [None, 3])
-    def test_sampled_equals_mean_over_the_drawn_pairs(
+    def test_sampled_equals_mean_over_the_drawn_columns(
         self, chunk, complex_values, bundle, monkeypatch
     ):
         if chunk is not None:
@@ -371,17 +370,12 @@ class TestGammaFunctional:
         G, C, T = bundle("sl2:3")
         force_sampled(monkeypatch, C)
         f = bounded_mean_zero(G, 43, complex_values)
-        budget, seed = 300, 11
-        # Class sizes 1, 1, 6, 4, 4, 4, 4; a drawn column b of class K costs
-        # 24 |K| gathers.  About 300 |K| / 24 draws land in K: 12.5 columns
-        # for each central class, all 24 for the others.  Each draw adds 24.
-        assert mixing.gather_estimate("gamma", C, budget) == 2 * 300 + 576 * 22 + 24 * 300
-        rng = np.random.default_rng(seed)
-        g_draw = rng.integers(0, G.n, size=budget)
-        b_draw = rng.integers(0, G.n, size=budget)
+        budget, seed = 12, 11
+        assert mixing.gather_estimate("gamma", C, budget) == 2 * 24**2 * budget
+        cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
         values = np.array(
-            [abs(class_conv_integrands(f, C, int(g), int(b))[0])
-             for g, b in zip(g_draw, b_draw)]
+            [np.mean([abs(class_conv_integrands(f, C, g, b)[0]) for g in range(G.n)])
+             for b in cols.tolist()]
         )
         rep = gamma_functional(f, T, C, budget=budget, seed=seed)
         assert rep.mode == f"sampled(m={budget},seed={seed})"
@@ -402,19 +396,20 @@ class TestGammaFunctional:
         f = random_ensemble(G, "mean_zero_rademacher", 13, 1)[0]
         exact = gamma_functional(f, T, C).lhs_value
         force_sampled(monkeypatch, C)
-        sampled = gamma_functional(f, T, C, budget=1500, seed=5)
+        # 25 columns of 60 evaluate 1500 pairs (g, b).
+        sampled = gamma_functional(f, T, C, budget=25, seed=5)
         assert sampled.mode.startswith("sampled(")
         assert sampled.stderr_estimate is not None
-        assert sampled.sample_count == 1500
+        assert sampled.sample_count == 25
         assert abs(sampled.lhs_value - exact) < 5 * sampled.stderr_estimate + 1e-3
 
     def test_sampled_determinism(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:5")
         force_sampled(monkeypatch, C)
         f = random_ensemble(G, "mean_zero_rademacher", 17, 1)[0]
-        a = gamma_functional(f, T, C, budget=300, seed=9)
-        b = gamma_functional(f, T, C, budget=300, seed=9)
-        assert a.mode == "sampled(m=300,seed=9)"
+        a = gamma_functional(f, T, C, budget=3, seed=9)
+        b = gamma_functional(f, T, C, budget=3, seed=9)
+        assert a.mode == "sampled(m=3,seed=9)"
         assert a.lhs_value == b.lhs_value
         assert a.stderr_estimate == b.stderr_estimate
 
@@ -425,19 +420,36 @@ class TestGammaFunctional:
         monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3)
         assert gamma_functional(f, T, C).mode == "exhaustive"
         # One gather short of the exhaustive pass, gamma samples; a budget
-        # whose draws alone exceed the limit is refused before any draw.
+        # whose columns exceed the limit is refused before any draw.
         force_sampled(monkeypatch, C)
-        assert gamma_functional(f, T, C, budget=300).mode.startswith("sampled(")
-        assert G.n * 10**7 > mixing.GATHER_BUDGET
+        assert gamma_functional(f, T, C, budget=3).mode.startswith("sampled(")
+        assert mixing.gather_estimate("gamma", C, 10**7) > mixing.GATHER_BUDGET
         with pytest.raises(SizeGuardError):
             gamma_functional(f, T, C, budget=10**7)
 
     def test_tiny_budget_rejected(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:5")
-        force_sampled(monkeypatch, C)
         f = random_ensemble(G, "mean_zero_rademacher", 23, 1)[0]
-        with pytest.raises(PreconditionError):
-            gamma_functional(f, T, C, budget=1)
+        # Refused whether gamma would run exhaustively or sample.
+        for force in (False, True):
+            if force:
+                force_sampled(monkeypatch, C)
+            with pytest.raises(PreconditionError):
+                gamma_functional(f, T, C, budget=1)
+            with pytest.raises(PreconditionError):
+                mixing.check_budget("gamma", C, 1)
+        mixing.check_budget("gamma", C, 2)
+
+    @pytest.mark.parametrize("spec", ["sl2:5", "psl2:7"])
+    def test_sampled_within_four_stderr_of_exhaustive(self, spec, bundle, monkeypatch):
+        G, C, T = bundle(spec)
+        f = random_ensemble(G, "mean_zero_rademacher", 37, 1)[0]
+        exact = gamma_functional(f, T, C).lhs_value
+        force_sampled(monkeypatch, C)
+        for seed in range(10):
+            rep = gamma_functional(f, T, C, budget=32, seed=seed)
+            assert rep.sample_count == 32
+            assert abs(rep.lhs_value - exact) <= 4 * rep.stderr_estimate
 
     def test_preconditions(self, bundle):
         G, C, T = bundle("sym:3")

@@ -41,6 +41,8 @@ from .mixing import (
 )
 
 QUASIRANDOM_SUITES = {"bnp", "derivative", "gamma"}
+DEFAULT_SEED = 42
+DEFAULT_TRIALS = 100
 
 
 def _fmt(x) -> str:
@@ -212,10 +214,14 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
+    suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    if args.budget is None:
+        args.budget = GAMMA_COLUMNS
+    elif "gamma" not in suites:
+        raise QmixError("--budget applies only to --suite gamma or all")
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
-    suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         print(
             f"error: {args.spec} is not quasirandom (D={T.D}); "
@@ -241,9 +247,10 @@ def cmd_verify(args) -> int:
     for r in failed:
         replay = (
             f"qmix verify {args.spec} --suite {r['lemma_id']} "
-            f"--trials {args.trials} --seed {args.seed} --tol {args.tol!r} "
-            f"--budget {args.budget}"
+            f"--trials {args.trials} --seed {args.seed} --tol {args.tol!r}"
         )
+        if r["lemma_id"] == "gamma":
+            replay += f" --budget {args.budget}"
         print(
             f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={args.seed} "
             f"hash={r.get('hash')} -- replay: {replay}",
@@ -283,6 +290,12 @@ def _parse_sets_arg(arg: str) -> list[list[int]]:
 def cmd_mix(args) -> int:
     if args.sets is not None and args.random is not None:
         raise QmixError("--sets and --random are mutually exclusive")
+    if args.sets is not None and (args.trials is not None or args.seed is not None):
+        raise QmixError("--trials and --seed apply only to --random, not --sets")
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
+    if args.trials is None:
+        args.trials = DEFAULT_TRIALS
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
@@ -377,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         p.add_argument("spec", help="group spec, e.g. alt:5 or prod:sl2:5+cyclic:3")
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if tol:
             p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", default=None, help="write output to this path")
@@ -395,10 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--budget", type=int, default=GAMMA_COLUMNS,
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--budget", type=int, default=None,
                    help="columns b that gamma draws where its exhaustive pass "
-                   "does not fit (at least 2)")
+                   f"does not fit (at least 2, default {GAMMA_COLUMNS}); "
+                   "only --suite gamma or all read it")
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
     common(p, tol=False)
@@ -407,19 +421,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON [[...],[...],[...]] of element indices, or @file")
     p.add_argument("--random", type=float, default=None, metavar="P",
                    help="use random density-P sets instead of --sets")
-    p.add_argument("--trials", type=int, default=100)
+    # None marks an option left out: --sets refuses --trials and --seed.
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"random triples (default {DEFAULT_TRIALS}); --random only")
+    p.set_defaults(seed=None)
 
     p = sub.add_parser("search", help="adversarial search for large defect")
     common(p, formats=("text", "json"), tol=False)
     p.set_defaults(run=cmd_search)
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=int, default=5000,
+                   help="toggle evaluations; each greedy step spends 3n, so a "
+                   "budget below 3n returns the seeded start")
     p.add_argument("--restarts", type=int, default=5)
     return parser
 
 
 def _dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
-    if "trials" in args and args.trials < 1:
+    if getattr(args, "trials", None) is not None and args.trials < 1:
         raise QmixError("--trials must be >= 1")
     return args.run(args)
 

@@ -669,6 +669,39 @@ def _toggle_gain_tables(
     return S[:, 0], S2, S3
 
 
+def _apply_toggle(G: GroupTable, V: np.ndarray, S: np.ndarray, slot: int, u: int) -> None:
+    """Toggle u in set ``slot`` and move the other two tables in O(n).
+
+    V holds the three 0/1 indicators and S the three sensitivity tables of
+    _toggle_gain_tables as (3 x n) int64 rows; both change in place.  Slot
+    i's own table does not read V[i], so only the other two move, by one
+    term per y: with ru = t[u] the row of u, a toggle of x = u moves
+    S2[uy] by v3[uy^2] and S3[uy^2] by v2[uy]; of xy = u, S1[uy^-1] by
+    v3[uy] and S3[uy] by v1[uy^-1]; of xy^2 = u, S1[uy^-2] by v2[uy^-1]
+    and S2[uy^-1] by v1[uy^-2].  y -> uy^2 and y -> uy^-2 are not
+    injective, so those two go through a scatter-add.
+    """
+    t = G.mul
+    iv = G.inv
+    ysq = t.diagonal()
+    s = 1 - 2 * int(V[slot, u])
+    ru = t[u]
+    if slot == 0:
+        sq = ru[ysq]
+        S[1, ru] += s * V[2, sq]
+        np.add.at(S[2], sq, s * V[1, ru])
+    elif slot == 1:
+        ri = ru[iv]
+        S[0, ri] += s * V[2, ru]
+        S[2, ru] += s * V[0, ri]
+    else:
+        ri = ru[iv]
+        isq = ru[iv[ysq]]
+        np.add.at(S[0], isq, s * V[1, ri])
+        S[1, ri] += s * V[0, isq]
+    V[slot, u] += s
+
+
 def adversarial_search(
     G: GroupTable,
     T: CharacterTable,
@@ -679,11 +712,14 @@ def adversarial_search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, MixingReport]:
     """Greedy local search for a set triple with large mixing defect.
 
-    Each sweep evaluates all 3n single-element toggles (costing 3n of
-    the evaluation budget, computed in O(n^2) total), applies the best
-    strictly improving one, and repeats while budget remains.  The
-    defect is tracked through exact integer progression counts.
-    Deterministic in (seed, budget, restarts); best restart wins.
+    Each step evaluates all 3n single-element toggles (costing 3n of the
+    evaluation budget), applies the best strictly improving one, and
+    repeats while budget remains; a budget below 3n returns the seeded
+    start.  The sensitivity tables cost one O(n^2) progression pass per
+    restart and are then kept up to date in O(n) per applied toggle
+    (_apply_toggle).  The defect is tracked through exact integer
+    progression counts.  Deterministic in (seed, budget, restarts); best
+    restart wins.
     """
     if budget < 0 or restarts < 1:
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
@@ -694,19 +730,16 @@ def adversarial_search(
 
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        ind = [rng.integers(0, 2, size=n).astype(np.int64) for _ in range(3)]
-        N = count_progressions(
-            np.flatnonzero(ind[0]), np.flatnonzero(ind[1]), np.flatnonzero(ind[2]), G
-        )
-        sizes = [int(v.sum()) for v in ind]
+        V = np.stack([rng.integers(0, 2, size=n).astype(np.int64) for _ in range(3)])
+        S = np.stack(_toggle_gain_tables(G, *V))
+        N = int(V[0] @ S[0])
+        sizes = [int(v.sum()) for v in V]
         theta = abs(N / n2 - sizes[0] * sizes[1] * sizes[2] / n2 / n)
         used = 0
         while used + 3 * n <= budget:
-            S1, S2, S3 = _toggle_gain_tables(G, ind[0], ind[1], ind[2])
             used += 3 * n
-            gains = np.stack([S1, S2, S3])
-            signs = 1 - 2 * np.stack(ind)  # +1 if adding e, -1 if removing
-            cand_N = N + signs * gains
+            signs = 1 - 2 * V  # +1 if adding e, -1 if removing
+            cand_N = N + signs * S
             cand_sizes = np.array(sizes, dtype=np.int64)[:, None] + signs
             other = np.array(
                 [
@@ -723,13 +756,12 @@ def adversarial_search(
             if best_theta <= theta:
                 break
             slot, e = divmod(flat, n)
-            s = int(signs[slot, e])
-            ind[slot][e] += s
-            sizes[slot] += s
+            sizes[slot] += int(signs[slot, e])
+            _apply_toggle(G, V, S, slot, e)
             N = int(cand_N[slot, e])
             theta = best_theta
         if best is None or theta > best[0]:
-            best = (theta, tuple(np.flatnonzero(v) for v in ind))
+            best = (theta, tuple(np.flatnonzero(v) for v in V))
 
     _, sets_best = best
     report = _raw_indicator_report(G, T, sets_best)

@@ -83,9 +83,9 @@ class TestVerifyCommand:
         "suite", ["bnp", "derivative", "gamma", "fcmu", "parseval", "chain"]
     )
     def test_small_runs_pass(self, capsys, suite):
+        budget = ("--budget", "300") if suite == "gamma" else ()
         code, out, _ = run(
-            capsys, "verify", "alt:5", "--suite", suite,
-            "--trials", "3", "--budget", "300",
+            capsys, "verify", "alt:5", "--suite", suite, "--trials", "3", *budget
         )
         assert code == 0
         rows = [line for line in out.strip().splitlines() if "lemma_id" in line]
@@ -160,6 +160,10 @@ class TestVerifyCommand:
         assert "FAIL lemma=bnp" in err
         assert "replay: qmix verify alt:5 --suite bnp" in err
         assert "hash=" in err
+        # The replay leaves out --budget, which bnp would refuse.
+        replay = err.split("replay: qmix ")[1].splitlines()[0].split()
+        assert "--budget" not in replay
+        assert run(capsys, *replay) == (code, out, err)
 
         # A sampled gamma failure replays with the same draws and the full tol.
         def broken_gamma(f, T, C, *, budget, seed, tol):
@@ -222,6 +226,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "at least 2 columns" in err
 
+    @pytest.mark.parametrize("budget", ["1", "32"])
+    def test_budget_refused_unless_gamma_runs(self, capsys, budget):
+        code, out, err = run(
+            capsys, "verify", "alt:5", "--suite", "bnp", "--trials", "1",
+            "--budget", budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--budget applies only to --suite gamma or all" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "alt:5", "--suite", "derivative",
@@ -276,6 +290,15 @@ class TestMixCommand:
         )
         assert code == 2
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize(
+        "extra", [("--trials", "5"), ("--seed", "3"), ("--trials", "5", "--seed", "3")]
+    )
+    def test_sets_refuse_trials_and_seed(self, capsys, extra):
+        code, out, err = run(capsys, "mix", "sym:3", "--sets", "[[0],[0],[0]]", *extra)
+        assert code == 2
+        assert out == ""
+        assert "--trials and --seed apply only to --random" in err
 
     def test_missing_selector_exit_2(self, capsys):
         code, _, _ = run(capsys, "mix", "cyclic:5")

@@ -667,6 +667,64 @@ class TestAdversarialSearch:
                 recount = count_progressions(*(np.flatnonzero(v) for v in toggled), G)
                 assert abs(recount - base) == tables[slot][e]
 
+    @pytest.mark.parametrize("spec", ["sym:4", "psl2:5"])
+    def test_incremental_tables_replay_recompute(self, bundle, spec):
+        G, _, _ = bundle(spec)
+        ysq = G.mul.diagonal()
+        # Repeated squares send several y to one uy^2, so the scatter-adds
+        # of slots 1 and 3 meet colliding indices.
+        assert len(np.unique(ysq)) < G.n
+        rng = np.random.default_rng(5)
+        V = np.stack([rng.integers(0, 2, size=G.n).astype(np.int64) for _ in range(3)])
+        S = np.stack(_toggle_gain_tables(G, *V))
+        # Steps 0-2 add in slots 1, 2, 3, steps 3-5 remove, and so on.
+        for step in range(12):
+            slot = step % 3
+            member = (step // 3) % 2
+            u = int(rng.choice(np.flatnonzero(V[slot] == member)))
+            mixing._apply_toggle(G, V, S, slot, u)
+            assert V[slot, u] == 1 - member
+            assert np.array_equal(S, np.stack(_toggle_gain_tables(G, *V))), step
+        sets = [np.flatnonzero(v) for v in V]
+        assert int(V[0] @ S[0]) == count_progressions(*sets, G)
+
+    @pytest.mark.parametrize(
+        "spec, seed, budget, restarts",
+        [
+            ("sym:4", 0, 3000, 3),
+            ("psl2:5", 21, 2000, 2),
+            ("sl2:5", 42, 4000, 2),
+            ("psl2:7", 1, 5000, 2),
+        ],
+    )
+    def test_matches_recompute_every_step(
+        self, bundle, reference_search, spec, seed, budget, restarts
+    ):
+        G, _, T = bundle(spec)
+        args = dict(budget=budget, restarts=restarts, seed=seed)
+        got = adversarial_search(G, T, **args)
+        want = reference_search(G, T, **args)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3].theta == want[3].theta
+
+    @pytest.mark.parametrize("budget", [0, 300, 5000])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_one_progression_pass_per_restart(self, bundle, monkeypatch, budget, restarts):
+        # One O(n^2) pass builds each restart's tables and one gives the
+        # final report; the greedy steps add none, whatever the budget.
+        G, _, T = bundle("psl2:5")
+        calls = []
+        real = mixing._progression_pass
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mixing, "_progression_pass", counted)
+        adversarial_search(G, T, budget=budget, restarts=restarts, seed=3)
+        assert len(calls) == restarts + 1
+
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")
         with pytest.raises(PreconditionError):

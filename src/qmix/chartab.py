@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, PreconditionError, SizeGuardError
+from .errors import (
+    CertificationError,
+    GroupMismatchError,
+    PreconditionError,
+    SizeGuardError,
+)
 from .groups import GroupTable, is_abelian
 
 MAX_CLASSES = 200
@@ -56,7 +61,6 @@ class CharacterTable:
     chi: np.ndarray
     degrees: np.ndarray
     D: int
-    tol: float
     residual: float
 
 
@@ -111,6 +115,15 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     )
 
 
+def _classes_of(G: GroupTable, C: ConjugacyData | None = None) -> ConjugacyData:
+    """C, or the conjugacy classes of G when C is None; C must belong to G."""
+    if C is None:
+        return conjugacy_classes(G)
+    if C.group is not G:
+        raise GroupMismatchError("class data belongs to a different group")
+    return C
+
+
 def class_mult_coefficients(G: GroupTable, C: ConjugacyData, i: int) -> np.ndarray:
     """Integer matrix M_i with M_i[j][l] = #{(a,b) in C_i x C_j : ab = rep_l}.
 
@@ -162,11 +175,11 @@ def compute_character_table(
     deviation below DEGREE_TOL), sum of squared degrees equal to n
     exactly, both orthogonality relations within tol, trivial row all
     ones, and agreement of the all-degrees-one test with abelianness.
+    A nan, infinite or negative tol raises PreconditionError.
     """
-    if C is None:
-        C = conjugacy_classes(G)
-    if C.group is not G:
-        raise PreconditionError("class data belongs to a different group")
+    if not 0 <= tol < np.inf:
+        raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
+    C = _classes_of(G, C)
     n, k = G.n, C.k
     if k > MAX_CLASSES:
         raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
@@ -224,7 +237,7 @@ def compute_character_table(
 
         D = int(degrees[1]) if k > 1 else 1
         return CharacterTable(
-            n=n, k=k, chi=chi, degrees=degrees, D=D, tol=tol, residual=residual
+            n=n, k=k, chi=chi, degrees=degrees, D=D, residual=residual
         )
 
     raise CertificationError(

@@ -219,16 +219,15 @@ def cmd_verify(args) -> int:
         args.budget = GAMMA_COLUMNS
     elif "gamma" not in suites:
         raise QmixError("--budget applies only to --suite gamma or all")
+    if args.trials is None:
+        args.trials = DEFAULT_TRIALS
+    elif suites == ["fcmu"]:
+        raise QmixError("--trials does not apply to --suite fcmu, which runs once")
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
-        print(
-            f"error: {args.spec} is not quasirandom (D={T.D}); "
-            f"suite requires D >= 2",
-            file=sys.stderr,
-        )
-        return 2
+        raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
     for s in suites:
         check_budget(s, C, args.budget)
 
@@ -245,10 +244,10 @@ def cmd_verify(args) -> int:
     _emit(_render_rows(rows, columns, args.format), args.out)
     failed = [r for r in rows if not r["passed"]]
     for r in failed:
-        replay = (
-            f"qmix verify {args.spec} --suite {r['lemma_id']} "
-            f"--trials {args.trials} --seed {args.seed} --tol {args.tol!r}"
-        )
+        replay = f"qmix verify {args.spec} --suite {r['lemma_id']}"
+        if r["lemma_id"] != "fcmu":
+            replay += f" --trials {args.trials}"
+        replay += f" --seed {args.seed} --tol {args.tol!r}"
         if r["lemma_id"] == "gamma":
             replay += f" --budget {args.budget}"
         print(
@@ -305,8 +304,6 @@ def cmd_mix(args) -> int:
     else:
         if density is None:
             raise QmixError("mix needs either --sets or --random")
-        if not 0.0 < density < 1.0:
-            raise QmixError(f"density must be in (0, 1), got {density}")
         streams = [
             random_ensemble(G, f"indicator:{density}", (args.seed, 11 + role), args.trials)
             for role in range(3)
@@ -374,6 +371,14 @@ def cmd_search(args) -> int:
     return 0
 
 
+def tolerance(text: str) -> float:
+    """argparse type of --tol: a nan or inf tolerance would pass every check."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmix",
@@ -392,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=tolerance, default=1e-8)
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--format", choices=formats, default="text")
 
@@ -408,7 +413,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    # None marks an option left out: fcmu refuses --trials, most suites --budget.
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"trials per suite (default {DEFAULT_TRIALS}); "
+                   "fcmu runs once and refuses it")
     p.add_argument("--budget", type=int, default=None,
                    help="columns b that gamma draws where its exhaustive pass "
                    f"does not fit (at least 2, default {GAMMA_COLUMNS}); "

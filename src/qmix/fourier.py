@@ -1,12 +1,16 @@
 """Functions on a finite group and their character-side spectra.
 
-Everything spectral is computed through character kernels; irreducible
+A GroupFunction is a frozen length-n vector.  This module holds its
+constructors (constants, indicators, characters, the translated-class
+densities mu_g), means and p-norms, convolution, the multiplicative
+derivative, and the per-irreducible spectral profile.  Everything
+spectral is computed through character kernels; irreducible
 representation matrices are never materialized.  The two table kernels,
-convolution and the class correlation inside spectral_profile, sum only
-over the support of one factor: they cost n gathers per support point,
-O(n^2) for a dense function and O(n |S|) for a density on a set S.  Both
-go CHUNK support points or rows at a time, so peak memory stays near
-CHUNK * n entries.
+convolution and the row correlation behind spectral_profile (which the
+derivative average in mixing shares), sum only over the support of one
+factor: they cost n gathers per support point, O(n^2) for a dense
+function and O(n |S|) for a density on a set S.  Both go CHUNK support
+points or rows at a time, so peak memory stays near CHUNK * n entries.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartab import CharacterTable, ConjugacyData
+from .chartab import CharacterTable, ConjugacyData, _classes_of
 from .errors import (
     CertificationError,
     GroupMismatchError,
@@ -52,10 +56,11 @@ class GroupFunction:
         return f"GroupFunction(n={self.group.n})"
 
 
-def _same_group(f: GroupFunction, h: GroupFunction) -> GroupTable:
-    if f.group is not h.group:
+def _same_group(*fs: GroupFunction) -> GroupTable:
+    G = fs[0].group
+    if any(f.group is not G for f in fs):
         raise GroupMismatchError("functions live on different groups")
-    return f.group
+    return G
 
 
 def constant_function(G: GroupTable, value: complex = 1.0) -> GroupFunction:
@@ -63,11 +68,10 @@ def constant_function(G: GroupTable, value: complex = 1.0) -> GroupFunction:
 
 
 def _check_index_set(G: GroupTable, indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
         raise PreconditionError("element set must be a nonempty 1-d index list")
-    if idx.min() < 0 or idx.max() >= G.n:
-        raise PreconditionError("element index out of range")
+    G._check_indices(idx)
     if len(np.unique(idx)) != len(idx):
         raise PreconditionError("element set contains duplicates")
     return idx
@@ -79,26 +83,19 @@ def indicator_function(G: GroupTable, indices) -> GroupFunction:
     return GroupFunction(G, vals)
 
 
-def mu_set(G: GroupTable, indices) -> GroupFunction:
-    """Scaled density: |G|/|S| on S, zero elsewhere; mean exactly 1."""
-    idx = _check_index_set(G, indices)
-    vals = np.zeros(G.n, dtype=np.complex128)
-    vals[idx] = G.n / len(idx)
-    return GroupFunction(G, vals)
-
-
 def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunction:
     """Scaled density of the translated class {g*c : c in C(g)}.
 
     The variant over inverses used by the derivative average, the set
     g^{-1} C(g^{-1}), is this function called at the inverse element.
+    The density is |G|/|C(g)| on that set, so its mean is exactly 1.
     """
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
+    C = _classes_of(G, C)
     g = int(G._check_indices(g))
     members = C.class_elements[int(C.class_of[g])]
-    support = G.compose(g, members)
-    return mu_set(G, support)
+    vals = np.zeros(G.n, dtype=np.complex128)
+    vals[G.compose(g, members)] = G.n / len(members)
+    return GroupFunction(G, vals)
 
 
 def character_function(T: CharacterTable, C: ConjugacyData, r: int) -> GroupFunction:
@@ -152,8 +149,25 @@ class SpectralProfile:
     """Squared HS norms of the Fourier coefficients of one function."""
 
     hs2: np.ndarray
-    table: CharacterTable
     parseval_residual: float
+
+
+def _correlation(t: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """corr[j] = sum_x U[x] V[xj], summed over the support of U.
+
+    Points x go CHUNK at a time, so the pass costs n gathers per support
+    point and holds CHUNK * n entries.  A block of consecutive points, as
+    every block of a dense U is, reads its table rows through a slice
+    without copying them.
+    """
+    xs = np.flatnonzero(U)
+    corr = np.zeros(len(V), dtype=np.complex128)
+    for lo in range(0, len(xs), CHUNK):
+        rows = xs[lo:lo + CHUNK]
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        corr += U[rows] @ V[t[rows]]
+    return corr
 
 
 def spectral_profile(
@@ -170,21 +184,12 @@ def spectral_profile(
     skip when deliberately probing).
     """
     G = f.group
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
+    C = _classes_of(G, C)
     if T.k != C.k or T.n != G.n:
         raise GroupMismatchError("character table does not match the class data")
     t = G.require_table("spectral profile")
     V = f.values
-    xs = np.flatnonzero(V)
-    corr = np.zeros(G.n, dtype=np.complex128)
-    for lo in range(0, len(xs), CHUNK):
-        rows = xs[lo:lo + CHUNK]
-        if rows[-1] - rows[0] == len(rows) - 1:
-            # A run of consecutive points, as in every block of a dense f:
-            # a slice reads the table rows without copying them.
-            rows = slice(rows[0], rows[-1] + 1)
-        corr += np.conj(V[rows]) @ V[t[rows]]  # corr[j] += conj f(x) f(xj)
+    corr = _correlation(t, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k
     )
@@ -205,42 +210,4 @@ def spectral_profile(
         raise CertificationError(
             f"Parseval residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    return SpectralProfile(hs2=hs2, table=T, parseval_residual=residual)
-
-
-def class_function_scalar(
-    f: GroupFunction, T: CharacterTable, C: ConjugacyData, r: int
-) -> complex:
-    """Fourier scalar of a class function at irreducible r.
-
-    f must be constant on conjugacy classes (checked to 1e-10); the
-    scalar is E_x[f(x) chi_r(x)] / d_r.
-    """
-    if C.group is not f.group:
-        raise GroupMismatchError("class data belongs to a different group")
-    if not 0 <= r < T.k:
-        raise PreconditionError(f"irreducible index {r} out of range 0..{T.k - 1}")
-    rep_vals = f.values[C.representatives]
-    dev = float(np.abs(f.values - rep_vals[C.class_of]).max())
-    if dev > 1e-10:
-        raise PreconditionError(
-            f"not a class function (max within-class deviation {dev:.3e})"
-        )
-    total = np.sum(C.sizes * rep_vals * T.chi[r])
-    return complex(total / (T.n * int(T.degrees[r])))
-
-
-def invert_class_function(
-    scalars, T: CharacterTable, C: ConjugacyData
-) -> GroupFunction:
-    """Rebuild the class function whose Fourier scalars are given.
-
-    Exact left inverse of class_function_scalar: expanding f in the
-    character basis and applying row orthogonality shows the value on
-    class c must be sum_r d_r scalar_r conj(chi_r(c)).
-    """
-    s = np.asarray(scalars, dtype=np.complex128)
-    if s.shape != (T.k,):
-        raise PreconditionError(f"need {T.k} scalars, got shape {s.shape}")
-    cls_values = (T.degrees.astype(np.float64) * s) @ np.conj(T.chi)
-    return GroupFunction(C.group, cls_values[C.class_of])
+    return SpectralProfile(hs2=hs2, parseval_residual=residual)

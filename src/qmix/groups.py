@@ -91,11 +91,8 @@ def _check_param(family: str, value: int, position: int) -> None:
     elif family in ("sym", "alt"):
         if not 3 <= value <= 8:
             raise SpecError(f"{family} requires 3 <= n <= 8, got {value}", position)
-    elif family in ("sl2", "psl2"):
-        if value == 2 or not _is_prime(value):
-            raise SpecError(f"{family} requires an odd prime, got {value}", position)
-    else:
-        raise SpecError(f"unknown family {family!r}", position)
+    elif value == 2 or not _is_prime(value):  # sl2 and psl2
+        raise SpecError(f"{family} requires an odd prime, got {value}", position)
     order = GroupSpec(family, (value,)).order()
     if order > MAX_ORDER:
         raise SpecError(
@@ -104,22 +101,13 @@ def _check_param(family: str, value: int, position: int) -> None:
 
 
 def validate_spec(spec: GroupSpec) -> None:
-    """Re-check guard ranges on a spec built by hand rather than parsed."""
-    if spec.family == "prod":
-        if len(spec.factors) < 2:
-            raise SpecError("product needs at least 2 factors")
-        for f in spec.factors:
-            if f.family == "prod":
-                raise SpecError("nested products are not supported")
-            validate_spec(f)
-        if spec.order() > MAX_ORDER:
-            raise SpecError(
-                f"product order {spec.order()} exceeds the {MAX_ORDER} cap"
-            )
-        return
-    if len(spec.params) != 1:
-        raise SpecError(f"{spec.family} takes exactly one parameter")
-    _check_param(spec.family, spec.params[0], 0)
+    """Re-check a spec built by hand rather than parsed.
+
+    A valid spec is exactly what its canonical text parses to, so the
+    parser's guards (and their messages) are the only ones.
+    """
+    if parse_spec(spec.text()) != spec:
+        raise SpecError(f"{spec!r} is not what its text {spec.text()!r} parses to")
 
 
 def _parse_one(s: str, base: int, allow_prod: bool) -> GroupSpec:
@@ -147,27 +135,17 @@ def _parse_one(s: str, base: int, allow_prod: bool) -> GroupSpec:
             off += len(part) + 1
         if len(factors) < 2:
             raise SpecError("product needs at least 2 factors", body_base)
-        order = 1
-        for f in factors:
-            order *= f.order()
+        spec = GroupSpec("prod", (), tuple(factors))
+        order = spec.order()
         if order > MAX_ORDER:
             raise SpecError(f"product order {order} exceeds the {MAX_ORDER} cap", base)
-        return GroupSpec("prod", (), tuple(factors))
+        return spec
     if not body:
         raise SpecError(f"{family} needs an integer parameter", body_base)
-    params: list[int] = []
-    off = 0
-    for part in body.split(","):
-        if not (part.isascii() and part.isdigit()):
-            raise SpecError(
-                f"expected a positive integer, got {part!r}", body_base + off
-            )
-        params.append(int(part))
-        off += len(part) + 1
-    if len(params) != 1:
-        raise SpecError(f"{family} takes exactly one parameter", body_base)
-    _check_param(family, params[0], body_base)
-    return GroupSpec(family, tuple(params))
+    if not (body.isascii() and body.isdigit()):
+        raise SpecError(f"{family} takes one positive integer, got {body!r}", body_base)
+    _check_param(family, int(body), body_base)
+    return GroupSpec(family, (int(body),))
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -257,30 +235,33 @@ def build_closure(
     """Enumerate the closure of ``generators`` under ``compose`` by BFS.
 
     Indexing is deterministic: identity first, then discovery order with
-    generators applied in listed order (right multiplication).  The dense
-    table, when kept, is filled column by column: each element b was first
-    seen as parent*g, so column b is a re-index of column parent.  Above
-    ``dense_cap`` the group composes pairs of elements through the index.
+    generators applied in listed order (right multiplication).  The search
+    records right[s][i], the index of element i times generator s, as it
+    goes.  The dense table, when kept, is filled from those columns: each
+    element b was first seen as parent*g, so column b is a re-index of
+    column parent.  Above ``dense_cap`` the group composes pairs of
+    elements through the index.
     """
     index: dict = {identity: 0}
     elements: list = [identity]
     parents: list[tuple[int, int]] = [(-1, -1)]
     gens = list(generators)
-    if not gens:
-        raise PreconditionError("at least one generator is required")
+    right: list[list[int]] = [[] for _ in gens]
     i = 0
     while i < len(elements):
         x = elements[i]
         for s, g in enumerate(gens):
             y = compose(x, g)
-            if y not in index:
-                index[y] = len(elements)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
                 elements.append(y)
                 parents.append((i, s))
                 if len(elements) > max_order:
                     raise SizeGuardError(
                         f"closure exceeded the {max_order} element cap"
                     )
+            right[s].append(j)
         i += 1
     n = len(elements)
     if n == 1:
@@ -293,14 +274,12 @@ def build_closure(
     generator_indices = tuple(index[g] for g in gens if g in index)
 
     if n <= dense_cap:
-        right = np.empty((len(gens), n), dtype=np.int32)
-        for s, g in enumerate(gens):
-            right[s] = [index[compose(x, g)] for x in elements]
+        cols = np.array(right, dtype=np.int32)
         table = np.empty((n, n), dtype=np.int32)
         table[:, 0] = np.arange(n, dtype=np.int32)
         for b in range(1, n):
             p, s = parents[b]
-            table[:, b] = right[s][table[:, p]]
+            table[:, b] = cols[s][table[:, p]]
         inv = np.argmin(table, axis=1).astype(np.int32)
         return GroupTable(
             n=n, mul=table, inv=inv, spec=spec, generator_indices=generator_indices
@@ -358,7 +337,7 @@ def _model(spec: GroupSpec):
     family = spec.family
     if family == "cyclic":
         n = spec.params[0]
-        return [1], (lambda a, b: (a + b) % n), 0, (lambda a: (-a) % n), n
+        return [1], (lambda a, b: (a + b) % n), 0, (lambda a: (-a) % n)
     if family == "dihedral":
         n = spec.params[0]
 
@@ -371,18 +350,16 @@ def _model(spec: GroupSpec):
             k, f = x
             return ((-k) % n, 0) if f == 0 else x
 
-        return [(1, 0), (0, 1)], compose, (0, 0), inv_elem, 2 * n
+        return [(1, 0), (0, 1)], compose, (0, 0), inv_elem
     if family in ("sym", "alt"):
         n = spec.params[0]
         identity = tuple(range(n))
         if family == "sym":
             gens = [_cycle(n, (0, 1)), _cycle(n, tuple(range(n)))]
-            order = math.factorial(n)
         else:
             long_cycle = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
             gens = [_cycle(n, (0, 1, 2)), _cycle(n, long_cycle)]
-            order = math.factorial(n) // 2
-        return gens, _perm_compose, identity, _perm_inverse, order
+        return gens, _perm_compose, identity, _perm_inverse
     if family in ("sl2", "psl2"):
         p = spec.params[0]
 
@@ -403,7 +380,7 @@ def _model(spec: GroupSpec):
         gens = [(1, 1, 0, 1), (0, 1, p - 1, 0)]
         identity = (1, 0, 0, 1)
         if family == "sl2":
-            return gens, matmul, identity, matinv, p * (p * p - 1)
+            return gens, matmul, identity, matinv
 
         half = (p - 1) // 2
 
@@ -422,7 +399,6 @@ def _model(spec: GroupSpec):
             (lambda x, y: canon(matmul(x, y))),
             identity,
             (lambda x: canon(matinv(x))),
-            p * (p * p - 1) // 2,
         )
     raise SpecError(f"unknown family {family!r}")
 
@@ -435,9 +411,9 @@ def construct_group(spec: GroupSpec) -> GroupTable:
         for f in spec.factors[1:]:
             out = direct_product(out, construct_group(f))
         return out
-    gens, compose, identity, inv_elem, order = _model(spec)
+    gens, compose, identity, inv_elem = _model(spec)
     return build_closure(
-        gens, compose, identity, inv_elem, spec=spec, expected_order=order
+        gens, compose, identity, inv_elem, spec=spec, expected_order=spec.order()
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chartab import CharacterTable, ConjugacyData, conjugacy_classes
+from .chartab import CharacterTable, ConjugacyData, _classes_of
 from .errors import (
     GroupMismatchError,
     PreconditionError,
@@ -27,6 +27,8 @@ from .fourier import (
     CHUNK,
     GroupFunction,
     _check_index_set,
+    _correlation,
+    _same_group,
     convolve,
     mean,
     mu_translated_class,
@@ -105,17 +107,42 @@ class ChainReport:
     checks: tuple
     lemma: LemmaReport
     D: int
-    tol: float
 
     @property
     def passed(self) -> bool:
         return self.lemma.passed
 
 
-def _same_group3(f1: GroupFunction, f2: GroupFunction, f3: GroupFunction) -> GroupTable:
-    if f1.group is not f2.group or f1.group is not f3.group:
-        raise GroupMismatchError("functions live on different groups")
-    return f1.group
+def _check_inputs(
+    fs, T, C=None, *, classes=False, real=False, bounded=False, mean_zero=()
+):
+    """The shared preconditions of the checks below; returns (G, C).
+
+    The functions fs must share one group G that T matches; ``classes``
+    fills in C = conjugacy_classes(G) when it is None and checks that it
+    belongs to G.  ``real`` and ``bounded`` ask each function to be real
+    and to have sup norm at most 1, and one fs[i], i in ``mean_zero``, must
+    be mean-zero.  Messages name the functions f1, f2, ... when fs has
+    more than one.
+    """
+    G = _same_group(*fs)
+    if T.n != G.n:
+        raise GroupMismatchError("character table does not match the group")
+    if classes:
+        C = _classes_of(G, C)
+    many = len(fs) > 1
+    for i, f in enumerate(fs, start=1):
+        if real and np.any(f.values.imag):
+            raise PreconditionError(f"f{i} must be real-valued")
+        if bounded and p_norm(f, np.inf) > 1.0 + SUP_SLACK:
+            subject = f"f{i} must have sup norm" if many else "sup norm must be"
+            raise PreconditionError(f"{subject} at most 1")
+    if mean_zero and min(abs(mean(fs[i])) for i in mean_zero) > MEAN_ZERO_TOL:
+        if len(mean_zero) > 1:
+            raise PreconditionError("neither factor is mean-zero")
+        name = f"f{mean_zero[0] + 1}" if many else "function"
+        raise PreconditionError(f"{name} must be mean-zero")
+    return G, C
 
 
 def theorem_bound(D: int) -> float:
@@ -185,12 +212,7 @@ def theta_defects(
         raise PreconditionError("the three function lists must have equal length")
     if not F1:
         return []
-    G = F1[0].group
-    for f1, f2, f3 in zip(F1, F2, F3):
-        if _same_group3(f1, f2, f3) is not G:
-            raise GroupMismatchError("functions live on different groups")
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
+    G, _ = _check_inputs([*F1, *F2, *F3], T)
     sup = max(p_norm(f, np.inf) for F in (F1, F2, F3) for f in F)
     if sup > 1.0 + SUP_SLACK:
         warnings.warn(
@@ -281,13 +303,7 @@ def verify_bnp(
 
     Requires at least one factor to have zero mean.
     """
-    if f1.group is not f2.group:
-        raise GroupMismatchError("functions live on different groups")
-    G = f1.group
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    if min(abs(mean(f1)), abs(mean(f2))) > MEAN_ZERO_TOL:
-        raise PreconditionError("neither factor is mean-zero")
+    _check_inputs([f1, f2], T, mean_zero=(0, 1))
     lhs = p_norm(convolve(f1, f2), 2)
     rhs = p_norm(f1, 2) * p_norm(f2, 2) / math.sqrt(T.D)
     return _report("bnp", lhs, rhs, tol)
@@ -357,28 +373,17 @@ def check_budget(suite: str, C: ConjugacyData, budget: int = GAMMA_COLUMNS) -> N
         )
 
 
-def _derivative_means(G: GroupTable, V: np.ndarray) -> np.ndarray:
-    """Vector over b of E_x[f(x) f(xb)], one O(n^2) pass."""
-    t = G.require_table("derivative average")
-    acc = np.zeros(G.n, dtype=np.complex128)
-    for lo in range(0, G.n, CHUNK):
-        hi = min(lo + CHUNK, G.n)
-        acc += V[lo:hi] @ V[t[lo:hi]]
-    return acc / G.n
-
-
 def verify_derivative_bound(
     f: GroupFunction, T: CharacterTable, tol: float = 1e-9
 ) -> LemmaReport:
-    """E_b |E_x f(x) f(xb)| <= 1/sqrt(D) for mean-zero f with sup <= 1."""
-    G = f.group
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    if abs(mean(f)) > MEAN_ZERO_TOL:
-        raise PreconditionError("function must be mean-zero")
-    if p_norm(f, np.inf) > 1.0 + SUP_SLACK:
-        raise PreconditionError("sup norm must be at most 1")
-    lhs = float(np.abs(_derivative_means(G, f.values)).mean())
+    """E_b |E_x f(x) f(xb)| <= 1/sqrt(D) for mean-zero f with sup <= 1.
+
+    The derivative means E_x f(x) f(xb) for every b come from one row
+    correlation over the support of f, O(n^2) for a dense f.
+    """
+    G, _ = _check_inputs([f], T, bounded=True, mean_zero=(0,))
+    t = G.require_table("derivative average")
+    lhs = float(np.abs(_correlation(t, f.values, f.values) / G.n).mean())
     rhs = 1.0 / math.sqrt(T.D)
     return _report("derivative", lhs, rhs, tol)
 
@@ -473,26 +478,11 @@ def gamma_functional(
     no finite-population correction); sampled runs pass with 3 * stderr
     slack.  A budget below 2 raises PreconditionError, and a sampled run
     whose 2n^2 m gathers exceed GATHER_BUDGET raises SizeGuardError, both
-    before any work.
-
-    Both modes run ``_class_conv_terms``, which evaluates
-    E_z[f(zg) f(zbg) A_K[z, b]] - mu_{g^{-1}bg} mu_b through tables
-    A_K[z, b] = mean_{c in K} f(zc) f(zcb) shared by every g whose
-    inverse lies in the class K, at O(n^2) gathers per column.  Since
-    sampling starts only where 2n^3 exceeds GATHER_BUDGET, m < n there,
-    and sampled mode holds a few n x m tables.
+    before any work.  Both modes run ``_class_conv_terms`` at O(n^2)
+    gathers per column; sampling starts only where 2n^3 exceeds
+    GATHER_BUDGET, so m < n there and it holds a few n x m tables.
     """
-    G = f.group
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    if abs(mean(f)) > MEAN_ZERO_TOL:
-        raise PreconditionError("function must be mean-zero")
-    if p_norm(f, np.inf) > 1.0 + SUP_SLACK:
-        raise PreconditionError("sup norm must be at most 1")
-    if C is None:
-        C = conjugacy_classes(G)
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
+    G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
     check_budget("gamma", C, budget)
     rhs = 1.0 / math.sqrt(T.D)
 
@@ -534,21 +524,10 @@ def cs_chain_diagnostics(
     convolution are O(n^3) each, so a group whose estimate exceeds
     GATHER_BUDGET raises SizeGuardError before any work.
     """
-    G = _same_group3(f1, f2, f3)
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    if C is None:
-        C = conjugacy_classes(G)
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
+    G, C = _check_inputs(
+        [f1, f2, f3], T, C, classes=True, real=True, bounded=True, mean_zero=(2,)
+    )
     check_budget("chain", C)
-    for i, f in enumerate((f1, f2, f3), start=1):
-        if np.any(np.abs(f.values.imag) > 0.0):
-            raise PreconditionError(f"f{i} must be real-valued")
-        if p_norm(f, np.inf) > 1.0 + SUP_SLACK:
-            raise PreconditionError(f"f{i} must have sup norm at most 1")
-    if abs(mean(f3)) > MEAN_ZERO_TOL:
-        raise PreconditionError("f3 must be mean-zero")
 
     t = G.require_table("chain diagnostics")
     n = G.n
@@ -602,7 +581,7 @@ def cs_chain_diagnostics(
     lemma = replace(
         _report("chain", split, bound, tol), passed=all(c.passed for c in checks)
     )
-    return ChainReport(values=values, checks=checks, lemma=lemma, D=T.D, tol=tol)
+    return ChainReport(values=values, checks=checks, lemma=lemma, D=T.D)
 
 
 def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFunction]:
@@ -723,10 +702,9 @@ def adversarial_search(
     """
     if budget < 0 or restarts < 1:
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
-    G.require_table("adversarial search")
     n = G.n
     n2 = float(n) * float(n)
-    best: tuple[float, tuple] | None = None
+    best: tuple[float, np.ndarray] | None = None
 
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
@@ -761,20 +739,8 @@ def adversarial_search(
             N = int(cand_N[slot, e])
             theta = best_theta
         if best is None or theta > best[0]:
-            best = (theta, tuple(np.flatnonzero(v) for v in V))
+            best = (theta, V)
 
-    _, sets_best = best
-    report = _raw_indicator_report(G, T, sets_best)
-    return sets_best[0], sets_best[1], sets_best[2], report
-
-
-def _raw_indicator_report(
-    G: GroupTable, T: CharacterTable, sets: tuple
-) -> MixingReport:
-    n = G.n
-    fs = []
-    for idx in sets:
-        vals = np.zeros(n, dtype=np.complex128)
-        vals[np.asarray(idx, dtype=np.int64)] = 1.0
-        fs.append(GroupFunction(G, vals))
-    return theta_defect(fs[0], fs[1], fs[2], T)
+    V = best[1]
+    report = theta_defect(*(GroupFunction(G, v) for v in V), T)
+    return (*(np.flatnonzero(v) for v in V), report)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from qmix import (
+    GroupFunction,
+    PreconditionError,
     build_group,
     compute_character_table,
     conjugacy_classes,
     count_progressions,
+    indicator_function,
+    theta_defect,
 )
-from qmix.mixing import _raw_indicator_report, _toggle_gain_tables
+from qmix.mixing import _toggle_gain_tables
 
 
 @pytest.fixture(scope="session")
@@ -73,10 +77,67 @@ def _reference_adversarial_search(G, T, *, budget, restarts, seed):
         if best is None or theta > best[0]:
             best = (theta, tuple(np.flatnonzero(v) for v in ind))
     _, sets = best
-    return (*sets, _raw_indicator_report(G, T, sets))
+    fs = [GroupFunction(G, np.isin(np.arange(n), s)) for s in sets]
+    return (*sets, theta_defect(*fs, T))
 
 
 @pytest.fixture(scope="session")
 def reference_search():
     """The recompute-every-step greedy search, called like adversarial_search."""
     return _reference_adversarial_search
+
+
+def _mu_set(G, indices):
+    """Scaled density: |G|/|S| on S, zero elsewhere; mean exactly 1.
+
+    The set goes through indicator_function, so it is checked as a
+    nonempty list of distinct, in-range integer indices.
+    """
+    ind = indicator_function(G, indices).values
+    return GroupFunction(G, ind * (G.n / np.count_nonzero(ind)))
+
+
+def _class_function_scalar(f, T, C, r):
+    """Fourier scalar of a class function at irreducible r.
+
+    f must be constant on conjugacy classes (checked to 1e-10); the
+    scalar is E_x[f(x) chi_r(x)] / d_r.
+    """
+    rep_vals = f.values[C.representatives]
+    dev = float(np.abs(f.values - rep_vals[C.class_of]).max())
+    if dev > 1e-10:
+        raise PreconditionError(
+            f"not a class function (max within-class deviation {dev:.3e})"
+        )
+    total = np.sum(C.sizes * rep_vals * T.chi[r])
+    return complex(total / (T.n * int(T.degrees[r])))
+
+
+def _invert_class_function(scalars, T, C):
+    """Rebuild the class function whose Fourier scalars are given.
+
+    Exact left inverse of the class-function scalar: expanding f in the
+    character basis and applying row orthogonality shows the value on
+    class c must be sum_r d_r scalar_r conj(chi_r(c)).
+    """
+    s = np.asarray(scalars, dtype=np.complex128)
+    cls_values = (T.degrees.astype(np.float64) * s) @ np.conj(T.chi)
+    return GroupFunction(C.group, cls_values[C.class_of])
+
+
+@pytest.fixture(scope="session")
+def mu_set():
+    """The scaled set density, an oracle input for the Fourier kernels."""
+    return _mu_set
+
+
+@pytest.fixture(scope="session")
+def class_function_scalar():
+    """Fourier scalar of a class function, an oracle for convolve and tables."""
+    return _class_function_scalar
+
+
+@pytest.fixture(scope="session")
+def invert_class_function():
+    """Class function from its Fourier scalars, the scalar's left inverse."""
+    return _invert_class_function

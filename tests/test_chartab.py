@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (
+    PreconditionError,
     SizeGuardError,
     build_group,
     character_table_csv,
@@ -176,6 +177,12 @@ class TestCharacterTable:
         C = conjugacy_classes(G)
         with pytest.raises(SizeGuardError):
             compute_character_table(G, C)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_tolerance_nothing_is_checked_against(self, tol):
+        G = build_group("psl2:7")
+        with pytest.raises(PreconditionError, match="tol must be finite"):
+            compute_character_table(G, tol=tol)
 
     def test_lazy_group_supported(self):
         G = build_group("psl2:29")

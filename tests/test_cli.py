@@ -84,9 +84,8 @@ class TestVerifyCommand:
     )
     def test_small_runs_pass(self, capsys, suite):
         budget = ("--budget", "300") if suite == "gamma" else ()
-        code, out, _ = run(
-            capsys, "verify", "alt:5", "--suite", suite, "--trials", "3", *budget
-        )
+        trials = () if suite == "fcmu" else ("--trials", "3")
+        code, out, _ = run(capsys, "verify", "alt:5", "--suite", suite, *trials, *budget)
         assert code == 0
         rows = [line for line in out.strip().splitlines() if "lemma_id" in line]
         expected_rows = 1 if suite == "fcmu" else 3
@@ -182,6 +181,30 @@ class TestVerifyCommand:
         assert code == 1
         assert "mode=sampled(m=500,seed=7000021)" in out
         assert "FAIL lemma=gamma" in err
+        replay = err.split("replay: qmix ")[1].split()
+        assert replay == list(argv)
+        assert run(capsys, *replay) == (code, out, err)
+
+    def test_fcmu_refuses_trials(self, capsys):
+        code, out, err = run(capsys, "verify", "alt:5", "--suite", "fcmu", "--trials", "50")
+        assert code == 2
+        assert out == ""
+        assert "--trials does not apply to --suite fcmu" in err
+
+    def test_fcmu_failure_replays_without_trials(self, capsys, monkeypatch):
+        import qmix.cli as cli_module
+
+        def broken(T, C, tol):
+            return LemmaReport(
+                lemma_id="fcmu", lhs_value=2.0, rhs_bound=tol,
+                mode="exhaustive", passed=False, margin=tol - 2.0,
+            )
+
+        monkeypatch.setattr(cli_module, "verify_fcmu", broken)
+        argv = ("verify", "alt:5", "--suite", "fcmu", "--seed", "3", "--tol", "1e-07")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "FAIL lemma=fcmu" in err
         replay = err.split("replay: qmix ")[1].split()
         assert replay == list(argv)
         assert run(capsys, *replay) == (code, out, err)
@@ -284,6 +307,16 @@ class TestMixCommand:
             code, _, _ = run(capsys, "mix", "cyclic:5", "--random", bad, "--trials", "1")
             assert code == 2, bad
 
+    @pytest.mark.parametrize(
+        "sets",
+        ["[[0.9],[1],[2]]", '[["3"],[true],[2]]', "[[0],[true],[2]]", "[[0],[1.0],[2]]"],
+    )
+    def test_non_integer_sets_refused(self, capsys, sets):
+        code, out, err = run(capsys, "mix", "cyclic:5", "--sets", sets)
+        assert code == 2
+        assert out == ""
+        assert "element indices must be integers" in err
+
     def test_sets_and_random_conflict(self, capsys):
         code, _, err = run(
             capsys, "mix", "cyclic:5", "--sets", "[[0],[0],[0]]", "--random", "0.5"
@@ -354,6 +387,20 @@ class TestHarness:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chartab", "psl2:7"),
+            ("verify", "alt:5", "--suite", "parseval", "--trials", "1"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
 
     def test_search_has_no_csv_format(self, capsys):
         code, out, err = run(

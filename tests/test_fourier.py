@@ -12,14 +12,11 @@ from qmix import (
     PreconditionError,
     build_group,
     character_function,
-    class_function_scalar,
     constant_function,
     convolve,
     delta_shift,
     indicator_function,
-    invert_class_function,
     mean,
-    mu_set,
     mu_translated_class,
     p_norm,
     spectral_profile,
@@ -67,14 +64,14 @@ class TestConstruction:
 
 
 class TestBasics:
-    def test_mean_oracles(self, bundle):
+    def test_mean_oracles(self, bundle, mu_set):
         G, C, T = bundle("alt:5")
         assert mean(constant_function(G, 1.0)) == 1.0
         assert mean(mu_set(G, [3, 17, 40])) == pytest.approx(1.0, abs=1e-12)
         chi = character_function(T, C, 1)
         assert abs(mean(chi)) < 1e-10
 
-    def test_p_norm_oracles(self, bundle):
+    def test_p_norm_oracles(self, bundle, mu_set):
         G, _, _ = bundle("sym:3")
         c = constant_function(G, -2.5)
         for p in (1, 2, 3, np.inf):
@@ -87,7 +84,7 @@ class TestBasics:
         with pytest.raises(PreconditionError):
             p_norm(signs, 0.5)
 
-    def test_mu_set_oracles(self, bundle):
+    def test_mu_set_oracles(self, bundle, mu_set):
         G, _, _ = bundle("sym:3")
         assert np.allclose(mu_set(G, range(G.n)).values, 1.0)
         e = mu_set(G, [0])
@@ -101,7 +98,7 @@ class TestBasics:
 
 
 class TestConvolve:
-    def test_identity_element(self, bundle):
+    def test_identity_element(self, bundle, mu_set):
         G, _, _ = bundle("sym:4")
         f = random_function(G, 5)
         out = convolve(f, mu_set(G, [0]))
@@ -230,7 +227,7 @@ class TestSpectralProfile:
         profile = spectral_profile(f, T, C)
         assert np.abs(profile.hs2 - expected).max() < 1e-12
 
-    def test_point_mass_gives_degrees(self, bundle):
+    def test_point_mass_gives_degrees(self, bundle, mu_set):
         G, C, T = bundle("alt:5")
         profile = spectral_profile(mu_set(G, [0]), T, C)
         assert np.abs(profile.hs2 - T.degrees).max() < 1e-9
@@ -294,7 +291,7 @@ class TestSpectralProfile:
 
 
 class TestClassFunctionScalars:
-    def test_class_density_scalar(self, bundle):
+    def test_class_density_scalar(self, bundle, mu_set, class_function_scalar):
         G, C, T = bundle("alt:5")
         for cls in range(C.k):
             g = int(C.representatives[cls])
@@ -306,13 +303,13 @@ class TestClassFunctionScalars:
                     T.chi[r, cls] / T.degrees[r], abs=1e-9
                 )
 
-    def test_constant_scalar(self, bundle):
+    def test_constant_scalar(self, bundle, class_function_scalar):
         G, C, T = bundle("sym:3")
         assert class_function_scalar(constant_function(G), T, C, 0) == pytest.approx(
             1.0, abs=1e-12
         )
 
-    def test_character_scalar_on_real_table(self, bundle):
+    def test_character_scalar_on_real_table(self, bundle, class_function_scalar):
         # alt:5 characters are all real, so the dual pairing collapses to
         # the Kronecker delta on the same row.
         G, C, T = bundle("alt:5")
@@ -323,7 +320,9 @@ class TestClassFunctionScalars:
                 expected = (1.0 if r == s else 0.0) / T.degrees[r]
                 assert value == pytest.approx(expected, abs=1e-9)
 
-    def test_character_scalar_pairs_conjugate_rows(self, bundle):
+    def test_character_scalar_pairs_conjugate_rows(
+        self, bundle, class_function_scalar
+    ):
         # on cyclic:4 the two faithful characters are complex conjugates;
         # the defining average pairs each with its conjugate partner.
         G, C, T = bundle("cyclic:4")
@@ -337,7 +336,7 @@ class TestClassFunctionScalars:
         for s, r in pairs.items():
             assert np.abs(T.chi[r] - T.chi[s].conj()).max() < 1e-9
 
-    def test_non_class_function_rejected(self, bundle):
+    def test_non_class_function_rejected(self, bundle, class_function_scalar):
         G, C, T = bundle("sym:3")
         v = np.zeros(G.n)
         v[1] = 1.0
@@ -346,14 +345,16 @@ class TestClassFunctionScalars:
 
 
 class TestInversion:
-    def test_trivial_scalars_give_constant(self, bundle):
+    def test_trivial_scalars_give_constant(self, bundle, invert_class_function):
         G, C, T = bundle("sym:4")
         scalars = np.zeros(T.k, dtype=complex)
         scalars[0] = 1.0
         out = invert_class_function(scalars, T, C)
         assert np.abs(out.values - 1.0).max() < 1e-10
 
-    def test_class_density_roundtrip(self, bundle):
+    def test_class_density_roundtrip(
+        self, bundle, mu_set, class_function_scalar, invert_class_function
+    ):
         G, C, T = bundle("alt:5")
         f = mu_set(G, C.class_elements[2])
         scalars = np.array(
@@ -363,7 +364,9 @@ class TestInversion:
         assert np.abs(back.values - f.values).max() < 1e-8
 
     @pytest.mark.parametrize("complex_values", [False, True])
-    def test_random_roundtrip(self, complex_values, bundle):
+    def test_random_roundtrip(
+        self, complex_values, bundle, class_function_scalar, invert_class_function
+    ):
         for i, spec in enumerate(("sym:3", "alt:5", "cyclic:6", "psl2:5")):
             G, C, T = bundle(spec)
             f = random_class_function(C, (41, i), complex_values)
@@ -373,7 +376,7 @@ class TestInversion:
             back = invert_class_function(scalars, T, C)
             assert np.abs(back.values - f.values).max() < 1e-8
 
-    def test_convolution_theorem_on_scalars(self, bundle):
+    def test_convolution_theorem_on_scalars(self, bundle, class_function_scalar):
         for i, spec in enumerate(("sym:3", "alt:5", "cyclic:6")):
             G, C, T = bundle(spec)
             f = random_class_function(C, (43, i))

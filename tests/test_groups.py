@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qmix import (
     GroupFormatError,
+    GroupSpec,
     PreconditionError,
     SizeGuardError,
     SpecError,
@@ -16,6 +17,7 @@ from qmix import (
     parse_spec,
     read_group,
     validate_group,
+    validate_spec,
     write_group,
 )
 from qmix import (
@@ -68,6 +70,7 @@ class TestParse:
             "cyclic:",
             "cyclic:x",
             "cyclic:5:7",
+            "cyclic:5,7",
             "wat:5",
             "cyclic:1",
             "sym:2",
@@ -91,6 +94,28 @@ class TestParse:
         with pytest.raises(SpecError) as info:
             parse_spec("prod:cyclic:2+wat:3")
         assert info.value.position == 14
+
+    def test_hand_built_specs_get_the_parser_guards(self):
+        c2, c3 = GroupSpec("cyclic", (2,)), GroupSpec("cyclic", (3,))
+        validate_spec(GroupSpec("prod", (), (c2, GroupSpec("alt", (5,)))))
+        assert construct_group(GroupSpec("sl2", (5,))).n == 120
+        bad = [
+            GroupSpec("cyclic", (1,)),
+            GroupSpec("sym", (3, 4)),
+            GroupSpec("cyclic", (5.0,)),
+            GroupSpec("cyclic", ()),
+            GroupSpec("sl2", (41,)),
+            GroupSpec("wat", (5,)),
+            GroupSpec("prod", (), (c2,)),
+            GroupSpec("prod", (3,), (c2, c3)),
+            GroupSpec("prod", (), (GroupSpec("prod", (), (c2, c3)), c2)),
+            GroupSpec("prod", (), (GroupSpec("sl2", (13,)), GroupSpec("sl2", (13,)))),
+        ]
+        for spec in bad:
+            with pytest.raises(SpecError):
+                validate_spec(spec)
+            with pytest.raises(SpecError):
+                construct_group(spec)
 
     def test_order_guard_uses_group_order(self):
         # 157*(157^2 - 1)/2 = 1934634 > 50000, but the prime itself is fine
@@ -435,7 +460,8 @@ def test_file_group_matches_spec_group(tmp_path):
 @pytest.mark.parametrize("text", ["psl2:7", "alt:5", "sl2:5"])
 def test_lazy_backend_matches_dense(text):
     spec = parse_spec(text)
-    gens, law, identity, inv_elem, order = _model(spec)
+    gens, law, identity, inv_elem = _model(spec)
+    order = spec.order()
     D = build_closure(gens, law, identity, inv_elem, spec=spec, expected_order=order)
     L = build_closure(
         gens, law, identity, inv_elem, spec=spec, expected_order=order, dense_cap=1

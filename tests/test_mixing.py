@@ -16,6 +16,7 @@ from qmix import (
     constant_function,
     convolve,
     count_progressions,
+    compute_character_table,
     cs_chain_diagnostics,
     delta_shift,
     gamma_functional,
@@ -23,6 +24,7 @@ from qmix import (
     mean,
     mu_translated_class,
     random_ensemble,
+    spectral_profile,
     theorem_bound,
     theta_defect,
     theta_defects,
@@ -258,7 +260,71 @@ class TestParsevalAndFcmu:
             verify_fcmu(T, C, 1e-8)
 
 
+class TestPreconditions:
+    """Each check keeps its own exception and message from the shared helper."""
+
+    def test_messages(self, bundle):
+        G, C, T = bundle("sym:3")
+        one = constant_function(G, 1.0)
+        zero = constant_function(G, 0.0)
+        big = GroupFunction(G, [2.0, -2.0, 0, 0, 0, 0])
+        cases = [
+            (lambda: verify_bnp(one, one, T), "neither factor is mean-zero"),
+            (lambda: verify_derivative_bound(one, T), "function must be mean-zero"),
+            (lambda: verify_derivative_bound(big, T), "sup norm must be at most 1"),
+            (lambda: gamma_functional(one, T, C), "function must be mean-zero"),
+            (lambda: gamma_functional(big, T, C), "sup norm must be at most 1"),
+            (lambda: cs_chain_diagnostics(one, one, one, T, C), "f3 must be mean-zero"),
+            (
+                lambda: cs_chain_diagnostics(one, big, zero, T, C),
+                "f2 must have sup norm at most 1",
+            ),
+            (
+                lambda: cs_chain_diagnostics(GroupFunction(G, [0.5j] * 6), one, zero, T),
+                "f1 must be real-valued",
+            ),
+        ]
+        for call, message in cases:
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                call()
+
+    def test_group_and_class_mismatch(self, bundle):
+        # Class data of another group is refused the same way everywhere.
+        G, C, T = bundle("sym:3")
+        H, CH, TH = bundle("cyclic:6")
+        zero, other = constant_function(G, 0.0), constant_function(H, 0.0)
+        cases = [
+            (lambda: verify_bnp(zero, other, T), "functions live on different groups"),
+            (lambda: theta_defects([zero], [zero], [other], T), "different groups"),
+            (lambda: verify_derivative_bound(zero, bundle("alt:4")[2]), "character table"),
+            (lambda: gamma_functional(zero, T, CH), "class data belongs"),
+            (lambda: cs_chain_diagnostics(zero, zero, zero, T, CH), "class data belongs"),
+            (lambda: compute_character_table(G, CH), "class data belongs"),
+            (lambda: spectral_profile(zero, T, CH), "class data belongs"),
+            (lambda: mu_translated_class(G, CH, 0), "class data belongs"),
+        ]
+        for call, message in cases:
+            with pytest.raises(GroupMismatchError, match=message):
+                call()
+
+
 class TestDerivativeBound:
+    def test_support_restricted_pass_matches_brute_force(self, bundle):
+        # Zeros split the support into runs, so the kernel gathers both
+        # through slices and through scattered index blocks.
+        G, _, T = bundle("sl2:3")
+        v = np.zeros(G.n)
+        v[[1, 2, 3, 7, 11, 12, 20]] = [0.5, -1.0, 0.25, 0.75, -0.5, -0.25, 0.0]
+        v[5] = -v.sum()
+        assert v[5] != 0
+        f = GroupFunction(G, v)
+        means = [
+            sum(v[x] * v[G.product(x, b)] for x in range(G.n)) / G.n for b in range(G.n)
+        ]
+        expected = np.mean(np.abs(means))
+        rep = verify_derivative_bound(f, T)
+        assert rep.lhs_value == pytest.approx(expected, abs=1e-15)
+
     def test_zero_function(self, bundle):
         G, _, T = bundle("alt:5")
         rep = verify_derivative_bound(constant_function(G, 0.0), T)

@@ -23,7 +23,7 @@ from .chartab import (
     conjugacy_classes,
 )
 from .errors import CertificationError, QmixError
-from .fourier import GroupFunction, indicator_function
+from .fourier import CHUNK, GroupFunction, indicator_function
 from .groups import build_group, is_abelian, write_group
 from .mixing import (
     GAMMA_COLUMNS,
@@ -298,20 +298,23 @@ def cmd_mix(args) -> int:
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
-    density = args.random
     if args.sets is not None:
-        streams = [[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]
+        blocks = [[[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]]
+    elif args.random is None:
+        raise QmixError("mix needs either --sets or --random")
     else:
-        if density is None:
-            raise QmixError("mix needs either --sets or --random")
-        streams = [
-            random_ensemble(G, f"indicator:{density}", (args.seed, 11 + role), args.trials)
-            for role in range(3)
-        ]
+        # CHUNK triples at a time; each role's Generator runs on across blocks.
+        kind = f"indicator:{args.random}"
+        rngs = [np.random.default_rng((args.seed, 11 + role)) for role in range(3)]
+        blocks = (
+            [random_ensemble(G, kind, rng, min(CHUNK, args.trials - lo)) for rng in rngs]
+            for lo in range(0, args.trials, CHUNK)
+        )
     rows = []
-    for i, (rep, *triple) in enumerate(zip(theta_defects(*streams, T), *streams)):
-        sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
-        rows.append(_mixing_row(rep, i, sizes))
+    for streams in blocks:
+        for rep, *triple in zip(theta_defects(*streams, T), *streams):
+            sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
+            rows.append(_mixing_row(rep, len(rows), sizes))
 
     columns = (
         "group n D trial sizes theta raw_re raw_im prod_re prod_im "

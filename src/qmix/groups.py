@@ -3,10 +3,13 @@
 A group is described by a small text spec ("cyclic:6", "sl2:7",
 "prod:cyclic:2+alt:5"), realized as an indexed element set with the
 identity at index 0 and the remaining elements in breadth-first
-discovery order from a fixed generator list.  Every group offers one
-product, the vectorized ``GroupTable.compose``, and a generating set.
-The n x n multiplication table is a cache kept up to DENSE_CAP; only the
-O(n^2) and O(n^3) kernels, serialization and validation need it.
+discovery order from a fixed generator list.  A family model only
+enumerates the elements; a built group keeps neither them nor their law,
+only the maps x -> x*s for repeated squares s of its generators and a
+short word over those maps per element.  Every group offers one product,
+the vectorized ``GroupTable.compose``: a read of the n x n table, kept up
+to DENSE_CAP, or else a walk of the word of b from a.  Only the O(n^2)
+and O(n^3) kernels, serialization and validation need the table.
 """
 
 from __future__ import annotations
@@ -167,10 +170,12 @@ def parse_spec(text: str) -> GroupSpec:
 class GroupTable:
     """A finite group over element indices 0..n-1 with identity at 0.
 
-    ``compose`` is the one product.  ``mul``, the n x n table, is a cache
-    kept for n <= DENSE_CAP: compose gathers from it when it is there and
-    otherwise calls ``_compose``, the vectorized law the constructor
-    supplied.  An operation that needs the whole table calls
+    ``compose`` is the one product.  It reads ``mul``, the n x n table,
+    where one is kept (spec-built groups up to DENSE_CAP, file groups).
+    Otherwise ``steps[j]`` maps x to x*s_j, s_j a repeated square of a
+    generator, the last row being the identity map, and a*b is a pushed
+    through the rows listed in ``words[b]``, whose product is b (padded
+    with the last row).  An operation that needs the whole table calls
     ``require_table``, which raises SizeGuardError when there is none.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
@@ -181,9 +186,8 @@ class GroupTable:
     inv: np.ndarray
     spec: GroupSpec | None
     generator_indices: tuple[int, ...]
-    _compose: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
+    steps: np.ndarray | None = field(default=None, repr=False)
+    words: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generator_indices:
@@ -212,7 +216,10 @@ class GroupTable:
         b = self._check_indices(b)
         if self.mul is not None:
             return self.mul[a, b]
-        return self._compose(a, b)
+        x = a
+        for s in np.moveaxis(self.words[b], -1, 0):
+            x = self.steps[s, x]
+        return x
 
     def product(self, a: int, b: int) -> int:
         return int(self.compose(a, b))
@@ -221,35 +228,82 @@ class GroupTable:
         return int(self.inv[self._check_indices(a)])
 
 
+def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps and words from the right-multiplication columns x -> x*g.
+
+    Each g is squared into x -> x*g^(2^k) until the power is the identity,
+    repeats a step, or has been squared log2(n) times.  Exponents below
+    the order of g are sums of distinct powers of two, so a level-by-level
+    search over the steps finds words of a few steps per bit of n, where
+    the generators alone may need n - 1.  The word dtype fits the step
+    count, which can exceed 127.
+    """
+    n = cols.shape[1]
+    rows, seen = [], {0}
+    for col in cols:
+        for _ in range(n.bit_length()):
+            if int(col[0]) in seen:
+                break
+            seen.add(int(col[0]))
+            rows.append(col)
+            col = col[col]
+    pad = len(rows)
+    steps = np.stack(rows + [np.arange(n, dtype=np.int32)])
+    words = np.zeros((n, 0), dtype=np.min_scalar_type(pad))
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int32)
+    while True:
+        new, first = np.unique(steps[:pad, frontier], return_index=True)
+        keep = ~reached[new]
+        if not keep.any():
+            return steps, words
+        via, at = np.divmod(first[keep], frontier.size)
+        parents, frontier = frontier[at], new[keep]
+        reached[frontier] = True
+        words = np.concatenate([words, np.full((n, 1), pad, words.dtype)], axis=1)
+        words[frontier] = words[parents]
+        words[frontier, -1] = via
+
+
+def _walked_group(n, mul, spec, generator_indices, steps, words) -> GroupTable:
+    """The group with these steps and words, and the inverses they give.
+
+    inv[b] is the identity pushed through the inverted steps of words[b],
+    last first.
+    """
+    back = np.empty_like(steps)
+    back[np.arange(len(steps))[:, None], steps] = np.arange(n, dtype=np.int32)
+    inv = np.zeros(n, dtype=np.int32)
+    for s in words[:, ::-1].T:
+        inv = back[s, inv]
+    return GroupTable(n, mul, inv, spec, generator_indices, steps, words)
+
+
 def build_closure(
     generators: Sequence[Hashable],
     compose: Callable,
     identity: Hashable,
-    inv_elem: Callable | None = None,
     *,
     spec: GroupSpec | None = None,
-    expected_order: int | None = None,
-    max_order: int = MAX_ORDER,
-    dense_cap: int = DENSE_CAP,
 ) -> GroupTable:
     """Enumerate the closure of ``generators`` under ``compose`` by BFS.
 
     Indexing is deterministic: identity first, then discovery order with
     generators applied in listed order (right multiplication).  The search
-    records right[s][i], the index of element i times generator s, as it
-    goes.  The dense table, when kept, is filled from those columns: each
-    element b was first seen as parent*g, so column b is a re-index of
-    column parent.  Above ``dense_cap`` the group composes pairs of
-    elements through the index.
+    records right[s][i], the index of element i times generator s; the
+    group keeps only what these columns give: the steps and words that
+    ``GroupTable.compose`` walks, the inverses and, up to DENSE_CAP, the
+    table.  Each element b was first seen as parent*g, so column b of the
+    table is a re-index of column parent.  The closure may not exceed
+    MAX_ORDER elements, nor differ from ``spec.order()`` given a spec.
     """
     index: dict = {identity: 0}
     elements: list = [identity]
     parents: list[tuple[int, int]] = [(-1, -1)]
     gens = list(generators)
     right: list[list[int]] = [[] for _ in gens]
-    i = 0
-    while i < len(elements):
-        x = elements[i]
+    for i, x in enumerate(elements):
         for s, g in enumerate(gens):
             y = compose(x, g)
             j = index.get(y)
@@ -257,59 +311,31 @@ def build_closure(
                 j = index[y] = len(elements)
                 elements.append(y)
                 parents.append((i, s))
-                if len(elements) > max_order:
+                if len(elements) > MAX_ORDER:
                     raise SizeGuardError(
-                        f"closure exceeded the {max_order} element cap"
+                        f"closure exceeded the {MAX_ORDER} element cap"
                     )
             right[s].append(j)
-        i += 1
     n = len(elements)
     if n == 1:
         raise PreconditionError("trivial group rejected (n must exceed 1)")
-    if expected_order is not None and n != expected_order:
+    if spec is not None and n != spec.order():
         raise GroupFormatError(
-            f"closure produced {n} elements, expected {expected_order}; "
+            f"closure produced {n} elements, expected {spec.order()}; "
             "generator set does not match the family model"
         )
     generator_indices = tuple(index[g] for g in gens if g in index)
-
-    if n <= dense_cap:
-        cols = np.array(right, dtype=np.int32)
+    cols = np.array(right, dtype=np.int32)
+    table = None
+    if n <= DENSE_CAP:
         table = np.empty((n, n), dtype=np.int32)
         table[:, 0] = np.arange(n, dtype=np.int32)
         for b in range(1, n):
             p, s = parents[b]
             table[:, b] = cols[s][table[:, p]]
-        inv = np.argmin(table, axis=1).astype(np.int32)
-        return GroupTable(
-            n=n, mul=table, inv=inv, spec=spec, generator_indices=generator_indices
-        )
-
-    if inv_elem is None:
-        raise SizeGuardError(
-            f"group of order {n} exceeds the dense cap {dense_cap} and no "
-            "inverse callback was supplied"
-        )
-    inv = np.empty(n, dtype=np.int32)
-    for j, x in enumerate(elements):
-        inv[j] = index[inv_elem(x)]
-
-    def compose_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        pairs = zip(a.ravel().tolist(), b.ravel().tolist())
-        out = np.fromiter(
-            (index[compose(elements[x], elements[y])] for x, y in pairs), np.int32, a.size
-        )
-        return out.reshape(a.shape)
-
-    return GroupTable(
-        n=n,
-        mul=None,
-        inv=inv,
-        spec=spec,
-        generator_indices=generator_indices,
-        _compose=compose_pairs,
-    )
+    # The elements go before the word search, which sets the peak memory.
+    del index, elements, parents, right
+    return _walked_group(n, table, spec, generator_indices, *_steps_and_words(cols))
 
 
 def _cycle(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
@@ -325,19 +351,12 @@ def _perm_compose(sigma: tuple, tau: tuple) -> tuple:
     return tuple(sigma[t] for t in tau)
 
 
-def _perm_inverse(sigma: tuple) -> tuple:
-    out = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        out[s] = i
-    return tuple(out)
-
-
 def _model(spec: GroupSpec):
-    """Generators, composition, identity and inverse for one family."""
+    """Generators, composition and identity for one family."""
     family = spec.family
     if family == "cyclic":
         n = spec.params[0]
-        return [1], (lambda a, b: (a + b) % n), 0, (lambda a: (-a) % n)
+        return [1], (lambda a, b: (a + b) % n), 0
     if family == "dihedral":
         n = spec.params[0]
 
@@ -346,11 +365,7 @@ def _model(spec: GroupSpec):
             k2, f2 = y
             return ((k1 + (k2 if f1 == 0 else -k2)) % n, f1 ^ f2)
 
-        def inv_elem(x):
-            k, f = x
-            return ((-k) % n, 0) if f == 0 else x
-
-        return [(1, 0), (0, 1)], compose, (0, 0), inv_elem
+        return [(1, 0), (0, 1)], compose, (0, 0)
     if family in ("sym", "alt"):
         n = spec.params[0]
         identity = tuple(range(n))
@@ -359,7 +374,7 @@ def _model(spec: GroupSpec):
         else:
             long_cycle = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
             gens = [_cycle(n, (0, 1, 2)), _cycle(n, long_cycle)]
-        return gens, _perm_compose, identity, _perm_inverse
+        return gens, _perm_compose, identity
     if family in ("sl2", "psl2"):
         p = spec.params[0]
 
@@ -373,14 +388,10 @@ def _model(spec: GroupSpec):
                 (c * f + d * h) % p,
             )
 
-        def matinv(x):
-            a, b, c, d = x
-            return (d, (-b) % p, (-c) % p, a)
-
         gens = [(1, 1, 0, 1), (0, 1, p - 1, 0)]
         identity = (1, 0, 0, 1)
         if family == "sl2":
-            return gens, matmul, identity, matinv
+            return gens, matmul, identity
 
         half = (p - 1) // 2
 
@@ -394,12 +405,7 @@ def _model(spec: GroupSpec):
                     return m
             return m
 
-        return (
-            [canon(g) for g in gens],
-            (lambda x, y: canon(matmul(x, y))),
-            identity,
-            (lambda x: canon(matinv(x))),
-        )
+        return [canon(g) for g in gens], (lambda x, y: canon(matmul(x, y))), identity
     raise SpecError(f"unknown family {family!r}")
 
 
@@ -411,10 +417,8 @@ def construct_group(spec: GroupSpec) -> GroupTable:
         for f in spec.factors[1:]:
             out = direct_product(out, construct_group(f))
         return out
-    gens, compose, identity, inv_elem = _model(spec)
-    return build_closure(
-        gens, compose, identity, inv_elem, spec=spec, expected_order=spec.order()
-    )
+    gens, compose, identity = _model(spec)
+    return build_closure(gens, compose, identity, spec=spec)
 
 
 def build_group(text: str) -> GroupTable:
@@ -423,33 +427,35 @@ def build_group(text: str) -> GroupTable:
 
 
 def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
-    """Componentwise product; index of the pair (a, b) is a*n2 + b."""
+    """Componentwise product; index of the pair (a, b) is a*n2 + b.
+
+    Each factor's steps act on its own coordinate, and the word of (a, b)
+    is the word of a followed by the word of b, so the product runs no
+    search of its own.
+    """
     n1, n2 = G1.n, G2.n
     n = n1 * n2
     if n > MAX_ORDER:
         raise SizeGuardError(f"product order {n} exceeds the {MAX_ORDER} cap")
-
-    def spec_factors(G: GroupTable) -> tuple[GroupSpec, ...]:
-        if G.spec is None:
-            raise PreconditionError("direct_product needs spec-built factors")
-        return G.spec.factors if G.spec.family == "prod" else (G.spec,)
-
-    spec = GroupSpec("prod", (), spec_factors(G1) + spec_factors(G2))
-    inv = (np.add.outer(G1.inv.astype(np.int64) * n2, G2.inv)).ravel().astype(np.int32)
+    if G1.spec is None or G2.spec is None:
+        raise PreconditionError("direct_product needs spec-built factors")
+    factors = [G.spec.factors if G.spec.family == "prod" else (G.spec,) for G in (G1, G2)]
+    spec = GroupSpec("prod", (), factors[0] + factors[1])
     gens = tuple(int(g) * n2 for g in G1.generator_indices) + tuple(
         int(g) for g in G2.generator_indices
     )
-
-    def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return G1.compose(a // n2, b // n2) * n2 + G2.compose(a % n2, b % n2)
-
+    hi, lo = np.divmod(np.arange(n, dtype=np.int32), n2)
+    steps = np.concatenate([G1.steps[:, hi] * n2 + lo, hi * n2 + G2.steps[:, lo]])
+    dtype = np.min_scalar_type(len(steps) - 1)
+    words = np.hstack([
+        np.repeat(G1.words.astype(dtype), n2, axis=0),
+        np.tile(G2.words.astype(dtype) + len(G1.steps), (n1, 1)),
+    ])
     mul = None
     if n <= DENSE_CAP:
         # Both factors are at most n, so both keep their tables.
         mul = (G1.mul[:, None, :, None] * n2 + G2.mul[None, :, None, :]).reshape(n, n)
-    return GroupTable(
-        n=n, mul=mul, inv=inv, spec=spec, generator_indices=gens, _compose=compose
-    )
+    return _walked_group(n, mul, spec, gens, steps, words)
 
 
 def is_abelian(G: GroupTable) -> bool:

@@ -75,8 +75,8 @@ class LemmaReport:
 
     Exhaustive mode passes iff lhs <= rhs + tol; sampled mode allows an
     extra 3 * stderr_estimate of Monte Carlo slack.  A sampled mode reads
-    sampled(m=<sample_count>,seed=<sample_seed>), where for gamma m counts
-    the columns b drawn, each averaged over every g.
+    sampled(m=<count>,seed=<seed>), where for gamma m counts the columns b
+    drawn, each averaged over every g.
     """
 
     lemma_id: str
@@ -86,8 +86,6 @@ class LemmaReport:
     passed: bool
     margin: float
     stderr_estimate: float | None = None
-    sample_count: int | None = None
-    sample_seed: int | None = None
 
 
 @dataclass(eq=False)
@@ -274,25 +272,17 @@ def _report(
     tol: float,
     *,
     stderr: float | None = None,
-    sample_count: int | None = None,
-    sample_seed: int | None = None,
+    mode: str = "exhaustive",
 ) -> LemmaReport:
-    if stderr is None:
-        mode = "exhaustive"
-        passed = lhs <= rhs + tol
-    else:
-        mode = f"sampled(m={sample_count},seed={sample_seed})"
-        passed = lhs <= rhs + 3.0 * stderr + tol
+    slack = 0.0 if stderr is None else 3.0 * stderr
     return LemmaReport(
         lemma_id=lemma_id,
         lhs_value=float(lhs),
         rhs_bound=float(rhs),
         mode=mode,
-        passed=bool(passed),
+        passed=bool(lhs <= rhs + slack + tol),
         margin=float(rhs - lhs),
         stderr_estimate=stderr,
-        sample_count=sample_count,
-        sample_seed=sample_seed,
     )
 
 
@@ -497,9 +487,8 @@ def gamma_functional(
     values = col_sums / G.n
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
-    return _report(
-        "gamma", lhs, rhs, tol, stderr=stderr, sample_count=budget, sample_seed=seed
-    )
+    mode = f"sampled(m={budget},seed={seed})"
+    return _report("gamma", lhs, rhs, tol, stderr=stderr, mode=mode)
 
 
 def cs_chain_diagnostics(

@@ -9,8 +9,10 @@ from qmix import (
     conjugacy_classes,
     count_progressions,
     indicator_function,
+    parse_spec,
     theta_defect,
 )
+from qmix.groups import _model
 from qmix.mixing import _toggle_gain_tables
 
 
@@ -141,3 +143,47 @@ def class_function_scalar():
 def invert_class_function():
     """Class function from its Fourier scalars, the scalar's left inverse."""
     return _invert_class_function
+
+
+def _enumerate(spec):
+    """Elements of a family group in build order, by a plain BFS over its law."""
+    gens, law, identity = _model(spec)
+    elements, index = [identity], {identity: 0}
+    for x in elements:
+        for g in gens:
+            y = law(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return elements, index, law
+
+
+class _LawOracle:
+    """Products by the family law, one element pair at a time.
+
+    The elements are enumerated again, factor by factor for a direct
+    product, whose index is the mixed-radix number of its factor indices.
+    """
+
+    def __init__(self, text):
+        spec = parse_spec(text)
+        factors = spec.factors if spec.family == "prod" else (spec,)
+        self.factors = [_enumerate(f) for f in factors]
+        self.shape = tuple(len(elements) for elements, _, _ in self.factors)
+        self.n = int(np.prod(self.shape))
+
+    def compose(self, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        xs = np.unravel_index(a.ravel(), self.shape)
+        ys = np.unravel_index(b.ravel(), self.shape)
+        digits = [
+            [index[law(elements[i], elements[j])] for i, j in zip(x.tolist(), y.tolist())]
+            for (elements, index, law), x, y in zip(self.factors, xs, ys)
+        ]
+        return np.ravel_multi_index(digits, self.shape).reshape(a.shape)
+
+
+@pytest.fixture(scope="session")
+def law_oracle():
+    """Group products by the family law, an oracle for GroupTable.compose."""
+    return _LawOracle

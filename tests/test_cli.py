@@ -4,8 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qmix import LemmaReport, read_group
+from qmix import (
+    LemmaReport,
+    build_group,
+    compute_character_table,
+    conjugacy_classes,
+    random_ensemble,
+    read_group,
+    theta_defects,
+)
 from qmix.cli import main
+from qmix.fourier import CHUNK
 
 
 def run(capsys, *argv):
@@ -39,6 +48,27 @@ class TestGroupCommand:
         assert code == 0
         info = json.loads(out)
         assert info == {"group": "cyclic:6", "n": 6, "abelian": True, "classes": 6}
+
+    # Closed forms: n classes for cyclic:n, n/2 + 3 for dihedral:n with n
+    # even, the 22 partitions of 8 for sym:8, 14 for alt:8 (the partitions
+    # with an even number of even parts, one with distinct odd parts split
+    # in two), p + 4 for sl2:p and (p + 5)/2 for psl2:p.
+    @pytest.mark.parametrize(
+        "text,n,classes",
+        [
+            ("cyclic:50000", 50000, 50000),
+            ("dihedral:25000", 50000, 12503),
+            ("sym:8", 40320, 22),
+            ("alt:8", 20160, 14),
+            ("sl2:31", 29760, 35),
+            ("psl2:43", 39732, 24),
+        ],
+    )
+    def test_every_family_at_its_largest_order(self, capsys, text, n, classes):
+        code, out, _ = run(capsys, "group", text, "--format", "json")
+        assert code == 0
+        info = {"group": text, "n": n, "abelian": text.startswith("cyclic"), "classes": classes}
+        assert json.loads(out) == info
 
 
 class TestChartabCommand:
@@ -169,7 +199,7 @@ class TestVerifyCommand:
             return LemmaReport(
                 lemma_id="gamma", lhs_value=2.0, rhs_bound=1.0,
                 mode=f"sampled(m={budget},seed={seed})", passed=False, margin=-1.0,
-                stderr_estimate=0.0, sample_count=budget, sample_seed=seed,
+                stderr_estimate=0.0,
             )
 
         monkeypatch.setattr(cli_module, "gamma_functional", broken_gamma)
@@ -295,6 +325,32 @@ class TestMixCommand:
         for row in rows:
             assert row["theta"] <= bound + 1e-9
             assert row["passed"]
+
+    def test_random_triples_are_drawn_chunk_at_a_time(self, capsys, monkeypatch):
+        import qmix.cli as cli_module
+
+        trials = CHUNK + 3
+        G = build_group("sym:3")
+        T = compute_character_table(G, conjugacy_classes(G))
+        streams = [
+            random_ensemble(G, "indicator:0.5", (42, 11 + role), trials) for role in range(3)
+        ]
+        expected = [rep.theta for rep in theta_defects(*streams, T)]
+        counts = []
+
+        def counted(G, kind, seed, count):
+            counts.append(count)
+            return random_ensemble(G, kind, seed, count)
+
+        monkeypatch.setattr(cli_module, "random_ensemble", counted)
+        code, out, _ = run(
+            capsys, "mix", "sym:3", "--random", "0.5", "--trials", str(trials),
+            "--seed", "42", "--format", "json",
+        )
+        assert code == 0
+        assert [row["theta"] for row in json.loads(out)] == expected
+        assert [row["trial"] for row in json.loads(out)] == list(range(trials))
+        assert counts == [CHUNK] * 3 + [3] * 3
 
     def test_malformed_sets_exit_2(self, capsys):
         for bad in ("not json", "[[0],[0]]", "[[0],[0],[999]]", '{"a": 1}'):

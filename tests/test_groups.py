@@ -25,7 +25,8 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
 )
-from qmix.groups import DENSE_CAP, MAX_ORDER, GroupTable, _model
+from qmix import groups
+from qmix.groups import DENSE_CAP, GroupTable, _model
 
 ORDER_ORACLES = {
     "cyclic:12": 12,
@@ -350,39 +351,16 @@ class TestLazyPath:
 class TestBuildClosure:
     def test_expected_order_mismatch(self):
         with pytest.raises(GroupFormatError):
-            build_closure(
-                [1],
-                lambda a, b: (a + b) % 6,
-                0,
-                spec=None,
-                expected_order=7,
-                max_order=MAX_ORDER,
-                dense_cap=DENSE_CAP,
-            )
+            build_closure([1], lambda a, b: (a + b) % 6, 0, spec=GroupSpec("cyclic", (7,)))
 
     def test_trivial_closure_rejected(self):
         with pytest.raises(PreconditionError):
-            build_closure(
-                [0],
-                lambda a, b: 0,
-                0,
-                spec=None,
-                expected_order=None,
-                max_order=MAX_ORDER,
-                dense_cap=DENSE_CAP,
-            )
+            build_closure([0], lambda a, b: 0, 0)
 
-    def test_order_cap_enforced(self):
+    def test_order_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(groups, "MAX_ORDER", 100)
         with pytest.raises(SizeGuardError):
-            build_closure(
-                [1],
-                lambda a, b: (a + b) % 200,
-                0,
-                spec=None,
-                expected_order=None,
-                max_order=100,
-                dense_cap=DENSE_CAP,
-            )
+            build_closure([1], lambda a, b: (a + b) % 200, 0)
 
 
 class TestValidateGroup:
@@ -457,15 +435,13 @@ def test_file_group_matches_spec_group(tmp_path):
     assert np.array_equal(TH.degrees, TG.degrees)
 
 
-@pytest.mark.parametrize("text", ["psl2:7", "alt:5", "sl2:5"])
-def test_lazy_backend_matches_dense(text):
+@pytest.mark.parametrize("text", ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7"])
+def test_lazy_backend_matches_dense(text, monkeypatch):
     spec = parse_spec(text)
-    gens, law, identity, inv_elem = _model(spec)
-    order = spec.order()
-    D = build_closure(gens, law, identity, inv_elem, spec=spec, expected_order=order)
-    L = build_closure(
-        gens, law, identity, inv_elem, spec=spec, expected_order=order, dense_cap=1
-    )
+    gens, law, identity = _model(spec)
+    D = build_closure(gens, law, identity, spec=spec)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    L = build_closure(gens, law, identity, spec=spec)
     assert D.mul is not None and L.mul is None
     assert np.array_equal(L.inv, D.inv)
     assert L.generator_indices == D.generator_indices
@@ -502,3 +478,27 @@ def test_lazy_product_composes_through_its_factors(first, second):
     expected = G1.mul[a // n2, b // n2] * n2 + G2.mul[a % n2, b % n2]
     assert np.array_equal(G.compose(a, b), expected)
     assert np.array_equal(G.compose(G.inv[b], b), np.zeros(300))
+
+
+@pytest.mark.parametrize(
+    "text", ["cyclic:50000", "dihedral:25000", "sym:8", "psl2:43", "prod:cyclic:4+sl2:23"]
+)
+def test_walk_matches_the_family_law(text, law_oracle):
+    G, oracle = build_group(text), law_oracle(text)
+    assert G.mul is None and oracle.n == G.n
+    rng = np.random.default_rng(17)
+    a, b = rng.integers(0, G.n, size=(2, 10**4))
+    assert np.array_equal(G.compose(a, b), oracle.compose(a, b))
+    ar = np.arange(G.n)
+    assert np.array_equal(oracle.compose(ar, G.inv), np.zeros(G.n))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cyclic:50000", "dihedral:25000", "sym:8", "alt:8", "sl2:31", "psl2:43",
+     "prod:cyclic:4+sl2:23"],
+)
+def test_words_stay_short_at_the_largest_orders(text):
+    G = build_group(text)
+    assert G.words.shape == (G.n, G.words.shape[1]) and G.words.shape[1] <= 32
+    assert np.array_equal(G.steps[-1], np.arange(G.n))

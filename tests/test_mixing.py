@@ -466,7 +466,7 @@ class TestGammaFunctional:
         sampled = gamma_functional(f, T, C, budget=25, seed=5)
         assert sampled.mode.startswith("sampled(")
         assert sampled.stderr_estimate is not None
-        assert sampled.sample_count == 25
+        assert sampled.mode == "sampled(m=25,seed=5)"
         assert abs(sampled.lhs_value - exact) < 5 * sampled.stderr_estimate + 1e-3
 
     def test_sampled_determinism(self, bundle, monkeypatch):
@@ -514,7 +514,7 @@ class TestGammaFunctional:
         force_sampled(monkeypatch, C)
         for seed in range(10):
             rep = gamma_functional(f, T, C, budget=32, seed=seed)
-            assert rep.sample_count == 32
+            assert rep.mode == f"sampled(m=32,seed={seed})"
             assert abs(rep.lhs_value - exact) <= 4 * rep.stderr_estimate
 
     def test_preconditions(self, bundle):

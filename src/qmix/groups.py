@@ -174,8 +174,9 @@ class GroupTable:
     where one is kept (spec-built groups up to DENSE_CAP, file groups).
     Otherwise ``steps[j]`` maps x to x*s_j, s_j a repeated square of a
     generator, the last row being the identity map, and a*b is a pushed
-    through the rows listed in ``words[b]``, whose product is b (padded
-    with the last row).  An operation that needs the whole table calls
+    through the first ``lengths[b]`` rows listed in ``words[b]``, whose
+    product is b (each word left-aligned, padded after its end with the
+    last row).  An operation that needs the whole table calls
     ``require_table``, which raises SizeGuardError when there is none.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
@@ -188,6 +189,7 @@ class GroupTable:
     generator_indices: tuple[int, ...]
     steps: np.ndarray | None = field(default=None, repr=False)
     words: np.ndarray | None = field(default=None, repr=False)
+    lengths: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generator_indices:
@@ -211,13 +213,18 @@ class GroupTable:
         return a
 
     def compose(self, a, b) -> np.ndarray:
-        """Elementwise product a*b over broadcasting index arrays (int32)."""
+        """Elementwise product a*b over broadcasting index arrays (int32).
+
+        Without a table the walk takes as many steps as the longest word
+        among the given b, not the padded width of ``words``.
+        """
         a = self._check_indices(a)
         b = self._check_indices(b)
         if self.mul is not None:
             return self.mul[a, b]
-        x = a
-        for s in np.moveaxis(self.words[b], -1, 0):
+        k = np.max(self.lengths[b], initial=0)
+        x = np.broadcast_arrays(a, b)[0].astype(np.int32)
+        for s in np.moveaxis(self.words[b, :k], -1, 0):
             x = self.steps[s, x]
         return x
 
@@ -228,15 +235,16 @@ class GroupTable:
         return int(self.inv[self._check_indices(a)])
 
 
-def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps and words from the right-multiplication columns x -> x*g.
+def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps, words and word lengths from the columns x -> x*g.
 
     Each g is squared into x -> x*g^(2^k) until the power is the identity,
     repeats a step, or has been squared log2(n) times.  Exponents below
     the order of g are sums of distinct powers of two, so a level-by-level
     search over the steps finds words of a few steps per bit of n, where
-    the generators alone may need n - 1.  The word dtype fits the step
-    count, which can exceed 127.
+    the generators alone may need n - 1.  The word of an element found at
+    level d fills its first d columns, the rest being padding.  The word
+    dtype fits the step count, which can exceed 127.
     """
     n = cols.shape[1]
     rows, seen = [], {0}
@@ -250,6 +258,7 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pad = len(rows)
     steps = np.stack(rows + [np.arange(n, dtype=np.int32)])
     words = np.zeros((n, 0), dtype=np.min_scalar_type(pad))
+    lengths = np.zeros(n, dtype=np.int32)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int32)
@@ -257,27 +266,50 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         new, first = np.unique(steps[:pad, frontier], return_index=True)
         keep = ~reached[new]
         if not keep.any():
-            return steps, words
+            return steps, words, lengths
         via, at = np.divmod(first[keep], frontier.size)
         parents, frontier = frontier[at], new[keep]
         reached[frontier] = True
         words = np.concatenate([words, np.full((n, 1), pad, words.dtype)], axis=1)
         words[frontier] = words[parents]
         words[frontier, -1] = via
+        lengths[frontier] = words.shape[1]
 
 
-def _walked_group(n, mul, spec, generator_indices, steps, words) -> GroupTable:
-    """The group with these steps and words, and the inverses they give.
+def _inverted(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a stack of permutations."""
+    back = np.empty_like(perms)
+    rows = np.arange(len(perms))[:, None]
+    back[rows, perms] = np.arange(perms.shape[1], dtype=np.int32)
+    return back
 
-    inv[b] is the identity pushed through the inverted steps of words[b],
-    last first.
-    """
-    back = np.empty_like(steps)
-    back[np.arange(len(steps))[:, None], steps] = np.arange(n, dtype=np.int32)
-    inv = np.zeros(n, dtype=np.int32)
+
+def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """inv[b]: the identity pushed through the inverted steps of words[b],
+    last first."""
+    back = _inverted(steps)
+    inv = np.zeros(steps.shape[1], dtype=np.int32)
     for s in words[:, ::-1].T:
         inv = back[s, inv]
-    return GroupTable(n, mul, inv, spec, generator_indices, steps, words)
+    return inv
+
+
+def _table_rows(cols: np.ndarray, inv: np.ndarray, parents) -> np.ndarray:
+    """The n x n table, filled one contiguous row at a time.
+
+    Element x > 0 was first seen as p * g_s, (p, s) = parents[x], so
+    row(x) = row(p)[L_s] with L_s[y] = g_s*y = inv[back_s[inv[y]]], where
+    back_s inverts the column y -> y*g_s.  Parents precede their children,
+    so each row re-indexes one already written.
+    """
+    n = cols.shape[1]
+    left = inv[_inverted(cols)[:, inv]]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n, dtype=np.int32)
+    for x, (p, s) in enumerate(parents[1:], start=1):
+        # mode="clip" skips the bounds check; with "raise", out is buffered.
+        table[p].take(left[s], out=table[x], mode="clip")
+    return table
 
 
 def build_closure(
@@ -293,9 +325,10 @@ def build_closure(
     generators applied in listed order (right multiplication).  The search
     records right[s][i], the index of element i times generator s; the
     group keeps only what these columns give: the steps and words that
-    ``GroupTable.compose`` walks, the inverses and, up to DENSE_CAP, the
-    table.  Each element b was first seen as parent*g, so column b of the
-    table is a re-index of column parent.  The closure may not exceed
+    ``GroupTable.compose`` walks, the inverses those words give and, up to
+    DENSE_CAP, the table.  The table comes last: each element x was first
+    seen as parent*g, so row x is row parent re-indexed by y -> g*y,
+    which the inverses give (see _table_rows).  The closure may not exceed
     MAX_ORDER elements, nor differ from ``spec.order()`` given a spec.
     """
     index: dict = {identity: 0}
@@ -326,16 +359,14 @@ def build_closure(
         )
     generator_indices = tuple(index[g] for g in gens if g in index)
     cols = np.array(right, dtype=np.int32)
-    table = None
-    if n <= DENSE_CAP:
-        table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        for b in range(1, n):
-            p, s = parents[b]
-            table[:, b] = cols[s][table[:, p]]
-    # The elements go before the word search, which sets the peak memory.
-    del index, elements, parents, right
-    return _walked_group(n, table, spec, generator_indices, *_steps_and_words(cols))
+    # The rest goes before the word search, which sets the peak memory; only
+    # a dense build keeps the parents, for its table.
+    parents = parents if n <= DENSE_CAP else None
+    del index, elements, right
+    steps, words, lengths = _steps_and_words(cols)
+    inv = _inverses(steps, words)
+    table = None if parents is None else _table_rows(cols, inv, parents)
+    return GroupTable(n, table, inv, spec, generator_indices, steps, words, lengths)
 
 
 def _cycle(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
@@ -445,17 +476,25 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
         int(g) for g in G2.generator_indices
     )
     hi, lo = np.divmod(np.arange(n, dtype=np.int32), n2)
-    steps = np.concatenate([G1.steps[:, hi] * n2 + lo, hi * n2 + G2.steps[:, lo]])
-    dtype = np.min_scalar_type(len(steps) - 1)
-    words = np.hstack([
-        np.repeat(G1.words.astype(dtype), n2, axis=0),
-        np.tile(G2.words.astype(dtype) + len(G1.steps), (n1, 1)),
-    ])
+    # The factors' steps act on different coordinates and so commute: the
+    # word of (a, b) is the steps of a's word, then those of b's, then the
+    # padding (G1's identity row is dropped).
+    shift = len(G1.steps) - 1
+    steps = np.concatenate([G1.steps[:-1, hi] * n2 + lo, hi * n2 + G2.steps[:, lo]])
+    pad = len(steps) - 1
+    l1, l2 = G1.lengths[hi], G2.lengths[lo]
+    w1, w2 = G1.words.shape[1], G2.words.shape[1]
+    words = np.full((n, w1 + w2), pad, dtype=np.min_scalar_type(pad))
+    first = np.arange(w1) < l1[:, None]
+    words[:, :w1][first] = G1.words[hi][first]
+    r, k = np.nonzero(np.arange(w2) < l2[:, None])
+    words[r, l1[r] + k] = G2.words[lo[r], k] + shift
     mul = None
     if n <= DENSE_CAP:
         # Both factors are at most n, so both keep their tables.
         mul = (G1.mul[:, None, :, None] * n2 + G2.mul[None, :, None, :]).reshape(n, n)
-    return _walked_group(n, mul, spec, gens, steps, words)
+    inv = _inverses(steps, words)
+    return GroupTable(n, mul, inv, spec, gens, steps, words, l1 + l2)
 
 
 def is_abelian(G: GroupTable) -> bool:

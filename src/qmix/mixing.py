@@ -151,25 +151,102 @@ def theorem_bound(D: int) -> float:
     return float((2.0 / math.sqrt(D)) ** 0.25)
 
 
-def _progression_pass(
-    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Progression sums of m stacked triples in one pass over the table t.
+def _is_indicator(V: np.ndarray) -> bool:
+    return V.dtype.kind != "c" and bool(np.all((V == 0) | (V == 1)))
 
-    V1, V2, V3 are (n x m) stacks of one dtype; the pass works in it.
-    Returns S with S[x, j] = sum_y V2[xy, j] V3[xy^2, j] and totals with
-    totals[j] = sum_x V1[x, j] S[x, j].  Rows go in blocks of
-    max(1, CHUNK // m), so a gathered block holds at most CHUNK * n
-    entries.  Each total is a per-column dot accumulated over CHUNK-row
-    blocks, which keeps one-triple results (and the JSON that prints
-    them) the same bits as an unbatched row loop; a single reduction over
-    the (n x m) product of V1 and S sums in another order.  The gathered
-    blocks go into buffers allocated once: a fresh multi-megabyte array
-    per block is mapped and page-faulted anew on every block unless the
-    allocator happens to keep freed memory (on sl2:13 with m = 10 that
-    doubled the pass time).
+
+def _pack(V: np.ndarray) -> np.ndarray:
+    """One word per row of an (n x m) 0/1 stack, m <= 64: bit j is column j.
+
+    The word is the narrowest of uint8..uint64 that holds m bits.
+    """
+    n, m = V.shape
+    size = 1 << max(0, (m - 1).bit_length() - 3)
+    b = np.zeros((n, size), dtype=np.uint8)
+    b[:, : (m + 7) // 8] = np.packbits(V != 0, axis=1, bitorder="little")
+    return b.view(f"<u{size}")[:, 0]
+
+
+def _bit_pass(t, V1, V2, V3, rows: bool):
+    """_progression_pass of at most 64 stacked 0/1 triples, in packed words.
+
+    Pi packs triple j's values of role i into bit j.  For each pair (x, y)
+    the pass gathers the words P2[xy] and P3[xy^2] (the latter as row x of
+    P3[xy], re-read at y^2) once for every triple; their AND, and P1[x]'s
+    for totals, has bit j set iff triple j's term is 1, and bit j's count
+    is a count_nonzero over the words masked to it.  Rows go CHUNK // 4 at
+    a time, so the intp indices and the three word buffers take no more
+    memory than the value pass's one-triple block buffers.
     """
     n, m = V2.shape
+    P1, P2, P3 = _pack(V1), _pack(V2), _pack(V3)
+    ysq = t.diagonal().astype(np.intp)
+    step = CHUNK // 4
+    I = np.empty((step, n), dtype=np.intp)
+    W = np.empty((step, n), dtype=P2.dtype)
+    W3 = np.empty_like(W)
+    tmp = np.empty_like(W)
+    bits = [P2.dtype.type(1 << j) for j in range(m)]
+    S = np.empty((n, m), dtype=np.int64) if rows else None
+    totals = np.zeros(m, dtype=np.int64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        h = hi - lo
+        np.copyto(I[:h], t[lo:hi])
+        # mode="clip" skips the bounds check; with "raise", take buffers out.
+        np.take(P2, I[:h], out=W[:h], mode="clip")
+        np.take(P3, I[:h], out=tmp[:h], mode="clip")
+        np.take(tmp[:h], ysq, axis=1, out=W3[:h], mode="clip")
+        np.bitwise_and(W[:h], W3[:h], out=W[:h])
+        if not rows:
+            np.bitwise_and(W[:h], P1[lo:hi, None], out=W[:h])
+        for j, bit in enumerate(bits):
+            masked = W[:h] if m == 1 else np.bitwise_and(W[:h], bit, out=tmp[:h])
+            if rows:
+                S[lo:hi, j] = np.count_nonzero(masked, axis=1)
+            else:
+                totals[j] += np.count_nonzero(masked)
+    if rows:
+        totals = np.where(V1 != 0, S, 0).sum(axis=0)
+    return S, totals
+
+
+def _progression_pass(
+    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray, rows: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Progression sums of m stacked triples in one pass over the table t.
+
+    Returns S with S[x, j] = sum_y V2[xy, j] V3[xy^2, j] and totals with
+    totals[j] = sum_x V1[x, j] S[x, j].
+
+    When all three (n x m) stacks are 0/1-valued (indicator triples, of
+    any real or integer dtype), the pass counts exactly in integers: 64
+    triples share one packed word per element (_bit_pass), so one gather
+    pair per (x, y) serves them all.  Counts are exact, and below 2^53, so
+    a caller dividing them in float64 gets the bits a float sum of the
+    same 0/1 terms gives.  S (int64) is computed only when ``rows`` asks
+    for it, and is None otherwise; totals are int64.
+
+    Any other stacks (one dtype, float64 or complex128) take the value
+    pass, which works in that dtype and always returns S.  Rows go in
+    blocks of max(1, CHUNK // m), so a gathered block holds at most
+    CHUNK * n entries.  Each total is a per-column dot accumulated over
+    CHUNK-row blocks, which keeps one-triple results (and the JSON that
+    prints them) the same bits as an unbatched row loop; a single
+    reduction over the (n x m) product of V1 and S sums in another order.
+    The gathered blocks go into buffers allocated once: a fresh
+    multi-megabyte array per block is mapped and page-faulted anew on
+    every block unless the allocator happens to keep freed memory (on
+    sl2:13 with m = 10 that doubled the pass time).
+    """
+    n, m = V2.shape
+    if all(_is_indicator(V) for V in (V1, V2, V3)):
+        parts = [
+            _bit_pass(t, V1[:, j:j + 64], V2[:, j:j + 64], V3[:, j:j + 64], rows)
+            for j in range(0, m, 64)
+        ]
+        S = np.hstack([p[0] for p in parts]) if rows else None
+        return S, np.concatenate([p[1] for p in parts])
     ysq = t.diagonal()
     S = np.empty((n, m), dtype=V2.dtype)
     step = max(1, CHUNK // m)
@@ -204,7 +281,10 @@ def theta_defects(
 
     Triples go through the progression pass CHUNK at a time, so memory
     stays near CHUNK * n entries per stack whatever the ensemble size.
-    Real-valued blocks are summed in float64, others in complex128.
+    A block of indicator triples (every value 0 or 1) is counted exactly
+    in packed words, 64 triples per gather pair; its counts are integers
+    below 2^53, so theta has the bits a float sum would give.  Other
+    real-valued blocks are summed in float64, the rest in complex128.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -626,7 +706,8 @@ def _toggle_gain_tables(
     n = G.n
     iv = G.inv
     iysq = iv[t.diagonal()]
-    S, _ = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
+    # rows=True, passed by position like the stacks.
+    S, _ = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None], True)
     S2 = np.empty(n, dtype=np.int64)
     S3 = np.empty(n, dtype=np.int64)
     for lo in range(0, n, CHUNK):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -484,3 +485,32 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert len(json.loads(path.read_text())) == 2
+
+
+# sha256 of stdout, taken from the CLI before the packed progression pass,
+# the row-filled table and the trimmed word walk.  Each run is exact
+# (integer counts, seeded draws), so any drift in theta or the search sets
+# shows here.
+GOLDEN_STDOUT = [
+    (
+        ("mix", "sl2:13", "--random", "0.5", "--trials", "10", "--format", "json"),
+        "49a42330af20649a653c778618c51f6bc14bc50679e9628940345aa5697d4f0b",
+    ),
+    (
+        ("mix", "psl2:7", "--random", "0.3", "--trials", "300", "--format", "json"),
+        "b6229d2dfa273950c31e52f925851b023fec1801f94298940fdfe799df76328d",
+    ),
+    (
+        ("search", "psl2:13", "--budget", "100000", "--restarts", "1", "--format", "json"),
+        "7327d26f24ce5451f6c40fb6e37b02e7dbfc6f69c16878a1e57b15d9f0ff8ef1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_STDOUT, ids=["-".join(argv[:2]) for argv, _ in GOLDEN_STDOUT]
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

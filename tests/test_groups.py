@@ -26,7 +26,7 @@ from qmix import (
     conjugacy_classes,
 )
 from qmix import groups
-from qmix.groups import DENSE_CAP, GroupTable, _model
+from qmix.groups import DENSE_CAP, GroupTable
 
 ORDER_ORACLES = {
     "cyclic:12": 12,
@@ -435,16 +435,18 @@ def test_file_group_matches_spec_group(tmp_path):
     assert np.array_equal(TH.degrees, TG.degrees)
 
 
-@pytest.mark.parametrize("text", ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7"])
+@pytest.mark.parametrize(
+    "text", ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7", "prod:sl2:5+cyclic:3"]
+)
 def test_lazy_backend_matches_dense(text, monkeypatch):
-    spec = parse_spec(text)
-    gens, law, identity = _model(spec)
-    D = build_closure(gens, law, identity, spec=spec)
+    D = build_group(text)
     monkeypatch.setattr(groups, "DENSE_CAP", 1)
-    L = build_closure(gens, law, identity, spec=spec)
+    L = build_group(text)
     assert D.mul is not None and L.mul is None
     assert np.array_equal(L.inv, D.inv)
     assert L.generator_indices == D.generator_indices
+    ar = np.arange(D.n)
+    assert np.array_equal(L.compose(ar[:, None], ar), D.mul)
     rng = np.random.default_rng(3)
     a = rng.integers(0, D.n, size=(40, 7))
     b = rng.integers(0, D.n, size=7)
@@ -464,6 +466,27 @@ def test_lazy_backend_matches_dense(text, monkeypatch):
     TD, TL = compute_character_table(D, CD), compute_character_table(L, CL)
     assert np.array_equal(TL.chi, TD.chi)
     assert np.array_equal(TL.degrees, TD.degrees)
+
+
+@pytest.mark.parametrize("text", ["sl2:13", "sym:5", "prod:sl2:5+cyclic:3", "prod:cyclic:4+dihedral:5"])
+def test_lazy_compose_walks_only_the_longest_word(text, monkeypatch):
+    D = build_group(text)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    L = build_group(text)
+    # Words are left-aligned: padding only after each word's length.
+    pad = len(L.steps) - 1
+    assert np.array_equal(L.words != pad, np.arange(L.words.shape[1]) < L.lengths[:, None])
+    assert L.lengths[0] == 0 and L.lengths.max() == L.words.shape[1]
+    ar = np.arange(L.n)
+    # b the identity: a word of length 0 still gives a fresh int32 array.
+    e = L.compose(ar, 0)
+    assert e.dtype == np.int32 and np.array_equal(e, ar) and e is not ar
+    assert np.array_equal(L.compose(ar[:, None], np.zeros(3, dtype=int)), D.mul[:, [0, 0, 0]])
+    for width in (1, 2):
+        short = np.flatnonzero(L.lengths <= width)
+        assert short.size > 1
+        assert np.array_equal(L.compose(ar[:, None], short), D.mul[:, short])
+        assert np.array_equal(L.compose(short[:, None], ar), D.mul[short])
 
 
 @pytest.mark.parametrize("first,second", [("sl2:13", "cyclic:5"), ("cyclic:5", "sl2:13")])

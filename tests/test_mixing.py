@@ -100,7 +100,7 @@ class TestThetaDefect:
         with pytest.raises(GroupMismatchError):
             theta_defect(c1, c1, c2, T1)
 
-    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65, 300])
     def test_batch_matches_single_triples_bit_for_bit(self, bundle, m):
         G, _, T = bundle("psl2:7")
         streams = [
@@ -113,6 +113,41 @@ class TestThetaDefect:
             assert (b.theta, b.raw_expectation, b.product_of_means, b.margin) == (
                 s.theta, s.raw_expectation, s.product_of_means, s.margin
             )
+
+    @pytest.mark.parametrize("odd", ["half", "rademacher"])
+    def test_block_with_one_non_indicator_matches_single_triples(self, bundle, odd):
+        # One function that is not 0/1 sends the block through the value
+        # pass; each triple keeps the bits it gets alone.
+        G, _, T = bundle("psl2:7")
+        streams = [random_ensemble(G, "indicator:0.5", (5, role), 6) for role in range(3)]
+        if odd == "half":
+            v = streams[1][2].values.copy()
+            v[3] = 0.5
+            streams[1][2] = GroupFunction(G, v)
+        else:
+            streams[0][4] = random_ensemble(G, "rademacher", 8, 1)[0]
+        batch = theta_defects(*streams, T)
+        for b, f1, f2, f3 in zip(batch, *streams):
+            s = theta_defect(f1, f2, f3, T)
+            assert (b.theta, b.raw_expectation, b.product_of_means, b.margin) == (
+                s.theta, s.raw_expectation, s.product_of_means, s.margin
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, 63, 64, 65, 130])
+    def test_packed_pass_matches_the_float_sums(self, bundle, m):
+        # Word widths 8/16/64 bits and 64-triple boundaries, for totals
+        # and for per-row sums.
+        G, _, _ = bundle("psl2:7")
+        t = G.mul
+        rng = np.random.default_rng(m)
+        V1, V2, V3 = (rng.integers(0, 2, size=(G.n, m)).astype(np.int64) for _ in range(3))
+        S_want = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
+        S, totals = mixing._progression_pass(t, V1, V2, V3, True)
+        assert totals.dtype == np.int64 and S.dtype == np.int64
+        assert np.array_equal(S, S_want)
+        assert np.array_equal(totals, (V1 * S_want).sum(axis=0))
+        S, again = mixing._progression_pass(t, V1 > 0, V2 > 0, V3.astype(float))
+        assert S is None and np.array_equal(again, totals)
 
     def test_batch_matches_single_triples_on_unimodular(self, bundle):
         G, _, T = bundle("psl2:7")
@@ -150,6 +185,22 @@ class TestCountProgressions:
     def test_cyclic5_point(self, bundle):
         G, _, _ = bundle("cyclic:5")
         assert count_progressions([0], [0], [0], G) == 1
+
+    def test_matches_a_recount_through_compose(self):
+        # (x*y)*y by two compose calls: no square map, no progression pass.
+        G = build_group("sl2:13")
+        n = G.n
+        ar = np.arange(n)
+        rng = np.random.default_rng(29)
+        triples = [[rng.random(n) < 0.5 for _ in range(3)] for _ in range(3)]
+        triples += [[np.zeros(n, dtype=bool)] * 3, [np.ones(n, dtype=bool)] * 3]
+        for a1, a2, a3 in triples:
+            want = 0
+            for x in np.flatnonzero(a1):
+                xy = G.compose(x, ar)
+                want += int(np.count_nonzero(a2[xy] & a3[G.compose(xy, ar)]))
+            assert count_progressions(*(np.flatnonzero(a) for a in (a1, a2, a3)), G) == want
+        assert want == n * n
 
     def test_brute_force_oracle(self, bundle):
         G, _, _ = bundle("sym:3")

@@ -167,16 +167,17 @@ def _pack(V: np.ndarray) -> np.ndarray:
     return b.view(f"<u{size}")[:, 0]
 
 
-def _bit_pass(t, V1, V2, V3, rows: bool):
+def _bit_pass(t, V1, V2, V3):
     """_progression_pass of at most 64 stacked 0/1 triples, in packed words.
 
     Pi packs triple j's values of role i into bit j.  For each pair (x, y)
     the pass gathers the words P2[xy] and P3[xy^2] (the latter as row x of
-    P3[xy], re-read at y^2) once for every triple; their AND, and P1[x]'s
-    for totals, has bit j set iff triple j's term is 1, and bit j's count
-    is a count_nonzero over the words masked to it.  Rows go CHUNK // 4 at
-    a time, so the intp indices and the three word buffers take no more
-    memory than the value pass's one-triple block buffers.
+    P3[xy], re-read at y^2) once for every triple; their AND with P1[x]'s
+    has bit j set iff triple j's term is 1, and bit j's count is a
+    count_nonzero over the words masked to it.  Returns the int64 totals
+    alone.  Rows go CHUNK // 4 at a time, so the intp indices and the
+    three word buffers take no more memory than the value pass's
+    one-triple block buffers.
     """
     n, m = V2.shape
     P1, P2, P3 = _pack(V1), _pack(V2), _pack(V3)
@@ -187,7 +188,6 @@ def _bit_pass(t, V1, V2, V3, rows: bool):
     W3 = np.empty_like(W)
     tmp = np.empty_like(W)
     bits = [P2.dtype.type(1 << j) for j in range(m)]
-    S = np.empty((n, m), dtype=np.int64) if rows else None
     totals = np.zeros(m, dtype=np.int64)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -198,39 +198,33 @@ def _bit_pass(t, V1, V2, V3, rows: bool):
         np.take(P3, I[:h], out=tmp[:h], mode="clip")
         np.take(tmp[:h], ysq, axis=1, out=W3[:h], mode="clip")
         np.bitwise_and(W[:h], W3[:h], out=W[:h])
-        if not rows:
-            np.bitwise_and(W[:h], P1[lo:hi, None], out=W[:h])
+        np.bitwise_and(W[:h], P1[lo:hi, None], out=W[:h])
         for j, bit in enumerate(bits):
             masked = W[:h] if m == 1 else np.bitwise_and(W[:h], bit, out=tmp[:h])
-            if rows:
-                S[lo:hi, j] = np.count_nonzero(masked, axis=1)
-            else:
-                totals[j] += np.count_nonzero(masked)
-    if rows:
-        totals = np.where(V1 != 0, S, 0).sum(axis=0)
-    return S, totals
+            totals[j] += np.count_nonzero(masked)
+    return totals
 
 
 def _progression_pass(
-    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray, rows: bool = False
-) -> tuple[np.ndarray | None, np.ndarray]:
+    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray
+) -> np.ndarray:
     """Progression sums of m stacked triples in one pass over the table t.
 
-    Returns S with S[x, j] = sum_y V2[xy, j] V3[xy^2, j] and totals with
-    totals[j] = sum_x V1[x, j] S[x, j].
+    Returns totals with totals[j] = sum_x V1[x, j] S[x, j], where
+    S[x, j] = sum_y V2[xy, j] V3[xy^2, j]; the per-row S is not returned
+    (the search's sensitivity tables come from _toggle_gain_tables).
 
     When all three (n x m) stacks are 0/1-valued (indicator triples, of
     any real or integer dtype), the pass counts exactly in integers: 64
     triples share one packed word per element (_bit_pass), so one gather
     pair per (x, y) serves them all.  Counts are exact, and below 2^53, so
     a caller dividing them in float64 gets the bits a float sum of the
-    same 0/1 terms gives.  S (int64) is computed only when ``rows`` asks
-    for it, and is None otherwise; totals are int64.
+    same 0/1 terms gives; totals are then int64.
 
     Any other stacks (one dtype, float64 or complex128) take the value
-    pass, which works in that dtype and always returns S.  Rows go in
-    blocks of max(1, CHUNK // m), so a gathered block holds at most
-    CHUNK * n entries.  Each total is a per-column dot accumulated over
+    pass, which works in that dtype.  Rows go in blocks of
+    max(1, CHUNK // m), so a gathered block holds at most CHUNK * n
+    entries.  Each total is a per-column dot of V1 and S accumulated over
     CHUNK-row blocks, which keeps one-triple results (and the JSON that
     prints them) the same bits as an unbatched row loop; a single
     reduction over the (n x m) product of V1 and S sums in another order.
@@ -241,12 +235,12 @@ def _progression_pass(
     """
     n, m = V2.shape
     if all(_is_indicator(V) for V in (V1, V2, V3)):
-        parts = [
-            _bit_pass(t, V1[:, j:j + 64], V2[:, j:j + 64], V3[:, j:j + 64], rows)
-            for j in range(0, m, 64)
-        ]
-        S = np.hstack([p[0] for p in parts]) if rows else None
-        return S, np.concatenate([p[1] for p in parts])
+        return np.concatenate(
+            [
+                _bit_pass(t, V1[:, j:j + 64], V2[:, j:j + 64], V3[:, j:j + 64])
+                for j in range(0, m, 64)
+            ]
+        )
     ysq = t.diagonal()
     S = np.empty((n, m), dtype=V2.dtype)
     step = max(1, CHUNK // m)
@@ -268,7 +262,7 @@ def _progression_pass(
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
             totals[j] += V1[lo:hi, j] @ S[lo:hi, j]
-    return S, totals
+    return totals
 
 
 def theta_defects(
@@ -306,7 +300,7 @@ def theta_defects(
         stacks = [np.stack([f.values for f in fs], axis=1) for fs in block]
         if not any(np.any(V.imag) for V in stacks):
             stacks = [np.ascontiguousarray(V.real) for V in stacks]
-        _, totals = _progression_pass(t, *stacks)
+        totals = _progression_pass(t, *stacks)
         for total, f1, f2, f3 in zip(totals, *block):
             raw = complex(total) / n2
             prod = mean(f1) * mean(f2) * mean(f3)
@@ -341,7 +335,7 @@ def count_progressions(A1, A2, A3, G: GroupTable) -> int:
             v[_check_index_set(G, A)] = 1
         return v
 
-    _, totals = _progression_pass(t, indicator(A1), indicator(A2), indicator(A3))
+    totals = _progression_pass(t, indicator(A1), indicator(A2), indicator(A3))
     return int(totals[0])
 
 
@@ -605,7 +599,7 @@ def cs_chain_diagnostics(
     v3 = f3.values.real.copy()
     ar = np.arange(n)
 
-    _, total = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
+    total = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
     theta = abs(float(total[0])) / (n * n)
     c1 = theta**4
 
@@ -695,27 +689,65 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
 
 def _toggle_gain_tables(
     G: GroupTable, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-element progression sensitivities for the three set slots.
 
-    S1[e] counts pairs through x = e; S2[e] through xy = e; S3[e]
-    through xy^2 = e.  Toggling membership of e in set i changes the
-    exact progression count by (sign) * Si[e].
+    Returns the (3 x n) int64 rows S1, S2, S3: S1[e] counts pairs through
+    x = e, S2[e] through xy = e and S3[e] through xy^2 = e.  Toggling
+    membership of e in set i changes the exact progression count by
+    (sign) * Si[e].  In terms of the 0/1 indicators,
+
+        S1[e] = sum_y v2[ey] v3[ey^2]
+        S2[e] = sum_y v1[ey^-1] v3[ey]
+        S3[e] = sum_y v1[ey^-2] v2[ey^-1] = sum_y v1[ey^2] v2[ey],
+
+    the last by the substitution y -> y^-1, a bijection of the group.
+
+    One packed pass builds all three.  P packs the indicators into one
+    byte per element, bit i for role i, and each block of rows e gathers
+    W[e, y] = P[ey] once; its columns re-read at y^2 (Wq) and at y^-1
+    (Wi) give P[ey^2] and P[ey^-1].  Each term is then the AND of two
+    bits: S1 of bit 1 of W and bit 2 of Wq, S2 of bit 2 of W and bit 0
+    of Wi, S3 of bit 1 of W and bit 0 of Wq.  The terms are shifted to
+    0/1 bytes and summed per row in uint16, which is exact because a
+    dense table has n^2 < 2^31, so every count is at most n < 2^16.
+    Rows go CHUNK // 4 at a time, as in _bit_pass.
     """
     t = G.require_table("adversarial search")
     n = G.n
-    iv = G.inv
-    iysq = iv[t.diagonal()]
-    # rows=True, passed by position like the stacks.
-    S, _ = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None], True)
-    S2 = np.empty(n, dtype=np.int64)
-    S3 = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        U = t[lo:hi]
-        S2[lo:hi] = (v1[U[:, iv]] * v3[U]).sum(axis=1)
-        S3[lo:hi] = (v1[U[:, iysq]] * v2[U[:, iv]]).sum(axis=1)
-    return S[:, 0], S2, S3
+    P = _pack(np.stack([v1, v2, v3], axis=1))
+    ysq = t.diagonal().astype(np.intp)
+    iv = G.inv.astype(np.intp)
+    step = CHUNK // 4
+    I = np.empty((step, n), dtype=np.intp)
+    W = np.empty((step, n), dtype=np.uint8)
+    Wq = np.empty_like(W)
+    Wi = np.empty_like(W)
+    X = np.empty_like(W)
+    S = np.empty((3, n), dtype=np.int64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        h = hi - lo
+        w, q, i, x = W[:h], Wq[:h], Wi[:h], X[:h]
+        np.copyto(I[:h], t[lo:hi])
+        # mode="clip" skips the bounds check; with "raise", take buffers out.
+        np.take(P, I[:h], out=w, mode="clip")
+        np.take(w, ysq, axis=1, out=q, mode="clip")
+        np.take(w, iv, axis=1, out=i, mode="clip")
+        # S2: bit 2 of W (alone after the shift) and bit 0 of Wi.
+        np.right_shift(w, 2, out=x)
+        np.bitwise_and(x, i, out=i)
+        S[1, lo:hi] = i.sum(axis=1, dtype=np.uint16)
+        # S3: bit 1 of W, shifted to bit 0, and bit 0 of Wq.
+        np.right_shift(w, 1, out=w)
+        np.bitwise_and(w, q, out=x)
+        np.bitwise_and(x, 1, out=x)
+        S[2, lo:hi] = x.sum(axis=1, dtype=np.uint16)
+        # S1: the same shifted W and bit 2 of Wq (alone after the shift).
+        np.right_shift(q, 2, out=q)
+        np.bitwise_and(w, q, out=x)
+        S[0, lo:hi] = x.sum(axis=1, dtype=np.uint16)
+    return S
 
 
 def _apply_toggle(G: GroupTable, V: np.ndarray, S: np.ndarray, slot: int, u: int) -> None:
@@ -764,11 +796,11 @@ def adversarial_search(
     Each step evaluates all 3n single-element toggles (costing 3n of the
     evaluation budget), applies the best strictly improving one, and
     repeats while budget remains; a budget below 3n returns the seeded
-    start.  The sensitivity tables cost one O(n^2) progression pass per
-    restart and are then kept up to date in O(n) per applied toggle
-    (_apply_toggle).  The defect is tracked through exact integer
-    progression counts.  Deterministic in (seed, budget, restarts); best
-    restart wins.
+    start.  The sensitivity tables cost one packed O(n^2) pass per
+    restart (_toggle_gain_tables) and are then kept up to date in O(n)
+    per applied toggle (_apply_toggle).  The defect is tracked through
+    exact integer progression counts.  Deterministic in (seed, budget,
+    restarts); best restart wins.
     """
     if budget < 0 or restarts < 1:
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
@@ -779,7 +811,7 @@ def adversarial_search(
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         V = np.stack([rng.integers(0, 2, size=n).astype(np.int64) for _ in range(3)])
-        S = np.stack(_toggle_gain_tables(G, *V))
+        S = _toggle_gain_tables(G, *V)
         N = int(V[0] @ S[0])
         sizes = [int(v.sum()) for v in V]
         theta = abs(N / n2 - sizes[0] * sizes[1] * sizes[2] / n2 / n)

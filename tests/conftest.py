@@ -54,7 +54,7 @@ def _reference_adversarial_search(G, T, *, budget, restarts, seed):
         theta = abs(N / n2 - sizes[0] * sizes[1] * sizes[2] / n2 / n)
         used = 0
         while used + 3 * n <= budget:
-            gains = np.stack(_toggle_gain_tables(G, *ind))
+            gains = _toggle_gain_tables(G, *ind)
             used += 3 * n
             signs = 1 - 2 * np.stack(ind)
             cand_N = N + signs * gains

@@ -488,9 +488,10 @@ class TestHarness:
 
 
 # sha256 of stdout, taken from the CLI before the packed progression pass,
-# the row-filled table and the trimmed word walk.  Each run is exact
-# (integer counts, seeded draws), so any drift in theta or the search sets
-# shows here.
+# the row-filled table and the trimmed word walk; the two multi-restart
+# searches from the CLI before the packed sensitivity tables.  Each run is
+# exact (integer counts, seeded draws), so any drift in theta or the search
+# sets shows here.
 GOLDEN_STDOUT = [
     (
         ("mix", "sl2:13", "--random", "0.5", "--trials", "10", "--format", "json"),
@@ -503,6 +504,14 @@ GOLDEN_STDOUT = [
     (
         ("search", "psl2:13", "--budget", "100000", "--restarts", "1", "--format", "json"),
         "7327d26f24ce5451f6c40fb6e37b02e7dbfc6f69c16878a1e57b15d9f0ff8ef1",
+    ),
+    (
+        ("search", "sym:4", "--budget", "300", "--restarts", "2", "--seed", "5"),
+        "54a307b0ba98bd268d840adfd9da9a12dbee87b35a67c38c8644a52539d9cc53",
+    ),
+    (
+        ("search", "psl2:7", "--budget", "5000", "--restarts", "5", "--format", "json"),
+        "6f60b78f02ce18d6a666f0eb51759443372027c1aeffcfb8d792f1d2933d5dbd",
     ),
 ]
 

@@ -135,19 +135,18 @@ class TestThetaDefect:
 
     @pytest.mark.parametrize("m", [1, 2, 8, 9, 63, 64, 65, 130])
     def test_packed_pass_matches_the_float_sums(self, bundle, m):
-        # Word widths 8/16/64 bits and 64-triple boundaries, for totals
-        # and for per-row sums.
+        # Word widths 8/16/64 bits and 64-triple boundaries.  The per-row
+        # sums are checked on _toggle_gain_tables (TestAdversarialSearch).
         G, _, _ = bundle("psl2:7")
         t = G.mul
         rng = np.random.default_rng(m)
         V1, V2, V3 = (rng.integers(0, 2, size=(G.n, m)).astype(np.int64) for _ in range(3))
-        S_want = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
-        S, totals = mixing._progression_pass(t, V1, V2, V3, True)
-        assert totals.dtype == np.int64 and S.dtype == np.int64
-        assert np.array_equal(S, S_want)
-        assert np.array_equal(totals, (V1 * S_want).sum(axis=0))
-        S, again = mixing._progression_pass(t, V1 > 0, V2 > 0, V3.astype(float))
-        assert S is None and np.array_equal(again, totals)
+        S = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
+        totals = mixing._progression_pass(t, V1, V2, V3)
+        assert totals.dtype == np.int64
+        assert np.array_equal(totals, (V1 * S).sum(axis=0))
+        again = mixing._progression_pass(t, V1 > 0, V2 > 0, V3.astype(float))
+        assert np.array_equal(again, totals)
 
     def test_batch_matches_single_triples_on_unimodular(self, bundle):
         G, _, T = bundle("psl2:7")
@@ -772,17 +771,53 @@ class TestAdversarialSearch:
         assert rep.theta <= theorem_bound(T.D) + 1e-9
 
     def test_toggle_tables_match_recounts(self, bundle):
-        G, _, _ = bundle("sym:4")
-        rng = np.random.default_rng(2)
-        ind = [rng.integers(0, 2, size=G.n).astype(np.int64) for _ in range(3)]
-        tables = _toggle_gain_tables(G, *ind)
-        base = count_progressions(*(np.flatnonzero(v) for v in ind), G)
-        for slot in range(3):
-            for e in range(G.n):
-                toggled = [v.copy() for v in ind]
-                toggled[slot][e] ^= 1
-                recount = count_progressions(*(np.flatnonzero(v) for v in toggled), G)
-                assert abs(recount - base) == tables[slot][e]
+        for spec in ("sym:4", "psl2:5"):
+            G, _, _ = bundle(spec)
+            rng = np.random.default_rng(2)
+            ind = [rng.integers(0, 2, size=G.n).astype(np.int64) for _ in range(3)]
+            tables = _toggle_gain_tables(G, *ind)
+            base = count_progressions(*(np.flatnonzero(v) for v in ind), G)
+            for slot in range(3):
+                for e in range(G.n):
+                    toggled = [v.copy() for v in ind]
+                    toggled[slot][e] ^= 1
+                    sets = (np.flatnonzero(v) for v in toggled)
+                    recount = count_progressions(*sets, G)
+                    assert abs(recount - base) == tables[slot][e], (spec, slot, e)
+
+    # sym:4 squares many y to one y^2; psl2:7, sl2:5 and the product run
+    # over more rows than one block of the packed pass.
+    @pytest.mark.parametrize(
+        "spec",
+        ["sym:4", "psl2:7", "sl2:5", "dihedral:6", "cyclic:7", "prod:sl2:5+cyclic:3"],
+    )
+    @pytest.mark.parametrize("sets", ["random", "empty", "full"])
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_toggle_tables_match_dense_formulas(self, bundle, spec, sets, dtype):
+        G, _, _ = bundle(spec)
+        n = G.n
+        if sets == "random":
+            rng = np.random.default_rng(n)
+            v1, v2, v3 = (rng.random(n) < p for p in (0.3, 0.5, 0.8))
+        else:
+            v1 = v2 = v3 = np.full(n, sets == "full")
+        v1, v2, v3 = (v.astype(dtype) for v in (v1, v2, v3))
+        t = G.mul
+        ey = t  # ey[e, y] = e y
+        ey2 = t[:, t.diagonal()]  # e y^2
+        ey_inv = t[:, G.inv]  # e y^-1
+        ey_inv2 = t[:, G.inv[t.diagonal()]]  # e y^-2
+        w1, w2, w3 = (v.astype(np.int64) for v in (v1, v2, v3))
+        want = np.stack(
+            [
+                (w2[ey] * w3[ey2]).sum(axis=1),
+                (w1[ey_inv] * w3[ey]).sum(axis=1),
+                (w1[ey_inv2] * w2[ey_inv]).sum(axis=1),
+            ]
+        )
+        got = _toggle_gain_tables(G, v1, v2, v3)
+        assert got.dtype == np.int64 and got.shape == (3, n)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", ["sym:4", "psl2:5"])
     def test_incremental_tables_replay_recompute(self, bundle, spec):
@@ -793,7 +828,7 @@ class TestAdversarialSearch:
         assert len(np.unique(ysq)) < G.n
         rng = np.random.default_rng(5)
         V = np.stack([rng.integers(0, 2, size=G.n).astype(np.int64) for _ in range(3)])
-        S = np.stack(_toggle_gain_tables(G, *V))
+        S = _toggle_gain_tables(G, *V)
         # Steps 0-2 add in slots 1, 2, 3, steps 3-5 remove, and so on.
         for step in range(12):
             slot = step % 3
@@ -801,7 +836,7 @@ class TestAdversarialSearch:
             u = int(rng.choice(np.flatnonzero(V[slot] == member)))
             mixing._apply_toggle(G, V, S, slot, u)
             assert V[slot, u] == 1 - member
-            assert np.array_equal(S, np.stack(_toggle_gain_tables(G, *V))), step
+            assert np.array_equal(S, _toggle_gain_tables(G, *V)), step
         sets = [np.flatnonzero(v) for v in V]
         assert int(V[0] @ S[0]) == count_progressions(*sets, G)
 
@@ -831,16 +866,21 @@ class TestAdversarialSearch:
         # One O(n^2) pass builds each restart's tables and one gives the
         # final report; the greedy steps add none, whatever the budget.
         G, _, T = bundle("psl2:5")
-        calls = []
-        real = mixing._progression_pass
+        calls = {"_toggle_gain_tables": 0, "_progression_pass": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(name):
+            real = getattr(mixing, name)
 
-        monkeypatch.setattr(mixing, "_progression_pass", counted)
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(mixing, name, counting(name))
         adversarial_search(G, T, budget=budget, restarts=restarts, seed=3)
-        assert len(calls) == restarts + 1
+        assert calls == {"_toggle_gain_tables": restarts, "_progression_pass": 1}
 
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")

@@ -79,18 +79,21 @@ def _json_default(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
+def _json_row(row: dict) -> dict:
+    """A copy of row with every infinite float as None, since JSON has no
+    Infinity; a row whose rhs or bound was infinite is marked vacuous."""
+    r = dict(row)
+    for key, val in row.items():
+        if isinstance(val, float) and math.isinf(val):
+            r[key] = None
+            if key == "rhs" or key == "bound":
+                r["vacuous"] = True
+    return r
+
+
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        cleaned = []
-        for row in rows:
-            r = dict(row)
-            for key, val in r.items():
-                if isinstance(val, float) and math.isinf(val):
-                    r[key] = None
-                    if key == "rhs" or key == "bound":
-                        r["vacuous"] = True
-            cleaned.append(r)
-        return json.dumps(cleaned, indent=2, default=_json_default)
+        return json.dumps([_json_row(r) for r in rows], indent=2, default=_json_default)
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
@@ -351,9 +354,7 @@ def cmd_search(args) -> int:
     sets = {"A1": A1.tolist(), "A2": A2.tolist(), "A3": A3.tolist()}
     if args.format == "json":
         row["sets"] = sets
-        if math.isinf(row["bound"]):
-            row["bound"] = None
-        _emit(json.dumps(row, indent=2, default=_json_default), args.out)
+        _emit(json.dumps(_json_row(row), indent=2, default=_json_default), args.out)
     else:
         lines = [
             f"group={args.spec} n={G.n} D={T.D}",

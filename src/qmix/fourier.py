@@ -1,11 +1,10 @@
 """Functions on a finite group and their character-side spectra.
 
 A GroupFunction is a frozen length-n vector.  This module holds its
-constructors (constants, indicators, characters, the translated-class
-densities mu_g), means and p-norms, convolution, the multiplicative
-derivative, and the per-irreducible spectral profile.  Everything
-spectral is computed through character kernels; irreducible
-representation matrices are never materialized.  The two table kernels,
+constructors (indicators and the translated-class densities mu_g),
+means and p-norms, convolution, and the per-irreducible spectral
+profile.  Everything spectral is computed through character kernels;
+irreducible representation matrices are never materialized.  The two table kernels,
 convolution and the row correlation behind spectral_profile (which the
 derivative average in mixing shares), sum only over the support of one
 factor: they cost n gathers per support point, O(n^2) for a dense
@@ -63,10 +62,6 @@ def _same_group(*fs: GroupFunction) -> GroupTable:
     return G
 
 
-def constant_function(G: GroupTable, value: complex = 1.0) -> GroupFunction:
-    return GroupFunction(G, np.full(G.n, value, dtype=np.complex128))
-
-
 def _check_index_set(G: GroupTable, indices) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
@@ -96,12 +91,6 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
     vals = np.zeros(G.n, dtype=np.complex128)
     vals[G.compose(g, members)] = G.n / len(members)
     return GroupFunction(G, vals)
-
-
-def character_function(T: CharacterTable, C: ConjugacyData, r: int) -> GroupFunction:
-    if not 0 <= r < T.k:
-        raise PreconditionError(f"irreducible index {r} out of range 0..{T.k - 1}")
-    return GroupFunction(C.group, T.chi[r][C.class_of])
 
 
 def mean(f: GroupFunction) -> complex:
@@ -135,13 +124,6 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
         rows = t[lo:lo + CHUNK][:, iy]  # rows[x, j] = x * ys_j^{-1}
         out[lo:lo + CHUNK] = f.values[rows] @ hy
     return GroupFunction(G, out / G.n)
-
-
-def delta_shift(f: GroupFunction, b: int) -> GroupFunction:
-    """Multiplicative derivative f(x) * f(xb); deliberately unconjugated."""
-    G = f.group
-    col = G.compose(np.arange(G.n), b)
-    return GroupFunction(f.group, f.values * f.values[col])
 
 
 @dataclass(eq=False)

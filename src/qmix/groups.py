@@ -228,12 +228,6 @@ class GroupTable:
             x = self.steps[s, x]
         return x
 
-    def product(self, a: int, b: int) -> int:
-        return int(self.compose(a, b))
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[self._check_indices(a)])
-
 
 def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps, words and word lengths from the columns x -> x*g.

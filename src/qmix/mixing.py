@@ -38,7 +38,7 @@ from .fourier import (
 from .groups import GroupTable
 
 # The one size limit of the O(n^3) checks, in table gathers per call (see
-# gather_estimate): the chain, fcmu and sampled gamma refuse a larger
+# gather_estimate): the chain and sampled gamma refuse a larger
 # estimate, and gamma runs exhaustively whenever its full pass fits.
 GATHER_BUDGET = 800_000_000
 
@@ -218,16 +218,20 @@ def _progression_pass(
     any real or integer dtype), the pass counts exactly in integers: 64
     triples share one packed word per element (_bit_pass), so one gather
     pair per (x, y) serves them all.  Counts are exact, and below 2^53, so
-    a caller dividing them in float64 gets the bits a float sum of the
-    same 0/1 terms gives; totals are then int64.
+    they do not depend on the batch, and a caller dividing them in float64
+    gets the bits a float sum of the same 0/1 terms gives; totals are then
+    int64.
 
     Any other stacks (one dtype, float64 or complex128) take the value
     pass, which works in that dtype.  Rows go in blocks of
     max(1, CHUNK // m), so a gathered block holds at most CHUNK * n
-    entries.  Each total is a per-column dot of V1 and S accumulated over
-    CHUNK-row blocks, which keeps one-triple results (and the JSON that
-    prints them) the same bits as an unbatched row loop; a single
-    reduction over the (n x m) product of V1 and S sums in another order.
+    entries, and each total is a per-column dot of V1 and S accumulated
+    over CHUNK-row blocks.  Its results are deterministic, but a triple's
+    bits may depend on its batch: for m > 1 the per-row S is summed over
+    an (h, n, m) block in another order than for m = 1.  Where every sum
+    is exact (+-1 or small dyadic values) the order changes nothing;
+    elsewhere it changes the result by rounding.  The CLI batches no such
+    triples: mix and search pass 0/1 stacks, and the chain one triple.
     The gathered blocks go into buffers allocated once: a fresh
     multi-megabyte array per block is mapped and page-faulted anew on
     every block unless the allocator happens to keep freed memory (on
@@ -277,8 +281,10 @@ def theta_defects(
     stays near CHUNK * n entries per stack whatever the ensemble size.
     A block of indicator triples (every value 0 or 1) is counted exactly
     in packed words, 64 triples per gather pair; its counts are integers
-    below 2^53, so theta has the bits a float sum would give.  Other
-    real-valued blocks are summed in float64, the rest in complex128.
+    below 2^53, so theta has the bits a float sum would give, whatever
+    the block.  Other real-valued blocks are summed in float64, the rest
+    in complex128; there a triple's bits may depend on its block (see
+    _progression_pass).
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -385,14 +391,18 @@ def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     """Fourier mass of every translated-class density mu_g matches the
     class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry.
 
-    Each mu_g has |C(g)| support points, so its spectral profile costs
-    n |C(g)| gathers and the check n * sum_K |K|^2 in all."""
-    check_budget("fcmu", C)
+    One profile per class covers every g.  For g in the class K, mu_g is
+    n/|K| on gK, and n/|K| is an integer (|K| divides n), so the profile's
+    correlation corr[j] = (n/|K|)^2 #{a in K : aj in K} is a sum of
+    integers, at most n^2 < 2^53: exact in any order, and free of g.
+    Every g in K thus gets the same bits as the representative, and the
+    k profiles cost sum_K n |K| = n^2 gathers.
+    """
     G = C.group
     worst = 0.0
-    for g in range(G.n):
-        profile = spectral_profile(mu_translated_class(G, C, g), T, C, tol=math.inf)
-        predicted = np.abs(T.chi[:, C.class_of[g]]) ** 2 / T.degrees
+    for c, rep in enumerate(C.representatives):
+        profile = spectral_profile(mu_translated_class(G, C, rep), T, C, tol=math.inf)
+        predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
         worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
     return _report("fcmu", worst, tol, 0.0)
 
@@ -402,16 +412,12 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
 
     gamma at m columns b costs 2n^2 m: n^2 m for the class-averaged
     tables A_K and n m per g; ``columns`` is m, or None for all n
-    columns (2n^3).  The chain adds 2n^3 for its c3 pass, fcmu costs
-    n |K| per element of K; the other suites are O(n^2).
+    columns (2n^3).  The chain adds 2n^3 for its c3 pass; the other
+    suites are O(n^2).
     """
     n = C.group.n
     m = n if columns is None else columns
-    cost = {
-        "gamma": 2 * n * n * m,
-        "chain": 4 * n**3,
-        "fcmu": n * sum(int(k) ** 2 for k in C.sizes),
-    }
+    cost = {"gamma": 2 * n * n * m, "chain": 4 * n**3}
     return cost.get(suite, n * n)
 
 

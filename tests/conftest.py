@@ -127,6 +127,62 @@ def _invert_class_function(scalars, T, C):
     return GroupFunction(C.group, cls_values[C.class_of])
 
 
+def _constant_function(G, value=1.0):
+    return GroupFunction(G, np.full(G.n, value, dtype=np.complex128))
+
+
+def _character_function(T, C, r):
+    """Irreducible character r as a function on the group of C."""
+    return GroupFunction(C.group, T.chi[r][C.class_of])
+
+
+def _delta_shift(f, b):
+    """Multiplicative derivative f(x) * f(xb); deliberately unconjugated."""
+    G = f.group
+    col = G.compose(np.arange(G.n), b)
+    return GroupFunction(G, f.values * f.values[col])
+
+
+def _product(G, a, b):
+    """The product a*b of two element indices, as an int."""
+    return int(G.compose(a, b))
+
+
+def _inverse(G, a):
+    """The inverse of one element index, as an int."""
+    return int(G.inv[G._check_indices(a)])
+
+
+@pytest.fixture(scope="session")
+def constant_function():
+    """The constant function on a group (value 1 by default)."""
+    return _constant_function
+
+
+@pytest.fixture(scope="session")
+def character_function():
+    """An irreducible character as a GroupFunction, an oracle input."""
+    return _character_function
+
+
+@pytest.fixture(scope="session")
+def delta_shift():
+    """The multiplicative derivative, an oracle for the class convolution."""
+    return _delta_shift
+
+
+@pytest.fixture(scope="session")
+def product():
+    """One group product by index, for element-by-element oracles."""
+    return _product
+
+
+@pytest.fixture(scope="session")
+def inverse():
+    """One group inverse by index, for element-by-element oracles."""
+    return _inverse
+
+
 @pytest.fixture(scope="session")
 def mu_set():
     """The scaled set density, an oracle input for the Fourier kernels."""

@@ -1,6 +1,6 @@
 """End-to-end acceptance battery.
 
-Each test prints one [criterion N] PASS/FAIL line to the live terminal
+Each criterion test prints one [criterion N] PASS/FAIL line to the live terminal
 (bypassing capture) and then asserts, so a plain pytest run doubles as a
 checklist.  Tolerances and time limits are stated inline next to each
 check.
@@ -15,7 +15,6 @@ import pytest
 from qmix import (
     GroupFunction,
     build_group,
-    character_function,
     compute_character_table,
     conjugacy_classes,
     adversarial_search,
@@ -29,6 +28,7 @@ from qmix import (
     theta_defect,
     verify_bnp,
     verify_derivative_bound,
+    verify_fcmu,
 )
 from qmix import mixing
 from qmix.cli import main as cli_main
@@ -102,6 +102,27 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
     )
 
 
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
+def test_fcmu_per_class_matches_per_element_sweep(bundle, spec):
+    """verify_fcmu's one profile per class gives the bits of one per element.
+
+    The reference builds the profile of every element's mu_g (CHARTAB_GROUPS
+    holds psl2:11; the product adds a group with a center).  Each profile
+    must equal the first one of its class bit for bit, and the worst
+    deviation over all g must equal verify_fcmu's lhs exactly.
+    """
+    G, C, T = bundle(spec)
+    first = {}
+    worst = 0.0
+    for g in range(G.n):
+        c = int(C.class_of[g])
+        hs2 = spectral_profile(mu_translated_class(G, C, g), T, C, tol=math.inf).hs2
+        assert hs2.tobytes() == first.setdefault(c, hs2).tobytes(), (spec, g)
+        predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
+        worst = max(worst, float(np.abs(hs2 - predicted).max()))
+    assert verify_fcmu(T, C, 1e-8).lhs_value == worst
+
+
 def test_criterion_03_parseval_sweep(bundle, capsys):
     G, C, T = bundle("psl2:7")
     worst = 0.0
@@ -116,7 +137,7 @@ def test_criterion_03_parseval_sweep(bundle, capsys):
     )
 
 
-def test_criterion_04_convolution_norm_bound(bundle, capsys):
+def test_criterion_04_convolution_norm_bound(bundle, capsys, character_function):
     G, C, T = bundle("psl2:7")
     fns = random_ensemble(G, "mean_zero_rademacher", (42, 101), 2000)
     min_margin = math.inf

@@ -24,6 +24,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def parse_json(text):
+    """json.loads that refuses Infinity and NaN, which RFC 8259 JSON has no
+    literal for (jq and JSON.parse reject them too)."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 class TestGroupCommand:
     def test_basic_info(self, capsys):
         code, out, _ = run(capsys, "group", "alt:5")
@@ -47,7 +57,7 @@ class TestGroupCommand:
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "group", "cyclic:6", "--format", "json")
         assert code == 0
-        info = json.loads(out)
+        info = parse_json(out)
         assert info == {"group": "cyclic:6", "n": 6, "abelian": True, "classes": 6}
 
     # Closed forms: n classes for cyclic:n, n/2 + 3 for dihedral:n with n
@@ -69,14 +79,14 @@ class TestGroupCommand:
         code, out, _ = run(capsys, "group", text, "--format", "json")
         assert code == 0
         info = {"group": text, "n": n, "abelian": text.startswith("cyclic"), "classes": classes}
-        assert json.loads(out) == info
+        assert parse_json(out) == info
 
 
 class TestChartabCommand:
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "chartab", "alt:5", "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        report = parse_json(out)
         assert report["degrees"] == [1, 3, 3, 4, 5]
         assert report["D"] == 3
 
@@ -87,7 +97,7 @@ class TestChartabCommand:
 
     def test_zeta_value(self, capsys):
         code, out, _ = run(capsys, "chartab", "psl2:7", "--format", "json")
-        payload = json.loads(out)
+        payload = parse_json(out)
         expected = 1 / 3 + 1 / 3 + 1 / 6 + 1 / 7 + 1 / 8
         assert payload["zeta1"] == pytest.approx(expected, abs=1e-12)
 
@@ -129,7 +139,7 @@ class TestVerifyCommand:
             "--format", "json",
         )
         assert code == 0
-        for row in json.loads(out):
+        for row in parse_json(out):
             assert list(row["values"]) == [
                 "c1", "c2", "c3", "c4", "gamma_term", "mean_term", "split", "bound"
             ]
@@ -157,7 +167,7 @@ class TestVerifyCommand:
             "--trials", "2", "--budget", "200", "--format", "json",
         )
         assert code == 0
-        rows = json.loads(out)
+        rows = parse_json(out)
         lemmas = {row["lemma_id"] for row in rows}
         assert lemmas == {"bnp", "derivative", "gamma", "fcmu", "parseval", "chain"}
         assert all(row["passed"] for row in rows)
@@ -169,7 +179,7 @@ class TestVerifyCommand:
             capsys, "verify", "alt:5", "--suite", "bnp",
             "--trials", "5", "--format", "json",
         )
-        rows = json.loads(out)
+        rows = parse_json(out)
         assert [r["trial"] for r in rows] == list(range(5))
 
     def test_failure_prints_witness_and_exits_1(self, capsys, monkeypatch):
@@ -215,6 +225,14 @@ class TestVerifyCommand:
         replay = err.split("replay: qmix ")[1].split()
         assert replay == list(argv)
         assert run(capsys, *replay) == (code, out, err)
+
+    def test_fcmu_runs_above_the_old_size_guard(self, capsys):
+        # One profile per class: psl2:17 (n = 2448) was refused before at
+        # n * sum_K |K|^2 = 1.6e9 gathers.
+        code, out, err = run(capsys, "verify", "psl2:17", "--suite", "fcmu")
+        assert code == 0
+        assert err == ""
+        assert "n=2448" in out and "passed=True" in out
 
     def test_fcmu_refuses_trials(self, capsys):
         code, out, err = run(capsys, "verify", "alt:5", "--suite", "fcmu", "--trials", "50")
@@ -320,7 +338,7 @@ class TestMixCommand:
             "--trials", "5", "--format", "json",
         )
         assert code == 0
-        rows = json.loads(out)
+        rows = parse_json(out)
         assert len(rows) == 5
         bound = (2 / math.sqrt(2)) ** 0.25
         for row in rows:
@@ -349,8 +367,8 @@ class TestMixCommand:
             "--seed", "42", "--format", "json",
         )
         assert code == 0
-        assert [row["theta"] for row in json.loads(out)] == expected
-        assert [row["trial"] for row in json.loads(out)] == list(range(trials))
+        assert [row["theta"] for row in parse_json(out)] == expected
+        assert [row["trial"] for row in parse_json(out)] == list(range(trials))
         assert counts == [CHUNK] * 3 + [3] * 3
 
     def test_malformed_sets_exit_2(self, capsys):
@@ -411,13 +429,22 @@ class TestSearchCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_json_nulls_the_infinite_bound_and_margin(self, capsys):
+        # sym:3 has D = 1, so its bound and margin are infinite.
+        code, out, _ = run(capsys, "search", "sym:3", "--format", "json")
+        assert code == 0
+        payload = parse_json(out)
+        assert payload["D"] == 1
+        assert payload["bound"] is None and payload["margin"] is None
+        assert payload["vacuous"] is True
+
     def test_json_sets_are_valid_indices(self, capsys):
         code, out, _ = run(
             capsys, "search", "sym:4", "--budget", "200", "--restarts", "1",
             "--format", "json",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse_json(out)
         for key in ("A1", "A2", "A3"):
             indices = payload["sets"][key]
             assert all(0 <= i < 24 for i in indices)
@@ -473,7 +500,7 @@ class TestHarness:
 
     def test_json_output_keeps_full_precision(self, capsys):
         _, out, _ = run(capsys, "chartab", "psl2:7", "--format", "json")
-        payload = json.loads(out)
+        payload = parse_json(out)
         assert abs(payload["zeta1"] - 1.1011904761904763) < 1e-15
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -484,7 +511,7 @@ class TestHarness:
         )
         assert code == 0
         assert out == ""
-        assert len(json.loads(path.read_text())) == 2
+        assert len(parse_json(path.read_text())) == 2
 
 
 # sha256 of stdout, taken from the CLI before the packed progression pass,

@@ -11,10 +11,7 @@ from qmix import (
     GroupMismatchError,
     PreconditionError,
     build_group,
-    character_function,
-    constant_function,
     convolve,
-    delta_shift,
     indicator_function,
     mean,
     mu_translated_class,
@@ -64,14 +61,14 @@ class TestConstruction:
 
 
 class TestBasics:
-    def test_mean_oracles(self, bundle, mu_set):
+    def test_mean_oracles(self, bundle, mu_set, constant_function, character_function):
         G, C, T = bundle("alt:5")
         assert mean(constant_function(G, 1.0)) == 1.0
         assert mean(mu_set(G, [3, 17, 40])) == pytest.approx(1.0, abs=1e-12)
         chi = character_function(T, C, 1)
         assert abs(mean(chi)) < 1e-10
 
-    def test_p_norm_oracles(self, bundle, mu_set):
+    def test_p_norm_oracles(self, bundle, mu_set, constant_function):
         G, _, _ = bundle("sym:3")
         c = constant_function(G, -2.5)
         for p in (1, 2, 3, np.inf):
@@ -111,13 +108,13 @@ class TestConvolve:
         expected = np.array([0, 0, 0.25, 0])
         assert np.abs(out.values - expected).max() < 1e-15
 
-    def test_character_schur_identity(self, bundle):
+    def test_character_schur_identity(self, bundle, character_function):
         G, C, T = bundle("alt:5")
         chi = character_function(T, C, 1)
         out = convolve(chi, chi)
         assert np.abs(out.values - chi.values / 3).max() < 1e-10
 
-    def test_brute_force_oracle_and_sparse_agreement(self, bundle):
+    def test_brute_force_oracle_and_sparse_agreement(self, bundle, product, inverse):
         G, _, _ = bundle("sym:3")
         f = random_function(G, 7)
         h_vals = np.zeros(G.n, dtype=complex)
@@ -129,7 +126,7 @@ class TestConvolve:
                 [
                     np.mean(
                         [
-                            f.values[G.product(x, G.inverse(y))] * h.values[y]
+                            f.values[product(G, x, inverse(G, y))] * h.values[y]
                             for y in range(G.n)
                         ]
                     )
@@ -151,7 +148,7 @@ class TestConvolve:
         b = convolve(f, convolve(g, h))
         assert np.abs(a.values - b.values).max() < 1e-10
 
-    def test_group_mismatch(self, bundle):
+    def test_group_mismatch(self, bundle, constant_function):
         G1, _, _ = bundle("sym:3")
         G2, _, _ = bundle("cyclic:6")
         with pytest.raises(GroupMismatchError):
@@ -159,20 +156,20 @@ class TestConvolve:
 
 
 class TestDeltaShift:
-    def test_identity_squares(self, bundle):
+    def test_identity_squares(self, bundle, delta_shift):
         G, _, _ = bundle("sym:3")
         f = random_function(G, 17)
         out = delta_shift(f, 0)
         assert np.abs(out.values - f.values**2).max() < 1e-15
 
-    def test_sign_valued_stays_sign_valued(self, bundle):
+    def test_sign_valued_stays_sign_valued(self, bundle, delta_shift):
         G, _, _ = bundle("dihedral:3")
         rng = np.random.default_rng(0)
         f = GroupFunction(G, rng.choice([-1.0, 1.0], G.n))
         for b in range(G.n):
             assert set(np.unique(delta_shift(f, b).values.real)) <= {-1.0, 1.0}
 
-    def test_cyclic5_phase_cancellation(self, bundle):
+    def test_cyclic5_phase_cancellation(self, bundle, delta_shift):
         G, _, _ = bundle("cyclic:5")
         omega = np.exp(2j * np.pi / 5)
         f = GroupFunction(G, omega ** np.arange(5))
@@ -186,15 +183,15 @@ class TestMuTranslatedClass:
         out = mu_translated_class(G, C, 0)
         assert out.values[0] == G.n
 
-    def test_abelian_gives_square_point(self, bundle):
+    def test_abelian_gives_square_point(self, bundle, product):
         G, C, _ = bundle("cyclic:6")
         for g in range(6):
             out = mu_translated_class(G, C, g)
-            sq = G.product(g, g)
+            sq = product(G, g, g)
             assert out.values[sq] == 6.0
             assert np.count_nonzero(out.values) == 1
 
-    def test_alt5_five_cycle_support(self, bundle):
+    def test_alt5_five_cycle_support(self, bundle, product):
         G, C, _ = bundle("alt:5")
         five_cycle_class = int(np.nonzero(C.sizes == 12)[0][0])
         g = int(C.representatives[five_cycle_class])
@@ -203,14 +200,14 @@ class TestMuTranslatedClass:
         assert len(support) == 12
         assert np.allclose(out.values[support], 5.0)
         members = C.class_elements[five_cycle_class]
-        expected = sorted(G.product(g, int(c)) for c in members)
+        expected = sorted(product(G, g, int(c)) for c in members)
         assert sorted(support.tolist()) == expected
 
 
 class TestSpectralProfile:
     # A block size of 3 splits the support of f over several blocks.
     @pytest.mark.parametrize("chunk", [None, 3])
-    def test_scattered_zeros_brute_force(self, chunk, bundle, monkeypatch):
+    def test_scattered_zeros_brute_force(self, chunk, bundle, monkeypatch, product, inverse):
         if chunk is not None:
             monkeypatch.setattr(fourier, "CHUNK", chunk)
         G, C, T = bundle("sl2:3")
@@ -221,7 +218,7 @@ class TestSpectralProfile:
         R = np.zeros(C.k, dtype=complex)
         for x in range(G.n):
             for y in range(G.n):
-                R[C.class_of[G.product(G.inverse(x), y)]] += np.conj(v[x]) * v[y]
+                R[C.class_of[product(G, inverse(G, x), y)]] += np.conj(v[x]) * v[y]
         expected = (T.chi @ R).real / G.n**2
         assert 0 < np.count_nonzero(v) < G.n
         profile = spectral_profile(f, T, C)
@@ -232,7 +229,7 @@ class TestSpectralProfile:
         profile = spectral_profile(mu_set(G, [0]), T, C)
         assert np.abs(profile.hs2 - T.degrees).max() < 1e-9
 
-    def test_constant_concentrates_on_trivial(self, bundle):
+    def test_constant_concentrates_on_trivial(self, bundle, constant_function):
         G, C, T = bundle("sym:4")
         profile = spectral_profile(constant_function(G, 1.0), T, C)
         expected = np.zeros(T.k)
@@ -253,7 +250,7 @@ class TestSpectralProfile:
             predicted = (np.abs(T.chi[:, cls]) ** 2) / T.degrees
             assert np.abs(profile.hs2 - predicted).max() < 1e-9
 
-    def test_brute_force_oracle(self, bundle):
+    def test_brute_force_oracle(self, bundle, product, inverse):
         G, C, T = bundle("sym:3")
         f = random_function(G, 29)
         v = f.values
@@ -262,7 +259,7 @@ class TestSpectralProfile:
             total = 0.0 + 0.0j
             for x in range(G.n):
                 for y in range(G.n):
-                    c = int(C.class_of[G.product(G.inverse(x), y)])
+                    c = int(C.class_of[product(G, inverse(G, x), y)])
                     total += np.conj(v[x]) * v[y] * T.chi[r, c]
             hs2[r] = (total / G.n**2).real
         profile = spectral_profile(f, T, C)
@@ -303,13 +300,13 @@ class TestClassFunctionScalars:
                     T.chi[r, cls] / T.degrees[r], abs=1e-9
                 )
 
-    def test_constant_scalar(self, bundle, class_function_scalar):
+    def test_constant_scalar(self, bundle, class_function_scalar, constant_function):
         G, C, T = bundle("sym:3")
         assert class_function_scalar(constant_function(G), T, C, 0) == pytest.approx(
             1.0, abs=1e-12
         )
 
-    def test_character_scalar_on_real_table(self, bundle, class_function_scalar):
+    def test_character_scalar_on_real_table(self, bundle, class_function_scalar, character_function):
         # alt:5 characters are all real, so the dual pairing collapses to
         # the Kronecker delta on the same row.
         G, C, T = bundle("alt:5")
@@ -322,7 +319,7 @@ class TestClassFunctionScalars:
 
     def test_character_scalar_pairs_conjugate_rows(
         self, bundle, class_function_scalar
-    ):
+    , character_function):
         # on cyclic:4 the two faithful characters are complex conjugates;
         # the defining average pairs each with its conjugate partner.
         G, C, T = bundle("cyclic:4")

@@ -12,13 +12,10 @@ from qmix import (
     SizeGuardError,
     adversarial_search,
     build_group,
-    character_function,
-    constant_function,
     convolve,
     count_progressions,
     compute_character_table,
     cs_chain_diagnostics,
-    delta_shift,
     gamma_functional,
     indicator_function,
     mean,
@@ -64,7 +61,7 @@ class TestTheoremBound:
 
 
 class TestThetaDefect:
-    def test_constants_have_zero_defect(self, bundle):
+    def test_constants_have_zero_defect(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         rep = theta_defect(c, c, c, T)
@@ -87,13 +84,13 @@ class TestThetaDefect:
         rep = theta_defect(one, one, one, T)
         assert rep.theta == pytest.approx(1 / 25 - 1 / 125, abs=1e-15)
 
-    def test_sup_norm_warning(self, bundle):
+    def test_sup_norm_warning(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         big = constant_function(G, 3.0)
         with pytest.warns(UserWarning, match="sup norm"):
             theta_defect(big, big, big, T)
 
-    def test_group_mismatch(self, bundle):
+    def test_group_mismatch(self, bundle, constant_function):
         G1, _, T1 = bundle("sym:3")
         G2, _, _ = bundle("cyclic:6")
         c1, c2 = constant_function(G1), constant_function(G2)
@@ -157,14 +154,47 @@ class TestThetaDefect:
             assert abs(b.raw_expectation - s.raw_expectation) < 1e-12
             assert abs(b.theta - s.theta) < 1e-12
 
-    def test_batch_rejects_unequal_lists(self, bundle):
+    @pytest.mark.parametrize("spec", ["psl2:7", "sl2:7"])
+    @pytest.mark.parametrize(
+        "kind,exact",
+        [
+            ("indicator:0.5", True),
+            ("rademacher", True),
+            ("dyadic", True),
+            ("unimodular", False),
+            ("mean_zero_rademacher", False),
+        ],
+    )
+    def test_batch_bits_follow_the_value_pass_contract(self, bundle, spec, kind, exact):
+        # 0/1, +-1 and dyadic (k/8) terms sum exactly in any order, so a
+        # batch of six triples gives each the bits it gets alone; other
+        # values keep them only to rounding, summed in another order.
+        G, _, T = bundle(spec)
+        if kind == "dyadic":
+            rng = np.random.default_rng(17)
+            streams = [
+                [GroupFunction(G, rng.integers(-8, 9, size=G.n) / 8) for _ in range(6)]
+                for _ in range(3)
+            ]
+        else:
+            streams = [random_ensemble(G, kind, (3, role), 6) for role in range(3)]
+        batch = theta_defects(*streams, T)
+        for b, f1, f2, f3 in zip(batch, *streams):
+            s = theta_defect(f1, f2, f3, T)
+            if exact:
+                assert (b.theta, b.raw_expectation) == (s.theta, s.raw_expectation)
+            else:
+                assert abs(b.raw_expectation - s.raw_expectation) <= 1e-15
+                assert abs(b.theta - s.theta) <= 1e-15
+
+    def test_batch_rejects_unequal_lists(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         assert theta_defects([], [], [], T) == []
         with pytest.raises(PreconditionError):
             theta_defects([c, c], [c, c], [c], T)
 
-    def test_vacuous_flag_tracks_bound(self, bundle):
+    def test_vacuous_flag_tracks_bound(self, bundle, constant_function):
         _, _, T5 = bundle("sl2:11")
         assert theorem_bound(T5.D) < 1
         G, _, T = bundle("sl2:11")
@@ -201,7 +231,7 @@ class TestCountProgressions:
             assert count_progressions(*(np.flatnonzero(a) for a in (a1, a2, a3)), G) == want
         assert want == n * n
 
-    def test_brute_force_oracle(self, bundle):
+    def test_brute_force_oracle(self, bundle, product):
         G, _, _ = bundle("sym:3")
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -213,8 +243,8 @@ class TestCountProgressions:
                 for x in range(G.n)
                 for y in range(G.n)
                 if x in sets[0]
-                and G.product(x, y) in sets[1]
-                and G.product(G.product(x, y), y) in sets[2]
+                and product(G, x, y) in sets[1]
+                and product(G, product(G, x, y), y) in sets[2]
             )
             assert count_progressions(*sets, G) == expected
 
@@ -244,13 +274,13 @@ class TestCountProgressions:
 
 
 class TestBnp:
-    def test_zero_function_passes(self, bundle):
+    def test_zero_function_passes(self, bundle, constant_function):
         G, _, T = bundle("alt:5")
         zero = constant_function(G, 0.0)
         rep = verify_bnp(zero, zero, T)
         assert rep.passed and rep.lhs_value == 0.0
 
-    def test_character_witness(self, bundle):
+    def test_character_witness(self, bundle, character_function):
         G, C, T = bundle("alt:5")
         chi = character_function(T, C, 1)
         rep = verify_bnp(chi, chi, T)
@@ -266,13 +296,13 @@ class TestBnp:
             rep = verify_bnp(f1, f2, T)
             assert rep.passed and rep.margin > 0
 
-    def test_requires_a_mean_zero_factor(self, bundle):
+    def test_requires_a_mean_zero_factor(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         with pytest.raises(PreconditionError):
             verify_bnp(c, c, T)
 
-    def test_one_mean_zero_factor_suffices(self, bundle):
+    def test_one_mean_zero_factor_suffices(self, bundle, constant_function):
         G, _, T = bundle("alt:5")
         c = constant_function(G, 1.0)
         f = random_ensemble(G, "rademacher", 3, 1)[0]
@@ -300,20 +330,20 @@ class TestParsevalAndFcmu:
         assert not verify_fcmu(T, C, -1e-3).passed
 
     def test_fcmu_size_guard(self, bundle, monkeypatch):
+        # One profile per class costs n^2 gathers in all, the O(n^2) default;
+        # verify_fcmu keeps no guard of its own, even below that.
         G, C, T = bundle("alt:5")
-        cost = mixing.gather_estimate("fcmu", C)
-        assert cost == G.n * sum(int(k) ** 2 for k in C.sizes)
-        monkeypatch.setattr(mixing, "GATHER_BUDGET", cost)
-        assert verify_fcmu(T, C, 1e-8).passed
-        monkeypatch.setattr(mixing, "GATHER_BUDGET", cost - 1)
-        with pytest.raises(SizeGuardError):
-            verify_fcmu(T, C, 1e-8)
+        assert mixing.gather_estimate("fcmu", C) == G.n**2
+        per_element = G.n * sum(int(k) ** 2 for k in C.sizes)
+        for budget in (per_element - 1, 0):
+            monkeypatch.setattr(mixing, "GATHER_BUDGET", budget)
+            assert verify_fcmu(T, C, 1e-8).passed
 
 
 class TestPreconditions:
     """Each check keeps its own exception and message from the shared helper."""
 
-    def test_messages(self, bundle):
+    def test_messages(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         one = constant_function(G, 1.0)
         zero = constant_function(G, 0.0)
@@ -338,7 +368,7 @@ class TestPreconditions:
             with pytest.raises(PreconditionError, match=f"^{message}$"):
                 call()
 
-    def test_group_and_class_mismatch(self, bundle):
+    def test_group_and_class_mismatch(self, bundle, constant_function):
         # Class data of another group is refused the same way everywhere.
         G, C, T = bundle("sym:3")
         H, CH, TH = bundle("cyclic:6")
@@ -359,7 +389,7 @@ class TestPreconditions:
 
 
 class TestDerivativeBound:
-    def test_support_restricted_pass_matches_brute_force(self, bundle):
+    def test_support_restricted_pass_matches_brute_force(self, bundle, product):
         # Zeros split the support into runs, so the kernel gathers both
         # through slices and through scattered index blocks.
         G, _, T = bundle("sl2:3")
@@ -369,13 +399,13 @@ class TestDerivativeBound:
         assert v[5] != 0
         f = GroupFunction(G, v)
         means = [
-            sum(v[x] * v[G.product(x, b)] for x in range(G.n)) / G.n for b in range(G.n)
+            sum(v[x] * v[product(G, x, b)] for x in range(G.n)) / G.n for b in range(G.n)
         ]
         expected = np.mean(np.abs(means))
         rep = verify_derivative_bound(f, T)
         assert rep.lhs_value == pytest.approx(expected, abs=1e-15)
 
-    def test_zero_function(self, bundle):
+    def test_zero_function(self, bundle, constant_function):
         G, _, T = bundle("alt:5")
         rep = verify_derivative_bound(constant_function(G, 0.0), T)
         assert rep.passed and rep.lhs_value == 0.0
@@ -395,7 +425,7 @@ class TestDerivativeBound:
             assert rep.passed
             assert rep.lhs_value <= 1 / math.sqrt(3) + 1e-9
 
-    def test_preconditions(self, bundle):
+    def test_preconditions(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         with pytest.raises(PreconditionError):
             verify_derivative_bound(constant_function(G, 1.0), T)
@@ -405,15 +435,16 @@ class TestDerivativeBound:
             verify_derivative_bound(GroupFunction(G, v), T)
 
 
-def class_conv_integrands(f, C, g, b):
+def class_conv_integrands(f, C, g, b, delta_shift):
     """(inner0, inner_full, inner_mean) at (g, b), composed from fourier.
 
     inner_full uses the derivative at g^{-1}bg itself and inner0 its
     mean-zero part; inner_mean is the product of the two derivative means.
     """
     G = f.group
-    mu = mu_translated_class(G, C, G.inverse(g))
-    gbg = G.product(G.product(G.inverse(g), b), g)
+    gi = G.inv[g]
+    mu = mu_translated_class(G, C, gi)
+    gbg = G.compose(G.compose(gi, b), g)
     d_b = delta_shift(f, b)
     d_c = delta_shift(f, gbg)
     m_c = mean(d_c)
@@ -423,13 +454,13 @@ def class_conv_integrands(f, C, g, b):
     return inner0, inner_full, mean(d_b) * m_c
 
 
-def class_conv_brute_force(f, C):
+def class_conv_brute_force(f, C, delta_shift):
     """(gamma, c4, mean_term) by direct composition over every (g, b)."""
     n = f.group.n
     gamma = c4 = mean_term = 0.0
     for g in range(n):
         for b in range(n):
-            inner0, inner_full, inner_mean = class_conv_integrands(f, C, g, b)
+            inner0, inner_full, inner_mean = class_conv_integrands(f, C, g, b, delta_shift)
             gamma += abs(inner0)
             c4 += inner_full
             mean_term += abs(inner_mean)
@@ -451,35 +482,35 @@ def bounded_mean_zero(G, seed, complex_values):
 
 
 class TestGammaFunctional:
-    def test_zero_function(self, bundle):
+    def test_zero_function(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         rep = gamma_functional(constant_function(G, 0.0), T)
         assert rep.lhs_value == 0.0 and rep.passed
 
     @pytest.mark.parametrize("complex_values", [False, True])
-    def test_brute_force_oracle(self, complex_values, bundle):
+    def test_brute_force_oracle(self, complex_values, bundle, delta_shift):
         G, C, T = bundle("sym:3")
         f = bounded_mean_zero(G, 7, complex_values)
         rep = gamma_functional(f, T, C)
         assert rep.mode == "exhaustive"
-        want = class_conv_brute_force(f, C)
+        want = class_conv_brute_force(f, C, delta_shift)
         assert rep.lhs_value == pytest.approx(want[0], abs=1e-12)
         assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     # cyclic:6 has only singleton classes; sl2:3 has a center of order 2.
     @pytest.mark.parametrize("spec", ["cyclic:6", "sl2:3"])
-    def test_class_conv_stats_brute_force(self, spec, complex_values, bundle):
+    def test_class_conv_stats_brute_force(self, spec, complex_values, bundle, delta_shift):
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 41, complex_values)
         got = _class_conv_stats(G, C, f.values)
-        assert got == pytest.approx(class_conv_brute_force(f, C), abs=1e-12)
+        assert got == pytest.approx(class_conv_brute_force(f, C, delta_shift), abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     # A block size of 3 splits every class average into several blocks of rows.
     @pytest.mark.parametrize("chunk", [None, 3])
     def test_sampled_equals_mean_over_the_drawn_columns(
-        self, chunk, complex_values, bundle, monkeypatch
+        self, chunk, complex_values, bundle, monkeypatch, delta_shift
     ):
         if chunk is not None:
             monkeypatch.setattr(mixing, "CHUNK", chunk)
@@ -490,7 +521,7 @@ class TestGammaFunctional:
         assert mixing.gather_estimate("gamma", C, budget) == 2 * 24**2 * budget
         cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
         values = np.array(
-            [np.mean([abs(class_conv_integrands(f, C, g, b)[0]) for g in range(G.n)])
+            [np.mean([abs(class_conv_integrands(f, C, g, b, delta_shift)[0]) for g in range(G.n)])
              for b in cols.tolist()]
         )
         rep = gamma_functional(f, T, C, budget=budget, seed=seed)
@@ -567,14 +598,14 @@ class TestGammaFunctional:
             assert rep.mode == f"sampled(m=32,seed={seed})"
             assert abs(rep.lhs_value - exact) <= 4 * rep.stderr_estimate
 
-    def test_preconditions(self, bundle):
+    def test_preconditions(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         with pytest.raises(PreconditionError):
             gamma_functional(constant_function(G, 0.5), T, C)
 
 
 class TestChain:
-    def test_zero_third_function(self, bundle):
+    def test_zero_third_function(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         zero = constant_function(G, 0.0)
@@ -598,7 +629,7 @@ class TestChain:
             assert v["c4"] <= v["split"] + 1e-9
             assert v["split"] <= v["bound"] + 1e-9
 
-    def test_c2_c3_brute_force(self, bundle):
+    def test_c2_c3_brute_force(self, bundle, product, inverse):
         G, C, T = bundle("sym:3")
         n = G.n
         rng = np.random.default_rng(33)
@@ -612,7 +643,7 @@ class TestChain:
         v1 = fs[0].values.real
 
         inner = [
-            np.mean([v1[G.product(x, G.inverse(z))] * v3[G.product(x, z)] for z in range(n)])
+            np.mean([v1[product(G, x, inverse(G, z))] * v3[product(G, x, z)] for z in range(n)])
             for x in range(n)
         ]
         c2 = float(np.mean(np.array(inner) ** 2)) ** 2
@@ -623,10 +654,10 @@ class TestChain:
             for a in range(n):
                 acc = 0.0
                 for z in range(n):
-                    zsq = G.product(z, z)
-                    shift = G.product(G.product(G.inverse(z), G.inverse(a)), z)
-                    x = G.product(y, zsq)
-                    acc += v3[x] * v3[G.product(x, shift)]
+                    zsq = product(G, z, z)
+                    shift = product(G, product(G, inverse(G, z), inverse(G, a)), z)
+                    x = product(G, y, zsq)
+                    acc += v3[x] * v3[product(G, x, shift)]
                 total += (acc / n) ** 2
         c3 = total / n**2
         assert v["c3"] == pytest.approx(c3, abs=1e-12)
@@ -651,7 +682,7 @@ class TestChain:
         assert dict(rep.values)["bound"] == pytest.approx(2.0)
         assert rep.passed
 
-    def test_rejects_complex_input(self, bundle):
+    def test_rejects_complex_input(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         f = GroupFunction(G, np.full(G.n, 0.5j))
         c = constant_function(G, 1.0)
@@ -659,13 +690,13 @@ class TestChain:
         with pytest.raises(PreconditionError):
             cs_chain_diagnostics(f, c, zero, T, C)
 
-    def test_rejects_nonzero_mean_f3(self, bundle):
+    def test_rejects_nonzero_mean_f3(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         with pytest.raises(PreconditionError):
             cs_chain_diagnostics(c, c, c, T, C)
 
-    def test_size_guard(self, bundle):
+    def test_size_guard(self, bundle, constant_function):
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)

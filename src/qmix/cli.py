@@ -228,11 +228,11 @@ def cmd_verify(args) -> int:
         raise QmixError("--trials does not apply to --suite fcmu, which runs once")
     G = build_group(args.spec)
     C = conjugacy_classes(G)
+    for s in suites:
+        check_budget(s, C, args.budget)
     T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
-    for s in suites:
-        check_budget(s, C, args.budget)
 
     rows: list[dict] = []
     for s in suites:
@@ -299,6 +299,7 @@ def cmd_mix(args) -> int:
     if args.trials is None:
         args.trials = DEFAULT_TRIALS
     G = build_group(args.spec)
+    G.require_table("progression expectation")
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     if args.sets is not None:
@@ -342,6 +343,7 @@ def cmd_mix(args) -> int:
 
 def cmd_search(args) -> int:
     G = build_group(args.spec)
+    G.require_table("adversarial search")
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     A1, A2, A3, rep = adversarial_search(

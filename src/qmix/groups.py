@@ -3,10 +3,12 @@
 A group is described by a small text spec ("cyclic:6", "sl2:7",
 "prod:cyclic:2+alt:5"), realized as an indexed element set with the
 identity at index 0 and the remaining elements in breadth-first
-discovery order from a fixed generator list.  A family model only
-enumerates the elements; a built group keeps neither them nor their law,
-only the maps x -> x*s for repeated squares s of its generators and a
-short word over those maps per element.  Every group offers one product,
+discovery order from a fixed generator list.  A family model gives its
+elements as the rows of an integer array and its law vectorized over
+those rows, so the closure labels each generator's products in one array
+pass.  A built group keeps neither the rows nor the law, only the maps
+x -> x*s for repeated squares s of its generators and a short word over
+those maps per element.  Every group offers one product,
 the vectorized ``GroupTable.compose``: a read of the n x n table, kept up
 to DENSE_CAP, or else a walk of the word of b from a.  Only the O(n^2)
 and O(n^3) kernels, serialization and validation need the table.
@@ -14,11 +16,12 @@ and O(n^3) kernels, serialization and validation need the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -257,12 +260,15 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int32)
     while True:
-        new, first = np.unique(steps[:pad, frontier], return_index=True)
-        keep = ~reached[new]
-        if not keep.any():
+        # Reached candidates are dropped before the sort; the survivors keep
+        # their positions, so each new element keeps its first occurrence.
+        candidates = steps[:pad, frontier].ravel()
+        at = np.flatnonzero(~reached[candidates])
+        if not at.size:
             return steps, words, lengths
-        via, at = np.divmod(first[keep], frontier.size)
-        parents, frontier = frontier[at], new[keep]
+        new, first = np.unique(candidates[at], return_index=True)
+        via, at = np.divmod(at[first], frontier.size)
+        parents, frontier = frontier[at], new
         reached[frontier] = True
         words = np.concatenate([words, np.full((n, 1), pad, words.dtype)], axis=1)
         words[frontier] = words[parents]
@@ -288,62 +294,64 @@ def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _table_rows(cols: np.ndarray, inv: np.ndarray, parents) -> np.ndarray:
+def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The n x n table, filled one contiguous row at a time.
 
-    Element x > 0 was first seen as p * g_s, (p, s) = parents[x], so
-    row(x) = row(p)[L_s] with L_s[y] = g_s*y = inv[back_s[inv[y]]], where
-    back_s inverts the column y -> y*g_s.  Parents precede their children,
-    so each row re-indexes one already written.
+    Element x > 0 was first seen as p * g_s, for the first pair (p, s) in
+    p-major order with cols[s][p] = x, so row(x) = row(p)[L_s] with
+    L_s[y] = g_s*y = inv[back_s[inv[y]]], where back_s inverts the column
+    y -> y*g_s.  Parents precede their children, so each row re-indexes
+    one already written.
     """
-    n = cols.shape[1]
+    k, n = cols.shape
+    _, first = np.unique(cols.T, return_index=True)
+    parents, via = np.divmod(first, k)
     left = inv[_inverted(cols)[:, inv]]
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n, dtype=np.int32)
-    for x, (p, s) in enumerate(parents[1:], start=1):
+    for x, p, s in zip(range(1, n), parents[1:].tolist(), via[1:].tolist()):
         # mode="clip" skips the bounds check; with "raise", out is buffered.
         table[p].take(left[s], out=table[x], mode="clip")
     return table
 
 
-def build_closure(
-    generators: Sequence[Hashable],
-    compose: Callable,
-    identity: Hashable,
-    *,
-    spec: GroupSpec | None = None,
-) -> GroupTable:
-    """Enumerate the closure of ``generators`` under ``compose`` by BFS.
-
-    Indexing is deterministic: identity first, then discovery order with
-    generators applied in listed order (right multiplication).  The search
-    records right[s][i], the index of element i times generator s; the
-    group keeps only what these columns give: the steps and words that
-    ``GroupTable.compose`` walks, the inverses those words give and, up to
-    DENSE_CAP, the table.  The table comes last: each element x was first
-    seen as parent*g, so row x is row parent re-indexed by y -> g*y,
-    which the inverses give (see _table_rows).  The closure may not exceed
-    MAX_ORDER elements, nor differ from ``spec.order()`` given a spec.
+def _closure_columns(
+    elements: np.ndarray, law: Callable, generators, identity, spec: GroupSpec | None
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """cols[s][i], the index of (element i)*g_s, and the generator
+    indices (see build_closure).  A row's code is its mixed-radix number,
+    digit j in base radix[j]; a product must equal the row its code finds.
     """
-    index: dict = {identity: 0}
-    elements: list = [identity]
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    gens = list(generators)
-    right: list[list[int]] = [[] for _ in gens]
-    for i, x in enumerate(elements):
-        for s, g in enumerate(gens):
-            y = compose(x, g)
-            j = index.get(y)
-            if j is None:
-                j = index[y] = len(elements)
-                elements.append(y)
-                parents.append((i, s))
-                if len(elements) > MAX_ORDER:
-                    raise SizeGuardError(
-                        f"closure exceeded the {MAX_ORDER} element cap"
-                    )
-            right[s].append(j)
-    n = len(elements)
+    E = np.asarray(elements)
+    N, w = E.shape
+    if N > MAX_ORDER:
+        raise SizeGuardError(f"closure exceeded the {MAX_ORDER} element cap")
+    radix = E.max(axis=0).astype(np.int64) + 1
+    place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+    code = E @ place
+    order = np.argsort(code)
+    sorted_codes = code[order]
+    gens = np.asarray(generators).reshape(-1, w)
+    labels = []
+    # Each generator's products, then the identity and the generators.
+    for X in [*(law(E, g) for g in gens), np.vstack([identity, gens])]:
+        found = order[np.searchsorted(sorted_codes, X @ place).clip(max=N - 1)]
+        if not np.array_equal(E[found], X):
+            raise GroupFormatError("a product lies outside the element set")
+        labels.append(found)
+    right, fixed = np.stack(labels[:-1]), labels[-1]
+
+    visit = [int(fixed[0])]
+    seen = bytearray(N)
+    seen[visit[0]] = 1
+    columns = right.tolist()
+    for x in visit:
+        for col in columns:
+            y = col[x]
+            if not seen[y]:
+                seen[y] = 1
+                visit.append(y)
+    n = len(visit)
     if n == 1:
         raise PreconditionError("trivial group rejected (n must exceed 1)")
     if spec is not None and n != spec.order():
@@ -351,87 +359,153 @@ def build_closure(
             f"closure produced {n} elements, expected {spec.order()}; "
             "generator set does not match the family model"
         )
-    generator_indices = tuple(index[g] for g in gens if g in index)
-    cols = np.array(right, dtype=np.int32)
-    # The rest goes before the word search, which sets the peak memory; only
-    # a dense build keeps the parents, for its table.
-    parents = parents if n <= DENSE_CAP else None
-    del index, elements, right
+    if n != N:
+        raise GroupFormatError(f"the generators reach {n} of the {N} elements")
+    visit = np.array(visit)
+    index = np.empty(N, dtype=np.int32)
+    index[visit] = np.arange(n, dtype=np.int32)
+    return index[right[:, visit]], tuple(int(i) for i in index[fixed[1:]])
+
+
+def build_closure(
+    elements: np.ndarray,
+    law: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    generators: Sequence[Sequence[int]],
+    identity: Sequence[int],
+    *,
+    spec: GroupSpec | None = None,
+) -> GroupTable:
+    """Index the group on the rows of ``elements`` generated by ``generators``.
+
+    ``elements`` is an (N, w) array of nonnegative integers, one distinct
+    element per row, and ``law(E, g)`` returns the rows x*g for every row
+    x of E and one row g.  Each x*g_s is labelled by a binary search over
+    the sorted mixed-radix codes of the rows, so the law runs once per
+    generator over all rows.  Indexing is deterministic: identity first,
+    then breadth-first discovery order with generators applied in listed
+    order (right multiplication), found by one plain loop over the
+    labelled columns, O(n k) steps whatever the Cayley diameter.  The
+    group keeps only what the columns cols[s][i] = index of
+    (element i)*g_s give: the steps and words that ``GroupTable.compose``
+    walks, the inverses those words give and, up to DENSE_CAP, the table.
+    The table comes last: each element x was first seen as parent*g, so
+    row x is row parent re-indexed by y -> g*y, which the inverses give
+    (see _table_rows).
+
+    More than MAX_ORDER rows raise SizeGuardError and a closure of one
+    element PreconditionError.  A product outside the rows, a closure
+    whose order differs from ``spec.order()`` given a spec, and a row the
+    generators never reach raise GroupFormatError.
+    """
+    # The helper's temporaries are freed before the word search, which sets
+    # the peak memory.
+    cols, generator_indices = _closure_columns(elements, law, generators, identity, spec)
+    n = cols.shape[1]
     steps, words, lengths = _steps_and_words(cols)
     inv = _inverses(steps, words)
-    table = None if parents is None else _table_rows(cols, inv, parents)
+    table = _table_rows(cols, inv) if n <= DENSE_CAP else None
     return GroupTable(n, table, inv, spec, generator_indices, steps, words, lengths)
 
 
-def _cycle(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
+def _permutations(m: int) -> np.ndarray:
+    """All m! permutations of range(m), one per row (int8)."""
+    P = np.zeros((1, 1), dtype=np.int8)
+    for j in range(1, m):
+        # Insert j at each of the j + 1 places of every permutation of range(j).
+        out = np.empty((j + 1, len(P), j + 1), dtype=np.int8)
+        for i in range(j + 1):
+            out[i, :, :i] = P[:, :i]
+            out[i, :, i] = j
+            out[i, :, i + 1 :] = P[:, i:]
+        P = out.reshape(-1, j + 1)
+    return P
+
+
+def _sl2_elements(p: int) -> np.ndarray:
+    """Rows (a, b, c, d) of SL(2, p): for each nonzero first column (a, c),
+    the p points (b, d) with ad - bc = 1."""
+    a, c = np.divmod(np.arange(1, p * p), p)
+    a, c = np.repeat(a, p), np.repeat(c, p)
+    t = np.tile(np.arange(p), p * p - 1)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    # a != 0: b is free and d = (1 + bc) / a; a == 0: b = -1/c and d is free.
+    b = np.where(a != 0, t, -inverse[c] % p)
+    d = np.where(a != 0, (1 + t * c) * inverse[a] % p, t)
+    return np.stack([a, b, c, d], axis=1)
+
+
+def _family(spec: GroupSpec):
+    """Elements, vectorized right law, generators and identity of a family.
+
+    Permutations compose as (x*g)(i) = x(g(i)), g acting first; matrices
+    (a, b, c, d) are row-major 2 x 2 over Z/p, and PSL(2, p) keeps from
+    each pair {m, -m} the one whose first nonzero entry is at most
+    (p - 1)/2.
+    """
+    family = spec.family
+    if family == "cyclic":
+        n = spec.params[0]
+        return np.arange(n)[:, None], lambda E, g: (E + g) % n, [[1]], [0]
+    if family == "dihedral":
+        n = spec.params[0]
+        k, f = np.divmod(np.arange(2 * n), 2)
+
+        def rotate_reflect(E, g):
+            k2 = np.where(E[:, 1] == 0, g[0], -g[0])
+            return np.stack([(E[:, 0] + k2) % n, E[:, 1] ^ g[1]], axis=1)
+
+        return np.stack([k, f], axis=1), rotate_reflect, [[1, 0], [0, 1]], [0, 0]
+    if family in ("sym", "alt"):
+        m = spec.params[0]
+        E = _permutations(m)
+        if family == "sym":
+            gens = [_cycle(m, (0, 1)), _cycle(m, tuple(range(m)))]
+        else:
+            odd = np.zeros(len(E), dtype=bool)
+            for i, j in itertools.combinations(range(m), 2):
+                odd ^= E[:, i] > E[:, j]  # the parity of the inversion count
+            E = E[~odd]
+            long_cycle = tuple(range(m)) if m % 2 == 1 else tuple(range(1, m))
+            gens = [_cycle(m, (0, 1, 2)), _cycle(m, long_cycle)]
+        return E, lambda X, g: X[:, g], gens, list(range(m))
+    if family in ("sl2", "psl2"):
+        p = spec.params[0]
+        half = (p - 1) // 2
+
+        def matmul(E, g):
+            a, b, c, d = E.T
+            e, f, h, k = g
+            return np.stack(
+                [(a * e + b * h) % p, (a * f + b * k) % p,
+                 (c * e + d * h) % p, (c * f + d * k) % p],
+                axis=1,
+            )
+
+        gens, identity = [[1, 1, 0, 1], [0, 1, p - 1, 0]], [1, 0, 0, 1]
+        E = _sl2_elements(p)
+        if family == "sl2":
+            return E, matmul, gens, identity
+
+        def leads_high(X):
+            # a = 0 forces b != 0, so the first nonzero entry is a or b.
+            return np.where(X[:, 0] != 0, X[:, 0], X[:, 1]) > half
+
+        def projective(E, g):
+            X = matmul(E, g)
+            flip = leads_high(X)
+            X[flip] = -X[flip] % p
+            return X
+
+        return E[~leads_high(E)], projective, gens, identity
+    raise SpecError(f"unknown family {family!r}")
+
+
+def _cycle(n: int, points: tuple[int, ...]) -> list[int]:
     perm = list(range(n))
     for a, b in zip(points, points[1:]):
         perm[a] = b
     perm[points[-1]] = points[0]
-    return tuple(perm)
-
-
-def _perm_compose(sigma: tuple, tau: tuple) -> tuple:
-    # (sigma . tau)(i) = sigma(tau(i)): tau acts first.
-    return tuple(sigma[t] for t in tau)
-
-
-def _model(spec: GroupSpec):
-    """Generators, composition and identity for one family."""
-    family = spec.family
-    if family == "cyclic":
-        n = spec.params[0]
-        return [1], (lambda a, b: (a + b) % n), 0
-    if family == "dihedral":
-        n = spec.params[0]
-
-        def compose(x, y):
-            k1, f1 = x
-            k2, f2 = y
-            return ((k1 + (k2 if f1 == 0 else -k2)) % n, f1 ^ f2)
-
-        return [(1, 0), (0, 1)], compose, (0, 0)
-    if family in ("sym", "alt"):
-        n = spec.params[0]
-        identity = tuple(range(n))
-        if family == "sym":
-            gens = [_cycle(n, (0, 1)), _cycle(n, tuple(range(n)))]
-        else:
-            long_cycle = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
-            gens = [_cycle(n, (0, 1, 2)), _cycle(n, long_cycle)]
-        return gens, _perm_compose, identity
-    if family in ("sl2", "psl2"):
-        p = spec.params[0]
-
-        def matmul(x, y):
-            a, b, c, d = x
-            e, f, g, h = y
-            return (
-                (a * e + b * g) % p,
-                (a * f + b * h) % p,
-                (c * e + d * g) % p,
-                (c * f + d * h) % p,
-            )
-
-        gens = [(1, 1, 0, 1), (0, 1, p - 1, 0)]
-        identity = (1, 0, 0, 1)
-        if family == "sl2":
-            return gens, matmul, identity
-
-        half = (p - 1) // 2
-
-        def canon(m):
-            # Unique coset representative of {m, -m}: first nonzero entry
-            # in row-major order lies in 1..(p-1)/2.
-            for v in m:
-                if v:
-                    if v > half:
-                        return ((-m[0]) % p, (-m[1]) % p, (-m[2]) % p, (-m[3]) % p)
-                    return m
-            return m
-
-        return [canon(g) for g in gens], (lambda x, y: canon(matmul(x, y))), identity
-    raise SpecError(f"unknown family {family!r}")
+    return perm
 
 
 def construct_group(spec: GroupSpec) -> GroupTable:
@@ -442,8 +516,8 @@ def construct_group(spec: GroupSpec) -> GroupTable:
         for f in spec.factors[1:]:
             out = direct_product(out, construct_group(f))
         return out
-    gens, compose, identity = _model(spec)
-    return build_closure(gens, compose, identity, spec=spec)
+    elements, law, gens, identity = _family(spec)
+    return build_closure(elements, law, gens, identity, spec=spec)
 
 
 def build_group(text: str) -> GroupTable:

@@ -422,12 +422,14 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
 
 
 def check_budget(suite: str, C: ConjugacyData, budget: int = GAMMA_COLUMNS) -> None:
-    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET.
+    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET,
+    or when the group keeps no dense table, which every suite reads.
 
     gamma needs a ``budget`` of at least 2 columns (PreconditionError
     otherwise), and counts only those columns when its exhaustive pass
     does not fit.
     """
+    C.group.require_table(f"suite {suite}")
     cost = gather_estimate(suite, C)
     if suite == "gamma":
         if budget < 2:
@@ -614,15 +616,18 @@ def cs_chain_diagnostics(
     inner_xz = (F1 * F3).mean(axis=1)
     c2 = float((inner_xz**2).mean()) ** 2
 
-    U = t[:, t.diagonal()]  # U[y, z] = y z^2
-    v3U = v3[U]
-    U_rows = U * np.int32(n)  # flat offsets into t; n^2 < 2^31 for dense tables
-    t_flat = t.ravel()
+    # The element y z^2 z^{-1} a^{-1} z is y q(z), q(z) = z a^{-1} z, so
+    # every term reads a contiguous row of F3T[w, y] = f3(y w), and the sum
+    # over z runs down axis 0, z in sequence.
+    F3T = np.ascontiguousarray(F3.T)
+    v3U = F3T[t.diagonal()]  # v3U[z, y] = f3(y z^2)
+    X = np.empty_like(v3U)
     acc = 0.0
     for a in range(n):
-        arr_a = t[t[G.inv, G.inv[a]], ar]  # arr_a[z] = z^{-1} a^{-1} z
-        Wm = t_flat[U_rows + arr_a]  # Wm[y, z] = y z^2 z^{-1} a^{-1} z
-        inner = (v3U * v3[Wm]).mean(axis=1)
+        q = t[t[ar, G.inv[a]], ar]
+        np.take(F3T, q, axis=0, out=X, mode="clip")
+        np.multiply(v3U, X, out=X)
+        inner = X.sum(axis=0) / n
         acc += float((inner**2).sum())
     c3 = acc / (n * n)
 

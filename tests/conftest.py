@@ -12,7 +12,6 @@ from qmix import (
     parse_spec,
     theta_defect,
 )
-from qmix.groups import _model
 from qmix.mixing import _toggle_gain_tables
 
 
@@ -201,17 +200,100 @@ def invert_class_function():
     return _invert_class_function
 
 
+def _cycle(n, points):
+    perm = list(range(n))
+    for a, b in zip(points, points[1:]):
+        perm[a] = b
+    perm[points[-1]] = points[0]
+    return tuple(perm)
+
+
+def _perm_compose(sigma, tau):
+    # (sigma . tau)(i) = sigma(tau(i)): tau acts first.
+    return tuple(sigma[t] for t in tau)
+
+
+def _model(spec):
+    """Generators, scalar composition and identity for one family.
+
+    Elements are hashable tuples (ints for cyclic groups) composed one
+    pair at a time; the library's vectorized family laws share no code
+    with these.
+    """
+    family = spec.family
+    if family == "cyclic":
+        n = spec.params[0]
+        return [1], (lambda a, b: (a + b) % n), 0
+    if family == "dihedral":
+        n = spec.params[0]
+
+        def compose(x, y):
+            k1, f1 = x
+            k2, f2 = y
+            return ((k1 + (k2 if f1 == 0 else -k2)) % n, f1 ^ f2)
+
+        return [(1, 0), (0, 1)], compose, (0, 0)
+    if family in ("sym", "alt"):
+        n = spec.params[0]
+        identity = tuple(range(n))
+        if family == "sym":
+            gens = [_cycle(n, (0, 1)), _cycle(n, tuple(range(n)))]
+        else:
+            long_cycle = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
+            gens = [_cycle(n, (0, 1, 2)), _cycle(n, long_cycle)]
+        return gens, _perm_compose, identity
+    if family in ("sl2", "psl2"):
+        p = spec.params[0]
+
+        def matmul(x, y):
+            a, b, c, d = x
+            e, f, g, h = y
+            return (
+                (a * e + b * g) % p,
+                (a * f + b * h) % p,
+                (c * e + d * g) % p,
+                (c * f + d * h) % p,
+            )
+
+        gens = [(1, 1, 0, 1), (0, 1, p - 1, 0)]
+        identity = (1, 0, 0, 1)
+        if family == "sl2":
+            return gens, matmul, identity
+
+        half = (p - 1) // 2
+
+        def canon(m):
+            # Unique coset representative of {m, -m}: first nonzero entry
+            # in row-major order lies in 1..(p-1)/2.
+            for v in m:
+                if v:
+                    if v > half:
+                        return ((-m[0]) % p, (-m[1]) % p, (-m[2]) % p, (-m[3]) % p)
+                    return m
+            return m
+
+        return [canon(g) for g in gens], (lambda x, y: canon(matmul(x, y))), identity
+    raise ValueError(f"unknown family {family!r}")
+
+
 def _enumerate(spec):
-    """Elements of a family group in build order, by a plain BFS over its law."""
+    """A family group by a plain BFS over its scalar law.
+
+    Returns the elements in build order (identity first, then discovery
+    order with the generators applied in listed order), their index, the
+    law, and right[s][i], the index of element i times generator s.
+    """
     gens, law, identity = _model(spec)
     elements, index = [identity], {identity: 0}
+    right = [[] for _ in gens]
     for x in elements:
-        for g in gens:
+        for s, g in enumerate(gens):
             y = law(x, g)
             if y not in index:
                 index[y] = len(elements)
                 elements.append(y)
-    return elements, index, law
+            right[s].append(index[y])
+    return elements, index, law, np.array(right)
 
 
 class _LawOracle:
@@ -225,7 +307,7 @@ class _LawOracle:
         spec = parse_spec(text)
         factors = spec.factors if spec.family == "prod" else (spec,)
         self.factors = [_enumerate(f) for f in factors]
-        self.shape = tuple(len(elements) for elements, _, _ in self.factors)
+        self.shape = tuple(len(elements) for elements, *_ in self.factors)
         self.n = int(np.prod(self.shape))
 
     def compose(self, a, b):
@@ -234,7 +316,7 @@ class _LawOracle:
         ys = np.unravel_index(b.ravel(), self.shape)
         digits = [
             [index[law(elements[i], elements[j])] for i, j in zip(x.tolist(), y.tolist())]
-            for (elements, index, law), x, y in zip(self.factors, xs, ys)
+            for (elements, index, law, _), x, y in zip(self.factors, xs, ys)
         ]
         return np.ravel_multi_index(digits, self.shape).reshape(a.shape)
 
@@ -243,3 +325,52 @@ class _LawOracle:
 def law_oracle():
     """Group products by the family law, an oracle for GroupTable.compose."""
     return _LawOracle
+
+
+@pytest.fixture(scope="session")
+def scalar_closure():
+    """The family group by a BFS over its scalar law: elements, index,
+    law and right columns, an oracle for the array closure."""
+    return lambda text: _enumerate(parse_spec(text))
+
+
+def _flood_fill_classes(G):
+    """Conjugacy classes by a flood fill over Python lists.
+
+    Returns (representatives, class_of, sizes, class_elements) in the
+    layout of ConjugacyData: classes ordered by smallest member, members
+    sorted.
+    """
+    n = G.n
+    class_of = np.full(n, -1, dtype=np.int32)
+    reps, elems = [], []
+    ar = np.arange(n)
+    maps = [
+        G.compose(G.compose(G.inv[g], ar), g).tolist()
+        for g in G.generator_indices
+        if g != 0
+    ]
+    for x0 in range(n):
+        if class_of[x0] >= 0:
+            continue
+        c = len(reps)
+        class_of[x0] = c
+        members, stack = [x0], [x0]
+        while stack:
+            x = stack.pop()
+            for m in maps:
+                y = m[x]
+                if class_of[y] < 0:
+                    class_of[y] = c
+                    members.append(y)
+                    stack.append(y)
+        reps.append(x0)
+        elems.append(np.sort(np.asarray(members, dtype=np.int32)))
+    sizes = np.array([len(e) for e in elems], dtype=np.int64)
+    return np.array(reps, dtype=np.int32), class_of, sizes, tuple(elems)
+
+
+@pytest.fixture(scope="session")
+def flood_fill_classes():
+    """Conjugacy classes by a flood fill, an oracle for conjugacy_classes."""
+    return _flood_fill_classes

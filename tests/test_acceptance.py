@@ -123,6 +123,34 @@ def test_fcmu_per_class_matches_per_element_sweep(bundle, spec):
     assert verify_fcmu(T, C, 1e-8).lhs_value == worst
 
 
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])
+def test_array_closure_matches_the_scalar_bfs(spec, scalar_closure):
+    """Each generator's column x -> x*g equals the one a BFS over the
+    scalar family law records, so both index the elements alike."""
+    G = build_group(spec)
+    elements, _, _, right = scalar_closure(spec)
+    assert G.n == len(elements)
+    ar = np.arange(G.n)
+    assert G.generator_indices == tuple(int(col[0]) for col in right)
+    for g, col in zip(G.generator_indices, right):
+        assert np.array_equal(G.compose(ar, g), col)
+
+
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])
+def test_label_propagation_matches_the_flood_fill(spec, flood_fill_classes):
+    G = build_group(spec)
+    C = conjugacy_classes(G)
+    reps, class_of, sizes, elements = flood_fill_classes(G)
+    assert C.k == len(reps)
+    for got, want in (
+        (C.representatives, reps), (C.class_of, class_of), (C.sizes, sizes)
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(C.class_elements) == len(elements)
+    for got, want in zip(C.class_elements, elements):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_criterion_03_parseval_sweep(bundle, capsys):
     G, C, T = bundle("psl2:7")
     worst = 0.0

@@ -452,6 +452,32 @@ class TestSearchCommand:
 
 
 class TestHarness:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(("verify", "sl2:23", "--suite", s, "--trials", "1")
+              for s in ("bnp", "derivative", "parseval", "chain")),
+            ("verify", "sl2:23", "--suite", "fcmu"),
+            ("verify", "sl2:23", "--suite", "gamma", "--trials", "1", "--budget", "2"),
+            ("verify", "sl2:23", "--trials", "1"),
+            ("mix", "sl2:23", "--random", "0.5", "--trials", "1"),
+            ("mix", "sl2:23", "--sets", "[[0],[1],[2]]"),
+            ("search", "sl2:23"),
+        ],
+    )
+    def test_group_without_table_refused_before_chartab(self, capsys, monkeypatch, argv):
+        import qmix.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("the character table was computed")
+
+        monkeypatch.setattr(cli_module, "compute_character_table", never)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "needs the dense multiplication table" in err
+        assert "n=12144" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
 

@@ -348,19 +348,37 @@ class TestLazyPath:
             assert product(G, product(G, a, b), c) == product(G, a, product(G, b, c))
 
 
+def _cyclic_rows(n):
+    """The integers mod n as one-column element rows."""
+    return np.arange(n)[:, None]
+
+
 class TestBuildClosure:
     def test_expected_order_mismatch(self):
         with pytest.raises(GroupFormatError):
-            build_closure([1], lambda a, b: (a + b) % 6, 0, spec=GroupSpec("cyclic", (7,)))
+            build_closure(
+                _cyclic_rows(6), lambda E, g: (E + g) % 6, [[1]], [0],
+                spec=GroupSpec("cyclic", (7,)),
+            )
 
     def test_trivial_closure_rejected(self):
         with pytest.raises(PreconditionError):
-            build_closure([0], lambda a, b: 0, 0)
+            build_closure(_cyclic_rows(1), lambda E, g: E, [[0]], [0])
 
     def test_order_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(groups, "MAX_ORDER", 100)
         with pytest.raises(SizeGuardError):
-            build_closure([1], lambda a, b: (a + b) % 200, 0)
+            build_closure(_cyclic_rows(200), lambda E, g: (E + g) % 200, [[1]], [0])
+
+    def test_product_outside_the_elements_rejected(self):
+        # Without the reduction mod 6, 5 + 1 = 6 is not an element row.
+        with pytest.raises(GroupFormatError, match="outside the element set"):
+            build_closure(_cyclic_rows(6), lambda E, g: E + g, [[1]], [0])
+
+    def test_unreached_elements_rejected(self):
+        # 2 generates the even residues only.
+        with pytest.raises(GroupFormatError, match="reach 3 of the 6"):
+            build_closure(_cyclic_rows(6), lambda E, g: (E + g) % 6, [[2]], [0])
 
 
 class TestValidateGroup:

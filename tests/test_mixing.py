@@ -662,6 +662,31 @@ class TestChain:
         c3 = total / n**2
         assert v["c3"] == pytest.approx(c3, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "prod:sl2:5+cyclic:3"])
+    def test_c3_bits_match_the_strided_loop(self, spec, bundle):
+        # The reference gathers y z^2 z^{-1} a^{-1} z from the flat table
+        # and averages over z along axis 1 of an F-ordered array; the
+        # chain's row-gather pass must give the same bits.
+        G, C, T = bundle(spec)
+        f1, f2 = random_ensemble(G, "rademacher", 41, 2)
+        f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
+        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T, C).values)["c3"]
+
+        t, n = G.mul, G.n
+        v3 = f3.values.real.copy()
+        ar = np.arange(n)
+        U = t[:, t.diagonal()]
+        v3U = v3[U]
+        U_rows = U * np.int32(n)
+        t_flat = t.ravel()
+        acc = 0.0
+        for a in range(n):
+            arr_a = t[t[G.inv, G.inv[a]], ar]
+            Wm = t_flat[U_rows + arr_a]
+            inner = (v3U * v3[Wm]).mean(axis=1)
+            acc += float((inner**2).sum())
+        assert c3 == acc / (n * n)
+
     def test_theta_fourth_power_is_c1(self, bundle):
         G, C, T = bundle("alt:4")
         pair = random_ensemble(G, "rademacher", 35, 2)

@@ -161,9 +161,10 @@ def spectral_profile(
     conj(f(x)) f(y); then hs2[r] = (chi_r . R) / n^2 for all rows at
     O(k^2) total.  The outer sum runs only over the support of f, CHUNK
     points x at a time, so the pass costs n * |supp f| gathers: O(n^2)
-    for a dense f, n |K| for a translated-class density.  Parseval is
-    checked against the 2-norm and a violation raises (pass tol=inf to
-    skip when deliberately probing).
+    for a dense f, n |K| for a translated-class density.  An imaginary
+    residue or a negative mass above 1e-8 raises, whatever ``tol``;
+    ``tol`` bounds only the Parseval residual against the 2-norm (pass
+    tol=inf to skip that raise when deliberately probing).
     """
     G = f.group
     C = _classes_of(G, C)
@@ -177,13 +178,13 @@ def spectral_profile(
     )
     hs2_c = (T.chi @ R) / (G.n * G.n)
     imag_residue = float(np.abs(hs2_c.imag).max())
-    if imag_residue > max(tol, 1e-8):
+    if imag_residue > 1e-8:
         raise CertificationError(
             f"imaginary residue {imag_residue:.3e} in spectral profile"
         )
     hs2 = hs2_c.real.copy()
     neg = float(hs2.min())
-    if neg < -max(tol, 1e-8):
+    if neg < -1e-8:
         raise CertificationError(f"negative HS mass {neg:.3e} in spectral profile")
     np.clip(hs2, 0.0, None, out=hs2)
     norm2_sq = float(np.mean(np.abs(V) ** 2))

@@ -254,26 +254,31 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             col = col[col]
     pad = len(rows)
     steps = np.stack(rows + [np.arange(n, dtype=np.int32)])
-    words = np.zeros((n, 0), dtype=np.min_scalar_type(pad))
-    lengths = np.zeros(n, dtype=np.int32)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int32)
+    levels = []
     while True:
         # Reached candidates are dropped before the sort; the survivors keep
         # their positions, so each new element keeps its first occurrence.
         candidates = steps[:pad, frontier].ravel()
         at = np.flatnonzero(~reached[candidates])
         if not at.size:
-            return steps, words, lengths
+            break
         new, first = np.unique(candidates[at], return_index=True)
         via, at = np.divmod(at[first], frontier.size)
-        parents, frontier = frontier[at], new
+        levels.append((new, frontier[at], via))
+        frontier = new
         reached[frontier] = True
-        words = np.concatenate([words, np.full((n, 1), pad, words.dtype)], axis=1)
-        words[frontier] = words[parents]
-        words[frontier, -1] = via
-        lengths[frontier] = words.shape[1]
+    # Each word is written once: a parent's word is complete before its
+    # children's level copies it.
+    words = np.full((n, len(levels)), pad, dtype=np.min_scalar_type(pad))
+    lengths = np.zeros(n, dtype=np.int32)
+    for d, (level, parents, via) in enumerate(levels, start=1):
+        words[level, : d - 1] = words[parents, : d - 1]
+        words[level, d - 1] = via
+        lengths[level] = d
+    return steps, words, lengths
 
 
 def _inverted(perms: np.ndarray) -> np.ndarray:

@@ -7,6 +7,11 @@ group: the convolution bound, the derivative average, the conjugated
 convolution functional, Parseval, the Fourier mass of the
 translated-class densities, the full Cauchy-Schwarz chain, and the end
 bound (2/sqrt(D))^{1/4} itself.
+
+The progression sum behind theta has one kernel per kind of input:
+_bit_pass counts blocks of up to 64 indicator triples exactly in packed
+words, and _value_pass sums one real or complex triple.  A triple's
+bits therefore depend on that triple alone.
 """
 
 from __future__ import annotations
@@ -151,10 +156,6 @@ def theorem_bound(D: int) -> float:
     return float((2.0 / math.sqrt(D)) ** 0.25)
 
 
-def _is_indicator(V: np.ndarray) -> bool:
-    return V.dtype.kind != "c" and bool(np.all((V == 0) | (V == 1)))
-
-
 def _pack(V: np.ndarray) -> np.ndarray:
     """One word per row of an (n x m) 0/1 stack, m <= 64: bit j is column j.
 
@@ -168,16 +169,19 @@ def _pack(V: np.ndarray) -> np.ndarray:
 
 
 def _bit_pass(t, V1, V2, V3):
-    """_progression_pass of at most 64 stacked 0/1 triples, in packed words.
+    """Exact progression counts of at most 64 stacked 0/1 triples.
 
+    For (n x m) 0/1 stacks Vi of any dtype, returns the int64 totals[j]
+    = sum_x V1[x, j] S[x, j], where S[x, j] = sum_y V2[xy, j] V3[xy^2, j].
     Pi packs triple j's values of role i into bit j.  For each pair (x, y)
-    the pass gathers the words P2[xy] and P3[xy^2] (the latter as row x of
-    P3[xy], re-read at y^2) once for every triple; their AND with P1[x]'s
-    has bit j set iff triple j's term is 1, and bit j's count is a
-    count_nonzero over the words masked to it.  Returns the int64 totals
-    alone.  Rows go CHUNK // 4 at a time, so the intp indices and the
-    three word buffers take no more memory than the value pass's
-    one-triple block buffers.
+    the pass gathers the words P2[xy] and P3[xy^2] (the latter as row x
+    of P3[xy], re-read at y^2) once for every triple; their AND with
+    P1[x]'s has bit j set iff triple j's term is 1, and bit j's count is a
+    count_nonzero over the words masked to it.  Counts are exact and below
+    2^53, so a caller dividing them in float64 gets the bits a float sum
+    of the same 0/1 terms gives.  Rows go CHUNK // 4 at a time, so the
+    intp indices and the three word buffers take no more memory than
+    _value_pass's block buffers.
     """
     n, m = V2.shape
     P1, P2, P3 = _pack(V1), _pack(V2), _pack(V3)
@@ -205,68 +209,35 @@ def _bit_pass(t, V1, V2, V3):
     return totals
 
 
-def _progression_pass(
-    t: np.ndarray, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray
-) -> np.ndarray:
-    """Progression sums of m stacked triples in one pass over the table t.
+def _value_pass(t, v1, v2, v3):
+    """Progression sum sum_x v1[x] S[x], S[x] = sum_y v2[xy] v3[xy^2], of
+    one triple of contiguous float64 or complex128 vectors (one dtype).
 
-    Returns totals with totals[j] = sum_x V1[x, j] S[x, j], where
-    S[x, j] = sum_y V2[xy, j] V3[xy^2, j]; the per-row S is not returned
-    (the search's sensitivity tables come from _toggle_gain_tables).
-
-    When all three (n x m) stacks are 0/1-valued (indicator triples, of
-    any real or integer dtype), the pass counts exactly in integers: 64
-    triples share one packed word per element (_bit_pass), so one gather
-    pair per (x, y) serves them all.  Counts are exact, and below 2^53, so
-    they do not depend on the batch, and a caller dividing them in float64
-    gets the bits a float sum of the same 0/1 terms gives; totals are then
-    int64.
-
-    Any other stacks (one dtype, float64 or complex128) take the value
-    pass, which works in that dtype.  Rows go in blocks of
-    max(1, CHUNK // m), so a gathered block holds at most CHUNK * n
-    entries, and each total is a per-column dot of V1 and S accumulated
-    over CHUNK-row blocks.  Its results are deterministic, but a triple's
-    bits may depend on its batch: for m > 1 the per-row S is summed over
-    an (h, n, m) block in another order than for m = 1.  Where every sum
-    is exact (+-1 or small dyadic values) the order changes nothing;
-    elsewhere it changes the result by rounding.  The CLI batches no such
-    triples: mix and search pass 0/1 stacks, and the chain one triple.
-    The gathered blocks go into buffers allocated once: a fresh
-    multi-megabyte array per block is mapped and page-faulted anew on
-    every block unless the allocator happens to keep freed memory (on
-    sl2:13 with m = 10 that doubled the pass time).
+    Rows go CHUNK at a time: each block's S is summed along its rows, and
+    the total accumulates v1[block] @ S[block] over the blocks, so its
+    bits depend on the triple alone.  The gathered blocks go into buffers
+    allocated once: a fresh multi-megabyte array per block is mapped and
+    page-faulted anew on every block unless the allocator happens to keep
+    freed memory (on sl2:13, at blocks of this size, that doubled the
+    pass time).
     """
-    n, m = V2.shape
-    if all(_is_indicator(V) for V in (V1, V2, V3)):
-        return np.concatenate(
-            [
-                _bit_pass(t, V1[:, j:j + 64], V2[:, j:j + 64], V3[:, j:j + 64])
-                for j in range(0, m, 64)
-            ]
-        )
+    n = len(v2)
     ysq = t.diagonal()
-    S = np.empty((n, m), dtype=V2.dtype)
-    step = max(1, CHUNK // m)
-    U2 = np.empty((step, n), dtype=t.dtype)
-    B2 = np.empty((step, n, m), dtype=V2.dtype)
-    B3 = np.empty((step, n, m), dtype=V3.dtype)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    U2 = np.empty((CHUNK, n), dtype=t.dtype)
+    B2 = np.empty((CHUNK, n), dtype=v2.dtype)
+    B3 = np.empty_like(B2)
+    total = 0
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
         h = hi - lo
         U = t[lo:hi]
         # mode="clip" skips the bounds check; with "raise", take buffers out.
         np.take(U, ysq, axis=1, out=U2[:h], mode="clip")
-        np.take(V2, U, axis=0, out=B2[:h], mode="clip")
-        np.take(V3, U2[:h], axis=0, out=B3[:h], mode="clip")
+        np.take(v2, U, out=B2[:h], mode="clip")
+        np.take(v3, U2[:h], out=B3[:h], mode="clip")
         np.multiply(B2[:h], B3[:h], out=B2[:h])
-        B2[:h].sum(axis=1, out=S[lo:hi])
-    totals = np.zeros(m, dtype=np.result_type(V1, S))
-    for j in range(m):
-        for lo in range(0, n, CHUNK):
-            hi = min(lo + CHUNK, n)
-            totals[j] += V1[lo:hi, j] @ S[lo:hi, j]
-    return totals
+        total += v1[lo:hi] @ B2[:h].sum(axis=1)
+    return total
 
 
 def theta_defects(
@@ -277,14 +248,13 @@ def theta_defects(
 ) -> list[MixingReport]:
     """theta_defect of every triple (F1[j], F2[j], F3[j]).
 
-    Triples go through the progression pass CHUNK at a time, so memory
-    stays near CHUNK * n entries per stack whatever the ensemble size.
-    A block of indicator triples (every value 0 or 1) is counted exactly
-    in packed words, 64 triples per gather pair; its counts are integers
-    below 2^53, so theta has the bits a float sum would give, whatever
-    the block.  Other real-valued blocks are summed in float64, the rest
-    in complex128; there a triple's bits may depend on its block (see
-    _progression_pass).
+    Triples go 64 at a time, the width of a packed word.  A block of
+    indicator triples (every value 0 or 1) is counted exactly in packed
+    words, one gather pair per (x, y) for the block (_bit_pass).  Any
+    other block sends each triple through _value_pass on its own, in
+    float64 when the triple has no imaginary part and in complex128
+    otherwise.  Either way a triple's theta has the bits theta_defect
+    gives it alone, whatever the block.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -301,12 +271,18 @@ def theta_defects(
     n2 = G.n * G.n
     bound = theorem_bound(T.D) if T.D >= 2 else math.inf
     reports = []
-    for lo in range(0, len(F1), CHUNK):
-        block = [F[lo:lo + CHUNK] for F in (F1, F2, F3)]
-        stacks = [np.stack([f.values for f in fs], axis=1) for fs in block]
-        if not any(np.any(V.imag) for V in stacks):
-            stacks = [np.ascontiguousarray(V.real) for V in stacks]
-        totals = _progression_pass(t, *stacks)
+    for lo in range(0, len(F1), 64):
+        block = [F[lo:lo + 64] for F in (F1, F2, F3)]
+        if all(np.all((f.values == 0) | (f.values == 1)) for fs in block for f in fs):
+            stacks = [np.stack([f.values != 0 for f in fs], axis=1) for fs in block]
+            totals = _bit_pass(t, *stacks)
+        else:
+            totals = []
+            for fs in zip(*block):
+                vs = [f.values for f in fs]
+                if not any(np.any(v.imag) for v in vs):
+                    vs = [np.ascontiguousarray(v.real) for v in vs]
+                totals.append(_value_pass(t, *vs))
         for total, f1, f2, f3 in zip(totals, *block):
             raw = complex(total) / n2
             prod = mean(f1) * mean(f2) * mean(f3)
@@ -341,7 +317,7 @@ def count_progressions(A1, A2, A3, G: GroupTable) -> int:
             v[_check_index_set(G, A)] = 1
         return v
 
-    totals = _progression_pass(t, indicator(A1), indicator(A2), indicator(A3))
+    totals = _bit_pass(t, indicator(A1), indicator(A2), indicator(A3))
     return int(totals[0])
 
 
@@ -607,8 +583,7 @@ def cs_chain_diagnostics(
     v3 = f3.values.real.copy()
     ar = np.arange(n)
 
-    total = _progression_pass(t, v1[:, None], v2[:, None], v3[:, None])
-    theta = abs(float(total[0])) / (n * n)
+    theta = abs(float(_value_pass(t, v1, v2, v3))) / (n * n)
     c1 = theta**4
 
     F1 = v1[t[:, G.inv]]  # F1[x, z] = f1(x z^{-1})

@@ -12,6 +12,7 @@ from qmix import (
     parse_spec,
     theta_defect,
 )
+from qmix.fourier import CHUNK
 from qmix.mixing import _toggle_gain_tables
 
 
@@ -86,6 +87,35 @@ def _reference_adversarial_search(G, T, *, budget, restarts, seed):
 def reference_search():
     """The recompute-every-step greedy search, called like adversarial_search."""
     return _reference_adversarial_search
+
+
+def _reference_value_pass(t, v1, v2, v3):
+    """One triple's progression sum sum_x v1[x] sum_y v2[xy] v3[xy^2],
+    laid out as a stack of one triple.
+
+    The triple is an (n x 1) stack; each CHUNK-row block gathers an
+    (h, n, 1) array of terms and sums it over axis 1 into the column S,
+    and the total is the per-column dot V1 . S accumulated over
+    CHUNK-row blocks from a zero of the result dtype.
+    """
+    V1, V2, V3 = (v[:, None] for v in (v1, v2, v3))
+    n = len(v1)
+    ysq = t.diagonal()
+    S = np.empty((n, 1), dtype=V2.dtype)
+    for lo in range(0, n, CHUNK):
+        U = t[lo:lo + CHUNK]
+        (V2[U] * V3[U[:, ysq]]).sum(axis=1, out=S[lo:lo + CHUNK])
+    totals = np.zeros(1, dtype=np.result_type(V1, S))
+    for lo in range(0, n, CHUNK):
+        totals[0] += V1[lo:lo + CHUNK, 0] @ S[lo:lo + CHUNK, 0]
+    return totals[0]
+
+
+@pytest.fixture(scope="session")
+def reference_value_pass():
+    """One triple's progression sum through (n x 1) stacks, the oracle that
+    pins the bits of mixing._value_pass."""
+    return _reference_value_pass
 
 
 def _mu_set(G, indices):

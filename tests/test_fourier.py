@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -275,9 +276,22 @@ class TestSpectralProfile:
                 assert abs(lhs - p_norm(f, 2) ** 2) < 1e-8
                 assert profile.parseval_residual < 1e-8
 
-    def test_corrupted_table_raises(self, bundle):
-        import dataclasses
+    def test_residue_checks_do_not_follow_tol(self, bundle, mu_set):
+        # tol bounds only the Parseval residual: an imaginary residue or a
+        # negative mass above 1e-8 raises even at tol=inf.
+        G, C, T = bundle("psl2:7")
+        point = mu_set(G, [0])
+        non_real = np.any(T.chi.imag, axis=1)
+        turned = T.chi.copy()
+        turned[np.flatnonzero(non_real)[0]] *= np.exp(3e-5j)
+        negated = T.chi.copy()
+        negated[np.flatnonzero(~non_real)[1]] *= -1
+        for chi, message in ((turned, "imaginary residue"), (negated, "negative HS mass")):
+            bad = dataclasses.replace(T, chi=chi)
+            with pytest.raises(CertificationError, match=message):
+                spectral_profile(point, bad, C, tol=math.inf)
 
+    def test_corrupted_table_raises(self, bundle):
         G, C, T = bundle("sym:3")
         bad_chi = T.chi.copy()
         bad_chi[2, 1] += 0.25

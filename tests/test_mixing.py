@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (
+    CertificationError,
     GroupFunction,
     GroupMismatchError,
     PreconditionError,
@@ -32,6 +34,20 @@ from qmix import (
 )
 from qmix import mixing
 from qmix.mixing import _class_conv_stats, _toggle_gain_tables
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named mixing functions, which still run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(mixing, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mixing, name, counted)
+    return calls
 
 
 def cyclic5_phase_triple(G):
@@ -132,18 +148,44 @@ class TestThetaDefect:
 
     @pytest.mark.parametrize("m", [1, 2, 8, 9, 63, 64, 65, 130])
     def test_packed_pass_matches_the_float_sums(self, bundle, m):
-        # Word widths 8/16/64 bits and 64-triple boundaries.  The per-row
-        # sums are checked on _toggle_gain_tables (TestAdversarialSearch).
+        # Word widths 8/16/64 bits, and stacks wider than one word split at
+        # 64 triples.  The per-row sums are checked on _toggle_gain_tables
+        # (TestAdversarialSearch).
         G, _, _ = bundle("psl2:7")
         t = G.mul
         rng = np.random.default_rng(m)
         V1, V2, V3 = (rng.integers(0, 2, size=(G.n, m)).astype(np.int64) for _ in range(3))
         S = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
-        totals = mixing._progression_pass(t, V1, V2, V3)
+
+        def packed(*Vs):
+            return np.concatenate(
+                [mixing._bit_pass(t, *(V[:, j:j + 64] for V in Vs)) for j in range(0, m, 64)]
+            )
+
+        totals = packed(V1, V2, V3)
         assert totals.dtype == np.int64
         assert np.array_equal(totals, (V1 * S).sum(axis=0))
-        again = mixing._progression_pass(t, V1 > 0, V2 > 0, V3.astype(float))
+        again = packed(V1 > 0, V2 > 0, V3.astype(float))
         assert np.array_equal(again, totals)
+        assert np.array_equal(packed(*(V.astype(complex) for V in (V1, V2, V3))), totals)
+
+    @pytest.mark.parametrize("spec", ["psl2:7", "sl2:7", "alt:5", "prod:sl2:5+cyclic:3"])
+    @pytest.mark.parametrize(
+        "kind", ["rademacher", "mean_zero_rademacher", "unimodular", "complex"]
+    )
+    def test_value_pass_bits_match_the_reference(self, bundle, reference_value_pass, spec, kind):
+        G, _, _ = bundle(spec)
+        if kind == "complex":
+            rng = np.random.default_rng(53)
+            vs = [rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n) for _ in range(3)]
+        else:
+            vs = [f.values for f in random_ensemble(G, kind, 51, 3)]
+            if kind != "unimodular":
+                vs = [np.ascontiguousarray(v.real) for v in vs]
+        got = mixing._value_pass(G.mul, *vs)
+        want = reference_value_pass(G.mul, *vs)
+        assert got.dtype == want.dtype
+        assert got == want
 
     def test_batch_matches_single_triples_on_unimodular(self, bundle):
         G, _, T = bundle("psl2:7")
@@ -151,8 +193,9 @@ class TestThetaDefect:
         batch = theta_defects(*streams, T)
         for b, f1, f2, f3 in zip(batch, *streams):
             s = theta_defect(f1, f2, f3, T)
-            assert abs(b.raw_expectation - s.raw_expectation) < 1e-12
-            assert abs(b.theta - s.theta) < 1e-12
+            assert (b.theta, b.raw_expectation, b.product_of_means, b.margin) == (
+                s.theta, s.raw_expectation, s.product_of_means, s.margin
+            )
 
     @pytest.mark.parametrize("spec", ["psl2:7", "sl2:7"])
     @pytest.mark.parametrize(
@@ -166,9 +209,9 @@ class TestThetaDefect:
         ],
     )
     def test_batch_bits_follow_the_value_pass_contract(self, bundle, spec, kind, exact):
-        # 0/1, +-1 and dyadic (k/8) terms sum exactly in any order, so a
-        # batch of six triples gives each the bits it gets alone; other
-        # values keep them only to rounding, summed in another order.
+        # A batch of six triples gives each the bits it gets alone, for
+        # every kind.  0/1, +-1 and dyadic (k/8) terms (``exact``) sum
+        # exactly in any order, so those also equal a whole-table sum.
         G, _, T = bundle(spec)
         if kind == "dyadic":
             rng = np.random.default_rng(17)
@@ -178,14 +221,47 @@ class TestThetaDefect:
             ]
         else:
             streams = [random_ensemble(G, kind, (3, role), 6) for role in range(3)]
+        t = G.mul
         batch = theta_defects(*streams, T)
         for b, f1, f2, f3 in zip(batch, *streams):
             s = theta_defect(f1, f2, f3, T)
+            assert (b.theta, b.raw_expectation) == (s.theta, s.raw_expectation)
             if exact:
-                assert (b.theta, b.raw_expectation) == (s.theta, s.raw_expectation)
-            else:
-                assert abs(b.raw_expectation - s.raw_expectation) <= 1e-15
-                assert abs(b.theta - s.theta) <= 1e-15
+                terms = f1.values[:, None] * f2.values[t] * f3.values[t[:, t.diagonal()]]
+                assert b.raw_expectation == complex(terms.sum()) / G.n**2
+
+    def test_ensemble_across_64_triple_blocks_matches_single_triples(
+        self, bundle, monkeypatch
+    ):
+        # Triples go 64 to a block: the first block is all 0/1 and takes one
+        # packed pass, the second holds a single +-1 function and the third
+        # is unimodular, so each of their triples takes the value pass.
+        G, _, T = bundle("psl2:7")
+        streams = [random_ensemble(G, "indicator:0.5", (61, role), 128) for role in range(3)]
+        streams[1][100] = random_ensemble(G, "rademacher", 62, 1)[0]
+        for role in range(3):
+            streams[role] += random_ensemble(G, "unimodular", (63, role), 2)
+        calls = count_calls(monkeypatch, "_bit_pass", "_value_pass")
+        batch = theta_defects(*streams, T)
+        assert calls == {"_bit_pass": 1, "_value_pass": 66}
+        assert len(batch) == 130
+        for b, f1, f2, f3 in zip(batch, *streams):
+            s = theta_defect(f1, f2, f3, T)
+            assert (b.theta, b.raw_expectation, b.product_of_means, b.margin) == (
+                s.theta, s.raw_expectation, s.product_of_means, s.margin
+            )
+
+    def test_real_triple_beside_a_complex_one_keeps_its_bits(self, bundle):
+        # A real triple is summed in float64 even in a block with a complex
+        # one; summed in complex128 its bits would differ by rounding.
+        G, _, T = bundle("psl2:7")
+        rng = np.random.default_rng(71)
+        real = [GroupFunction(G, rng.uniform(-1, 1, G.n)) for _ in range(3)]
+        phase = random_ensemble(G, "unimodular", 72, 3)
+        batch = theta_defects(*([r, p] for r, p in zip(real, phase)), T)
+        for b, triple in zip(batch, (real, phase)):
+            s = theta_defect(*triple, T)
+            assert (b.theta, b.raw_expectation) == (s.theta, s.raw_expectation)
 
     def test_batch_rejects_unequal_lists(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
@@ -328,6 +404,19 @@ class TestParsevalAndFcmu:
         assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
         assert rep.stderr_estimate is None
         assert not verify_fcmu(T, C, -1e-3).passed
+
+    def test_fcmu_raises_on_a_phase_turned_row(self, bundle):
+        # Turning a non-real row of chi by e^{i phi} keeps every |chi|^2, so
+        # the class formula still matches to 1.4e-9; only the imaginary
+        # residue of the profiles shows it, and it is checked at 1e-8
+        # whatever tol the Parseval check gets.
+        _, C, T = bundle("psl2:7")
+        r = int(np.flatnonzero(np.any(T.chi.imag, axis=1))[0])
+        chi = T.chi.copy()
+        chi[r] *= np.exp(3e-5j)
+        bad = dataclasses.replace(T, chi=chi)
+        with pytest.raises(CertificationError, match="imaginary residue 9.000e-05"):
+            verify_fcmu(bad, C, 1e-8)
 
     def test_fcmu_size_guard(self, bundle, monkeypatch):
         # One profile per class costs n^2 gathers in all, the O(n^2) default;
@@ -922,21 +1011,9 @@ class TestAdversarialSearch:
         # One O(n^2) pass builds each restart's tables and one gives the
         # final report; the greedy steps add none, whatever the budget.
         G, _, T = bundle("psl2:5")
-        calls = {"_toggle_gain_tables": 0, "_progression_pass": 0}
-
-        def counting(name):
-            real = getattr(mixing, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(mixing, name, counting(name))
+        calls = count_calls(monkeypatch, "_toggle_gain_tables", "_bit_pass")
         adversarial_search(G, T, budget=budget, restarts=restarts, seed=3)
-        assert calls == {"_toggle_gain_tables": restarts, "_progression_pass": 1}
+        assert calls == {"_toggle_gain_tables": restarts, "_bit_pass": 1}
 
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")

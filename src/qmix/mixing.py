@@ -248,13 +248,13 @@ def theta_defects(
 ) -> list[MixingReport]:
     """theta_defect of every triple (F1[j], F2[j], F3[j]).
 
-    Triples go 64 at a time, the width of a packed word.  A block of
-    indicator triples (every value 0 or 1) is counted exactly in packed
-    words, one gather pair per (x, y) for the block (_bit_pass).  Any
-    other block sends each triple through _value_pass on its own, in
-    float64 when the triple has no imaginary part and in complex128
+    Each triple goes by its own kind.  Indicator triples (every value 0
+    or 1) are counted exactly in packed words, 64 to a word in input
+    order, one gather pair per (x, y) for each word's triples
+    (_bit_pass).  Every other triple goes through _value_pass on its
+    own, in float64 when it has no imaginary part and in complex128
     otherwise.  Either way a triple's theta has the bits theta_defect
-    gives it alone, whatever the block.
+    gives it alone, whatever the triples beside it.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -270,33 +270,40 @@ def theta_defects(
     t = G.require_table("progression expectation")
     n2 = G.n * G.n
     bound = theorem_bound(T.D) if T.D >= 2 else math.inf
+    triples = list(zip(F1, F2, F3))
+    totals = [None] * len(triples)
+    packed = []
+    for j, fs in enumerate(triples):
+        if all(np.all((f.values == 0) | (f.values == 1)) for f in fs):
+            packed.append(j)
+            continue
+        vs = [f.values for f in fs]
+        if not any(np.any(v.imag) for v in vs):
+            vs = [np.ascontiguousarray(v.real) for v in vs]
+        totals[j] = _value_pass(t, *vs)
+    for lo in range(0, len(packed), 64):
+        block = packed[lo:lo + 64]
+        stacks = [
+            np.stack([triples[j][i].values != 0 for j in block], axis=1)
+            for i in range(3)
+        ]
+        for j, total in zip(block, _bit_pass(t, *stacks)):
+            totals[j] = total
     reports = []
-    for lo in range(0, len(F1), 64):
-        block = [F[lo:lo + 64] for F in (F1, F2, F3)]
-        if all(np.all((f.values == 0) | (f.values == 1)) for fs in block for f in fs):
-            stacks = [np.stack([f.values != 0 for f in fs], axis=1) for fs in block]
-            totals = _bit_pass(t, *stacks)
-        else:
-            totals = []
-            for fs in zip(*block):
-                vs = [f.values for f in fs]
-                if not any(np.any(v.imag) for v in vs):
-                    vs = [np.ascontiguousarray(v.real) for v in vs]
-                totals.append(_value_pass(t, *vs))
-        for total, f1, f2, f3 in zip(totals, *block):
-            raw = complex(total) / n2
-            prod = mean(f1) * mean(f2) * mean(f3)
-            theta = abs(raw - prod)
-            reports.append(
-                MixingReport(
-                    theta=theta,
-                    raw_expectation=raw,
-                    product_of_means=prod,
-                    bound=bound,
-                    D=T.D,
-                    margin=bound - theta,
-                )
+    for total, (f1, f2, f3) in zip(totals, triples):
+        raw = complex(total) / n2
+        prod = mean(f1) * mean(f2) * mean(f3)
+        theta = abs(raw - prod)
+        reports.append(
+            MixingReport(
+                theta=theta,
+                raw_expectation=raw,
+                product_of_means=prod,
+                bound=bound,
+                D=T.D,
+                margin=bound - theta,
             )
+        )
     return reports
 
 
@@ -388,8 +395,9 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
 
     gamma at m columns b costs 2n^2 m: n^2 m for the class-averaged
     tables A_K and n m per g; ``columns`` is m, or None for all n
-    columns (2n^3).  The chain adds 2n^3 for its c3 pass; the other
-    suites are O(n^2).
+    columns (2n^3).  The exhaustive pass evaluates only one column per
+    pair {b, b^{-1}}, about half of them, so 2n^3 bounds it from above.
+    The chain adds 2n^3 for its c3 pass; the other suites are O(n^2).
     """
     n = C.group.n
     m = n if columns is None else columns
@@ -436,7 +444,20 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols=None):
+def _class_averages(t, members, deriv, A):
+    """Fill A[z, j] = mean_{c in K} deriv[zc, j] for the class K = members.
+
+    Rows z go a block at a time, so that the gathered rows of the (n x m)
+    table deriv stay in cache; A is an (n x m) buffer.
+    """
+    zK = t[:, members]
+    step = max(1, CHUNK * CHUNK // (len(members) * deriv.shape[1]))
+    for lo in range(0, len(t), step):
+        A[lo:lo + step] = deriv[zK[lo:lo + step]].mean(axis=1)
+    return A
+
+
+def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
     """Class-convolution integrands of f at the columns b in ``cols``.
 
     With D_b(x) = f(x) f(xb), mu_b = E_x D_b and mu_g the scaled density
@@ -452,26 +473,24 @@ def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols=None)
     classes together cost n^2 m gathers for m columns; each g then costs
     one gather of F_g and two matrix-vector products over the columns.
 
-    ``cols`` is an index array of m columns b, or None for all n.  The
-    generator yields (g, inner0, inner_mean) for every g, the last two
-    as vectors over the columns, and holds a few n x m tables.
+    ``cols`` is an index array of m columns b.  The generator yields
+    (g, inner0, inner_mean) for every g, the last two as vectors over the
+    columns, and holds a few n x m tables.  This is sampled gamma's body;
+    the exhaustive pass (_class_conv_stats) reads rows of an n x n value
+    table instead, whose 8n^2 bytes would reach 537 MB at the largest
+    dense group that samples.
     """
     t = G.require_table("class convolution")
     n = G.n
     W = V if np.any(V.imag) else V.real
     # Gathers through intp indices run about twice as fast as through
     # the int32 table, which numpy would convert on every use.
-    tB = (t if cols is None else t[:, cols]).astype(np.intp)
+    tB = t[:, cols].astype(np.intp)
     deriv = W[:, None] * W[tB]  # deriv[x, j] = f(x) f(x b_j)
     mu_b = deriv.mean(axis=0)
     A = np.empty_like(deriv)
     for members in C.class_elements:
-        # A[z, j] = mean_{c in K} deriv[zc, j], gathered a block of rows z
-        # at a time so that the gathered rows stay in cache.
-        zK = t[:, members]
-        step = max(1, CHUNK * CHUNK // (len(members) * deriv.shape[1]))
-        for lo in range(0, n, step):
-            A[lo:lo + step] = deriv[zK[lo:lo + step]].mean(axis=1)
+        _class_averages(t, members, deriv, A)
         for g in G.inv[members]:
             Fg = W[t[:, g]]
             FgB = Fg[tB]  # FgB[z, j] = F_g(z b_j)
@@ -490,18 +509,49 @@ def _class_conv_stats(
       c4        = |E_{g,b,x}[ D_b(x) * (D_{g^{-1}bg} * mu_g)(x) ]|
       mean_term = E_{g,b} |E_x[D_b] * E_x[D_{g^{-1}bg}]|
     where D_b is the multiplicative derivative, D0 its mean-zero part
-    and mu_g the scaled density on g^{-1} C(g^{-1}).  Through the
-    class-averaged derivative table of ``_class_conv_terms`` this costs
-    O(n^3) gathers.
+    and mu_g the scaled density on g^{-1} C(g^{-1}).  The integrands are
+    those of ``_class_conv_terms``, evaluated in O(n^3) another way:
+      - Both are equal at b and b^{-1}, for complex f too: z = y b^{-1}
+        and c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] = A_K[y, b^{-1}],
+        and mu_b = mu_{b^{-1}}.  So only the columns R = {b : b <= b^{-1}}
+        (as indices) are evaluated, each weighted 2, or 1 when b = b^{-1}.
+      - Every operand is a row of the value table FT[c, z] = f(zc): the
+        rows b g, b in R, hold F_g(zb), and row g holds F_g.  A g costs
+        one contiguous row take instead of n element gathers.
+      - inner_mean needs no sum over z: E_z F_g(z) F_g(zb) is
+        mu_{g^{-1}bg} (substitute w = zg), read from mu = FT @ f / n.
+    FT and its intp index table take 16n^2 bytes (24n^2 for complex f),
+    at most 13 MB at the largest n whose 2n^3 fits GATHER_BUDGET.
     """
+    t = G.require_table("class convolution")
     n = G.n
+    W = V if np.any(V.imag) else V.real
+    inv = G.inv
+    R = np.flatnonzero(np.arange(n) <= inv)
+    w = np.where(inv[R] == R, 1.0, 2.0)
+    # The index table must be C-ordered: W[t.T] would keep t.T's strided
+    # layout, and every row take below would then read strided memory.
+    tT = np.ascontiguousarray(t.T, dtype=np.intp)  # tT[c, z] = zc
+    FT = W[tT]  # FT[c, z] = f(zc)
+    mu = FT @ W / n  # mu[c] = E_z f(z) f(zc)
+    deriv = np.ascontiguousarray((FT[R] * W).T)  # deriv[x, j] = f(x) f(x b_j)
+    A = np.empty_like(deriv)
+    X = np.empty((len(R), n), dtype=FT.dtype)
     gamma_sum = 0.0
     c4_sum = 0.0 + 0.0j
     mean_sum = 0.0
-    for _, inner0, inner_mean in _class_conv_terms(G, C, V):
-        gamma_sum += float(np.abs(inner0).sum())
-        c4_sum += (inner0 + inner_mean).sum()
-        mean_sum += float(np.abs(inner_mean).sum())
+    for members in C.class_elements:
+        AT = np.ascontiguousarray(_class_averages(t, members, deriv, A).T)
+        for g in inv[members]:
+            bg = tT[g][R]
+            # mode="clip" skips the bounds check; with "raise", take buffers out.
+            np.take(FT, bg, axis=0, out=X, mode="clip")  # X[j, z] = F_g(z b_j)
+            X *= AT
+            full = X @ FT[g] / n
+            inner_mean = mu[t[inv[g], bg]] * mu[R]
+            gamma_sum += float(w @ np.abs(full - inner_mean))
+            c4_sum += w @ full
+            mean_sum += float(w @ np.abs(inner_mean))
     scale = float(n) * float(n)
     return gamma_sum / scale, abs(c4_sum) / scale, mean_sum / scale
 
@@ -526,9 +576,12 @@ def gamma_functional(
     no finite-population correction); sampled runs pass with 3 * stderr
     slack.  A budget below 2 raises PreconditionError, and a sampled run
     whose 2n^2 m gathers exceed GATHER_BUDGET raises SizeGuardError, both
-    before any work.  Both modes run ``_class_conv_terms`` at O(n^2)
-    gathers per column; sampling starts only where 2n^3 exceeds
-    GATHER_BUDGET, so m < n there and it holds a few n x m tables.
+    before any work.  Both modes cost O(n^2) gathers per column: the
+    exhaustive pass (_class_conv_stats) evaluates one column per pair
+    {b, b^{-1}} from rows of an n x n table of values of f, and the
+    sampled one (_class_conv_terms) gathers each drawn column element by
+    element.  Sampling starts only where 2n^3 exceeds GATHER_BUDGET, so
+    m < n there and it holds a few n x m tables, not the n x n one.
     """
     G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
     check_budget("gamma", C, budget)

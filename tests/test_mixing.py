@@ -233,9 +233,9 @@ class TestThetaDefect:
     def test_ensemble_across_64_triple_blocks_matches_single_triples(
         self, bundle, monkeypatch
     ):
-        # Triples go 64 to a block: the first block is all 0/1 and takes one
-        # packed pass, the second holds a single +-1 function and the third
-        # is unimodular, so each of their triples takes the value pass.
+        # Each triple goes by its own kind: the 127 0/1 triples take two
+        # packed passes (64 + 63), and the triple with a +-1 function and
+        # the two unimodular ones take the value pass.
         G, _, T = bundle("psl2:7")
         streams = [random_ensemble(G, "indicator:0.5", (61, role), 128) for role in range(3)]
         streams[1][100] = random_ensemble(G, "rademacher", 62, 1)[0]
@@ -243,7 +243,7 @@ class TestThetaDefect:
             streams[role] += random_ensemble(G, "unimodular", (63, role), 2)
         calls = count_calls(monkeypatch, "_bit_pass", "_value_pass")
         batch = theta_defects(*streams, T)
-        assert calls == {"_bit_pass": 1, "_value_pass": 66}
+        assert calls == {"_bit_pass": 2, "_value_pass": 3}
         assert len(batch) == 130
         for b, f1, f2, f3 in zip(batch, *streams):
             s = theta_defect(f1, f2, f3, T)
@@ -594,6 +594,39 @@ class TestGammaFunctional:
         f = bounded_mean_zero(G, 41, complex_values)
         got = _class_conv_stats(G, C, f.values)
         assert got == pytest.approx(class_conv_brute_force(f, C, delta_shift), abs=1e-12)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("spec", ["sl2:3", "sym:4"])
+    def test_integrands_equal_at_b_and_its_inverse(
+        self, spec, complex_values, bundle, delta_shift
+    ):
+        # The exhaustive pass evaluates one column per inverse pair.
+        G, C, _ = bundle(spec)
+        f = bounded_mean_zero(G, 47, complex_values)
+        for g in range(G.n):
+            for b in range(G.n):
+                if b < G.inv[b]:
+                    at_b = class_conv_integrands(f, C, g, b, delta_shift)
+                    at_inv = class_conv_integrands(f, C, g, int(G.inv[b]), delta_shift)
+                    assert at_b == pytest.approx(at_inv, abs=1e-12)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize(
+        "spec", ["alt:5", "sl2:5", "psl2:7", "sl2:7", "prod:sl2:5+cyclic:3"]
+    )
+    def test_class_conv_stats_match_the_column_body(self, spec, complex_values, bundle):
+        # The weighted pair pass against unweighted sums of the column body
+        # over all n columns.
+        G, C, _ = bundle(spec)
+        f = bounded_mean_zero(G, 53, complex_values)
+        gamma = c4 = mean_term = 0
+        for _, inner0, inner_mean in mixing._class_conv_terms(G, C, f.values, np.arange(G.n)):
+            gamma += np.abs(inner0).sum()
+            c4 += (inner0 + inner_mean).sum()
+            mean_term += np.abs(inner_mean).sum()
+        want = np.array([gamma, abs(c4), mean_term]) / G.n**2
+        got = np.array(_class_conv_stats(G, C, f.values))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     # A block size of 3 splits every class average into several blocks of rows.

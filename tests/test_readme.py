@@ -1,8 +1,12 @@
-"""The README's Library example runs as printed, so a removed or renamed
-public name fails here instead of leaving the docs stale."""
+"""The README's Library example runs as printed, and its admission limits
+are those of the cost model, so a removed or renamed public name or a
+change to the cost model fails here instead of leaving the docs stale."""
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
+
+from qmix.mixing import GAMMA_COLUMNS, GATHER_BUDGET, gather_estimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,30 @@ def test_library_block_runs(capsys):
     assert lines[0] == "[1 3 3 6 7 8]"
     assert lines[1].startswith("3 1.0366")
     assert lines[-2] == "True"
+
+
+def largest_admitted(suite, columns=None):
+    """The largest n whose gather_estimate fits GATHER_BUDGET."""
+
+    def fits(n):
+        C = SimpleNamespace(group=SimpleNamespace(n=n))
+        return gather_estimate(suite, C, columns) <= GATHER_BUDGET
+
+    lo, hi = 1, 2
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def test_admission_limits_follow_the_cost_model():
+    text = " ".join(README.read_text().split())
+    limits = {
+        "chain up to n = ": largest_admitted("chain"),
+        "exhaustive γ up to n = ": largest_admitted("gamma"),
+        "about n ≤ ": largest_admitted("gamma", GAMMA_COLUMNS),
+    }
+    for phrase, n in limits.items():
+        assert int(re.search(re.escape(phrase) + r"(\d+)", text).group(1)) == n

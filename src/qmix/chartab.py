@@ -80,8 +80,8 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     every x and every m; each m is a permutation, so following an m-cycle
     back to x forces equality, lab is constant on each orbit, and the
     orbit's minimum, labelled by itself, gives that constant.  The
-    minima are the representatives.  Every GroupTable carries
-    generators, file-loaded ones too.
+    minima are the representatives.  Every GroupTable carries its
+    generators.
     """
     n = G.n
     ar = np.arange(n)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .chartab import (
 )
 from .errors import CertificationError, QmixError
 from .fourier import CHUNK, GroupFunction, indicator_function
-from .groups import build_group, is_abelian, write_group
+from .groups import build_group, is_abelian
 from .mixing import (
     GAMMA_COLUMNS,
     LemmaReport,
@@ -114,13 +115,10 @@ def cmd_group(args) -> int:
         "abelian": is_abelian(G),
         "classes": C.k,
     }
-    if args.out:
-        write_group(G, args.out)
-        info["written"] = args.out
     if args.format == "json":
-        _emit(json.dumps(info, indent=2), None)
+        _emit(json.dumps(info, indent=2), args.out)
     else:
-        _emit(" ".join(f"{k}={_fmt(v)}" for k, v in info.items()), None)
+        _emit(" ".join(f"{k}={_fmt(v)}" for k, v in info.items()), args.out)
     return 0
 
 
@@ -161,16 +159,24 @@ def _lemma_row(rep: LemmaReport, trial: int, *fns: GroupFunction) -> dict:
     }
 
 
+def _draws(G, kind: str, seed, count: int):
+    """The functions of random_ensemble(G, kind, seed, count), drawn from
+    one Generator at most CHUNK at a time, so a run holds one block."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, count, CHUNK):
+        yield from random_ensemble(G, kind, rng, min(CHUNK, count - lo))
+
+
 def _verify_bnp_rows(G, C, T, args) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 101), 2 * args.trials)
+    fns = _draws(G, "mean_zero_rademacher", (args.seed, 101), 2 * args.trials)
     return [
         _lemma_row(verify_bnp(f1, f2, T, tol=args.tol), i, f1, f2)
-        for i, (f1, f2) in enumerate(zip(fns[::2], fns[1::2]))
+        for i, (f1, f2) in enumerate(zip(fns, fns))
     ]
 
 
 def _verify_derivative_rows(G, C, T, args) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 102), args.trials)
+    fns = _draws(G, "mean_zero_rademacher", (args.seed, 102), args.trials)
     return [
         _lemma_row(verify_derivative_bound(f, T, tol=args.tol), i, f)
         for i, f in enumerate(fns)
@@ -178,7 +184,7 @@ def _verify_derivative_rows(G, C, T, args) -> list[dict]:
 
 
 def _verify_gamma_rows(G, C, T, args) -> list[dict]:
-    fns = random_ensemble(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
+    fns = _draws(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
     rows = []
     for i, f in enumerate(fns):
         seed = args.seed * 1_000_003 + i
@@ -192,15 +198,15 @@ def _verify_fcmu_rows(G, C, T, args) -> list[dict]:
 
 
 def _verify_parseval_rows(G, C, T, args) -> list[dict]:
-    fns = random_ensemble(G, "unimodular", (args.seed, 105), args.trials)
+    fns = _draws(G, "unimodular", (args.seed, 105), args.trials)
     return [_lemma_row(verify_parseval(f, T, C, args.tol), i, f) for i, f in enumerate(fns)]
 
 
 def _verify_chain_rows(G, C, T, args) -> list[dict]:
-    pair = random_ensemble(G, "rademacher", (args.seed, 106), 2 * args.trials)
-    thirds = random_ensemble(G, "mean_zero_rademacher", (args.seed, 107), args.trials)
+    pair = _draws(G, "rademacher", (args.seed, 106), 2 * args.trials)
+    thirds = _draws(G, "mean_zero_rademacher", (args.seed, 107), args.trials)
     rows = []
-    for i, triple in enumerate(zip(pair[::2], pair[1::2], thirds)):
+    for i, triple in enumerate(zip(pair, pair, thirds)):
         rep = cs_chain_diagnostics(*triple, T, C, tol=max(args.tol, 1e-9))
         rows.append({**_lemma_row(rep.lemma, i, *triple), "values": dict(rep.values)})
     return rows
@@ -307,12 +313,12 @@ def cmd_mix(args) -> int:
     elif args.random is None:
         raise QmixError("mix needs either --sets or --random")
     else:
-        # CHUNK triples at a time; each role's Generator runs on across blocks.
+        # CHUNK triples at a time, each role drawn from its own stream.
         kind = f"indicator:{args.random}"
-        rngs = [np.random.default_rng((args.seed, 11 + role)) for role in range(3)]
+        roles = [_draws(G, kind, (args.seed, 11 + r), args.trials) for r in range(3)]
         blocks = (
-            [random_ensemble(G, kind, rng, min(CHUNK, args.trials - lo)) for rng in rngs]
-            for lo in range(0, args.trials, CHUNK)
+            [list(itertools.islice(fns, CHUNK)) for fns in roles]
+            for _ in range(0, args.trials, CHUNK)
         )
     rows = []
     for streams in blocks:

@@ -29,7 +29,8 @@ class SpecError(QmixError, ValueError):
 
 
 class GroupFormatError(QmixError, ValueError):
-    """A serialized group file is malformed or fails consistency checks."""
+    """A family model's closure is inconsistent: a product outside the
+    element set, an order other than the spec's, or unreached elements."""
 
 
 class SizeGuardError(QmixError, ValueError):

@@ -11,16 +11,14 @@ x -> x*s for repeated squares s of its generators and a short word over
 those maps per element.  Every group offers one product,
 the vectorized ``GroupTable.compose``: a read of the n x n table, kept up
 to DENSE_CAP, or else a walk of the word of b from a.  Only the O(n^2)
-and O(n^3) kernels, serialization and validation need the table.
+and O(n^3) kernels need the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,8 +34,6 @@ MAX_ORDER = 50000
 DENSE_CAP = 8192
 
 _FAMILIES = ("cyclic", "dihedral", "sym", "alt", "sl2", "psl2", "prod")
-
-_MAGIC = b"QMG1"
 
 
 @dataclass(frozen=True)
@@ -174,12 +170,11 @@ class GroupTable:
     """A finite group over element indices 0..n-1 with identity at 0.
 
     ``compose`` is the one product.  It reads ``mul``, the n x n table,
-    where one is kept (spec-built groups up to DENSE_CAP, file groups).
-    Otherwise ``steps[j]`` maps x to x*s_j, s_j a repeated square of a
-    generator, the last row being the identity map, and a*b is a pushed
-    through the first ``lengths[b]`` rows listed in ``words[b]``, whose
-    product is b (each word left-aligned, padded after its end with the
-    last row).  An operation that needs the whole table calls
+    where one is kept (up to DENSE_CAP).  Otherwise ``steps[j]`` maps x
+    to x*s_j, s_j a repeated square of a generator, the last row being
+    the identity map, and a*b is a pushed through the first
+    ``lengths[b]`` rows listed in ``words[b]``, whose product is b (each
+    word left-aligned, padded after its end with the last row).  An operation that needs the whole table calls
     ``require_table``, which raises SizeGuardError when there is none.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
@@ -188,11 +183,11 @@ class GroupTable:
     n: int
     mul: np.ndarray | None
     inv: np.ndarray
-    spec: GroupSpec | None
+    spec: GroupSpec
     generator_indices: tuple[int, ...]
-    steps: np.ndarray | None = field(default=None, repr=False)
-    words: np.ndarray | None = field(default=None, repr=False)
-    lengths: np.ndarray | None = field(default=None, repr=False)
+    steps: np.ndarray = field(repr=False)
+    words: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if not self.generator_indices:
@@ -321,7 +316,7 @@ def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 def _closure_columns(
-    elements: np.ndarray, law: Callable, generators, identity, spec: GroupSpec | None
+    elements: np.ndarray, law: Callable, generators, identity, spec: GroupSpec
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """cols[s][i], the index of (element i)*g_s, and the generator
     indices (see build_closure).  A row's code is its mixed-radix number,
@@ -359,7 +354,7 @@ def _closure_columns(
     n = len(visit)
     if n == 1:
         raise PreconditionError("trivial group rejected (n must exceed 1)")
-    if spec is not None and n != spec.order():
+    if n != spec.order():
         raise GroupFormatError(
             f"closure produced {n} elements, expected {spec.order()}; "
             "generator set does not match the family model"
@@ -378,7 +373,7 @@ def build_closure(
     generators: Sequence[Sequence[int]],
     identity: Sequence[int],
     *,
-    spec: GroupSpec | None = None,
+    spec: GroupSpec,
 ) -> GroupTable:
     """Index the group on the rows of ``elements`` generated by ``generators``.
 
@@ -399,8 +394,8 @@ def build_closure(
 
     More than MAX_ORDER rows raise SizeGuardError and a closure of one
     element PreconditionError.  A product outside the rows, a closure
-    whose order differs from ``spec.order()`` given a spec, and a row the
-    generators never reach raise GroupFormatError.
+    whose order differs from ``spec.order()`` and a row the generators
+    never reach raise GroupFormatError.
     """
     # The helper's temporaries are freed before the word search, which sets
     # the peak memory.
@@ -541,8 +536,6 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     n = n1 * n2
     if n > MAX_ORDER:
         raise SizeGuardError(f"product order {n} exceeds the {MAX_ORDER} cap")
-    if G1.spec is None or G2.spec is None:
-        raise PreconditionError("direct_product needs spec-built factors")
     factors = [G.spec.factors if G.spec.family == "prod" else (G.spec,) for G in (G1, G2)]
     spec = GroupSpec("prod", (), factors[0] + factors[1])
     gens = tuple(int(g) * n2 for g in G1.generator_indices) + tuple(
@@ -574,110 +567,3 @@ def is_abelian(G: GroupTable) -> bool:
     """Generators commute iff the whole group does."""
     g = np.asarray(G.generator_indices)
     return bool(np.array_equal(G.compose(g[:, None], g), G.compose(g, g[:, None])))
-
-
-def _greedy_generators(table: np.ndarray) -> tuple[int, ...]:
-    """Generators for a table, each the smallest element not yet reached.
-
-    The reached set starts at the identity and is closed under right
-    multiplication by the generators so far.  In a group it is the
-    subgroup they generate, so each new generator at least doubles it and
-    at most log2(n) are needed; a table that needs more is not a group.
-    """
-    n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
-    while not reached.all():
-        g = int(np.argmin(reached))
-        gens.append(g)
-        if len(gens) > n.bit_length() - 1:
-            raise GroupFormatError(
-                f"table needs more than log2(n) = {n.bit_length() - 1} "
-                "greedy generators, so it is not a group"
-            )
-        reached[g] = True
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = np.unique(table[np.ix_(frontier, gens)])
-            frontier = step[~reached[step]]
-            reached[frontier] = True
-    return tuple(gens)
-
-
-def validate_group(G: GroupTable) -> None:
-    """Check the group laws on the dense table; raises GroupFormatError.
-
-    Identity and inverses are checked in full.  Associativity is checked
-    exhaustively by Light's test: (x*g)*y == x*(g*y) for every x, y and
-    every g in a greedy generating set of at most log2(n) elements.  The
-    elements g that pass are closed under products, and every element is
-    a product of generators, so every triple associates.  Associativity,
-    an identity and inverses make a group, and with it a Latin square.
-    The test reads row blocks, never an n x n temporary.
-    """
-    table = G.require_table("validation")
-    n = G.n
-    ar = np.arange(n, dtype=np.int32)
-    if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
-        raise GroupFormatError("identity law fails: row or column 0 is not the identity")
-    if G.inv.shape != (n,) or G.inv.min() < 0 or G.inv.max() >= n:
-        raise GroupFormatError("inverse table out of range")
-    if not np.all(table[ar, G.inv] == 0):
-        raise GroupFormatError("inverse law fails: a * inv[a] != identity")
-    step = max(1, (1 << 20) // n)
-    for g in _greedy_generators(table):
-        gy = table[g]
-        for lo in range(0, n, step):
-            block = table[lo : lo + step]
-            if not np.array_equal(table[block[:, g]], block[:, gy]):
-                raise GroupFormatError(
-                    f"associativity fails: (x*g)*y != x*(g*y) for generator g={g}"
-                )
-
-
-def write_group(G: GroupTable, path) -> None:
-    """Serialize the dense table to the QMG1 binary format."""
-    table = G.require_table("serialization")
-    payload = (
-        _MAGIC
-        + struct.pack("<I", G.n)
-        + np.ascontiguousarray(table, dtype="<u4").tobytes()
-        + np.ascontiguousarray(G.inv, dtype="<u4").tobytes()
-    )
-    Path(path).write_bytes(payload)
-
-
-def read_group(path) -> GroupTable:
-    """Load and fully validate a QMG1 group file.
-
-    The file holds no generators, so the group gets the greedy generating
-    set that validation also uses.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != _MAGIC:
-            raise GroupFormatError("not a QMG1 group file")
-        n = struct.unpack_from("<I", head, 4)[0]
-        if n < 2 or n > DENSE_CAP:
-            raise GroupFormatError(
-                f"group order {n} outside the supported range 2..{DENSE_CAP}"
-            )
-        size = path.stat().st_size
-        expected = 8 + 4 * n * n + 4 * n
-        if size != expected:
-            raise GroupFormatError(
-                f"file length {size} does not match order {n} (expected {expected})"
-            )
-        # Entries are stored unsigned; one above 2^31 - 1 reads negative here.
-        raw = np.fromfile(fh, dtype="<i4", count=n * n + n)
-    table, inv = raw[: n * n].reshape(n, n), raw[n * n :]
-    for part, name in ((table, "multiplication"), (inv, "inverse")):
-        if part.min() < 0 or part.max() >= n:
-            raise GroupFormatError(f"{name} entry out of range")
-    G = GroupTable(
-        n=n, mul=table, inv=inv, spec=None, generator_indices=_greedy_generators(table)
-    )
-    validate_group(G)
-    return G

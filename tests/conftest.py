@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmix import (
+    GroupFormatError,
     GroupFunction,
     PreconditionError,
     build_group,
@@ -404,3 +405,70 @@ def _flood_fill_classes(G):
 def flood_fill_classes():
     """Conjugacy classes by a flood fill, an oracle for conjugacy_classes."""
     return _flood_fill_classes
+
+
+def _greedy_generators(table):
+    """Generators for a table, each the smallest element not yet reached.
+
+    The reached set starts at the identity and is closed under right
+    multiplication by the generators so far.  In a group it is the
+    subgroup they generate, so each new generator at least doubles it and
+    at most log2(n) are needed; a table that needs more is not a group.
+    """
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        if len(gens) > n.bit_length() - 1:
+            raise GroupFormatError(
+                f"table needs more than log2(n) = {n.bit_length() - 1} "
+                "greedy generators, so it is not a group"
+            )
+        reached[g] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.unique(table[np.ix_(frontier, gens)])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return tuple(gens)
+
+
+def _validate_group(G):
+    """Check the group laws on the dense table; raises GroupFormatError.
+
+    Identity and inverses are checked in full.  Associativity is checked
+    exhaustively by Light's test: (x*g)*y == x*(g*y) for every x, y and
+    every g in a greedy generating set of at most log2(n) elements.  The
+    elements g that pass are closed under products, and every element is
+    a product of generators, so every triple associates.  Associativity,
+    an identity and inverses make a group, and with it a Latin square.
+    The test reads row blocks, never an n x n temporary.
+    """
+    table = G.require_table("validation")
+    n = G.n
+    ar = np.arange(n, dtype=np.int32)
+    if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
+        raise GroupFormatError("identity law fails: row or column 0 is not the identity")
+    if G.inv.shape != (n,) or G.inv.min() < 0 or G.inv.max() >= n:
+        raise GroupFormatError("inverse table out of range")
+    if not np.all(table[ar, G.inv] == 0):
+        raise GroupFormatError("inverse law fails: a * inv[a] != identity")
+    step = max(1, (1 << 20) // n)
+    for g in _greedy_generators(table):
+        gy = table[g]
+        for lo in range(0, n, step):
+            block = table[lo : lo + step]
+            if not np.array_equal(table[block[:, g]], block[:, gy]):
+                raise GroupFormatError(
+                    f"associativity fails: (x*g)*y != x*(g*y) for generator g={g}"
+                )
+
+
+@pytest.fixture(scope="session")
+def validate_group():
+    """Light's associativity test on the dense table, the check that a
+    built table is a group."""
+    return _validate_group

@@ -11,9 +11,9 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
     random_ensemble,
-    read_group,
     theta_defects,
 )
+from qmix import cli
 from qmix.cli import main
 from qmix.fourier import CHUNK
 
@@ -46,13 +46,6 @@ class TestGroupCommand:
         code, _, err = run(capsys, "group", "cyclic:1")
         assert code == 2
         assert "error" in err
-
-    def test_out_writes_binary(self, capsys, tmp_path):
-        path = tmp_path / "g.qmg"
-        code, _, _ = run(capsys, "group", "sl2:7", "--out", str(path))
-        assert code == 0
-        assert path.read_bytes()[:4] == b"QMG1"
-        assert read_group(path).n == 336
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "group", "cyclic:6", "--format", "json")
@@ -530,14 +523,22 @@ class TestHarness:
         assert abs(payload["zeta1"] - 1.1011904761904763) < 1e-15
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
-        path = tmp_path / "rows.json"
-        code, out, _ = run(
-            capsys, "verify", "alt:5", "--suite", "parseval",
-            "--trials", "2", "--format", "json", "--out", str(path),
-        )
-        assert code == 0
-        assert out == ""
-        assert len(parse_json(path.read_text())) == 2
+        # --out moves the report stdout would show into the file, unchanged.
+        paths = [tmp_path / name for name in ("rows.json", "group.txt", "group.json")]
+        for path, argv in zip(paths, [
+            ("verify", "alt:5", "--suite", "parseval", "--trials", "2", "--format", "json"),
+            ("group", "sl2:7"),
+            ("group", "sl2:7", "--format", "json"),
+        ]):
+            code, shown, _ = run(capsys, *argv)
+            assert code == 0
+            code, out, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 0
+            assert out == ""
+            assert path.read_text() == shown, argv
+        assert len(parse_json(paths[0].read_text())) == 2
+        assert paths[1].read_text().startswith("group=sl2:7 n=336 ")
+        assert parse_json(paths[2].read_text())["n"] == 336
 
 
 # sha256 of stdout, taken from the CLI before the packed progression pass,
@@ -576,3 +577,26 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_draws_stream_one_ensemble_in_blocks(monkeypatch):
+    # The verify suites draw their functions through cli._draws: the same
+    # functions as one random_ensemble call, asked for at most CHUNK at a
+    # time and only as they are consumed.
+    G = build_group("psl2:7")
+    count = 2 * CHUNK + 88
+    whole = random_ensemble(G, "unimodular", (42, 105), count)
+    asked = []
+
+    def spy(G, kind, rng, k):
+        asked.append(k)
+        return random_ensemble(G, kind, rng, k)
+
+    monkeypatch.setattr(cli, "random_ensemble", spy)
+    fns = cli._draws(G, "unimodular", (42, 105), count)
+    first = next(fns)
+    assert asked == [CHUNK]
+    streamed = [first, *fns]
+    assert asked == [CHUNK, CHUNK, 88]
+    assert len(streamed) == count
+    assert all(np.array_equal(f.values, g.values) for f, g in zip(streamed, whole))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,7 @@ from qmix import (
     direct_product,
     is_abelian,
     parse_spec,
-    read_group,
-    validate_group,
     validate_spec,
-    write_group,
 )
 from qmix import (
     class_mult_coefficients,
@@ -26,7 +25,7 @@ from qmix import (
     conjugacy_classes,
 )
 from qmix import groups
-from qmix.groups import DENSE_CAP, GroupTable
+from qmix.groups import DENSE_CAP
 
 ORDER_ORACLES = {
     "cyclic:12": 12,
@@ -135,7 +134,7 @@ class TestParse:
 
 class TestConstruction:
     @pytest.mark.parametrize("text,n", sorted(ORDER_ORACLES.items()))
-    def test_orders(self, text, n):
+    def test_orders(self, text, n, validate_group):
         G = build_group(text)
         assert G.n == n
         validate_group(G)
@@ -214,7 +213,7 @@ def test_cyclic_is_modular_addition(n):
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(min_value=3, max_value=12))
-def test_dihedral_shape(n):
+def test_dihedral_shape(n, validate_group):
     G = build_group(f"dihedral:{n}")
     assert G.n == 2 * n
     assert not is_abelian(G)
@@ -234,7 +233,7 @@ class TestDirectProduct:
                         rhs = product(G1, a1, a2) * 3 + product(G2, b1, b2)
                         assert lhs == rhs
 
-    def test_direct_product_function(self):
+    def test_direct_product_function(self, validate_group):
         P = direct_product(build_group("sym:3"), build_group("cyclic:4"))
         assert P.n == 24
         validate_group(P)
@@ -243,7 +242,7 @@ class TestDirectProduct:
     @pytest.mark.parametrize(
         "factors", [("alt:5", "cyclic:3"), ("sym:3", "cyclic:4", "alt:4")]
     )
-    def test_dense_table_matches_factor_tables(self, factors):
+    def test_dense_table_matches_factor_tables(self, factors, validate_group):
         G = build_group("prod:" + "+".join(factors))
         tables = [build_group(f).mul for f in factors]
         shape = tuple(t.shape[0] for t in tables)
@@ -259,74 +258,6 @@ class TestDirectProduct:
     def test_big_product_guarded(self):
         with pytest.raises(SpecError):
             parse_spec("prod:sl2:13+sl2:13")
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        G = build_group("sl2:5")
-        path = tmp_path / "g.qmg"
-        write_group(G, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"QMG1"
-        assert len(raw) == 4 + 4 * (1 + G.n * G.n + G.n)
-        H = read_group(path)
-        assert H.n == G.n
-        assert np.array_equal(H.mul, G.mul)
-        assert np.array_equal(H.inv, G.inv)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        G = build_group("cyclic:6")
-        path = tmp_path / "g.qmg"
-        write_group(G, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(GroupFormatError):
-            read_group(path)
-
-    def test_written_sl2_13_rejects_damage(self, tmp_path):
-        G = build_group("sl2:13")
-        path = tmp_path / "g.qmg"
-        write_group(G, path)
-        blob = path.read_bytes()
-        H = read_group(path)
-        assert H.mul.dtype == np.int32 and H.inv.dtype == np.int32
-        assert np.array_equal(H.mul, G.mul) and np.array_equal(H.inv, G.inv)
-        path.write_bytes(blob[:-4])
-        with pytest.raises(GroupFormatError, match="file length"):
-            read_group(path)
-        n = G.n
-        table_at, inv_at = 8 + 4 * (5 * n + 7), 8 + 4 * (n * n + 3)
-        for offset, value, what in [
-            (table_at, n, "multiplication"),
-            (table_at, 2**31 + 5, "multiplication"),
-            (inv_at, n, "inverse"),
-        ]:
-            damaged = bytearray(blob)
-            damaged[offset:offset + 4] = np.array([value], dtype="<u4").tobytes()
-            path.write_bytes(bytes(damaged))
-            with pytest.raises(GroupFormatError, match=f"{what} entry out of range"):
-                read_group(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "g.qmg"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(GroupFormatError):
-            read_group(path)
-
-    def test_non_group_table_rejected(self, tmp_path):
-        # mul row [1, 1, 1] breaks the Latin-square property and the inverse law
-        n = 3
-        mul_bad = np.array([[0, 1, 2], [1, 1, 1], [2, 0, 1]], dtype="<u4")
-        inv_bad = np.array([0, 2, 1], dtype="<u4")
-        blob = (
-            b"QMG1"
-            + np.array([n], dtype="<u4").tobytes()
-            + mul_bad.tobytes()
-            + inv_bad.tobytes()
-        )
-        path = tmp_path / "g.qmg"
-        path.write_bytes(blob)
-        with pytest.raises(GroupFormatError):
-            read_group(path)
 
 
 class TestLazyPath:
@@ -363,34 +294,43 @@ class TestBuildClosure:
 
     def test_trivial_closure_rejected(self):
         with pytest.raises(PreconditionError):
-            build_closure(_cyclic_rows(1), lambda E, g: E, [[0]], [0])
+            build_closure(
+                _cyclic_rows(1), lambda E, g: E, [[0]], [0], spec=GroupSpec("cyclic", (1,))
+            )
 
     def test_order_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(groups, "MAX_ORDER", 100)
         with pytest.raises(SizeGuardError):
-            build_closure(_cyclic_rows(200), lambda E, g: (E + g) % 200, [[1]], [0])
+            build_closure(
+                _cyclic_rows(200), lambda E, g: (E + g) % 200, [[1]], [0],
+                spec=GroupSpec("cyclic", (200,)),
+            )
 
     def test_product_outside_the_elements_rejected(self):
         # Without the reduction mod 6, 5 + 1 = 6 is not an element row.
         with pytest.raises(GroupFormatError, match="outside the element set"):
-            build_closure(_cyclic_rows(6), lambda E, g: E + g, [[1]], [0])
+            build_closure(
+                _cyclic_rows(6), lambda E, g: E + g, [[1]], [0],
+                spec=GroupSpec("cyclic", (6,)),
+            )
 
     def test_unreached_elements_rejected(self):
-        # 2 generates the even residues only.
+        # 2 generates the even residues only; the spec's order 3 matches
+        # the closure, so the order check passes and the reach check fires.
         with pytest.raises(GroupFormatError, match="reach 3 of the 6"):
-            build_closure(_cyclic_rows(6), lambda E, g: (E + g) % 6, [[2]], [0])
+            build_closure(
+                _cyclic_rows(6), lambda E, g: (E + g) % 6, [[2]], [0],
+                spec=GroupSpec("cyclic", (3,)),
+            )
 
 
 class TestValidateGroup:
-    def test_catches_broken_associativity(self):
+    def test_catches_broken_associativity(self, validate_group):
         G = build_group("cyclic:8")
         bad = G.mul.copy()
         bad[3, 4], bad[3, 5] = bad[3, 5], bad[3, 4]
-        H = GroupTable(
-            n=8, mul=bad, inv=G.inv.copy(), spec=None, generator_indices=(1,)
-        )
         with pytest.raises(GroupFormatError):
-            validate_group(H)
+            validate_group(replace(G, mul=bad))
 
     def test_construct_group_accepts_parsed_spec(self):
         spec = parse_spec("dihedral:6")
@@ -398,7 +338,7 @@ class TestValidateGroup:
         assert G.n == 12
         assert G.spec == spec
 
-    def test_rejects_an_intercalate_swap(self, tmp_path):
+    def test_rejects_an_intercalate_swap(self, validate_group):
         # Rows 1, 151 and columns 2, 152 of cyclic:300 hold 3, 153 / 153, 3.
         # Swapping them keeps a Latin square with identity and inverses: a
         # loop, but not a group.
@@ -410,14 +350,10 @@ class TestValidateGroup:
         assert np.array_equal(np.sort(bad, axis=0), np.broadcast_to(ar[:, None], bad.shape))
         assert np.array_equal(np.sort(bad, axis=1), np.broadcast_to(ar, bad.shape))
         assert np.all(bad[ar, G.inv] == 0)
-        H = GroupTable(n=300, mul=bad, inv=G.inv.copy(), spec=None, generator_indices=(1,))
         with pytest.raises(GroupFormatError, match="associativity"):
-            validate_group(H)
-        write_group(H, tmp_path / "loop.qmg")
-        with pytest.raises(GroupFormatError, match="associativity"):
-            read_group(tmp_path / "loop.qmg")
+            validate_group(replace(G, mul=bad))
 
-    def test_too_many_greedy_generators_rejected(self):
+    def test_too_many_greedy_generators_rejected(self, validate_group):
         # Identity and inverses hold, but x*y = x for x, y outside {0, y^-1}
         # keeps every right-multiplication span at {0, g}.
         n = 8
@@ -426,31 +362,15 @@ class TestValidateGroup:
         for x in range(1, n):
             t[x, 1:] = x
             t[x, x] = 0
-        H = GroupTable(n=n, mul=t, inv=np.arange(n), spec=None, generator_indices=(1,))
+        # Every x is its own inverse in this table.
+        G = replace(build_group("cyclic:8"), mul=t, inv=np.arange(n))
         with pytest.raises(GroupFormatError, match="greedy generators"):
-            validate_group(H)
+            validate_group(G)
 
     def test_every_group_has_generators(self):
         G = build_group("cyclic:4")
         with pytest.raises(PreconditionError):
-            GroupTable(n=4, mul=G.mul, inv=G.inv, spec=None, generator_indices=())
-
-
-def test_file_group_matches_spec_group(tmp_path):
-    G = build_group("sl2:13")
-    write_group(G, tmp_path / "g.qmg")
-    H = read_group(tmp_path / "g.qmg")
-    assert H.generator_indices
-    assert len(H.generator_indices) <= int(np.log2(H.n))
-    assert is_abelian(H) is False
-    CG, CH = conjugacy_classes(G), conjugacy_classes(H)
-    assert CH.k == CG.k
-    for name in ("class_of", "representatives", "sizes"):
-        assert np.array_equal(getattr(CH, name), getattr(CG, name))
-    assert all(np.array_equal(a, b) for a, b in zip(CH.class_elements, CG.class_elements))
-    TG, TH = compute_character_table(G, CG), compute_character_table(H, CH)
-    assert np.array_equal(TH.chi, TG.chi)
-    assert np.array_equal(TH.degrees, TG.degrees)
+            replace(G, generator_indices=())
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,28 @@
-"""The README's Library example runs as printed, and its admission limits
-are those of the cost model, so a removed or renamed public name or a
-change to the cost model fails here instead of leaving the docs stale."""
+"""The README's command lines and Library example run as printed, and its
+admission limits are those of the cost model, so a removed option or
+public name or a change to the cost model fails here instead of leaving
+the docs stale."""
 
 import re
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+from qmix.cli import main
 from qmix.mixing import GAMMA_COLUMNS, GATHER_BUDGET, gather_estimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_command_block_runs(capsys, monkeypatch, tmp_path):
+    commands = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", commands, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "qmix" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_library_block_runs(capsys):

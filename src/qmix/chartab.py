@@ -134,8 +134,9 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData, i: int) -> np.ndarr
     """Integer matrix M_i with M_i[j][l] = #{(a,b) in C_i x C_j : ab = rep_l}.
 
     Counted as: for a in C_i, b is forced to a^{-1} rep_l, so count the
-    a whose forced b lands in C_j.
+    a whose forced b lands in C_j.  C must belong to G.
     """
+    C = _classes_of(G, C)
     if not 0 <= i < C.k:
         raise PreconditionError(f"class index {i} out of range 0..{C.k - 1}")
     reps = C.representatives

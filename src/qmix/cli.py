@@ -92,18 +92,40 @@ def _json_row(row: dict) -> dict:
     return r
 
 
-def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([_json_row(r) for r in rows], indent=2, default=_json_default)
-    if fmt == "csv":
-        lines = [",".join(columns)]
+def _write_rows(rows, columns: list[str], fmt: str, out: str | None) -> list[dict]:
+    """Write each row of the iterable as it comes and return the failed
+    ones.  The bytes are those of the whole list rendered at once: JSON
+    as json.dumps(rows, indent=2), CSV under a header line, text one row
+    a line, each with a final newline.  Nothing is written, and --out is
+    not opened, before the first row; a raise later leaves the rows
+    already written.
+    """
+    failed, stream = [], None
+    try:
         for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
-        return "\n".join(lines)
-    lines = []
-    for row in rows:
-        lines.append(" ".join(f"{c}={_fmt(row.get(c))}" for c in columns))
-    return "\n".join(lines)
+            if not row["passed"]:
+                failed.append(row)
+            if fmt == "json":
+                text = json.dumps(_json_row(row), indent=2, default=_json_default)
+                text = "  " + text.replace("\n", "\n  ")
+            elif fmt == "csv":
+                text = ",".join(_fmt(row.get(c)) for c in columns)
+            else:
+                text = " ".join(f"{c}={_fmt(row.get(c))}" for c in columns)
+            if stream is None:
+                stream = open(out, "w") if out else sys.stdout
+                head = {"json": "[\n", "csv": ",".join(columns) + "\n"}.get(fmt, "")
+            else:
+                head = ",\n" if fmt == "json" else "\n"
+            stream.write(head + text)
+        if stream is None:
+            _emit({"json": "[]", "csv": ",".join(columns)}.get(fmt, ""), out)
+        else:
+            stream.write("\n]\n" if fmt == "json" else "\n")
+    finally:
+        if stream is not None and stream is not sys.stdout:
+            stream.close()
+    return failed
 
 
 def cmd_group(args) -> int:
@@ -167,49 +189,42 @@ def _draws(G, kind: str, seed, count: int):
         yield from random_ensemble(G, kind, rng, min(CHUNK, count - lo))
 
 
-def _verify_bnp_rows(G, C, T, args) -> list[dict]:
+def _verify_bnp_rows(G, C, T, args):
     fns = _draws(G, "mean_zero_rademacher", (args.seed, 101), 2 * args.trials)
-    return [
-        _lemma_row(verify_bnp(f1, f2, T, tol=args.tol), i, f1, f2)
-        for i, (f1, f2) in enumerate(zip(fns, fns))
-    ]
+    for i, (f1, f2) in enumerate(zip(fns, fns)):
+        yield _lemma_row(verify_bnp(f1, f2, T, tol=args.tol), i, f1, f2)
 
 
-def _verify_derivative_rows(G, C, T, args) -> list[dict]:
+def _verify_derivative_rows(G, C, T, args):
     fns = _draws(G, "mean_zero_rademacher", (args.seed, 102), args.trials)
-    return [
-        _lemma_row(verify_derivative_bound(f, T, tol=args.tol), i, f)
-        for i, f in enumerate(fns)
-    ]
+    for i, f in enumerate(fns):
+        yield _lemma_row(verify_derivative_bound(f, T, tol=args.tol), i, f)
 
 
-def _verify_gamma_rows(G, C, T, args) -> list[dict]:
+def _verify_gamma_rows(G, C, T, args):
     fns = _draws(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
-    rows = []
     for i, f in enumerate(fns):
         seed = args.seed * 1_000_003 + i
         rep = gamma_functional(f, T, C, budget=args.budget, seed=seed, tol=args.tol)
-        rows.append(_lemma_row(rep, i, f))
-    return rows
+        yield _lemma_row(rep, i, f)
 
 
-def _verify_fcmu_rows(G, C, T, args) -> list[dict]:
-    return [_lemma_row(verify_fcmu(T, C, args.tol), 0)]
+def _verify_fcmu_rows(G, C, T, args):
+    yield _lemma_row(verify_fcmu(T, C, args.tol), 0)
 
 
-def _verify_parseval_rows(G, C, T, args) -> list[dict]:
+def _verify_parseval_rows(G, C, T, args):
     fns = _draws(G, "unimodular", (args.seed, 105), args.trials)
-    return [_lemma_row(verify_parseval(f, T, C, args.tol), i, f) for i, f in enumerate(fns)]
+    for i, f in enumerate(fns):
+        yield _lemma_row(verify_parseval(f, T, C, args.tol), i, f)
 
 
-def _verify_chain_rows(G, C, T, args) -> list[dict]:
+def _verify_chain_rows(G, C, T, args):
     pair = _draws(G, "rademacher", (args.seed, 106), 2 * args.trials)
     thirds = _draws(G, "mean_zero_rademacher", (args.seed, 107), args.trials)
-    rows = []
     for i, triple in enumerate(zip(pair, pair, thirds)):
         rep = cs_chain_diagnostics(*triple, T, C, tol=max(args.tol, 1e-9))
-        rows.append({**_lemma_row(rep.lemma, i, *triple), "values": dict(rep.values)})
-    return rows
+        yield {**_lemma_row(rep.lemma, i, *triple), "values": dict(rep.values)}
 
 
 _SUITE_RUNNERS = {
@@ -240,18 +255,17 @@ def cmd_verify(args) -> int:
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
 
-    rows: list[dict] = []
-    for s in suites:
-        for row in _SUITE_RUNNERS[s](G, C, T, args):
-            row["group"] = args.spec
-            row["n"] = G.n
-            row["D"] = T.D
-            row["seed"] = args.seed
-            rows.append(row)
+    def rows():
+        for s in suites:
+            for row in _SUITE_RUNNERS[s](G, C, T, args):
+                row["group"] = args.spec
+                row["n"] = G.n
+                row["D"] = T.D
+                row["seed"] = args.seed
+                yield row
 
     columns = "group n D lemma_id trial mode lhs rhs margin stderr seed passed".split()
-    _emit(_render_rows(rows, columns, args.format), args.out)
-    failed = [r for r in rows if not r["passed"]]
+    failed = _write_rows(rows(), columns, args.format, args.out)
     for r in failed:
         replay = f"qmix verify {args.spec} --suite {r['lemma_id']}"
         if r["lemma_id"] != "fcmu":
@@ -320,24 +334,24 @@ def cmd_mix(args) -> int:
             [list(itertools.islice(fns, CHUNK)) for fns in roles]
             for _ in range(0, args.trials, CHUNK)
         )
-    rows = []
-    for streams in blocks:
-        for rep, *triple in zip(theta_defects(*streams, T), *streams):
-            sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
-            rows.append(_mixing_row(rep, len(rows), sizes))
+    def rows():
+        trials = itertools.count()
+        for streams in blocks:
+            for rep, *triple in zip(theta_defects(*streams, T), *streams):
+                sizes = tuple(int(np.count_nonzero(f.values)) for f in triple)
+                row = _mixing_row(rep, next(trials), sizes)
+                row["group"] = args.spec
+                row["n"] = G.n
+                row["D"] = T.D
+                if args.format == "csv":
+                    row["sizes"] = "|".join(str(s) for s in row["sizes"])
+                yield row
 
     columns = (
         "group n D trial sizes theta raw_re raw_im prod_re prod_im "
         "bound margin vacuous passed"
     ).split()
-    for row in rows:
-        row["group"] = args.spec
-        row["n"] = G.n
-        row["D"] = T.D
-        if args.format == "csv":
-            row["sizes"] = "|".join(str(s) for s in row["sizes"])
-    _emit(_render_rows(rows, columns, args.format), args.out)
-    failed = [r for r in rows if not r["passed"]]
+    failed = _write_rows(rows(), columns, args.format, args.out)
     for r in failed:
         print(
             f"FAIL theta={_fmt(r['theta'])} exceeds bound={_fmt(r['bound'])} "

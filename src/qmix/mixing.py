@@ -11,7 +11,9 @@ bound (2/sqrt(D))^{1/4} itself.
 The progression sum behind theta has one kernel per kind of input:
 _bit_pass counts blocks of up to 64 indicator triples exactly in packed
 words, and _value_pass sums one real or complex triple.  A triple's
-bits therefore depend on that triple alone.
+bits therefore depend on that triple alone.  The class convolution
+behind gamma and the chain's c4 has one body too, _class_conv_sums,
+which reads every operand as a row of the table of values of f.
 """
 
 from __future__ import annotations
@@ -394,9 +396,10 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
     """Table gathers one call of a verify suite makes on the group of C.
 
     gamma at m columns b costs 2n^2 m: n^2 m for the class-averaged
-    tables A_K and n m per g; ``columns`` is m, or None for all n
-    columns (2n^3).  The exhaustive pass evaluates only one column per
-    pair {b, b^{-1}}, about half of them, so 2n^3 bounds it from above.
+    tables A_K and m rows of n per g; ``columns`` is m, or None for all
+    n columns (2n^3).  The exhaustive pass evaluates only one column per
+    pair {b, b^{-1}}, about half of them, and reads its rows from a held
+    value table, so 2n^3 bounds it from above.
     The chain adds 2n^3 for its c3 pass; the other suites are O(n^2).
     """
     n = C.group.n
@@ -444,59 +447,65 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_averages(t, members, deriv, A):
-    """Fill A[z, j] = mean_{c in K} deriv[zc, j] for the class K = members.
+def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, held=False):
+    """Sums over g of the class-convolution integrands of f at the columns
+    b in ``cols``: (sum |inner0|, sum inner0 + inner_mean, sum |inner_mean|),
+    each a vector over the columns.
 
-    Rows z go a block at a time, so that the gathered rows of the (n x m)
-    table deriv stay in cache; A is an (n x m) buffer.
-    """
-    zK = t[:, members]
-    step = max(1, CHUNK * CHUNK // (len(members) * deriv.shape[1]))
-    for lo in range(0, len(t), step):
-        A[lo:lo + step] = deriv[zK[lo:lo + step]].mean(axis=1)
-    return A
-
-
-def _class_conv_terms(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
-    """Class-convolution integrands of f at the columns b in ``cols``.
-
-    With D_b(x) = f(x) f(xb), mu_b = E_x D_b and mu_g the scaled density
-    on g^{-1} C(g^{-1}), the integrands at a pair (g, b) are
-      inner0     = E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ]
-      inner_mean = mu_{g^{-1}bg} * mu_b
-    where D0_c = D_c - mu_c.  Substituting z = x c^{-1} in the
-    convolution gives, for K the class of g^{-1} and F_g(z) = f(zg),
-      inner0 + inner_mean = E_z[ F_g(z) F_g(zb) A_K[z, b] ],
-      A_K[z, b] = mean_{c in K} f(zc) f(zcb),
-    and mu_{g^{-1}bg} = E_z[F_g(z) F_g(zb)].  A_K depends only on the
-    class and costs |K| row gathers of the derivative table, so all
-    classes together cost n^2 m gathers for m columns; each g then costs
-    one gather of F_g and two matrix-vector products over the columns.
-
-    ``cols`` is an index array of m columns b.  The generator yields
-    (g, inner0, inner_mean) for every g, the last two as vectors over the
-    columns, and holds a few n x m tables.  This is sampled gamma's body;
-    the exhaustive pass (_class_conv_stats) reads rows of an n x n value
-    table instead, whose 8n^2 bytes would reach 537 MB at the largest
-    dense group that samples.
+    With D_b(x) = f(x) f(xb), mu_b = E_x D_b, D0_c = D_c - mu_c and mu_g
+    the scaled density on g^{-1} C(g^{-1}), the integrands at (g, b) are
+      inner0     = E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ],
+      inner_mean = mu_{g^{-1}bg} * mu_b,
+    and substituting x = u^{-1} c^{-1}, c in K = the class of g, gives
+      inner0 + inner_mean = E_u[ f(u^{-1} g) f(u^{-1} b g) A_K[u, b] ],
+      A_K[u, b] = mean_{c in K} D_b((cu)^{-1}).
+    With ft = f o inv, f(u^{-1} h) = ft[t[h^{-1}, u]]: every operand is a
+    row of the value table ft[t], row g^{-1} for the first factor and
+    rows g^{-1} b^{-1} for the second.  A_K gathers the (n x m) table of
+    D_b o inv through the table rows of K, |K| n m gathers and n^2 m over
+    all classes; mu is one row correlation.  Each g then costs m + 1 rows
+    and one matrix-vector product.  ``held`` reads the rows from the held
+    table ft[t] (8n^2 bytes, 16n^2 for complex f); otherwise each g
+    gathers its own, with the same bits.
     """
     t = G.require_table("class convolution")
-    n = G.n
+    n, m = G.n, len(cols)
     W = V if np.any(V.imag) else V.real
-    # Gathers through intp indices run about twice as fast as through
-    # the int32 table, which numpy would convert on every use.
-    tB = t[:, cols].astype(np.intp)
-    deriv = W[:, None] * W[tB]  # deriv[x, j] = f(x) f(x b_j)
-    mu_b = deriv.mean(axis=0)
+    mu = _correlation(t, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
+    mu = mu if np.iscomplexobj(W) else mu.real
+    ft = W[G.inv]
+    bi = G.inv[cols]
+    deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)  # [x, j]: D_{b_j}(x^{-1})
+    VT = ft[t] if held else None
+
+    def take_rows(h, out):
+        # mode="clip" skips the bounds check; with "raise", take buffers out.
+        if held:
+            return np.take(VT, h, axis=0, out=out, mode="clip")
+        return np.take(ft, t[h], out=out, mode="clip")
+
     A = np.empty_like(deriv)
+    X = np.empty((m, n), dtype=ft.dtype)
+    Fg = np.empty(n, dtype=ft.dtype)
+    abs0, full_sum, abs_mean = np.zeros(m), np.zeros(m, dtype=ft.dtype), np.zeros(m)
     for members in C.class_elements:
-        _class_averages(t, members, deriv, A)
-        for g in G.inv[members]:
-            Fg = W[t[:, g]]
-            FgB = Fg[tB]  # FgB[z, j] = F_g(z b_j)
-            inner_mean = (Fg @ FgB / n) * mu_b
-            FgB *= A
-            yield int(g), Fg @ FgB / n - inner_mean, inner_mean
+        # Rows u go a block at a time, so the gathered rows of deriv stay
+        # in cache.
+        step = max(1, CHUNK * CHUNK // (len(members) * m))
+        for lo in range(0, n, step):
+            A[lo:lo + step] = deriv[t[members, lo:lo + step]].mean(axis=0)
+        AT = np.ascontiguousarray(A.T)
+        for g in members:
+            gi = G.inv[g]
+            h = t[gi, bi]  # h[j] = g^{-1} b_j^{-1}
+            take_rows(h, X)  # X[j, u] = f(u^{-1} b_j g)
+            X *= AT
+            full = X @ take_rows(gi, Fg) / n
+            inner_mean = mu[t[h, g]] * mu[cols]  # mu_c = mu_{c^{-1}}
+            abs0 += np.abs(full - inner_mean)
+            full_sum += full
+            abs_mean += np.abs(inner_mean)
+    return abs0, full_sum, abs_mean
 
 
 def _class_conv_stats(
@@ -508,52 +517,20 @@ def _class_conv_stats(
       gamma     = E_{g,b} |E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ]|
       c4        = |E_{g,b,x}[ D_b(x) * (D_{g^{-1}bg} * mu_g)(x) ]|
       mean_term = E_{g,b} |E_x[D_b] * E_x[D_{g^{-1}bg}]|
-    where D_b is the multiplicative derivative, D0 its mean-zero part
-    and mu_g the scaled density on g^{-1} C(g^{-1}).  The integrands are
-    those of ``_class_conv_terms``, evaluated in O(n^3) another way:
-      - Both are equal at b and b^{-1}, for complex f too: z = y b^{-1}
-        and c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] = A_K[y, b^{-1}],
-        and mu_b = mu_{b^{-1}}.  So only the columns R = {b : b <= b^{-1}}
-        (as indices) are evaluated, each weighted 2, or 1 when b = b^{-1}.
-      - Every operand is a row of the value table FT[c, z] = f(zc): the
-        rows b g, b in R, hold F_g(zb), and row g holds F_g.  A g costs
-        one contiguous row take instead of n element gathers.
-      - inner_mean needs no sum over z: E_z F_g(z) F_g(zb) is
-        mu_{g^{-1}bg} (substitute w = zg), read from mu = FT @ f / n.
-    FT and its intp index table take 16n^2 bytes (24n^2 for complex f),
-    at most 13 MB at the largest n whose 2n^3 fits GATHER_BUDGET.
+    from the sums of ``_class_conv_sums`` over a held value table.  Both
+    integrands are equal at b and b^{-1}, for complex f too: in the
+    coordinates z = u^{-1}, A_K[z, b] = mean_{c in K} f(zc^{-1}) f(zc^{-1}b),
+    and z = y b^{-1}, c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] =
+    A_K[y, b^{-1}], while mu_b = mu_{b^{-1}}.  So only the columns
+    R = {b : b <= b^{-1}} (as indices) are evaluated, each weighted 2, or
+    1 when b = b^{-1}.
     """
-    t = G.require_table("class convolution")
-    n = G.n
-    W = V if np.any(V.imag) else V.real
     inv = G.inv
-    R = np.flatnonzero(np.arange(n) <= inv)
+    R = np.flatnonzero(np.arange(G.n) <= inv)
     w = np.where(inv[R] == R, 1.0, 2.0)
-    # The index table must be C-ordered: W[t.T] would keep t.T's strided
-    # layout, and every row take below would then read strided memory.
-    tT = np.ascontiguousarray(t.T, dtype=np.intp)  # tT[c, z] = zc
-    FT = W[tT]  # FT[c, z] = f(zc)
-    mu = FT @ W / n  # mu[c] = E_z f(z) f(zc)
-    deriv = np.ascontiguousarray((FT[R] * W).T)  # deriv[x, j] = f(x) f(x b_j)
-    A = np.empty_like(deriv)
-    X = np.empty((len(R), n), dtype=FT.dtype)
-    gamma_sum = 0.0
-    c4_sum = 0.0 + 0.0j
-    mean_sum = 0.0
-    for members in C.class_elements:
-        AT = np.ascontiguousarray(_class_averages(t, members, deriv, A).T)
-        for g in inv[members]:
-            bg = tT[g][R]
-            # mode="clip" skips the bounds check; with "raise", take buffers out.
-            np.take(FT, bg, axis=0, out=X, mode="clip")  # X[j, z] = F_g(z b_j)
-            X *= AT
-            full = X @ FT[g] / n
-            inner_mean = mu[t[inv[g], bg]] * mu[R]
-            gamma_sum += float(w @ np.abs(full - inner_mean))
-            c4_sum += w @ full
-            mean_sum += float(w @ np.abs(inner_mean))
-    scale = float(n) * float(n)
-    return gamma_sum / scale, abs(c4_sum) / scale, mean_sum / scale
+    gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R, held=True))
+    scale = float(G.n) * float(G.n)
+    return float(gamma) / scale, float(abs(c4)) / scale, float(mean_term) / scale
 
 
 def gamma_functional(
@@ -576,12 +553,12 @@ def gamma_functional(
     no finite-population correction); sampled runs pass with 3 * stderr
     slack.  A budget below 2 raises PreconditionError, and a sampled run
     whose 2n^2 m gathers exceed GATHER_BUDGET raises SizeGuardError, both
-    before any work.  Both modes cost O(n^2) gathers per column: the
-    exhaustive pass (_class_conv_stats) evaluates one column per pair
-    {b, b^{-1}} from rows of an n x n table of values of f, and the
-    sampled one (_class_conv_terms) gathers each drawn column element by
-    element.  Sampling starts only where 2n^3 exceeds GATHER_BUDGET, so
-    m < n there and it holds a few n x m tables, not the n x n one.
+    before any work.  Both modes run one body (_class_conv_sums) at O(n^2)
+    gathers per column, every operand a row of the table of values of
+    f: the exhaustive pass evaluates one column per pair {b, b^{-1}} and
+    holds that n x n table, while the sampled one, which starts only
+    where 2n^3 exceeds GATHER_BUDGET, gathers each g's rows and holds a
+    few n x m tables.
     """
     G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
     check_budget("gamma", C, budget)
@@ -592,10 +569,7 @@ def gamma_functional(
         return _report("gamma", gamma, rhs, tol)
 
     cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
-    col_sums = np.zeros(budget)
-    for _, inner0, _ in _class_conv_terms(G, C, f.values, cols):
-        col_sums += np.abs(inner0)
-    values = col_sums / G.n
+    values = _class_conv_sums(G, C, f.values, cols)[0] / G.n
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
     mode = f"sampled(m={budget},seed={seed})"

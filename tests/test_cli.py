@@ -545,7 +545,10 @@ class TestHarness:
 # the row-filled table and the trimmed word walk; the two multi-restart
 # searches from the CLI before the packed sensitivity tables.  Each run is
 # exact (integer counts, seeded draws), so any drift in theta or the search
-# sets shows here.
+# sets shows here.  The two verify runs, taken before the class convolution
+# became one body, cover the O(n^3) suites: exhaustive gamma and the chain
+# on sl2:7, sampled gamma on psl2:13.  Their text rounds to 6 digits, so a
+# reordered sum keeps them and a wrong one does not.
 GOLDEN_STDOUT = [
     (
         ("mix", "sl2:13", "--random", "0.5", "--trials", "10", "--format", "json"),
@@ -567,6 +570,14 @@ GOLDEN_STDOUT = [
         ("search", "psl2:7", "--budget", "5000", "--restarts", "5", "--format", "json"),
         "6f60b78f02ce18d6a666f0eb51759443372027c1aeffcfb8d792f1d2933d5dbd",
     ),
+    (
+        ("verify", "sl2:7", "--suite", "all", "--trials", "2"),
+        "8058ff03f9606b95240f06d450399736276d40d9f2cc8f12d515f5a2cf8944a5",
+    ),
+    (
+        ("verify", "psl2:13", "--suite", "gamma", "--trials", "2"),
+        "dfb11a14820ea5180e4483abc2f8e8765474a5b727ec7d9de458038588018b0d",
+    ),
 ]
 
 
@@ -577,6 +588,49 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_rows_stream_in_the_bytes_of_one_rendering(capsys, fmt):
+    # verify and mix write each row as it comes; the output must equal the
+    # whole list rendered at once, as both commands printed it before.
+    columns = ["trial", "lhs", "rhs", "passed"]
+    rows = [
+        {"trial": 0, "lhs": 0.25, "rhs": math.inf, "passed": True, "values": {"c1": 1e-3}},
+        {"trial": 1, "lhs": 1 / 3, "rhs": 0.5, "passed": False, "sizes": [1, 2, 3]},
+        {"trial": 2, "lhs": None, "rhs": 0.5, "passed": True, "mode": "exhaustive"},
+    ]
+    if fmt == "json":
+        want = json.dumps([cli._json_row(r) for r in rows], indent=2)
+    elif fmt == "csv":
+        lines = (",".join(cli._fmt(r.get(c)) for c in columns) for r in rows)
+        want = "\n".join([",".join(columns), *lines])
+    else:
+        want = "\n".join(" ".join(f"{c}={cli._fmt(r.get(c))}" for c in columns) for r in rows)
+    failed = cli._write_rows(iter(rows), columns, fmt, None)
+    assert capsys.readouterr().out == want + "\n"
+    assert failed == [rows[1]]
+
+
+def test_rows_written_before_a_raise_stay(capsys, tmp_path):
+    def rows(count):
+        for trial in range(count):
+            yield {"trial": trial, "passed": True}
+        raise RuntimeError("mid-run")
+
+    with pytest.raises(RuntimeError):
+        cli._write_rows(rows(2), ["trial"], "text", None)
+    assert capsys.readouterr().out == "trial=0\ntrial=1"
+    path = tmp_path / "rows.json"
+    with pytest.raises(RuntimeError):
+        cli._write_rows(rows(1), ["trial"], "json", str(path))
+    assert path.read_text() == '[\n  {\n    "trial": 0,\n    "passed": true\n  }'
+    # A raise before the first row writes nothing and creates no file.
+    path.unlink()
+    with pytest.raises(RuntimeError):
+        cli._write_rows(rows(0), ["trial"], "json", str(path))
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
 
 
 def test_verify_draws_stream_one_ensemble_in_blocks(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qmix import (
     SizeGuardError,
     adversarial_search,
     build_group,
+    class_mult_coefficients,
     convolve,
     count_progressions,
     compute_character_table,
@@ -33,7 +35,7 @@ from qmix import (
     verify_parseval,
 )
 from qmix import mixing
-from qmix.mixing import _class_conv_stats, _toggle_gain_tables
+from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
 
 
 def count_calls(monkeypatch, *names):
@@ -471,6 +473,7 @@ class TestPreconditions:
             (lambda: compute_character_table(G, CH), "class data belongs"),
             (lambda: spectral_profile(zero, T, CH), "class data belongs"),
             (lambda: mu_translated_class(G, CH, 0), "class data belongs"),
+            (lambda: class_mult_coefficients(H, C, 1), "class data belongs"),
         ]
         for call, message in cases:
             with pytest.raises(GroupMismatchError, match=message):
@@ -615,18 +618,42 @@ class TestGammaFunctional:
         "spec", ["alt:5", "sl2:5", "psl2:7", "sl2:7", "prod:sl2:5+cyclic:3"]
     )
     def test_class_conv_stats_match_the_column_body(self, spec, complex_values, bundle):
-        # The weighted pair pass against unweighted sums of the column body
-        # over all n columns.
+        # The weighted pair pass against unweighted sums of the one body
+        # over all n columns, with rows gathered as sampled gamma reads them.
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 53, complex_values)
-        gamma = c4 = mean_term = 0
-        for _, inner0, inner_mean in mixing._class_conv_terms(G, C, f.values, np.arange(G.n)):
-            gamma += np.abs(inner0).sum()
-            c4 += (inner0 + inner_mean).sum()
-            mean_term += np.abs(inner_mean).sum()
+        gamma, c4, mean_term = (s.sum() for s in _class_conv_sums(G, C, f.values, np.arange(G.n)))
         want = np.array([gamma, abs(c4), mean_term]) / G.n**2
         got = np.array(_class_conv_stats(G, C, f.values))
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("spec", ["sl2:5", "psl2:7", "alt:5", "prod:sl2:5+cyclic:3"])
+    def test_held_and_gathered_rows_give_equal_sums(self, spec, complex_values, bundle):
+        # The exhaustive pass reads rows of a held value table and sampled
+        # gamma gathers them; the sums carry the same bits.
+        G, C, _ = bundle(spec)
+        f = bounded_mean_zero(G, 59, complex_values)
+        cols = np.random.default_rng(61).choice(G.n, size=17, replace=False)
+        held = _class_conv_sums(G, C, f.values, cols, held=True)
+        gathered = _class_conv_sums(G, C, f.values, cols)
+        assert [s.dtype for s in held] == [s.dtype for s in gathered]
+        assert all(np.array_equal(a, b) for a, b in zip(held, gathered))
+
+    def test_sampled_gamma_holds_no_value_table(self, bundle):
+        # psl2:13 (n = 1092) samples; a held n x n value table alone would
+        # take 8n^2 bytes.
+        G, C, T = bundle("psl2:13")
+        assert mixing.gather_estimate("gamma", C) > mixing.GATHER_BUDGET
+        f = random_ensemble(G, "mean_zero_rademacher", 67, 1)[0]
+        tracemalloc.start()
+        try:
+            rep = gamma_functional(f, T, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mode.startswith("sampled(")
+        assert peak < 4 * G.n**2
 
     @pytest.mark.parametrize("complex_values", [False, True])
     # A block size of 3 splits every class average into several blocks of rows.

@@ -21,7 +21,6 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
     random_ensemble,
-    theorem_bound,
     theta_defects,
 )
 
@@ -48,7 +47,8 @@ def measure(args: argparse.Namespace) -> list[DecayRow]:
             random_ensemble(G, kind, (args.seed, G.n, role), args.trials)
             for role in range(3)
         ]
-        thetas = [rep.theta for rep in theta_defects(*streams, T)]
+        reports = theta_defects(*streams, T)
+        thetas = [rep.theta for rep in reports]
         rows.append(
             DecayRow(
                 spec=spec,
@@ -56,7 +56,7 @@ def measure(args: argparse.Namespace) -> list[DecayRow]:
                 D=T.D,
                 median_theta=float(np.median(thetas)),
                 max_theta=float(max(thetas)),
-                bound=theorem_bound(T.D) if T.D >= 2 else float("inf"),
+                bound=reports[0].bound,
                 samples=thetas,
             )
         )

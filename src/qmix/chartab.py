@@ -37,6 +37,8 @@ class ConjugacyData:
 
     Classes are ordered by smallest member index, so class 0 is the
     identity singleton; ``representatives[c]`` is that smallest member.
+    ``class_of`` is the only record of the partition: the members of
+    class c, in ascending order, are ``np.flatnonzero(class_of == c)``.
     """
 
     group: GroupTable
@@ -44,7 +46,6 @@ class ConjugacyData:
     class_of: np.ndarray
     representatives: np.ndarray
     sizes: np.ndarray
-    class_elements: tuple
 
 
 @dataclass(eq=False)
@@ -101,10 +102,6 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     reps, class_of = np.unique(lab, return_inverse=True)
     class_of = class_of.astype(np.int32)
     sizes = np.bincount(class_of).astype(np.int64)
-    members = np.argsort(class_of, kind="stable").astype(np.int32)
-    ends = np.cumsum(sizes).tolist()
-    # Slicing in a loop beats np.split by about 4x when there are many classes.
-    elems = [members[i:j] for i, j in zip([0, *ends], ends)]
 
     k = len(reps)
     if int(sizes.sum()) != n or sizes[0] != 1 or reps[0] != 0:
@@ -117,7 +114,6 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
         class_of=class_of,
         representatives=reps.astype(np.int32),
         sizes=sizes,
-        class_elements=tuple(elems),
     )
 
 
@@ -140,7 +136,7 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData, i: int) -> np.ndarr
     if not 0 <= i < C.k:
         raise PreconditionError(f"class index {i} out of range 0..{C.k - 1}")
     reps = C.representatives
-    Ei = C.class_elements[i]
+    Ei = np.flatnonzero(C.class_of == i)
     k = C.k
     B = G.compose(G.inv[Ei][:, None], reps)
     cls = C.class_of[B].astype(np.int64)

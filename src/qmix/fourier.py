@@ -4,12 +4,12 @@ A GroupFunction is a frozen length-n vector.  This module holds its
 constructors (indicators and the translated-class densities mu_g),
 means and p-norms, convolution, and the per-irreducible spectral
 profile.  Everything spectral is computed through character kernels;
-irreducible representation matrices are never materialized.  The two table kernels,
-convolution and the row correlation behind spectral_profile (which the
-derivative average in mixing shares), sum only over the support of one
-factor: they cost n gathers per support point, O(n^2) for a dense
-function and O(n |S|) for a density on a set S.  Both go CHUNK support
-points or rows at a time, so peak memory stays near CHUNK * n entries.
+irreducible representation matrices are never materialized.  One table
+kernel, the row correlation, serves convolution, spectral_profile and
+the derivative average and class convolution in mixing.  It sums only
+over the support of one factor: n gathers per support point, O(n^2) for
+a dense function and O(n |S|) for a density on a set S.  It goes CHUNK
+support points at a time, so peak memory stays near CHUNK * n entries.
 """
 
 from __future__ import annotations
@@ -81,13 +81,13 @@ def indicator_function(G: GroupTable, indices) -> GroupFunction:
 def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunction:
     """Scaled density of the translated class {g*c : c in C(g)}.
 
-    The variant over inverses used by the derivative average, the set
-    g^{-1} C(g^{-1}), is this function called at the inverse element.
-    The density is |G|/|C(g)| on that set, so its mean is exactly 1.
+    The set g^{-1} C(g^{-1}), on which the gamma functional in mixing
+    puts its mu_g, is this function called at the inverse element.  The
+    density is |G|/|C(g)| on that set, so its mean is exactly 1.
     """
     C = _classes_of(G, C)
     g = int(G._check_indices(g))
-    members = C.class_elements[int(C.class_of[g])]
+    members = np.flatnonzero(C.class_of == C.class_of[g])
     vals = np.zeros(G.n, dtype=np.complex128)
     vals[G.compose(g, members)] = G.n / len(members)
     return GroupFunction(G, vals)
@@ -110,20 +110,15 @@ def p_norm(f: GroupFunction, p: float) -> float:
 def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     """(f*h)(x) = E_y[f(x y^{-1}) h(y)].
 
-    The sum runs only over the support of h, so the kernel costs
-    n * |supp h| gathers: O(n^2) for a dense h, O(n |S|) for a density on
-    a set S.  Rows x go CHUNK at a time.
+    With ft = f o inv, (f*h)(x) = (1/n) sum_y h(y) ft(y x^{-1}), the row
+    correlation of h against ft read at x^{-1}.  That correlation sums
+    only over the support of h, so the kernel costs n * |supp h| gathers:
+    O(n^2) for a dense h, O(n |S|) for a density on a set S.
     """
     G = _same_group(f, h)
     t = G.require_table("convolution")
-    ys = np.flatnonzero(h.values)
-    hy = h.values[ys]
-    iy = G.inv[ys]
-    out = np.empty(G.n, dtype=np.complex128)
-    for lo in range(0, G.n, CHUNK):
-        rows = t[lo:lo + CHUNK][:, iy]  # rows[x, j] = x * ys_j^{-1}
-        out[lo:lo + CHUNK] = f.values[rows] @ hy
-    return GroupFunction(G, out / G.n)
+    corr = _correlation(t, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
+    return GroupFunction(G, corr[G.inv] / G.n)
 
 
 @dataclass(eq=False)

@@ -488,7 +488,8 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     X = np.empty((m, n), dtype=ft.dtype)
     Fg = np.empty(n, dtype=ft.dtype)
     abs0, full_sum, abs_mean = np.zeros(m), np.zeros(m, dtype=ft.dtype), np.zeros(m)
-    for members in C.class_elements:
+    for c in range(C.k):
+        members = np.flatnonzero(C.class_of == c)
         # Rows u go a block at a time, so the gathered rows of deriv stay
         # in cache.
         step = max(1, CHUNK * CHUNK // (len(members) * m))

@@ -368,9 +368,9 @@ def scalar_closure():
 def _flood_fill_classes(G):
     """Conjugacy classes by a flood fill over Python lists.
 
-    Returns (representatives, class_of, sizes, class_elements) in the
-    layout of ConjugacyData: classes ordered by smallest member, members
-    sorted.
+    Returns (representatives, class_of, sizes, members): the first three
+    in the layout of ConjugacyData, classes ordered by smallest member,
+    and the sorted member array of each class.
     """
     n = G.n
     class_of = np.full(n, -1, dtype=np.int32)

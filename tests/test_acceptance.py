@@ -146,9 +146,9 @@ def test_label_propagation_matches_the_flood_fill(spec, flood_fill_classes):
         (C.representatives, reps), (C.class_of, class_of), (C.sizes, sizes)
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(C.class_elements) == len(elements)
-    for got, want in zip(C.class_elements, elements):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert C.k == len(elements)
+    for c, want in enumerate(elements):
+        assert np.array_equal(np.flatnonzero(C.class_of == c), want)
 
 
 def test_criterion_03_parseval_sweep(bundle, capsys):

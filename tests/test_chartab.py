@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,10 +72,23 @@ class TestConjugacy:
         assert int(C.sizes.sum()) == G.n
         assert all(G.n % int(h) == 0 for h in C.sizes)
         for c in range(C.k):
-            members = C.class_elements[c]
+            members = np.flatnonzero(C.class_of == c)
             assert len(members) == C.sizes[c]
             assert np.all(C.class_of[members] == c)
             assert C.class_of[C.representatives[c]] == c
+
+    def test_abelian_partition_holds_no_member_arrays(self):
+        # n classes: class_of, representatives and sizes take 16n bytes
+        # (0.8 MB); one member array per class would take several times that.
+        G = build_group("cyclic:50000")
+        tracemalloc.start()
+        try:
+            C = conjugacy_classes(G)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert C.k == G.n
+        assert held < 2_000_000
 
     @settings(max_examples=60, deadline=None)
     @given(g=st.integers(0, 23), x=st.integers(0, 23))
@@ -108,8 +122,8 @@ class TestClassMultCoefficients:
         for i in range(C.k):
             expected = np.zeros((C.k, C.k), dtype=np.int64)
             for j in range(C.k):
-                for a in C.class_elements[i]:
-                    for b in C.class_elements[j]:
+                for a in np.flatnonzero(C.class_of == i):
+                    for b in np.flatnonzero(C.class_of == j):
                         ab = product(G, int(a), int(b))
                         for l in range(C.k):
                             if ab == C.representatives[l]:

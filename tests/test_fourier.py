@@ -117,12 +117,19 @@ class TestConvolve:
 
     def test_brute_force_oracle_and_sparse_agreement(self, bundle, product, inverse):
         G, _, _ = bundle("sym:3")
-        f = random_function(G, 7)
         h_vals = np.zeros(G.n, dtype=complex)
         h_vals[2] = 1.5 - 0.5j
         h_vals[4] = -2.0j
-        # The kernel sums over the support of h: two points, then all six.
-        for h in (GroupFunction(G, h_vals), random_function(G, 8)):
+        P, PC, _ = bundle("psl2:7")
+        # The kernel sums over the support of h: two points, then all six,
+        # then a translated class of a nonabelian group, where x^{-1} != x.
+        for h in (
+            GroupFunction(G, h_vals),
+            random_function(G, 8),
+            mu_translated_class(P, PC, 5),
+        ):
+            G = h.group
+            f = random_function(G, 7)
             expected = np.array(
                 [
                     np.mean(
@@ -200,7 +207,7 @@ class TestMuTranslatedClass:
         support = np.nonzero(out.values)[0]
         assert len(support) == 12
         assert np.allclose(out.values[support], 5.0)
-        members = C.class_elements[five_cycle_class]
+        members = np.flatnonzero(C.class_of == five_cycle_class)
         expected = sorted(product(G, g, int(c)) for c in members)
         assert sorted(support.tolist()) == expected
 
@@ -306,7 +313,7 @@ class TestClassFunctionScalars:
         G, C, T = bundle("alt:5")
         for cls in range(C.k):
             g = int(C.representatives[cls])
-            members = C.class_elements[cls]
+            members = np.flatnonzero(C.class_of == cls)
             f = mu_set(G, members)
             for r in range(T.k):
                 value = class_function_scalar(f, T, C, r)
@@ -367,7 +374,7 @@ class TestInversion:
         self, bundle, mu_set, class_function_scalar, invert_class_function
     ):
         G, C, T = bundle("alt:5")
-        f = mu_set(G, C.class_elements[2])
+        f = mu_set(G, np.flatnonzero(C.class_of == 2))
         scalars = np.array(
             [class_function_scalar(f, T, C, r) for r in range(T.k)]
         )

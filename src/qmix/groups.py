@@ -528,9 +528,9 @@ def build_group(text: str) -> GroupTable:
 def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     """Componentwise product; index of the pair (a, b) is a*n2 + b.
 
-    Each factor's steps act on its own coordinate, and the word of (a, b)
-    is the word of a followed by the word of b, so the product runs no
-    search of its own.
+    Each factor's steps act on its own coordinate, the word of (a, b) is
+    the word of a followed by the word of b, and (a, b)^{-1} is (a^{-1},
+    b^{-1}), so the product runs no search of its own.
     """
     n1, n2 = G1.n, G2.n
     n = n1 * n2
@@ -559,7 +559,7 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     if n <= DENSE_CAP:
         # Both factors are at most n, so both keep their tables.
         mul = (G1.mul[:, None, :, None] * n2 + G2.mul[None, :, None, :]).reshape(n, n)
-    inv = _inverses(steps, words)
+    inv = G1.inv[hi] * n2 + G2.inv[lo]
     return GroupTable(n, mul, inv, spec, gens, steps, words, l1 + l2)
 
 

@@ -10,10 +10,11 @@ bound (2/sqrt(D))^{1/4} itself.
 
 The progression sum behind theta has one kernel per kind of input:
 _bit_pass counts blocks of up to 64 indicator triples exactly in packed
-words, and _value_pass sums one real or complex triple.  A triple's
-bits therefore depend on that triple alone.  The class convolution
-behind gamma and the chain's c4 has one body too, _class_conv_sums,
-which reads every operand as a row of the table of values of f.
+words, and _value_pass sums one real or complex triple, so a triple's
+bits depend on that triple alone.  _value_pass, the chain's c2 and
+count_progressions sum through one row-sum kernel, _row_sums.  The class
+convolution behind gamma and the chain's c4 has one body too,
+_class_conv_sums, which reads every operand as a row of the value table.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _bit_pass(t, V1, V2, V3):
     2^53, so a caller dividing them in float64 gets the bits a float sum
     of the same 0/1 terms gives.  Rows go CHUNK // 4 at a time, so the
     intp indices and the three word buffers take no more memory than
-    _value_pass's block buffers.
+    _row_sums's block buffers.
     """
     n, m = V2.shape
     P1, P2, P3 = _pack(V1), _pack(V2), _pack(V3)
@@ -211,35 +212,40 @@ def _bit_pass(t, V1, V2, V3):
     return totals
 
 
-def _value_pass(t, v1, v2, v3):
-    """Progression sum sum_x v1[x] S[x], S[x] = sum_y v2[xy] v3[xy^2], of
-    one triple of contiguous float64 or complex128 vectors (one dtype).
+def _row_sums(t, a, b, cols):
+    """S[x] = sum_y a[xy] b[x cols[y]] for every row x, for two contiguous
+    vectors of one dtype (float64, complex128 or int64).
 
-    Rows go CHUNK at a time: each block's S is summed along its rows, and
-    the total accumulates v1[block] @ S[block] over the blocks, so its
-    bits depend on the triple alone.  The gathered blocks go into buffers
-    allocated once: a fresh multi-megabyte array per block is mapped and
-    page-faulted anew on every block unless the allocator happens to keep
-    freed memory (on sl2:13, at blocks of this size, that doubled the
-    pass time).
+    Rows go CHUNK at a time, each summed in y order, through three
+    CHUNK x n buffers allocated once: a fresh block per iteration is
+    page-faulted anew unless the allocator keeps freed memory (on sl2:13
+    that doubled the pass time).
     """
-    n = len(v2)
-    ysq = t.diagonal()
+    n = len(a)
     U2 = np.empty((CHUNK, n), dtype=t.dtype)
-    B2 = np.empty((CHUNK, n), dtype=v2.dtype)
+    B2 = np.empty((CHUNK, n), dtype=a.dtype)
     B3 = np.empty_like(B2)
-    total = 0
+    S = np.empty(n, dtype=a.dtype)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         h = hi - lo
         U = t[lo:hi]
         # mode="clip" skips the bounds check; with "raise", take buffers out.
-        np.take(U, ysq, axis=1, out=U2[:h], mode="clip")
-        np.take(v2, U, out=B2[:h], mode="clip")
-        np.take(v3, U2[:h], out=B3[:h], mode="clip")
+        np.take(U, cols, axis=1, out=U2[:h], mode="clip")
+        np.take(a, U, out=B2[:h], mode="clip")
+        np.take(b, U2[:h], out=B3[:h], mode="clip")
         np.multiply(B2[:h], B3[:h], out=B2[:h])
-        total += v1[lo:hi] @ B2[:h].sum(axis=1)
-    return total
+        B2[:h].sum(axis=1, out=S[lo:hi])
+    return S
+
+
+def _value_pass(t, v1, v2, v3):
+    """Progression sum sum_x v1[x] S[x], S[x] = sum_y v2[xy] v3[xy^2], of
+    one triple of contiguous float64 or complex128 vectors (one dtype),
+    accumulated as v1[block] @ S[block] over CHUNK-row blocks of S from
+    _row_sums, so its bits depend on the triple alone."""
+    S = _row_sums(t, v2, v3, t.diagonal())
+    return sum(v1[lo:lo + CHUNK] @ S[lo:lo + CHUNK] for lo in range(0, len(S), CHUNK))
 
 
 def theta_defects(
@@ -317,17 +323,14 @@ def theta_defect(
 
 
 def count_progressions(A1, A2, A3, G: GroupTable) -> int:
-    """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3."""
+    """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3,
+    summed in int64 by _row_sums."""
     t = G.require_table("progression count")
-
-    def indicator(A) -> np.ndarray:
-        v = np.zeros((G.n, 1), dtype=np.int64)
+    v1, v2, v3 = V = np.zeros((3, G.n), dtype=np.int64)
+    for v, A in zip(V, (A1, A2, A3)):
         if len(np.asarray(A)) > 0:
             v[_check_index_set(G, A)] = 1
-        return v
-
-    totals = _bit_pass(t, indicator(A1), indicator(A2), indicator(A3))
-    return int(totals[0])
+    return int(v1 @ _row_sums(t, v2, v3, t.diagonal()))
 
 
 def _report(
@@ -595,9 +598,10 @@ def cs_chain_diagnostics(
       c4 = |E_{g,b,x}[D_b f3(x) (D_{g^{-1}bg} f3 * mu_g)(x)]|,
       split = gamma term + mean term after centering D_{g^{-1}bg} f3,
     and checks c1 <= c2 <= c3, c3 = c4 (exact change of variables),
-    c4 <= split, split <= 2/sqrt(D).  The c3 pass and the class
-    convolution are O(n^3) each, so a group whose estimate exceeds
-    GATHER_BUDGET raises SizeGuardError before any work.
+    c4 <= split, split <= 2/sqrt(D).  theta and c2 stream table rows; c3
+    holds three n x n tables (24n^2 bytes) and frees them before the class
+    convolution holds its value table (8n^2 bytes).  Both are O(n^3), so a
+    group whose estimate exceeds GATHER_BUDGET raises SizeGuardError first.
     """
     G, C = _check_inputs(
         [f1, f2, f3], T, C, classes=True, real=True, bounded=True, mean_zero=(2,)
@@ -606,23 +610,18 @@ def cs_chain_diagnostics(
 
     t = G.require_table("chain diagnostics")
     n = G.n
-    v1 = f1.values.real.copy()
-    v2 = f2.values.real.copy()
-    v3 = f3.values.real.copy()
+    v1, v2, v3 = (f.values.real.copy() for f in (f1, f2, f3))
     ar = np.arange(n)
 
     theta = abs(float(_value_pass(t, v1, v2, v3))) / (n * n)
     c1 = theta**4
-
-    F1 = v1[t[:, G.inv]]  # F1[x, z] = f1(x z^{-1})
-    F3 = v3[t]  # F3[x, z] = f3(x z)
-    inner_xz = (F1 * F3).mean(axis=1)
-    c2 = float((inner_xz**2).mean()) ** 2
+    # Row x of the sum is sum_z f3(xz) f1(x z^{-1}), n times c2's inner(x).
+    c2 = float(((_row_sums(t, v3, v1, G.inv) / n) ** 2).mean()) ** 2
 
     # The element y z^2 z^{-1} a^{-1} z is y q(z), q(z) = z a^{-1} z, so
     # every term reads a contiguous row of F3T[w, y] = f3(y w), and the sum
     # over z runs down axis 0, z in sequence.
-    F3T = np.ascontiguousarray(F3.T)
+    F3T = np.take(v3, t.T)  # C-ordered, where v3[t.T] is not
     v3U = F3T[t.diagonal()]  # v3U[z, y] = f3(y z^2)
     X = np.empty_like(v3U)
     acc = 0.0
@@ -633,6 +632,7 @@ def cs_chain_diagnostics(
         inner = X.sum(axis=0) / n
         acc += float((inner**2).sum())
     c3 = acc / (n * n)
+    del F3T, v3U, X  # so that the class convolution's tables replace them
 
     gamma_term, c4, mean_term = _class_conv_stats(G, C, f3.values)
     split = gamma_term + mean_term

@@ -255,6 +255,30 @@ def test_criterion_07_cauchy_schwarz_chain(bundle, capsys):
         f"|c3-c4| = {worst_gap:.2e}, {elapsed:.1f}s",
     )
 
+    # alt:6 (D = 5) is the one admitted group where 2/sqrt(D) < 1.
+    G, C, T = bundle("alt:6")
+    pair = random_ensemble(G, "rademacher", (42, 206), 6)
+    thirds = random_ensemble(G, "mean_zero_rademacher", (42, 207), 3)
+    start = time.perf_counter()
+    ok = T.D == 5
+    worst_gap, worst_split = 0.0, 0.0
+    for i in range(3):
+        rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C, tol=1e-9)
+        v = dict(rep.values)
+        worst_gap = max(worst_gap, abs(v["c3"] - v["c4"]))
+        worst_split = max(worst_split, v["split"])
+        ok &= rep.passed
+        ok &= v["c1"] <= v["c2"] + 1e-9 and v["c2"] <= v["c3"] + 1e-9
+        ok &= v["c4"] <= v["split"] + 1e-9
+        ok &= v["split"] <= v["bound"] + 1e-9 and v["bound"] < 1.0
+    elapsed = time.perf_counter() - start
+    ok &= worst_gap < 1e-9 and elapsed < 60.0
+    announce(
+        capsys, 7, ok,
+        f"3 real triples on alt:6: c1<=c2<=c3=c4<=split<=2/sqrt(5) < 1, max "
+        f"split = {worst_split:.2e}, max |c3-c4| = {worst_gap:.2e}, {elapsed:.1f}s",
+    )
+
 
 def test_criterion_08_theorem_end_to_end(bundle, capsys):
     ok = True

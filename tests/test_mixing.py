@@ -778,6 +778,41 @@ class TestChain:
             assert v["c4"] <= v["split"] + 1e-9
             assert v["split"] <= v["bound"] + 1e-9
 
+    def test_chain_where_the_bound_is_below_one(self, bundle):
+        # alt:6 (n = 360, D = 5) is the one group the chain admits where
+        # 2/sqrt(D) < 1, so only there does the chain's end bound say more
+        # than theta <= 1.
+        G, C, T = bundle("alt:6")
+        assert T.D == 5
+        pair = random_ensemble(G, "rademacher", 29, 6)
+        thirds = random_ensemble(G, "mean_zero_rademacher", 31, 3)
+        for i in range(3):
+            rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C)
+            assert rep.passed
+            v = dict(rep.values)
+            assert v["bound"] < 1
+            assert v["c1"] <= v["c2"] + 1e-9
+            assert v["c2"] <= v["c3"] + 1e-9
+            assert abs(v["c3"] - v["c4"]) < 1e-9
+            assert v["c4"] <= v["split"] + 1e-9
+            assert v["split"] <= v["bound"] + 1e-9
+
+    def test_chain_holds_no_full_table_copies(self, bundle):
+        # theta and c2 stream table rows, and the c3 pass frees its three
+        # n x n tables (24n^2 bytes) before the class convolution holds
+        # its value table, so the peak is the larger pass, not their sum.
+        G, C, T = bundle("sl2:7")
+        f1, f2 = random_ensemble(G, "rademacher", 41, 2)
+        f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
+        tracemalloc.start()
+        try:
+            rep = cs_chain_diagnostics(f1, f2, f3, T, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 40 * G.n**2
+
     def test_c2_c3_brute_force(self, bundle, product, inverse):
         G, C, T = bundle("sym:3")
         n = G.n
@@ -835,6 +870,24 @@ class TestChain:
             inner = (v3U * v3[Wm]).mean(axis=1)
             acc += float((inner**2).sum())
         assert c3 == acc / (n * n)
+
+    @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "prod:sl2:5+cyclic:3"])
+    def test_c2_bits_match_the_full_table_form(self, spec, bundle):
+        # The reference holds the n x n tables F1[x, z] = f1(x z^{-1}) and
+        # F3[x, z] = f3(xz) and averages along their rows; the chain's row
+        # pass must give the same bits.  Uniform values make the rounding
+        # depend on the order of the sum over z.
+        G, C, T = bundle(spec)
+        rng = np.random.default_rng(47)
+        v1, v2, v3 = rng.uniform(-1, 1, (3, G.n))
+        v3 = (v3 - v3.mean()) / np.abs(v3 - v3.mean()).max()
+        fs = [GroupFunction(G, v) for v in (v1, v2, v3)]
+        c2 = dict(cs_chain_diagnostics(*fs, T, C).values)["c2"]
+
+        t = G.mul
+        v1, v3 = fs[0].values.real.copy(), fs[2].values.real.copy()
+        F1, F3 = v1[t[:, G.inv]], v3[t]
+        assert c2 == float(((F1 * F3).mean(axis=1) ** 2).mean()) ** 2
 
     def test_theta_fourth_power_is_c1(self, bundle):
         G, C, T = bundle("alt:4")

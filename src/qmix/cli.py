@@ -405,6 +405,16 @@ def tolerance(text: str) -> float:
     return value
 
 
+def seed_value(text: str) -> int:
+    """argparse type of --seed: numpy's generators refuse a negative seed."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmix",
@@ -421,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         p.add_argument("spec", help="group spec, e.g. alt:5 or prod:sl2:5+cyclic:3")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=seed_value, default=DEFAULT_SEED)
         if tol:
             p.add_argument("--tol", type=tolerance, default=1e-8)
         p.add_argument("--out", default=None, help="write output to this path")

@@ -102,7 +102,7 @@ def p_norm(f: GroupFunction, p: float) -> float:
     if p == np.inf:
         return float(np.abs(f.values).max())
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise PreconditionError(f"p must be >= 1 or inf, got {p}")
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 

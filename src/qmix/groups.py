@@ -1,17 +1,18 @@
-"""Finite groups over element indices, built by generator closure.
+"""Finite groups over element indices, built from generator columns.
 
 A group is described by a small text spec ("cyclic:6", "sl2:7",
-"prod:cyclic:2+alt:5"), realized as an indexed element set with the
-identity at index 0 and the remaining elements in breadth-first
-discovery order from a fixed generator list.  A family model gives its
-elements as the rows of an integer array and its law vectorized over
-those rows, so the closure labels each generator's products in one array
-pass.  A built group keeps neither the rows nor the law, only the maps
-x -> x*s for repeated squares s of its generators and a short word over
-those maps per element.  Every group offers one product,
-the vectorized ``GroupTable.compose``: a read of the n x n table, kept up
-to DENSE_CAP, or else a walk of the word of b from a.  Only the O(n^2)
-and O(n^3) kernels need the table.
+"prod:cyclic:2+alt:5") and built from the columns x -> x*g of its
+generators over its element indices, the identity at index 0.  A family
+model gives its elements as the rows of an integer array and its law
+vectorized over those rows; the closure labels each generator's products
+in one array pass and indexes the rows in breadth-first discovery order.
+A direct product indexes its elements in mixed radix over its factors'
+indices, each factor's generators moving only that factor's digit.  A
+built group keeps only the maps x -> x*s for repeated squares s of its
+generators and a short word over those maps per element.  Every group
+offers one product, the vectorized ``GroupTable.compose``: a read of the
+n x n table, kept up to DENSE_CAP, or else a walk of the word of b from
+a.  Only the O(n^2) and O(n^3) kernels need the table.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ class GroupTable:
     to x*s_j, s_j a repeated square of a generator, the last row being
     the identity map, and a*b is a pushed through the first
     ``lengths[b]`` rows listed in ``words[b]``, whose product is b (each
-    word left-aligned, padded after its end with the last row).  An operation that needs the whole table calls
-    ``require_table``, which raises SizeGuardError when there is none.
+    word left-aligned, padded after its end with the last row).  An
+    operation that needs the whole table calls ``require_table``, which
+    raises SizeGuardError when there is none.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
     """
@@ -297,11 +299,13 @@ def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
 def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The n x n table, filled one contiguous row at a time.
 
-    Element x > 0 was first seen as p * g_s, for the first pair (p, s) in
-    p-major order with cols[s][p] = x, so row(x) = row(p)[L_s] with
-    L_s[y] = g_s*y = inv[back_s[inv[y]]], where back_s inverts the column
-    y -> y*g_s.  Parents precede their children, so each row re-indexes
-    one already written.
+    Row x > 0 is row(p)[L_s] for the first pair (p, s) in p-major order
+    with cols[s][p] = x, where L_s[y] = g_s*y = inv[back_s[inv[y]]] and
+    back_s inverts the column y -> y*g_s.  Each x > 0 needs some such p
+    below x, so that row p is already written.  In breadth-first order x
+    was first seen as p*g_s; in a product's mixed radix over breadth-first
+    factors, lowering a nonzero digit of x to its parent in that factor
+    gives p.
     """
     k, n = cols.shape
     _, first = np.unique(cols.T, return_index=True)
@@ -385,12 +389,8 @@ def build_closure(
     then breadth-first discovery order with generators applied in listed
     order (right multiplication), found by one plain loop over the
     labelled columns, O(n k) steps whatever the Cayley diameter.  The
-    group keeps only what the columns cols[s][i] = index of
-    (element i)*g_s give: the steps and words that ``GroupTable.compose``
-    walks, the inverses those words give and, up to DENSE_CAP, the table.
-    The table comes last: each element x was first seen as parent*g, so
-    row x is row parent re-indexed by y -> g*y, which the inverses give
-    (see _table_rows).
+    group is then built from the columns cols[s][i] = index of
+    (element i)*g_s alone, as every group is (see _from_columns).
 
     More than MAX_ORDER rows raise SizeGuardError and a closure of one
     element PreconditionError.  A product outside the rows, a closure
@@ -399,7 +399,15 @@ def build_closure(
     """
     # The helper's temporaries are freed before the word search, which sets
     # the peak memory.
-    cols, generator_indices = _closure_columns(elements, law, generators, identity, spec)
+    return _from_columns(*_closure_columns(elements, law, generators, identity, spec), spec)
+
+
+def _from_columns(
+    cols: np.ndarray, generator_indices: tuple[int, ...], spec: GroupSpec
+) -> GroupTable:
+    """The group whose generators have the columns cols[s][x] = x*g_s:
+    the steps and words that ``GroupTable.compose`` walks, the inverses
+    those words give and, up to DENSE_CAP, the table they give last."""
     n = cols.shape[1]
     steps, words, lengths = _steps_and_words(cols)
     inv = _inverses(steps, words)
@@ -509,58 +517,29 @@ def _cycle(n: int, points: tuple[int, ...]) -> list[int]:
 
 
 def construct_group(spec: GroupSpec) -> GroupTable:
-    """Build the group a spec describes; deterministic per spec."""
+    """Build the group a spec describes; deterministic per spec.
+
+    Element x of a product has digit (x // place_i) % n_i in factor i,
+    place_i being the order of the factors after i, so (a, b) is a*n2 + b.
+    Its generators are its factors' in order, each moving only its own
+    digit through that factor's columns.  A family is its one factor.
+    """
     validate_spec(spec)
-    if spec.family == "prod":
-        out = construct_group(spec.factors[0])
-        for f in spec.factors[1:]:
-            out = direct_product(out, construct_group(f))
-        return out
-    elements, law, gens, identity = _family(spec)
-    return build_closure(elements, law, gens, identity, spec=spec)
+    parts = [_closure_columns(*_family(f), f) for f in spec.factors or (spec,)]
+    sizes = [c.shape[1] for c, _ in parts]
+    x = np.arange(math.prod(sizes), dtype=np.int32)
+    cols, gens = [], []
+    for i, (c, g) in enumerate(parts):
+        place = math.prod(sizes[i + 1 :])
+        digit = x // place % sizes[i]
+        cols.append(x + (c[:, digit] - digit) * place)
+        gens += [g_s * place for g_s in g]
+    return _from_columns(np.concatenate(cols), tuple(gens), spec)
 
 
 def build_group(text: str) -> GroupTable:
     """Parse a spec string and construct the group."""
     return construct_group(parse_spec(text))
-
-
-def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
-    """Componentwise product; index of the pair (a, b) is a*n2 + b.
-
-    Each factor's steps act on its own coordinate, the word of (a, b) is
-    the word of a followed by the word of b, and (a, b)^{-1} is (a^{-1},
-    b^{-1}), so the product runs no search of its own.
-    """
-    n1, n2 = G1.n, G2.n
-    n = n1 * n2
-    if n > MAX_ORDER:
-        raise SizeGuardError(f"product order {n} exceeds the {MAX_ORDER} cap")
-    factors = [G.spec.factors if G.spec.family == "prod" else (G.spec,) for G in (G1, G2)]
-    spec = GroupSpec("prod", (), factors[0] + factors[1])
-    gens = tuple(int(g) * n2 for g in G1.generator_indices) + tuple(
-        int(g) for g in G2.generator_indices
-    )
-    hi, lo = np.divmod(np.arange(n, dtype=np.int32), n2)
-    # The factors' steps act on different coordinates and so commute: the
-    # word of (a, b) is the steps of a's word, then those of b's, then the
-    # padding (G1's identity row is dropped).
-    shift = len(G1.steps) - 1
-    steps = np.concatenate([G1.steps[:-1, hi] * n2 + lo, hi * n2 + G2.steps[:, lo]])
-    pad = len(steps) - 1
-    l1, l2 = G1.lengths[hi], G2.lengths[lo]
-    w1, w2 = G1.words.shape[1], G2.words.shape[1]
-    words = np.full((n, w1 + w2), pad, dtype=np.min_scalar_type(pad))
-    first = np.arange(w1) < l1[:, None]
-    words[:, :w1][first] = G1.words[hi][first]
-    r, k = np.nonzero(np.arange(w2) < l2[:, None])
-    words[r, l1[r] + k] = G2.words[lo[r], k] + shift
-    mul = None
-    if n <= DENSE_CAP:
-        # Both factors are at most n, so both keep their tables.
-        mul = (G1.mul[:, None, :, None] * n2 + G2.mul[None, :, None, :]).reshape(n, n)
-    inv = G1.inv[hi] * n2 + G2.inv[lo]
-    return GroupTable(n, mul, inv, spec, gens, steps, words, l1 + l2)
 
 
 def is_abelian(G: GroupTable) -> bool:

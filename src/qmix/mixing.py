@@ -153,7 +153,8 @@ def _check_inputs(
 
 def theorem_bound(D: int) -> float:
     """(2 / sqrt(D))^{1/4}; above 1 (hence vacuous) for D < 4."""
-    D = int(D)
+    if not isinstance(D, (int, np.integer)):
+        raise PreconditionError(f"quasirandom degree must be an integer, got {D!r}")
     if D < 1:
         raise PreconditionError(f"quasirandom degree must be >= 1, got {D}")
     return float((2.0 / math.sqrt(D)) ** 0.25)

@@ -505,6 +505,22 @@ class TestHarness:
         assert out == ""
         assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chartab", "psl2:7"),
+            ("verify", "alt:5", "--suite", "parseval", "--trials", "1"),
+            ("mix", "sym:3", "--random", "0.5", "--trials", "1"),
+            ("search", "sym:3", "--budget", "0"),
+        ],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, argv, seed):
+        code, out, err = run(capsys, *argv, f"--seed={seed}")
+        assert code == 2
+        assert out == ""
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
+
     def test_search_has_no_csv_format(self, capsys):
         code, out, err = run(
             capsys, "search", "sym:3", "--budget", "0", "--format", "csv"

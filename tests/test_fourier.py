@@ -82,6 +82,11 @@ class TestBasics:
         with pytest.raises(PreconditionError):
             p_norm(signs, 0.5)
 
+    def test_p_norm_rejects_nan(self, bundle):
+        G, _, _ = bundle("sym:3")
+        with pytest.raises(PreconditionError):
+            p_norm(GroupFunction(G, np.ones(G.n)), math.nan)
+
     def test_mu_set_oracles(self, bundle, mu_set):
         G, _, _ = bundle("sym:3")
         assert np.allclose(mu_set(G, range(G.n)).values, 1.0)

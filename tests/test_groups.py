@@ -14,7 +14,6 @@ from qmix import (
     build_closure,
     build_group,
     construct_group,
-    direct_product,
     is_abelian,
     parse_spec,
     validate_spec,
@@ -234,10 +233,30 @@ class TestDirectProduct:
                         assert lhs == rhs
 
     def test_direct_product_function(self, validate_group):
-        P = direct_product(build_group("sym:3"), build_group("cyclic:4"))
+        P = build_group("prod:sym:3+cyclic:4")
         assert P.n == 24
         validate_group(P)
         assert not is_abelian(P)
+
+    @pytest.mark.parametrize(
+        "text", ["prod:sym:3+cyclic:4", "prod:psl2:7+sym:4+cyclic:3"]
+    )
+    def test_one_word_search_from_the_factors_columns(self, text, monkeypatch):
+        calls = {"_closure_columns": [], "_steps_and_words": 0}
+        closure_columns, steps_and_words = groups._closure_columns, groups._steps_and_words
+
+        def counted_columns(*args):
+            calls["_closure_columns"].append(args[-1].text())
+            return closure_columns(*args)
+
+        def counted_steps(cols):
+            calls["_steps_and_words"] += 1
+            return steps_and_words(cols)
+
+        monkeypatch.setattr(groups, "_closure_columns", counted_columns)
+        monkeypatch.setattr(groups, "_steps_and_words", counted_steps)
+        build_group(text)
+        assert calls == {"_closure_columns": text[5:].split("+"), "_steps_and_words": 1}
 
     @pytest.mark.parametrize(
         "factors", [("alt:5", "cyclic:3"), ("sym:3", "cyclic:4", "alt:4")]
@@ -374,7 +393,9 @@ class TestValidateGroup:
 
 
 @pytest.mark.parametrize(
-    "text", ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7", "prod:sl2:5+cyclic:3"]
+    "text",
+    ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7", "prod:sl2:5+cyclic:3",
+     "prod:sym:3+cyclic:4+alt:4"],
 )
 def test_lazy_backend_matches_dense(text, monkeypatch, product):
     D = build_group(text)
@@ -445,7 +466,9 @@ def test_lazy_product_composes_through_its_factors(first, second):
 
 
 @pytest.mark.parametrize(
-    "text", ["cyclic:50000", "dihedral:25000", "sym:8", "psl2:43", "prod:cyclic:4+sl2:23"]
+    "text",
+    ["cyclic:50000", "dihedral:25000", "sym:8", "psl2:43", "prod:cyclic:4+sl2:23",
+     "prod:psl2:7+sym:4+cyclic:3"],
 )
 def test_walk_matches_the_family_law(text, law_oracle):
     G, oracle = build_group(text), law_oracle(text)
@@ -460,7 +483,7 @@ def test_walk_matches_the_family_law(text, law_oracle):
 @pytest.mark.parametrize(
     "text",
     ["cyclic:50000", "dihedral:25000", "sym:8", "alt:8", "sl2:31", "psl2:43",
-     "prod:cyclic:4+sl2:23"],
+     "prod:cyclic:4+sl2:23", "prod:psl2:7+sym:4+cyclic:3"],
 )
 def test_words_stay_short_at_the_largest_orders(text):
     G = build_group(text)

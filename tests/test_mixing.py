@@ -77,6 +77,12 @@ class TestTheoremBound:
             with pytest.raises(PreconditionError):
                 theorem_bound(bad)
 
+    def test_rejects_a_degree_that_is_not_an_integer(self):
+        assert theorem_bound(np.int64(16)) == theorem_bound(16)
+        for bad in (2.9, 4.0, math.nan):
+            with pytest.raises(PreconditionError, match="integer"):
+                theorem_bound(bad)
+
 
 class TestThetaDefect:
     def test_constants_have_zero_defect(self, bundle, constant_function):

@@ -319,7 +319,6 @@ def cmd_mix(args) -> int:
     if args.trials is None:
         args.trials = DEFAULT_TRIALS
     G = build_group(args.spec)
-    G.require_table("progression expectation")
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     if args.sets is not None:
@@ -363,7 +362,6 @@ def cmd_mix(args) -> int:
 
 def cmd_search(args) -> int:
     G = build_group(args.spec)
-    G.require_table("adversarial search")
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     A1, A2, A3, rep = adversarial_search(
@@ -398,10 +396,11 @@ def cmd_search(args) -> int:
 
 
 def tolerance(text: str) -> float:
-    """argparse type of --tol: a nan or inf tolerance would pass every check."""
+    """argparse type of --tol: a nan or inf tolerance would pass every check,
+    and no float character table passes its certificate at 0."""
     value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 

@@ -8,11 +8,14 @@ vectorized over those rows; the closure labels each generator's products
 in one array pass and indexes the rows in breadth-first discovery order.
 A direct product indexes its elements in mixed radix over its factors'
 indices, each factor's generators moving only that factor's digit.  A
-built group keeps only the maps x -> x*s for repeated squares s of its
-generators and a short word over those maps per element.  Every group
-offers one product, the vectorized ``GroupTable.compose``: a read of the
-n x n table, kept up to DENSE_CAP, or else a walk of the word of b from
-a.  Only the O(n^2) and O(n^3) kernels need the table.
+built group keeps its generator columns, the maps x -> x*s for repeated
+squares s of its generators and a short word over those maps per
+element.  Every group offers one product, the vectorized
+``GroupTable.compose``: a read of the n x n table once that is built,
+or else a walk of the word of b from a.  The table is a cache, built on
+first need and only up to DENSE_CAP; the O(n^3) kernels need it, while
+the O(n^2) progression kernels stream its rows from _row_blocks, which
+reads the cached table or derives each row from its parent's.
 """
 
 from __future__ import annotations
@@ -170,38 +173,50 @@ def parse_spec(text: str) -> GroupSpec:
 class GroupTable:
     """A finite group over element indices 0..n-1 with identity at 0.
 
-    ``compose`` is the one product.  It reads ``mul``, the n x n table,
-    where one is kept (up to DENSE_CAP).  Otherwise ``steps[j]`` maps x
-    to x*s_j, s_j a repeated square of a generator, the last row being
-    the identity map, and a*b is a pushed through the first
-    ``lengths[b]`` rows listed in ``words[b]``, whose product is b (each
-    word left-aligned, padded after its end with the last row).  An
-    operation that needs the whole table calls ``require_table``, which
-    raises SizeGuardError when there is none.
+    ``compose`` is the one product.  It reads ``table``, the n x n table,
+    once that is built.  Otherwise ``steps[j]`` maps x to x*s_j, s_j a
+    repeated square of a generator, the last row being the identity map,
+    and a*b is a pushed through the first ``lengths[b]`` rows listed in
+    ``words[b]``, whose product is b (each word left-aligned, padded after
+    its end with the last row).  ``cols[s]`` is the column x -> x*g_s of
+    generator s.  The table is built on first need, from ``cols``, and
+    kept: reading ``mul`` or calling ``require_table`` builds it when
+    ``dense`` (n <= DENSE_CAP when the group was built), and otherwise
+    ``mul`` is None and ``require_table`` raises SizeGuardError.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
     """
 
     n: int
-    mul: np.ndarray | None
     inv: np.ndarray
     spec: GroupSpec
     generator_indices: tuple[int, ...]
+    cols: np.ndarray = field(repr=False)
     steps: np.ndarray = field(repr=False)
     words: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
+    dense: bool = False
+    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generator_indices:
             raise PreconditionError("a group needs a nonempty generating set")
 
+    @property
+    def mul(self) -> np.ndarray | None:
+        """The n x n table, built on first use when ``dense``, else None."""
+        if self.table is None and self.dense:
+            self.table = _table_rows(self.cols, self.inv)
+        return self.table
+
     def require_table(self, operation: str = "this operation") -> np.ndarray:
-        if self.mul is None:
+        table = self.mul
+        if table is None:
             raise SizeGuardError(
                 f"{operation} needs the dense multiplication table, "
                 f"which is only kept for n <= {DENSE_CAP} (group has n={self.n})"
             )
-        return self.mul
+        return table
 
     def _check_indices(self, a) -> np.ndarray:
         a = np.asarray(a)
@@ -215,13 +230,14 @@ class GroupTable:
     def compose(self, a, b) -> np.ndarray:
         """Elementwise product a*b over broadcasting index arrays (int32).
 
-        Without a table the walk takes as many steps as the longest word
-        among the given b, not the padded width of ``words``.
+        It reads the table only if that is already built.  Without it the
+        walk takes as many steps as the longest word among the given b, not
+        the padded width of ``words``.
         """
         a = self._check_indices(a)
         b = self._check_indices(b)
-        if self.mul is not None:
-            return self.mul[a, b]
+        if self.table is not None:
+            return self.table[a, b]
         k = np.max(self.lengths[b], initial=0)
         x = np.broadcast_arrays(a, b)[0].astype(np.int32)
         for s in np.moveaxis(self.words[b, :k], -1, 0):
@@ -296,27 +312,107 @@ def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The n x n table, filled one contiguous row at a time.
+def _row_tree(cols: np.ndarray, inv: np.ndarray):
+    """The recurrence every table row comes from: row(x) = row(p)[left[s]]
+    with p = parents[x] and s = via[x], for x > 0; row 0 is the identity.
 
-    Row x > 0 is row(p)[L_s] for the first pair (p, s) in p-major order
-    with cols[s][p] = x, where L_s[y] = g_s*y = inv[back_s[inv[y]]] and
-    back_s inverts the column y -> y*g_s.  Each x > 0 needs some such p
-    below x, so that row p is already written.  In breadth-first order x
-    was first seen as p*g_s; in a product's mixed radix over breadth-first
-    factors, lowering a nonzero digit of x to its parent in that factor
-    gives p.
+    (p, s) is the first pair in p-major order with cols[s][p] = x, and
+    left[s][y] = g_s*y = inv[back_s[inv[y]]], back_s inverting the column
+    y -> y*g_s, so that row(p)[left[s]][y] = p*g_s*y.  Each x > 0 has such
+    a p below x.  In breadth-first order x was first seen as p*g_s; in a
+    product's mixed radix over breadth-first factors, lowering a nonzero
+    digit of x to its parent in that factor gives p.
     """
     k, n = cols.shape
     _, first = np.unique(cols.T, return_index=True)
     parents, via = np.divmod(first, k)
-    left = inv[_inverted(cols)[:, inv]]
+    # intp, so that take does not convert the indices of every row.
+    left = inv[_inverted(cols)[:, inv]].astype(np.intp)
+    return parents, via, left
+
+
+def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The n x n table, filled one contiguous row at a time in index order
+    by the recurrence of _row_tree, each parent's row already written."""
+    n = cols.shape[1]
+    parents, via, left = _row_tree(cols, inv)
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n, dtype=np.int32)
+    rows, lefts = list(table), list(left)
     for x, p, s in zip(range(1, n), parents[1:].tolist(), via[1:].tolist()):
         # mode="clip" skips the bounds check; with "raise", out is buffered.
-        table[p].take(left[s], out=table[x], mode="clip")
+        rows[p].take(lefts[s], out=rows[x], mode="clip")
     return table
+
+
+def _depth_first(parents: np.ndarray) -> list[int]:
+    """The nodes of the tree parents[x] < x (root 0, parents[0] unread) in
+    preorder, each node's children in increasing order of subtree size.
+
+    A node's row is needed until its last child's is made.  That child is
+    its largest, so every node still needed on the current path is one
+    whose subtree at least doubles the one being walked: at most log2(n)
+    + 1 of them.
+    """
+    n = len(parents)
+    up = parents.tolist()
+    size = [1] * n
+    for x in range(n - 1, 0, -1):
+        size[up[x]] += size[x]
+    # Children grouped by parent, largest first: pushed so, the smallest
+    # comes off the stack first and the largest last.
+    up[0] = -1
+    kids = np.lexsort((-np.array(size), up))[1:]
+    first = np.searchsorted(np.array(up)[kids], np.arange(n + 1)).tolist()
+    kids = kids.tolist()
+    order, stack = [], [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack += kids[first[x]:first[x + 1]]
+    return order
+
+
+def _row_blocks(G: GroupTable, step: int):
+    """Every row of the table, at most ``step`` at a time: yields (xs, R),
+    R[i] being the row y -> xs[i]*y (int32) for the index array xs.
+
+    A built table is read in index order, R a slice of it.  Otherwise the
+    rows come from the recurrence of _row_tree, walked depth first
+    (_depth_first), so that besides one step x n block only the rows of at
+    most log2(n) + 1 parents are held.  R is then a view of that block,
+    which the next block overwrites.  Over all blocks, xs runs through
+    every element once.
+    """
+    n = G.n
+    if G.table is not None:
+        for lo in range(0, n, step):
+            yield np.arange(lo, min(lo + step, n)), G.table[lo:lo + step]
+        return
+    parents, via, left = _row_tree(G.cols, G.inv)
+    order = np.array(_depth_first(parents))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    # For the node at each position: its parent's position and its step,
+    # and the position of its own last child (-1 for a leaf).
+    up, via = pos[parents[order]].tolist(), via[order].tolist()
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, pos[parents[1:]], pos[1:])
+    last = last.tolist()
+    block = np.empty((min(step, n), n), dtype=np.int32)
+    block[0] = np.arange(n, dtype=np.int32)
+    rows, lefts = list(block), list(left)
+    held: dict[int, np.ndarray] = {}  # rows by position, for later blocks
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        for k in range(max(lo, 1), hi):
+            j = up[k]
+            row = rows[j - lo] if j >= lo else held[j]
+            # mode="clip" skips the bounds check; with "raise", out is buffered.
+            row.take(lefts[via[k]], out=rows[k - lo], mode="clip")
+        yield order[lo:hi], block[: hi - lo]
+        held = {j: row for j, row in held.items() if last[j] >= hi}
+        held.update((k, rows[k - lo].copy()) for k in range(lo, hi) if last[k] >= hi)
 
 
 def _closure_columns(
@@ -406,13 +502,15 @@ def _from_columns(
     cols: np.ndarray, generator_indices: tuple[int, ...], spec: GroupSpec
 ) -> GroupTable:
     """The group whose generators have the columns cols[s][x] = x*g_s:
-    the steps and words that ``GroupTable.compose`` walks, the inverses
-    those words give and, up to DENSE_CAP, the table they give last."""
+    the steps and words that ``GroupTable.compose`` walks and the inverses
+    those words give.  Up to DENSE_CAP the group may build its table, on
+    first need."""
     n = cols.shape[1]
     steps, words, lengths = _steps_and_words(cols)
     inv = _inverses(steps, words)
-    table = _table_rows(cols, inv) if n <= DENSE_CAP else None
-    return GroupTable(n, table, inv, spec, generator_indices, steps, words, lengths)
+    return GroupTable(
+        n, inv, spec, generator_indices, cols, steps, words, lengths, n <= DENSE_CAP
+    )
 
 
 def _permutations(m: int) -> np.ndarray:

@@ -12,8 +12,11 @@ The progression sum behind theta has one kernel per kind of input:
 _bit_pass counts blocks of up to 64 indicator triples exactly in packed
 words, and _value_pass sums one real or complex triple, so a triple's
 bits depend on that triple alone.  _value_pass, the chain's c2 and
-count_progressions sum through one row-sum kernel, _row_sums.  The class
-convolution behind gamma and the chain's c4 has one body too,
+count_progressions sum through one row-sum kernel, _row_sums.  These
+kernels and the search's sensitivity tables read the table's rows from
+one provider, groups._row_blocks, so none of them needs the n x n table
+built, and each result is the same whatever order the rows come in.
+The class convolution behind gamma and the chain's c4 has one body too,
 _class_conv_sums, which reads every operand as a row of the value table.
 """
 
@@ -43,7 +46,7 @@ from .fourier import (
     p_norm,
     spectral_profile,
 )
-from .groups import GroupTable
+from .groups import GroupTable, _row_blocks
 
 # The one size limit of the O(n^3) checks, in table gathers per call (see
 # gather_estimate): the chain and sampled gamma refuse a larger
@@ -172,80 +175,91 @@ def _pack(V: np.ndarray) -> np.ndarray:
     return b.view(f"<u{size}")[:, 0]
 
 
-def _bit_pass(t, V1, V2, V3):
-    """Exact progression counts of at most 64 stacked 0/1 triples.
+def _squares(G: GroupTable) -> np.ndarray:
+    """y -> y^2 for every y (int32)."""
+    ar = np.arange(G.n)
+    return G.compose(ar, ar)
+
+
+def _bit_pass(G, V1, V2, V3):
+    """Exact progression counts of stacked 0/1 triples.
 
     For (n x m) 0/1 stacks Vi of any dtype, returns the int64 totals[j]
     = sum_x V1[x, j] S[x, j], where S[x, j] = sum_y V2[xy, j] V3[xy^2, j].
-    Pi packs triple j's values of role i into bit j.  For each pair (x, y)
-    the pass gathers the words P2[xy] and P3[xy^2] (the latter as row x
-    of P3[xy], re-read at y^2) once for every triple; their AND with
-    P1[x]'s has bit j set iff triple j's term is 1, and bit j's count is a
-    count_nonzero over the words masked to it.  Counts are exact and below
-    2^53, so a caller dividing them in float64 gets the bits a float sum
-    of the same 0/1 terms gives.  Rows go CHUNK // 4 at a time, so the
-    intp indices and the three word buffers take no more memory than
-    _row_sums's block buffers.
+    Triples go 64 to a word in stack order: word w's Pi packs the values
+    of role i of triple 64w + j into bit j.  For each pair (x, y) and each
+    word the pass gathers P2[xy] and P3[xy^2] (the latter as row x of
+    P3[xy], re-read at y^2); their AND with P1[x]'s has bit j set iff
+    triple j's term is 1, and bit j's count is a count_nonzero over the
+    words masked to it.  Counts are exact and below 2^53, so a caller
+    dividing them in float64 gets the bits a float sum of the same 0/1
+    terms gives, in any row order.  One sweep of the table rows serves
+    every word; rows go CHUNK // 4 at a time, so the intp indices and the
+    three word buffers take no more memory than _row_sums's block buffers.
     """
     n, m = V2.shape
-    P1, P2, P3 = _pack(V1), _pack(V2), _pack(V3)
-    ysq = t.diagonal().astype(np.intp)
+    words = []
+    for lo in range(0, m, 64):
+        P1, P2, P3 = (_pack(V[:, lo:lo + 64]) for V in (V1, V2, V3))
+        bits = [P2.dtype.type(1 << j) for j in range(min(64, m - lo))]
+        words.append((lo, P1, P2, P3, bits))
+    ysq = _squares(G).astype(np.intp)
     step = CHUNK // 4
     I = np.empty((step, n), dtype=np.intp)
-    W = np.empty((step, n), dtype=P2.dtype)
-    W3 = np.empty_like(W)
-    tmp = np.empty_like(W)
-    bits = [P2.dtype.type(1 << j) for j in range(m)]
+    # Three buffers of the widest word, viewed at each word's dtype.
+    size = max(P2.dtype.itemsize for _, _, P2, _, _ in words)
+    raw = [np.empty(step * n * size, dtype=np.uint8) for _ in range(3)]
     totals = np.zeros(m, dtype=np.int64)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        h = hi - lo
-        np.copyto(I[:h], t[lo:hi])
-        # mode="clip" skips the bounds check; with "raise", take buffers out.
-        np.take(P2, I[:h], out=W[:h], mode="clip")
-        np.take(P3, I[:h], out=tmp[:h], mode="clip")
-        np.take(tmp[:h], ysq, axis=1, out=W3[:h], mode="clip")
-        np.bitwise_and(W[:h], W3[:h], out=W[:h])
-        np.bitwise_and(W[:h], P1[lo:hi, None], out=W[:h])
-        for j, bit in enumerate(bits):
-            masked = W[:h] if m == 1 else np.bitwise_and(W[:h], bit, out=tmp[:h])
-            totals[j] += np.count_nonzero(masked)
+    for xs, R in _row_blocks(G, step):
+        h = len(xs)
+        np.copyto(I[:h], R)
+        for lo, P1, P2, P3, bits in words:
+            W, W3, tmp = (b.view(P2.dtype)[: h * n].reshape(h, n) for b in raw)
+            # mode="clip" skips the bounds check; with "raise", take buffers out.
+            np.take(P2, I[:h], out=W, mode="clip")
+            np.take(P3, I[:h], out=tmp, mode="clip")
+            np.take(tmp, ysq, axis=1, out=W3, mode="clip")
+            np.bitwise_and(W, W3, out=W)
+            np.bitwise_and(W, P1[xs, None], out=W)
+            for j, bit in enumerate(bits, start=lo):
+                masked = W if len(bits) == 1 else np.bitwise_and(W, bit, out=tmp)
+                totals[j] += np.count_nonzero(masked)
     return totals
 
 
-def _row_sums(t, a, b, cols):
+def _row_sums(G, a, b, cols):
     """S[x] = sum_y a[xy] b[x cols[y]] for every row x, for two contiguous
     vectors of one dtype (float64, complex128 or int64).
 
-    Rows go CHUNK at a time, each summed in y order, through three
-    CHUNK x n buffers allocated once: a fresh block per iteration is
+    Rows go CHUNK at a time, in the order _row_blocks gives them, each
+    summed in y order, so S has the same bits in any row order.  The three
+    CHUNK x n buffers are allocated once: a fresh block per iteration is
     page-faulted anew unless the allocator keeps freed memory (on sl2:13
     that doubled the pass time).
     """
     n = len(a)
-    U2 = np.empty((CHUNK, n), dtype=t.dtype)
+    U2 = np.empty((CHUNK, n), dtype=np.int32)
     B2 = np.empty((CHUNK, n), dtype=a.dtype)
     B3 = np.empty_like(B2)
     S = np.empty(n, dtype=a.dtype)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        h = hi - lo
-        U = t[lo:hi]
+    for xs, U in _row_blocks(G, CHUNK):
+        h = len(xs)
         # mode="clip" skips the bounds check; with "raise", take buffers out.
         np.take(U, cols, axis=1, out=U2[:h], mode="clip")
         np.take(a, U, out=B2[:h], mode="clip")
         np.take(b, U2[:h], out=B3[:h], mode="clip")
         np.multiply(B2[:h], B3[:h], out=B2[:h])
-        B2[:h].sum(axis=1, out=S[lo:hi])
+        S[xs] = B2[:h].sum(axis=1)
     return S
 
 
-def _value_pass(t, v1, v2, v3):
+def _value_pass(G, v1, v2, v3):
     """Progression sum sum_x v1[x] S[x], S[x] = sum_y v2[xy] v3[xy^2], of
     one triple of contiguous float64 or complex128 vectors (one dtype),
-    accumulated as v1[block] @ S[block] over CHUNK-row blocks of S from
-    _row_sums, so its bits depend on the triple alone."""
-    S = _row_sums(t, v2, v3, t.diagonal())
+    accumulated as v1[block] @ S[block] over index-order CHUNK-row blocks
+    of the complete S from _row_sums, so its bits depend on the triple
+    alone."""
+    S = _row_sums(G, v2, v3, _squares(G))
     return sum(v1[lo:lo + CHUNK] @ S[lo:lo + CHUNK] for lo in range(0, len(S), CHUNK))
 
 
@@ -259,11 +273,12 @@ def theta_defects(
 
     Each triple goes by its own kind.  Indicator triples (every value 0
     or 1) are counted exactly in packed words, 64 to a word in input
-    order, one gather pair per (x, y) for each word's triples
-    (_bit_pass).  Every other triple goes through _value_pass on its
-    own, in float64 when it has no imaginary part and in complex128
-    otherwise.  Either way a triple's theta has the bits theta_defect
-    gives it alone, whatever the triples beside it.
+    order, one gather pair per (x, y) for each word's triples, in one
+    sweep of the table rows for all the words (_bit_pass).  Every other
+    triple goes through _value_pass on its own, in float64 when it has
+    no imaginary part and in complex128 otherwise.  Either way a
+    triple's theta has the bits theta_defect gives it alone, whatever the
+    triples beside it.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -276,7 +291,6 @@ def theta_defects(
             f"sup norm {sup:.6g} exceeds 1; the theorem bound does not apply",
             stacklevel=2,
         )
-    t = G.require_table("progression expectation")
     n2 = G.n * G.n
     bound = theorem_bound(T.D) if T.D >= 2 else math.inf
     triples = list(zip(F1, F2, F3))
@@ -289,14 +303,13 @@ def theta_defects(
         vs = [f.values for f in fs]
         if not any(np.any(v.imag) for v in vs):
             vs = [np.ascontiguousarray(v.real) for v in vs]
-        totals[j] = _value_pass(t, *vs)
-    for lo in range(0, len(packed), 64):
-        block = packed[lo:lo + 64]
+        totals[j] = _value_pass(G, *vs)
+    if packed:
         stacks = [
-            np.stack([triples[j][i].values != 0 for j in block], axis=1)
+            np.stack([triples[j][i].values != 0 for j in packed], axis=1)
             for i in range(3)
         ]
-        for j, total in zip(block, _bit_pass(t, *stacks)):
+        for j, total in zip(packed, _bit_pass(G, *stacks)):
             totals[j] = total
     reports = []
     for total, (f1, f2, f3) in zip(totals, triples):
@@ -326,12 +339,11 @@ def theta_defect(
 def count_progressions(A1, A2, A3, G: GroupTable) -> int:
     """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3,
     summed in int64 by _row_sums."""
-    t = G.require_table("progression count")
     v1, v2, v3 = V = np.zeros((3, G.n), dtype=np.int64)
     for v, A in zip(V, (A1, A2, A3)):
         if len(np.asarray(A)) > 0:
             v[_check_index_set(G, A)] = 1
-    return int(v1 @ _row_sums(t, v2, v3, t.diagonal()))
+    return int(v1 @ _row_sums(G, v2, v3, _squares(G)))
 
 
 def _report(
@@ -513,6 +525,14 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     return abs0, full_sum, abs_mean
 
 
+def _inverse_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """R = {a : a <= a^{-1}} (as indices), one element of each pair
+    {a, a^{-1}}, and the weight of each: 2, or 1 when a = a^{-1}."""
+    inv = G.inv
+    R = np.flatnonzero(np.arange(G.n) <= inv)
+    return R, np.where(inv[R] == R, 1.0, 2.0)
+
+
 def _class_conv_stats(
     G: GroupTable, C: ConjugacyData, V: np.ndarray
 ) -> tuple[float, float, float]:
@@ -526,13 +546,10 @@ def _class_conv_stats(
     integrands are equal at b and b^{-1}, for complex f too: in the
     coordinates z = u^{-1}, A_K[z, b] = mean_{c in K} f(zc^{-1}) f(zc^{-1}b),
     and z = y b^{-1}, c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] =
-    A_K[y, b^{-1}], while mu_b = mu_{b^{-1}}.  So only the columns
-    R = {b : b <= b^{-1}} (as indices) are evaluated, each weighted 2, or
-    1 when b = b^{-1}.
+    A_K[y, b^{-1}], while mu_b = mu_{b^{-1}}.  So only the columns R of
+    _inverse_pairs are evaluated, with its weights.
     """
-    inv = G.inv
-    R = np.flatnonzero(np.arange(G.n) <= inv)
-    w = np.where(inv[R] == R, 1.0, 2.0)
+    R, w = _inverse_pairs(G)
     gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R, held=True))
     scale = float(G.n) * float(G.n)
     return float(gamma) / scale, float(abs(c4)) / scale, float(mean_term) / scale
@@ -614,24 +631,28 @@ def cs_chain_diagnostics(
     v1, v2, v3 = (f.values.real.copy() for f in (f1, f2, f3))
     ar = np.arange(n)
 
-    theta = abs(float(_value_pass(t, v1, v2, v3))) / (n * n)
+    theta = abs(float(_value_pass(G, v1, v2, v3))) / (n * n)
     c1 = theta**4
     # Row x of the sum is sum_z f3(xz) f1(x z^{-1}), n times c2's inner(x).
-    c2 = float(((_row_sums(t, v3, v1, G.inv) / n) ** 2).mean()) ** 2
+    c2 = float(((_row_sums(G, v3, v1, G.inv) / n) ** 2).mean()) ** 2
 
     # The element y z^2 z^{-1} a^{-1} z is y q(z), q(z) = z a^{-1} z, so
     # every term reads a contiguous row of F3T[w, y] = f3(y w), and the sum
-    # over z runs down axis 0, z in sequence.
+    # over z runs down axis 0, z in sequence.  The sum over y of inner(y,
+    # a)^2 is the same at a and a^{-1}: inner(y, a^{-1}) = inner(y a^{-1},
+    # a), the substitution w = a z trading the two factors.  So only a in
+    # R, one per inverse pair, is evaluated, weighted as in
+    # _class_conv_stats.
     F3T = np.take(v3, t.T)  # C-ordered, where v3[t.T] is not
     v3U = F3T[t.diagonal()]  # v3U[z, y] = f3(y z^2)
     X = np.empty_like(v3U)
     acc = 0.0
-    for a in range(n):
+    for a, weight in zip(*(r.tolist() for r in _inverse_pairs(G))):
         q = t[t[ar, G.inv[a]], ar]
         np.take(F3T, q, axis=0, out=X, mode="clip")
         np.multiply(v3U, X, out=X)
         inner = X.sum(axis=0) / n
-        acc += float((inner**2).sum())
+        acc += weight * float((inner**2).sum())
     c3 = acc / (n * n)
     del F3T, v3U, X  # so that the class convolution's tables replace them
 
@@ -724,14 +745,13 @@ def _toggle_gain_tables(
     (Wi) give P[ey^2] and P[ey^-1].  Each term is then the AND of two
     bits: S1 of bit 1 of W and bit 2 of Wq, S2 of bit 2 of W and bit 0
     of Wi, S3 of bit 1 of W and bit 0 of Wq.  The terms are shifted to
-    0/1 bytes and summed per row in uint16, which is exact because a
-    dense table has n^2 < 2^31, so every count is at most n < 2^16.
-    Rows go CHUNK // 4 at a time, as in _bit_pass.
+    0/1 bytes and summed per row in uint16, which is exact because every
+    count is at most n <= MAX_ORDER < 2^16.  Rows come from _row_blocks,
+    CHUNK // 4 at a time, as in _bit_pass.
     """
-    t = G.require_table("adversarial search")
     n = G.n
     P = _pack(np.stack([v1, v2, v3], axis=1))
-    ysq = t.diagonal().astype(np.intp)
+    ysq = _squares(G).astype(np.intp)
     iv = G.inv.astype(np.intp)
     step = CHUNK // 4
     I = np.empty((step, n), dtype=np.intp)
@@ -740,11 +760,10 @@ def _toggle_gain_tables(
     Wi = np.empty_like(W)
     X = np.empty_like(W)
     S = np.empty((3, n), dtype=np.int64)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        h = hi - lo
+    for xs, R in _row_blocks(G, step):
+        h = len(xs)
         w, q, i, x = W[:h], Wq[:h], Wi[:h], X[:h]
-        np.copyto(I[:h], t[lo:hi])
+        np.copyto(I[:h], R)
         # mode="clip" skips the bounds check; with "raise", take buffers out.
         np.take(P, I[:h], out=w, mode="clip")
         np.take(w, ysq, axis=1, out=q, mode="clip")
@@ -752,36 +771,39 @@ def _toggle_gain_tables(
         # S2: bit 2 of W (alone after the shift) and bit 0 of Wi.
         np.right_shift(w, 2, out=x)
         np.bitwise_and(x, i, out=i)
-        S[1, lo:hi] = i.sum(axis=1, dtype=np.uint16)
+        S[1, xs] = i.sum(axis=1, dtype=np.uint16)
         # S3: bit 1 of W, shifted to bit 0, and bit 0 of Wq.
         np.right_shift(w, 1, out=w)
         np.bitwise_and(w, q, out=x)
         np.bitwise_and(x, 1, out=x)
-        S[2, lo:hi] = x.sum(axis=1, dtype=np.uint16)
+        S[2, xs] = x.sum(axis=1, dtype=np.uint16)
         # S1: the same shifted W and bit 2 of Wq (alone after the shift).
         np.right_shift(q, 2, out=q)
         np.bitwise_and(w, q, out=x)
-        S[0, lo:hi] = x.sum(axis=1, dtype=np.uint16)
+        S[0, xs] = x.sum(axis=1, dtype=np.uint16)
     return S
 
 
-def _apply_toggle(G: GroupTable, V: np.ndarray, S: np.ndarray, slot: int, u: int) -> None:
+def _apply_toggle(
+    G: GroupTable, V: np.ndarray, S: np.ndarray, slot: int, u: int, ysq: np.ndarray
+) -> None:
     """Toggle u in set ``slot`` and move the other two tables in O(n).
 
     V holds the three 0/1 indicators and S the three sensitivity tables of
-    _toggle_gain_tables as (3 x n) int64 rows; both change in place.  Slot
-    i's own table does not read V[i], so only the other two move, by one
-    term per y: with ru = t[u] the row of u, a toggle of x = u moves
-    S2[uy] by v3[uy^2] and S3[uy^2] by v2[uy]; of xy = u, S1[uy^-1] by
-    v3[uy] and S3[uy] by v1[uy^-1]; of xy^2 = u, S1[uy^-2] by v2[uy^-1]
-    and S2[uy^-1] by v1[uy^-2].  y -> uy^2 and y -> uy^-2 are not
-    injective, so those two go through a scatter-add.
+    _toggle_gain_tables as (3 x n) int64 rows; both change in place, and
+    ysq[y] = y^2.  Slot i's own table does not read V[i], so only the
+    other two move, by one term per y: with ru[y] = uy the row of u, a
+    toggle of x = u moves S2[uy] by v3[uy^2] and
+    S3[uy^2] by v2[uy]; of xy = u, S1[uy^-1] by v3[uy] and S3[uy] by
+    v1[uy^-1]; of xy^2 = u, S1[uy^-2] by v2[uy^-1] and S2[uy^-1] by
+    v1[uy^-2].  y -> uy^2 and y -> uy^-2 are not injective, so those two
+    go through a scatter-add.
     """
-    t = G.mul
     iv = G.inv
-    ysq = t.diagonal()
     s = 1 - 2 * int(V[slot, u])
-    ru = t[u]
+    # uy = (y^-1 u^-1)^-1: compose walks the one word of u^-1, where
+    # compose(u, y) would walk the word of every y.
+    ru = iv[G.compose(iv, iv[u])]
     if slot == 0:
         sq = ru[ysq]
         S[1, ru] += s * V[2, sq]
@@ -813,7 +835,8 @@ def adversarial_search(
     repeats while budget remains; a budget below 3n returns the seeded
     start.  The sensitivity tables cost one packed O(n^2) pass per
     restart (_toggle_gain_tables) and are then kept up to date in O(n)
-    per applied toggle (_apply_toggle).  The defect is tracked through
+    per applied toggle (_apply_toggle), with y -> y^2 computed once.  No
+    pass needs the n x n table built.  The defect is tracked through
     exact integer progression counts.  Deterministic in (seed, budget,
     restarts); best restart wins.
     """
@@ -821,6 +844,7 @@ def adversarial_search(
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
     n = G.n
     n2 = float(n) * float(n)
+    ysq = _squares(G)
     best: tuple[float, np.ndarray] | None = None
 
     for r in range(restarts):
@@ -852,7 +876,7 @@ def adversarial_search(
                 break
             slot, e = divmod(flat, n)
             sizes[slot] += int(signs[slot, e])
-            _apply_toggle(G, V, S, slot, e)
+            _apply_toggle(G, V, S, slot, e, ysq)
             N = int(cand_N[slot, e])
             theta = best_theta
         if best is None or theta > best[0]:

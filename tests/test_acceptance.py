@@ -32,6 +32,7 @@ from qmix import (
 )
 from qmix import mixing
 from qmix.cli import main as cli_main
+from qmix.groups import _row_blocks
 
 CHARTAB_GROUPS = (
     [f"cyclic:{n}" for n in range(2, 13)]
@@ -100,6 +101,30 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
         f"hs2 of translated class densities matches |chi(g)|^2/d for all g "
         f"on alt:5 and psl2:7, max deviation {worst:.2e}, {elapsed:.1f}s",
     )
+
+
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
+def test_row_blocks_give_the_table_rows(spec):
+    """The row provider's depth-first walk, with no table built, yields
+    every element's table row once, and builds no table; with the table
+    built it yields the table's slices in index order.  A block of 7 rows
+    makes most parents' rows outlive their block."""
+    G = build_group(spec)
+    seen = np.zeros(G.n, dtype=np.int64)
+    walked = np.empty((G.n, G.n), dtype=np.int32)
+    for xs, R in _row_blocks(G, 7):
+        assert len(xs) == len(R) <= 7
+        seen[xs] += 1
+        walked[xs] = R
+    assert G.table is None
+    assert np.all(seen == 1)
+    assert np.array_equal(walked, G.mul)
+    lo = 0
+    for xs, R in _row_blocks(G, 7):
+        assert np.array_equal(xs, np.arange(lo, lo + len(xs)))
+        assert np.shares_memory(R, G.table)
+        lo += len(xs)
+    assert lo == G.n
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])

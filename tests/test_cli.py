@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ def parse_json(text):
     """json.loads that refuses Infinity and NaN, which RFC 8259 JSON has no
     literal for (jq and JSON.parse reject them too)."""
     return json.loads(text, parse_constant=_no_constant)
+
+
+def assert_theta_matches_a_compose_recount(G, row, sets):
+    """The row's theta against an exact count of the pairs (x, y) with x in
+    A1, xy in A2 and xy^2 in A3, each row x -> xy read through compose."""
+    n = G.n
+    ar = np.arange(n)
+    ysq = G.compose(ar, ar)
+    member = np.zeros((3, n), dtype=bool)
+    for m, a in zip(member, sets):
+        m[a] = True
+    count = 0
+    for lo in range(0, len(sets[0]), 128):
+        rows = G.compose(sets[0][lo:lo + 128, None], ar)
+        count += int(np.count_nonzero(member[1][rows] & member[2][rows[:, ysq]]))
+    sizes = [len(a) for a in sets]
+    assert round(row["raw_re"] * n * n) == count
+    theta = abs(count / (n * n) - sizes[0] * sizes[1] * sizes[2] / n**3)
+    assert row["theta"] == pytest.approx(theta, rel=0, abs=1e-15)
 
 
 class TestGroupCommand:
@@ -453,9 +473,6 @@ class TestHarness:
             ("verify", "sl2:23", "--suite", "fcmu"),
             ("verify", "sl2:23", "--suite", "gamma", "--trials", "1", "--budget", "2"),
             ("verify", "sl2:23", "--trials", "1"),
-            ("mix", "sl2:23", "--random", "0.5", "--trials", "1"),
-            ("mix", "sl2:23", "--sets", "[[0],[1],[2]]"),
-            ("search", "sl2:23"),
         ],
     )
     def test_group_without_table_refused_before_chartab(self, capsys, monkeypatch, argv):
@@ -470,6 +487,43 @@ class TestHarness:
         assert out == ""
         assert "needs the dense multiplication table" in err
         assert "n=12144" in err
+
+    def test_mix_peaks_below_the_table_it_no_longer_builds(self, capsys):
+        # The n x n int32 table of sl2:13 alone takes 4n^2 bytes (19 MB);
+        # mix streams its rows and builds none.
+        n = build_group("sl2:13").n
+        tracemalloc.start()
+        try:
+            code = main(["mix", "sl2:13", "--random", "0.5", "--trials", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.count("passed=True") == 10
+        assert peak < 2 * n * n
+
+    def test_mix_sets_above_the_cap_matches_a_compose_recount(self, capsys):
+        G = build_group("sl2:23")
+        assert G.mul is None
+        rng = np.random.default_rng(23)
+        sets = [np.sort(rng.choice(G.n, 50, replace=False))]
+        sets += [np.flatnonzero(rng.random(G.n) < 0.5) for _ in range(2)]
+        argv = ["mix", "sl2:23", "--sets", json.dumps([a.tolist() for a in sets])]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        (row,) = parse_json(out)
+        assert row["sizes"] == [len(a) for a in sets]
+        assert_theta_matches_a_compose_recount(G, row, sets)
+
+    def test_search_above_the_cap_matches_a_compose_recount(self, capsys):
+        G = build_group("sl2:23")
+        assert G.mul is None
+        argv = ["search", "sl2:23", "--budget", "200000", "--restarts", "1"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        row = parse_json(out)
+        sets = [np.asarray(row["sets"][key]) for key in ("A1", "A2", "A3")]
+        assert row["sizes"] == [len(a) for a in sets]
+        assert_theta_matches_a_compose_recount(G, row, sets)
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
@@ -491,7 +545,7 @@ class TestHarness:
         assert code == 2
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -503,7 +557,7 @@ class TestHarness:
         code, out, err = run(capsys, *argv, f"--tol={tol}")
         assert code == 2
         assert out == ""
-        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
+        assert f"argument --tol: must be a finite number > 0, got '{tol}'" in err
 
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
     @pytest.mark.parametrize(

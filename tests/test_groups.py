@@ -349,7 +349,7 @@ class TestValidateGroup:
         bad = G.mul.copy()
         bad[3, 4], bad[3, 5] = bad[3, 5], bad[3, 4]
         with pytest.raises(GroupFormatError):
-            validate_group(replace(G, mul=bad))
+            validate_group(replace(G, table=bad))
 
     def test_construct_group_accepts_parsed_spec(self):
         spec = parse_spec("dihedral:6")
@@ -370,7 +370,7 @@ class TestValidateGroup:
         assert np.array_equal(np.sort(bad, axis=1), np.broadcast_to(ar, bad.shape))
         assert np.all(bad[ar, G.inv] == 0)
         with pytest.raises(GroupFormatError, match="associativity"):
-            validate_group(replace(G, mul=bad))
+            validate_group(replace(G, table=bad))
 
     def test_too_many_greedy_generators_rejected(self, validate_group):
         # Identity and inverses hold, but x*y = x for x, y outside {0, y^-1}
@@ -382,7 +382,7 @@ class TestValidateGroup:
             t[x, 1:] = x
             t[x, x] = 0
         # Every x is its own inverse in this table.
-        G = replace(build_group("cyclic:8"), mul=t, inv=np.arange(n))
+        G = replace(build_group("cyclic:8"), table=t, inv=np.arange(n))
         with pytest.raises(GroupFormatError, match="greedy generators"):
             validate_group(G)
 

@@ -157,8 +157,8 @@ class TestThetaDefect:
     @pytest.mark.parametrize("m", [1, 2, 8, 9, 63, 64, 65, 130])
     def test_packed_pass_matches_the_float_sums(self, bundle, m):
         # Word widths 8/16/64 bits, and stacks wider than one word split at
-        # 64 triples.  The per-row sums are checked on _toggle_gain_tables
-        # (TestAdversarialSearch).
+        # 64 triples within one pass.  The per-row sums are checked on
+        # _toggle_gain_tables (TestAdversarialSearch).
         G, _, _ = bundle("psl2:7")
         t = G.mul
         rng = np.random.default_rng(m)
@@ -166,9 +166,7 @@ class TestThetaDefect:
         S = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
 
         def packed(*Vs):
-            return np.concatenate(
-                [mixing._bit_pass(t, *(V[:, j:j + 64] for V in Vs)) for j in range(0, m, 64)]
-            )
+            return mixing._bit_pass(G, *Vs)
 
         totals = packed(V1, V2, V3)
         assert totals.dtype == np.int64
@@ -190,7 +188,7 @@ class TestThetaDefect:
             vs = [f.values for f in random_ensemble(G, kind, 51, 3)]
             if kind != "unimodular":
                 vs = [np.ascontiguousarray(v.real) for v in vs]
-        got = mixing._value_pass(G.mul, *vs)
+        got = mixing._value_pass(G, *vs)
         want = reference_value_pass(G.mul, *vs)
         assert got.dtype == want.dtype
         assert got == want
@@ -241,9 +239,9 @@ class TestThetaDefect:
     def test_ensemble_across_64_triple_blocks_matches_single_triples(
         self, bundle, monkeypatch
     ):
-        # Each triple goes by its own kind: the 127 0/1 triples take two
-        # packed passes (64 + 63), and the triple with a +-1 function and
-        # the two unimodular ones take the value pass.
+        # Each triple goes by its own kind: the 127 0/1 triples take one
+        # packed pass over two words (64 + 63), and the triple with a +-1
+        # function and the two unimodular ones take the value pass.
         G, _, T = bundle("psl2:7")
         streams = [random_ensemble(G, "indicator:0.5", (61, role), 128) for role in range(3)]
         streams[1][100] = random_ensemble(G, "rademacher", 62, 1)[0]
@@ -251,7 +249,7 @@ class TestThetaDefect:
             streams[role] += random_ensemble(G, "unimodular", (63, role), 2)
         calls = count_calls(monkeypatch, "_bit_pass", "_value_pass")
         batch = theta_defects(*streams, T)
-        assert calls == {"_bit_pass": 2, "_value_pass": 3}
+        assert calls == {"_bit_pass": 1, "_value_pass": 3}
         assert len(batch) == 130
         for b, f1, f2, f3 in zip(batch, *streams):
             s = theta_defect(f1, f2, f3, T)
@@ -648,10 +646,12 @@ class TestGammaFunctional:
 
     def test_sampled_gamma_holds_no_value_table(self, bundle):
         # psl2:13 (n = 1092) samples; a held n x n value table alone would
-        # take 8n^2 bytes.
+        # take 8n^2 bytes.  The group's own table (4n^2 bytes) is built
+        # first, so the peak counts only what gamma holds.
         G, C, T = bundle("psl2:13")
         assert mixing.gather_estimate("gamma", C) > mixing.GATHER_BUDGET
         f = random_ensemble(G, "mean_zero_rademacher", 67, 1)[0]
+        G.require_table()
         tracemalloc.start()
         try:
             rep = gamma_functional(f, T, C)
@@ -810,6 +810,7 @@ class TestChain:
         G, C, T = bundle("sl2:7")
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
+        G.require_table()  # the group's own table, as in the other tests
         tracemalloc.start()
         try:
             rep = cs_chain_diagnostics(f1, f2, f3, T, C)
@@ -856,7 +857,10 @@ class TestChain:
     def test_c3_bits_match_the_strided_loop(self, spec, bundle):
         # The reference gathers y z^2 z^{-1} a^{-1} z from the flat table
         # and averages over z along axis 1 of an F-ordered array; the
-        # chain's row-gather pass must give the same bits.
+        # chain's row-gather pass must give the same bits.  It sums one a
+        # per inverse pair, a <= a^{-1}, weighted 2 (1 when a = a^{-1}), in
+        # index order, and so moves only in the last bits from the sum
+        # over every a.
         G, C, T = bundle(spec)
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
@@ -869,13 +873,45 @@ class TestChain:
         v3U = v3[U]
         U_rows = U * np.int32(n)
         t_flat = t.ravel()
-        acc = 0.0
+        acc = every = 0.0
         for a in range(n):
             arr_a = t[t[G.inv, G.inv[a]], ar]
             Wm = t_flat[U_rows + arr_a]
             inner = (v3U * v3[Wm]).mean(axis=1)
-            acc += float((inner**2).sum())
+            term = float((inner**2).sum())
+            every += term
+            if a <= G.inv[a]:
+                acc += (1.0 if a == G.inv[a] else 2.0) * term
         assert c3 == acc / (n * n)
+        assert c3 == pytest.approx(every / (n * n), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("spec", ["sym:3", "alt:4"])
+    def test_c3_terms_equal_at_a_and_its_inverse(self, spec, bundle, product, inverse):
+        # sum_y inner(y, a)^2, inner(y, a) = E_z f3(y z^2) f3(y z^2 z^{-1}
+        # a^{-1} z), element by element: equal at a and a^{-1}, which is
+        # why the chain evaluates one a per inverse pair.  Its c3 must be
+        # the mean over every a.
+        G, C, T = bundle(spec)
+        n = G.n
+        rng = np.random.default_rng(37)
+        v3 = rng.uniform(-1, 1, n)
+        v3 -= v3.mean()
+        v3 /= np.abs(v3).max()
+        fs = [GroupFunction(G, rng.uniform(-1, 1, n)) for _ in range(2)]
+        c3 = dict(cs_chain_diagnostics(*fs, GroupFunction(G, v3), T, C).values)["c3"]
+        per_a = np.zeros(n)
+        for a in range(n):
+            for y in range(n):
+                acc = 0.0
+                for z in range(n):
+                    x = product(G, y, product(G, z, z))
+                    shift = product(G, product(G, inverse(G, z), inverse(G, a)), z)
+                    acc += v3[x] * v3[product(G, x, shift)]
+                per_a[a] += (acc / n) ** 2
+        assert any(a != inverse(G, a) and per_a[a] > 1e-3 for a in range(n))
+        for a in range(n):
+            assert per_a[a] == pytest.approx(per_a[inverse(G, a)], rel=1e-12, abs=1e-15)
+        assert c3 == pytest.approx(per_a.sum() / n**2, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "prod:sl2:5+cyclic:3"])
     def test_c2_bits_match_the_full_table_form(self, spec, bundle):
@@ -1098,7 +1134,7 @@ class TestAdversarialSearch:
             slot = step % 3
             member = (step // 3) % 2
             u = int(rng.choice(np.flatnonzero(V[slot] == member)))
-            mixing._apply_toggle(G, V, S, slot, u)
+            mixing._apply_toggle(G, V, S, slot, u, ysq)
             assert V[slot, u] == 1 - member
             assert np.array_equal(S, _toggle_gain_tables(G, *V)), step
         sets = [np.flatnonzero(v) for v in V]

@@ -4,7 +4,8 @@ Classes come from label propagation: every element takes the least label
 among its images under the conjugation maps of the generators, in whole
 array passes, until no label falls.  Characters are recovered by the
 class-sum eigenvector method: the integer class-multiplication matrices
-M_i commute and are jointly diagonalized by the vectors
+M_i, counted together from one right translation per class
+representative, commute and are jointly diagonalized by the vectors
 v_rho(j) = h_j chi_rho(j) / d_rho, so a random real combination of the
 M_i has those vectors as its eigenvectors with probability 1.  The
 result is certified against both orthogonality relations and the exact
@@ -68,6 +69,18 @@ class CharacterTable:
     residual: float
 
 
+def _conjugation_maps(G: GroupTable) -> list[np.ndarray]:
+    """The maps y -> g^{-1} y g (int32) for the generators g other than
+    the identity.  g^{-1} y is read as inv[y^{-1} g], since g^{-1} y =
+    (y^{-1} g)^{-1}, so both products are by the one element g: a walk of
+    its word, or a column of the table."""
+    return [
+        G.compose(G.inv[G.compose(G.inv, g)], g)
+        for g in G.generator_indices
+        if g != 0
+    ]
+
+
 def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     """Partition G by conjugation orbits, by label propagation.
 
@@ -82,16 +95,11 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     back to x forces equality, lab is constant on each orbit, and the
     orbit's minimum, labelled by itself, gives that constant.  The
     minima are the representatives.  Every GroupTable carries its
-    generators.
+    generators, and _conjugation_maps gives their maps.
     """
     n = G.n
-    ar = np.arange(n)
-    maps = [
-        G.compose(G.compose(G.inv[g], ar), g)
-        for g in G.generator_indices
-        if g != 0
-    ]
-    lab = ar.astype(np.int32)
+    maps = _conjugation_maps(G)
+    lab = np.arange(n, dtype=np.int32)
     while True:
         before = lab
         for m in maps:
@@ -126,22 +134,28 @@ def _classes_of(G: GroupTable, C: ConjugacyData | None = None) -> ConjugacyData:
     return C
 
 
-def class_mult_coefficients(G: GroupTable, C: ConjugacyData, i: int) -> np.ndarray:
-    """Integer matrix M_i with M_i[j][l] = #{(a,b) in C_i x C_j : ab = rep_l}.
+def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
+    """The (k, k, k) int64 stack M with M[i][j][l] = #{(a,b) in C_i x C_j :
+    ab = rep_l}, M[i] being the class-multiplication matrix M_i.
 
-    Counted as: for a in C_i, b is forced to a^{-1} rep_l, so count the
-    a whose forced b lands in C_j.  C must belong to G.
+    Counted over y = a^{-1}: b is forced to y rep_l, so M[i][j][l] counts
+    the y with y^{-1} in C_i and y rep_l in C_j.  Each l takes one
+    right-translation column y -> y rep_l (a walk of the one word of
+    rep_l, or a column of the table) and one bincount of the class pairs.
+    C must belong to G.  The stack holds 8k^3 bytes, so more than
+    MAX_CLASSES classes raise SizeGuardError.
     """
     C = _classes_of(G, C)
-    if not 0 <= i < C.k:
-        raise PreconditionError(f"class index {i} out of range 0..{C.k - 1}")
-    reps = C.representatives
-    Ei = np.flatnonzero(C.class_of == i)
     k = C.k
-    B = G.compose(G.inv[Ei][:, None], reps)
-    cls = C.class_of[B].astype(np.int64)
-    flat = cls * k + np.arange(k, dtype=np.int64)[None, :]
-    return np.bincount(flat.ravel(), minlength=k * k).reshape(k, k)
+    if k > MAX_CLASSES:
+        raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
+    ar = np.arange(G.n)
+    row = C.class_of[G.inv].astype(np.int64) * k
+    M = np.empty((k, k, k), dtype=np.int64)
+    for l, rep in enumerate(C.representatives):
+        pairs = row + C.class_of[G.compose(ar, rep)]
+        M[:, :, l] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    return M
 
 
 def _orthogonality_residual(
@@ -178,19 +192,15 @@ def compute_character_table(
     deviation below DEGREE_TOL), sum of squared degrees equal to n
     exactly, both orthogonality relations within tol, trivial row all
     ones, and agreement of the all-degrees-one test with abelianness.
-    A nan, infinite or negative tol raises PreconditionError.
+    A nan, infinite or negative tol raises PreconditionError, and more
+    than MAX_CLASSES classes SizeGuardError (class_mult_coefficients).
     """
     if not 0 <= tol < np.inf:
         raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
     C = _classes_of(G, C)
     n, k = G.n, C.k
-    if k > MAX_CLASSES:
-        raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
+    M_all = class_mult_coefficients(G, C).astype(np.float64)
     sizes_f = C.sizes.astype(np.float64)
-
-    M_all = np.empty((k, k, k), dtype=np.float64)
-    for i in range(k):
-        M_all[i] = class_mult_coefficients(G, C, i)
 
     abelian = is_abelian(G)
     last_error = "no attempt made"

@@ -364,6 +364,12 @@ def cmd_search(args) -> int:
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
+    if 0 <= args.budget < 3 * G.n:
+        print(
+            f"note: --budget {args.budget} is below 3n = {3 * G.n}, the cost of one "
+            "greedy step, so no step runs and the seeded start is reported",
+            file=sys.stderr,
+        )
     A1, A2, A3, rep = adversarial_search(
         G, T, budget=args.budget, restarts=args.restarts, seed=args.seed
     )

@@ -252,9 +252,11 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     repeats a step, or has been squared log2(n) times.  Exponents below
     the order of g are sums of distinct powers of two, so a level-by-level
     search over the steps finds words of a few steps per bit of n, where
-    the generators alone may need n - 1.  The word of an element found at
-    level d fills its first d columns, the rest being padding.  The word
-    dtype fits the step count, which can exceed 127.
+    the generators alone may need n - 1.  Each level keeps the first
+    occurrence of every new element among its candidates (_first_seen, an
+    O(n) scan, no sort).  The word of an element found at level d fills
+    its first d columns, the rest being padding.  The word dtype fits the
+    step count, which can exceed 127.
     """
     n = cols.shape[1]
     rows, seen = [], {0}
@@ -272,13 +274,13 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     frontier = np.zeros(1, dtype=np.int32)
     levels = []
     while True:
-        # Reached candidates are dropped before the sort; the survivors keep
-        # their positions, so each new element keeps its first occurrence.
+        # Reached candidates are dropped first; the survivors keep their
+        # positions, so each new element keeps its first occurrence.
         candidates = steps[:pad, frontier].ravel()
         at = np.flatnonzero(~reached[candidates])
         if not at.size:
             break
-        new, first = np.unique(candidates[at], return_index=True)
+        new, first = _first_seen(candidates[at], n)
         via, at = np.divmod(at[first], frontier.size)
         levels.append((new, frontier[at], via))
         frontier = new
@@ -292,6 +294,18 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         words[level, d - 1] = via
         lengths[level] = d
     return steps, words, lengths
+
+
+def _first_seen(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_index=True) for entries in 0..n-1, without
+    a sort: the distinct values in increasing order (values' dtype) and the
+    position of each one's first occurrence (intp), from one running
+    minimum of positions over an n-array."""
+    m = len(values)
+    first = np.full(n, m, dtype=np.intp)
+    np.minimum.at(first, values, np.arange(m))
+    new = np.flatnonzero(first < m)
+    return new.astype(values.dtype), first[new]
 
 
 def _inverted(perms: np.ndarray) -> np.ndarray:
@@ -316,7 +330,8 @@ def _row_tree(cols: np.ndarray, inv: np.ndarray):
     """The recurrence every table row comes from: row(x) = row(p)[left[s]]
     with p = parents[x] and s = via[x], for x > 0; row 0 is the identity.
 
-    (p, s) is the first pair in p-major order with cols[s][p] = x, and
+    (p, s) is the first pair in p-major order with cols[s][p] = x (found
+    by _first_seen over cols.T), and
     left[s][y] = g_s*y = inv[back_s[inv[y]]], back_s inverting the column
     y -> y*g_s, so that row(p)[left[s]][y] = p*g_s*y.  Each x > 0 has such
     a p below x.  In breadth-first order x was first seen as p*g_s; in a
@@ -324,7 +339,8 @@ def _row_tree(cols: np.ndarray, inv: np.ndarray):
     digit of x to its parent in that factor gives p.
     """
     k, n = cols.shape
-    _, first = np.unique(cols.T, return_index=True)
+    # Each column is a permutation, so every x occurs.
+    _, first = _first_seen(cols.T.ravel(), n)
     parents, via = np.divmod(first, k)
     # intp, so that take does not convert the indices of every row.
     left = inv[_inverted(cols)[:, inv]].astype(np.intp)

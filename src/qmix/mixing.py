@@ -195,7 +195,7 @@ def _bit_pass(G, V1, V2, V3):
     dividing them in float64 gets the bits a float sum of the same 0/1
     terms gives, in any row order.  One sweep of the table rows serves
     every word; rows go CHUNK // 4 at a time, so the intp indices and the
-    three word buffers take no more memory than _row_sums's block buffers.
+    three word buffers hold at most 8 CHUNK n bytes.
     """
     n, m = V2.shape
     words = []
@@ -231,18 +231,21 @@ def _row_sums(G, a, b, cols):
     """S[x] = sum_y a[xy] b[x cols[y]] for every row x, for two contiguous
     vectors of one dtype (float64, complex128 or int64).
 
-    Rows go CHUNK at a time, in the order _row_blocks gives them, each
-    summed in y order, so S has the same bits in any row order.  The three
-    CHUNK x n buffers are allocated once: a fresh block per iteration is
-    page-faulted anew unless the allocator keeps freed memory (on sl2:13
-    that doubled the pass time).
+    Rows go h at a time, in the order _row_blocks gives them, each summed
+    in y order, so S has the same bits in any row order and any h.  h is
+    CHUNK up to n = CHUNK and CHUNK^2 // n above it, so the three h x n
+    buffers hold about 20 CHUNK^2 bytes (36 for complex) whatever n is.
+    They are allocated once: a fresh block per iteration is page-faulted
+    anew unless the allocator keeps freed memory (on sl2:13 that doubled
+    the pass time).
     """
     n = len(a)
-    U2 = np.empty((CHUNK, n), dtype=np.int32)
-    B2 = np.empty((CHUNK, n), dtype=a.dtype)
+    step = min(CHUNK, max(1, CHUNK * CHUNK // n))
+    U2 = np.empty((step, n), dtype=np.int32)
+    B2 = np.empty((step, n), dtype=a.dtype)
     B3 = np.empty_like(B2)
     S = np.empty(n, dtype=a.dtype)
-    for xs, U in _row_blocks(G, CHUNK):
+    for xs, U in _row_blocks(G, step):
         h = len(xs)
         # mode="clip" skips the bounds check; with "raise", take buffers out.
         np.take(U, cols, axis=1, out=U2[:h], mode="clip")

@@ -15,6 +15,7 @@ import pytest
 from qmix import (
     GroupFunction,
     build_group,
+    class_mult_coefficients,
     compute_character_table,
     conjugacy_classes,
     adversarial_search,
@@ -174,6 +175,26 @@ def test_label_propagation_matches_the_flood_fill(spec, flood_fill_classes):
     assert C.k == len(elements)
     for c, want in enumerate(elements):
         assert np.array_equal(np.flatnonzero(C.class_of == c), want)
+
+
+def _per_class_coefficients(G, C, i):
+    """M_i as it was counted one class at a time: for a in C_i, b is forced
+    to a^{-1} rep_l, a walk of the word of each rep_l from every a^{-1}."""
+    k = C.k
+    a = np.flatnonzero(C.class_of == i)
+    cls = C.class_of[G.compose(G.inv[a][:, None], C.representatives)].astype(np.int64)
+    flat = cls * k + np.arange(k, dtype=np.int64)[None, :]
+    return np.bincount(flat.ravel(), minlength=k * k).reshape(k, k)
+
+
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])
+def test_class_mult_stack_matches_the_per_class_count(spec):
+    G = build_group(spec)
+    C = conjugacy_classes(G)
+    M = class_mult_coefficients(G, C)
+    assert M.dtype == np.int64 and M.shape == (C.k, C.k, C.k)
+    for i in range(C.k):
+        assert np.array_equal(M[i], _per_class_coefficients(G, C, i)), i
 
 
 def test_criterion_03_parseval_sweep(bundle, capsys):

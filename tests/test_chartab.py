@@ -19,6 +19,7 @@ from qmix import (
     is_abelian,
     witten_zeta,
 )
+from qmix.chartab import _conjugation_maps
 
 BATTERY = [
     "cyclic:2",
@@ -98,20 +99,33 @@ class TestConjugacy:
         y = product(G, product(G, inverse(G, g), x), g)
         assert C.class_of[x] == C.class_of[y]
 
+    @pytest.mark.parametrize("spec", ["alt:5", "sl2:23"])
+    def test_conjugation_maps_are_the_two_sided_products(self, spec):
+        # alt:5 reads its table, sl2:23 (above DENSE_CAP) walks words.
+        G = build_group(spec)
+        if G.dense:
+            G.require_table()
+        ar = np.arange(G.n)
+        gens = [g for g in G.generator_indices if g != 0]
+        maps = _conjugation_maps(G)
+        assert len(maps) == len(gens)
+        for g, m in zip(gens, maps):
+            assert m.dtype == np.int32
+            assert np.array_equal(m, G.compose(G.compose(G.inv[g], ar), g))
+
 
 class TestClassMultCoefficients:
     def test_identity_class_gives_identity_matrix(self, bundle):
         for spec in ("sym:3", "alt:4"):
             G, C, _ = bundle(spec)
-            M0 = class_mult_coefficients(G, C, 0)
+            M0 = class_mult_coefficients(G, C)[0]
             assert np.array_equal(M0, np.eye(C.k, dtype=M0.dtype))
 
     @pytest.mark.parametrize("spec", ["sym:3", "alt:4", "dihedral:5"])
     def test_double_counting_identity(self, spec, bundle):
         G, C, _ = bundle(spec)
         h = C.sizes.astype(np.int64)
-        for i in range(C.k):
-            Mi = class_mult_coefficients(G, C, i)
+        for i, Mi in enumerate(class_mult_coefficients(G, C)):
             assert np.issubdtype(Mi.dtype, np.integer)
             assert np.all(Mi >= 0)
             # sum over l of M_i[j][l] h_l counts all of class_i x class_j
@@ -128,7 +142,28 @@ class TestClassMultCoefficients:
                         for l in range(C.k):
                             if ab == C.representatives[l]:
                                 expected[j][l] += 1
-            assert np.array_equal(class_mult_coefficients(G, C, i), expected)
+            assert np.array_equal(class_mult_coefficients(G, C)[i], expected)
+
+    @pytest.mark.parametrize("spec", ["sym:3", "alt:4", "psl2:7"])
+    def test_stack_is_the_pair_count(self, spec, bundle):
+        # Every pair (a, b) of the table: its product counts once toward
+        # M[class(a)][class(b)][l] when it is rep_l.
+        G, C, _ = bundle(spec)
+        k = C.k
+        ab = G.require_table()
+        slot = np.full(G.n, -1)
+        slot[C.representatives] = np.arange(k)
+        a, b = np.nonzero(slot[ab] >= 0)
+        expected = np.zeros((k, k, k), dtype=np.int64)
+        np.add.at(expected, (C.class_of[a], C.class_of[b], slot[ab[a, b]]), 1)
+        M = class_mult_coefficients(G, C)
+        assert M.dtype == np.int64 and M.shape == (k, k, k)
+        assert np.array_equal(M, expected)
+
+    def test_stack_refuses_more_than_max_classes(self):
+        G = build_group("cyclic:250")
+        with pytest.raises(SizeGuardError, match="250 classes exceeds the 200 cap"):
+            class_mult_coefficients(G, conjugacy_classes(G))
 
 
 class TestCharacterTable:

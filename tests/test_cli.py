@@ -451,6 +451,22 @@ class TestSearchCommand:
         assert payload["bound"] is None and payload["margin"] is None
         assert payload["vacuous"] is True
 
+    def test_a_budget_below_one_step_is_noted(self, capsys):
+        # sl2:13 has n = 2184, so one greedy step costs 6552 evaluations,
+        # more than the default budget of 5000.
+        code, out, err = run(capsys, "search", "sl2:13")
+        assert code == 0
+        assert "best_theta=" in out
+        assert err == (
+            "note: --budget 5000 is below 3n = 6552, the cost of one greedy "
+            "step, so no step runs and the seeded start is reported\n"
+        )
+        code, _, err = run(
+            capsys, "search", "psl2:13", "--budget", "100000", "--restarts", "1"
+        )
+        assert code == 0
+        assert err == ""
+
     def test_json_sets_are_valid_indices(self, capsys):
         code, out, _ = run(
             capsys, "search", "sym:4", "--budget", "200", "--restarts", "1",

@@ -35,6 +35,8 @@ from qmix import (
     verify_parseval,
 )
 from qmix import mixing
+from qmix.fourier import CHUNK
+from qmix.groups import DENSE_CAP
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
 
 
@@ -313,6 +315,24 @@ class TestCountProgressions:
             assert count_progressions(*(np.flatnonzero(a) for a in (a1, a2, a3)), G) == want
         assert want == n * n
 
+    def test_lazy_pass_holds_blocks_of_about_chunk_squared(self):
+        # Above DENSE_CAP rows are streamed; the block height shrinks as n
+        # grows, so the row-sum buffers stay near 20 CHUNK^2 bytes where
+        # CHUNK-row blocks took 20 CHUNK n (42 MB here).  With A1 and A3
+        # the whole group, the count is n |A2|.
+        G = build_group(f"cyclic:{DENSE_CAP + 8}")
+        n = G.n
+        A2 = np.flatnonzero(np.random.default_rng(31).random(n) < 0.5)
+        tracemalloc.start()
+        try:
+            count = count_progressions(range(n), A2, range(n), G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.table is None
+        assert count == n * len(A2)
+        assert peak < 64 * CHUNK**2 + 256 * n
+
     def test_brute_force_oracle(self, bundle, product):
         G, _, _ = bundle("sym:3")
         rng = np.random.default_rng(5)
@@ -477,7 +497,7 @@ class TestPreconditions:
             (lambda: compute_character_table(G, CH), "class data belongs"),
             (lambda: spectral_profile(zero, T, CH), "class data belongs"),
             (lambda: mu_translated_class(G, CH, 0), "class data belongs"),
-            (lambda: class_mult_coefficients(H, C, 1), "class data belongs"),
+            (lambda: class_mult_coefficients(H, C), "class data belongs"),
         ]
         for call, message in cases:
             with pytest.raises(GroupMismatchError, match=message):

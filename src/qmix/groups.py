@@ -318,11 +318,17 @@ def _inverted(perms: np.ndarray) -> np.ndarray:
 
 def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
     """inv[b]: the identity pushed through the inverted steps of words[b],
-    last first."""
-    back = _inverted(steps)
-    inv = np.zeros(steps.shape[1], dtype=np.int32)
+    last first.  Each word column is one flat take on the inverted steps,
+    at s n + inv, which costs less than the 2-D gather back[s, inv]."""
+    n = steps.shape[1]
+    back = _inverted(steps).ravel()
+    inv = np.zeros(n, dtype=np.int32)
+    at = np.empty(n, dtype=np.intp)
     for s in words[:, ::-1].T:
-        inv = back[s, inv]
+        np.multiply(s, n, out=at, dtype=np.intp)
+        at += inv
+        # mode="clip" skips the bounds check; with "raise", take buffers out.
+        np.take(back, at, out=inv, mode="clip")
     return inv
 
 

@@ -18,6 +18,11 @@ one provider, groups._row_blocks, so none of them needs the n x n table
 built, and each result is the same whatever order the rows come in.
 The class convolution behind gamma and the chain's c4 has one body too,
 _class_conv_sums, which reads every operand as a row of the value table.
+It and the chain's c3 pass are the O(n^3) work, and both integrands are
+invariant under multiplication by the central involutions E = {z
+central : z^2 = 1}: each evaluates one element per coset of E
+(_central_involutions), weighted |E|, a no-op where E is trivial, as on
+groups of trivial centre.
 """
 
 from __future__ import annotations
@@ -420,6 +425,8 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
     pair {b, b^{-1}}, about half of them, and reads its rows from a held
     value table, so 2n^3 bounds it from above.
     The chain adds 2n^3 for its c3 pass; the other suites are O(n^2).
+    Both O(n^3) passes evaluate one element per coset of the central
+    involutions E, so the estimate is |E| times too high where |E| > 1.
     """
     n = C.group.n
     m = n if columns is None else columns
@@ -486,6 +493,15 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     and one matrix-vector product.  ``held`` reads the rows from the held
     table ft[t] (8n^2 bytes, 16n^2 for complex f); otherwise each g
     gathers its own, with the same bits.
+
+    Both integrands are the same at g and g z for z in E = {z central :
+    z^2 = 1}: (gz)^{-1} b (gz) = g^{-1} b g, and the density of gz sits
+    on z^{-2} g^{-1} C(g^{-1}) = g^{-1} C(g^{-1}).  So only one g per
+    coset gE is evaluated, its member of least (class, index)
+    (_central_involutions), and the sums are scaled by |E|, a power of
+    two, exactly.  A class with no such member builds no A_K, so both
+    halves of the pass shrink by |E|.  Where E is trivial every g is
+    evaluated, in class order, and the sums keep their bits.
     """
     t = G.require_table("class convolution")
     n, m = G.n, len(cols)
@@ -503,19 +519,24 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
             return np.take(VT, h, axis=0, out=out, mode="clip")
         return np.take(ft, t[h], out=out, mode="clip")
 
+    picked, e = _central_involutions(G, C)
     A = np.empty_like(deriv)
     X = np.empty((m, n), dtype=ft.dtype)
     Fg = np.empty(n, dtype=ft.dtype)
     abs0, full_sum, abs_mean = np.zeros(m), np.zeros(m, dtype=ft.dtype), np.zeros(m)
     for c in range(C.k):
-        members = np.flatnonzero(C.class_of == c)
+        in_class = C.class_of == c
+        gs = np.flatnonzero(in_class & picked)
+        if not len(gs):
+            continue
+        members = np.flatnonzero(in_class)
         # Rows u go a block at a time, so the gathered rows of deriv stay
         # in cache.
         step = max(1, CHUNK * CHUNK // (len(members) * m))
         for lo in range(0, n, step):
             A[lo:lo + step] = deriv[t[members, lo:lo + step]].mean(axis=0)
         AT = np.ascontiguousarray(A.T)
-        for g in members:
+        for g in gs:
             gi = G.inv[g]
             h = t[gi, bi]  # h[j] = g^{-1} b_j^{-1}
             take_rows(h, X)  # X[j, u] = f(u^{-1} b_j g)
@@ -525,7 +546,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
             abs0 += np.abs(full - inner_mean)
             full_sum += full
             abs_mean += np.abs(inner_mean)
-    return abs0, full_sum, abs_mean
+    return e * abs0, e * full_sum, e * abs_mean
 
 
 def _inverse_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
@@ -534,6 +555,22 @@ def _inverse_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     inv = G.inv
     R = np.flatnonzero(np.arange(G.n) <= inv)
     return R, np.where(inv[R] == R, 1.0, 2.0)
+
+
+def _central_involutions(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, int]:
+    """One element of each coset gE of E = {z central : z^2 = 1}, as a
+    mask over the elements, and |E|.
+
+    E is read from the classes of size 1 and one table lookup z z each; it
+    is an elementary abelian 2-group, so |E| is a power of two.  Each
+    coset's pick is its member of least (class, index), so when E is
+    trivial every element is picked.
+    """
+    t = G.require_table("central involutions")
+    z = C.representatives[C.sizes == 1]
+    E = z[t[z, z] == 0]
+    key = C.class_of.astype(np.int64) * G.n + np.arange(G.n)
+    return key == key[t[:, E]].min(axis=1), len(E)
 
 
 def _class_conv_stats(
@@ -550,7 +587,8 @@ def _class_conv_stats(
     coordinates z = u^{-1}, A_K[z, b] = mean_{c in K} f(zc^{-1}) f(zc^{-1}b),
     and z = y b^{-1}, c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] =
     A_K[y, b^{-1}], while mu_b = mu_{b^{-1}}.  So only the columns R of
-    _inverse_pairs are evaluated, with its weights.
+    _inverse_pairs are evaluated, with its weights, and only one g per
+    coset of the central involutions, weighted |E| (_class_conv_sums).
     """
     R, w = _inverse_pairs(G)
     gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R, held=True))
@@ -583,7 +621,9 @@ def gamma_functional(
     f: the exhaustive pass evaluates one column per pair {b, b^{-1}} and
     holds that n x n table, while the sampled one, which starts only
     where 2n^3 exceeds GATHER_BUDGET, gathers each g's rows and holds a
-    few n x m tables.
+    few n x m tables.  Either evaluates one g per coset gE of the central
+    involutions E, weighted |E|, so on SL_2(p) (E = {I, -I}) it does half
+    the work of a pass over every g.
     """
     G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
     check_budget("gamma", C, budget)
@@ -619,10 +659,13 @@ def cs_chain_diagnostics(
       c4 = |E_{g,b,x}[D_b f3(x) (D_{g^{-1}bg} f3 * mu_g)(x)]|,
       split = gamma term + mean term after centering D_{g^{-1}bg} f3,
     and checks c1 <= c2 <= c3, c3 = c4 (exact change of variables),
-    c4 <= split, split <= 2/sqrt(D).  theta and c2 stream table rows; c3
-    holds three n x n tables (24n^2 bytes) and frees them before the class
-    convolution holds its value table (8n^2 bytes).  Both are O(n^3), so a
-    group whose estimate exceeds GATHER_BUDGET raises SizeGuardError first.
+    c4 <= split, split <= 2/sqrt(D).  theta and c2 stream table rows.  c3
+    and c4 sum over one z (for c4, one g) per coset of the central
+    involutions E, weighted |E|.  c3 holds one n x n table and two
+    (n/|E|) x n tables, (8 + 16/|E|) n^2 bytes, and frees them before the
+    class convolution holds its value table (8n^2 bytes).  Both are
+    O(n^3), so a group whose estimate exceeds GATHER_BUDGET raises
+    SizeGuardError first.
     """
     G, C = _check_inputs(
         [f1, f2, f3], T, C, classes=True, real=True, bounded=True, mean_zero=(2,)
@@ -632,7 +675,6 @@ def cs_chain_diagnostics(
     t = G.require_table("chain diagnostics")
     n = G.n
     v1, v2, v3 = (f.values.real.copy() for f in (f1, f2, f3))
-    ar = np.arange(n)
 
     theta = abs(float(_value_pass(G, v1, v2, v3))) / (n * n)
     c1 = theta**4
@@ -645,16 +687,20 @@ def cs_chain_diagnostics(
     # a)^2 is the same at a and a^{-1}: inner(y, a^{-1}) = inner(y a^{-1},
     # a), the substitution w = a z trading the two factors.  So only a in
     # R, one per inverse pair, is evaluated, weighted as in
-    # _class_conv_stats.
+    # _class_conv_stats.  The z-summand is the same at z and z zeta for
+    # zeta in E (z zeta squares to z^2, and q(z zeta) = q(z) zeta^2), so
+    # z runs over one element of each coset zE, weighted |E|.
     F3T = np.take(v3, t.T)  # C-ordered, where v3[t.T] is not
-    v3U = F3T[t.diagonal()]  # v3U[z, y] = f3(y z^2)
+    picked, e = _central_involutions(G, C)
+    zs = np.flatnonzero(picked)
+    v3U = F3T[t[zs, zs]]  # v3U[i, y] = f3(y z^2), z = zs[i]
     X = np.empty_like(v3U)
     acc = 0.0
     for a, weight in zip(*(r.tolist() for r in _inverse_pairs(G))):
-        q = t[t[ar, G.inv[a]], ar]
+        q = t[t[zs, G.inv[a]], zs]
         np.take(F3T, q, axis=0, out=X, mode="clip")
         np.multiply(v3U, X, out=X)
-        inner = X.sum(axis=0) / n
+        inner = e * X.sum(axis=0) / n
         acc += weight * float((inner**2).sum())
     c3 = acc / (n * n)
     del F3T, v3U, X  # so that the class convolution's tables replace them

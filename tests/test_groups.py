@@ -554,3 +554,24 @@ def test_word_search_and_row_tree_match_the_sorted_search(text):
     parents, via, _ = groups._row_tree(G.cols, G.inv)
     for got, want in zip((parents, via), np.divmod(first, k)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _walked_inverses(steps, words):
+    """The inverses as a 2-D gather back[s, inv] per word column."""
+    back = groups._inverted(steps)
+    inv = np.zeros(steps.shape[1], dtype=np.int32)
+    for s in words[:, ::-1].T:
+        inv = back[s, inv]
+    return inv
+
+
+@pytest.mark.parametrize(
+    "text", ["sl2:23", "alt:8", "sym:8", "cyclic:50000", "prod:cyclic:200+cyclic:250"]
+)
+def test_flat_inverse_walk_matches_the_2d_gather(text):
+    # One flat take per word column reads back[s, inv] at s n + inv.
+    G = build_group(text)
+    want = _walked_inverses(G.steps, G.words)
+    got = groups._inverses(G.steps, G.words)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(got, G.inv)

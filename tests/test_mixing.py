@@ -35,7 +35,7 @@ from qmix import (
     verify_parseval,
 )
 from qmix import mixing
-from qmix.fourier import CHUNK
+from qmix.fourier import CHUNK, _correlation
 from qmix.groups import DENSE_CAP
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
 
@@ -876,11 +876,12 @@ class TestChain:
     @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "prod:sl2:5+cyclic:3"])
     def test_c3_bits_match_the_strided_loop(self, spec, bundle):
         # The reference gathers y z^2 z^{-1} a^{-1} z from the flat table
-        # and averages over z along axis 1 of an F-ordered array; the
-        # chain's row-gather pass must give the same bits.  It sums one a
-        # per inverse pair, a <= a^{-1}, weighted 2 (1 when a = a^{-1}), in
-        # index order, and so moves only in the last bits from the sum
-        # over every a.
+        # and sums over z along axis 1 of an F-ordered array; the chain's
+        # row-gather pass must give the same bits.  It sums one a per
+        # inverse pair, a <= a^{-1}, weighted 2 (1 when a = a^{-1}), in
+        # index order, and one z per coset zE of the central involutions
+        # E, weighted |E| (E = {1, -1} here on prod:sl2:5+cyclic:3), so it
+        # moves only in the last bits from the sum over every a and z.
         G, C, T = bundle(spec)
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
@@ -888,21 +889,28 @@ class TestChain:
 
         t, n = G.mul, G.n
         v3 = f3.values.real.copy()
-        ar = np.arange(n)
-        U = t[:, t.diagonal()]
-        v3U = v3[U]
-        U_rows = U * np.int32(n)
+        picked, e = mixing._central_involutions(G, C)
         t_flat = t.ravel()
-        acc = every = 0.0
-        for a in range(n):
-            arr_a = t[t[G.inv, G.inv[a]], ar]
-            Wm = t_flat[U_rows + arr_a]
-            inner = (v3U * v3[Wm]).mean(axis=1)
-            term = float((inner**2).sum())
-            every += term
-            if a <= G.inv[a]:
-                acc += (1.0 if a == G.inv[a] else 2.0) * term
-        assert c3 == acc / (n * n)
+
+        def sums_over(zs, weight):
+            # (the sum over one a per inverse pair, the sum over every a)
+            U = t[:, t[zs, zs]]
+            v3U = v3[U]
+            U_rows = U * np.int32(n)
+            acc = every = 0.0
+            for a in range(n):
+                arr_a = t[t[G.inv[zs], G.inv[a]], zs]
+                Wm = t_flat[U_rows + arr_a]
+                inner = weight * (v3U * v3[Wm]).sum(axis=1) / n
+                term = float((inner**2).sum())
+                every += term
+                if a <= G.inv[a]:
+                    acc += (1.0 if a == G.inv[a] else 2.0) * term
+            return acc, every
+
+        assert e == (2 if spec.startswith("prod") else 1)
+        assert c3 == sums_over(np.flatnonzero(picked), e)[0] / (n * n)
+        every = sums_over(np.arange(n), 1)[1]
         assert c3 == pytest.approx(every / (n * n), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("spec", ["sym:3", "alt:4"])
@@ -1012,6 +1020,149 @@ class TestChain:
         assert (lemma.lhs_value, lemma.rhs_bound) == (v["split"], v["bound"])
         assert lemma.margin == v["bound"] - v["split"]
         assert rep.passed is lemma.passed is True
+
+
+def class_conv_sums_every_g(G, C, V, cols, held):
+    """The class-convolution sums with every g evaluated, weight 1: a copy
+    of the loop before the sums were quotiented by the central involutions."""
+    t = G.mul
+    n, m = G.n, len(cols)
+    W = V if np.any(V.imag) else V.real
+    mu = _correlation(t, W, W) / n
+    mu = mu if np.iscomplexobj(W) else mu.real
+    ft = W[G.inv]
+    bi = G.inv[cols]
+    deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)
+    VT = ft[t] if held else None
+
+    def take_rows(h, out):
+        if held:
+            return np.take(VT, h, axis=0, out=out, mode="clip")
+        return np.take(ft, t[h], out=out, mode="clip")
+
+    A = np.empty_like(deriv)
+    X = np.empty((m, n), dtype=ft.dtype)
+    Fg = np.empty(n, dtype=ft.dtype)
+    abs0, full_sum, abs_mean = np.zeros(m), np.zeros(m, dtype=ft.dtype), np.zeros(m)
+    for c in range(C.k):
+        members = np.flatnonzero(C.class_of == c)
+        step = max(1, CHUNK * CHUNK // (len(members) * m))
+        for lo in range(0, n, step):
+            A[lo:lo + step] = deriv[t[members, lo:lo + step]].mean(axis=0)
+        AT = np.ascontiguousarray(A.T)
+        for g in members:
+            gi = G.inv[g]
+            h = t[gi, bi]
+            take_rows(h, X)
+            X *= AT
+            full = X @ take_rows(gi, Fg) / n
+            inner_mean = mu[t[h, g]] * mu[cols]
+            abs0 += np.abs(full - inner_mean)
+            full_sum += full
+            abs_mean += np.abs(inner_mean)
+    return abs0, full_sum, abs_mean
+
+
+def c3_every_z(G, v3):
+    """The chain's c3 with every z summed: a copy of the loop before it was
+    quotiented by the central involutions."""
+    t, n = G.mul, G.n
+    ar = np.arange(n)
+    F3T = np.take(v3, t.T)
+    v3U = F3T[t.diagonal()]
+    X = np.empty_like(v3U)
+    acc = 0.0
+    for a, weight in zip(*(r.tolist() for r in mixing._inverse_pairs(G))):
+        q = t[t[ar, G.inv[a]], ar]
+        np.take(F3T, q, axis=0, out=X, mode="clip")
+        np.multiply(v3U, X, out=X)
+        inner = X.sum(axis=0) / n
+        acc += weight * float((inner**2).sum())
+    return acc / (n * n)
+
+
+class TestCentralQuotient:
+    """gamma, c3 and c4 evaluate one element per coset of the central
+    involutions E = {z central : z^2 = 1}, weighted |E|."""
+
+    @pytest.mark.parametrize(
+        "spec, order",
+        [
+            ("sl2:5", 2),
+            ("psl2:7", 1),
+            ("alt:5", 1),
+            ("cyclic:6", 2),
+            ("prod:sl2:3+dihedral:4", 4),
+            # Centre of order 6, of which only {1, -1} squares to 1.
+            ("prod:sl2:5+cyclic:3", 2),
+        ],
+    )
+    def test_helper_is_a_transversal_of_the_brute_force_e(self, spec, order, bundle):
+        G, C, _ = bundle(spec)
+        t = G.mul
+        E = [z for z in range(G.n) if np.array_equal(t[z], t[:, z]) and t[z, z] == 0]
+        picked, e = mixing._central_involutions(G, C)
+        assert e == len(E) == order
+        assert picked.dtype == bool and picked.sum() * e == G.n
+        # The pick of each coset gE is its member of least (class, index).
+        for g in range(G.n):
+            coset = t[g, E]
+            least = min(coset.tolist(), key=lambda x: (C.class_of[x], x))
+            assert picked[coset].tolist() == [x == least for x in coset]
+
+    @staticmethod
+    def _values(G, complex_values):
+        if complex_values:
+            return random_ensemble(G, "unimodular", 71, 1)[0].values
+        return bounded_mean_zero(G, 73, False).values
+
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "alt:6"])
+    def test_class_conv_bits_unchanged_where_e_is_trivial(
+        self, spec, complex_values, held, bundle
+    ):
+        G, C, _ = bundle(spec)
+        assert mixing._central_involutions(G, C)[1] == 1
+        V = self._values(G, complex_values)
+        cols, _ = mixing._inverse_pairs(G)
+        got = _class_conv_sums(G, C, V, cols, held=held)
+        want = class_conv_sums_every_g(G, C, V, cols, held)
+        assert [s.dtype for s in got] == [s.dtype for s in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("spec", ["sl2:5", "sl2:7", "prod:sl2:3+dihedral:4"])
+    def test_class_conv_within_last_bits_where_e_is_not(
+        self, spec, complex_values, held, bundle
+    ):
+        G, C, _ = bundle(spec)
+        assert mixing._central_involutions(G, C)[1] > 1
+        V = self._values(G, complex_values)
+        cols, _ = mixing._inverse_pairs(G)
+        got = _class_conv_sums(G, C, V, cols, held=held)
+        want = class_conv_sums_every_g(G, C, V, cols, held)
+        assert [s.dtype for s in got] == [s.dtype for s in want]
+        # Relative to each vector's largest entry: a column sum over g can
+        # cancel far below the size of its terms, and its rounding with it.
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize(
+        "spec", ["alt:5", "psl2:7", "alt:6", "sl2:5", "sl2:7", "prod:sl2:3+dihedral:4"]
+    )
+    def test_c3_against_the_sum_over_every_z(self, spec, bundle):
+        # Equal bits where E is trivial, the last bits otherwise.
+        G, C, T = bundle(spec)
+        f1, f2 = random_ensemble(G, "rademacher", 79, 2)
+        f3 = random_ensemble(G, "mean_zero_rademacher", 83, 1)[0]
+        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T, C).values)["c3"]
+        want = c3_every_z(G, f3.values.real.copy())
+        if mixing._central_involutions(G, C)[1] == 1:
+            assert c3 == want
+        else:
+            assert c3 == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestRandomEnsemble:

@@ -73,7 +73,7 @@ def _conjugation_maps(G: GroupTable) -> list[np.ndarray]:
     """The maps y -> g^{-1} y g (int32) for the generators g other than
     the identity.  g^{-1} y is read as inv[y^{-1} g], since g^{-1} y =
     (y^{-1} g)^{-1}, so both products are by the one element g: a walk of
-    its word, or a column of the table."""
+    its word."""
     return [
         G.compose(G.inv[G.compose(G.inv, g)], g)
         for g in G.generator_indices
@@ -141,7 +141,7 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
     Counted over y = a^{-1}: b is forced to y rep_l, so M[i][j][l] counts
     the y with y^{-1} in C_i and y rep_l in C_j.  Each l takes one
     right-translation column y -> y rep_l (a walk of the one word of
-    rep_l, or a column of the table) and one bincount of the class pairs.
+    rep_l) and one bincount of the class pairs.
     C must belong to G.  The stack holds 8k^3 bytes, so more than
     MAX_CLASSES classes raise SizeGuardError.
     """

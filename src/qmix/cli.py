@@ -27,7 +27,6 @@ from .errors import CertificationError, QmixError
 from .fourier import CHUNK, GroupFunction, indicator_function
 from .groups import build_group, is_abelian
 from .mixing import (
-    GAMMA_COLUMNS,
     LemmaReport,
     cs_chain_diagnostics,
     adversarial_search,
@@ -205,7 +204,7 @@ def _verify_gamma_rows(G, C, T, args):
     fns = _draws(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
     for i, f in enumerate(fns):
         seed = args.seed * 1_000_003 + i
-        rep = gamma_functional(f, T, C, budget=args.budget, seed=seed, tol=args.tol)
+        rep = gamma_functional(f, T, C, seed=seed, tol=args.tol)
         yield _lemma_row(rep, i, f)
 
 
@@ -239,10 +238,6 @@ _SUITE_RUNNERS = {
 
 def cmd_verify(args) -> int:
     suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    if args.budget is None:
-        args.budget = GAMMA_COLUMNS
-    elif "gamma" not in suites:
-        raise QmixError("--budget applies only to --suite gamma or all")
     if args.trials is None:
         args.trials = DEFAULT_TRIALS
     elif suites == ["fcmu"]:
@@ -250,7 +245,7 @@ def cmd_verify(args) -> int:
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     for s in suites:
-        check_budget(s, C, args.budget)
+        check_budget(s, C)
     T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
@@ -271,8 +266,6 @@ def cmd_verify(args) -> int:
         if r["lemma_id"] != "fcmu":
             replay += f" --trials {args.trials}"
         replay += f" --seed {args.seed} --tol {args.tol!r}"
-        if r["lemma_id"] == "gamma":
-            replay += f" --budget {args.budget}"
         print(
             f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={args.seed} "
             f"hash={r.get('hash')} -- replay: {replay}",
@@ -454,14 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
-    # None marks an option left out: fcmu refuses --trials, most suites --budget.
+    # None marks an option left out: fcmu refuses --trials.
     p.add_argument("--trials", type=int, default=None,
                    help=f"trials per suite (default {DEFAULT_TRIALS}); "
                    "fcmu runs once and refuses it")
-    p.add_argument("--budget", type=int, default=None,
-                   help="columns b that gamma draws where its exhaustive pass "
-                   f"does not fit (at least 2, default {GAMMA_COLUMNS}); "
-                   "only --suite gamma or all read it")
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
     common(p, tol=False)

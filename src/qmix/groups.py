@@ -11,11 +11,11 @@ indices, each factor's generators moving only that factor's digit.  A
 built group keeps its generator columns, the maps x -> x*s for repeated
 squares s of its generators and a short word over those maps per
 element.  Every group offers one product, the vectorized
-``GroupTable.compose``: a read of the n x n table once that is built,
-or else a walk of the word of b from a.  The table is a cache, built on
-first need and only up to DENSE_CAP; the O(n^3) kernels need it, while
-the O(n^2) progression kernels stream its rows from _row_blocks, which
-reads the cached table or derives each row from its parent's.
+``GroupTable.compose``, a walk of the word of b from a, and one row
+provider, _row_blocks, which derives each table row from its parent's
+and serves the O(n^2) progression kernels.  Both run on every group.
+The n x n table is built on first need, and only up to DENSE_CAP, for
+the kernels that index it at random (``GroupTable.require_table``).
 """
 
 from __future__ import annotations
@@ -173,16 +173,17 @@ def parse_spec(text: str) -> GroupSpec:
 class GroupTable:
     """A finite group over element indices 0..n-1 with identity at 0.
 
-    ``compose`` is the one product.  It reads ``table``, the n x n table,
-    once that is built.  Otherwise ``steps[j]`` maps x to x*s_j, s_j a
+    ``compose`` is the one product: ``steps[j]`` maps x to x*s_j, s_j a
     repeated square of a generator, the last row being the identity map,
     and a*b is a pushed through the first ``lengths[b]`` rows listed in
     ``words[b]``, whose product is b (each word left-aligned, padded after
     its end with the last row).  ``cols[s]`` is the column x -> x*g_s of
-    generator s.  The table is built on first need, from ``cols``, and
-    kept: reading ``mul`` or calling ``require_table`` builds it when
-    ``dense`` (n <= DENSE_CAP when the group was built), and otherwise
-    ``mul`` is None and ``require_table`` raises SizeGuardError.
+    generator s.  ``table``, the n x n table, is only for the kernels
+    that index it at random, and only ``mul`` reads it: it is built on
+    first need, from ``cols``, and kept.  Reading ``mul`` or calling
+    ``require_table`` builds it when ``dense`` (n <= DENSE_CAP when the
+    group was built), and otherwise ``mul`` is None and
+    ``require_table`` raises SizeGuardError.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
     """
@@ -228,16 +229,13 @@ class GroupTable:
         return a
 
     def compose(self, a, b) -> np.ndarray:
-        """Elementwise product a*b over broadcasting index arrays (int32).
-
-        It reads the table only if that is already built.  Without it the
-        walk takes as many steps as the longest word among the given b, not
-        the padded width of ``words``.
+        """Elementwise product a*b over broadcasting index arrays (int32):
+        a walk of the word of b from a, on every group.  The walk takes as
+        many steps as the longest word among the given b, not the padded
+        width of ``words``.
         """
         a = self._check_indices(a)
         b = self._check_indices(b)
-        if self.table is not None:
-            return self.table[a, b]
         k = np.max(self.lengths[b], initial=0)
         x = np.broadcast_arrays(a, b)[0].astype(np.int32)
         for s in np.moveaxis(self.words[b, :k], -1, 0):
@@ -399,18 +397,13 @@ def _row_blocks(G: GroupTable, step: int):
     """Every row of the table, at most ``step`` at a time: yields (xs, R),
     R[i] being the row y -> xs[i]*y (int32) for the index array xs.
 
-    A built table is read in index order, R a slice of it.  Otherwise the
-    rows come from the recurrence of _row_tree, walked depth first
-    (_depth_first), so that besides one step x n block only the rows of at
-    most log2(n) + 1 parents are held.  R is then a view of that block,
-    which the next block overwrites.  Over all blocks, xs runs through
-    every element once.
+    The rows come from the recurrence of _row_tree, walked depth first
+    (_depth_first) on every group, whether or not its table is built, so
+    that besides one step x n block only the rows of at most log2(n) + 1
+    parents are held.  R is a view of that block, which the next block
+    overwrites.  Over all blocks, xs runs through every element once.
     """
     n = G.n
-    if G.table is not None:
-        for lo in range(0, n, step):
-            yield np.arange(lo, min(lo + step, n)), G.table[lo:lo + step]
-        return
     parents, via, left = _row_tree(G.cols, G.inv)
     order = np.array(_depth_first(parents))
     pos = np.empty(n, dtype=np.int64)

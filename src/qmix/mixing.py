@@ -14,8 +14,12 @@ words, and _value_pass sums one real or complex triple, so a triple's
 bits depend on that triple alone.  _value_pass, the chain's c2 and
 count_progressions sum through one row-sum kernel, _row_sums.  These
 kernels and the search's sensitivity tables read the table's rows from
-one provider, groups._row_blocks, so none of them needs the n x n table
-built, and each result is the same whatever order the rows come in.
+one provider, groups._row_blocks, which derives each row from its
+parent's, so none of them reads or builds the n x n table, and each
+result is the same whatever order the rows come in.  Only the kernels
+that index the table at random read it, through require_table: the row
+correlation of fourier, _class_conv_sums, _central_involutions and the
+chain's c3.  check_budget prices a suite before anything is built.
 The class convolution behind gamma and the chain's c4 has one body too,
 _class_conv_sums, which reads every operand as a row of the value table.
 It and the chain's c3 pass are the O(n^3) work, and both integrands are
@@ -58,7 +62,8 @@ from .groups import GroupTable, _row_blocks
 # estimate, and gamma runs exhaustively whenever its full pass fits.
 GATHER_BUDGET = 800_000_000
 
-# Columns b that sampled gamma draws by default (see gamma_functional).
+# Columns b that sampled gamma draws, read at call time (see
+# gamma_functional).
 GAMMA_COLUMNS = 32
 
 SUP_SLACK = 1e-12
@@ -434,23 +439,20 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
     return cost.get(suite, n * n)
 
 
-def check_budget(suite: str, C: ConjugacyData, budget: int = GAMMA_COLUMNS) -> None:
-    """Raise SizeGuardError when a suite's estimate exceeds GATHER_BUDGET,
-    or when the group keeps no dense table, which every suite reads.
+def check_budget(suite: str, C: ConjugacyData) -> None:
+    """Raise SizeGuardError when the group keeps no dense table, which
+    every suite reads (require_table's message), or when a suite's
+    estimate exceeds GATHER_BUDGET, before anything is built.
 
-    gamma needs a ``budget`` of at least 2 columns (PreconditionError
-    otherwise), and counts only those columns when its exhaustive pass
-    does not fit.
+    gamma counts only its GAMMA_COLUMNS sampled columns when its
+    exhaustive pass does not fit.  A suite that passes builds the table
+    in the first kernel that calls require_table.
     """
-    C.group.require_table(f"suite {suite}")
+    if not C.group.dense:
+        C.group.require_table(f"suite {suite}")
     cost = gather_estimate(suite, C)
-    if suite == "gamma":
-        if budget < 2:
-            raise PreconditionError(
-                f"gamma needs a budget of at least 2 columns, got {budget}"
-            )
-        if cost > GATHER_BUDGET:
-            cost = gather_estimate(suite, C, budget)
+    if suite == "gamma" and cost > GATHER_BUDGET:
+        cost = gather_estimate(suite, C, GAMMA_COLUMNS)
     if cost > GATHER_BUDGET:
         raise SizeGuardError(
             f"{suite} on n={C.group.n} needs about {cost:.2g} table gathers, "
@@ -492,7 +494,12 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     all classes; mu is one row correlation.  Each g then costs m + 1 rows
     and one matrix-vector product.  ``held`` reads the rows from the held
     table ft[t] (8n^2 bytes, 16n^2 for complex f); otherwise each g
-    gathers its own, with the same bits.
+    gathers its own, with the same bits.  The mode picks the fork, not a
+    user: over the columns R of _inverse_pairs held rows ran 1.3-1.8
+    times faster than gathered ones (in-process on a 2-vCPU VM: sl2:7 23
+    vs 41 ms, alt:6 75 vs 135 ms, psl2:11 0.51 vs 0.67 s), while sampled
+    gamma, which starts above n = 736, cannot afford the 8n^2 bytes
+    (about 100 MB at its limit n = 3535).
 
     Both integrands are the same at g and g z for z in E = {z central :
     z^2 = 1}: (gz)^{-1} b (gz) = g^{-1} b g, and the density of gz sits
@@ -601,7 +608,6 @@ def gamma_functional(
     T: CharacterTable,
     C: ConjugacyData | None = None,
     *,
-    budget: int = GAMMA_COLUMNS,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> LemmaReport:
@@ -610,13 +616,13 @@ def gamma_functional(
     D_b f is the multiplicative derivative, f0_c the mean-zero part of
     D_c f, and mu_g the scaled density on g^{-1} C(g^{-1}); the bound is
     1/sqrt(D).  Exhaustive over all n^2 pairs whenever that pass fits
-    GATHER_BUDGET.  Otherwise ``budget`` distinct seeded columns b are
-    drawn, each averaged over every g, and the report gives the mean of
-    those m column means with stderr std(ddof=1)/sqrt(m) (conservative:
-    no finite-population correction); sampled runs pass with 3 * stderr
-    slack.  A budget below 2 raises PreconditionError, and a sampled run
-    whose 2n^2 m gathers exceed GATHER_BUDGET raises SizeGuardError, both
-    before any work.  Both modes run one body (_class_conv_sums) at O(n^2)
+    GATHER_BUDGET.  Otherwise m = GAMMA_COLUMNS distinct seeded columns b
+    are drawn, m read at call time, each averaged over every g, and the
+    report gives the mean of those m column means with stderr
+    std(ddof=1)/sqrt(m) (conservative: no finite-population correction);
+    sampled runs pass with 3 * stderr slack.  A sampled run whose 2n^2 m
+    gathers exceed GATHER_BUDGET raises SizeGuardError before any work
+    (check_budget).  Both modes run one body (_class_conv_sums) at O(n^2)
     gathers per column, every operand a row of the table of values of
     f: the exhaustive pass evaluates one column per pair {b, b^{-1}} and
     holds that n x n table, while the sampled one, which starts only
@@ -626,18 +632,19 @@ def gamma_functional(
     the work of a pass over every g.
     """
     G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
-    check_budget("gamma", C, budget)
+    check_budget("gamma", C)
     rhs = 1.0 / math.sqrt(T.D)
 
     if gather_estimate("gamma", C) <= GATHER_BUDGET:
         gamma, _, _ = _class_conv_stats(G, C, f.values)
         return _report("gamma", gamma, rhs, tol)
 
-    cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
+    m = GAMMA_COLUMNS
+    cols = np.random.default_rng(seed).choice(G.n, size=m, replace=False)
     values = _class_conv_sums(G, C, f.values, cols)[0] / G.n
     lhs = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(budget))
-    mode = f"sampled(m={budget},seed={seed})"
+    stderr = float(values.std(ddof=1) / math.sqrt(m))
+    mode = f"sampled(m={m},seed={seed})"
     return _report("gamma", lhs, rhs, tol, stderr=stderr, mode=mode)
 
 

@@ -106,26 +106,30 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
 def test_row_blocks_give_the_table_rows(spec):
-    """The row provider's depth-first walk, with no table built, yields
-    every element's table row once, and builds no table; with the table
-    built it yields the table's slices in index order.  A block of 7 rows
-    makes most parents' rows outlive their block."""
+    """The row provider's depth-first walk yields every element's table
+    row once, and builds no table.  Once the table is built it is the
+    oracle: the walk yields the same blocks, and compose gives its
+    entries.  A block of 7 rows makes most parents' rows outlive their
+    block."""
     G = build_group(spec)
     seen = np.zeros(G.n, dtype=np.int64)
     walked = np.empty((G.n, G.n), dtype=np.int32)
+    order = []
     for xs, R in _row_blocks(G, 7):
         assert len(xs) == len(R) <= 7
         seen[xs] += 1
         walked[xs] = R
+        order.append(xs.copy())
     assert G.table is None
     assert np.all(seen == 1)
     assert np.array_equal(walked, G.mul)
-    lo = 0
+    before = iter(order)
     for xs, R in _row_blocks(G, 7):
-        assert np.array_equal(xs, np.arange(lo, lo + len(xs)))
-        assert np.shares_memory(R, G.table)
-        lo += len(xs)
-    assert lo == G.n
+        assert np.array_equal(xs, next(before))
+        assert np.array_equal(R, G.mul[xs])
+    assert next(before, None) is None
+    ar = np.arange(G.n)
+    assert np.array_equal(G.compose(ar[:, None], ar), G.mul)
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
@@ -264,9 +268,10 @@ def test_criterion_06_class_convolution_functional(bundle, capsys, monkeypatch):
     # sl2:7's exhaustive pass fits the gather budget; one gather less
     # makes gamma sample there.  16 columns of 336 evaluate 5376 pairs.
     monkeypatch.setattr(mixing, "GATHER_BUDGET", mixing.gather_estimate("gamma", Cs) - 1)
+    monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 16)
     sampled_ok = True
     for i, f in enumerate(random_ensemble(Gs, "mean_zero_rademacher", (44, 103), 50)):
-        rep = gamma_functional(f, Ts, Cs, budget=16, seed=1000 + i)
+        rep = gamma_functional(f, Ts, Cs, seed=1000 + i)
         sampled_ok &= rep.passed
         sampled_ok &= rep.lhs_value <= rhs + 3 * rep.stderr_estimate + 1e-9
     ok = exhaustive_ok and sampled_ok

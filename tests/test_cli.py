@@ -14,7 +14,7 @@ from qmix import (
     random_ensemble,
     theta_defects,
 )
-from qmix import cli
+from qmix import cli, mixing
 from qmix.cli import main
 from qmix.fourier import CHUNK
 
@@ -136,10 +136,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite", ["bnp", "derivative", "gamma", "fcmu", "parseval", "chain"]
     )
-    def test_small_runs_pass(self, capsys, suite):
-        budget = ("--budget", "300") if suite == "gamma" else ()
+    def test_small_runs_pass(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 300)
         trials = () if suite == "fcmu" else ("--trials", "3")
-        code, out, _ = run(capsys, "verify", "alt:5", "--suite", suite, *trials, *budget)
+        code, out, _ = run(capsys, "verify", "alt:5", "--suite", suite, *trials)
         assert code == 0
         rows = [line for line in out.strip().splitlines() if "lemma_id" in line]
         expected_rows = 1 if suite == "fcmu" else 3
@@ -174,10 +174,11 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials must be >= 1" in err
 
-    def test_suite_all_emits_every_lemma(self, capsys):
+    def test_suite_all_emits_every_lemma(self, capsys, monkeypatch):
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 200)
         code, out, _ = run(
             capsys, "verify", "psl2:5", "--suite", "all",
-            "--trials", "2", "--budget", "200", "--format", "json",
+            "--trials", "2", "--format", "json",
         )
         assert code == 0
         rows = parse_json(out)
@@ -213,23 +214,22 @@ class TestVerifyCommand:
         assert "FAIL lemma=bnp" in err
         assert "replay: qmix verify alt:5 --suite bnp" in err
         assert "hash=" in err
-        # The replay leaves out --budget, which bnp would refuse.
         replay = err.split("replay: qmix ")[1].splitlines()[0].split()
-        assert "--budget" not in replay
         assert run(capsys, *replay) == (code, out, err)
 
         # A sampled gamma failure replays with the same draws and the full tol.
-        def broken_gamma(f, T, C, *, budget, seed, tol):
+        def broken_gamma(f, T, C, *, seed, tol):
             return LemmaReport(
                 lemma_id="gamma", lhs_value=2.0, rhs_bound=1.0,
-                mode=f"sampled(m={budget},seed={seed})", passed=False, margin=-1.0,
-                stderr_estimate=0.0,
+                mode=f"sampled(m={mixing.GAMMA_COLUMNS},seed={seed})", passed=False,
+                margin=-1.0, stderr_estimate=0.0,
             )
 
         monkeypatch.setattr(cli_module, "gamma_functional", broken_gamma)
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 500)
         argv = (
             "verify", "alt:5", "--suite", "gamma", "--trials", "1",
-            "--seed", "7", "--tol", "1.2345678e-09", "--budget", "500",
+            "--seed", "7", "--tol", "1.2345678e-09",
         )
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -293,33 +293,19 @@ class TestVerifyCommand:
             raise AssertionError("gamma ran")
 
         monkeypatch.setattr(cli_module, "gamma_functional", never)
+        # sl2:17 samples, and 2n^2 GAMMA_COLUMNS = 64n^2 exceeds the budget.
         code, out, err = run(
-            capsys, "verify", "psl2:13", "--suite", "gamma", "--trials", "1",
-            "--budget", "1000000000000",
+            capsys, "verify", "sl2:17", "--suite", "gamma", "--trials", "1"
         )
         assert code == 2
         assert out == ""
-        assert "gamma on n=1092" in err
+        assert "gamma on n=4896 needs about 1.5e+09 table gathers" in err
 
-    @pytest.mark.parametrize("spec", ["sl2:7", "psl2:13"])
-    def test_budget_below_two_columns_refused(self, capsys, spec):
-        # sl2:7 runs gamma exhaustively and psl2:13 samples; both refuse.
-        code, out, err = run(
-            capsys, "verify", spec, "--suite", "gamma", "--trials", "1", "--budget", "1"
-        )
+    def test_budget_is_no_verify_option(self, capsys):
+        code, out, err = run(capsys, "verify", "alt:5", "--budget", "32")
         assert code == 2
         assert out == ""
-        assert "at least 2 columns" in err
-
-    @pytest.mark.parametrize("budget", ["1", "32"])
-    def test_budget_refused_unless_gamma_runs(self, capsys, budget):
-        code, out, err = run(
-            capsys, "verify", "alt:5", "--suite", "bnp", "--trials", "1",
-            "--budget", budget,
-        )
-        assert code == 2
-        assert out == ""
-        assert "--budget applies only to --suite gamma or all" in err
+        assert "unrecognized arguments: --budget 32" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -487,7 +473,7 @@ class TestHarness:
             *(("verify", "sl2:23", "--suite", s, "--trials", "1")
               for s in ("bnp", "derivative", "parseval", "chain")),
             ("verify", "sl2:23", "--suite", "fcmu"),
-            ("verify", "sl2:23", "--suite", "gamma", "--trials", "1", "--budget", "2"),
+            ("verify", "sl2:23", "--suite", "gamma", "--trials", "1"),
             ("verify", "sl2:23", "--trials", "1"),
         ],
     )
@@ -498,6 +484,9 @@ class TestHarness:
             raise AssertionError("the character table was computed")
 
         monkeypatch.setattr(cli_module, "compute_character_table", never)
+        # At two columns sampled gamma fits the budget, so only the missing
+        # table can refuse it.
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 2)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

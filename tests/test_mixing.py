@@ -19,6 +19,7 @@ from qmix import (
     convolve,
     count_progressions,
     compute_character_table,
+    conjugacy_classes,
     cs_chain_diagnostics,
     gamma_functional,
     indicator_function,
@@ -693,13 +694,14 @@ class TestGammaFunctional:
         force_sampled(monkeypatch, C)
         f = bounded_mean_zero(G, 43, complex_values)
         budget, seed = 12, 11
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", budget)
         assert mixing.gather_estimate("gamma", C, budget) == 2 * 24**2 * budget
         cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
         values = np.array(
             [np.mean([abs(class_conv_integrands(f, C, g, b, delta_shift)[0]) for g in range(G.n)])
              for b in cols.tolist()]
         )
-        rep = gamma_functional(f, T, C, budget=budget, seed=seed)
+        rep = gamma_functional(f, T, C, seed=seed)
         assert rep.mode == f"sampled(m={budget},seed={seed})"
         assert rep.lhs_value == pytest.approx(values.mean(), abs=1e-12)
         stderr = values.std(ddof=1) / math.sqrt(budget)
@@ -719,7 +721,8 @@ class TestGammaFunctional:
         exact = gamma_functional(f, T, C).lhs_value
         force_sampled(monkeypatch, C)
         # 25 columns of 60 evaluate 1500 pairs (g, b).
-        sampled = gamma_functional(f, T, C, budget=25, seed=5)
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 25)
+        sampled = gamma_functional(f, T, C, seed=5)
         assert sampled.mode.startswith("sampled(")
         assert sampled.stderr_estimate is not None
         assert sampled.mode == "sampled(m=25,seed=5)"
@@ -729,8 +732,9 @@ class TestGammaFunctional:
         G, C, T = bundle("sl2:5")
         force_sampled(monkeypatch, C)
         f = random_ensemble(G, "mean_zero_rademacher", 17, 1)[0]
-        a = gamma_functional(f, T, C, budget=3, seed=9)
-        b = gamma_functional(f, T, C, budget=3, seed=9)
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 3)
+        a = gamma_functional(f, T, C, seed=9)
+        b = gamma_functional(f, T, C, seed=9)
         assert a.mode == "sampled(m=3,seed=9)"
         assert a.lhs_value == b.lhs_value
         assert a.stderr_estimate == b.stderr_estimate
@@ -741,26 +745,26 @@ class TestGammaFunctional:
         assert mixing.gather_estimate("gamma", C) == 2 * G.n**3 <= mixing.GATHER_BUDGET
         monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3)
         assert gamma_functional(f, T, C).mode == "exhaustive"
-        # One gather short of the exhaustive pass, gamma samples; a budget
-        # whose columns exceed the limit is refused before any draw.
+        # One gather short of the exhaustive pass, gamma samples; columns
+        # whose gathers exceed the limit are refused before any draw.
         force_sampled(monkeypatch, C)
-        assert gamma_functional(f, T, C, budget=3).mode.startswith("sampled(")
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 3)
+        assert gamma_functional(f, T, C).mode.startswith("sampled(")
         assert mixing.gather_estimate("gamma", C, 10**7) > mixing.GATHER_BUDGET
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 10**7)
         with pytest.raises(SizeGuardError):
-            gamma_functional(f, T, C, budget=10**7)
+            gamma_functional(f, T, C)
 
-    def test_tiny_budget_rejected(self, bundle, monkeypatch):
-        G, C, T = bundle("sl2:5")
-        f = random_ensemble(G, "mean_zero_rademacher", 23, 1)[0]
-        # Refused whether gamma would run exhaustively or sample.
-        for force in (False, True):
-            if force:
-                force_sampled(monkeypatch, C)
-            with pytest.raises(PreconditionError):
-                gamma_functional(f, T, C, budget=1)
-            with pytest.raises(PreconditionError):
-                mixing.check_budget("gamma", C, 1)
-        mixing.check_budget("gamma", C, 2)
+    # psl2:11's chain costs 4n^3 = 1.2e9 gathers and sl2:17's sampled
+    # gamma 64n^2 = 1.5e9, both above the budget; both groups are dense.
+    @pytest.mark.parametrize("suite, spec", [("chain", "psl2:11"), ("gamma", "sl2:17")])
+    def test_refused_suite_builds_no_table(self, suite, spec):
+        G = build_group(spec)
+        C = conjugacy_classes(G)
+        assert G.dense
+        with pytest.raises(SizeGuardError, match=f"^{suite} on n={G.n} needs about"):
+            mixing.check_budget(suite, C)
+        assert G.table is None
 
     @pytest.mark.parametrize("spec", ["sl2:5", "psl2:7"])
     def test_sampled_within_four_stderr_of_exhaustive(self, spec, bundle, monkeypatch):
@@ -768,8 +772,9 @@ class TestGammaFunctional:
         f = random_ensemble(G, "mean_zero_rademacher", 37, 1)[0]
         exact = gamma_functional(f, T, C).lhs_value
         force_sampled(monkeypatch, C)
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 32)
         for seed in range(10):
-            rep = gamma_functional(f, T, C, budget=32, seed=seed)
+            rep = gamma_functional(f, T, C, seed=seed)
             assert rep.mode == f"sampled(m=32,seed={seed})"
             assert abs(rep.lhs_value - exact) <= 4 * rep.stderr_estimate
 
@@ -993,7 +998,7 @@ class TestChain:
         with pytest.raises(PreconditionError):
             cs_chain_diagnostics(c, c, c, T, C)
 
-    def test_size_guard(self, bundle, constant_function):
+    def test_size_guard(self, bundle, constant_function, monkeypatch):
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
@@ -1001,9 +1006,10 @@ class TestChain:
         G, C, T = bundle("psl2:11")
         assert G.n == 660
         assert mixing.gather_estimate("chain", C) == 4 * 660**3 > mixing.GATHER_BUDGET
-        # gamma's exhaustive pass fits here, so no sample budget is refused.
+        # gamma's exhaustive pass fits here, so no column count is refused.
         assert mixing.gather_estimate("gamma", C) == 2 * 660**3
-        mixing.check_budget("gamma", C, 10**12)
+        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 10**12)
+        mixing.check_budget("gamma", C)
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
         with pytest.raises(SizeGuardError):

@@ -94,8 +94,11 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     every x and every m; each m is a permutation, so following an m-cycle
     back to x forces equality, lab is constant on each orbit, and the
     orbit's minimum, labelled by itself, gives that constant.  The
-    minima are the representatives.  Every GroupTable carries its
-    generators, and _conjugation_maps gives their maps.
+    minima, the x with lab[x] == x, are the representatives, in
+    increasing order, and class_of numbers each label by its rank among
+    them through one index array, with no sort.  Every gather is a 1-D
+    take.  Every GroupTable carries its generators, and _conjugation_maps
+    gives their maps.
     """
     n = G.n
     maps = _conjugation_maps(G)
@@ -103,12 +106,14 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     while True:
         before = lab
         for m in maps:
-            lab = np.minimum(lab, lab[m])
-        lab = lab[lab]
+            lab = np.minimum(lab, lab.take(m))
+        lab = lab.take(lab)
         if np.array_equal(lab, before):
             break
-    reps, class_of = np.unique(lab, return_inverse=True)
-    class_of = class_of.astype(np.int32)
+    reps = np.flatnonzero(lab == np.arange(n)).astype(np.int32)
+    number = np.empty(n, dtype=np.int32)
+    number[reps] = np.arange(len(reps), dtype=np.int32)
+    class_of = number.take(lab)
     sizes = np.bincount(class_of).astype(np.int64)
 
     k = len(reps)
@@ -120,7 +125,7 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
         group=G,
         k=k,
         class_of=class_of,
-        representatives=reps.astype(np.int32),
+        representatives=reps,
         sizes=sizes,
     )
 
@@ -150,10 +155,10 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
     if k > MAX_CLASSES:
         raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
     ar = np.arange(G.n)
-    row = C.class_of[G.inv].astype(np.int64) * k
+    row = C.class_of.take(G.inv).astype(np.int64) * k
     M = np.empty((k, k, k), dtype=np.int64)
     for l, rep in enumerate(C.representatives):
-        pairs = row + C.class_of[G.compose(ar, rep)]
+        pairs = row + C.class_of.take(G.compose(ar, rep))
         M[:, :, l] = np.bincount(pairs, minlength=k * k).reshape(k, k)
     return M
 

@@ -5,7 +5,8 @@ A group is described by a small text spec ("cyclic:6", "sl2:7",
 generators over its element indices, the identity at index 0.  A family
 model gives its elements as the rows of an integer array and its law
 vectorized over those rows; the closure labels each generator's products
-in one array pass and indexes the rows in breadth-first discovery order.
+in one array pass and indexes the rows in breadth-first discovery order,
+found level by level in array passes wherever a level is wide.
 A direct product indexes its elements in mixed radix over its factors'
 indices, each factor's generators moving only that factor's digit.  A
 built group keeps its generator columns, the maps x -> x*s for repeated
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +38,9 @@ from .errors import (
 
 MAX_ORDER = 50000
 DENSE_CAP = 8192
+# The closure search (_breadth_first) looks at its queue once every _WIDE
+# rows, and goes level by level in array passes while _WIDE or more wait.
+_WIDE = 64
 
 _FAMILIES = ("cyclic", "dihedral", "sym", "alt", "sl2", "psl2", "prod")
 
@@ -236,6 +241,12 @@ class GroupTable:
         """
         a = self._check_indices(a)
         b = self._check_indices(b)
+        if b.ndim == 0:
+            # One word for every a: each step is a 1-D take of its row.
+            x = a.astype(np.int32)
+            for s in self.words[b, : self.lengths[b]]:
+                x = self.steps[s].take(x)
+            return x
         k = np.max(self.lengths[b], initial=0)
         x = np.broadcast_arrays(a, b)[0].astype(np.int32)
         for s in np.moveaxis(self.words[b, :k], -1, 0):
@@ -264,32 +275,33 @@ def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 break
             seen.add(int(col[0]))
             rows.append(col)
-            col = col[col]
+            col = col.take(col)
     pad = len(rows)
     steps = np.stack(rows + [np.arange(n, dtype=np.int32)])
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
+    unreached = np.ones(n, dtype=bool)
+    unreached[0] = False
     frontier = np.zeros(1, dtype=np.int32)
     levels = []
     while True:
         # Reached candidates are dropped first; the survivors keep their
         # positions, so each new element keeps its first occurrence.
-        candidates = steps[:pad, frontier].ravel()
-        at = np.flatnonzero(~reached[candidates])
+        candidates = steps[:pad].take(frontier, axis=1).ravel()
+        at = np.flatnonzero(unreached.take(candidates))
         if not at.size:
             break
-        new, first = _first_seen(candidates[at], n)
-        via, at = np.divmod(at[first], frontier.size)
-        levels.append((new, frontier[at], via))
+        new, first = _first_seen(candidates.take(at), n)
+        via, at = np.divmod(at.take(first), frontier.size)
+        levels.append((new, frontier.take(at), via))
         frontier = new
-        reached[frontier] = True
-    # Each word is written once: a parent's word is complete before its
-    # children's level copies it.
+        unreached[frontier] = False
+    # Each word is written once: a parent's row (its word, then padding) is
+    # complete before its children's level copies it and sets step d.
     words = np.full((n, len(levels)), pad, dtype=np.min_scalar_type(pad))
     lengths = np.zeros(n, dtype=np.int32)
     for d, (level, parents, via) in enumerate(levels, start=1):
-        words[level, : d - 1] = words[parents, : d - 1]
-        words[level, d - 1] = via
+        rows = words.take(parents, axis=0)
+        rows[:, d - 1] = via
+        words[level] = rows
         lengths[level] = d
     return steps, words, lengths
 
@@ -450,22 +462,13 @@ def _closure_columns(
     labels = []
     # Each generator's products, then the identity and the generators.
     for X in [*(law(E, g) for g in gens), np.vstack([identity, gens])]:
-        found = order[np.searchsorted(sorted_codes, X @ place).clip(max=N - 1)]
-        if not np.array_equal(E[found], X):
+        found = order.take(np.searchsorted(sorted_codes, X @ place), mode="clip")
+        if not np.array_equal(E.take(found, axis=0), X):
             raise GroupFormatError("a product lies outside the element set")
         labels.append(found)
     right, fixed = np.stack(labels[:-1]), labels[-1]
 
-    visit = [int(fixed[0])]
-    seen = bytearray(N)
-    seen[visit[0]] = 1
-    columns = right.tolist()
-    for x in visit:
-        for col in columns:
-            y = col[x]
-            if not seen[y]:
-                seen[y] = 1
-                visit.append(y)
+    visit = _breadth_first(right, int(fixed[0]))
     n = len(visit)
     if n == 1:
         raise PreconditionError("trivial group rejected (n must exceed 1)")
@@ -476,10 +479,60 @@ def _closure_columns(
         )
     if n != N:
         raise GroupFormatError(f"the generators reach {n} of the {N} elements")
-    visit = np.array(visit)
     index = np.empty(N, dtype=np.int32)
     index[visit] = np.arange(n, dtype=np.int32)
-    return index[right[:, visit]], tuple(int(i) for i in index[fixed[1:]])
+    return index.take(right.take(visit, axis=1)), tuple(int(i) for i in index[fixed[1:]])
+
+
+def _breadth_first(right: np.ndarray, start: int) -> np.ndarray:
+    """The rows reached from ``start`` (intp), in the order of a plain
+    queue loop in which each row x appends its unseen products right[s][x],
+    s in listed order.
+
+    Any tail of the queue can be run as one level: run in order, it
+    appends the first occurrence of each unseen product among its (x, s)
+    pairs, x-major, which one array pass finds (a running minimum of
+    positions, as in _first_seen), and what it appends is the next tail.
+    So the plain loop runs while fewer than _WIDE rows wait, looking at
+    the queue once every _WIDE rows, and a long run of small levels (a
+    cyclic group's are single rows) makes no array call per level.  A
+    queue holding more goes level by level in array passes until a level
+    is small again.
+    """
+    k, N = right.shape
+    seen = bytearray(N)
+    seen[start] = 1
+    reached = np.frombuffer(seen, dtype=bool)  # shares seen's bytes
+    columns = [memoryview(col) for col in right]  # read as ints, no copy
+    pairs = np.ascontiguousarray(right.T)
+    first = np.full(N, right.size, dtype=np.intp)
+    parts, visit = [], [start]
+    while True:
+        queue = iter(visit)
+        while True:
+            for x in itertools.islice(queue, _WIDE):
+                for col in columns:
+                    y = col[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        visit.append(y)
+            left = operator.length_hint(queue)  # the rows still waiting
+            if not left or left >= _WIDE:
+                break
+        parts.append(np.array(visit[: len(visit) - left], dtype=np.intp))
+        frontier = np.array(visit[len(visit) - left :], dtype=np.intp)
+        while frontier.size >= _WIDE:
+            parts.append(frontier)
+            candidates = pairs.take(frontier, axis=0).ravel()
+            candidates = candidates[~reached.take(candidates)]
+            at = np.arange(candidates.size)
+            np.minimum.at(first, candidates, at)
+            frontier = candidates[first.take(candidates) == at]
+            first[frontier] = right.size  # unset again for the next level
+            reached[frontier] = True
+        if not frontier.size:
+            return np.concatenate(parts)
+        visit = frontier.tolist()
 
 
 def build_closure(
@@ -498,8 +551,9 @@ def build_closure(
     the sorted mixed-radix codes of the rows, so the law runs once per
     generator over all rows.  Indexing is deterministic: identity first,
     then breadth-first discovery order with generators applied in listed
-    order (right multiplication), found by one plain loop over the
-    labelled columns, O(n k) steps whatever the Cayley diameter.  The
+    order (right multiplication), the order of a plain queue loop over
+    the labelled columns.  _breadth_first finds it in O(n k) steps: runs
+    of small levels in that loop, each wide level in one array pass.  The
     group is then built from the columns cols[s][i] = index of
     (element i)*g_s alone, as every group is (see _from_columns).
 

@@ -23,7 +23,7 @@ from qmix import (
     compute_character_table,
     conjugacy_classes,
 )
-from qmix import groups
+from qmix import chartab, groups
 from qmix.groups import DENSE_CAP
 
 ORDER_ORACLES = {
@@ -575,3 +575,135 @@ def test_flat_inverse_walk_matches_the_2d_gather(text):
     got = groups._inverses(G.steps, G.words)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(got, G.inv)
+
+
+def _queue_closure_columns(elements, law, generators, identity, spec):
+    """_closure_columns as it was with one plain queue loop over the
+    labelled columns and 2-D gathers."""
+    E = np.asarray(elements)
+    N, w = E.shape
+    radix = E.max(axis=0).astype(np.int64) + 1
+    place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+    code = E @ place
+    order = np.argsort(code)
+    sorted_codes = code[order]
+    gens = np.asarray(generators).reshape(-1, w)
+    labels = []
+    for X in [*(law(E, g) for g in gens), np.vstack([identity, gens])]:
+        found = order[np.searchsorted(sorted_codes, X @ place).clip(max=N - 1)]
+        assert np.array_equal(E[found], X)
+        labels.append(found)
+    right, fixed = np.stack(labels[:-1]), labels[-1]
+    visit = [int(fixed[0])]
+    seen = bytearray(N)
+    seen[visit[0]] = 1
+    columns = right.tolist()
+    for x in visit:
+        for col in columns:
+            y = col[x]
+            if not seen[y]:
+                seen[y] = 1
+                visit.append(y)
+    assert len(visit) == N == spec.order()
+    visit = np.array(visit)
+    index = np.empty(N, dtype=np.int32)
+    index[visit] = np.arange(N, dtype=np.int32)
+    return index[right[:, visit]], tuple(int(i) for i in index[fixed[1:]])
+
+
+def _sorted_classes(G):
+    """conjugacy_classes as it was: 2-D gathers and an np.unique partition."""
+    maps = chartab._conjugation_maps(G)
+    lab = np.arange(G.n, dtype=np.int32)
+    while True:
+        before = lab
+        for m in maps:
+            lab = np.minimum(lab, lab[m])
+        lab = lab[lab]
+        if np.array_equal(lab, before):
+            break
+    reps, class_of = np.unique(lab, return_inverse=True)
+    class_of = class_of.astype(np.int32)
+    return class_of, reps.astype(np.int32), np.bincount(class_of).astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cyclic:50000", "dihedral:25000", "sym:3", "sym:8", "alt:8", "sl2:23", "psl2:43",
+     "prod:sl2:7+sym:4", "prod:cyclic:200+cyclic:250", "prod:sym:3+cyclic:4"],
+)
+def test_array_pass_setup_matches_the_queue_loop(text, monkeypatch):
+    # The level-by-level closure and the sort-free partition must index
+    # every element and class as the queue loop and np.unique did, so that
+    # every table built from them keeps its bits.
+    G = build_group(text)
+    C = conjugacy_classes(G)
+    monkeypatch.setattr(groups, "_closure_columns", _queue_closure_columns)
+    want = build_group(text)
+    for name in ("cols", "inv", "words", "lengths"):
+        got, expected = getattr(G, name), getattr(want, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert G.generator_indices == want.generator_indices
+    for got, expected in zip((C.class_of, C.representatives, C.sizes), _sorted_classes(G)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert C.k == len(C.representatives)
+
+
+def _queue_order(right, start):
+    seen = bytearray(right.shape[1])
+    seen[start] = 1
+    visit, columns = [start], right.tolist()
+    for x in visit:
+        for col in columns:
+            if not seen[col[x]]:
+                seen[col[x]] = 1
+                visit.append(col[x])
+    return visit
+
+
+@pytest.mark.parametrize("depth", [1, 5, 6, 7, 9])
+def test_breadth_first_switches_between_loop_and_level_passes(depth):
+    # A binary tree of 2^depth - 1 nodes whose leaves all lead to the head
+    # of a long path: the queue widens past _WIDE (or not), then runs as
+    # one-row levels to the end.
+    M, N = 2**depth - 1, 2**depth + 300
+    x = np.arange(N)
+    left, right = 2 * x + 1, 2 * x + 2
+    leaf = (x < M) & (left >= M)
+    left[leaf], right[leaf] = M, x[leaf]
+    left[M:], right[M:] = (x[M:] + 1) % N, x[M:]
+    columns = np.stack([left, right])
+    got = groups._breadth_first(columns, 0)
+    assert got.dtype == np.intp and np.array_equal(got, _queue_order(columns, 0))
+
+
+@pytest.mark.parametrize("k,N", [(1, 700), (2, 3000), (3, 5000)])
+def test_breadth_first_matches_the_queue_on_random_permutations(k, N):
+    rng = np.random.default_rng(N)
+    columns = np.stack([rng.permutation(N) for _ in range(k)])
+    start = int(rng.integers(N))
+    want = _queue_order(columns, start)
+    got = groups._breadth_first(columns, start)
+    assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def test_scalar_compose_takes_one_row_per_step(monkeypatch):
+    # A scalar b walks its word with one 1-D take per step, and must agree
+    # with the table and with the broadcast walk of an array b.
+    G = build_group("sl2:7")
+    ar = np.arange(G.n)
+    table = G.require_table()
+    for b in range(G.n):
+        got = G.compose(ar, b)
+        assert got.dtype == np.int32 and np.array_equal(got, table[:, b])
+    a = np.arange(12).reshape(3, 4)
+    assert np.array_equal(G.compose(a, 100), table[a, 100])
+    assert G.compose(5, 100) == table[5, 100]
+    L = build_group("sl2:23")
+    assert L.mul is None
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, L.n, size=(30, 50))
+    for b in rng.integers(0, L.n, size=40).tolist() + [0]:
+        got = L.compose(a, b)
+        want = L.compose(a, np.full(a.shape, b))
+        assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)

@@ -24,8 +24,8 @@ from .chartab import (
     conjugacy_classes,
 )
 from .errors import CertificationError, QmixError
-from .fourier import CHUNK, GroupFunction, indicator_function
-from .groups import build_group, is_abelian
+from .fourier import GroupFunction, indicator_function
+from .groups import CHUNK, build_group, is_abelian
 from .mixing import (
     LemmaReport,
     cs_chain_diagnostics,

@@ -24,9 +24,7 @@ from .errors import (
     GroupMismatchError,
     PreconditionError,
 )
-from .groups import GroupTable
-
-CHUNK = 256
+from .groups import CHUNK, GroupTable
 
 
 class GroupFunction:

@@ -38,6 +38,9 @@ from .errors import (
 
 MAX_ORDER = 50000
 DENSE_CAP = 8192
+# The block size of the streamed passes: _row_blocks holds about CHUNK^2
+# row entries, and fourier and mixing go CHUNK points or rows at a time.
+CHUNK = 256
 # The closure search (_breadth_first) looks at its queue once every _WIDE
 # rows, and goes level by level in array passes while _WIDE or more wait.
 _WIDE = 64
@@ -405,17 +408,22 @@ def _depth_first(parents: np.ndarray) -> list[int]:
     return order
 
 
-def _row_blocks(G: GroupTable, step: int):
-    """Every row of the table, at most ``step`` at a time: yields (xs, R),
-    R[i] being the row y -> xs[i]*y (int32) for the index array xs.
+def _row_blocks(G: GroupTable):
+    """Every row of the table, h at a time: yields (xs, R), R[i] being the
+    row y -> xs[i]*y (intp) for the index array xs.
 
-    The rows come from the recurrence of _row_tree, walked depth first
+    h is min(n, CHUNK, CHUNK^2 // n), at least 1, so a block holds at
+    most about CHUNK^2 entries (8 CHUNK^2 bytes) whatever n is.  The
+    rows come from the recurrence of _row_tree, walked depth first
     (_depth_first) on every group, whether or not its table is built, so
-    that besides one step x n block only the rows of at most log2(n) + 1
-    parents are held.  R is a view of that block, which the next block
+    that besides the block only the rows of at most log2(n) + 1 parents
+    are held.  R is a view of that block, which the next block
     overwrites.  Over all blocks, xs runs through every element once.
+    The rows are intp, so that a kernel takes through them without
+    converting its indices.
     """
     n = G.n
+    step = min(n, CHUNK, max(1, CHUNK * CHUNK // n))
     parents, via, left = _row_tree(G.cols, G.inv)
     order = np.array(_depth_first(parents))
     pos = np.empty(n, dtype=np.int64)
@@ -426,8 +434,8 @@ def _row_blocks(G: GroupTable, step: int):
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, pos[parents[1:]], pos[1:])
     last = last.tolist()
-    block = np.empty((min(step, n), n), dtype=np.int32)
-    block[0] = np.arange(n, dtype=np.int32)
+    block = np.empty((step, n), dtype=np.intp)
+    block[0] = np.arange(n)
     rows, lefts = list(block), list(left)
     held: dict[int, np.ndarray] = {}  # rows by position, for later blocks
     for lo in range(0, n, step):

@@ -15,18 +15,19 @@ bits depend on that triple alone.  _value_pass, the chain's c2 and
 count_progressions sum through one row-sum kernel, _row_sums.  These
 kernels and the search's sensitivity tables read the table's rows from
 one provider, groups._row_blocks, which derives each row from its
-parent's, so none of them reads or builds the n x n table, and each
-result is the same whatever order the rows come in.  Only the kernels
-that index the table at random read it, through require_table: the row
-correlation of fourier, _class_conv_sums, _central_involutions and the
-chain's c3.  check_budget prices a suite before anything is built.
-The class convolution behind gamma and the chain's c4 has one body too,
-_class_conv_sums, which reads every operand as a row of the value table.
-It and the chain's c3 pass are the O(n^3) work, and both integrands are
-invariant under multiplication by the central involutions E = {z
-central : z^2 = 1}: each evaluates one element per coset of E
-(_central_involutions), weighted |E|, a no-op where E is trivial, as on
-groups of trivial centre.
+parent's and alone decides the blocks' shape.  So none of them reads or
+builds the n x n table, each holds a few buffers of one block's shape,
+and each result is the same whatever order and height the rows come
+in.  Only the kernels that index the table at random read it, through
+require_table: the row correlation of fourier, _class_conv_sums,
+_central_involutions and the chain's c3.  check_budget prices a suite
+before anything is built.  The class convolution behind gamma and the
+chain's c4 has one body too, _class_conv_sums, which reads every operand
+as a row of the value table.  It and the chain's c3 pass are the O(n^3)
+work, and both integrands are invariant under multiplication by the
+central involutions E = {z central : z^2 = 1}: each evaluates one
+element per coset of E (_central_involutions), weighted |E|, a no-op
+where E is trivial, as on groups of trivial centre.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
     SizeGuardError,
 )
 from .fourier import (
-    CHUNK,
     GroupFunction,
     _check_index_set,
     _correlation,
@@ -55,7 +55,7 @@ from .fourier import (
     p_norm,
     spectral_profile,
 )
-from .groups import GroupTable, _row_blocks
+from .groups import CHUNK, GroupTable, _row_blocks
 
 # The one size limit of the O(n^3) checks, in table gathers per call (see
 # gather_estimate): the chain and sampled gamma refuse a larger
@@ -186,9 +186,9 @@ def _pack(V: np.ndarray) -> np.ndarray:
 
 
 def _squares(G: GroupTable) -> np.ndarray:
-    """y -> y^2 for every y (int32)."""
+    """y -> y^2 for every y (intp, to take through)."""
     ar = np.arange(G.n)
-    return G.compose(ar, ar)
+    return G.compose(ar, ar).astype(np.intp)
 
 
 def _bit_pass(G, V1, V2, V3):
@@ -203,31 +203,30 @@ def _bit_pass(G, V1, V2, V3):
     triple j's term is 1, and bit j's count is a count_nonzero over the
     words masked to it.  Counts are exact and below 2^53, so a caller
     dividing them in float64 gets the bits a float sum of the same 0/1
-    terms gives, in any row order.  One sweep of the table rows serves
-    every word; rows go CHUNK // 4 at a time, so the intp indices and the
-    three word buffers hold at most 8 CHUNK n bytes.
+    terms gives, in any row order.  One sweep of the row blocks of
+    _row_blocks serves every word, through three word buffers of a
+    block's shape.
     """
-    n, m = V2.shape
+    m = V2.shape[1]
     words = []
     for lo in range(0, m, 64):
         P1, P2, P3 = (_pack(V[:, lo:lo + 64]) for V in (V1, V2, V3))
         bits = [P2.dtype.type(1 << j) for j in range(min(64, m - lo))]
         words.append((lo, P1, P2, P3, bits))
-    ysq = _squares(G).astype(np.intp)
-    step = CHUNK // 4
-    I = np.empty((step, n), dtype=np.intp)
-    # Three buffers of the widest word, viewed at each word's dtype.
+    ysq = _squares(G)
     size = max(P2.dtype.itemsize for _, _, P2, _, _ in words)
-    raw = [np.empty(step * n * size, dtype=np.uint8) for _ in range(3)]
+    raw = None
     totals = np.zeros(m, dtype=np.int64)
-    for xs, R in _row_blocks(G, step):
-        h = len(xs)
-        np.copyto(I[:h], R)
+    for xs, R in _row_blocks(G):
+        if raw is None:
+            # Three buffers of the first, tallest block, for the widest
+            # word, viewed at each word's dtype.
+            raw = [np.empty(R.size * size, dtype=np.uint8) for _ in range(3)]
         for lo, P1, P2, P3, bits in words:
-            W, W3, tmp = (b.view(P2.dtype)[: h * n].reshape(h, n) for b in raw)
+            W, W3, tmp = (b.view(P2.dtype)[: R.size].reshape(R.shape) for b in raw)
             # mode="clip" skips the bounds check; with "raise", take buffers out.
-            np.take(P2, I[:h], out=W, mode="clip")
-            np.take(P3, I[:h], out=tmp, mode="clip")
+            np.take(P2, R, out=W, mode="clip")
+            np.take(P3, R, out=tmp, mode="clip")
             np.take(tmp, ysq, axis=1, out=W3, mode="clip")
             np.bitwise_and(W, W3, out=W)
             np.bitwise_and(W, P1[xs, None], out=W)
@@ -241,28 +240,26 @@ def _row_sums(G, a, b, cols):
     """S[x] = sum_y a[xy] b[x cols[y]] for every row x, for two contiguous
     vectors of one dtype (float64, complex128 or int64).
 
-    Rows go h at a time, in the order _row_blocks gives them, each summed
-    in y order, so S has the same bits in any row order and any h.  h is
-    CHUNK up to n = CHUNK and CHUNK^2 // n above it, so the three h x n
-    buffers hold about 20 CHUNK^2 bytes (36 for complex) whatever n is.
-    They are allocated once: a fresh block per iteration is page-faulted
-    anew unless the allocator keeps freed memory (on sl2:13 that doubled
-    the pass time).
+    Rows go a block at a time, in the order _row_blocks gives them, each
+    summed in y order, so S has the same bits in any row order and any
+    block height.  Three buffers of the first, tallest block's shape are
+    allocated once: a fresh block per iteration is page-faulted anew
+    unless the allocator keeps freed memory (on sl2:13 that doubled the
+    pass time).
     """
-    n = len(a)
-    step = min(CHUNK, max(1, CHUNK * CHUNK // n))
-    U2 = np.empty((step, n), dtype=np.int32)
-    B2 = np.empty((step, n), dtype=a.dtype)
-    B3 = np.empty_like(B2)
-    S = np.empty(n, dtype=a.dtype)
-    for xs, U in _row_blocks(G, step):
-        h = len(xs)
+    S = np.empty(len(a), dtype=a.dtype)
+    bufs = None
+    for xs, U in _row_blocks(G):
+        if bufs is None:
+            B = np.empty(U.shape, a.dtype)
+            bufs = np.empty_like(U), B, np.empty_like(B)
+        U2, B2, B3 = (buf[: len(xs)] for buf in bufs)
         # mode="clip" skips the bounds check; with "raise", take buffers out.
-        np.take(U, cols, axis=1, out=U2[:h], mode="clip")
-        np.take(a, U, out=B2[:h], mode="clip")
-        np.take(b, U2[:h], out=B3[:h], mode="clip")
-        np.multiply(B2[:h], B3[:h], out=B2[:h])
-        S[xs] = B2[:h].sum(axis=1)
+        np.take(U, cols, axis=1, out=U2, mode="clip")
+        np.take(a, U, out=B2, mode="clip")
+        np.take(b, U2, out=B3, mode="clip")
+        np.multiply(B2, B3, out=B2)
+        S[xs] = B2.sum(axis=1)
     return S
 
 
@@ -351,10 +348,11 @@ def theta_defect(
 
 def count_progressions(A1, A2, A3, G: GroupTable) -> int:
     """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3,
-    summed in int64 by _row_sums."""
+    summed in int64 by _row_sums.  Each set is empty or a 1-d list of
+    distinct element indices."""
     v1, v2, v3 = V = np.zeros((3, G.n), dtype=np.int64)
     for v, A in zip(V, (A1, A2, A3)):
-        if len(np.asarray(A)) > 0:
+        if np.shape(A) != (0,):
             v[_check_index_set(G, A)] = 1
     return int(v1 @ _row_sums(G, v2, v3, _squares(G)))
 
@@ -803,25 +801,19 @@ def _toggle_gain_tables(
     of Wi, S3 of bit 1 of W and bit 0 of Wq.  The terms are shifted to
     0/1 bytes and summed per row in uint16, which is exact because every
     count is at most n <= MAX_ORDER < 2^16.  Rows come from _row_blocks,
-    CHUNK // 4 at a time, as in _bit_pass.
+    through four byte buffers of the first, tallest block's shape.
     """
-    n = G.n
     P = _pack(np.stack([v1, v2, v3], axis=1))
-    ysq = _squares(G).astype(np.intp)
+    ysq = _squares(G)
     iv = G.inv.astype(np.intp)
-    step = CHUNK // 4
-    I = np.empty((step, n), dtype=np.intp)
-    W = np.empty((step, n), dtype=np.uint8)
-    Wq = np.empty_like(W)
-    Wi = np.empty_like(W)
-    X = np.empty_like(W)
-    S = np.empty((3, n), dtype=np.int64)
-    for xs, R in _row_blocks(G, step):
-        h = len(xs)
-        w, q, i, x = W[:h], Wq[:h], Wi[:h], X[:h]
-        np.copyto(I[:h], R)
+    S = np.empty((3, G.n), dtype=np.int64)
+    bufs = None
+    for xs, R in _row_blocks(G):
+        if bufs is None:
+            bufs = [np.empty(R.shape, dtype=np.uint8) for _ in range(4)]
+        w, q, i, x = (b[: len(xs)] for b in bufs)
         # mode="clip" skips the bounds check; with "raise", take buffers out.
-        np.take(P, I[:h], out=w, mode="clip")
+        np.take(P, R, out=w, mode="clip")
         np.take(w, ysq, axis=1, out=q, mode="clip")
         np.take(w, iv, axis=1, out=i, mode="clip")
         # S2: bit 2 of W (alone after the shift) and bit 0 of Wi.

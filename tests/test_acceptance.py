@@ -31,7 +31,7 @@ from qmix import (
     verify_derivative_bound,
     verify_fcmu,
 )
-from qmix import mixing
+from qmix import groups, mixing
 from qmix.cli import main as cli_main
 from qmix.groups import _row_blocks
 
@@ -105,29 +105,41 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
-def test_row_blocks_give_the_table_rows(spec):
+def test_row_blocks_give_the_table_rows(spec, monkeypatch):
     """The row provider's depth-first walk yields every element's table
-    row once, and builds no table.  Once the table is built it is the
-    oracle: the walk yields the same blocks, and compose gives its
-    entries.  A block of 7 rows makes most parents' rows outlive their
-    block."""
+    row once, in intp blocks of at most min(n, CHUNK, CHUNK^2 // n) rows
+    (at least one), and builds no table.  Once the table is built it is
+    the oracle: the walk yields the same rows in the same order, and
+    compose gives its entries.  A CHUNK of 7 gives blocks of at most 7
+    rows, which makes most parents' rows outlive their block."""
     G = build_group(spec)
+
+    def walk():
+        height = min(G.n, groups.CHUNK, max(1, groups.CHUNK**2 // G.n))
+        for xs, R in _row_blocks(G):
+            assert R.dtype == np.intp
+            assert len(xs) == len(R) <= height
+            yield xs, R
+
+    monkeypatch.setattr(groups, "CHUNK", 7)
     seen = np.zeros(G.n, dtype=np.int64)
     walked = np.empty((G.n, G.n), dtype=np.int32)
     order = []
-    for xs, R in _row_blocks(G, 7):
-        assert len(xs) == len(R) <= 7
+    for xs, R in walk():
         seen[xs] += 1
         walked[xs] = R
         order.append(xs.copy())
+    monkeypatch.undo()
     assert G.table is None
     assert np.all(seen == 1)
     assert np.array_equal(walked, G.mul)
-    before = iter(order)
-    for xs, R in _row_blocks(G, 7):
-        assert np.array_equal(xs, next(before))
+    order = np.concatenate(order)
+    lo = 0
+    for xs, R in walk():
+        assert np.array_equal(xs, order[lo:lo + len(xs)])
         assert np.array_equal(R, G.mul[xs])
-    assert next(before, None) is None
+        lo += len(xs)
+    assert lo == G.n
     ar = np.arange(G.n)
     assert np.array_equal(G.compose(ar[:, None], ar), G.mul)
 

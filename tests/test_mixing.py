@@ -300,6 +300,18 @@ class TestCountProgressions:
         G, _, _ = bundle("cyclic:5")
         assert count_progressions([0], [0], [0], G) == 1
 
+    def test_rejects_what_indicator_function_rejects(self, bundle):
+        # An empty list is the empty set; any other set is checked as
+        # indicator_function checks it.
+        G, _, _ = bundle("cyclic:5")
+        for bad in (5, [5], [-1], [0, 0], [[0]], [[]], [0.5]):
+            with pytest.raises(PreconditionError):
+                indicator_function(G, bad)
+            with pytest.raises(PreconditionError):
+                count_progressions(bad, [0], [0], G)
+            with pytest.raises(PreconditionError):
+                count_progressions([0], [0], bad, G)
+
     def test_matches_a_recount_through_compose(self):
         # (x*y)*y by two compose calls: no square map, no progression pass.
         G = build_group("sl2:13")
@@ -332,6 +344,37 @@ class TestCountProgressions:
             tracemalloc.stop()
         assert G.table is None
         assert count == n * len(A2)
+        assert peak < 64 * CHUNK**2 + 256 * n
+
+    @pytest.mark.parametrize("kernel", ["_bit_pass", "_toggle_gain_tables"])
+    def test_packed_passes_hold_blocks_of_about_chunk_squared(self, kernel):
+        # The packed passes read the same row blocks, so their buffers
+        # stay near 32 CHUNK^2 bytes whatever n is; blocks of CHUNK // 4
+        # rows would take 8 CHUNK n (about 10 MB here).  The n term holds
+        # the packed inputs (three 8-byte words per element at 64
+        # triples), their packing and the walk's per-element lists.  The
+        # bit pass runs at half of DENSE_CAP to stay quick.  A first
+        # all-ones triple counts n^2, and all-ones sets give tables of n.
+        n = DENSE_CAP // 2 if kernel == "_bit_pass" else DENSE_CAP + 8
+        G = build_group(f"cyclic:{n}")
+        rng = np.random.default_rng(37)
+        if kernel == "_bit_pass":
+            V = [rng.random((n, 64)) < 0.5 for _ in range(3)]
+            for v in V:
+                v[:, 0] = True
+        else:
+            V = [np.ones(n, dtype=np.int64)] * 3
+        tracemalloc.start()
+        try:
+            out = getattr(mixing, kernel)(G, *V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.table is None
+        if kernel == "_bit_pass":
+            assert out[0] == n * n
+        else:
+            assert np.all(out == n)
         assert peak < 64 * CHUNK**2 + 256 * n
 
     def test_brute_force_oracle(self, bundle, product):
@@ -829,9 +872,10 @@ class TestChain:
             assert v["split"] <= v["bound"] + 1e-9
 
     def test_chain_holds_no_full_table_copies(self, bundle):
-        # theta and c2 stream table rows, and the c3 pass frees its three
-        # n x n tables (24n^2 bytes) before the class convolution holds
-        # its value table, so the peak is the larger pass, not their sum.
+        # theta and c2 stream table rows, and the c3 pass frees its one
+        # n x n table and two (n/|E|) x n tables ((8 + 16/|E|) n^2 bytes)
+        # before the class convolution holds its value table, so the peak
+        # is the larger pass, not their sum.
         G, C, T = bundle("sl2:7")
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]

@@ -114,8 +114,7 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     O(n^2) for a dense h, O(n |S|) for a density on a set S.
     """
     G = _same_group(f, h)
-    t = G.require_table("convolution")
-    corr = _correlation(t, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
+    corr = _correlation(G, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
     return GroupFunction(G, corr[G.inv] / G.n)
 
 
@@ -127,14 +126,20 @@ class SpectralProfile:
     parseval_residual: float
 
 
-def _correlation(t: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """corr[j] = sum_x U[x] V[xj], summed over the support of U.
 
+    It fetches the table of G itself (require_table), so a group without
+    one raises SizeGuardError, and its callers do not handle the table.
     Points x go CHUNK at a time, so the pass costs n gathers per support
     point and holds CHUNK * n entries.  A block of consecutive points, as
     every block of a dense U is, reads its table rows through a slice
     without copying them.
     """
+    t = G.require_table(
+        "the row correlation of convolve, spectral_profile and "
+        "verify_derivative_bound"
+    )
     xs = np.flatnonzero(U)
     corr = np.zeros(len(V), dtype=np.complex128)
     for lo in range(0, len(xs), CHUNK):
@@ -163,9 +168,8 @@ def spectral_profile(
     C = _classes_of(G, C)
     if T.k != C.k or T.n != G.n:
         raise GroupMismatchError("character table does not match the class data")
-    t = G.require_table("spectral profile")
     V = f.values
-    corr = _correlation(t, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
+    corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k
     )

@@ -15,8 +15,9 @@ element.  Every group offers one product, the vectorized
 ``GroupTable.compose``, a walk of the word of b from a, and one row
 provider, _row_blocks, which derives each table row from its parent's
 and serves the O(n^2) progression kernels.  Both run on every group.
-The n x n table is built on first need, and only up to DENSE_CAP, for
-the kernels that index it at random (``GroupTable.require_table``).
+The n x n table is that walk's cache: its blocks fill it on first need,
+and only up to DENSE_CAP, for the kernels that index it at random
+(``GroupTable.require_table``).
 """
 
 from __future__ import annotations
@@ -187,10 +188,10 @@ class GroupTable:
     ``words[b]``, whose product is b (each word left-aligned, padded after
     its end with the last row).  ``cols[s]`` is the column x -> x*g_s of
     generator s.  ``table``, the n x n table, is only for the kernels
-    that index it at random, and only ``mul`` reads it: it is built on
-    first need, from ``cols``, and kept.  Reading ``mul`` or calling
-    ``require_table`` builds it when ``dense`` (n <= DENSE_CAP when the
-    group was built), and otherwise ``mul`` is None and
+    that index it at random, and only ``mul`` reads it: the walk of
+    _row_blocks fills it on first need, and it is kept.  Reading ``mul``
+    or calling ``require_table`` builds it when ``dense`` (n <= DENSE_CAP
+    when the group was built), and otherwise ``mul`` is None and
     ``require_table`` raises SizeGuardError.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
@@ -213,9 +214,13 @@ class GroupTable:
 
     @property
     def mul(self) -> np.ndarray | None:
-        """The n x n table, built on first use when ``dense``, else None."""
+        """The n x n table, filled on first use when ``dense`` from the
+        blocks of _row_blocks, else None."""
         if self.table is None and self.dense:
-            self.table = _table_rows(self.cols, self.inv)
+            table = np.empty((self.n, self.n), dtype=np.int32)
+            for xs, R in _row_blocks(self):
+                table[xs] = R
+            self.table = table
         return self.table
 
     def require_table(self, operation: str = "this operation") -> np.ndarray:
@@ -366,20 +371,6 @@ def _row_tree(cols: np.ndarray, inv: np.ndarray):
     return parents, via, left
 
 
-def _table_rows(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The n x n table, filled one contiguous row at a time in index order
-    by the recurrence of _row_tree, each parent's row already written."""
-    n = cols.shape[1]
-    parents, via, left = _row_tree(cols, inv)
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n, dtype=np.int32)
-    rows, lefts = list(table), list(left)
-    for x, p, s in zip(range(1, n), parents[1:].tolist(), via[1:].tolist()):
-        # mode="clip" skips the bounds check; with "raise", out is buffered.
-        rows[p].take(lefts[s], out=rows[x], mode="clip")
-    return table
-
-
 def _depth_first(parents: np.ndarray) -> list[int]:
     """The nodes of the tree parents[x] < x (root 0, parents[0] unread) in
     preorder, each node's children in increasing order of subtree size.
@@ -420,7 +411,8 @@ def _row_blocks(G: GroupTable):
     are held.  R is a view of that block, which the next block
     overwrites.  Over all blocks, xs runs through every element once.
     The rows are intp, so that a kernel takes through them without
-    converting its indices.
+    converting its indices.  ``GroupTable.mul`` fills the table from
+    these blocks, so every row, cached or streamed, comes from this walk.
     """
     n = G.n
     step = min(n, CHUNK, max(1, CHUNK * CHUNK // n))

@@ -467,8 +467,7 @@ def verify_derivative_bound(
     correlation over the support of f, O(n^2) for a dense f.
     """
     G, _ = _check_inputs([f], T, bounded=True, mean_zero=(0,))
-    t = G.require_table("derivative average")
-    lhs = float(np.abs(_correlation(t, f.values, f.values) / G.n).mean())
+    lhs = float(np.abs(_correlation(G, f.values, f.values) / G.n).mean())
     rhs = 1.0 / math.sqrt(T.D)
     return _report("derivative", lhs, rhs, tol)
 
@@ -511,7 +510,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     t = G.require_table("class convolution")
     n, m = G.n, len(cols)
     W = V if np.any(V.imag) else V.real
-    mu = _correlation(t, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
+    mu = _correlation(G, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
     mu = mu if np.iscomplexobj(W) else mu.real
     ft = W[G.inv]
     bi = G.inv[cols]

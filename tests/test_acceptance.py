@@ -108,10 +108,12 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
 def test_row_blocks_give_the_table_rows(spec, monkeypatch):
     """The row provider's depth-first walk yields every element's table
     row once, in intp blocks of at most min(n, CHUNK, CHUNK^2 // n) rows
-    (at least one), and builds no table.  Once the table is built it is
-    the oracle: the walk yields the same rows in the same order, and
-    compose gives its entries.  A CHUNK of 7 gives blocks of at most 7
-    rows, which makes most parents' rows outlive their block."""
+    (at least one), and builds no table.  The table is filled by the same
+    walk, so compose, which walks words and not the row tree, is the
+    oracle independent of it: it gives the table's entries, and the walk
+    yields the table's rows again in the same order.  A CHUNK of 7 gives
+    blocks of at most 7 rows, which makes most parents' rows outlive
+    their block."""
     G = build_group(spec)
 
     def walk():

@@ -16,6 +16,7 @@ from qmix import (
 )
 from qmix import cli, mixing
 from qmix.cli import main
+from qmix.chartab import MAX_CLASSES
 from qmix.fourier import CHUNK
 
 
@@ -492,6 +493,22 @@ class TestHarness:
         assert out == ""
         assert "needs the dense multiplication table" in err
         assert "n=12144" in err
+
+    @pytest.mark.parametrize(
+        "argv, k",
+        [
+            (("mix", "cyclic:1000", "--random", "0.5", "--trials", "1"), 1000),
+            (("search", "dihedral:600", "--budget", "0", "--restarts", "1"), 303),
+            (("mix", "prod:sl2:5+cyclic:50", "--random", "0.5", "--trials", "1"), 450),
+        ],
+    )
+    def test_mix_and_search_refuse_groups_above_the_class_cap(self, capsys, argv, k):
+        # Both read D from the character table, so the class cap binds
+        # below the order cap.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{k} classes exceeds the {MAX_CLASSES} cap" in err
 
     def test_mix_peaks_below_the_table_it_no_longer_builds(self, capsys):
         # The n x n int32 table of sl2:13 alone takes 4n^2 bytes (19 MB);

@@ -11,6 +11,7 @@ from qmix import (
     GroupFunction,
     GroupMismatchError,
     PreconditionError,
+    SizeGuardError,
     build_group,
     convolve,
     indicator_function,
@@ -18,6 +19,7 @@ from qmix import (
     mu_translated_class,
     p_norm,
     spectral_profile,
+    verify_derivative_bound,
 )
 from qmix import fourier
 
@@ -430,3 +432,26 @@ def test_convolution_norm_contraction(seed):
     G = build_group("alt:4")
     f, h = random_function(G, (seed, 0)), random_function(G, (seed, 1))
     assert p_norm(convolve(f, h), 2) <= p_norm(f, 2) * p_norm(h, 1) + 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, C, T: convolve(f, f),
+        lambda f, C, T: spectral_profile(f, T, C),
+        lambda f, C, T: verify_derivative_bound(f, T),
+    ],
+    ids=["convolve", "spectral_profile", "verify_derivative_bound"],
+)
+def test_row_correlation_refuses_a_group_without_table(bundle, call):
+    # sl2:23 (n = 12144) keeps no table; the row correlation fetches it and
+    # refuses, naming the functions it serves, and builds none.
+    G, C, T = bundle("sl2:23")
+    f = GroupFunction(G, np.where(np.arange(G.n) % 2, 1.0, -1.0))
+    match = (
+        "^the row correlation of convolve, spectral_profile and "
+        "verify_derivative_bound needs the dense multiplication table"
+    )
+    with pytest.raises(SizeGuardError, match=match):
+        call(f, C, T)
+    assert G.table is None

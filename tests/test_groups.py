@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -707,3 +708,20 @@ def test_scalar_compose_takes_one_row_per_step(monkeypatch):
         got = L.compose(a, b)
         want = L.compose(a, np.full(a.shape, b))
         assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("text", ["sl2:13", "cyclic:4096", "sym:7"])
+def test_table_fill_holds_the_table_and_one_row_block(text):
+    # mul fills the int32 table (4n^2 bytes) from the blocks of _row_blocks,
+    # so besides it only one block of about CHUNK^2 intp entries, the
+    # walk's per-element lists and at most log2(n) + 1 parent rows are held.
+    G = build_group(text)
+    n = G.n
+    tracemalloc.start()
+    try:
+        table = G.mul
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table is G.table and table.dtype == np.int32
+    assert peak < 4 * n * n + 64 * groups.CHUNK**2 + 256 * n

@@ -1078,7 +1078,7 @@ def class_conv_sums_every_g(G, C, V, cols, held):
     t = G.mul
     n, m = G.n, len(cols)
     W = V if np.any(V.imag) else V.real
-    mu = _correlation(t, W, W) / n
+    mu = _correlation(G, W, W) / n
     mu = mu if np.iscomplexobj(W) else mu.real
     ft = W[G.inv]
     bi = G.inv[cols]

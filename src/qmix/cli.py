@@ -181,11 +181,12 @@ def _lemma_row(rep: LemmaReport, trial: int, *fns: GroupFunction) -> dict:
 
 
 def _draws(G, kind: str, seed, count: int):
-    """The functions of random_ensemble(G, kind, seed, count), drawn from
-    one Generator at most CHUNK at a time, so a run holds one block."""
+    """The functions of random_ensemble(G, kind, seed, count), drawn one
+    at a time from one Generator as they are read, so a run holds only
+    the functions its check reads."""
     rng = np.random.default_rng(seed)
-    for lo in range(0, count, CHUNK):
-        yield from random_ensemble(G, kind, rng, min(CHUNK, count - lo))
+    for _ in range(count):
+        yield random_ensemble(G, kind, rng, 1)[0]
 
 
 def _verify_bnp_rows(G, C, T, args):
@@ -311,13 +312,13 @@ def cmd_mix(args) -> int:
         args.seed = DEFAULT_SEED
     if args.trials is None:
         args.trials = DEFAULT_TRIALS
+    if args.sets is None and args.random is None:
+        raise QmixError("mix needs either --sets or --random")
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
     if args.sets is not None:
         blocks = [[[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]]
-    elif args.random is None:
-        raise QmixError("mix needs either --sets or --random")
     else:
         # CHUNK triples at a time, each role drawn from its own stream.
         kind = f"indicator:{args.random}"
@@ -357,7 +358,7 @@ def cmd_search(args) -> int:
     G = build_group(args.spec)
     C = conjugacy_classes(G)
     T = compute_character_table(G, C)
-    if 0 <= args.budget < 3 * G.n:
+    if args.budget < 3 * G.n:
         print(
             f"note: --budget {args.budget} is below 3n = {3 * G.n}, the cost of one "
             "greedy step, so no step runs and the seeded start is reported",
@@ -403,14 +404,28 @@ def tolerance(text: str) -> float:
     return value
 
 
-def seed_value(text: str) -> int:
-    """argparse type of --seed: numpy's generators refuse a negative seed."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+def density(text: str) -> float:
+    """argparse type of mix --random: a set density in (0, 1), not nan."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
+def integer_at_least(low: int):
+    """argparse type of an integer option that must be >= low: --seed
+    (numpy's generators refuse a negative seed) and search --budget
+    take low = 0, search --restarts low = 1."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         p.add_argument("spec", help="group spec, e.g. alt:5 or prod:sl2:5+cyclic:3")
         if seed:
-            p.add_argument("--seed", type=seed_value, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=integer_at_least(0), default=DEFAULT_SEED)
         if tol:
             p.add_argument("--tol", type=tolerance, default=1e-8)
         p.add_argument("--out", default=None, help="write output to this path")
@@ -457,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_mix)
     p.add_argument("--sets", default=None,
                    help="JSON [[...],[...],[...]] of element indices, or @file")
-    p.add_argument("--random", type=float, default=None, metavar="P",
+    p.add_argument("--random", type=density, default=None, metavar="P",
                    help="use random density-P sets instead of --sets")
     # None marks an option left out: --sets refuses --trials and --seed.
     p.add_argument("--trials", type=int, default=None,
@@ -467,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="adversarial search for large defect")
     common(p, formats=("text", "json"), tol=False)
     p.set_defaults(run=cmd_search)
-    p.add_argument("--budget", type=int, default=5000,
+    p.add_argument("--budget", type=integer_at_least(0), default=5000,
                    help="toggle evaluations; each greedy step spends 3n, so a "
                    "budget below 3n returns the seeded start")
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=integer_at_least(1), default=5)
     return parser
 
 

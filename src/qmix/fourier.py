@@ -30,21 +30,21 @@ from .groups import CHUNK, GroupTable
 class GroupFunction:
     """A complex-valued function on a group, stored as a length-n vector.
 
-    Values are copied, checked finite, and frozen, so no caller can
-    change a function another object holds.
+    Values of any numeric dtype, or a list, are copied into a new
+    complex128 array in one conversion, checked finite, and frozen, so no
+    caller can change a function another object holds.
     """
 
     __slots__ = ("group", "values")
 
     def __init__(self, group: GroupTable, values):
-        vals = np.asarray(values, dtype=np.complex128)
+        vals = np.array(values, dtype=np.complex128)
         if vals.shape != (group.n,):
             raise PreconditionError(
                 f"function needs {group.n} values, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("non-finite value in group function")
-        vals = vals.copy()
         vals.setflags(write=False)
         self.group = group
         self.values = vals
@@ -71,8 +71,10 @@ def _check_index_set(G: GroupTable, indices) -> np.ndarray:
 
 
 def indicator_function(G: GroupTable, indices) -> GroupFunction:
-    vals = np.zeros(G.n, dtype=np.complex128)
-    vals[_check_index_set(G, indices)] = 1.0
+    """The 0/1 function of a set of element indices, passed to
+    GroupFunction as a bool array."""
+    vals = np.zeros(G.n, dtype=bool)
+    vals[_check_index_set(G, indices)] = True
     return GroupFunction(G, vals)
 
 
@@ -81,12 +83,13 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
 
     The set g^{-1} C(g^{-1}), on which the gamma functional in mixing
     puts its mu_g, is this function called at the inverse element.  The
-    density is |G|/|C(g)| on that set, so its mean is exactly 1.
+    density is |G|/|C(g)| on that set, so its mean is exactly 1; the
+    float64 values go to GroupFunction unconverted.
     """
     C = _classes_of(G, C)
     g = int(G._check_indices(g))
     members = np.flatnonzero(C.class_of == C.class_of[g])
-    vals = np.zeros(G.n, dtype=np.complex128)
+    vals = np.zeros(G.n)
     vals[G.compose(g, members)] = G.n / len(members)
     return GroupFunction(G, vals)
 

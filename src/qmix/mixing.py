@@ -742,7 +742,9 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
     Kinds: "rademacher" (plus/minus 1), "unimodular" (random phases),
     "indicator:<p>" (density-p random set), "mean_zero_rademacher"
     (centered then rescaled by 1/(1+|mean|) so the sup norm is exactly
-    1 and the mean is zero to machine precision).
+    1 and the mean is zero to machine precision).  Each function's int,
+    float, bool or complex draw goes to GroupFunction unconverted, so it
+    is converted to complex128 once, in that copy.
     """
     if count < 0:
         raise PreconditionError("count must be nonnegative")
@@ -763,15 +765,15 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
     out: list[GroupFunction] = []
     for _ in range(count):
         if base == "rademacher":
-            vals = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.complex128)
+            vals = rng.integers(0, 2, size=n) * 2 - 1
         elif base == "unimodular":
             vals = np.exp(2j * np.pi * rng.random(n))
         elif base == "indicator":
-            vals = (rng.random(n) < p).astype(np.complex128)
+            vals = rng.random(n) < p
         else:
             v = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
             m = v.mean()
-            vals = ((v - m) / (1.0 + abs(m))).astype(np.complex128)
+            vals = (v - m) / (1.0 + abs(m))
         out.append(GroupFunction(G, vals))
     return out
 

@@ -355,13 +355,18 @@ class TestMixCommand:
             random_ensemble(G, "indicator:0.5", (42, 11 + role), trials) for role in range(3)
         ]
         expected = [rep.theta for rep in theta_defects(*streams, T)]
-        counts = []
+        counts, blocks = [], []
 
         def counted(G, kind, seed, count):
             counts.append(count)
             return random_ensemble(G, kind, seed, count)
 
+        def blocked(*args):
+            blocks.append(len(args[0]))
+            return theta_defects(*args)
+
         monkeypatch.setattr(cli_module, "random_ensemble", counted)
+        monkeypatch.setattr(cli_module, "theta_defects", blocked)
         code, out, _ = run(
             capsys, "mix", "sym:3", "--random", "0.5", "--trials", str(trials),
             "--seed", "42", "--format", "json",
@@ -369,7 +374,8 @@ class TestMixCommand:
         assert code == 0
         assert [row["theta"] for row in parse_json(out)] == expected
         assert [row["trial"] for row in parse_json(out)] == list(range(trials))
-        assert counts == [CHUNK] * 3 + [3] * 3
+        assert counts == [1] * (3 * trials)
+        assert blocks == [CHUNK, 3]
 
     def test_malformed_sets_exit_2(self, capsys):
         for bad in ("not json", "[[0],[0]]", "[[0],[0],[999]]", '{"a": 1}'):
@@ -493,6 +499,28 @@ class TestHarness:
         assert out == ""
         assert "needs the dense multiplication table" in err
         assert "n=12144" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mix", "sl2:5"),
+            ("mix", "sl2:5", "--random", "1.5"),
+            ("mix", "sl2:5", "--random", "nan"),
+            ("search", "sl2:5", "--budget", "-1"),
+            ("search", "sl2:5", "--restarts", "0"),
+        ],
+    )
+    def test_bad_mix_and_search_options_are_refused_before_the_group(
+        self, capsys, monkeypatch, argv
+    ):
+        def unreachable(spec):
+            raise AssertionError(f"build_group({spec!r}) ran for a refused command")
+
+        monkeypatch.setattr(cli, "build_group", unreachable)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
     @pytest.mark.parametrize(
         "argv, k",
@@ -727,8 +755,8 @@ def test_rows_written_before_a_raise_stay(capsys, tmp_path):
 
 def test_verify_draws_stream_one_ensemble_in_blocks(monkeypatch):
     # The verify suites draw their functions through cli._draws: the same
-    # functions as one random_ensemble call, asked for at most CHUNK at a
-    # time and only as they are consumed.
+    # functions as one random_ensemble call, asked for one at a time and
+    # only as they are consumed.
     G = build_group("psl2:7")
     count = 2 * CHUNK + 88
     whole = random_ensemble(G, "unimodular", (42, 105), count)
@@ -741,8 +769,23 @@ def test_verify_draws_stream_one_ensemble_in_blocks(monkeypatch):
     monkeypatch.setattr(cli, "random_ensemble", spy)
     fns = cli._draws(G, "unimodular", (42, 105), count)
     first = next(fns)
-    assert asked == [CHUNK]
+    assert asked == [1]
     streamed = [first, *fns]
-    assert asked == [CHUNK, CHUNK, 88]
+    assert asked == [1] * count
     assert len(streamed) == count
     assert all(np.array_equal(f.values, g.values) for f, g in zip(streamed, whole))
+
+
+def test_verify_draws_hold_only_the_functions_read():
+    # Three functions of a 2 * CHUNK stream: each complex128 function is
+    # 16n bytes, and a draw adds a few n-sized temporaries.
+    G = build_group("cyclic:8000")
+    tracemalloc.start()
+    try:
+        fns = cli._draws(G, "unimodular", (42, 105), 2 * CHUNK)
+        held = [next(fns) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3
+    assert peak < 16 * 16 * G.n

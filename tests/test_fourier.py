@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,43 @@ class TestConstruction:
         assert f.values[0] == 1.0
         with pytest.raises(ValueError):
             f.values[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.arange(n) % 2 == 0,
+            lambda n: np.arange(n, dtype=np.int64) - 2,
+            lambda n: np.linspace(-1.0, 1.0, n),
+            lambda n: np.exp(1j * np.arange(n)),
+            lambda n: [-0.0, 1, 2.5, 3j, -1, True],
+        ],
+        ids=["bool", "int64", "float64", "complex128", "list"],
+    )
+    def test_every_input_is_copied_into_frozen_complex_values(self, bundle, make):
+        G, _, _ = bundle("sym:3")
+        src = make(G.n)
+        want = np.asarray(src, dtype=np.complex128).copy()
+        f = GroupFunction(G, src)
+        assert f.values.dtype == np.complex128
+        assert f.values.tobytes() == want.tobytes()
+        assert not np.shares_memory(f.values, src)
+        assert not f.values.flags.writeable
+        src[0] = src[1]
+        assert f.values.tobytes() == want.tobytes()
+
+    def test_a_bool_input_holds_one_complex_array(self):
+        # One conversion: the complex128 copy (16n bytes) and the n-byte
+        # finiteness mask, no intermediate complex array.
+        G = build_group("cyclic:8000")
+        src = np.arange(G.n) % 3 == 0
+        tracemalloc.start()
+        try:
+            f = GroupFunction(G, src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.real.sum() == np.count_nonzero(src)
+        assert peak < 1.5 * 16 * G.n
 
 
 class TestBasics:

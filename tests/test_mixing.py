@@ -1247,6 +1247,39 @@ class TestRandomEnsemble:
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
         assert not np.array_equal(a[0].values, a[1].values)
 
+    @staticmethod
+    def cast_before_the_copy(G, kind, seed, count):
+        """The values of random_ensemble built with each draw cast to
+        complex128 before GroupFunction copies it."""
+        rng = np.random.default_rng(seed)
+        base, _, density = kind.partition(":")
+        out = []
+        for _ in range(count):
+            if base == "rademacher":
+                vals = (rng.integers(0, 2, size=G.n) * 2 - 1).astype(np.complex128)
+            elif base == "unimodular":
+                vals = np.exp(2j * np.pi * rng.random(G.n))
+            elif base == "indicator":
+                vals = (rng.random(G.n) < float(density)).astype(np.complex128)
+            else:
+                v = (rng.integers(0, 2, size=G.n) * 2 - 1).astype(np.float64)
+                m = v.mean()
+                vals = ((v - m) / (1.0 + abs(m))).astype(np.complex128)
+            out.append(vals)
+        return out
+
+    @pytest.mark.parametrize(
+        "kind", ["rademacher", "unimodular", "indicator:0.3", "mean_zero_rademacher"]
+    )
+    @pytest.mark.parametrize("spec", ["sym:4", "psl2:7"])
+    def test_values_equal_a_cast_before_the_copy(self, bundle, spec, kind):
+        # tobytes() also compares the sign of every zero imaginary part.
+        G, _, _ = bundle(spec)
+        for seed in (0, 7, (42, 105)):
+            got = [f.values.tobytes() for f in random_ensemble(G, kind, seed, 3)]
+            want = [v.tobytes() for v in self.cast_before_the_copy(G, kind, seed, 3)]
+            assert got == want
+
     def test_invalid_kinds(self, bundle):
         G, _, _ = bundle("sym:3")
         for bad in ("nope", "indicator:0", "indicator:1", "indicator:x", "indicator:1.5"):

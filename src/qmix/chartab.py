@@ -2,19 +2,27 @@
 
 Classes come from label propagation: every element takes the least label
 among its images under the conjugation maps of the generators, in whole
-array passes, until no label falls.  Characters are recovered by the
-class-sum eigenvector method: the integer class-multiplication matrices
-M_i, counted together from one right translation per class
-representative, commute and are jointly diagonalized by the vectors
-v_rho(j) = h_j chi_rho(j) / d_rho, so a random real combination of the
-M_i has those vectors as its eigenvectors with probability 1.  The
-result is certified against both orthogonality relations and the exact
-degree identity before it is returned; a failed certificate is an error,
-never a silent answer.
+array passes, until no label falls.  Characters come from Dixon's method
+modulo a prime p (Dixon, "High speed computation of group characters",
+Numer. Math. 1967; Schneider, J. Symb. Comp. 1990), in exact arithmetic
+on numpy arrays: int64, or float64 where every sum stays below 2^53.
+The class-multiplication matrices M_i commute, and the central characters
+omega_r(K_i) = h_i chi_r(g_i) / d_r are their common eigenvectors; mod a
+prime p = 1 (mod e), e the exponent of the group, every eigenvalue lies in
+F_p, so a combination A = sum_i r_i M_i with k distinct eigenvalues has
+them as its only eigenvectors.  Each degree is exact because p > n, and
+each value chi(g) = sum_a m_a exp(2 pi i a / o), g of order o, comes from
+the multiplicities m_a of the eigenvalues of rho(g): integers in [0, d]
+read exactly mod p off the values at the powers of g.  The table is
+certified exactly (k distinct eigenvalues, squared degrees summing to n,
+multiplicities in range, both orthogonality relations mod p) before it is
+returned; a failed certificate is an error, never a silent answer.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +33,12 @@ from .errors import (
     PreconditionError,
     SizeGuardError,
 )
-from .groups import GroupTable, is_abelian
+from .groups import CHUNK, GroupTable, _is_prime
 
 MAX_CLASSES = 200
-RETRIES = 5
-DEGREE_TOL = 1e-6
+# Combinations A tried before the table is refused.  p > k^2, so one
+# repeats an eigenvalue with probability at most k^2 / 2p < 1/2.
+ATTEMPTS = 20
 
 
 @dataclass(eq=False)
@@ -54,11 +63,13 @@ class CharacterTable:
     """Certified character table.
 
     Row 0 is the trivial character; rows are sorted by degree, then by
-    rounded entry values, so equal inputs give identical tables across
-    seeds.  ``D`` is the quasirandom degree, the smallest degree among
-    nontrivial irreducibles; 1 means the bound downstream is vacuous.
-    ``residual`` is the worst deviation found in either orthogonality
-    relation at certification time.
+    their exact eigenvalue multiplicities, so a group always gives the
+    same table.  ``D`` is the quasirandom degree, the smallest degree
+    among nontrivial irreducibles; 1 means the bound downstream is
+    vacuous.  ``residual``, a diagnostic only, is the worst deviation of
+    the float table from either orthogonality relation.  ``prime`` is the
+    p the table was computed modulo and ``attempts`` the number of
+    combinations tried.
     """
 
     n: int
@@ -67,6 +78,8 @@ class CharacterTable:
     degrees: np.ndarray
     D: int
     residual: float
+    prime: int
+    attempts: int
 
 
 def _conjugation_maps(G: GroupTable) -> list[np.ndarray]:
@@ -174,92 +187,270 @@ def _orthogonality_residual(
     return max(row_res, col_res)
 
 
-def _canonical_order(chi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+def _power_maps(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, np.ndarray]:
+    """(P, orders): P[c, j] is the class of rep_c^j, for j up to the
+    largest order at least, and orders[c] the order of rep_c.
+
+    The powers double: g^(j + 2^t) = g^j g^(2^t) for every j < 2^t at
+    once, then g^(2^(t+1)) = g^(2^t) g^(2^t), two composes over all the
+    representatives per doubling, until every rep_c^j with j > 0 has
+    reached the identity.
+    """
+    powers = np.zeros((C.k, 1), dtype=np.int32)
+    square = C.representatives[:, None]
+    while not (powers[:, 1:] == 0).any(axis=1).all():
+        powers = np.hstack([powers, G.compose(powers, square)])
+        square = G.compose(square, square)
+    orders = 1 + np.argmax(powers[:, 1:] == 0, axis=1)
+    return C.class_of.take(powers), orders
+
+
+def _least_prime(e: int, floor: int) -> int:
+    """The least prime p = 1 (mod e) above floor."""
+    p = floor // e * e + 1
+    while p <= floor or not _is_prime(p):
+        p += e
+    return p
+
+
+def _root_of_unity(e: int, p: int) -> int:
+    """The first power x^((p-1)/e), x = 2, 3, ..., of order exactly e mod p:
+    z^(e/q) != 1 for each prime q dividing e (by trial division)."""
+    factors, m, q = [], e, 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    factors += [m] if m > 1 else []
+    for x in range(2, p):
+        z = pow(x, (p - 1) // e, p)
+        if all(pow(z, e // q, p) != 1 for q in factors):
+            return z
+    raise CertificationError(f"no primitive {e}-th root of unity mod {p}")
+
+
+def _inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise: the inverse mod p of each nonzero a, and
+    0 for a = 0."""
+    out, base = np.ones_like(a), a % p
+    for bit in bin(p - 2)[:1:-1]:
+        if bit == "1":
+            out = out * base % p
+        base = base * base % p
+    return out
+
+
+def _combinations(k: int, p: int):
+    """The weight vectors r of the combinations A = sum_i r_i M_i: one
+    fixed sequence, uniform over [0, p)^k."""
+    rng = random.Random(0)
+    while True:
+        yield [rng.randrange(p) for _ in range(k)]
+
+
+def _combination(G: GroupTable, C: ConjugacyData, r, p: int) -> np.ndarray:
+    """A = sum_i r_i M_i mod p (int64), without the stack of the M_i.
+
+    As in class_mult_coefficients, M_i[j][l] counts the y with y^{-1} in
+    C_i and y rep_l in C_j, so column l of A sums the weight r_{class(y^-1)}
+    of each y into the class of y rep_l: one weighted bincount per
+    representative.  A cell sums at most n weights below p, exact in
+    float64 while n (p - 1) < 2^53.
+    """
+    weights = np.asarray(r, dtype=np.float64).take(C.class_of.take(G.inv))
+    ar = np.arange(G.n, dtype=np.int32)
+    A = np.empty((C.k, C.k), dtype=np.int64)
+    for l, rep in enumerate(C.representatives):
+        cells = np.bincount(C.class_of.take(G.compose(ar, rep)), weights, minlength=C.k)
+        A[:, l] = cells % p
+    return A
+
+
+def _solve(K: np.ndarray, y: np.ndarray, p: int) -> np.ndarray | None:
+    """The x with K x = y (mod p), by Gauss-Jordan elimination, or None
+    when K is singular mod p.  A row is reduced only when it is read, so
+    an entry gathers at most k - 1 products below p^2 on its residue."""
+    k = len(K)
+    M = np.concatenate([K, y[:, None]], axis=1)
+    for i in range(k):
+        nonzero = np.flatnonzero(M[i:, i] % p)
+        if not nonzero.size:
+            return None
+        j = i + nonzero[0]
+        M[[i, j]] = M[[j, i]]
+        M[i] = M[i] % p * pow(int(M[i, i] % p), -1, p) % p
+        f = M[:, i] % p
+        f[i] = 0
+        M -= np.outer(f, M[i])
+    return M[:, k] % p
+
+
+def _eigenvectors(A: np.ndarray, p: int) -> np.ndarray | None:
+    """The k eigenvectors of A mod p as columns, or None when A repeats
+    an eigenvalue.
+
+    The Krylov vectors A^j e_0 give the minimal polynomial f of e_0; e_0
+    has a nonzero part along every eigenvector, so f has degree k exactly
+    when the k eigenvalues differ.  Its roots lam come from Horner's rule
+    at every point of F_p, a block at a time, and the eigenvector of lam
+    is q(A) e_0 with q = f / (x - lam), by synthetic division.  A correct
+    A has k distinct roots once f has degree k; fewer raise
+    CertificationError.
+    """
+    k = len(A)
+    V = np.zeros((k + 1, k), dtype=np.int64)
+    V[0, 0] = 1
+    for j in range(k):
+        V[j + 1] = A @ V[j] % p
+    K = V[:k].T
+    a = _solve(K, V[k], p)
+    if a is None:
+        return None
+    f = np.append(-a % p, 1)  # coefficients, lowest first
+    roots = []
+    for lo in range(0, p, CHUNK * CHUNK):
+        x = np.arange(lo, min(p, lo + CHUNK * CHUNK), dtype=np.int64)
+        value = np.ones_like(x)
+        for c in f[-2::-1]:
+            value *= x
+            value += c
+            value %= p
+        roots.append(x[value == 0])
+    lam = np.concatenate(roots)
+    if len(lam) != k:
+        raise CertificationError(
+            f"the minimal polynomial has {len(lam)} roots mod {p}, not {k}"
+        )
+    Q = np.empty((k, k), dtype=np.int64)
+    Q[k - 1] = 1
+    for j in range(k - 1, 0, -1):
+        Q[j - 1] = (f[j] + lam * Q[j]) % p
+    return K @ Q % p
+
+
+def _lift(
+    X: np.ndarray, P: np.ndarray, orders: np.ndarray, degrees: np.ndarray, e: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, keys): the complex table from its residues X mod p, and the
+    eigenvalue multiplicities it was read from, one row per character.
+
+    Classes are taken largest order first, and each class g that is not
+    yet a power of an earlier one gives the values at all its powers.
+    With z_o = z^(e/o) of order o in F_p, z of order e, the multiplicity
+    of exp(2 pi i a / o) as an eigenvalue of rho_r(g) is
+    m_a = o^-1 sum_j chi_r(g^j) z_o^(-j a) mod p: one o x o product in
+    float64, exact while o (p - 1)^2 < 2^53, and an integer in [0, d_r]
+    summing to d_r, else CertificationError.  Then chi_r(g^j) =
+    sum_a m_a exp(2 pi i a j / o).  A class met again as a later power
+    keeps its first values.
+    """
+    k = len(X)
+    z = _root_of_unity(e, p)
+    chi = np.empty((k, k), dtype=np.complex128)
+    filled = np.zeros(k, dtype=bool)
     keys = []
-    for r in range(chi.shape[0]):
-        re = tuple(-round(float(v), 6) for v in chi[r].real)
-        im = tuple(-round(float(v), 6) for v in chi[r].imag)
-        keys.append((int(degrees[r]), re, im))
-    return np.array(sorted(range(chi.shape[0]), key=lambda r: keys[r]), dtype=np.int64)
+    for g in np.argsort(-orders, kind="stable"):
+        if filled[g]:
+            continue
+        o = int(orders[g])
+        cls = P[g, :o]
+        ja = np.outer(np.arange(o), np.arange(o)) % o
+        step = pow(z, -(e // o), p)  # 1 / z_o
+        dft = np.array([pow(step, t, p) for t in range(o)], dtype=np.float64)[ja]
+        m = np.remainder(X.take(cls, axis=1).astype(np.float64) @ dft, p)
+        m = m.astype(np.int64) * pow(o, -1, p) % p
+        if np.any(m > degrees[:, None]) or np.any(m.sum(axis=1) != degrees):
+            raise CertificationError("an eigenvalue multiplicity is out of range")
+        values = m @ np.exp(2j * np.pi * ja / o)
+        _, first = np.unique(cls, return_index=True)
+        first = first[~filled.take(cls.take(first))]
+        chi[:, cls.take(first)] = values[:, first]
+        filled[cls] = True
+        keys.append(m)
+    return chi, np.hstack(keys)
 
 
 def compute_character_table(
-    G: GroupTable,
-    C: ConjugacyData | None = None,
-    *,
-    seed: int = 42,
-    tol: float = 1e-8,
+    G: GroupTable, C: ConjugacyData | None = None
 ) -> CharacterTable:
-    """Compute and certify the full character table of G.
+    """Compute and certify the full character table of G by Dixon's method.
 
-    Raises CertificationError if none of RETRIES attempts yields a table
-    passing all of: eigenvalue separation, integral degrees (pre-rounding
-    deviation below DEGREE_TOL), sum of squared degrees equal to n
-    exactly, both orthogonality relations within tol, trivial row all
-    ones, and agreement of the all-degrees-one test with abelianness.
-    A nan, infinite or negative tol raises PreconditionError, and more
-    than MAX_CLASSES classes SizeGuardError (class_mult_coefficients).
+    p is the least prime p = 1 (mod e), e the lcm of the orders of the
+    class representatives, above max(n, k^2).  The combinations of
+    _combinations are tried in turn until one has k distinct eigenvalues;
+    its eigenvectors, scaled to 1 at the identity class, are the central
+    characters omega_r, and d_r^2 = n / sum_K omega_r(K) omega_r(K^-1)/|K|
+    (mod p), exact since p > n.  Then chi_r(g) = d_r omega_r(K)/|K| mod p,
+    and _lift reads the complex values off these residues through exact
+    eigenvalue multiplicities.  Rows are sorted by degree, then by those
+    multiplicities, largest first, so row 0 is the trivial character.
+
+    Raises CertificationError unless: a combination among ATTEMPTS has k
+    distinct eigenvalues, each squared degree is a square in [1, n] and
+    they sum to n, each multiplicity vector lies in [0, d_r] and sums to
+    d_r, row 0 is all ones, and both orthogonality relations hold mod p.
+    The float orthogonality residual is kept as a diagnostic.  More than
+    MAX_CLASSES classes raise SizeGuardError, and so does a p at which the
+    int64 sums, k (p - 1)^2 < 2^63, or the float64 ones, o (p - 1)^2
+    < 2^53 for the largest order o, would not be exact; the latter covers
+    _combination's n (p - 1) < 2^53, since p > n and o >= 2.
     """
-    if not 0 <= tol < np.inf:
-        raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
     C = _classes_of(G, C)
     n, k = G.n, C.k
-    M_all = class_mult_coefficients(G, C).astype(np.float64)
-    sizes_f = C.sizes.astype(np.float64)
-
-    abelian = is_abelian(G)
-    last_error = "no attempt made"
-    for attempt in range(RETRIES):
-        rng = np.random.default_rng((seed, attempt))
-        r = rng.uniform(1.0, 2.0, size=k)
-        M = np.tensordot(r, M_all, axes=1)
-        w, V = np.linalg.eig(M)
-        gap_scale = max(1.0, float(np.abs(w).max()))
-        if k > 1:
-            min_gap = float(np.abs(np.subtract.outer(w, w))[~np.eye(k, dtype=bool)].min())
-            if min_gap < 10.0 * tol * gap_scale:
-                last_error = f"eigenvalue collision (gap {min_gap:.3e})"
-                continue
-
-        # Per-class eigenvalues via Rayleigh quotients on each M_i.
-        T = (M_all.reshape(k * k, k) @ V).reshape(k, k, k)
-        num = np.einsum("jr,ijr->ir", V.conj(), T)
-        norms = (V.conj() * V).sum(axis=0).real
-        omega = num / norms[None, :]
-
-        s = (np.abs(omega) ** 2 / sizes_f[:, None]).sum(axis=0)
-        degrees_f = np.sqrt(n / s)
-        degrees = np.rint(degrees_f).astype(np.int64)
-        if np.any(degrees < 1) or float(np.abs(degrees_f - degrees).max()) > DEGREE_TOL:
-            last_error = "non-integral degree before rounding"
-            continue
-        if int((degrees**2).sum()) != n:
-            last_error = "squared degrees do not sum to the group order"
-            continue
-
-        chi = (omega.T * degrees[:, None].astype(np.float64)) / sizes_f[None, :]
-        order = _canonical_order(chi, degrees)
-        chi = chi[order]
-        degrees = degrees[order]
-
-        if float(np.abs(chi[0] - 1.0).max()) > tol:
-            last_error = "canonical first row is not the trivial character"
-            continue
-        residual = _orthogonality_residual(chi, sizes_f, n)
-        if residual > tol:
-            last_error = f"orthogonality residual {residual:.3e} above tol"
-            continue
-        if bool(np.all(degrees == 1)) != abelian:
-            last_error = "degree pattern contradicts abelianness"
-            continue
-
-        D = int(degrees[1]) if k > 1 else 1
-        return CharacterTable(
-            n=n, k=k, chi=chi, degrees=degrees, D=D, residual=residual
+    if k > MAX_CLASSES:
+        raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
+    P, orders = _power_maps(G, C)
+    e = int(np.lcm.reduce(orders))
+    p = _least_prime(e, max(n, k * k))
+    if k * (p - 1) ** 2 >= 2**63:
+        raise SizeGuardError(f"p = {p} with k = {k} overflows int64: k (p - 1)^2 >= 2^63")
+    if int(orders.max()) * (p - 1) ** 2 >= 2**53:
+        raise SizeGuardError(
+            f"p = {p} with order {orders.max()} is inexact in float64: o (p - 1)^2 >= 2^53"
         )
 
-    raise CertificationError(
-        f"character table failed certification after {RETRIES} attempts: {last_error}"
+    for attempts, r in enumerate(itertools.islice(_combinations(k, p), ATTEMPTS), 1):
+        U = _eigenvectors(_combination(G, C, r, p), p)
+        if U is not None:
+            break
+    else:
+        raise CertificationError(f"each of {ATTEMPTS} combinations repeats an eigenvalue")
+    if not U[0].all():
+        raise CertificationError("an eigenvector vanishes at the identity class")
+    omega = U * _inverse(U[0], p) % p
+    inverse_class = P[np.arange(k), orders - 1]
+    h_inv = _inverse(C.sizes, p)
+    s = (omega * omega[inverse_class] % p * h_inv[:, None] % p).sum(axis=0) % p
+    squares = n * _inverse(s, p) % p
+    degrees = np.rint(np.sqrt(squares)).astype(np.int64)
+    if np.any(degrees < 1) or np.any(degrees**2 != squares) or int(squares.sum()) != n:
+        raise CertificationError("the squared degrees are not squares summing to the group order")
+    X = omega.T * degrees[:, None] % p * h_inv % p  # chi mod p, one row per character
+
+    chi, keys = _lift(X, P, orders, degrees, e, p)
+    order = np.lexsort(np.vstack([-keys.T[::-1], degrees]))
+    chi, degrees, X = chi[order], degrees[order], X[order]
+    # A character whose residues equal its conjugate's is real-valued: two
+    # irreducibles with the same residues are equal, their residues being
+    # independent mod p.  Its values are then exactly real.
+    real = np.all(X == X[:, inverse_class], axis=1)
+    chi[real] = chi[real].real
+    if np.any(X[0] != 1):
+        raise CertificationError("row 0 is not the trivial character")
+    rows = (X * C.sizes % p) @ X[:, inverse_class].T % p
+    cols = X.T @ X[:, inverse_class] % p
+    if not (
+        np.array_equal(rows, n * np.eye(k, dtype=np.int64))
+        and np.array_equal(cols, np.diag(n * h_inv % p))
+    ):
+        raise CertificationError(f"an orthogonality relation fails mod {p}")
+    residual = _orthogonality_residual(chi, C.sizes.astype(np.float64), n)
+    D = int(degrees[1]) if k > 1 else 1
+    return CharacterTable(
+        n=n, k=k, chi=chi, degrees=degrees, D=D, residual=residual,
+        prime=p, attempts=attempts,
     )
 
 
@@ -290,7 +481,9 @@ def character_table_csv(T: CharacterTable, C: ConjugacyData) -> str:
 
 
 def character_table_report(T: CharacterTable) -> dict:
-    """JSON-ready summary of the certified table."""
+    """JSON-ready summary of the certified table: its shape, degrees, D,
+    zeta(1), the float residual, the prime p it was computed modulo and
+    the number of combinations tried."""
     return {
         "n": T.n,
         "k": T.k,
@@ -298,4 +491,6 @@ def character_table_report(T: CharacterTable) -> dict:
         "D": T.D,
         "zeta1": witten_zeta(T, 1.0),
         "orthogonality_residual": T.residual,
+        "prime": T.prime,
+        "attempts": T.attempts,
     }

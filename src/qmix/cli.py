@@ -8,7 +8,6 @@ witness printed to stderr); 2 means the input or usage was invalid.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -65,6 +64,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _hash_functions(*fns: GroupFunction) -> str:
+    # Imported here, the one place that hashes: hashlib loads OpenSSL, which
+    # chartab and group do not need.
+    import hashlib
+
     h = hashlib.sha256()
     for f in fns:
         h.update(np.ascontiguousarray(f.values).tobytes())
@@ -146,7 +149,7 @@ def cmd_group(args) -> int:
 def cmd_chartab(args) -> int:
     G = build_group(args.spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C, seed=args.seed, tol=args.tol)
+    T = compute_character_table(G, C)
     if args.format == "csv":
         _emit(character_table_csv(T, C), args.out)
         return 0
@@ -247,7 +250,7 @@ def cmd_verify(args) -> int:
     C = conjugacy_classes(G)
     for s in suites:
         check_budget(s, C)
-    T = compute_character_table(G, C, seed=args.seed, tol=min(args.tol, 1e-8))
+    T = compute_character_table(G, C)
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
 
@@ -396,8 +399,9 @@ def cmd_search(args) -> int:
 
 
 def tolerance(text: str) -> float:
-    """argparse type of --tol: a nan or inf tolerance would pass every check,
-    and no float character table passes its certificate at 0."""
+    """argparse type of verify --tol: a nan or inf tolerance would pass
+    every check, and at 0 or below the float lemma checks fail on their
+    rounding alone."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
@@ -455,8 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_group)
 
     p = sub.add_parser("chartab", help="certified character table")
-    common(p)
+    common(p, seed=False, tol=False)
     p.set_defaults(run=cmd_chartab)
+    # perfbench/run.py passes --seed to every command it times; the exact
+    # table draws nothing, so chartab checks the value and reads nothing.
+    p.add_argument("--seed", type=integer_at_least(0), default=None,
+                   help="accepted and unused: the table is exact")
 
     p = sub.add_parser("verify", help="run inequality verification suites")
     common(p)

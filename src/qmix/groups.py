@@ -192,7 +192,8 @@ class GroupTable:
     _row_blocks fills it on first need, and it is kept.  Reading ``mul``
     or calling ``require_table`` builds it when ``dense`` (n <= DENSE_CAP
     when the group was built), and otherwise ``mul`` is None and
-    ``require_table`` raises SizeGuardError.
+    ``require_table`` raises SizeGuardError.  ``plan``, the order of that
+    walk (_walk_plan), is kept after its first pass.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
     """
@@ -207,6 +208,7 @@ class GroupTable:
     lengths: np.ndarray = field(repr=False)
     dense: bool = False
     table: np.ndarray | None = field(default=None, repr=False)
+    plan: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generator_indices:
@@ -350,25 +352,28 @@ def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _row_tree(cols: np.ndarray, inv: np.ndarray):
+def _row_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence every table row comes from: row(x) = row(p)[left[s]]
     with p = parents[x] and s = via[x], for x > 0; row 0 is the identity.
 
     (p, s) is the first pair in p-major order with cols[s][p] = x (found
     by _first_seen over cols.T), and
     left[s][y] = g_s*y = inv[back_s[inv[y]]], back_s inverting the column
-    y -> y*g_s, so that row(p)[left[s]][y] = p*g_s*y.  Each x > 0 has such
-    a p below x.  In breadth-first order x was first seen as p*g_s; in a
-    product's mixed radix over breadth-first factors, lowering a nonzero
-    digit of x to its parent in that factor gives p.
+    y -> y*g_s, so that row(p)[left[s]][y] = p*g_s*y (_left_columns).
+    Each x > 0 has such a p below x.  In breadth-first order x was first
+    seen as p*g_s; in a product's mixed radix over breadth-first factors,
+    lowering a nonzero digit of x to its parent in that factor gives p.
     """
     k, n = cols.shape
     # Each column is a permutation, so every x occurs.
     _, first = _first_seen(cols.T.ravel(), n)
-    parents, via = np.divmod(first, k)
-    # intp, so that take does not convert the indices of every row.
-    left = inv[_inverted(cols)[:, inv]].astype(np.intp)
-    return parents, via, left
+    return np.divmod(first, k)
+
+
+def _left_columns(cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """left[s][y] = g_s*y (intp, so that take does not convert the
+    indices of every row)."""
+    return inv[_inverted(cols)[:, inv]].astype(np.intp)
 
 
 def _depth_first(parents: np.ndarray) -> list[int]:
@@ -399,6 +404,26 @@ def _depth_first(parents: np.ndarray) -> list[int]:
     return order
 
 
+def _walk_plan(G: GroupTable) -> tuple[np.ndarray, ...]:
+    """(order, up, via, last), int64 arrays of n, the walk of _row_blocks:
+    the row tree of _row_tree in preorder (_depth_first), and for the node
+    at each position its parent's position, its step and the position of
+    its own last child (-1 for a leaf).  Computed on the first pass and
+    kept on G (``GroupTable.plan``, 32n bytes), since every pass walks the
+    same tree.
+    """
+    if G.plan is None:
+        n = G.n
+        parents, via = _row_tree(G.cols)
+        order = np.array(_depth_first(parents), dtype=np.int64)
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        last = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last, pos[parents[1:]], pos[1:])
+        G.plan = (order, pos[parents[order]], via[order].astype(np.int64), last)
+    return G.plan
+
+
 def _row_blocks(G: GroupTable):
     """Every row of the table, h at a time: yields (xs, R), R[i] being the
     row y -> xs[i]*y (intp) for the index array xs.
@@ -406,7 +431,7 @@ def _row_blocks(G: GroupTable):
     h is min(n, CHUNK, CHUNK^2 // n), at least 1, so a block holds at
     most about CHUNK^2 entries (8 CHUNK^2 bytes) whatever n is.  The
     rows come from the recurrence of _row_tree, walked depth first
-    (_depth_first) on every group, whether or not its table is built, so
+    (_walk_plan) on every group, whether or not its table is built, so
     that besides the block only the rows of at most log2(n) + 1 parents
     are held.  R is a view of that block, which the next block
     overwrites.  Over all blocks, xs runs through every element once.
@@ -416,19 +441,11 @@ def _row_blocks(G: GroupTable):
     """
     n = G.n
     step = min(n, CHUNK, max(1, CHUNK * CHUNK // n))
-    parents, via, left = _row_tree(G.cols, G.inv)
-    order = np.array(_depth_first(parents))
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    # For the node at each position: its parent's position and its step,
-    # and the position of its own last child (-1 for a leaf).
-    up, via = pos[parents[order]].tolist(), via[order].tolist()
-    last = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(last, pos[parents[1:]], pos[1:])
-    last = last.tolist()
+    order, up, via, last = _walk_plan(G)
+    up, via, last = up.tolist(), via.tolist(), last.tolist()
     block = np.empty((step, n), dtype=np.intp)
     block[0] = np.arange(n)
-    rows, lefts = list(block), list(left)
+    rows, lefts = list(block), list(_left_columns(G.cols, G.inv))
     held: dict[int, np.ndarray] = {}  # rows by position, for later blocks
     for lo in range(0, n, step):
         hi = min(lo + step, n)

@@ -6,6 +6,7 @@ from qmix import (
     GroupFunction,
     PreconditionError,
     build_group,
+    class_mult_coefficients,
     compute_character_table,
     conjugacy_classes,
     count_progressions,
@@ -21,8 +22,8 @@ from qmix.mixing import _toggle_gain_tables
 def bundle():
     """Memoized (group, classes, table) triples keyed by spec text.
 
-    Character tables are deterministic for a fixed seed, so sharing them
-    across tests is safe; nothing downstream mutates them.
+    Character tables are exact and deterministic, so sharing them across
+    tests is safe; nothing downstream mutates them.
     """
     cache: dict = {}
 
@@ -35,6 +36,35 @@ def bundle():
         return cache[spec]
 
     return get
+
+
+def _float_character_table(G, C):
+    """(chi, degrees) by the float class-sum eigensolve, rows unsorted.
+
+    The eigenvectors of one seeded real combination of the class
+    multiplication matrices (np.linalg.eig) are the central characters;
+    omega_r(K_i) is each one's Rayleigh quotient on M_i, the degrees come
+    from sum_K |omega_r(K)|^2 / |K| = n / d_r^2, rounded, and
+    chi_r(K) = d_r omega_r(K) / |K|.  It shares no arithmetic with the
+    exact table mod p, so it serves as its oracle.
+    """
+    n, k = G.n, C.k
+    M = class_mult_coefficients(G, C).astype(np.float64)
+    sizes = C.sizes.astype(np.float64)
+    r = np.random.default_rng((42, 0)).uniform(1.0, 2.0, size=k)
+    _, V = np.linalg.eig(np.tensordot(r, M, axes=1))
+    T = (M.reshape(k * k, k) @ V).reshape(k, k, k)
+    omega = np.einsum("jr,ijr->ir", V.conj(), T) / (V.conj() * V).sum(axis=0).real
+    degrees_f = np.sqrt(n / (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0))
+    degrees = np.rint(degrees_f).astype(np.int64)
+    assert np.abs(degrees_f - degrees).max() < 1e-6
+    return omega.T * degrees[:, None] / sizes, degrees
+
+
+@pytest.fixture(scope="session")
+def float_character_table():
+    """The float eigensolve's table, an oracle for the exact one."""
+    return _float_character_table
 
 
 def _reference_adversarial_search(G, T, *, budget, restarts, seed):

@@ -31,7 +31,7 @@ from qmix import (
     verify_derivative_bound,
     verify_fcmu,
 )
-from qmix import groups, mixing
+from qmix import chartab, groups, mixing
 from qmix.cli import main as cli_main
 from qmix.groups import _row_blocks
 
@@ -213,6 +213,34 @@ def test_class_mult_stack_matches_the_per_class_count(spec):
     assert M.dtype == np.int64 and M.shape == (C.k, C.k, C.k)
     for i in range(C.k):
         assert np.array_equal(M[i], _per_class_coefficients(G, C, i)), i
+
+
+@pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])
+def test_combination_is_the_weighted_stack(spec):
+    """A = sum_i r_i M_i mod p from one weighted bincount per
+    representative equals the combination of the counted stack."""
+    G = build_group(spec)
+    C = conjugacy_classes(G)
+    p = 1_000_003
+    r = np.random.default_rng(7).integers(0, p, size=C.k)
+    want = np.tensordot(r, class_mult_coefficients(G, C), axes=1) % p
+    got = chartab._combination(G, C, r.tolist(), p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", CHARTAB_GROUPS)
+def test_exact_table_matches_the_float_eigensolve(spec, bundle, float_character_table):
+    """Each exact row is within 1e-12 of one row of the float eigensolve,
+    of the same degree, a different row for each, so the degrees and D
+    agree too."""
+    G, C, T = bundle(spec)
+    chi, degrees = float_character_table(G, C)
+    gap = np.abs(T.chi[:, None, :] - chi[None, :, :]).max(axis=2)
+    match = gap.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(T.k))
+    assert np.array_equal(degrees[match], T.degrees)
+    assert gap[np.arange(T.k), match].max() < 1e-12
+    assert T.D == (int(np.sort(degrees)[1]) if T.k > 1 else 1)
 
 
 def test_criterion_03_parseval_sweep(bundle, capsys):

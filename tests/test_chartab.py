@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (
-    PreconditionError,
+    CertificationError,
     SizeGuardError,
     build_group,
     character_table_csv,
@@ -19,6 +20,7 @@ from qmix import (
     is_abelian,
     witten_zeta,
 )
+from qmix import chartab
 from qmix.chartab import _conjugation_maps
 
 BATTERY = [
@@ -214,13 +216,19 @@ class TestCharacterTable:
         assert np.abs(entries - golden).min() < 1e-9
         assert np.abs(entries - (1 - golden)).min() < 1e-9
 
-    def test_seed_invariance_after_canonicalization(self):
+    def test_table_is_reproducible_and_takes_no_seed(self):
+        # The table is exact: the same group gives the same bits, from a
+        # fresh build too, and there is no seed to choose.
         for spec in ("alt:5", "psl2:7", "sl2:5"):
             G = build_group(spec)
             C = conjugacy_classes(G)
-            A = compute_character_table(G, C, seed=42)
-            B = compute_character_table(G, C, seed=987654)
-            assert np.abs(A.chi - B.chi).max() < 1e-7
+            A = compute_character_table(G, C)
+            B = compute_character_table(build_group(spec))
+            assert np.array_equal(A.chi, B.chi)
+            assert np.array_equal(A.degrees, B.degrees)
+            assert (A.prime, A.attempts) == (B.prime, B.attempts)
+            with pytest.raises(TypeError, match="seed"):
+                compute_character_table(G, C, seed=42)
 
     def test_class_count_guard(self):
         G = build_group("cyclic:250")
@@ -230,9 +238,30 @@ class TestCharacterTable:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_a_tolerance_nothing_is_checked_against(self, tol):
+        # Every relation is checked mod p, so there is no tolerance to pass.
         G = build_group("psl2:7")
-        with pytest.raises(PreconditionError, match="tol must be finite"):
+        with pytest.raises(TypeError, match="tol"):
             compute_character_table(G, tol=tol)
+
+    def test_certificate_prime_is_least_admissible(self, product):
+        # p is the least prime above max(n, k^2) that is 1 mod the exponent,
+        # the lcm of the element orders (84 on psl2:7).
+        G = build_group("psl2:7")
+        T = compute_character_table(G)
+
+        def order(x):
+            y, o = x, 1
+            while y != 0:
+                y, o = product(G, y, x), o + 1
+            return o
+
+        e = math.lcm(*(order(x) for x in range(G.n)))
+        assert e == 84
+        primes = [
+            q for q in range(max(G.n, T.k**2) + 1, T.prime + 1)
+            if q % e == 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+        ]
+        assert primes == [T.prime]
 
     def test_lazy_group_supported(self):
         G = build_group("psl2:29")
@@ -241,6 +270,72 @@ class TestCharacterTable:
         assert T.k == 17
         assert T.D == 15
         assert T.residual < 1e-8
+
+
+class TestExactMethod:
+    @pytest.mark.parametrize("spec", ["sym:4", "psl2:7"])
+    def test_every_raised_class_count_is_refused(self, spec, monkeypatch):
+        # M_i[j][l] + 1 adds r_i to A[j][l]; whichever count is raised,
+        # the exact certificate refuses the table.
+        G = build_group(spec)
+        C = conjugacy_classes(G)
+        combination = chartab._combination
+        for i, j, l in itertools.product(range(C.k), repeat=3):
+
+            def raised(G, C, r, p):
+                A = combination(G, C, r, p)
+                A[j, l] = (A[j, l] + r[i]) % p
+                return A
+
+            monkeypatch.setattr(chartab, "_combination", raised)
+            with pytest.raises(CertificationError):
+                compute_character_table(G, C)
+
+    def test_a_repeated_eigenvalue_moves_on_to_the_next_combination(self, monkeypatch):
+        # r = e_0 gives A = M_0, the identity, whose one eigenvalue repeats
+        # k times; the table comes from the next combination, unchanged.
+        G = build_group("psl2:7")
+        C = conjugacy_classes(G)
+        T = compute_character_table(G, C)
+        combinations = chartab._combinations
+
+        def first_repeats(k, p):
+            yield [1] + [0] * (k - 1)
+            yield from combinations(k, p)
+
+        monkeypatch.setattr(chartab, "_combinations", first_repeats)
+        U = compute_character_table(G, C)
+        assert U.attempts == T.attempts + 1
+        assert np.array_equal(U.chi, T.chi) and np.array_equal(U.degrees, T.degrees)
+
+    def test_only_repeated_eigenvalues_are_refused(self, monkeypatch):
+        # r = (1, ..., 1): the eigenvalue of A at a character is its sum over
+        # G over its degree, 0 for every nontrivial one, in every attempt.
+        monkeypatch.setattr(chartab, "_combinations", lambda k, p: itertools.repeat([1] * k))
+        with pytest.raises(CertificationError, match="repeats an eigenvalue"):
+            compute_character_table(build_group("sym:4"))
+
+    @pytest.mark.parametrize("p,bound", [(2**31 - 1, "2\\^63"), (10**8 + 7, "2\\^53")])
+    def test_a_prime_with_inexact_products_is_refused(self, p, bound, monkeypatch):
+        # sym:3 has k = 3 and largest order 3: 3 (p - 1)^2 passes 2^63 at
+        # p = 2^31 - 1 and 2^53, but not 2^63, at p = 10^8 + 7.
+        monkeypatch.setattr(chartab, "_least_prime", lambda e, floor: p)
+        with pytest.raises(SizeGuardError, match=bound):
+            compute_character_table(build_group("sym:3"))
+
+    def test_two_hundred_classes_hold_no_cube(self):
+        # One (k, k, k) stack of class counts is 64 MB at k = 200; the exact
+        # method holds k x k matrices and one block of the F_p scan.
+        G = build_group("cyclic:200")
+        C = conjugacy_classes(G)
+        tracemalloc.start()
+        try:
+            T = compute_character_table(G, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.k == 200 and T.D == 1
+        assert peak < 50_000_000
 
 
 class TestQuasirandomDegree:
@@ -300,10 +395,13 @@ class TestExports:
     def test_report_is_json_serializable(self, bundle):
         _, _, T = bundle("psl2:7")
         report = character_table_report(T)
-        assert set(report) == {"n", "k", "degrees", "D", "zeta1", "orthogonality_residual"}
+        assert set(report) == {
+            "n", "k", "degrees", "D", "zeta1", "orthogonality_residual", "prime", "attempts",
+        }
         parsed = json.loads(json.dumps(report))
         assert parsed["degrees"] == [1, 3, 3, 6, 7, 8]
         assert parsed["D"] == 3
+        assert (parsed["prime"], parsed["attempts"]) == (T.prime, T.attempts) == (337, 1)
 
 
 @settings(max_examples=12, deadline=None)

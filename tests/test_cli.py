@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from qmix import (
     random_ensemble,
     theta_defects,
 )
+import qmix
 from qmix import cli, mixing
 from qmix.cli import main
 from qmix.chartab import MAX_CLASSES
@@ -588,6 +594,7 @@ class TestHarness:
             ("group", "cyclic:5", "--tol", "1"),
             ("mix", "cyclic:5", "--sets", "[[0],[0],[0]]", "--tol", "5"),
             ("search", "sym:3", "--budget", "0", "--tol", "5"),
+            ("chartab", "psl2:7", "--tol", "1e-8"),
         ],
     )
     def test_options_a_command_ignores_are_rejected(self, capsys, argv):
@@ -599,7 +606,7 @@ class TestHarness:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("chartab", "psl2:7"),
+            ("verify", "psl2:7", "--suite", "fcmu"),
             ("verify", "alt:5", "--suite", "parseval", "--trials", "1"),
         ],
     )
@@ -632,6 +639,16 @@ class TestHarness:
         assert code == 2
         assert out == ""
         assert "invalid choice: 'csv'" in err
+
+    def test_chartab_accepts_a_seed_that_changes_nothing(self, capsys):
+        # perfbench/run.py passes --seed to every command; the exact table
+        # draws nothing, so the output is the same bytes.
+        outputs = [
+            run(capsys, "chartab", "psl2:7", "--format", "json", *extra)
+            for extra in ((), ("--seed", "0"), ("--seed", "987654"))
+        ]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_text_output_rounds_to_six_digits(self, capsys):
         _, out, _ = run(capsys, "chartab", "psl2:7")
@@ -668,7 +685,9 @@ class TestHarness:
 # sets shows here.  The two verify runs, taken before the class convolution
 # became one body, cover the O(n^3) suites: exhaustive gamma and the chain
 # on sl2:7, sampled gamma on psl2:13.  Their text rounds to 6 digits, so a
-# reordered sum keeps them and a wrong one does not.
+# reordered sum keeps them and a wrong one does not.  The sl2:7 digest was
+# taken again when the character table became exact: only its fcmu and
+# parseval residues moved, each row still passing.
 GOLDEN_STDOUT = [
     (
         ("mix", "sl2:13", "--random", "0.5", "--trials", "10", "--format", "json"),
@@ -692,13 +711,45 @@ GOLDEN_STDOUT = [
     ),
     (
         ("verify", "sl2:7", "--suite", "all", "--trials", "2"),
-        "8058ff03f9606b95240f06d450399736276d40d9f2cc8f12d515f5a2cf8944a5",
+        "5325de39113c3ca2cf236357a463f4c04159021f653fc8093821c932899bd4a6",
     ),
     (
         ("verify", "psl2:13", "--suite", "gamma", "--trials", "2"),
         "dfb11a14820ea5180e4483abc2f8e8765474a5b727ec7d9de458038588018b0d",
     ),
 ]
+
+
+def test_chartab_and_group_load_neither_numpy_random_nor_openssl():
+    # Modules that a bare `import numpy` already loads (numpy 1.x imports
+    # numpy.random, and with it hashlib) are not counted against qmix.
+    code = textwrap.dedent("""
+        import sys
+        import numpy
+        before = set(sys.modules)
+        from qmix.cli import main
+        assert main(["chartab", "sl2:7", "--format", "json"]) == 0
+        assert main(["group", "sl2:7"]) == 0
+        loaded = set(sys.modules) - before
+        print(sorted({"numpy.random", "hashlib", "_hashlib"} & loaded))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qmix.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_hash_holds_with_hashlib_imported_late(capsys):
+    # _hash_functions imports hashlib at its first call; the row hash is
+    # the same sha256 prefix as before.
+    code, out, _ = run(capsys, "verify", "alt:5", "--suite", "bnp", "--trials", "1",
+                       "--format", "json")
+    assert code == 0
+    assert parse_json(out)[0]["hash"] == "41397cee42441de9"
 
 
 @pytest.mark.parametrize(

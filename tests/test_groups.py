@@ -552,7 +552,7 @@ def test_word_search_and_row_tree_match_the_sorted_search(text):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     k = G.cols.shape[0]
     _, first = np.unique(G.cols.T, return_index=True)
-    parents, via, _ = groups._row_tree(G.cols, G.inv)
+    parents, via = groups._row_tree(G.cols)
     for got, want in zip((parents, via), np.divmod(first, k)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -725,3 +725,29 @@ def test_table_fill_holds_the_table_and_one_row_block(text):
         tracemalloc.stop()
     assert table is G.table and table.dtype == np.int32
     assert peak < 4 * n * n + 64 * groups.CHUNK**2 + 256 * n
+
+
+def test_walk_plan_is_computed_once_and_kept(monkeypatch):
+    # Every pass of _row_blocks walks the same tree: the first keeps its
+    # plan on the group (four int64 arrays of n), the second reads it, so
+    # _depth_first runs once and both passes yield the same rows in the
+    # same preorder.
+    G = build_group("sl2:7")
+    calls = []
+    depth_first = groups._depth_first
+
+    def counted(parents):
+        calls.append(len(parents))
+        return depth_first(parents)
+
+    monkeypatch.setattr(groups, "_depth_first", counted)
+    passes = [
+        [(xs.copy(), R.copy()) for xs, R in groups._row_blocks(G)] for _ in range(2)
+    ]
+    assert calls == [G.n]
+    assert all(a.dtype == np.int64 and a.shape == (G.n,) for a in G.plan)
+    preorder = depth_first(groups._row_tree(G.cols)[0])
+    for blocks in passes:
+        assert np.concatenate([xs for xs, _ in blocks]).tolist() == preorder
+    for (xs1, R1), (xs2, R2) in zip(*passes):
+        assert np.array_equal(xs1, xs2) and np.array_equal(R1, R2)

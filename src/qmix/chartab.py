@@ -152,14 +152,28 @@ def _classes_of(G: GroupTable, C: ConjugacyData | None = None) -> ConjugacyData:
     return C
 
 
+def _short_members(G: GroupTable, C: ConjugacyData) -> np.ndarray:
+    """For each class, its member with the shortest word, the least index
+    among those: the element whose right translation compose walks in the
+    fewest steps.  Any member gives the same class counts, since
+    conjugating y by g carries the y counted for one member to those
+    counted for its conjugate."""
+    key = G.lengths.astype(np.int64) * G.n + np.arange(G.n)
+    best = np.full(C.k, np.iinfo(np.int64).max)
+    np.minimum.at(best, C.class_of, key)
+    return best % G.n
+
+
 def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
     """The (k, k, k) int64 stack M with M[i][j][l] = #{(a,b) in C_i x C_j :
-    ab = rep_l}, M[i] being the class-multiplication matrix M_i.
+    ab = z_l}, M[i] being the class-multiplication matrix M_i and z_l any
+    member of class l.
 
-    Counted over y = a^{-1}: b is forced to y rep_l, so M[i][j][l] counts
-    the y with y^{-1} in C_i and y rep_l in C_j.  Each l takes one
-    right-translation column y -> y rep_l (a walk of the one word of
-    rep_l) and one bincount of the class pairs.
+    Counted over y = a^{-1}: b is forced to y z_l, so M[i][j][l] counts
+    the y with y^{-1} in C_i and y z_l in C_j.  Each l takes one
+    right-translation column y -> y z_l (a walk of the one word of z_l,
+    the member of class l with the shortest, _short_members) and one
+    bincount of the class pairs.
     C must belong to G.  The stack holds 8k^3 bytes, so more than
     MAX_CLASSES classes raise SizeGuardError.
     """
@@ -170,8 +184,8 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
     ar = np.arange(G.n)
     row = C.class_of.take(G.inv).astype(np.int64) * k
     M = np.empty((k, k, k), dtype=np.int64)
-    for l, rep in enumerate(C.representatives):
-        pairs = row + C.class_of.take(G.compose(ar, rep))
+    for l, z in enumerate(_short_members(G, C)):
+        pairs = row + C.class_of.take(G.compose(ar, z))
         M[:, :, l] = np.bincount(pairs, minlength=k * k).reshape(k, k)
     return M
 
@@ -254,16 +268,17 @@ def _combination(G: GroupTable, C: ConjugacyData, r, p: int) -> np.ndarray:
     """A = sum_i r_i M_i mod p (int64), without the stack of the M_i.
 
     As in class_mult_coefficients, M_i[j][l] counts the y with y^{-1} in
-    C_i and y rep_l in C_j, so column l of A sums the weight r_{class(y^-1)}
-    of each y into the class of y rep_l: one weighted bincount per
-    representative.  A cell sums at most n weights below p, exact in
-    float64 while n (p - 1) < 2^53.
+    C_i and y z_l in C_j, so column l of A sums the weight r_{class(y^-1)}
+    of each y into the class of y z_l: one weighted bincount per class,
+    through the walk of the shortest word in it (_short_members).  A cell
+    sums at most n weights below p, exact in float64 while n (p - 1) <
+    2^53, so any member of a class gives the same column bits.
     """
     weights = np.asarray(r, dtype=np.float64).take(C.class_of.take(G.inv))
     ar = np.arange(G.n, dtype=np.int32)
     A = np.empty((C.k, C.k), dtype=np.int64)
-    for l, rep in enumerate(C.representatives):
-        cells = np.bincount(C.class_of.take(G.compose(ar, rep)), weights, minlength=C.k)
+    for l, z in enumerate(_short_members(G, C)):
+        cells = np.bincount(C.class_of.take(G.compose(ar, z)), weights, minlength=C.k)
         A[:, l] = cells % p
     return A
 

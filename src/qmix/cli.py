@@ -70,7 +70,8 @@ def _hash_functions(*fns: GroupFunction) -> str:
 
     h = hashlib.sha256()
     for f in fns:
-        h.update(np.ascontiguousarray(f.values).tobytes())
+        # The complex128 conversion, so a digest does not depend on the kind.
+        h.update(np.asarray(f.values, dtype=np.complex128).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -323,7 +324,8 @@ def cmd_mix(args) -> int:
     if args.sets is not None:
         blocks = [[[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]]
     else:
-        # CHUNK triples at a time, each role drawn from its own stream.
+        # CHUNK triples at a time, each role drawn from its own stream, as
+        # bool indicators: 3n bytes a triple.
         kind = f"indicator:{args.random}"
         roles = [_draws(G, kind, (args.seed, 11 + r), args.trials) for r in range(3)]
         blocks = (

@@ -27,23 +27,40 @@ from .errors import (
 from .groups import CHUNK, GroupTable
 
 
-class GroupFunction:
-    """A complex-valued function on a group, stored as a length-n vector.
+# The kind a GroupFunction holds for each numpy dtype kind.
+_KINDS = {"b": np.bool_, "i": np.int64, "u": np.int64, "f": np.float64, "c": np.complex128}
 
-    Values of any numeric dtype, or a list, are copied into a new
-    complex128 array in one conversion, checked finite, and frozen, so no
-    caller can change a function another object holds.
+
+class GroupFunction:
+    """A function on a group, stored as a length-n vector of its own kind.
+
+    Values of any numeric dtype, or a list, are copied once into a new
+    frozen array, so no caller can change a function another object
+    holds.  bool stays bool (n bytes), any integer becomes int64, any
+    float float64 (8n bytes), and complex complex128 (16n bytes), unless
+    every imaginary part is zero: those values are held as float64.  Only
+    float and complex values are checked finite.  This is the one place
+    that decides a function's kind; the kernels read it from the dtype
+    instead of scanning the values.
     """
 
     __slots__ = ("group", "values")
 
     def __init__(self, group: GroupTable, values):
-        vals = np.array(values, dtype=np.complex128)
+        src = np.asarray(values)
+        kind = _KINDS.get(src.dtype.kind)
+        if kind is None:
+            raise PreconditionError(f"function values must be numeric, got {src.dtype}")
+        if kind is np.complex128 and not np.any(src.imag):
+            src, kind = src.real, np.float64
+        if src.dtype.kind == "u" and src.size and src.max() > np.iinfo(np.int64).max:
+            raise PreconditionError("function value above the int64 range")
+        vals = np.array(src, dtype=kind)
         if vals.shape != (group.n,):
             raise PreconditionError(
                 f"function needs {group.n} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if vals.dtype.kind in "fc" and not np.all(np.isfinite(vals)):
             raise PreconditionError("non-finite value in group function")
         vals.setflags(write=False)
         self.group = group
@@ -71,8 +88,8 @@ def _check_index_set(G: GroupTable, indices) -> np.ndarray:
 
 
 def indicator_function(G: GroupTable, indices) -> GroupFunction:
-    """The 0/1 function of a set of element indices, passed to
-    GroupFunction as a bool array."""
+    """The 0/1 function of a set of element indices, held as bool (n
+    bytes); a triple of them is counted in packed words (theta_defects)."""
     vals = np.zeros(G.n, dtype=bool)
     vals[_check_index_set(G, indices)] = True
     return GroupFunction(G, vals)
@@ -95,7 +112,9 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
 
 
 def mean(f: GroupFunction) -> complex:
-    return complex(f.values.mean())
+    # Accumulated in complex128 whatever the kind: numpy divides a complex
+    # sum by n as k * (1/n), which a real k / n does not always match.
+    return complex(np.mean(f.values, dtype=np.complex128))
 
 
 def p_norm(f: GroupFunction, p: float) -> float:
@@ -117,7 +136,8 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     O(n^2) for a dense h, O(n |S|) for a density on a set S.
     """
     G = _same_group(f, h)
-    corr = _correlation(G, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
+    U, V = (np.asarray(g.values, dtype=np.complex128) for g in (h, f))
+    corr = _correlation(G, U, V[G.inv])  # corr[x^{-1}] = n (f*h)(x)
     return GroupFunction(G, corr[G.inv] / G.n)
 
 
@@ -132,8 +152,15 @@ class SpectralProfile:
 def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """corr[j] = sum_x U[x] V[xj], summed over the support of U.
 
-    It fetches the table of G itself (require_table), so a group without
-    one raises SizeGuardError, and its callers do not handle the table.
+    U and V share one dtype.  convolve, spectral_profile and
+    verify_derivative_bound pass complex128 whatever the kind of their
+    functions: a float64 product of the same real values sums in another
+    order, which moved the last bit of some bnp rows.  _class_conv_sums
+    passes its values in their mixing._kernel_dtype.  corr is complex128
+    either way, since the callers divide it by n, which numpy does for a
+    complex vector as a product with 1/n.  It fetches the table of G
+    itself (require_table), so a group without one raises
+    SizeGuardError, and its callers do not handle the table.
     Points x go CHUNK at a time, so the pass costs n gathers per support
     point and holds CHUNK * n entries.  A block of consecutive points, as
     every block of a dense U is, reads its table rows through a slice
@@ -171,7 +198,7 @@ def spectral_profile(
     C = _classes_of(G, C)
     if T.k != C.k or T.n != G.n:
         raise GroupMismatchError("character table does not match the class data")
-    V = f.values
+    V = np.asarray(f.values, dtype=np.complex128)
     corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k

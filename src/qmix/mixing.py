@@ -11,8 +11,10 @@ bound (2/sqrt(D))^{1/4} itself.
 The progression sum behind theta has one kernel per kind of input:
 _bit_pass counts blocks of up to 64 indicator triples exactly in packed
 words, and _value_pass sums one real or complex triple, so a triple's
-bits depend on that triple alone.  _value_pass, the chain's c2 and
-count_progressions sum through one row-sum kernel, _row_sums.  These
+bits depend on that triple alone; which kernel a triple takes is read
+from its values' dtype (GroupFunction keeps each function's own kind).
+_value_pass and the chain's c2 sum through one row-sum kernel,
+_row_sums, and count_progressions counts through _bit_pass.  These
 kernels and the search's sensitivity tables read the table's rows from
 one provider, groups._row_blocks, which derives each row from its
 parent's and alone decides the blocks' shape.  So none of them reads or
@@ -151,7 +153,7 @@ def _check_inputs(
         C = _classes_of(G, C)
     many = len(fs) > 1
     for i, f in enumerate(fs, start=1):
-        if real and np.any(f.values.imag):
+        if real and np.iscomplexobj(f.values):
             raise PreconditionError(f"f{i} must be real-valued")
         if bounded and p_norm(f, np.inf) > 1.0 + SUP_SLACK:
             subject = f"f{i} must have sup norm" if many else "sup norm must be"
@@ -173,15 +175,25 @@ def theorem_bound(D: int) -> float:
     return float((2.0 / math.sqrt(D)) ** 0.25)
 
 
-def _pack(V: np.ndarray) -> np.ndarray:
-    """One word per row of an (n x m) 0/1 stack, m <= 64: bit j is column j.
+def _kernel_dtype(*vs: np.ndarray) -> type:
+    """The one dtype the value kernels compute in: complex128 when any
+    operand is complex, else float64.  Every operand is cast to it, since
+    a kernel's buffers take one dtype: an int64 buffer beside float64
+    values would truncate their products."""
+    return np.complex128 if any(np.iscomplexobj(v) for v in vs) else np.float64
+
+
+def _pack(vs) -> np.ndarray:
+    """One word per element of m <= 64 equal-length 0/1 vectors of any
+    dtype: bit j is vector j.  Bool vectors are stacked as they are.
 
     The word is the narrowest of uint8..uint64 that holds m bits.
     """
-    n, m = V.shape
+    m = len(vs)
     size = 1 << max(0, (m - 1).bit_length() - 3)
-    b = np.zeros((n, size), dtype=np.uint8)
-    b[:, : (m + 7) // 8] = np.packbits(V != 0, axis=1, bitorder="little")
+    bits = np.stack(vs, axis=1, dtype=bool, casting="unsafe")  # nonzero is 1
+    b = np.zeros((len(bits), size), dtype=np.uint8)
+    b[:, : (m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return b.view(f"<u{size}")[:, 0]
 
 
@@ -191,26 +203,27 @@ def _squares(G: GroupTable) -> np.ndarray:
     return G.compose(ar, ar).astype(np.intp)
 
 
-def _bit_pass(G, V1, V2, V3):
-    """Exact progression counts of stacked 0/1 triples.
+def _bit_pass(G, F1, F2, F3):
+    """Exact progression counts of 0/1 triples.
 
-    For (n x m) 0/1 stacks Vi of any dtype, returns the int64 totals[j]
-    = sum_x V1[x, j] S[x, j], where S[x, j] = sum_y V2[xy, j] V3[xy^2, j].
-    Triples go 64 to a word in stack order: word w's Pi packs the values
-    of role i of triple 64w + j into bit j.  For each pair (x, y) and each
-    word the pass gathers P2[xy] and P3[xy^2] (the latter as row x of
-    P3[xy], re-read at y^2); their AND with P1[x]'s has bit j set iff
-    triple j's term is 1, and bit j's count is a count_nonzero over the
-    words masked to it.  Counts are exact and below 2^53, so a caller
-    dividing them in float64 gets the bits a float sum of the same 0/1
-    terms gives, in any row order.  One sweep of the row blocks of
-    _row_blocks serves every word, through three word buffers of a
-    block's shape.
+    For three lists Fi of m 0/1 vectors each (see _pack), returns the
+    int64 totals[j] = sum_x F1[j][x] S_j[x], where S_j[x] = sum_y
+    F2[j][xy] F3[j][xy^2].  Triples go 64 to a word in list order: word
+    w's Pi packs the values of role i of triple 64w + j into bit j, so
+    besides the vectors only 64 of them are stacked at a time.  For each
+    pair (x, y) and each word the pass gathers P2[xy] and P3[xy^2] (the
+    latter as row x of P3[xy], re-read at y^2); their AND with P1[x]'s
+    has bit j set iff triple j's term is 1, and bit j's count is a
+    count_nonzero over the words masked to it.  Counts are exact and below
+    2^53, so a caller dividing them in float64 gets the bits a float sum
+    of the same 0/1 terms gives, in any row order.  One sweep of the row
+    blocks of _row_blocks serves every word, through three word buffers
+    of a block's shape.
     """
-    m = V2.shape[1]
+    m = len(F2)
     words = []
     for lo in range(0, m, 64):
-        P1, P2, P3 = (_pack(V[:, lo:lo + 64]) for V in (V1, V2, V3))
+        P1, P2, P3 = (_pack(F[lo:lo + 64]) for F in (F1, F2, F3))
         bits = [P2.dtype.type(1 << j) for j in range(min(64, m - lo))]
         words.append((lo, P1, P2, P3, bits))
     ysq = _squares(G)
@@ -238,7 +251,7 @@ def _bit_pass(G, V1, V2, V3):
 
 def _row_sums(G, a, b, cols):
     """S[x] = sum_y a[xy] b[x cols[y]] for every row x, for two contiguous
-    vectors of one dtype (float64, complex128 or int64).
+    vectors of one dtype (float64 or complex128, see _kernel_dtype).
 
     Rows go a block at a time, in the order _row_blocks gives them, each
     summed in y order, so S has the same bits in any row order and any
@@ -281,21 +294,28 @@ def theta_defects(
 ) -> list[MixingReport]:
     """theta_defect of every triple (F1[j], F2[j], F3[j]).
 
-    Each triple goes by its own kind.  Indicator triples (every value 0
-    or 1) are counted exactly in packed words, 64 to a word in input
-    order, one gather pair per (x, y) for each word's triples, in one
-    sweep of the table rows for all the words (_bit_pass).  Every other
-    triple goes through _value_pass on its own, in float64 when it has
-    no imaginary part and in complex128 otherwise.  Either way a
-    triple's theta has the bits theta_defect gives it alone, whatever the
-    triples beside it.
+    Each triple goes by its values' dtype, read without a scan.  A triple
+    of three bool functions (indicator_function, the indicator draws of
+    random_ensemble) is counted exactly in packed words, 64 to a word in
+    input order, one gather pair per (x, y) for each word's triples, in
+    one sweep of the table rows for all the words (_bit_pass).  Every
+    other triple goes through _value_pass on its own, cast to complex128
+    when any member is complex and to float64 otherwise (_kernel_dtype).
+    An int64 or float64 0/1 triple thus takes the value pass, whose sums
+    of 0/1 terms are the same integers, so its theta has the bool
+    triple's bits.  Either way a triple's theta has the bits
+    theta_defect gives it alone, whatever the triples beside it.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
     if not F1:
         return []
     G, _ = _check_inputs([*F1, *F2, *F3], T)
-    sup = max(p_norm(f, np.inf) for F in (F1, F2, F3) for f in F)
+    # A bool function's sup norm is at most 1: its dtype says so.
+    sup = max(
+        (p_norm(f, np.inf) for F in (F1, F2, F3) for f in F if f.values.dtype != np.bool_),
+        default=0.0,
+    )
     if sup > 1.0 + SUP_SLACK:
         warnings.warn(
             f"sup norm {sup:.6g} exceeds 1; the theorem bound does not apply",
@@ -307,19 +327,15 @@ def theta_defects(
     totals = [None] * len(triples)
     packed = []
     for j, fs in enumerate(triples):
-        if all(np.all((f.values == 0) | (f.values == 1)) for f in fs):
+        vs = [f.values for f in fs]
+        if all(v.dtype == np.bool_ for v in vs):
             packed.append(j)
             continue
-        vs = [f.values for f in fs]
-        if not any(np.any(v.imag) for v in vs):
-            vs = [np.ascontiguousarray(v.real) for v in vs]
-        totals[j] = _value_pass(G, *vs)
+        dtype = _kernel_dtype(*vs)
+        totals[j] = _value_pass(G, *(v.astype(dtype, copy=False) for v in vs))
     if packed:
-        stacks = [
-            np.stack([triples[j][i].values != 0 for j in packed], axis=1)
-            for i in range(3)
-        ]
-        for j, total in zip(packed, _bit_pass(G, *stacks)):
+        roles = ([triples[j][i].values for j in packed] for i in range(3))
+        for j, total in zip(packed, _bit_pass(G, *roles)):
             totals[j] = total
     reports = []
     for total, (f1, f2, f3) in zip(totals, triples):
@@ -347,14 +363,14 @@ def theta_defect(
 
 
 def count_progressions(A1, A2, A3, G: GroupTable) -> int:
-    """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3,
-    summed in int64 by _row_sums.  Each set is empty or a 1-d list of
-    distinct element indices."""
-    v1, v2, v3 = V = np.zeros((3, G.n), dtype=np.int64)
+    """Exact count of pairs (x, y) with x in A1, xy in A2, xy^2 in A3: one
+    _bit_pass over the three bool indicators.  Each set is empty or a
+    1-d list of distinct element indices."""
+    V = np.zeros((3, G.n), dtype=bool)
     for v, A in zip(V, (A1, A2, A3)):
         if np.shape(A) != (0,):
-            v[_check_index_set(G, A)] = 1
-    return int(v1 @ _row_sums(G, v2, v3, _squares(G)))
+            v[_check_index_set(G, A)] = True
+    return int(_bit_pass(G, *([v] for v in V))[0])
 
 
 def _report(
@@ -467,7 +483,8 @@ def verify_derivative_bound(
     correlation over the support of f, O(n^2) for a dense f.
     """
     G, _ = _check_inputs([f], T, bounded=True, mean_zero=(0,))
-    lhs = float(np.abs(_correlation(G, f.values, f.values) / G.n).mean())
+    v = np.asarray(f.values, dtype=np.complex128)  # see _correlation
+    lhs = float(np.abs(_correlation(G, v, v) / G.n).mean())
     rhs = 1.0 / math.sqrt(T.D)
     return _report("derivative", lhs, rhs, tol)
 
@@ -509,7 +526,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     """
     t = G.require_table("class convolution")
     n, m = G.n, len(cols)
-    W = V if np.any(V.imag) else V.real
+    W = V.astype(_kernel_dtype(V), copy=False)
     mu = _correlation(G, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
     mu = mu if np.iscomplexobj(W) else mu.real
     ft = W[G.inv]
@@ -678,7 +695,7 @@ def cs_chain_diagnostics(
 
     t = G.require_table("chain diagnostics")
     n = G.n
-    v1, v2, v3 = (f.values.real.copy() for f in (f1, f2, f3))
+    v1, v2, v3 = (f.values.astype(np.float64, copy=False) for f in (f1, f2, f3))
 
     theta = abs(float(_value_pass(G, v1, v2, v3))) / (n * n)
     c1 = theta**4
@@ -742,9 +759,10 @@ def random_ensemble(G: GroupTable, kind: str, seed, count: int) -> list[GroupFun
     Kinds: "rademacher" (plus/minus 1), "unimodular" (random phases),
     "indicator:<p>" (density-p random set), "mean_zero_rademacher"
     (centered then rescaled by 1/(1+|mean|) so the sup norm is exactly
-    1 and the mean is zero to machine precision).  Each function's int,
-    float, bool or complex draw goes to GroupFunction unconverted, so it
-    is converted to complex128 once, in that copy.
+    1 and the mean is zero to machine precision).  Each draw goes to
+    GroupFunction unconverted and keeps its kind there: rademacher int64,
+    unimodular complex128, indicator bool (n bytes, counted in packed
+    words by theta_defects) and mean_zero_rademacher float64.
     """
     if count < 0:
         raise PreconditionError("count must be nonnegative")
@@ -804,7 +822,7 @@ def _toggle_gain_tables(
     count is at most n <= MAX_ORDER < 2^16.  Rows come from _row_blocks,
     through four byte buffers of the first, tallest block's shape.
     """
-    P = _pack(np.stack([v1, v2, v3], axis=1))
+    P = _pack([v1, v2, v3])
     ysq = _squares(G)
     iv = G.inv.astype(np.intp)
     S = np.empty((3, G.n), dtype=np.int64)
@@ -932,5 +950,6 @@ def adversarial_search(
             best = (theta, V)
 
     V = best[1]
-    report = theta_defect(*(GroupFunction(G, v) for v in V), T)
+    # As bool the final sets keep the packed pass (theta_defects).
+    report = theta_defect(*(GroupFunction(G, v) for v in V.astype(bool)), T)
     return (*(np.flatnonzero(v) for v in V), report)

@@ -163,6 +163,27 @@ class TestClassMultCoefficients:
         assert M.dtype == np.int64 and M.shape == (k, k, k)
         assert np.array_equal(M, expected)
 
+    @pytest.mark.parametrize("spec", ["sym:4", "psl2:7", "alt:6", "sl2:13", "sl2:23"])
+    def test_walks_take_the_shortest_word_in_each_class(self, spec):
+        # The member walked for class l has the shortest word in it, the
+        # least index among those.  Any member gives the same counts, so
+        # the stack equals the count through the representatives' walks.
+        G = build_group(spec)
+        C = conjugacy_classes(G)
+        z = chartab._short_members(G, C)
+        assert np.array_equal(C.class_of[z], np.arange(C.k))
+        for l in range(C.k):
+            members = np.flatnonzero(C.class_of == l)
+            lengths = G.lengths[members]
+            assert z[l] == members[lengths == lengths.min()][0]
+        ar = np.arange(G.n)
+        row = C.class_of[G.inv].astype(np.int64) * C.k
+        M = class_mult_coefficients(G, C)
+        for l, rep in enumerate(C.representatives):
+            pairs = row + C.class_of[G.compose(ar, rep)]
+            counts = np.bincount(pairs, minlength=C.k * C.k).reshape(C.k, C.k)
+            assert np.array_equal(M[:, :, l], counts)
+
     def test_stack_refuses_more_than_max_classes(self):
         G = build_group("cyclic:250")
         with pytest.raises(SizeGuardError, match="250 classes exceeds the 200 cap"):

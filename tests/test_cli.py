@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -840,3 +841,40 @@ def test_verify_draws_hold_only_the_functions_read():
         tracemalloc.stop()
     assert len(held) == 3
     assert peak < 16 * 16 * G.n
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "unimodular", "indicator:0.5",
+                                  "mean_zero_rademacher"])
+def test_hash_reads_the_complex128_conversion(kind):
+    # Each kind is held as itself (int64, complex128, bool, float64), and a
+    # row's hash is the digest of the complex128 values held before, so
+    # every hash printed by verify stays.
+    G = build_group("psl2:7")
+    fns = random_ensemble(G, kind, 97, 2)
+    want = hashlib.sha256()
+    for f in fns:
+        want.update(f.values.astype(np.complex128).tobytes())
+    assert cli._hash_functions(*fns) == want.hexdigest()[:16]
+
+
+def test_mix_block_holds_3n_bytes_per_triple():
+    # One block of mix --random: CHUNK bool triples, 3n bytes each, drawn
+    # as cmd_mix draws them, and their packed pass, whose buffers are the
+    # row block and three word buffers of about CHUNK^2 entries (8 bytes
+    # each) plus per-element terms: the packed words, the squares and the
+    # walk's lists.  Held as complex128 the triples alone took 48n bytes.
+    G = build_group("sl2:13")
+    T = compute_character_table(G, conjugacy_classes(G))
+    n = G.n
+    mixing.count_progressions([0], [0], [0], G)  # the walk plan, kept on G
+    tracemalloc.start()
+    try:
+        roles = [cli._draws(G, "indicator:0.5", (42, 11 + r), CHUNK) for r in range(3)]
+        streams = [list(itertools.islice(fns, CHUNK)) for fns in roles]
+        reports = theta_defects(*streams, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == CHUNK
+    assert all(f.values.dtype == np.bool_ for F in streams for f in F)
+    assert peak < 3 * n * CHUNK + 64 * CHUNK**2 + 256 * n

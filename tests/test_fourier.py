@@ -64,31 +64,51 @@ class TestConstruction:
             f.values[0] = 5.0
 
     @pytest.mark.parametrize(
-        "make",
+        "make,dtype",
         [
-            lambda n: np.arange(n) % 2 == 0,
-            lambda n: np.arange(n, dtype=np.int64) - 2,
-            lambda n: np.linspace(-1.0, 1.0, n),
-            lambda n: np.exp(1j * np.arange(n)),
-            lambda n: [-0.0, 1, 2.5, 3j, -1, True],
+            (lambda n: np.arange(n) % 2 == 0, np.bool_),
+            (lambda n: np.arange(n, dtype=np.int64) - 2, np.int64),
+            (lambda n: np.arange(n, dtype=np.int8) - 2, np.int64),
+            (lambda n: np.arange(n, dtype=np.uint16), np.int64),
+            (lambda n: np.linspace(-1.0, 1.0, n), np.float64),
+            (lambda n: np.linspace(-1.0, 1.0, n, dtype=np.float32), np.float64),
+            (lambda n: np.exp(1j * np.arange(n)), np.complex128),
+            (lambda n: np.linspace(-1.0, 1.0, n) + 0j, np.float64),
+            (lambda n: np.linspace(-1.0, 1.0, n) - 0j, np.float64),
+            (lambda n: [-0.0, 1, 2.5, 3j, -1, True], np.complex128),
+            (lambda n: [-0.0, 1, 2.5, 0j, -1, True], np.float64),
+            (lambda n: [0, 1, -2, 3, 1, 1], np.int64),
+            (lambda n: [True, False] * (n // 2), np.bool_),
         ],
-        ids=["bool", "int64", "float64", "complex128", "list"],
+        ids=[
+            "bool", "int64", "int8", "uint16", "float64", "float32", "complex128",
+            "complex-0j", "complex-neg-0j", "list", "list-0j", "int-list", "bool-list",
+        ],
     )
-    def test_every_input_is_copied_into_frozen_complex_values(self, bundle, make):
+    def test_every_input_is_copied_in_its_own_kind(self, bundle, make, dtype):
+        # bool stays bool, integers become int64, floats float64, complex
+        # complex128 unless every imaginary part is zero (then float64).
         G, _, _ = bundle("sym:3")
         src = make(G.n)
-        want = np.asarray(src, dtype=np.complex128).copy()
+        arr = np.asarray(src)
+        want = (arr.real if dtype is np.float64 else arr).astype(dtype)
         f = GroupFunction(G, src)
-        assert f.values.dtype == np.complex128
+        assert f.values.dtype == dtype
         assert f.values.tobytes() == want.tobytes()
         assert not np.shares_memory(f.values, src)
         assert not f.values.flags.writeable
         src[0] = src[1]
         assert f.values.tobytes() == want.tobytes()
 
-    def test_a_bool_input_holds_one_complex_array(self):
-        # One conversion: the complex128 copy (16n bytes) and the n-byte
-        # finiteness mask, no intermediate complex array.
+    def test_rejects_values_that_are_not_numbers(self, bundle):
+        G, _, _ = bundle("sym:3")
+        for bad in (["a"] * G.n, np.array([None] * G.n), np.full(G.n, 2**63, np.uint64)):
+            with pytest.raises(PreconditionError):
+                GroupFunction(G, bad)
+
+    def test_a_bool_input_holds_one_bool_array(self):
+        # One copy in the input's own kind: n bytes, no complex or float
+        # array on the way, and no finiteness mask, which bool skips.
         G = build_group("cyclic:8000")
         src = np.arange(G.n) % 3 == 0
         tracemalloc.start()
@@ -97,8 +117,9 @@ class TestConstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.values.real.sum() == np.count_nonzero(src)
-        assert peak < 1.5 * 16 * G.n
+        assert f.values.dtype == np.bool_
+        assert np.count_nonzero(f.values) == np.count_nonzero(src)
+        assert peak < 1.5 * G.n
 
 
 class TestBasics:

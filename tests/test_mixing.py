@@ -169,7 +169,8 @@ class TestThetaDefect:
         S = (V2[t] * V3[t[:, t.diagonal()]]).sum(axis=1)
 
         def packed(*Vs):
-            return mixing._bit_pass(G, *Vs)
+            # _bit_pass takes each role as a list of its m vectors.
+            return mixing._bit_pass(G, *(list(V.T) for V in Vs))
 
         totals = packed(V1, V2, V3)
         assert totals.dtype == np.int64
@@ -272,6 +273,43 @@ class TestThetaDefect:
             s = theta_defect(*triple, T)
             assert (b.theta, b.raw_expectation) == (s.theta, s.raw_expectation)
 
+    @pytest.mark.parametrize("spec", ["psl2:7", "sl2:7"])
+    def test_int_and_float_01_triples_give_the_bool_bits(self, bundle, monkeypatch, spec):
+        # Bool triples take the packed pass; the same 0/1 values as int64 or
+        # float64 take the value pass, whose float sums of 0/1 terms are
+        # the same integers, so every field keeps its bits.
+        G, _, T = bundle(spec)
+        bools = [random_ensemble(G, "indicator:0.4", (91, role), 4) for role in range(3)]
+        calls = count_calls(monkeypatch, "_bit_pass", "_value_pass")
+        want = theta_defects(*bools, T)
+        for dtype in (np.int64, np.float64):
+            streams = [[GroupFunction(G, f.values.astype(dtype)) for f in F] for F in bools]
+            assert {f.values.dtype for F in streams for f in F} == {np.dtype(dtype)}
+            for g, w in zip(theta_defects(*streams, T), want):
+                assert (g.theta, g.raw_expectation, g.product_of_means, g.margin) == (
+                    w.theta, w.raw_expectation, w.product_of_means, w.margin
+                )
+        assert calls == {"_bit_pass": 1, "_value_pass": 8}
+
+    def test_mixed_kinds_are_cast_to_one_dtype(self, bundle, reference_value_pass):
+        # (int64 +-1, int64 +-1, float64): every member is cast to float64,
+        # the values the same triple had when stored as complex128 and read
+        # through .real.  Left as int64 beside the float64 f3, the row sums
+        # would land in an int64 buffer and truncate each product.
+        G, _, T = bundle("psl2:7")
+        triple = [
+            *random_ensemble(G, "rademacher", 81, 2),
+            *random_ensemble(G, "mean_zero_rademacher", 82, 1),
+        ]
+        assert [f.values.dtype for f in triple] == [np.int64, np.int64, np.float64]
+        as_complex = [f.values.astype(np.complex128) for f in triple]
+        vs = [np.ascontiguousarray(v.real) for v in as_complex]
+        raw = complex(reference_value_pass(G.mul, *vs)) / G.n**2
+        prod = math.prod(complex(v.mean()) for v in as_complex)
+        rep = theta_defect(*triple, T)
+        assert (rep.raw_expectation, rep.product_of_means) == (raw, prod)
+        assert rep.theta == abs(raw - prod)
+
     def test_batch_rejects_unequal_lists(self, bundle, constant_function):
         G, _, T = bundle("sym:3")
         c = constant_function(G, 1.0)
@@ -364,6 +402,8 @@ class TestCountProgressions:
                 v[:, 0] = True
         else:
             V = [np.ones(n, dtype=np.int64)] * 3
+        if kernel == "_bit_pass":
+            V = [list(v.T) for v in V]  # each role as a list of its 64 vectors
         tracemalloc.start()
         try:
             out = getattr(mixing, kernel)(G, *V)
@@ -1249,22 +1289,23 @@ class TestRandomEnsemble:
 
     @staticmethod
     def cast_before_the_copy(G, kind, seed, count):
-        """The values of random_ensemble built with each draw cast to
-        complex128 before GroupFunction copies it."""
+        """The draws of random_ensemble as a test-local copy of its
+        generator makes them, each cast to the kind GroupFunction keeps
+        for it: int64, complex128, bool and float64."""
         rng = np.random.default_rng(seed)
         base, _, density = kind.partition(":")
         out = []
         for _ in range(count):
             if base == "rademacher":
-                vals = (rng.integers(0, 2, size=G.n) * 2 - 1).astype(np.complex128)
+                vals = (rng.integers(0, 2, size=G.n) * 2 - 1).astype(np.int64)
             elif base == "unimodular":
-                vals = np.exp(2j * np.pi * rng.random(G.n))
+                vals = np.exp(2j * np.pi * rng.random(G.n)).astype(np.complex128)
             elif base == "indicator":
-                vals = (rng.random(G.n) < float(density)).astype(np.complex128)
+                vals = (rng.random(G.n) < float(density)).astype(np.bool_)
             else:
                 v = (rng.integers(0, 2, size=G.n) * 2 - 1).astype(np.float64)
                 m = v.mean()
-                vals = ((v - m) / (1.0 + abs(m))).astype(np.complex128)
+                vals = ((v - m) / (1.0 + abs(m))).astype(np.float64)
             out.append(vals)
         return out
 
@@ -1273,12 +1314,14 @@ class TestRandomEnsemble:
     )
     @pytest.mark.parametrize("spec", ["sym:4", "psl2:7"])
     def test_values_equal_a_cast_before_the_copy(self, bundle, spec, kind):
-        # tobytes() also compares the sign of every zero imaginary part.
+        # Each draw keeps its own kind; tobytes() with the dtype compares
+        # every bit, the sign of each zero included.
         G, _, _ = bundle(spec)
         for seed in (0, 7, (42, 105)):
-            got = [f.values.tobytes() for f in random_ensemble(G, kind, seed, 3)]
-            want = [v.tobytes() for v in self.cast_before_the_copy(G, kind, seed, 3)]
-            assert got == want
+            fns = random_ensemble(G, kind, seed, 3)
+            got = [(f.values.dtype, f.values.tobytes()) for f in fns]
+            draws = self.cast_before_the_copy(G, kind, seed, 3)
+            assert got == [(v.dtype, v.tobytes()) for v in draws]
 
     def test_invalid_kinds(self, bundle):
         G, _, _ = bundle("sym:3")

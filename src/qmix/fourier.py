@@ -4,12 +4,15 @@ A GroupFunction is a frozen length-n vector.  This module holds its
 constructors (indicators and the translated-class densities mu_g),
 means and p-norms, convolution, and the per-irreducible spectral
 profile.  Everything spectral is computed through character kernels;
-irreducible representation matrices are never materialized.  One table
+irreducible representation matrices are never materialized.  One
 kernel, the row correlation, serves convolution, spectral_profile and
-the derivative average and class convolution in mixing.  It sums only
-over the support of one factor: n gathers per support point, O(n^2) for
-a dense function and O(n |S|) for a density on a set S.  It goes CHUNK
-support points at a time, so peak memory stays near CHUNK * n entries.
+the derivative average and class convolution in mixing, and reads no
+n x n table, so all of them run on every group.  It takes one of two
+forms from its input: a dense function is summed row by row over the
+blocks of groups._row_blocks (n^2 gathers, one block held), and a
+density on a small set S, such as a translated class, reads one column
+x -> x*s^{-1} per point s of S through ``GroupTable.compose`` (n gathers
+per step of the word of s^{-1}), whichever costs fewer gathers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     GroupMismatchError,
     PreconditionError,
 )
-from .groups import CHUNK, GroupTable
+from .groups import GroupTable, _row_blocks
 
 
 # The kind a GroupFunction holds for each numpy dtype kind.
@@ -131,13 +134,12 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     """(f*h)(x) = E_y[f(x y^{-1}) h(y)].
 
     With ft = f o inv, (f*h)(x) = (1/n) sum_y h(y) ft(y x^{-1}), the row
-    correlation of h against ft read at x^{-1}.  That correlation sums
-    only over the support of h, so the kernel costs n * |supp h| gathers:
-    O(n^2) for a dense h, O(n |S|) for a density on a set S.
+    correlation of h against ft read at x^{-1}, in float64 for real f and
+    h and complex128 otherwise: O(n^2) gathers for a dense h (see
+    _correlation).
     """
     G = _same_group(f, h)
-    U, V = (np.asarray(g.values, dtype=np.complex128) for g in (h, f))
-    corr = _correlation(G, U, V[G.inv])  # corr[x^{-1}] = n (f*h)(x)
+    corr = _correlation(G, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
     return GroupFunction(G, corr[G.inv] / G.n)
 
 
@@ -149,34 +151,65 @@ class SpectralProfile:
     parseval_residual: float
 
 
-def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """corr[j] = sum_x U[x] V[xj], summed over the support of U.
+def _kernel_dtype(*vs: np.ndarray) -> type:
+    """The one dtype the value kernels compute in: complex128 when any
+    operand is complex, else float64.  Every operand is cast to it, since
+    a kernel's buffers take one dtype: an int64 buffer beside float64
+    values would truncate their products."""
+    return np.complex128 if any(np.iscomplexobj(v) for v in vs) else np.float64
 
-    U and V share one dtype.  convolve, spectral_profile and
-    verify_derivative_bound pass complex128 whatever the kind of their
-    functions: a float64 product of the same real values sums in another
-    order, which moved the last bit of some bnp rows.  _class_conv_sums
-    passes its values in their mixing._kernel_dtype.  corr is complex128
-    either way, since the callers divide it by n, which numpy does for a
-    complex vector as a product with 1/n.  It fetches the table of G
-    itself (require_table), so a group without one raises
-    SizeGuardError, and its callers do not handle the table.
-    Points x go CHUNK at a time, so the pass costs n gathers per support
-    point and holds CHUNK * n entries.  A block of consecutive points, as
-    every block of a dense U is, reads its table rows through a slice
-    without copying them.
+
+def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """corr[j] = sum_x U[x] V[xj] for every j, in the operands' kernel
+    dtype (_kernel_dtype), reading no table.
+
+    The form is picked from the support S of U, by the gathers each
+    costs: the column form when sum_{x in S} lengths[x^{-1}] n < n^2,
+    the row form otherwise.  Either sums each corr[j] in an order fixed
+    by U alone, so its bits depend neither on the order nor on the
+    height of the row blocks.  Where every term is an integer below 2^53
+    (the density of a class, or +-1 values) the sums are exact, and the
+    two forms give the same bits.
     """
-    t = G.require_table(
-        "the row correlation of convolve, spectral_profile and "
-        "verify_derivative_bound"
-    )
-    xs = np.flatnonzero(U)
-    corr = np.zeros(len(V), dtype=np.complex128)
-    for lo in range(0, len(xs), CHUNK):
-        rows = xs[lo:lo + CHUNK]
-        if rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        corr += U[rows] @ V[t[rows]]
+    dtype = _kernel_dtype(U, V)
+    U, V = (W.astype(dtype, copy=False) for W in (U, V))
+    if G.lengths[G.inv[np.flatnonzero(U)]].sum() < G.n:
+        return _column_correlation(G, U, V)
+    return _row_correlation(G, U, V)
+
+
+def _column_correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """_correlation of two vectors of one dtype as corr[j] = W[j^{-1}],
+    W[i] = sum_x U[x] Vt[i x^{-1}] and Vt = V o inv: W is summed over the
+    support of U in index order, one column i -> i x^{-1} per point, each
+    from one ``GroupTable.compose`` walk of the word of x^{-1}."""
+    inv = G.inv
+    Vt = V[inv]
+    ar = np.arange(G.n)
+    W = np.zeros(G.n, dtype=V.dtype)
+    for x in np.flatnonzero(U):
+        W += U[x] * Vt.take(G.compose(ar, inv[x]))
+    return W[inv]
+
+
+def _row_correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """_correlation of two vectors of one dtype as corr[j] = sum_y Ut[jy]
+    Vt[y], Ut = U o inv and Vt = V o inv: the blocks of groups._row_blocks
+    give the rows y -> jy, and each row is multiplied in place and summed
+    by .sum(axis=1) in y order, through one buffer of the first, tallest
+    block's shape.  (A matrix-vector product in its place changes the
+    bits with the block height.)"""
+    Ut, Vt = U[G.inv], V[G.inv]
+    corr = np.empty(G.n, dtype=V.dtype)
+    buf = None
+    for js, R in _row_blocks(G):
+        if buf is None:
+            buf = np.empty(R.shape, dtype=V.dtype)
+        B = buf[: len(js)]
+        # mode="clip" skips the bounds check; with "raise", take buffers out.
+        np.take(Ut, R, out=B, mode="clip")
+        B *= Vt
+        corr[js] = B.sum(axis=1)
     return corr
 
 
@@ -187,9 +220,10 @@ def spectral_profile(
 
     One pass aggregates R[c] = sum over pairs with x^{-1} y in class c of
     conj(f(x)) f(y); then hs2[r] = (chi_r . R) / n^2 for all rows at
-    O(k^2) total.  The outer sum runs only over the support of f, CHUNK
-    points x at a time, so the pass costs n * |supp f| gathers: O(n^2)
-    for a dense f, n |K| for a translated-class density.  An imaginary
+    O(k^2) total.  The pass is one row correlation (_correlation), in
+    float64 for real f: n^2 gathers for a dense f, and sum_x L(x) n for a
+    density on a small set, L(x) the length of the word of x^{-1}, as for
+    a translated class in verify_fcmu.  An imaginary
     residue or a negative mass above 1e-8 raises, whatever ``tol``;
     ``tol`` bounds only the Parseval residual against the 2-norm (pass
     tol=inf to skip that raise when deliberately probing).
@@ -198,7 +232,7 @@ def spectral_profile(
     C = _classes_of(G, C)
     if T.k != C.k or T.n != G.n:
         raise GroupMismatchError("character table does not match the class data")
-    V = np.asarray(f.values, dtype=np.complex128)
+    V = f.values.astype(_kernel_dtype(f.values), copy=False)
     corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k

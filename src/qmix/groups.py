@@ -14,10 +14,12 @@ squares s of its generators and a short word over those maps per
 element.  Every group offers one product, the vectorized
 ``GroupTable.compose``, a walk of the word of b from a, and one row
 provider, _row_blocks, which derives each table row from its parent's
-and serves the O(n^2) progression kernels.  Both run on every group.
-The n x n table is that walk's cache: its blocks fill it on first need,
-and only up to DENSE_CAP, for the kernels that index it at random
-(``GroupTable.require_table``).
+and serves every O(n^2) kernel: the progression passes and the row
+correlation of fourier.  Both run on every group.  The n x n table is
+that walk's cache: its blocks fill it on first need, and only up to
+DENSE_CAP, for the O(n^3) kernels of mixing, which index it at random
+(``GroupTable.mul``) and which the cost model admits only far below
+DENSE_CAP.
 """
 
 from __future__ import annotations
@@ -190,10 +192,9 @@ class GroupTable:
     generator s.  ``table``, the n x n table, is only for the kernels
     that index it at random, and only ``mul`` reads it: the walk of
     _row_blocks fills it on first need, and it is kept.  Reading ``mul``
-    or calling ``require_table`` builds it when ``dense`` (n <= DENSE_CAP
-    when the group was built), and otherwise ``mul`` is None and
-    ``require_table`` raises SizeGuardError.  ``plan``, the order of that
-    walk (_walk_plan), is kept after its first pass.
+    builds it when ``dense`` (n <= DENSE_CAP when the group was built),
+    and otherwise ``mul`` is None.  ``plan``, the order of that walk
+    (_walk_plan), is kept after its first pass.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
     """
@@ -224,15 +225,6 @@ class GroupTable:
                 table[xs] = R
             self.table = table
         return self.table
-
-    def require_table(self, operation: str = "this operation") -> np.ndarray:
-        table = self.mul
-        if table is None:
-            raise SizeGuardError(
-                f"{operation} needs the dense multiplication table, "
-                f"which is only kept for n <= {DENSE_CAP} (group has n={self.n})"
-            )
-        return table
 
     def _check_indices(self, a) -> np.ndarray:
         a = np.asarray(a)

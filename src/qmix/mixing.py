@@ -15,21 +15,24 @@ bits depend on that triple alone; which kernel a triple takes is read
 from its values' dtype (GroupFunction keeps each function's own kind).
 _value_pass and the chain's c2 sum through one row-sum kernel,
 _row_sums, and count_progressions counts through _bit_pass.  These
-kernels and the search's sensitivity tables read the table's rows from
-one provider, groups._row_blocks, which derives each row from its
-parent's and alone decides the blocks' shape.  So none of them reads or
-builds the n x n table, each holds a few buffers of one block's shape,
-and each result is the same whatever order and height the rows come
-in.  Only the kernels that index the table at random read it, through
-require_table: the row correlation of fourier, _class_conv_sums,
-_central_involutions and the chain's c3.  check_budget prices a suite
-before anything is built.  The class convolution behind gamma and the
-chain's c4 has one body too, _class_conv_sums, which reads every operand
-as a row of the value table.  It and the chain's c3 pass are the O(n^3)
-work, and both integrands are invariant under multiplication by the
-central involutions E = {z central : z^2 = 1}: each evaluates one
-element per coset of E (_central_involutions), weighted |E|, a no-op
-where E is trivial, as on groups of trivial centre.
+kernels, the search's sensitivity tables and the row correlation of
+fourier (convolution, the derivative average and the spectral profiles
+of parseval and fcmu) read the table's rows from one provider,
+groups._row_blocks, which derives each row from its parent's and alone
+decides the blocks' shape.  So none of them reads or builds the n x n
+table, each holds a few buffers of one block's shape, and each result
+is the same whatever order and height the rows come in: every O(n^2)
+suite runs on every group the cost model admits.  check_budget prices
+a suite before anything is built.  The class convolution behind gamma
+and the chain's c4 has one body too, _class_conv_sums, which reads
+every operand as a row of the value table.  It and the chain's c3 pass
+are the O(n^3) work, and the only readers of the n x n table
+(``GroupTable.mul``): the cost model admits them only far below
+DENSE_CAP, where every group can build it.  Both integrands are
+invariant under multiplication by the central involutions
+E = {z central : z^2 = 1}: each evaluates one element per coset of E
+(_central_involutions, which reads E through compose), weighted |E|, a
+no-op where E is trivial, as on groups of trivial centre.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .fourier import (
     GroupFunction,
     _check_index_set,
     _correlation,
+    _kernel_dtype,
     _same_group,
     convolve,
     mean,
@@ -173,14 +177,6 @@ def theorem_bound(D: int) -> float:
     if D < 1:
         raise PreconditionError(f"quasirandom degree must be >= 1, got {D}")
     return float((2.0 / math.sqrt(D)) ** 0.25)
-
-
-def _kernel_dtype(*vs: np.ndarray) -> type:
-    """The one dtype the value kernels compute in: complex128 when any
-    operand is complex, else float64.  Every operand is cast to it, since
-    a kernel's buffers take one dtype: an int64 buffer beside float64
-    values would truncate their products."""
-    return np.complex128 if any(np.iscomplexobj(v) for v in vs) else np.float64
 
 
 def _pack(vs) -> np.ndarray:
@@ -422,9 +418,12 @@ def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     One profile per class covers every g.  For g in the class K, mu_g is
     n/|K| on gK, and n/|K| is an integer (|K| divides n), so the profile's
     correlation corr[j] = (n/|K|)^2 #{a in K : aj in K} is a sum of
-    integers, at most n^2 < 2^53: exact in any order, and free of g.
-    Every g in K thus gets the same bits as the representative, and the
-    k profiles cost sum_K n |K| = n^2 gathers.
+    integers, at most n^2 < 2^53: exact in any order and in either form
+    of _correlation, and free of g.  Every g in K thus gets the same bits
+    as the representative.  The correlation of a small class reads one
+    column per point of gK through compose, so the k profiles cost about
+    sum_K |K| L n gathers, L the length of a word, and at most n^2 each;
+    none reads a table.
     """
     G = C.group
     worst = 0.0
@@ -443,9 +442,13 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
     n columns (2n^3).  The exhaustive pass evaluates only one column per
     pair {b, b^{-1}}, about half of them, and reads its rows from a held
     value table, so 2n^3 bounds it from above.
-    The chain adds 2n^3 for its c3 pass; the other suites are O(n^2).
-    Both O(n^3) passes evaluate one element per coset of the central
-    involutions E, so the estimate is |E| times too high where |E| > 1.
+    The chain adds 2n^3 for its c3 pass.  Both O(n^3) passes evaluate one
+    element per coset of the central involutions E, so the estimate is
+    |E| times too high where |E| > 1.  Every other suite is charged n^2,
+    one walk of the rows per correlation.  fcmu's small classes take the
+    column form in place of that walk, at about |K| L n gathers each, L
+    the length of a word (see verify_fcmu), so n^2 counts its walk steps
+    about L times low.
     """
     n = C.group.n
     m = n if columns is None else columns
@@ -454,16 +457,16 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
 
 
 def check_budget(suite: str, C: ConjugacyData) -> None:
-    """Raise SizeGuardError when the group keeps no dense table, which
-    every suite reads (require_table's message), or when a suite's
-    estimate exceeds GATHER_BUDGET, before anything is built.
+    """Raise SizeGuardError when a suite's estimate (gather_estimate)
+    exceeds GATHER_BUDGET, before anything is built.
 
     gamma counts only its GAMMA_COLUMNS sampled columns when its
-    exhaustive pass does not fit.  A suite that passes builds the table
-    in the first kernel that calls require_table.
+    exhaustive pass does not fit.  The cost model alone decides: the
+    O(n^2) suites read no table and are admitted while n^2 fits, up to
+    n = 28284, and the O(n^3) ones, the only readers of ``GroupTable.mul``,
+    only up to n = 3535 (sampled gamma), below DENSE_CAP, so every group
+    they are admitted on builds its table in their first kernel.
     """
-    if not C.group.dense:
-        C.group.require_table(f"suite {suite}")
     cost = gather_estimate(suite, C)
     if suite == "gamma" and cost > GATHER_BUDGET:
         cost = gather_estimate(suite, C, GAMMA_COLUMNS)
@@ -480,11 +483,11 @@ def verify_derivative_bound(
     """E_b |E_x f(x) f(xb)| <= 1/sqrt(D) for mean-zero f with sup <= 1.
 
     The derivative means E_x f(x) f(xb) for every b come from one row
-    correlation over the support of f, O(n^2) for a dense f.
+    correlation, in float64 for real f: O(n^2) for a dense f, on every
+    group.
     """
     G, _ = _check_inputs([f], T, bounded=True, mean_zero=(0,))
-    v = np.asarray(f.values, dtype=np.complex128)  # see _correlation
-    lhs = float(np.abs(_correlation(G, v, v) / G.n).mean())
+    lhs = float(np.abs(_correlation(G, f.values, f.values) / G.n).mean())
     rhs = 1.0 / math.sqrt(T.D)
     return _report("derivative", lhs, rhs, tol)
 
@@ -524,11 +527,10 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     halves of the pass shrink by |E|.  Where E is trivial every g is
     evaluated, in class order, and the sums keep their bits.
     """
-    t = G.require_table("class convolution")
+    t = G.mul  # admitted only below DENSE_CAP (check_budget)
     n, m = G.n, len(cols)
     W = V.astype(_kernel_dtype(V), copy=False)
     mu = _correlation(G, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
-    mu = mu if np.iscomplexobj(W) else mu.real
     ft = W[G.inv]
     bi = G.inv[cols]
     deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)  # [x, j]: D_{b_j}(x^{-1})
@@ -582,16 +584,17 @@ def _central_involutions(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, i
     """One element of each coset gE of E = {z central : z^2 = 1}, as a
     mask over the elements, and |E|.
 
-    E is read from the classes of size 1 and one table lookup z z each; it
-    is an elementary abelian 2-group, so |E| is a power of two.  Each
-    coset's pick is its member of least (class, index), so when E is
-    trivial every element is picked.
+    E is read from the classes of size 1 and their squares z z; it is an
+    elementary abelian 2-group, so |E| is a power of two.  Each coset's
+    pick is its member of least (class, index), so when E is trivial
+    every element is picked.  The squares and the columns x -> x z come
+    from compose, so no table is read.
     """
-    t = G.require_table("central involutions")
     z = C.representatives[C.sizes == 1]
-    E = z[t[z, z] == 0]
-    key = C.class_of.astype(np.int64) * G.n + np.arange(G.n)
-    return key == key[t[:, E]].min(axis=1), len(E)
+    E = z[G.compose(z, z) == 0]
+    ar = np.arange(G.n)
+    key = C.class_of.astype(np.int64) * G.n + ar
+    return key == key[G.compose(ar[:, None], E)].min(axis=1), len(E)
 
 
 def _class_conv_stats(
@@ -693,7 +696,7 @@ def cs_chain_diagnostics(
     )
     check_budget("chain", C)
 
-    t = G.require_table("chain diagnostics")
+    t = G.mul  # admitted only below DENSE_CAP (check_budget)
     n = G.n
     v1, v2, v3 = (f.values.astype(np.float64, copy=False) for f in (f1, f2, f3))
 

@@ -14,7 +14,7 @@ from qmix import (
     parse_spec,
     theta_defect,
 )
-from qmix.fourier import CHUNK
+from qmix.groups import CHUNK
 from qmix.mixing import _toggle_gain_tables
 
 
@@ -147,6 +147,31 @@ def reference_value_pass():
     """One triple's progression sum through (n x 1) stacks, the oracle that
     pins the bits of mixing._value_pass."""
     return _reference_value_pass
+
+
+def _reference_correlation(G, U, V):
+    """corr[j] = sum_x U[x] V[xj], as the row correlation summed when it
+    read the n x n table: U[rows] @ V[t[rows]] over CHUNK-point blocks of
+    the support of U, in complex128 when either operand is complex and
+    float64 otherwise.  The table comes from compose, so the oracle
+    shares neither the row walk nor the column walks of the kernel."""
+    ar = np.arange(G.n)
+    t = G.compose(ar[:, None], ar)
+    dtype = np.result_type(U, V, np.float64)
+    U, V = U.astype(dtype), V.astype(dtype)
+    xs = np.flatnonzero(U)
+    corr = np.zeros(G.n, dtype=dtype)
+    for lo in range(0, len(xs), CHUNK):
+        rows = xs[lo:lo + CHUNK]
+        corr += U[rows] @ V[t[rows]]
+    return corr
+
+
+@pytest.fixture(scope="session")
+def reference_correlation():
+    """The table-indexed row correlation, the oracle of both forms of
+    fourier._correlation."""
+    return _reference_correlation
 
 
 def _mu_set(G, indices):
@@ -477,7 +502,7 @@ def _validate_group(G):
     an identity and inverses make a group, and with it a Latin square.
     The test reads row blocks, never an n x n temporary.
     """
-    table = G.require_table("validation")
+    table = G.mul
     n = G.n
     ar = np.arange(n, dtype=np.int32)
     if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):

@@ -31,7 +31,7 @@ from qmix import (
     verify_derivative_bound,
     verify_fcmu,
 )
-from qmix import chartab, groups, mixing
+from qmix import chartab, fourier, groups, mixing
 from qmix.cli import main as cli_main
 from qmix.groups import _row_blocks
 
@@ -165,6 +165,26 @@ def test_fcmu_per_class_matches_per_element_sweep(bundle, spec):
         predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
         worst = max(worst, float(np.abs(hs2 - predicted).max()))
     assert verify_fcmu(T, C, 1e-8).lhs_value == worst
+
+
+@pytest.mark.parametrize("spec", CHARTAB_GROUPS)
+def test_correlation_forms_agree_bit_for_bit_on_integer_terms(bundle, spec):
+    """The column and row forms of fourier._correlation sum in different
+    orders, but every term of a class density's profile and of +-1 data
+    is an integer, so both must give the same bits, whichever form
+    _correlation picks."""
+    G, C, _ = bundle(spec)
+    rng = np.random.default_rng(17)
+    signs = [rng.integers(0, 2, G.n) * 2 - 1 for _ in range(2)]
+    pairs = [(signs[0], signs[1])]
+    for rep in C.representatives:
+        mu = mu_translated_class(G, C, int(rep)).values
+        pairs.append((mu, mu))
+    for U, V in pairs:
+        U, V = U.astype(np.float64), V.astype(np.float64)
+        rows = fourier._row_correlation(G, U, V)
+        assert rows.tobytes() == fourier._column_correlation(G, U, V).tobytes()
+        assert rows.tobytes() == fourier._correlation(G, U, V).tobytes()
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])

@@ -153,7 +153,7 @@ class TestClassMultCoefficients:
         # M[class(a)][class(b)][l] when it is rep_l.
         G, C, _ = bundle(spec)
         k = C.k
-        ab = G.require_table()
+        ab = G.mul
         slot = np.full(G.n, -1)
         slot[C.representatives] = np.arange(k)
         a, b = np.nonzero(slot[ab] >= 0)

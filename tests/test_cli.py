@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -24,7 +25,7 @@ import qmix
 from qmix import cli, mixing
 from qmix.cli import main
 from qmix.chartab import MAX_CLASSES
-from qmix.fourier import CHUNK
+from qmix.groups import CHUNK, DENSE_CAP
 
 
 def run(capsys, *argv):
@@ -481,14 +482,18 @@ class TestSearchCommand:
 
 
 class TestHarness:
+    # The O(n^2) suites read no table and run on these groups; the O(n^3)
+    # ones are refused by the cost model alone, far below n = 12144.
     @pytest.mark.parametrize(
         "argv",
         [
-            *(("verify", "sl2:23", "--suite", s, "--trials", "1")
-              for s in ("bnp", "derivative", "parseval", "chain")),
-            ("verify", "sl2:23", "--suite", "fcmu"),
+            ("verify", "sl2:23", "--suite", "chain", "--trials", "1"),
             ("verify", "sl2:23", "--suite", "gamma", "--trials", "1"),
             ("verify", "sl2:23", "--trials", "1"),
+            ("verify", "psl2:29", "--suite", "chain", "--trials", "1"),
+            ("verify", "psl2:29", "--suite", "gamma", "--trials", "1"),
+            ("verify", "alt:8", "--suite", "gamma", "--trials", "1"),
+            ("verify", "sym:8", "--trials", "1"),
         ],
     )
     def test_group_without_table_refused_before_chartab(self, capsys, monkeypatch, argv):
@@ -498,14 +503,21 @@ class TestHarness:
             raise AssertionError("the character table was computed")
 
         monkeypatch.setattr(cli_module, "compute_character_table", never)
-        # At two columns sampled gamma fits the budget, so only the missing
-        # table can refuse it.
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 2)
+        n = build_group(argv[1]).n
+        assert n > DENSE_CAP
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "needs the dense multiplication table" in err
-        assert "n=12144" in err
+        assert re.search(rf"^error: \w+ on n={n} needs about \S+ table gathers", err, re.M)
+
+    def test_o_n2_suite_runs_on_a_group_without_table(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "sl2:23", "--suite", "derivative", "--trials", "1",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        (row,) = parse_json(out)
+        assert row["lemma_id"] == "derivative" and row["passed"] is True
 
     @pytest.mark.parametrize(
         "argv",
@@ -688,7 +700,10 @@ class TestHarness:
 # on sl2:7, sampled gamma on psl2:13.  Their text rounds to 6 digits, so a
 # reordered sum keeps them and a wrong one does not.  The sl2:7 digest was
 # taken again when the character table became exact: only its fcmu and
-# parseval residues moved, each row still passing.
+# parseval residues moved, each row still passing.  It was taken again when
+# the row correlation stopped reading the table and real functions stopped
+# being summed in complex128: only the two parseval residues moved, from 0
+# to 1.11022e-16, each row still passing.
 GOLDEN_STDOUT = [
     (
         ("mix", "sl2:13", "--random", "0.5", "--trials", "10", "--format", "json"),
@@ -712,7 +727,7 @@ GOLDEN_STDOUT = [
     ),
     (
         ("verify", "sl2:7", "--suite", "all", "--trials", "2"),
-        "5325de39113c3ca2cf236357a463f4c04159021f653fc8093821c932899bd4a6",
+        "c03e8ab612759a97feff0ab5388b31a830d849623e47668257f7f15183b12f28",
     ),
     (
         ("verify", "psl2:13", "--suite", "gamma", "--trials", "2"),

@@ -12,7 +12,6 @@ from qmix import (
     GroupFunction,
     GroupMismatchError,
     PreconditionError,
-    SizeGuardError,
     build_group,
     convolve,
     indicator_function,
@@ -22,7 +21,7 @@ from qmix import (
     spectral_profile,
     verify_derivative_bound,
 )
-from qmix import fourier
+from qmix import fourier, groups
 
 
 def random_function(G, seed, complex_values=True):
@@ -279,11 +278,11 @@ class TestMuTranslatedClass:
 
 
 class TestSpectralProfile:
-    # A block size of 3 splits the support of f over several blocks.
+    # A CHUNK of 3 walks the rows one at a time.
     @pytest.mark.parametrize("chunk", [None, 3])
     def test_scattered_zeros_brute_force(self, chunk, bundle, monkeypatch, product, inverse):
         if chunk is not None:
-            monkeypatch.setattr(fourier, "CHUNK", chunk)
+            monkeypatch.setattr(groups, "CHUNK", chunk)
         G, C, T = bundle("sl2:3")
         rng = np.random.default_rng(29)
         v = random_function(G, 29).values * (rng.random(G.n) < 0.4)
@@ -496,21 +495,84 @@ def test_convolution_norm_contraction(seed):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda f, C, T: convolve(f, f),
-        lambda f, C, T: spectral_profile(f, T, C),
-        lambda f, C, T: verify_derivative_bound(f, T),
+        lambda f, C, T: convolve(f, f).values.mean() == pytest.approx(0.0, abs=1e-12),
+        lambda f, C, T: spectral_profile(f, T, C).parseval_residual < 1e-8,
+        lambda f, C, T: verify_derivative_bound(f, T).passed,
     ],
     ids=["convolve", "spectral_profile", "verify_derivative_bound"],
 )
-def test_row_correlation_refuses_a_group_without_table(bundle, call):
-    # sl2:23 (n = 12144) keeps no table; the row correlation fetches it and
-    # refuses, naming the functions it serves, and builds none.
+def test_row_correlation_runs_on_a_group_without_table(bundle, call):
+    # sl2:23 (n = 12144) keeps no table; the row correlation walks its
+    # rows and builds none.  f is mean-zero, so f*f is too.
     G, C, T = bundle("sl2:23")
     f = GroupFunction(G, np.where(np.arange(G.n) % 2, 1.0, -1.0))
-    match = (
-        "^the row correlation of convolve, spectral_profile and "
-        "verify_derivative_bound needs the dense multiplication table"
-    )
-    with pytest.raises(SizeGuardError, match=match):
-        call(f, C, T)
+    assert call(f, C, T)
     assert G.table is None
+
+
+def correlation_inputs(G, seed):
+    """Real Gaussian, complex Gaussian and unimodular pairs (U, V)."""
+    rng = np.random.default_rng(seed)
+    real = [rng.standard_normal(G.n) for _ in range(2)]
+    cplx = [rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n) for _ in range(2)]
+    phases = [np.exp(2j * np.pi * rng.random(G.n)) for _ in range(2)]
+    return [real, cplx, phases]
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "sl2:7"])
+def test_row_correlation_bits_hold_at_every_block_height(spec, bundle, monkeypatch):
+    # Each row is multiplied in place and summed in y order, so the block
+    # height, min(n, CHUNK, CHUNK^2 // n), does not move a bit.
+    G, _, _ = bundle(spec)
+    want = [fourier._row_correlation(G, U, V) for U, V in correlation_inputs(G, 3)]
+    heights = {len(next(groups._row_blocks(G))[0])}
+    for chunk in (1, 7, 20, 64):
+        monkeypatch.setattr(groups, "CHUNK", chunk)
+        heights.add(len(next(groups._row_blocks(G))[0]))
+        got = [fourier._row_correlation(G, U, V) for U, V in correlation_inputs(G, 3)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(heights) >= 3 and 1 in heights
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "psl2:7", "sl2:7"])
+def test_both_correlation_forms_match_the_table_oracle(spec, bundle, reference_correlation):
+    G, _, _ = bundle(spec)
+    for U, V in correlation_inputs(G, 5):
+        want = reference_correlation(G, U, V)
+        scale = np.abs(want).max()
+        for form in (fourier._row_correlation, fourier._column_correlation):
+            got = form(G, U, V)
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_correlation_picks_its_form_by_gathers(bundle, monkeypatch):
+    # A translated class of sl2:7 (n = 336) walks fewer word steps than n,
+    # so it reads columns; a dense function walks the rows.
+    G, C, _ = bundle("sl2:7")
+    calls = []
+    for name in ("_row_correlation", "_column_correlation"):
+        real = getattr(fourier, name)
+        monkeypatch.setattr(
+            fourier, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+        )
+    mu = mu_translated_class(G, C, int(C.representatives[-1])).values
+    assert G.lengths[G.inv[np.flatnonzero(mu)]].sum() < G.n
+    dense = np.ones(G.n)
+    for U in (mu, dense):
+        fourier._correlation(G, U, U)
+    assert calls == ["_column_correlation", "_row_correlation"]
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
+def test_correlation_computes_in_the_kernel_dtype(dtype, bundle, reference_correlation):
+    # Real operands of any kind are summed in float64, complex ones in
+    # complex128; 0/1 and integer sums are exact, so they match the oracle.
+    G, _, _ = bundle("psl2:7")
+    rng = np.random.default_rng(7)
+    U, V = (rng.integers(0, 2, G.n).astype(dtype) for _ in range(2))
+    if dtype is np.complex128:
+        U = U * 1j
+    got = fourier._correlation(G, U, V)
+    assert got.dtype == fourier._kernel_dtype(U, V)
+    assert np.array_equal(got, reference_correlation(G, U, V))

@@ -286,8 +286,6 @@ class TestLazyPath:
         assert G.n == 12180
         assert G.n > DENSE_CAP
         assert G.mul is None
-        with pytest.raises(SizeGuardError):
-            G.require_table("anything")
 
     def test_lazy_products_are_consistent(self, product, inverse):
         G = build_group("psl2:29")
@@ -693,7 +691,7 @@ def test_scalar_compose_takes_one_row_per_step(monkeypatch):
     # with the table and with the broadcast walk of an array b.
     G = build_group("sl2:7")
     ar = np.arange(G.n)
-    table = G.require_table()
+    table = G.mul
     for b in range(G.n):
         got = G.compose(ar, b)
         assert got.dtype == np.int32 and np.array_equal(got, table[:, b])

@@ -36,8 +36,8 @@ from qmix import (
     verify_parseval,
 )
 from qmix import mixing
-from qmix.fourier import CHUNK, _correlation
-from qmix.groups import DENSE_CAP
+from qmix.fourier import _correlation
+from qmix.groups import CHUNK, DENSE_CAP
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
 
 
@@ -528,8 +528,27 @@ class TestParsevalAndFcmu:
         with pytest.raises(CertificationError, match="imaginary residue 9.000e-05"):
             verify_fcmu(bad, C, 1e-8)
 
+    def test_fcmu_and_bnp_build_no_table(self):
+        # Both read rows or columns, never the table: their peak is one walk
+        # block and its value buffer (about CHUNK^2 entries, 8 bytes each)
+        # plus a few n-vectors and the walk's lists, where the table alone
+        # takes 4n^2 bytes.
+        G = build_group("sl2:13")
+        C = conjugacy_classes(G)
+        T = compute_character_table(G, C)
+        f1, f2 = random_ensemble(G, "mean_zero_rademacher", 71, 2)
+        tracemalloc.start()
+        try:
+            reports = [verify_fcmu(T, C, 1e-8), verify_bnp(f1, f2, T)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert G.table is None
+        assert peak < 64 * CHUNK**2 + 256 * G.n
+
     def test_fcmu_size_guard(self, bundle, monkeypatch):
-        # One profile per class costs n^2 gathers in all, the O(n^2) default;
+        # The estimate charges fcmu n^2 gathers, the O(n^2) default;
         # verify_fcmu keeps no guard of its own, even below that.
         G, C, T = bundle("alt:5")
         assert mixing.gather_estimate("fcmu", C) == G.n**2
@@ -755,7 +774,7 @@ class TestGammaFunctional:
         G, C, T = bundle("psl2:13")
         assert mixing.gather_estimate("gamma", C) > mixing.GATHER_BUDGET
         f = random_ensemble(G, "mean_zero_rademacher", 67, 1)[0]
-        G.require_table()
+        assert G.mul is not None
         tracemalloc.start()
         try:
             rep = gamma_functional(f, T, C)
@@ -919,7 +938,7 @@ class TestChain:
         G, C, T = bundle("sl2:7")
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
-        G.require_table()  # the group's own table, as in the other tests
+        assert G.mul is not None  # the group's own table, as in the other tests
         tracemalloc.start()
         try:
             rep = cs_chain_diagnostics(f1, f2, f3, T, C)

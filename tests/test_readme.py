@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from qmix.cli import main
+from qmix.groups import DENSE_CAP
 from qmix.mixing import GAMMA_COLUMNS, GATHER_BUDGET, gather_estimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -57,6 +58,15 @@ def test_admission_limits_follow_the_cost_model():
         "chain up to n = ": largest_admitted("chain"),
         "exhaustive γ up to n = ": largest_admitted("gamma"),
         "about n ≤ ": largest_admitted("gamma", GAMMA_COLUMNS),
+        "every O(n²) suite up to n = ": largest_admitted("bnp"),
     }
     for phrase, n in limits.items():
         assert int(re.search(re.escape(phrase) + r"(\d+)", text).group(1)) == n
+
+
+def test_o_n3_suites_are_admitted_only_where_the_table_is_kept():
+    # The chain's c3 and the class convolution of both gamma modes read
+    # GroupTable.mul, which a group keeps only up to DENSE_CAP.  No guard
+    # but the cost model stands between them and a group without one.
+    for suite, columns in (("chain", None), ("gamma", None), ("gamma", GAMMA_COLUMNS)):
+        assert largest_admitted(suite, columns) < DENSE_CAP

@@ -16,10 +16,10 @@ element.  Every group offers one product, the vectorized
 provider, _row_blocks, which derives each table row from its parent's
 and serves every O(n^2) kernel: the progression passes and the row
 correlation of fourier.  Both run on every group.  The n x n table is
-that walk's cache: its blocks fill it on first need, and only up to
-DENSE_CAP, for the O(n^3) kernels of mixing, which index it at random
-(``GroupTable.mul``) and which the cost model admits only far below
-DENSE_CAP.
+that walk's cache, filled on the first read of ``GroupTable.mul`` and
+kept, for the O(n^3) kernels of mixing, which index it at random; the
+cost model of mixing.check_budget bounds the groups they run on, and so
+the table.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import (
 )
 
 MAX_ORDER = 50000
-DENSE_CAP = 8192
 # The block size of the streamed passes: _row_blocks holds about CHUNK^2
 # row entries, and fourier and mixing go CHUNK points or rows at a time.
 CHUNK = 256
@@ -191,9 +190,8 @@ class GroupTable:
     its end with the last row).  ``cols[s]`` is the column x -> x*g_s of
     generator s.  ``table``, the n x n table, is only for the kernels
     that index it at random, and only ``mul`` reads it: the walk of
-    _row_blocks fills it on first need, and it is kept.  Reading ``mul``
-    builds it when ``dense`` (n <= DENSE_CAP when the group was built),
-    and otherwise ``mul`` is None.  ``plan``, the order of that walk
+    _row_blocks fills it on the first read of ``mul``, on any group, and
+    it is kept (4n^2 bytes).  ``plan``, the order of that walk
     (_walk_plan), is kept after its first pass.
     ``generator_indices`` generate the group; conjugacy classes and the
     abelian test rely on it.
@@ -207,7 +205,6 @@ class GroupTable:
     steps: np.ndarray = field(repr=False)
     words: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
-    dense: bool = False
     table: np.ndarray | None = field(default=None, repr=False)
     plan: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
@@ -216,10 +213,10 @@ class GroupTable:
             raise PreconditionError("a group needs a nonempty generating set")
 
     @property
-    def mul(self) -> np.ndarray | None:
-        """The n x n table, filled on first use when ``dense`` from the
-        blocks of _row_blocks, else None."""
-        if self.table is None and self.dense:
+    def mul(self) -> np.ndarray:
+        """The n x n int32 table, filled on first use from the blocks of
+        _row_blocks and kept."""
+        if self.table is None:
             table = np.empty((self.n, self.n), dtype=np.int32)
             for xs, R in _row_blocks(self):
                 table[xs] = R
@@ -581,13 +578,11 @@ def _from_columns(
 ) -> GroupTable:
     """The group whose generators have the columns cols[s][x] = x*g_s:
     the steps and words that ``GroupTable.compose`` walks and the inverses
-    those words give.  Up to DENSE_CAP the group may build its table, on
-    first need."""
-    n = cols.shape[1]
+    those words give.  No table is built here."""
     steps, words, lengths = _steps_and_words(cols)
     inv = _inverses(steps, words)
     return GroupTable(
-        n, inv, spec, generator_indices, cols, steps, words, lengths, n <= DENSE_CAP
+        cols.shape[1], inv, spec, generator_indices, cols, steps, words, lengths
     )
 
 

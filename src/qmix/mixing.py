@@ -27,8 +27,9 @@ a suite before anything is built.  The class convolution behind gamma
 and the chain's c4 has one body too, _class_conv_sums, which reads
 every operand as a row of the value table.  It and the chain's c3 pass
 are the O(n^3) work, and the only readers of the n x n table
-(``GroupTable.mul``): the cost model admits them only far below
-DENSE_CAP, where every group can build it.  Both integrands are
+(``GroupTable.mul``, 4n^2 bytes, filled on their first read and kept):
+the cost model admits them only up to n = 3535, so the table stays
+below 50 MB.  Both integrands are
 invariant under multiplication by the central involutions
 E = {z central : z^2 = 1}: each evaluates one element per coset of E
 (_central_involutions, which reads E through compose), weighted |E|, a
@@ -464,8 +465,8 @@ def check_budget(suite: str, C: ConjugacyData) -> None:
     exhaustive pass does not fit.  The cost model alone decides: the
     O(n^2) suites read no table and are admitted while n^2 fits, up to
     n = 28284, and the O(n^3) ones, the only readers of ``GroupTable.mul``,
-    only up to n = 3535 (sampled gamma), below DENSE_CAP, so every group
-    they are admitted on builds its table in their first kernel.
+    only up to n = 3535 (sampled gamma).  No other rule bounds the n x n
+    table they build in their first kernel: 4n^2 bytes, at most 50 MB.
     """
     cost = gather_estimate(suite, C)
     if suite == "gamma" and cost > GATHER_BUDGET:
@@ -527,7 +528,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     halves of the pass shrink by |E|.  Where E is trivial every g is
     evaluated, in class order, and the sums keep their bits.
     """
-    t = G.mul  # admitted only below DENSE_CAP (check_budget)
+    t = G.mul  # at most 50 MB where check_budget admits this
     n, m = G.n, len(cols)
     W = V.astype(_kernel_dtype(V), copy=False)
     mu = _correlation(G, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
@@ -696,7 +697,7 @@ def cs_chain_diagnostics(
     )
     check_budget("chain", C)
 
-    t = G.mul  # admitted only below DENSE_CAP (check_budget)
+    t = G.mul  # at most 50 MB where check_budget admits this
     n = G.n
     v1, v2, v3 = (f.values.astype(np.float64, copy=False) for f in (f1, f2, f3))
 

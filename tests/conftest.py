@@ -492,7 +492,7 @@ def _greedy_generators(table):
 
 
 def _validate_group(G):
-    """Check the group laws on the dense table; raises GroupFormatError.
+    """Check the group laws on the table G.mul; raises GroupFormatError.
 
     Identity and inverses are checked in full.  Associativity is checked
     exhaustively by Light's test: (x*g)*y == x*(g*y) for every x, y and
@@ -524,6 +524,6 @@ def _validate_group(G):
 
 @pytest.fixture(scope="session")
 def validate_group():
-    """Light's associativity test on the dense table, the check that a
+    """Light's associativity test on the table G.mul, the check that a
     built table is a group."""
     return _validate_group

@@ -103,17 +103,18 @@ class TestConjugacy:
 
     @pytest.mark.parametrize("spec", ["alt:5", "sl2:23"])
     def test_conjugation_maps_are_the_two_sided_products(self, spec):
-        # Both walk words; alt:5 is checked against its table as well,
-        # sl2:23 (above DENSE_CAP) has none.
+        # Both walk words and build no table; alt:5 is checked against
+        # its table as well.
         G = build_group(spec)
         ar = np.arange(G.n)
         gens = [g for g in G.generator_indices if g != 0]
         maps = _conjugation_maps(G)
+        assert G.table is None
         assert len(maps) == len(gens)
         for g, m in zip(gens, maps):
             assert m.dtype == np.int32
             assert np.array_equal(m, G.compose(G.compose(G.inv[g], ar), g))
-            if G.dense:
+            if spec == "alt:5":
                 assert np.array_equal(m, G.mul[G.mul[G.inv[g], ar], g])
 
 

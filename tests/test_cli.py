@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qmix import (
+    GroupTable,
     LemmaReport,
     build_group,
     compute_character_table,
@@ -25,7 +26,7 @@ import qmix
 from qmix import cli, mixing
 from qmix.cli import main
 from qmix.chartab import MAX_CLASSES
-from qmix.groups import CHUNK, DENSE_CAP
+from qmix.groups import CHUNK
 
 
 def run(capsys, *argv):
@@ -504,11 +505,27 @@ class TestHarness:
 
         monkeypatch.setattr(cli_module, "compute_character_table", never)
         n = build_group(argv[1]).n
-        assert n > DENSE_CAP
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert re.search(rf"^error: \w+ on n={n} needs about \S+ table gathers", err, re.M)
+
+    def test_verify_all_fills_the_table_once(self, capsys, monkeypatch):
+        # The chain and gamma read one table: the first read fills it from
+        # the walk, and every later read, in every trial, finds it kept.
+        fills = []
+        fill = GroupTable.mul.fget
+
+        def counted(G):
+            if G.table is None:
+                fills.append(G.n)
+            return fill(G)
+
+        monkeypatch.setattr(GroupTable, "mul", property(counted))
+        code, out, err = run(capsys, "verify", "sl2:7", "--suite", "all", "--trials", "2")
+        assert code == 0 and err == ""
+        assert "lemma_id=chain" in out and "lemma_id=gamma" in out
+        assert fills == [336]
 
     def test_o_n2_suite_runs_on_a_group_without_table(self, capsys):
         code, out, err = run(
@@ -572,7 +589,6 @@ class TestHarness:
 
     def test_mix_sets_above_the_cap_matches_a_compose_recount(self, capsys):
         G = build_group("sl2:23")
-        assert G.mul is None
         rng = np.random.default_rng(23)
         sets = [np.sort(rng.choice(G.n, 50, replace=False))]
         sets += [np.flatnonzero(rng.random(G.n) < 0.5) for _ in range(2)]
@@ -582,10 +598,10 @@ class TestHarness:
         (row,) = parse_json(out)
         assert row["sizes"] == [len(a) for a in sets]
         assert_theta_matches_a_compose_recount(G, row, sets)
+        assert G.table is None
 
     def test_search_above_the_cap_matches_a_compose_recount(self, capsys):
         G = build_group("sl2:23")
-        assert G.mul is None
         argv = ["search", "sl2:23", "--budget", "200000", "--restarts", "1"]
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 0 and err == ""
@@ -593,6 +609,7 @@ class TestHarness:
         sets = [np.asarray(row["sets"][key]) for key in ("A1", "A2", "A3")]
         assert row["sizes"] == [len(a) for a in sets]
         assert_theta_matches_a_compose_recount(G, row, sets)
+        assert G.table is None
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2

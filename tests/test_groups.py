@@ -25,7 +25,6 @@ from qmix import (
     conjugacy_classes,
 )
 from qmix import chartab, groups
-from qmix.groups import DENSE_CAP
 
 ORDER_ORACLES = {
     "cyclic:12": 12,
@@ -129,7 +128,7 @@ class TestParse:
         assert parse_spec("psl2:43").order() == 39732
         G = build_group("psl2:37")
         assert G.n == 25308
-        assert G.mul is None
+        assert G.table is None
 
 
 class TestConstruction:
@@ -282,10 +281,11 @@ class TestDirectProduct:
 
 class TestLazyPath:
     def test_large_group_has_no_dense_table(self):
+        # Building a group builds no table, whatever its order; only a
+        # read of mul does.
         G = build_group("psl2:29")
         assert G.n == 12180
-        assert G.n > DENSE_CAP
-        assert G.mul is None
+        assert G.table is None
 
     def test_lazy_products_are_consistent(self, product, inverse):
         G = build_group("psl2:29")
@@ -396,62 +396,78 @@ class TestValidateGroup:
     ["psl2:7", "alt:5", "sl2:5", "cyclic:12", "dihedral:7", "prod:sl2:5+cyclic:3",
      "prod:sym:3+cyclic:4+alt:4"],
 )
-def test_lazy_backend_matches_dense(text, monkeypatch, product):
-    D = build_group(text)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)
-    L = build_group(text)
-    assert D.mul is not None and L.mul is None
-    assert np.array_equal(L.inv, D.inv)
-    assert L.generator_indices == D.generator_indices
-    ar = np.arange(D.n)
-    assert np.array_equal(L.compose(ar[:, None], ar), D.mul)
+def test_lazy_backend_matches_dense(text, product, law_oracle, float_character_table):
+    # The walk (compose) and what the group derives through it (classes,
+    # class counts, character table) against the family law, which shares
+    # no code with the walk, and against the table mul fills.  None of
+    # them builds the table.
+    G, oracle = build_group(text), law_oracle(text)
+    ar = np.arange(G.n)
+    walked = G.compose(ar[:, None], ar)
+    assert np.array_equal(walked, oracle.compose(ar[:, None], ar))
+    assert np.array_equal(oracle.compose(ar, G.inv), np.zeros(G.n))
+    assert product(G, 5, 9) == int(oracle.compose(5, 9))
+    C = conjugacy_classes(G)
+    M = class_mult_coefficients(G, C)
+    T = compute_character_table(G, C)
+    abelian = is_abelian(G)
+    assert G.table is None
+    t = G.mul
+    assert np.array_equal(t, walked)
     rng = np.random.default_rng(3)
-    a = rng.integers(0, D.n, size=(40, 7))
-    b = rng.integers(0, D.n, size=7)
-    assert np.array_equal(L.compose(a, b), D.mul[a, b])
-    assert np.array_equal(L.compose(a[:, :1], b), D.mul[a[:, :1], b])
-    assert product(L, 5, 9) == product(D, 5, 9)
-    assert is_abelian(L) == is_abelian(D)
-    CD, CL = conjugacy_classes(D), conjugacy_classes(L)
-    assert CL.k == CD.k
-    for name in ("class_of", "representatives", "sizes"):
-        assert np.array_equal(getattr(CL, name), getattr(CD, name))
-    assert all(
-        np.array_equal(np.flatnonzero(CL.class_of == c), np.flatnonzero(CD.class_of == c))
-        for c in range(CD.k)
-    )
-    assert np.array_equal(class_mult_coefficients(L, CL), class_mult_coefficients(D, CD))
-    TD, TL = compute_character_table(D, CD), compute_character_table(L, CL)
-    assert np.array_equal(TL.chi, TD.chi)
-    assert np.array_equal(TL.degrees, TD.degrees)
+    a = rng.integers(0, G.n, size=(40, 7))
+    b = rng.integers(0, G.n, size=7)
+    assert np.array_equal(G.compose(a, b), t[a, b])
+    assert np.array_equal(G.compose(a[:, :1], b), t[a[:, :1], b])
+    assert abelian == np.array_equal(t, t.T)
+    # Classes by the table: conj[g, x] = g^{-1} x g, each class labelled
+    # by its least member, in increasing order of that member.
+    conj = t[t[G.inv[:, None], ar], ar[:, None]]
+    reps, class_of = np.unique(conj.min(axis=0), return_inverse=True)
+    assert C.k == len(reps)
+    assert np.array_equal(C.representatives, reps)
+    assert np.array_equal(C.class_of, class_of)
+    assert np.array_equal(C.sizes, np.bincount(class_of))
+    # M[i][j][l] counts the pairs (a, b) of the table with ab = rep_l.
+    slot = np.full(G.n, -1)
+    slot[reps] = np.arange(C.k)
+    x, y = np.nonzero(slot[t] >= 0)
+    counts = np.zeros((C.k,) * 3, dtype=np.int64)
+    np.add.at(counts, (class_of[x], class_of[y], slot[t[x, y]]), 1)
+    assert np.array_equal(M, counts)
+    # Each exact row is one row of the float eigensolve of those counts.
+    chi, degrees = float_character_table(G, C)
+    gap = np.abs(T.chi[:, None, :] - chi[None, :, :]).max(axis=2)
+    match = gap.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(T.k))
+    assert np.array_equal(degrees[match], T.degrees)
+    assert gap[np.arange(T.k), match].max() < 1e-12
 
 
 @pytest.mark.parametrize("text", ["sl2:13", "sym:5", "prod:sl2:5+cyclic:3", "prod:cyclic:4+dihedral:5"])
-def test_lazy_compose_walks_only_the_longest_word(text, monkeypatch):
-    D = build_group(text)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)
-    L = build_group(text)
+def test_lazy_compose_walks_only_the_longest_word(text):
+    G = build_group(text)
     # Words are left-aligned: padding only after each word's length.
-    pad = len(L.steps) - 1
-    assert np.array_equal(L.words != pad, np.arange(L.words.shape[1]) < L.lengths[:, None])
-    assert L.lengths[0] == 0 and L.lengths.max() == L.words.shape[1]
-    ar = np.arange(L.n)
+    pad = len(G.steps) - 1
+    assert np.array_equal(G.words != pad, np.arange(G.words.shape[1]) < G.lengths[:, None])
+    assert G.lengths[0] == 0 and G.lengths.max() == G.words.shape[1]
+    ar = np.arange(G.n)
     # b the identity: a word of length 0 still gives a fresh int32 array.
-    e = L.compose(ar, 0)
+    e = G.compose(ar, 0)
     assert e.dtype == np.int32 and np.array_equal(e, ar) and e is not ar
-    assert np.array_equal(L.compose(ar[:, None], np.zeros(3, dtype=int)), D.mul[:, [0, 0, 0]])
+    assert np.array_equal(G.compose(ar[:, None], np.zeros(3, dtype=int)), G.mul[:, [0, 0, 0]])
     for width in (1, 2):
-        short = np.flatnonzero(L.lengths <= width)
+        short = np.flatnonzero(G.lengths <= width)
         assert short.size > 1
-        assert np.array_equal(L.compose(ar[:, None], short), D.mul[:, short])
-        assert np.array_equal(L.compose(short[:, None], ar), D.mul[short])
+        assert np.array_equal(G.compose(ar[:, None], short), G.mul[:, short])
+        assert np.array_equal(G.compose(short[:, None], ar), G.mul[short])
 
 
 @pytest.mark.parametrize("first,second", [("sl2:13", "cyclic:5"), ("cyclic:5", "sl2:13")])
 def test_lazy_product_composes_through_its_factors(first, second):
     G = build_group(f"prod:{first}+{second}")
     G1, G2 = build_group(first), build_group(second)
-    assert G.n == 10920 and G.mul is None
+    assert G.n == 10920
     rng = np.random.default_rng(5)
     a = rng.integers(0, G.n, size=(300, 1))
     b = rng.integers(0, G.n, size=300)
@@ -459,6 +475,7 @@ def test_lazy_product_composes_through_its_factors(first, second):
     expected = G1.mul[a // n2, b // n2] * n2 + G2.mul[a % n2, b % n2]
     assert np.array_equal(G.compose(a, b), expected)
     assert np.array_equal(G.compose(G.inv[b], b), np.zeros(300))
+    assert G.table is None
 
 
 @pytest.mark.parametrize(
@@ -468,12 +485,13 @@ def test_lazy_product_composes_through_its_factors(first, second):
 )
 def test_walk_matches_the_family_law(text, law_oracle):
     G, oracle = build_group(text), law_oracle(text)
-    assert G.mul is None and oracle.n == G.n
+    assert oracle.n == G.n
     rng = np.random.default_rng(17)
     a, b = rng.integers(0, G.n, size=(2, 10**4))
     assert np.array_equal(G.compose(a, b), oracle.compose(a, b))
     ar = np.arange(G.n)
     assert np.array_equal(oracle.compose(ar, G.inv), np.zeros(G.n))
+    assert G.table is None
 
 
 @pytest.mark.parametrize(
@@ -699,13 +717,13 @@ def test_scalar_compose_takes_one_row_per_step(monkeypatch):
     assert np.array_equal(G.compose(a, 100), table[a, 100])
     assert G.compose(5, 100) == table[5, 100]
     L = build_group("sl2:23")
-    assert L.mul is None
     rng = np.random.default_rng(11)
     a = rng.integers(0, L.n, size=(30, 50))
     for b in rng.integers(0, L.n, size=40).tolist() + [0]:
         got = L.compose(a, b)
         want = L.compose(a, np.full(a.shape, b))
         assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+    assert L.table is None
 
 
 @pytest.mark.parametrize("text", ["sl2:13", "cyclic:4096", "sym:7"])

@@ -37,7 +37,7 @@ from qmix import (
 )
 from qmix import mixing
 from qmix.fourier import _correlation
-from qmix.groups import CHUNK, DENSE_CAP
+from qmix.groups import CHUNK
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
 
 
@@ -367,11 +367,11 @@ class TestCountProgressions:
         assert want == n * n
 
     def test_lazy_pass_holds_blocks_of_about_chunk_squared(self):
-        # Above DENSE_CAP rows are streamed; the block height shrinks as n
-        # grows, so the row-sum buffers stay near 20 CHUNK^2 bytes where
-        # CHUNK-row blocks took 20 CHUNK n (42 MB here).  With A1 and A3
-        # the whole group, the count is n |A2|.
-        G = build_group(f"cyclic:{DENSE_CAP + 8}")
+        # Rows are streamed; the block height shrinks as n grows, so the
+        # row-sum buffers stay near 20 CHUNK^2 bytes where CHUNK-row blocks
+        # took 20 CHUNK n (42 MB here).  With A1 and A3 the whole group,
+        # the count is n |A2|.
+        G = build_group("cyclic:8200")
         n = G.n
         A2 = np.flatnonzero(np.random.default_rng(31).random(n) < 0.5)
         tracemalloc.start()
@@ -391,9 +391,9 @@ class TestCountProgressions:
         # rows would take 8 CHUNK n (about 10 MB here).  The n term holds
         # the packed inputs (three 8-byte words per element at 64
         # triples), their packing and the walk's per-element lists.  The
-        # bit pass runs at half of DENSE_CAP to stay quick.  A first
-        # all-ones triple counts n^2, and all-ones sets give tables of n.
-        n = DENSE_CAP // 2 if kernel == "_bit_pass" else DENSE_CAP + 8
+        # bit pass runs on cyclic:4096 to stay quick.  A first all-ones
+        # triple counts n^2, and all-ones sets give tables of n.
+        n = 4096 if kernel == "_bit_pass" else 8200
         G = build_group(f"cyclic:{n}")
         rng = np.random.default_rng(37)
         if kernel == "_bit_pass":
@@ -858,12 +858,11 @@ class TestGammaFunctional:
             gamma_functional(f, T, C)
 
     # psl2:11's chain costs 4n^3 = 1.2e9 gathers and sl2:17's sampled
-    # gamma 64n^2 = 1.5e9, both above the budget; both groups are dense.
+    # gamma 64n^2 = 1.5e9, both above the budget.
     @pytest.mark.parametrize("suite, spec", [("chain", "psl2:11"), ("gamma", "sl2:17")])
     def test_refused_suite_builds_no_table(self, suite, spec):
         G = build_group(spec)
         C = conjugacy_classes(G)
-        assert G.dense
         with pytest.raises(SizeGuardError, match=f"^{suite} on n={G.n} needs about"):
             mixing.check_budget(suite, C)
         assert G.table is None
@@ -1490,6 +1489,37 @@ class TestAdversarialSearch:
         G, _, T = bundle("sym:4")
         with pytest.raises(PreconditionError):
             adversarial_search(G, T, budget=-1, restarts=1, seed=0)
+
+
+@pytest.mark.parametrize("spec", ["sl2:7", "psl2:13"])
+def test_no_o_n2_path_builds_the_table(spec):
+    # Only the O(n^3) kernels read GroupTable.mul.  Every other path reads
+    # rows from the walk or columns through compose, so on a fresh group
+    # the table stays None after each call, on small groups as on large.
+    G = build_group(spec)
+    C = conjugacy_classes(G)
+    assert G.table is None
+    T = compute_character_table(G, C)
+    assert G.table is None
+    B = random_ensemble(G, "indicator:0.5", 3, 3)
+    F = random_ensemble(G, "mean_zero_rademacher", 5, 3)
+    calls = {
+        "theta_defects bool": lambda: theta_defects([B[0]], [B[1]], [B[2]], T),
+        "theta_defects float": lambda: theta_defects([F[0]], [F[1]], [F[2]], T),
+        "count_progressions": lambda: count_progressions(
+            *(np.flatnonzero(b.values) for b in B), G
+        ),
+        "adversarial_search": lambda: adversarial_search(
+            G, T, budget=3 * G.n, restarts=1, seed=1
+        ),
+        "convolve": lambda: convolve(F[0], F[1]),
+        "verify_derivative_bound": lambda: verify_derivative_bound(F[0], T),
+        "verify_parseval": lambda: verify_parseval(F[0], T, C, 1e-8),
+        "verify_fcmu": lambda: verify_fcmu(T, C, 1e-8),
+    }
+    for name, call in calls.items():
+        call()
+        assert G.table is None, name
 
 
 @settings(max_examples=10, deadline=None)

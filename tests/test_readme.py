@@ -9,7 +9,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from qmix.cli import main
-from qmix.groups import DENSE_CAP
 from qmix.mixing import GAMMA_COLUMNS, GATHER_BUDGET, gather_estimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,9 +63,14 @@ def test_admission_limits_follow_the_cost_model():
         assert int(re.search(re.escape(phrase) + r"(\d+)", text).group(1)) == n
 
 
-def test_o_n3_suites_are_admitted_only_where_the_table_is_kept():
+def test_o_n3_suites_bound_the_table_they_build():
     # The chain's c3 and the class convolution of both gamma modes read
-    # GroupTable.mul, which a group keeps only up to DENSE_CAP.  No guard
-    # but the cost model stands between them and a group without one.
-    for suite, columns in (("chain", None), ("gamma", None), ("gamma", GAMMA_COLUMNS)):
-        assert largest_admitted(suite, columns) < DENSE_CAP
+    # GroupTable.mul, the int32 n x n table, which any group builds on
+    # first read.  No rule but the cost model bounds it, so the largest
+    # table is 4n^2 bytes at the largest n it admits, as the README says.
+    n = max(
+        largest_admitted(suite, columns)
+        for suite, columns in (("chain", None), ("gamma", None), ("gamma", GAMMA_COLUMNS))
+    )
+    text = " ".join(README.read_text().split())
+    assert f"4n² bytes at the largest admitted n, {round(4 * n * n / 1e6)} MB at n = {n}" in text

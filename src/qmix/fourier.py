@@ -6,13 +6,12 @@ means and p-norms, convolution, and the per-irreducible spectral
 profile.  Everything spectral is computed through character kernels;
 irreducible representation matrices are never materialized.  One
 kernel, the row correlation, serves convolution, spectral_profile and
-the derivative average and class convolution in mixing, and reads no
-n x n table, so all of them run on every group.  It takes one of two
-forms from its input: a dense function is summed row by row over the
-blocks of groups._row_blocks (n^2 gathers, one block held), and a
-density on a small set S, such as a translated class, reads one column
-x -> x*s^{-1} per point s of S through ``GroupTable.compose`` (n gathers
-per step of the word of s^{-1}), whichever costs fewer gathers.
+the derivative average and class convolution in mixing: it sums each
+function row by row over the blocks of groups._row_blocks, n^2 gathers
+with one block held, and reads no n x n table, so all of them run on
+every group.  The step from a correlation's class sums to the squared
+HS norms, _class_hs2, is shared with mixing.verify_fcmu, which reads
+those sums off the class structure constants instead.
 """
 
 from __future__ import annotations
@@ -135,8 +134,7 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
 
     With ft = f o inv, (f*h)(x) = (1/n) sum_y h(y) ft(y x^{-1}), the row
     correlation of h against ft read at x^{-1}, in float64 for real f and
-    h and complex128 otherwise: O(n^2) gathers for a dense h (see
-    _correlation).
+    h and complex128 otherwise: n^2 gathers (see _correlation).
     """
     G = _same_group(f, h)
     corr = _correlation(G, h.values, f.values[G.inv])  # corr[x^{-1}] = n (f*h)(x)
@@ -163,48 +161,22 @@ def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """corr[j] = sum_x U[x] V[xj] for every j, in the operands' kernel
     dtype (_kernel_dtype), reading no table.
 
-    The form is picked from the support S of U, by the gathers each
-    costs: the column form when sum_{x in S} lengths[x^{-1}] n < n^2,
-    the row form otherwise.  Either sums each corr[j] in an order fixed
-    by U alone, so its bits depend neither on the order nor on the
-    height of the row blocks.  Where every term is an integer below 2^53
-    (the density of a class, or +-1 values) the sums are exact, and the
-    two forms give the same bits.
+    With Ut = U o inv and Vt = V o inv, corr[j] = sum_y Ut[jy] Vt[y]: the
+    blocks of groups._row_blocks give the rows y -> jy, n^2 gathers in
+    all, and each row is multiplied in place and summed by .sum(axis=1) in
+    y order, through one buffer of the first, tallest block's shape.  So
+    each corr[j] is summed in an order fixed by j alone, and its bits
+    depend neither on the order nor on the height of the blocks.  (A
+    matrix-vector product in its place changes the bits with the block
+    height.)
     """
     dtype = _kernel_dtype(U, V)
-    U, V = (W.astype(dtype, copy=False) for W in (U, V))
-    if G.lengths[G.inv[np.flatnonzero(U)]].sum() < G.n:
-        return _column_correlation(G, U, V)
-    return _row_correlation(G, U, V)
-
-
-def _column_correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """_correlation of two vectors of one dtype as corr[j] = W[j^{-1}],
-    W[i] = sum_x U[x] Vt[i x^{-1}] and Vt = V o inv: W is summed over the
-    support of U in index order, one column i -> i x^{-1} per point, each
-    from one ``GroupTable.compose`` walk of the word of x^{-1}."""
-    inv = G.inv
-    Vt = V[inv]
-    ar = np.arange(G.n)
-    W = np.zeros(G.n, dtype=V.dtype)
-    for x in np.flatnonzero(U):
-        W += U[x] * Vt.take(G.compose(ar, inv[x]))
-    return W[inv]
-
-
-def _row_correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """_correlation of two vectors of one dtype as corr[j] = sum_y Ut[jy]
-    Vt[y], Ut = U o inv and Vt = V o inv: the blocks of groups._row_blocks
-    give the rows y -> jy, and each row is multiplied in place and summed
-    by .sum(axis=1) in y order, through one buffer of the first, tallest
-    block's shape.  (A matrix-vector product in its place changes the
-    bits with the block height.)"""
-    Ut, Vt = U[G.inv], V[G.inv]
-    corr = np.empty(G.n, dtype=V.dtype)
+    Ut, Vt = (W.astype(dtype, copy=False)[G.inv] for W in (U, V))
+    corr = np.empty(G.n, dtype=dtype)
     buf = None
     for js, R in _row_blocks(G):
         if buf is None:
-            buf = np.empty(R.shape, dtype=V.dtype)
+            buf = np.empty(R.shape, dtype=dtype)
         B = buf[: len(js)]
         # mode="clip" skips the bounds check; with "raise", take buffers out.
         np.take(Ut, R, out=B, mode="clip")
@@ -213,31 +185,17 @@ def _row_correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return corr
 
 
-def spectral_profile(
-    f: GroupFunction, T: CharacterTable, C: ConjugacyData, *, tol: float = 1e-8
-) -> SpectralProfile:
-    """Per-irreducible squared HS norms via the class-correlation kernel.
+def _class_hs2(T: CharacterTable, C: ConjugacyData, R: np.ndarray) -> np.ndarray:
+    """hs2[r] = (chi_r . R) / n^2, the squared HS norms of a function f
+    from the class sums R (complex128) of its autocorrelation, R[c] = sum
+    over the pairs with x^{-1} y in class c of conj(f(x)) f(y).
 
-    One pass aggregates R[c] = sum over pairs with x^{-1} y in class c of
-    conj(f(x)) f(y); then hs2[r] = (chi_r . R) / n^2 for all rows at
-    O(k^2) total.  The pass is one row correlation (_correlation), in
-    float64 for real f: n^2 gathers for a dense f, and sum_x L(x) n for a
-    density on a small set, L(x) the length of the word of x^{-1}, as for
-    a translated class in verify_fcmu.  An imaginary
-    residue or a negative mass above 1e-8 raises, whatever ``tol``;
-    ``tol`` bounds only the Parseval residual against the 2-norm (pass
-    tol=inf to skip that raise when deliberately probing).
+    T must match C.  An imaginary residue or a negative mass above 1e-8
+    raises CertificationError; masses in [-1e-8, 0) are clipped to 0.
     """
-    G = f.group
-    C = _classes_of(G, C)
-    if T.k != C.k or T.n != G.n:
+    if T.k != C.k or T.n != C.group.n:
         raise GroupMismatchError("character table does not match the class data")
-    V = f.values.astype(_kernel_dtype(f.values), copy=False)
-    corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
-    R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
-        C.class_of, weights=corr.imag, minlength=C.k
-    )
-    hs2_c = (T.chi @ R) / (G.n * G.n)
+    hs2_c = (T.chi @ R) / (T.n * T.n)
     imag_residue = float(np.abs(hs2_c.imag).max())
     if imag_residue > 1e-8:
         raise CertificationError(
@@ -248,6 +206,30 @@ def spectral_profile(
     if neg < -1e-8:
         raise CertificationError(f"negative HS mass {neg:.3e} in spectral profile")
     np.clip(hs2, 0.0, None, out=hs2)
+    return hs2
+
+
+def spectral_profile(
+    f: GroupFunction, T: CharacterTable, C: ConjugacyData, *, tol: float = 1e-8
+) -> SpectralProfile:
+    """Per-irreducible squared HS norms via the class-correlation kernel.
+
+    One row correlation (_correlation, n^2 gathers, in float64 for real
+    f) gives corr[j] = sum_x conj(f(x)) f(xj); its class sums R[c] go
+    through _class_hs2, hs2[r] = (chi_r . R) / n^2 for all rows at O(k^2)
+    total.  An imaginary residue or a negative mass above 1e-8 raises,
+    whatever ``tol``; ``tol`` bounds only the Parseval residual against
+    the 2-norm (pass tol=inf to skip that raise when deliberately
+    probing).
+    """
+    G = f.group
+    C = _classes_of(G, C)
+    V = f.values.astype(_kernel_dtype(f.values), copy=False)
+    corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
+    R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
+        C.class_of, weights=corr.imag, minlength=C.k
+    )
+    hs2 = _class_hs2(T, C, R)
     norm2_sq = float(np.mean(np.abs(V) ** 2))
     residual = abs(float(T.degrees @ hs2) - norm2_sq)
     if residual > tol:

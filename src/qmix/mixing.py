@@ -16,8 +16,8 @@ from its values' dtype (GroupFunction keeps each function's own kind).
 _value_pass and the chain's c2 sum through one row-sum kernel,
 _row_sums, and count_progressions counts through _bit_pass.  These
 kernels, the search's sensitivity tables and the row correlation of
-fourier (convolution, the derivative average and the spectral profiles
-of parseval and fcmu) read the table's rows from one provider,
+fourier (convolution, the derivative average and the spectral profile
+of parseval) read the table's rows from one provider,
 groups._row_blocks, which derives each row from its parent's and alone
 decides the blocks' shape.  So none of them reads or builds the n x n
 table, each holds a few buffers of one block's shape, and each result
@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chartab import CharacterTable, ConjugacyData, _classes_of
+from .chartab import CharacterTable, ConjugacyData, _classes_of, _short_members
 from .errors import (
     GroupMismatchError,
     PreconditionError,
@@ -53,12 +53,12 @@ from .errors import (
 from .fourier import (
     GroupFunction,
     _check_index_set,
+    _class_hs2,
     _correlation,
     _kernel_dtype,
     _same_group,
     convolve,
     mean,
-    mu_translated_class,
     p_norm,
     spectral_profile,
 )
@@ -412,26 +412,40 @@ def verify_parseval(
     return _report("parseval", residual, tol, 0.0)
 
 
+def _translate_class_sums(C: ConjugacyData) -> np.ndarray:
+    """R[K, c], the sum over the class c of the autocorrelation of mu_g
+    for any g in the class K, as a (k, k) int64 array.
+
+    mu_g is n/|K| on gK, so R[K, c] = (n/|K|)^2 #{(a, b) in K x K : a^{-1}
+    b in c} = (n/|K|)^2 |K| #{y : y^{-1} in K, y z_K in c}, z_K the member
+    of K with the shortest word (chartab._short_members): the class
+    structure constants, free of g.  One compose walk y -> y z_{K(y)},
+    K(y) the class of y^{-1}, as long as the longest word among the z_K,
+    and one bincount of k^2 cells give every row.  Each entry is below
+    n^2 < 2^53, so exact in float64.
+    """
+    G = C.group
+    K = C.class_of.take(G.inv)
+    z = _short_members(G, C).take(K)
+    cells = K.astype(np.int64) * C.k + C.class_of.take(G.compose(np.arange(G.n), z))
+    counts = np.bincount(cells, minlength=C.k * C.k).reshape(C.k, C.k)
+    return ((G.n // C.sizes) ** 2 * C.sizes)[:, None] * counts
+
+
 def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     """Fourier mass of every translated-class density mu_g matches the
     class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry.
 
-    One profile per class covers every g.  For g in the class K, mu_g is
-    n/|K| on gK, and n/|K| is an integer (|K| divides n), so the profile's
-    correlation corr[j] = (n/|K|)^2 #{a in K : aj in K} is a sum of
-    integers, at most n^2 < 2^53: exact in any order and in either form
-    of _correlation, and free of g.  Every g in K thus gets the same bits
-    as the representative.  The correlation of a small class reads one
-    column per point of gK through compose, so the k profiles cost about
-    sum_K |K| L n gathers, L the length of a word, and at most n^2 each;
-    none reads a table.
+    Each row of _translate_class_sums goes as complex128 through the hs2
+    step of spectral_profile and its raises (fourier._class_hs2), so fcmu
+    checks the character table against the class structure constants; no
+    function, profile or table is built.
     """
-    G = C.group
+    R = _translate_class_sums(C).astype(np.complex128)
     worst = 0.0
-    for c, rep in enumerate(C.representatives):
-        profile = spectral_profile(mu_translated_class(G, C, rep), T, C, tol=math.inf)
+    for c in range(C.k):
         predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
-        worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
+        worst = max(worst, float(np.abs(_class_hs2(T, C, R[c]) - predicted).max()))
     return _report("fcmu", worst, tol, 0.0)
 
 
@@ -445,13 +459,14 @@ def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) ->
     value table, so 2n^3 bounds it from above.
     The chain adds 2n^3 for its c3 pass.  Both O(n^3) passes evaluate one
     element per coset of the central involutions E, so the estimate is
-    |E| times too high where |E| > 1.  Every other suite is charged n^2,
-    one walk of the rows per correlation.  fcmu's small classes take the
-    column form in place of that walk, at about |K| L n gathers each, L
-    the length of a word (see verify_fcmu), so n^2 counts its walk steps
-    about L times low.
+    |E| times too high where |E| > 1.  fcmu is charged its one walk, n
+    times the longest word it walks (_translate_class_sums), and every
+    other suite n^2, one walk of the rows per correlation.
     """
-    n = C.group.n
+    G = C.group
+    n = G.n
+    if suite == "fcmu":
+        return n * int(G.lengths[_short_members(G, C)].max())
     m = n if columns is None else columns
     cost = {"gamma": 2 * n * n * m, "chain": 4 * n**3}
     return cost.get(suite, n * n)

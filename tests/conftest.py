@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from qmix import (
     parse_spec,
     theta_defect,
 )
-from qmix.groups import CHUNK
+from qmix.groups import CHUNK, MAX_ORDER
 from qmix.mixing import _toggle_gain_tables
 
 
@@ -149,14 +151,16 @@ def reference_value_pass():
     return _reference_value_pass
 
 
-def _reference_correlation(G, U, V):
+def _reference_correlation(G, U, V, t=None):
     """corr[j] = sum_x U[x] V[xj], as the row correlation summed when it
     read the n x n table: U[rows] @ V[t[rows]] over CHUNK-point blocks of
     the support of U, in complex128 when either operand is complex and
-    float64 otherwise.  The table comes from compose, so the oracle
-    shares neither the row walk nor the column walks of the kernel."""
-    ar = np.arange(G.n)
-    t = G.compose(ar[:, None], ar)
+    float64 otherwise.  The table t comes from compose, built here unless
+    a caller that correlates many functions passes it, so the oracle
+    shares no row walk with the kernel."""
+    if t is None:
+        ar = np.arange(G.n)
+        t = G.compose(ar[:, None], ar)
     dtype = np.result_type(U, V, np.float64)
     U, V = U.astype(dtype), V.astype(dtype)
     xs = np.flatnonzero(U)
@@ -169,8 +173,8 @@ def _reference_correlation(G, U, V):
 
 @pytest.fixture(scope="session")
 def reference_correlation():
-    """The table-indexed row correlation, the oracle of both forms of
-    fourier._correlation."""
+    """The table-indexed row correlation, the oracle of
+    fourier._correlation and of fcmu's class sums."""
     return _reference_correlation
 
 
@@ -527,3 +531,117 @@ def validate_group():
     """Light's associativity test on the table G.mul, the check that a
     built table is a group."""
     return _validate_group
+
+
+def _partitions(m, most=None):
+    """The partitions of m, parts non-increasing, each at most ``most``."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, m if most is None else most), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first, *rest)
+
+
+def _conjugate_partition(shape):
+    return tuple(sum(1 for part in shape if part > j) for j in range(shape[0]))
+
+
+def _hook_length_degree(shape):
+    """f^lambda = m! / prod of the hook lengths (Frame, Robinson and
+    Thrall, 1954)."""
+    columns = _conjugate_partition(shape)
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= (part - j) + (columns[j] - i) - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def _closed_form_degrees(spec):
+    """The sorted character degrees of a family group, from its spec text
+    alone, in the standard library: no group is built.
+
+    cyclic:m has m ones; dihedral:m two ones and (m - 1)/2 twos for odd
+    m, four ones and (m - 2)/2 twos for even m.  sym:m has f^lambda over
+    the partitions of m (hook lengths), and alt:m one f^lambda per pair
+    {lambda, lambda'} of conjugate partitions and two f^lambda/2 per
+    self-conjugate one.  sl2:p has 1, p, (p + 1) x (p - 3)/2, (p - 1) x
+    (p - 1)/2 and (p +- 1)/2 twice each (Fulton and Harris,
+    Representation Theory, 5.2).  psl2:p has 1, p and two of (p + 1)/2,
+    (p + 1) x (p - 5)/4 and (p - 1) x (p - 1)/4 when p = 1 (mod 4), and
+    1, p and two of (p - 1)/2, (p + 1) x (p - 3)/4 and (p - 1) x (p - 3)/4
+    when p = 3 (mod 4).  A product's degrees are the products of its
+    factors' degrees.
+    """
+    family, _, body = spec.partition(":")
+    if family == "prod":
+        degrees = [1]
+        for factor in body.split("+"):
+            degrees = [a * b for a in degrees for b in _closed_form_degrees(factor)]
+        return sorted(degrees)
+    m = int(body)
+    if family == "cyclic":
+        degrees = [1] * m
+    elif family == "dihedral":
+        degrees = [1] * 2 + [2] * ((m - 1) // 2) if m % 2 else [1] * 4 + [2] * ((m - 2) // 2)
+    elif family == "sym":
+        degrees = [_hook_length_degree(shape) for shape in _partitions(m)]
+    elif family == "alt":
+        degrees = []
+        for shape in _partitions(m):
+            conjugate = _conjugate_partition(shape)
+            if shape == conjugate:
+                degrees += [_hook_length_degree(shape) // 2] * 2
+            elif shape > conjugate:
+                degrees.append(_hook_length_degree(shape))
+    elif family == "sl2":
+        degrees = [1, m, (m + 1) // 2, (m + 1) // 2, (m - 1) // 2, (m - 1) // 2]
+        degrees += [m + 1] * ((m - 3) // 2) + [m - 1] * ((m - 1) // 2)
+    elif family == "psl2" and m % 4 == 1:
+        degrees = [1, m, (m + 1) // 2, (m + 1) // 2]
+        degrees += [m + 1] * ((m - 5) // 4) + [m - 1] * ((m - 1) // 4)
+    elif family == "psl2":
+        degrees = [1, m, (m - 1) // 2, (m - 1) // 2]
+        degrees += [m + 1] * ((m - 3) // 4) + [m - 1] * ((m - 3) // 4)
+    else:
+        raise ValueError(f"no closed form for {spec!r}")
+    return sorted(degrees)
+
+
+# The closed-form test covers every family group with at most this many
+# classes, and every product of two family groups with at most
+# CLOSED_FORM_FACTOR_CLASSES each, up to the order cap MAX_ORDER.
+CLOSED_FORM_CLASSES = 36
+CLOSED_FORM_FACTOR_CLASSES = 4
+
+
+def _closed_form_specs():
+    odd_primes = [p for p in range(3, 48) if all(p % d for d in range(2, p))]
+    singles = [
+        *(f"cyclic:{m}" for m in range(2, CLOSED_FORM_CLASSES + 1)),
+        *(f"dihedral:{m}" for m in range(2, 2 * CLOSED_FORM_CLASSES)),
+        *(f"{family}:{m}" for family in ("sym", "alt") for m in range(3, 9)),
+        *(f"{family}:{p}" for family in ("sl2", "psl2") for p in odd_primes),
+    ]
+
+    def fits(spec, classes):
+        degrees = _closed_form_degrees(spec)
+        return len(degrees) <= classes and sum(d * d for d in degrees) <= MAX_ORDER
+
+    singles = [s for s in singles if fits(s, CLOSED_FORM_CLASSES)]
+    small = [s for s in singles if fits(s, CLOSED_FORM_FACTOR_CLASSES)]
+    products = [f"prod:{a}+{b}" for i, a in enumerate(small) for b in small[i:]]
+    return singles + [s for s in products if fits(s, math.inf)]
+
+
+def pytest_generate_tests(metafunc):
+    if "closed_form_spec" in metafunc.fixturenames:
+        metafunc.parametrize("closed_form_spec", _closed_form_specs())
+
+
+@pytest.fixture(scope="session")
+def closed_form_degrees():
+    """The stdlib degree multiset of a family spec, an oracle for the
+    exact character table that shares nothing with the engine."""
+    return _closed_form_degrees

@@ -147,32 +147,38 @@ def test_row_blocks_give_the_table_rows(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "prod:sl2:5+cyclic:3"])
-def test_fcmu_per_class_matches_per_element_sweep(bundle, spec):
-    """verify_fcmu's one profile per class gives the bits of one per element.
+def test_fcmu_per_class_matches_per_element_sweep(bundle, spec, reference_correlation):
+    """verify_fcmu's class sums, one row per class from the structure
+    constants, are the bits of every element's own.
 
-    The reference builds the profile of every element's mu_g (CHARTAB_GROUPS
-    holds psl2:11; the product adds a group with a center).  Each profile
-    must equal the first one of its class bit for bit, and the worst
-    deviation over all g must equal verify_fcmu's lhs exactly.
+    The reference correlates every element's mu_g through one
+    compose-built table per group (CHARTAB_GROUPS holds psl2:11; the
+    product adds a group with a center) and takes its class sums.  Each
+    must equal the row of g's class bit for bit, and the worst deviation
+    of their profiles over all g must equal verify_fcmu's lhs exactly.
     """
     G, C, T = bundle(spec)
-    first = {}
+    R = mixing._translate_class_sums(C).astype(np.float64)
+    ar = np.arange(G.n)
+    t = G.compose(ar[:, None], ar)
     worst = 0.0
     for g in range(G.n):
         c = int(C.class_of[g])
-        hs2 = spectral_profile(mu_translated_class(G, C, g), T, C, tol=math.inf).hs2
-        assert hs2.tobytes() == first.setdefault(c, hs2).tobytes(), (spec, g)
+        mu = mu_translated_class(G, C, g).values
+        corr = reference_correlation(G, mu, mu, t)
+        Rg = np.bincount(C.class_of, weights=corr, minlength=C.k)
+        assert Rg.tobytes() == R[c].tobytes(), (spec, g)
         predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
+        hs2 = fourier._class_hs2(T, C, Rg.astype(np.complex128))
         worst = max(worst, float(np.abs(hs2 - predicted).max()))
     assert verify_fcmu(T, C, 1e-8).lhs_value == worst
 
 
 @pytest.mark.parametrize("spec", CHARTAB_GROUPS)
-def test_correlation_forms_agree_bit_for_bit_on_integer_terms(bundle, spec):
-    """The column and row forms of fourier._correlation sum in different
-    orders, but every term of a class density's profile and of +-1 data
-    is an integer, so both must give the same bits, whichever form
-    _correlation picks."""
+def test_correlation_forms_agree_bit_for_bit_on_integer_terms(bundle, spec, reference_correlation):
+    """The row correlation and the table oracle sum in different orders,
+    but every term of a class density's correlation and of +-1 data is
+    an integer, so both must give the same bits."""
     G, C, _ = bundle(spec)
     rng = np.random.default_rng(17)
     signs = [rng.integers(0, 2, G.n) * 2 - 1 for _ in range(2)]
@@ -180,11 +186,12 @@ def test_correlation_forms_agree_bit_for_bit_on_integer_terms(bundle, spec):
     for rep in C.representatives:
         mu = mu_translated_class(G, C, int(rep)).values
         pairs.append((mu, mu))
+    ar = np.arange(G.n)
+    t = G.compose(ar[:, None], ar)
     for U, V in pairs:
         U, V = U.astype(np.float64), V.astype(np.float64)
-        rows = fourier._row_correlation(G, U, V)
-        assert rows.tobytes() == fourier._column_correlation(G, U, V).tobytes()
-        assert rows.tobytes() == fourier._correlation(G, U, V).tobytes()
+        want = reference_correlation(G, U, V, t)
+        assert fourier._correlation(G, U, V).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [*CHARTAB_GROUPS, "sl2:23", "alt:8"])

@@ -197,6 +197,18 @@ class TestCharacterTable:
         _, _, T = bundle(spec)
         assert T.degrees.tolist() == degrees
 
+    def test_degrees_match_the_closed_form(self, closed_form_spec, closed_form_degrees):
+        # Every family group with at most 36 classes and every product of
+        # two with at most 4 each (conftest._closed_form_specs): the exact
+        # table's degrees, k and D against formulas that build no group, so
+        # a wrong group of the right order fails here.
+        degrees = closed_form_degrees(closed_form_spec)
+        G = build_group(closed_form_spec)
+        T = compute_character_table(G, conjugacy_classes(G))
+        assert T.degrees.tolist() == degrees
+        assert T.k == len(degrees) and G.n == sum(d * d for d in degrees)
+        assert T.D == min(degrees[1:], default=1)
+
     @pytest.mark.parametrize("spec", BATTERY)
     def test_certification_invariants(self, spec, bundle):
         G, C, T = bundle(spec)

@@ -35,7 +35,7 @@ from qmix import (
     verify_fcmu,
     verify_parseval,
 )
-from qmix import mixing
+from qmix import chartab, mixing
 from qmix.fourier import _correlation
 from qmix.groups import CHUNK
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
@@ -529,10 +529,10 @@ class TestParsevalAndFcmu:
             verify_fcmu(bad, C, 1e-8)
 
     def test_fcmu_and_bnp_build_no_table(self):
-        # Both read rows or columns, never the table: their peak is one walk
-        # block and its value buffer (about CHUNK^2 entries, 8 bytes each)
-        # plus a few n-vectors and the walk's lists, where the table alone
-        # takes 4n^2 bytes.
+        # Neither reads the table: bnp's peak is one walk block and its
+        # value buffer (about CHUNK^2 entries, 8 bytes each), fcmu's a few
+        # n-vectors of its one walk, plus the walk's lists, where the table
+        # alone takes 4n^2 bytes.
         G = build_group("sl2:13")
         C = conjugacy_classes(G)
         T = compute_character_table(G, C)
@@ -548,10 +548,12 @@ class TestParsevalAndFcmu:
         assert peak < 64 * CHUNK**2 + 256 * G.n
 
     def test_fcmu_size_guard(self, bundle, monkeypatch):
-        # The estimate charges fcmu n^2 gathers, the O(n^2) default;
+        # The estimate charges fcmu its one walk: n times the longest word
+        # among the classes' shortest members (2 steps on alt:5);
         # verify_fcmu keeps no guard of its own, even below that.
         G, C, T = bundle("alt:5")
-        assert mixing.gather_estimate("fcmu", C) == G.n**2
+        longest = max(int(G.lengths[z]) for z in chartab._short_members(G, C))
+        assert mixing.gather_estimate("fcmu", C) == G.n * longest < G.n**2
         per_element = G.n * sum(int(k) ** 2 for k in C.sizes)
         for budget in (per_element - 1, 0):
             monkeypatch.setattr(mixing, "GATHER_BUDGET", budget)

@@ -28,8 +28,8 @@ and the chain's c4 has one body too, _class_conv_sums, which reads
 every operand as a row of the value table.  It and the chain's c3 pass
 are the O(n^3) work, and the only readers of the n x n table
 (``GroupTable.mul``, 4n^2 bytes, filled on their first read and kept):
-the cost model admits them only up to n = 3535, so the table stays
-below 50 MB.  Both integrands are
+each runs exhaustively or refuses, and the cost model admits them only
+up to n = 736, so the table stays below 2.2 MB.  Both integrands are
 invariant under multiplication by the central involutions
 E = {z central : z^2 = 1}: each evaluates one element per coset of E
 (_central_involutions, which reads E through compose), weighted |E|, a
@@ -65,13 +65,8 @@ from .fourier import (
 from .groups import CHUNK, GroupTable, _row_blocks
 
 # The one size limit of the O(n^3) checks, in table gathers per call (see
-# gather_estimate): the chain and sampled gamma refuse a larger
-# estimate, and gamma runs exhaustively whenever its full pass fits.
+# gather_estimate): the chain and gamma refuse a larger estimate.
 GATHER_BUDGET = 800_000_000
-
-# Columns b that sampled gamma draws, read at call time (see
-# gamma_functional).
-GAMMA_COLUMNS = 32
 
 SUP_SLACK = 1e-12
 MEAN_ZERO_TOL = 1e-10
@@ -99,21 +94,14 @@ class MixingReport:
 
 @dataclass(eq=False)
 class LemmaReport:
-    """One verified inequality instance.
-
-    Exhaustive mode passes iff lhs <= rhs + tol; sampled mode allows an
-    extra 3 * stderr_estimate of Monte Carlo slack.  A sampled mode reads
-    sampled(m=<count>,seed=<seed>), where for gamma m counts the columns b
-    drawn, each averaged over every g.
-    """
+    """One verified inequality instance, computed exactly: it passes iff
+    lhs <= rhs + tol."""
 
     lemma_id: str
     lhs_value: float
     rhs_bound: float
-    mode: str
     passed: bool
     margin: float
-    stderr_estimate: float | None = None
 
 
 @dataclass(eq=False)
@@ -370,24 +358,13 @@ def count_progressions(A1, A2, A3, G: GroupTable) -> int:
     return int(_bit_pass(G, *([v] for v in V))[0])
 
 
-def _report(
-    lemma_id: str,
-    lhs: float,
-    rhs: float,
-    tol: float,
-    *,
-    stderr: float | None = None,
-    mode: str = "exhaustive",
-) -> LemmaReport:
-    slack = 0.0 if stderr is None else 3.0 * stderr
+def _report(lemma_id: str, lhs: float, rhs: float, tol: float) -> LemmaReport:
     return LemmaReport(
         lemma_id=lemma_id,
         lhs_value=float(lhs),
         rhs_bound=float(rhs),
-        mode=mode,
-        passed=bool(lhs <= rhs + slack + tol),
+        passed=bool(lhs <= rhs + tol),
         margin=float(rhs - lhs),
-        stderr_estimate=stderr,
     )
 
 
@@ -449,26 +426,23 @@ def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
     return _report("fcmu", worst, tol, 0.0)
 
 
-def gather_estimate(suite: str, C: ConjugacyData, columns: int | None = None) -> int:
+def gather_estimate(suite: str, C: ConjugacyData) -> int:
     """Table gathers one call of a verify suite makes on the group of C.
 
-    gamma at m columns b costs 2n^2 m: n^2 m for the class-averaged
-    tables A_K and m rows of n per g; ``columns`` is m, or None for all
-    n columns (2n^3).  The exhaustive pass evaluates only one column per
-    pair {b, b^{-1}}, about half of them, and reads its rows from a held
-    value table, so 2n^3 bounds it from above.
-    The chain adds 2n^3 for its c3 pass.  Both O(n^3) passes evaluate one
-    element per coset of the central involutions E, so the estimate is
-    |E| times too high where |E| > 1.  fcmu is charged its one walk, n
-    times the longest word it walks (_translate_class_sums), and every
-    other suite n^2, one walk of the rows per correlation.
+    gamma costs 2n^3: n^3 for the class-averaged tables A_K and n rows of
+    n per g.  Its pass evaluates only one column per pair {b, b^{-1}},
+    about half of them, so 2n^3 bounds it from above.  The chain adds
+    2n^3 for its c3 pass.  Both O(n^3) passes evaluate one element per
+    coset of the central involutions E, so the estimate is |E| times too
+    high where |E| > 1.  fcmu is charged its one walk, n times the
+    longest word it walks (_translate_class_sums), and every other suite
+    n^2, one walk of the rows per correlation.
     """
     G = C.group
     n = G.n
     if suite == "fcmu":
         return n * int(G.lengths[_short_members(G, C)].max())
-    m = n if columns is None else columns
-    cost = {"gamma": 2 * n * n * m, "chain": 4 * n**3}
+    cost = {"gamma": 2 * n**3, "chain": 4 * n**3}
     return cost.get(suite, n * n)
 
 
@@ -476,16 +450,14 @@ def check_budget(suite: str, C: ConjugacyData) -> None:
     """Raise SizeGuardError when a suite's estimate (gather_estimate)
     exceeds GATHER_BUDGET, before anything is built.
 
-    gamma counts only its GAMMA_COLUMNS sampled columns when its
-    exhaustive pass does not fit.  The cost model alone decides: the
-    O(n^2) suites read no table and are admitted while n^2 fits, up to
-    n = 28284, and the O(n^3) ones, the only readers of ``GroupTable.mul``,
-    only up to n = 3535 (sampled gamma).  No other rule bounds the n x n
-    table they build in their first kernel: 4n^2 bytes, at most 50 MB.
+    The cost model alone decides, with no fallback: the O(n^2) suites
+    read no table and are admitted while n^2 fits, up to n = 28284, and
+    the O(n^3) ones, the only readers of ``GroupTable.mul``, only up to
+    n = 736 (gamma; the chain up to n = 584).  No other rule bounds the
+    n x n table they build in their first kernel: 4n^2 bytes, at most
+    2.2 MB.
     """
     cost = gather_estimate(suite, C)
-    if suite == "gamma" and cost > GATHER_BUDGET:
-        cost = gather_estimate(suite, C, GAMMA_COLUMNS)
     if cost > GATHER_BUDGET:
         raise SizeGuardError(
             f"{suite} on n={C.group.n} needs about {cost:.2g} table gathers, "
@@ -508,7 +480,7 @@ def verify_derivative_bound(
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, held=False):
+def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
     """Sums over g of the class-convolution integrands of f at the columns
     b in ``cols``: (sum |inner0|, sum inner0 + inner_mean, sum |inner_mean|),
     each a vector over the columns.
@@ -525,14 +497,9 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     rows g^{-1} b^{-1} for the second.  A_K gathers the (n x m) table of
     D_b o inv through the table rows of K, |K| n m gathers and n^2 m over
     all classes; mu is one row correlation.  Each g then costs m + 1 rows
-    and one matrix-vector product.  ``held`` reads the rows from the held
-    table ft[t] (8n^2 bytes, 16n^2 for complex f); otherwise each g
-    gathers its own, with the same bits.  The mode picks the fork, not a
-    user: over the columns R of _inverse_pairs held rows ran 1.3-1.8
-    times faster than gathered ones (in-process on a 2-vCPU VM: sl2:7 23
-    vs 41 ms, alt:6 75 vs 135 ms, psl2:11 0.51 vs 0.67 s), while sampled
-    gamma, which starts above n = 736, cannot afford the 8n^2 bytes
-    (about 100 MB at its limit n = 3535).
+    of the value table ft[t], held for the pass (8n^2 bytes, 16n^2 for
+    complex f, 4.3 MB for real f at the limit n = 736 of check_budget),
+    and one matrix-vector product.
 
     Both integrands are the same at g and g z for z in E = {z central :
     z^2 = 1}: (gz)^{-1} b (gz) = g^{-1} b g, and the density of gz sits
@@ -543,21 +510,14 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
     halves of the pass shrink by |E|.  Where E is trivial every g is
     evaluated, in class order, and the sums keep their bits.
     """
-    t = G.mul  # at most 50 MB where check_budget admits this
+    t = G.mul  # at most 2.2 MB where check_budget admits this
     n, m = G.n, len(cols)
     W = V.astype(_kernel_dtype(V), copy=False)
     mu = _correlation(G, W, W) / n  # mu[c] = E_x f(x) f(xc) = mu_c
     ft = W[G.inv]
     bi = G.inv[cols]
     deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)  # [x, j]: D_{b_j}(x^{-1})
-    VT = ft[t] if held else None
-
-    def take_rows(h, out):
-        # mode="clip" skips the bounds check; with "raise", take buffers out.
-        if held:
-            return np.take(VT, h, axis=0, out=out, mode="clip")
-        return np.take(ft, t[h], out=out, mode="clip")
-
+    VT = ft[t]
     picked, e = _central_involutions(G, C)
     A = np.empty_like(deriv)
     X = np.empty((m, n), dtype=ft.dtype)
@@ -578,9 +538,10 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols, *, he
         for g in gs:
             gi = G.inv[g]
             h = t[gi, bi]  # h[j] = g^{-1} b_j^{-1}
-            take_rows(h, X)  # X[j, u] = f(u^{-1} b_j g)
+            # mode="clip" skips the bounds check; with "raise", take buffers out.
+            np.take(VT, h, axis=0, out=X, mode="clip")  # X[j, u] = f(u^{-1} b_j g)
             X *= AT
-            full = X @ take_rows(gi, Fg) / n
+            full = X @ np.take(VT, gi, axis=0, out=Fg, mode="clip") / n
             inner_mean = mu[t[h, g]] * mu[cols]  # mu_c = mu_{c^{-1}}
             abs0 += np.abs(full - inner_mean)
             full_sum += full
@@ -622,7 +583,7 @@ def _class_conv_stats(
       gamma     = E_{g,b} |E_x[ D_b(x) * (D0_{g^{-1}bg} * mu_g)(x) ]|
       c4        = |E_{g,b,x}[ D_b(x) * (D_{g^{-1}bg} * mu_g)(x) ]|
       mean_term = E_{g,b} |E_x[D_b] * E_x[D_{g^{-1}bg}]|
-    from the sums of ``_class_conv_sums`` over a held value table.  Both
+    from the sums of ``_class_conv_sums``.  Both
     integrands are equal at b and b^{-1}, for complex f too: in the
     coordinates z = u^{-1}, A_K[z, b] = mean_{c in K} f(zc^{-1}) f(zc^{-1}b),
     and z = y b^{-1}, c' = b^{-1} c b, in K, give A_K[y b^{-1}, b] =
@@ -631,7 +592,7 @@ def _class_conv_stats(
     coset of the central involutions, weighted |E| (_class_conv_sums).
     """
     R, w = _inverse_pairs(G)
-    gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R, held=True))
+    gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R))
     scale = float(G.n) * float(G.n)
     return float(gamma) / scale, float(abs(c4)) / scale, float(mean_term) / scale
 
@@ -641,44 +602,24 @@ def gamma_functional(
     T: CharacterTable,
     C: ConjugacyData | None = None,
     *,
-    seed: int = 0,
     tol: float = 1e-9,
 ) -> LemmaReport:
     """Average over (g, b) of |E_x[D_b f(x) (f0_{g^{-1}bg} * mu_g)(x)]|.
 
     D_b f is the multiplicative derivative, f0_c the mean-zero part of
     D_c f, and mu_g the scaled density on g^{-1} C(g^{-1}); the bound is
-    1/sqrt(D).  Exhaustive over all n^2 pairs whenever that pass fits
-    GATHER_BUDGET.  Otherwise m = GAMMA_COLUMNS distinct seeded columns b
-    are drawn, m read at call time, each averaged over every g, and the
-    report gives the mean of those m column means with stderr
-    std(ddof=1)/sqrt(m) (conservative: no finite-population correction);
-    sampled runs pass with 3 * stderr slack.  A sampled run whose 2n^2 m
-    gathers exceed GATHER_BUDGET raises SizeGuardError before any work
-    (check_budget).  Both modes run one body (_class_conv_sums) at O(n^2)
-    gathers per column, every operand a row of the table of values of
-    f: the exhaustive pass evaluates one column per pair {b, b^{-1}} and
-    holds that n x n table, while the sampled one, which starts only
-    where 2n^3 exceeds GATHER_BUDGET, gathers each g's rows and holds a
-    few n x m tables.  Either evaluates one g per coset gE of the central
+    1/sqrt(D).  Exact over all n^2 pairs, or SizeGuardError before any
+    work where the 2n^3 gathers of that pass exceed GATHER_BUDGET
+    (check_budget, n > 736).  The pass (_class_conv_stats) reads every
+    operand as a row of the held table of values of f, evaluates one
+    column per pair {b, b^{-1}} and one g per coset gE of the central
     involutions E, weighted |E|, so on SL_2(p) (E = {I, -I}) it does half
     the work of a pass over every g.
     """
     G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
     check_budget("gamma", C)
-    rhs = 1.0 / math.sqrt(T.D)
-
-    if gather_estimate("gamma", C) <= GATHER_BUDGET:
-        gamma, _, _ = _class_conv_stats(G, C, f.values)
-        return _report("gamma", gamma, rhs, tol)
-
-    m = GAMMA_COLUMNS
-    cols = np.random.default_rng(seed).choice(G.n, size=m, replace=False)
-    values = _class_conv_sums(G, C, f.values, cols)[0] / G.n
-    lhs = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(m))
-    mode = f"sampled(m={m},seed={seed})"
-    return _report("gamma", lhs, rhs, tol, stderr=stderr, mode=mode)
+    gamma, _, _ = _class_conv_stats(G, C, f.values)
+    return _report("gamma", gamma, 1.0 / math.sqrt(T.D), tol)
 
 
 def cs_chain_diagnostics(
@@ -712,7 +653,7 @@ def cs_chain_diagnostics(
     )
     check_budget("chain", C)
 
-    t = G.mul  # at most 50 MB where check_budget admits this
+    t = G.mul  # at most 2.2 MB where check_budget admits this
     n = G.n
     v1, v2, v3 = (f.values.astype(np.float64, copy=False) for f in (f1, f2, f3))
 

@@ -323,32 +323,24 @@ def test_criterion_05_derivative_average_bound(bundle, capsys):
     )
 
 
-def test_criterion_06_class_convolution_functional(bundle, capsys, monkeypatch):
-    G, C, T = bundle("alt:5")
+def test_criterion_06_class_convolution_functional(bundle, capsys):
     rhs = 1 / math.sqrt(3)
-    exhaustive_ok = True
-    worst = 0.0
-    for f in random_ensemble(G, "mean_zero_rademacher", (42, 103), 50):
-        rep = gamma_functional(f, T, C, tol=1e-9)
-        exhaustive_ok &= rep.mode == "exhaustive"
-        exhaustive_ok &= rep.passed and rep.lhs_value <= rhs + 1e-9
-        worst = max(worst, rep.lhs_value)
-    Gs, Cs, Ts = bundle("sl2:7")
-    # sl2:7's exhaustive pass fits the gather budget; one gather less
-    # makes gamma sample there.  16 columns of 336 evaluate 5376 pairs.
-    monkeypatch.setattr(mixing, "GATHER_BUDGET", mixing.gather_estimate("gamma", Cs) - 1)
-    monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 16)
-    sampled_ok = True
-    for i, f in enumerate(random_ensemble(Gs, "mean_zero_rademacher", (44, 103), 50)):
-        rep = gamma_functional(f, Ts, Cs, seed=1000 + i)
-        sampled_ok &= rep.passed
-        sampled_ok &= rep.lhs_value <= rhs + 3 * rep.stderr_estimate + 1e-9
-    ok = exhaustive_ok and sampled_ok
+    ok = True
+    worst = {}
+    # Both groups have D = 3; gamma is exact on each, over all n^2 pairs.
+    for spec, stream in (("alt:5", (42, 103)), ("sl2:7", (44, 103))):
+        G, C, T = bundle(spec)
+        assert T.D == 3
+        worst[spec] = 0.0
+        for f in random_ensemble(G, "mean_zero_rademacher", stream, 50):
+            rep = gamma_functional(f, T, C, tol=1e-9)
+            ok &= rep.passed and rep.lhs_value <= rhs + 1e-9
+            worst[spec] = max(worst[spec], rep.lhs_value)
     announce(
         capsys, 6, ok,
-        f"functional under 1/sqrt(3): exhaustive on alt:5 for 50 seeds "
-        f"(max {worst:.4f}), 16 sampled columns on sl2:7 for 50 seeds "
-        f"within 3 standard errors",
+        f"functional under 1/sqrt(3), exact over every (g, b), for 50 seeds "
+        f"each on alt:5 (max {worst['alt:5']:.4f}) and sl2:7 "
+        f"(max {worst['sl2:7']:.4f})",
     )
 
 

@@ -146,8 +146,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite", ["bnp", "derivative", "gamma", "fcmu", "parseval", "chain"]
     )
-    def test_small_runs_pass(self, capsys, monkeypatch, suite):
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 300)
+    def test_small_runs_pass(self, capsys, suite):
         trials = () if suite == "fcmu" else ("--trials", "3")
         code, out, _ = run(capsys, "verify", "alt:5", "--suite", suite, *trials)
         assert code == 0
@@ -184,8 +183,7 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials must be >= 1" in err
 
-    def test_suite_all_emits_every_lemma(self, capsys, monkeypatch):
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 200)
+    def test_suite_all_emits_every_lemma(self, capsys):
         code, out, _ = run(
             capsys, "verify", "psl2:5", "--suite", "all",
             "--trials", "2", "--format", "json",
@@ -197,6 +195,7 @@ class TestVerifyCommand:
         assert all(row["passed"] for row in rows)
         assert all(row["group"] == "psl2:5" for row in rows)
         assert all((row["hash"] is None) == (row["lemma_id"] == "fcmu") for row in rows)
+        assert all(row["mode"] == "exhaustive" and row["stderr"] is None for row in rows)
 
     def test_rows_ordered_by_trial(self, capsys):
         code, out, _ = run(
@@ -211,8 +210,7 @@ class TestVerifyCommand:
 
         def broken(f1, f2, T, tol=1e-9):
             return LemmaReport(
-                lemma_id="bnp", lhs_value=2.0, rhs_bound=1.0,
-                mode="exhaustive", passed=False, margin=-1.0,
+                lemma_id="bnp", lhs_value=2.0, rhs_bound=1.0, passed=False, margin=-1.0
             )
 
         monkeypatch.setattr(cli_module, "verify_bnp", broken)
@@ -225,28 +223,6 @@ class TestVerifyCommand:
         assert "replay: qmix verify alt:5 --suite bnp" in err
         assert "hash=" in err
         replay = err.split("replay: qmix ")[1].splitlines()[0].split()
-        assert run(capsys, *replay) == (code, out, err)
-
-        # A sampled gamma failure replays with the same draws and the full tol.
-        def broken_gamma(f, T, C, *, seed, tol):
-            return LemmaReport(
-                lemma_id="gamma", lhs_value=2.0, rhs_bound=1.0,
-                mode=f"sampled(m={mixing.GAMMA_COLUMNS},seed={seed})", passed=False,
-                margin=-1.0, stderr_estimate=0.0,
-            )
-
-        monkeypatch.setattr(cli_module, "gamma_functional", broken_gamma)
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 500)
-        argv = (
-            "verify", "alt:5", "--suite", "gamma", "--trials", "1",
-            "--seed", "7", "--tol", "1.2345678e-09",
-        )
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert "mode=sampled(m=500,seed=7000021)" in out
-        assert "FAIL lemma=gamma" in err
-        replay = err.split("replay: qmix ")[1].split()
-        assert replay == list(argv)
         assert run(capsys, *replay) == (code, out, err)
 
     def test_fcmu_runs_above_the_old_size_guard(self, capsys):
@@ -268,8 +244,7 @@ class TestVerifyCommand:
 
         def broken(T, C, tol):
             return LemmaReport(
-                lemma_id="fcmu", lhs_value=2.0, rhs_bound=tol,
-                mode="exhaustive", passed=False, margin=tol - 2.0,
+                lemma_id="fcmu", lhs_value=2.0, rhs_bound=tol, passed=False, margin=tol - 2.0
             )
 
         monkeypatch.setattr(cli_module, "verify_fcmu", broken)
@@ -303,13 +278,38 @@ class TestVerifyCommand:
             raise AssertionError("gamma ran")
 
         monkeypatch.setattr(cli_module, "gamma_functional", never)
-        # sl2:17 samples, and 2n^2 GAMMA_COLUMNS = 64n^2 exceeds the budget.
+        # gamma runs all 2n^3 gathers or none, and 2 * 4896^3 exceeds the budget.
         code, out, err = run(
             capsys, "verify", "sl2:17", "--suite", "gamma", "--trials", "1"
         )
         assert code == 2
         assert out == ""
-        assert "gamma on n=4896 needs about 1.5e+09 table gathers" in err
+        assert "gamma on n=4896 needs about 2.3e+11 table gathers" in err
+
+    def test_gamma_above_its_exhaustive_limit_refused(self, capsys, monkeypatch):
+        # psl2:13 (n = 1092) is the smallest family group above n = 736:
+        # refused before the character table, any draw or the n x n table.
+        import qmix.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("gamma or the character table ran")
+
+        groups = []
+
+        def recorded(spec):
+            groups.append(build_group(spec))
+            return groups[-1]
+
+        monkeypatch.setattr(cli_module, "build_group", recorded)
+        monkeypatch.setattr(cli_module, "gamma_functional", never)
+        monkeypatch.setattr(cli_module, "compute_character_table", never)
+        code, out, err = run(
+            capsys, "verify", "psl2:13", "--suite", "gamma", "--trials", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "gamma on n=1092 needs about 2.6e+09 table gathers" in err
+        assert [G.n for G in groups] == [1092] and groups[0].table is None
 
     def test_budget_is_no_verify_option(self, capsys):
         code, out, err = run(capsys, "verify", "alt:5", "--budget", "32")
@@ -747,8 +747,8 @@ GOLDEN_STDOUT = [
         "c03e8ab612759a97feff0ab5388b31a830d849623e47668257f7f15183b12f28",
     ),
     (
-        ("verify", "psl2:13", "--suite", "gamma", "--trials", "2"),
-        "dfb11a14820ea5180e4483abc2f8e8765474a5b727ec7d9de458038588018b0d",
+        ("verify", "psl2:11", "--suite", "gamma", "--trials", "1"),
+        "912bae28a540129543fcaf35f2de2ec0ead8fc900aae83481c014c0b98aa58af",
     ),
 ]
 

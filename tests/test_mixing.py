@@ -473,7 +473,6 @@ class TestBnp:
         assert rep.lhs_value == pytest.approx(1 / 3, abs=1e-9)
         assert rep.rhs_bound == pytest.approx(1 / math.sqrt(3), abs=1e-12)
         assert rep.passed
-        assert rep.mode == "exhaustive"
 
     def test_random_pairs_pass(self, bundle):
         G, _, T = bundle("psl2:5")
@@ -502,7 +501,7 @@ class TestParsevalAndFcmu:
         G, C, T = bundle("alt:5")
         for f in random_ensemble(G, "unimodular", 5, 3):
             rep = verify_parseval(f, T, C, 1e-8)
-            assert rep.lemma_id == "parseval" and rep.mode == "exhaustive"
+            assert rep.lemma_id == "parseval"
             assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
             assert rep.margin == rep.rhs_bound - rep.lhs_value
             assert not verify_parseval(f, T, C, -1e-3).passed
@@ -510,9 +509,8 @@ class TestParsevalAndFcmu:
     def test_fcmu_passes_and_fails_below_zero_tol(self, bundle):
         G, C, T = bundle("alt:5")
         rep = verify_fcmu(T, C, 1e-8)
-        assert rep.lemma_id == "fcmu" and rep.mode == "exhaustive"
+        assert rep.lemma_id == "fcmu"
         assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
-        assert rep.stderr_estimate is None
         assert not verify_fcmu(T, C, -1e-3).passed
 
     def test_fcmu_raises_on_a_phase_turned_row(self, bundle):
@@ -688,11 +686,6 @@ def class_conv_brute_force(f, C, delta_shift):
     return gamma / n**2, abs(c4) / n**2, mean_term / n**2
 
 
-def force_sampled(monkeypatch, C):
-    """Set the gather budget just below gamma's exhaustive pass on C."""
-    monkeypatch.setattr(mixing, "GATHER_BUDGET", mixing.gather_estimate("gamma", C) - 1)
-
-
 def bounded_mean_zero(G, seed, complex_values):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1, 1, G.n)
@@ -713,7 +706,6 @@ class TestGammaFunctional:
         G, C, T = bundle("sym:3")
         f = bounded_mean_zero(G, 7, complex_values)
         rep = gamma_functional(f, T, C)
-        assert rep.mode == "exhaustive"
         want = class_conv_brute_force(f, C, delta_shift)
         assert rep.lhs_value == pytest.approx(want[0], abs=1e-12)
         assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
@@ -721,11 +713,16 @@ class TestGammaFunctional:
     @pytest.mark.parametrize("complex_values", [False, True])
     # cyclic:6 has only singleton classes; sl2:3 has a center of order 2.
     @pytest.mark.parametrize("spec", ["cyclic:6", "sl2:3"])
-    def test_class_conv_stats_brute_force(self, spec, complex_values, bundle, delta_shift):
+    def test_class_conv_stats_brute_force(
+        self, spec, complex_values, bundle, delta_shift, monkeypatch
+    ):
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 41, complex_values)
-        got = _class_conv_stats(G, C, f.values)
-        assert got == pytest.approx(class_conv_brute_force(f, C, delta_shift), abs=1e-12)
+        want = class_conv_brute_force(f, C, delta_shift)
+        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
+        # A block size of 3 splits every class average into several blocks of rows.
+        monkeypatch.setattr(mixing, "CHUNK", 3)
+        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("spec", ["sl2:3", "sym:4"])
@@ -748,7 +745,7 @@ class TestGammaFunctional:
     )
     def test_class_conv_stats_match_the_column_body(self, spec, complex_values, bundle):
         # The weighted pair pass against unweighted sums of the one body
-        # over all n columns, with rows gathered as sampled gamma reads them.
+        # over all n columns, which catches a wrong pair weight.
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 53, complex_values)
         gamma, c4, mean_term = (s.sum() for s in _class_conv_sums(G, C, f.values, np.arange(G.n)))
@@ -756,111 +753,32 @@ class TestGammaFunctional:
         got = np.array(_class_conv_stats(G, C, f.values))
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("complex_values", [False, True])
-    @pytest.mark.parametrize("spec", ["sl2:5", "psl2:7", "alt:5", "prod:sl2:5+cyclic:3"])
-    def test_held_and_gathered_rows_give_equal_sums(self, spec, complex_values, bundle):
-        # The exhaustive pass reads rows of a held value table and sampled
-        # gamma gathers them; the sums carry the same bits.
-        G, C, _ = bundle(spec)
-        f = bounded_mean_zero(G, 59, complex_values)
-        cols = np.random.default_rng(61).choice(G.n, size=17, replace=False)
-        held = _class_conv_sums(G, C, f.values, cols, held=True)
-        gathered = _class_conv_sums(G, C, f.values, cols)
-        assert [s.dtype for s in held] == [s.dtype for s in gathered]
-        assert all(np.array_equal(a, b) for a, b in zip(held, gathered))
-
-    def test_sampled_gamma_holds_no_value_table(self, bundle):
-        # psl2:13 (n = 1092) samples; a held n x n value table alone would
-        # take 8n^2 bytes.  The group's own table (4n^2 bytes) is built
-        # first, so the peak counts only what gamma holds.
-        G, C, T = bundle("psl2:13")
-        assert mixing.gather_estimate("gamma", C) > mixing.GATHER_BUDGET
-        f = random_ensemble(G, "mean_zero_rademacher", 67, 1)[0]
-        assert G.mul is not None
-        tracemalloc.start()
-        try:
-            rep = gamma_functional(f, T, C)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.mode.startswith("sampled(")
-        assert peak < 4 * G.n**2
-
-    @pytest.mark.parametrize("complex_values", [False, True])
-    # A block size of 3 splits every class average into several blocks of rows.
-    @pytest.mark.parametrize("chunk", [None, 3])
-    def test_sampled_equals_mean_over_the_drawn_columns(
-        self, chunk, complex_values, bundle, monkeypatch, delta_shift
-    ):
-        if chunk is not None:
-            monkeypatch.setattr(mixing, "CHUNK", chunk)
-        G, C, T = bundle("sl2:3")
-        force_sampled(monkeypatch, C)
-        f = bounded_mean_zero(G, 43, complex_values)
-        budget, seed = 12, 11
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", budget)
-        assert mixing.gather_estimate("gamma", C, budget) == 2 * 24**2 * budget
-        cols = np.random.default_rng(seed).choice(G.n, size=budget, replace=False)
-        values = np.array(
-            [np.mean([abs(class_conv_integrands(f, C, g, b, delta_shift)[0]) for g in range(G.n)])
-             for b in cols.tolist()]
-        )
-        rep = gamma_functional(f, T, C, seed=seed)
-        assert rep.mode == f"sampled(m={budget},seed={seed})"
-        assert rep.lhs_value == pytest.approx(values.mean(), abs=1e-12)
-        stderr = values.std(ddof=1) / math.sqrt(budget)
-        assert rep.stderr_estimate == pytest.approx(stderr, abs=1e-12)
-
     def test_exhaustive_on_alt5(self, bundle):
         G, C, T = bundle("alt:5")
         for f in random_ensemble(G, "mean_zero_rademacher", 11, 5):
             rep = gamma_functional(f, T, C)
-            assert rep.mode == "exhaustive"
             assert rep.lhs_value <= 1 / math.sqrt(3) + 1e-9
             assert rep.passed
-
-    def test_sampled_mode_consistent_with_exhaustive(self, bundle, monkeypatch):
-        G, C, T = bundle("alt:5")
-        f = random_ensemble(G, "mean_zero_rademacher", 13, 1)[0]
-        exact = gamma_functional(f, T, C).lhs_value
-        force_sampled(monkeypatch, C)
-        # 25 columns of 60 evaluate 1500 pairs (g, b).
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 25)
-        sampled = gamma_functional(f, T, C, seed=5)
-        assert sampled.mode.startswith("sampled(")
-        assert sampled.stderr_estimate is not None
-        assert sampled.mode == "sampled(m=25,seed=5)"
-        assert abs(sampled.lhs_value - exact) < 5 * sampled.stderr_estimate + 1e-3
-
-    def test_sampled_determinism(self, bundle, monkeypatch):
-        G, C, T = bundle("sl2:5")
-        force_sampled(monkeypatch, C)
-        f = random_ensemble(G, "mean_zero_rademacher", 17, 1)[0]
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 3)
-        a = gamma_functional(f, T, C, seed=9)
-        b = gamma_functional(f, T, C, seed=9)
-        assert a.mode == "sampled(m=3,seed=9)"
-        assert a.lhs_value == b.lhs_value
-        assert a.stderr_estimate == b.stderr_estimate
 
     def test_exhaustive_size_guard(self, bundle, monkeypatch):
         G, C, T = bundle("sl2:7")
         f = random_ensemble(G, "mean_zero_rademacher", 19, 1)[0]
         assert mixing.gather_estimate("gamma", C) == 2 * G.n**3 <= mixing.GATHER_BUDGET
         monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3)
-        assert gamma_functional(f, T, C).mode == "exhaustive"
-        # One gather short of the exhaustive pass, gamma samples; columns
-        # whose gathers exceed the limit are refused before any draw.
-        force_sampled(monkeypatch, C)
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 3)
-        assert gamma_functional(f, T, C).mode.startswith("sampled(")
-        assert mixing.gather_estimate("gamma", C, 10**7) > mixing.GATHER_BUDGET
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 10**7)
-        with pytest.raises(SizeGuardError):
+        assert gamma_functional(f, T, C).passed
+        # One gather short of the exhaustive pass, gamma is refused before
+        # its pass starts: it has no other mode.
+
+        def never(*args):
+            raise AssertionError("the class convolution ran")
+
+        monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3 - 1)
+        monkeypatch.setattr(mixing, "_class_conv_stats", never)
+        with pytest.raises(SizeGuardError, match=f"^gamma on n={G.n} needs about"):
             gamma_functional(f, T, C)
 
-    # psl2:11's chain costs 4n^3 = 1.2e9 gathers and sl2:17's sampled
-    # gamma 64n^2 = 1.5e9, both above the budget.
+    # psl2:11's chain costs 4n^3 = 1.2e9 gathers and sl2:17's gamma
+    # 2n^3 = 2.3e11, both above the budget.
     @pytest.mark.parametrize("suite, spec", [("chain", "psl2:11"), ("gamma", "sl2:17")])
     def test_refused_suite_builds_no_table(self, suite, spec):
         G = build_group(spec)
@@ -868,18 +786,6 @@ class TestGammaFunctional:
         with pytest.raises(SizeGuardError, match=f"^{suite} on n={G.n} needs about"):
             mixing.check_budget(suite, C)
         assert G.table is None
-
-    @pytest.mark.parametrize("spec", ["sl2:5", "psl2:7"])
-    def test_sampled_within_four_stderr_of_exhaustive(self, spec, bundle, monkeypatch):
-        G, C, T = bundle(spec)
-        f = random_ensemble(G, "mean_zero_rademacher", 37, 1)[0]
-        exact = gamma_functional(f, T, C).lhs_value
-        force_sampled(monkeypatch, C)
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 32)
-        for seed in range(10):
-            rep = gamma_functional(f, T, C, seed=seed)
-            assert rep.mode == f"sampled(m=32,seed={seed})"
-            assert abs(rep.lhs_value - exact) <= 4 * rep.stderr_estimate
 
     def test_preconditions(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
@@ -1102,7 +1008,7 @@ class TestChain:
         with pytest.raises(PreconditionError):
             cs_chain_diagnostics(c, c, c, T, C)
 
-    def test_size_guard(self, bundle, constant_function, monkeypatch):
+    def test_size_guard(self, bundle, constant_function):
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
@@ -1110,9 +1016,8 @@ class TestChain:
         G, C, T = bundle("psl2:11")
         assert G.n == 660
         assert mixing.gather_estimate("chain", C) == 4 * 660**3 > mixing.GATHER_BUDGET
-        # gamma's exhaustive pass fits here, so no column count is refused.
+        # gamma's exhaustive pass fits here.
         assert mixing.gather_estimate("gamma", C) == 2 * 660**3
-        monkeypatch.setattr(mixing, "GAMMA_COLUMNS", 10**12)
         mixing.check_budget("gamma", C)
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
@@ -1126,13 +1031,13 @@ class TestChain:
         rep = cs_chain_diagnostics(pair[0], pair[1], f3, T, C)
         v = dict(rep.values)
         lemma = rep.lemma
-        assert (lemma.lemma_id, lemma.mode) == ("chain", "exhaustive")
+        assert lemma.lemma_id == "chain"
         assert (lemma.lhs_value, lemma.rhs_bound) == (v["split"], v["bound"])
         assert lemma.margin == v["bound"] - v["split"]
         assert rep.passed is lemma.passed is True
 
 
-def class_conv_sums_every_g(G, C, V, cols, held):
+def class_conv_sums_every_g(G, C, V, cols):
     """The class-convolution sums with every g evaluated, weight 1: a copy
     of the loop before the sums were quotiented by the central involutions."""
     t = G.mul
@@ -1143,13 +1048,7 @@ def class_conv_sums_every_g(G, C, V, cols, held):
     ft = W[G.inv]
     bi = G.inv[cols]
     deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)
-    VT = ft[t] if held else None
-
-    def take_rows(h, out):
-        if held:
-            return np.take(VT, h, axis=0, out=out, mode="clip")
-        return np.take(ft, t[h], out=out, mode="clip")
-
+    VT = ft[t]
     A = np.empty_like(deriv)
     X = np.empty((m, n), dtype=ft.dtype)
     Fg = np.empty(n, dtype=ft.dtype)
@@ -1163,9 +1062,9 @@ def class_conv_sums_every_g(G, C, V, cols, held):
         for g in members:
             gi = G.inv[g]
             h = t[gi, bi]
-            take_rows(h, X)
+            np.take(VT, h, axis=0, out=X, mode="clip")
             X *= AT
-            full = X @ take_rows(gi, Fg) / n
+            full = X @ np.take(VT, gi, axis=0, out=Fg, mode="clip") / n
             inner_mean = mu[t[h, g]] * mu[cols]
             abs0 += np.abs(full - inner_mean)
             full_sum += full
@@ -1226,33 +1125,27 @@ class TestCentralQuotient:
             return random_ensemble(G, "unimodular", 71, 1)[0].values
         return bounded_mean_zero(G, 73, False).values
 
-    @pytest.mark.parametrize("held", [True, False])
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "alt:6"])
-    def test_class_conv_bits_unchanged_where_e_is_trivial(
-        self, spec, complex_values, held, bundle
-    ):
+    def test_class_conv_bits_unchanged_where_e_is_trivial(self, spec, complex_values, bundle):
         G, C, _ = bundle(spec)
         assert mixing._central_involutions(G, C)[1] == 1
         V = self._values(G, complex_values)
         cols, _ = mixing._inverse_pairs(G)
-        got = _class_conv_sums(G, C, V, cols, held=held)
-        want = class_conv_sums_every_g(G, C, V, cols, held)
+        got = _class_conv_sums(G, C, V, cols)
+        want = class_conv_sums_every_g(G, C, V, cols)
         assert [s.dtype for s in got] == [s.dtype for s in want]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("held", [True, False])
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("spec", ["sl2:5", "sl2:7", "prod:sl2:3+dihedral:4"])
-    def test_class_conv_within_last_bits_where_e_is_not(
-        self, spec, complex_values, held, bundle
-    ):
+    def test_class_conv_within_last_bits_where_e_is_not(self, spec, complex_values, bundle):
         G, C, _ = bundle(spec)
         assert mixing._central_involutions(G, C)[1] > 1
         V = self._values(G, complex_values)
         cols, _ = mixing._inverse_pairs(G)
-        got = _class_conv_sums(G, C, V, cols, held=held)
-        want = class_conv_sums_every_g(G, C, V, cols, held)
+        got = _class_conv_sums(G, C, V, cols)
+        want = class_conv_sums_every_g(G, C, V, cols)
         assert [s.dtype for s in got] == [s.dtype for s in want]
         # Relative to each vector's largest entry: a column sum over g can
         # cancel far below the size of its terms, and its rounding with it.

@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from qmix.cli import main
-from qmix.mixing import GAMMA_COLUMNS, GATHER_BUDGET, gather_estimate
+from qmix.mixing import GATHER_BUDGET, gather_estimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,12 +35,12 @@ def test_library_block_runs(capsys):
     assert lines[-2] == "True"
 
 
-def largest_admitted(suite, columns=None):
+def largest_admitted(suite):
     """The largest n whose gather_estimate fits GATHER_BUDGET."""
 
     def fits(n):
         C = SimpleNamespace(group=SimpleNamespace(n=n))
-        return gather_estimate(suite, C, columns) <= GATHER_BUDGET
+        return gather_estimate(suite, C) <= GATHER_BUDGET
 
     lo, hi = 1, 2
     while fits(hi):
@@ -55,8 +55,7 @@ def test_admission_limits_follow_the_cost_model():
     text = " ".join(README.read_text().split())
     limits = {
         "chain up to n = ": largest_admitted("chain"),
-        "exhaustive γ up to n = ": largest_admitted("gamma"),
-        "about n ≤ ": largest_admitted("gamma", GAMMA_COLUMNS),
+        "γ up to n = ": largest_admitted("gamma"),
         "every O(n²) suite up to n = ": largest_admitted("bnp"),
     }
     for phrase, n in limits.items():
@@ -64,13 +63,10 @@ def test_admission_limits_follow_the_cost_model():
 
 
 def test_o_n3_suites_bound_the_table_they_build():
-    # The chain's c3 and the class convolution of both gamma modes read
-    # GroupTable.mul, the int32 n x n table, which any group builds on
-    # first read.  No rule but the cost model bounds it, so the largest
-    # table is 4n^2 bytes at the largest n it admits, as the README says.
-    n = max(
-        largest_admitted(suite, columns)
-        for suite, columns in (("chain", None), ("gamma", None), ("gamma", GAMMA_COLUMNS))
-    )
+    # The chain's c3 and gamma's class convolution read GroupTable.mul,
+    # the int32 n x n table, which any group builds on first read.  No
+    # rule but the cost model bounds it, so the largest table is 4n^2
+    # bytes at the largest n it admits, as the README says.
+    n = max(largest_admitted(suite) for suite in ("chain", "gamma"))
     text = " ".join(README.read_text().split())
     assert f"4n² bytes at the largest admitted n, {round(4 * n * n / 1e6)} MB at n = {n}" in text

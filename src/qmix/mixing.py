@@ -14,7 +14,9 @@ words, and _value_pass sums one real or complex triple, so a triple's
 bits depend on that triple alone; which kernel a triple takes is read
 from its values' dtype (GroupFunction keeps each function's own kind).
 _value_pass and the chain's c2 sum through one row-sum kernel,
-_row_sums, and count_progressions counts through _bit_pass.  These
+_row_sums, and count_progressions counts through _bit_pass.  One helper,
+_mixing_report, turns each total into a report; adversarial_search
+hands it the exact count it keeps, so it recounts nothing.  These
 kernels, the search's sensitivity tables and the row correlation of
 fourier (convolution, the derivative average and the spectral profile
 of parseval) read the table's rows from one provider,
@@ -271,6 +273,21 @@ def _value_pass(G, v1, v2, v3):
     return sum(v1[lo:lo + CHUNK] @ S[lo:lo + CHUNK] for lo in range(0, len(S), CHUNK))
 
 
+def _mixing_report(total, fs, T: CharacterTable) -> MixingReport:
+    """The report of the triple fs from its progression sum ``total`` over
+    the n^2 pairs (x, y), an exact count for a 0/1 triple: raw = total/n^2,
+    theta = |raw - product of the means|, bound and margin."""
+    n = fs[0].group.n
+    raw = complex(total) / (n * n)
+    prod = mean(fs[0]) * mean(fs[1]) * mean(fs[2])
+    theta = abs(raw - prod)
+    bound = theorem_bound(T.D) if T.D >= 2 else math.inf
+    return MixingReport(
+        theta=theta, raw_expectation=raw, product_of_means=prod,
+        bound=bound, D=T.D, margin=bound - theta,
+    )
+
+
 def theta_defects(
     F1: list[GroupFunction],
     F2: list[GroupFunction],
@@ -289,7 +306,8 @@ def theta_defects(
     An int64 or float64 0/1 triple thus takes the value pass, whose sums
     of 0/1 terms are the same integers, so its theta has the bool
     triple's bits.  Either way a triple's theta has the bits
-    theta_defect gives it alone, whatever the triples beside it.
+    theta_defect gives it alone, whatever the triples beside it: each
+    total goes to _mixing_report, which adversarial_search shares.
     """
     if not len(F1) == len(F2) == len(F3):
         raise PreconditionError("the three function lists must have equal length")
@@ -306,8 +324,6 @@ def theta_defects(
             f"sup norm {sup:.6g} exceeds 1; the theorem bound does not apply",
             stacklevel=2,
         )
-    n2 = G.n * G.n
-    bound = theorem_bound(T.D) if T.D >= 2 else math.inf
     triples = list(zip(F1, F2, F3))
     totals = [None] * len(triples)
     packed = []
@@ -322,22 +338,7 @@ def theta_defects(
         roles = ([triples[j][i].values for j in packed] for i in range(3))
         for j, total in zip(packed, _bit_pass(G, *roles)):
             totals[j] = total
-    reports = []
-    for total, (f1, f2, f3) in zip(totals, triples):
-        raw = complex(total) / n2
-        prod = mean(f1) * mean(f2) * mean(f3)
-        theta = abs(raw - prod)
-        reports.append(
-            MixingReport(
-                theta=theta,
-                raw_expectation=raw,
-                product_of_means=prod,
-                bound=bound,
-                D=T.D,
-                margin=bound - theta,
-            )
-        )
-    return reports
+    return [_mixing_report(total, fs, T) for total, fs in zip(totals, triples)]
 
 
 def theta_defect(
@@ -863,16 +864,20 @@ def adversarial_search(
     start.  The sensitivity tables cost one packed O(n^2) pass per
     restart (_toggle_gain_tables) and are then kept up to date in O(n)
     per applied toggle (_apply_toggle), with y -> y^2 computed once.  No
-    pass needs the n x n table built.  The defect is tracked through
-    exact integer progression counts.  Deterministic in (seed, budget,
-    restarts); best restart wins.
+    pass needs the n x n table built.  The defect is tracked through the
+    exact progression count N, and the report is read from the best
+    restart's N (_mixing_report): ``restarts`` O(n^2) passes in all, no
+    recount, and a T of another order raises before the first.
+    Deterministic in (seed, budget, restarts); best restart wins.
     """
     if budget < 0 or restarts < 1:
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
+    if T.n != G.n:
+        raise GroupMismatchError("character table does not match the group")
     n = G.n
     n2 = float(n) * float(n)
     ysq = _squares(G)
-    best: tuple[float, np.ndarray] | None = None
+    best: tuple[float, int, np.ndarray] | None = None
 
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
@@ -888,11 +893,7 @@ def adversarial_search(
             cand_N = N + signs * S
             cand_sizes = np.array(sizes, dtype=np.int64)[:, None] + signs
             other = np.array(
-                [
-                    sizes[1] * sizes[2],
-                    sizes[0] * sizes[2],
-                    sizes[0] * sizes[1],
-                ],
+                [sizes[1] * sizes[2], sizes[0] * sizes[2], sizes[0] * sizes[1]],
                 dtype=np.int64,
             )
             cand_prod = cand_sizes * other[:, None]
@@ -907,9 +908,8 @@ def adversarial_search(
             N = int(cand_N[slot, e])
             theta = best_theta
         if best is None or theta > best[0]:
-            best = (theta, V)
+            best = (theta, N, V)
 
-    V = best[1]
-    # As bool the final sets keep the packed pass (theta_defects).
-    report = theta_defect(*(GroupFunction(G, v) for v in V.astype(bool)), T)
+    _, N, V = best
+    report = _mixing_report(N, [GroupFunction(G, v) for v in V.astype(bool)], T)
     return (*(np.flatnonzero(v) for v in V), report)

@@ -74,7 +74,9 @@ def _reference_adversarial_search(G, T, *, budget, restarts, seed):
 
     Each greedy step recounts S1-S3 from scratch with _toggle_gain_tables
     and the start count with count_progressions, so it shares no update
-    rule with the incremental search and serves as its oracle.
+    rule with the incremental search and serves as its oracle.  Its report
+    recounts the final sets with theta_defect, so it also checks the count
+    the search keeps and reports from.
     """
     n = G.n
     n2 = float(n) * float(n)

@@ -586,15 +586,18 @@ class TestPreconditions:
             with pytest.raises(PreconditionError, match=f"^{message}$"):
                 call()
 
-    def test_group_and_class_mismatch(self, bundle, constant_function):
+    def test_group_and_class_mismatch(self, bundle, constant_function, monkeypatch):
         # Class data of another group is refused the same way everywhere.
         G, C, T = bundle("sym:3")
         H, CH, TH = bundle("cyclic:6")
         zero, other = constant_function(G, 0.0), constant_function(H, 0.0)
+        TA = bundle("alt:4")[2]
+        calls = count_calls(monkeypatch, "_toggle_gain_tables")
         cases = [
             (lambda: verify_bnp(zero, other, T), "functions live on different groups"),
             (lambda: theta_defects([zero], [zero], [other], T), "different groups"),
-            (lambda: verify_derivative_bound(zero, bundle("alt:4")[2]), "character table"),
+            (lambda: verify_derivative_bound(zero, TA), "character table"),
+            (lambda: adversarial_search(G, TA), "character table does not match"),
             (lambda: gamma_functional(zero, T, CH), "class data belongs"),
             (lambda: cs_chain_diagnostics(zero, zero, zero, T, CH), "class data belongs"),
             (lambda: compute_character_table(G, CH), "class data belongs"),
@@ -605,6 +608,8 @@ class TestPreconditions:
         for call, message in cases:
             with pytest.raises(GroupMismatchError, match=message):
                 call()
+        # The search refuses the table before its first pass.
+        assert calls == {"_toggle_gain_tables": 0}
 
 
 class TestDerivativeBound:
@@ -1357,6 +1362,8 @@ class TestAdversarialSearch:
             ("psl2:5", 21, 2000, 2),
             ("sl2:5", 42, 4000, 2),
             ("psl2:7", 1, 5000, 2),
+            # n = 336: the rows come in two blocks of at most 195.
+            ("sl2:7", 7, 20000, 2),
         ],
     )
     def test_matches_recompute_every_step(
@@ -1368,17 +1375,19 @@ class TestAdversarialSearch:
         want = reference_search(G, T, **args)
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b)
-        assert got[3].theta == want[3].theta
+        # The kept count's report against the oracle's recount, field by field.
+        for name in ("raw_expectation", "product_of_means", "theta", "bound", "margin"):
+            assert getattr(got[3], name) == getattr(want[3], name), name
 
     @pytest.mark.parametrize("budget", [0, 300, 5000])
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_one_progression_pass_per_restart(self, bundle, monkeypatch, budget, restarts):
-        # One O(n^2) pass builds each restart's tables and one gives the
-        # final report; the greedy steps add none, whatever the budget.
+        # One O(n^2) pass builds each restart's tables; the greedy steps add
+        # none, whatever the budget, and the report reads the kept count.
         G, _, T = bundle("psl2:5")
         calls = count_calls(monkeypatch, "_toggle_gain_tables", "_bit_pass")
         adversarial_search(G, T, budget=budget, restarts=restarts, seed=3)
-        assert calls == {"_toggle_gain_tables": restarts, "_bit_pass": 1}
+        assert calls == {"_toggle_gain_tables": restarts, "_bit_pass": 0}
 
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")

@@ -41,7 +41,7 @@ def measure(args: argparse.Namespace) -> list[DecayRow]:
     for spec in args.specs:
         G = build_group(spec)
         C = conjugacy_classes(G)
-        T = compute_character_table(G, C)
+        T = compute_character_table(C)
         kind = f"indicator:{args.density}"
         streams = [
             random_ensemble(G, kind, (args.seed, G.n, role), args.trials)

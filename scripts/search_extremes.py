@@ -39,9 +39,9 @@ class SearchRow:
 def run_one(args: argparse.Namespace, spec: str) -> SearchRow:
     G = build_group(spec)
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(C)
     A1, A2, A3, rep = adversarial_search(
-        G, T, budget=args.budget, restarts=args.restarts, seed=args.seed
+        T, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
     streams = [
         random_ensemble(G, "indicator:0.5", (args.seed, 77, role), args.baseline_trials)

@@ -17,6 +17,11 @@ read exactly mod p off the values at the powers of g.  The table is
 certified exactly (k distinct eigenvalues, squared degrees summing to n,
 multiplicities in range, both orthogonality relations mod p) before it is
 returned; a failed certificate is an error, never a silent answer.
+
+Each level holds the one below it: a ConjugacyData holds the group it
+partitions (``C.group``) and a CharacterTable the classes it was computed
+from (``T.classes``).  So every function takes the one handle it needs,
+and never two that would have to agree.
 """
 
 from __future__ import annotations
@@ -27,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    GroupMismatchError,
-    PreconditionError,
-    SizeGuardError,
-)
+from .errors import CertificationError, PreconditionError, SizeGuardError
 from .groups import CHUNK, GroupTable, _is_prime
 
 MAX_CLASSES = 200
@@ -60,26 +60,36 @@ class ConjugacyData:
 
 @dataclass(eq=False)
 class CharacterTable:
-    """Certified character table.
+    """Certified character table of the classes it holds.
 
-    Row 0 is the trivial character; rows are sorted by degree, then by
-    their exact eigenvalue multiplicities, so a group always gives the
-    same table.  ``D`` is the quasirandom degree, the smallest degree
-    among nontrivial irreducibles; 1 means the bound downstream is
-    vacuous.  ``residual``, a diagnostic only, is the worst deviation of
-    the float table from either orthogonality relation.  ``prime`` is the
-    p the table was computed modulo and ``attempts`` the number of
-    combinations tried.
+    ``classes`` is the ConjugacyData the table was computed from; column
+    c of ``chi`` is its class c, and ``classes.group`` is the group.  The
+    order ``n`` and the class count ``k`` are read from it, so they
+    cannot disagree with it.  Row 0 is the trivial character; rows are
+    sorted by degree, then by their exact eigenvalue multiplicities, so a
+    group always gives the same table.  ``D`` is the quasirandom degree,
+    the smallest degree among nontrivial irreducibles; 1 means the bound
+    downstream is vacuous.  ``residual``, a diagnostic only, is the worst
+    deviation of the float table from either orthogonality relation.
+    ``prime`` is the p the table was computed modulo and ``attempts`` the
+    number of combinations tried.
     """
 
-    n: int
-    k: int
+    classes: ConjugacyData
     chi: np.ndarray
     degrees: np.ndarray
     D: int
     residual: float
     prime: int
     attempts: int
+
+    @property
+    def n(self) -> int:
+        return self.classes.group.n
+
+    @property
+    def k(self) -> int:
+        return self.classes.k
 
 
 def _conjugation_maps(G: GroupTable) -> list[np.ndarray]:
@@ -143,28 +153,20 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     )
 
 
-def _classes_of(G: GroupTable, C: ConjugacyData | None = None) -> ConjugacyData:
-    """C, or the conjugacy classes of G when C is None; C must belong to G."""
-    if C is None:
-        return conjugacy_classes(G)
-    if C.group is not G:
-        raise GroupMismatchError("class data belongs to a different group")
-    return C
-
-
-def _short_members(G: GroupTable, C: ConjugacyData) -> np.ndarray:
+def _short_members(C: ConjugacyData) -> np.ndarray:
     """For each class, its member with the shortest word, the least index
     among those: the element whose right translation compose walks in the
     fewest steps.  Any member gives the same class counts, since
     conjugating y by g carries the y counted for one member to those
     counted for its conjugate."""
+    G = C.group
     key = G.lengths.astype(np.int64) * G.n + np.arange(G.n)
     best = np.full(C.k, np.iinfo(np.int64).max)
     np.minimum.at(best, C.class_of, key)
     return best % G.n
 
 
-def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
+def class_mult_coefficients(C: ConjugacyData) -> np.ndarray:
     """The (k, k, k) int64 stack M with M[i][j][l] = #{(a,b) in C_i x C_j :
     ab = z_l}, M[i] being the class-multiplication matrix M_i and z_l any
     member of class l.
@@ -173,18 +175,16 @@ def class_mult_coefficients(G: GroupTable, C: ConjugacyData) -> np.ndarray:
     the y with y^{-1} in C_i and y z_l in C_j.  Each l takes one
     right-translation column y -> y z_l (a walk of the one word of z_l,
     the member of class l with the shortest, _short_members) and one
-    bincount of the class pairs.
-    C must belong to G.  The stack holds 8k^3 bytes, so more than
-    MAX_CLASSES classes raise SizeGuardError.
+    bincount of the class pairs.  The stack holds 8k^3 bytes, so more
+    than MAX_CLASSES classes raise SizeGuardError.
     """
-    C = _classes_of(G, C)
-    k = C.k
+    G, k = C.group, C.k
     if k > MAX_CLASSES:
         raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
     ar = np.arange(G.n)
     row = C.class_of.take(G.inv).astype(np.int64) * k
     M = np.empty((k, k, k), dtype=np.int64)
-    for l, z in enumerate(_short_members(G, C)):
+    for l, z in enumerate(_short_members(C)):
         pairs = row + C.class_of.take(G.compose(ar, z))
         M[:, :, l] = np.bincount(pairs, minlength=k * k).reshape(k, k)
     return M
@@ -201,7 +201,7 @@ def _orthogonality_residual(
     return max(row_res, col_res)
 
 
-def _power_maps(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, np.ndarray]:
+def _power_maps(C: ConjugacyData) -> tuple[np.ndarray, np.ndarray]:
     """(P, orders): P[c, j] is the class of rep_c^j, for j up to the
     largest order at least, and orders[c] the order of rep_c.
 
@@ -210,6 +210,7 @@ def _power_maps(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, np.ndarray
     representatives per doubling, until every rep_c^j with j > 0 has
     reached the identity.
     """
+    G = C.group
     powers = np.zeros((C.k, 1), dtype=np.int32)
     square = C.representatives[:, None]
     while not (powers[:, 1:] == 0).any(axis=1).all():
@@ -264,7 +265,7 @@ def _combinations(k: int, p: int):
         yield [rng.randrange(p) for _ in range(k)]
 
 
-def _combination(G: GroupTable, C: ConjugacyData, r, p: int) -> np.ndarray:
+def _combination(C: ConjugacyData, r, p: int) -> np.ndarray:
     """A = sum_i r_i M_i mod p (int64), without the stack of the M_i.
 
     As in class_mult_coefficients, M_i[j][l] counts the y with y^{-1} in
@@ -274,10 +275,11 @@ def _combination(G: GroupTable, C: ConjugacyData, r, p: int) -> np.ndarray:
     sums at most n weights below p, exact in float64 while n (p - 1) <
     2^53, so any member of a class gives the same column bits.
     """
+    G = C.group
     weights = np.asarray(r, dtype=np.float64).take(C.class_of.take(G.inv))
     ar = np.arange(G.n, dtype=np.int32)
     A = np.empty((C.k, C.k), dtype=np.int64)
-    for l, z in enumerate(_short_members(G, C)):
+    for l, z in enumerate(_short_members(C)):
         cells = np.bincount(C.class_of.take(G.compose(ar, z)), weights, minlength=C.k)
         A[:, l] = cells % p
     return A
@@ -387,10 +389,9 @@ def _lift(
     return chi, np.hstack(keys)
 
 
-def compute_character_table(
-    G: GroupTable, C: ConjugacyData | None = None
-) -> CharacterTable:
-    """Compute and certify the full character table of G by Dixon's method.
+def compute_character_table(C: ConjugacyData) -> CharacterTable:
+    """Compute and certify the full character table of the group of C by
+    Dixon's method; the table holds C.
 
     p is the least prime p = 1 (mod e), e the lcm of the orders of the
     class representatives, above max(n, k^2).  The combinations of
@@ -412,11 +413,10 @@ def compute_character_table(
     < 2^53 for the largest order o, would not be exact; the latter covers
     _combination's n (p - 1) < 2^53, since p > n and o >= 2.
     """
-    C = _classes_of(G, C)
-    n, k = G.n, C.k
+    n, k = C.group.n, C.k
     if k > MAX_CLASSES:
         raise SizeGuardError(f"{k} classes exceeds the {MAX_CLASSES} cap")
-    P, orders = _power_maps(G, C)
+    P, orders = _power_maps(C)
     e = int(np.lcm.reduce(orders))
     p = _least_prime(e, max(n, k * k))
     if k * (p - 1) ** 2 >= 2**63:
@@ -427,7 +427,7 @@ def compute_character_table(
         )
 
     for attempts, r in enumerate(itertools.islice(_combinations(k, p), ATTEMPTS), 1):
-        U = _eigenvectors(_combination(G, C, r, p), p)
+        U = _eigenvectors(_combination(C, r, p), p)
         if U is not None:
             break
     else:
@@ -464,7 +464,7 @@ def compute_character_table(
     residual = _orthogonality_residual(chi, C.sizes.astype(np.float64), n)
     D = int(degrees[1]) if k > 1 else 1
     return CharacterTable(
-        n=n, k=k, chi=chi, degrees=degrees, D=D, residual=residual,
+        classes=C, chi=chi, degrees=degrees, D=D, residual=residual,
         prime=p, attempts=attempts,
     )
 
@@ -476,13 +476,14 @@ def witten_zeta(T: CharacterTable, s: float) -> float:
     return float((T.degrees[1:].astype(np.float64) ** (-float(s))).sum())
 
 
-def character_table_csv(T: CharacterTable, C: ConjugacyData) -> str:
+def character_table_csv(T: CharacterTable) -> str:
     """Render the table as CSV.
 
-    Two header rows give class representatives and class sizes; each
+    Two header rows give the representatives and sizes of its classes; each
     following row is one irreducible: its degree, then one complex cell
     per class with 17 significant digits.
     """
+    C = T.classes
     lines = [
         "class_rep," + ",".join(str(int(r)) for r in C.representatives),
         "class_size," + ",".join(str(int(h)) for h in C.sizes),

@@ -148,11 +148,9 @@ def cmd_group(args) -> int:
 
 
 def cmd_chartab(args) -> int:
-    G = build_group(args.spec)
-    C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(conjugacy_classes(build_group(args.spec)))
     if args.format == "csv":
-        _emit(character_table_csv(T, C), args.out)
+        _emit(character_table_csv(T), args.out)
         return 0
     report = character_table_report(T)
     report["group"] = args.spec
@@ -195,39 +193,41 @@ def _draws(G, kind: str, seed, count: int):
         yield random_ensemble(G, kind, rng, 1)[0]
 
 
-def _verify_bnp_rows(G, C, T, args):
+def _verify_bnp_rows(T, args):
+    G = T.classes.group
     fns = _draws(G, "mean_zero_rademacher", (args.seed, 101), 2 * args.trials)
     for i, (f1, f2) in enumerate(zip(fns, fns)):
         yield _lemma_row(verify_bnp(f1, f2, T, tol=args.tol), i, f1, f2)
 
 
-def _verify_derivative_rows(G, C, T, args):
-    fns = _draws(G, "mean_zero_rademacher", (args.seed, 102), args.trials)
+def _verify_derivative_rows(T, args):
+    fns = _draws(T.classes.group, "mean_zero_rademacher", (args.seed, 102), args.trials)
     for i, f in enumerate(fns):
         yield _lemma_row(verify_derivative_bound(f, T, tol=args.tol), i, f)
 
 
-def _verify_gamma_rows(G, C, T, args):
-    fns = _draws(G, "mean_zero_rademacher", (args.seed, 103), args.trials)
+def _verify_gamma_rows(T, args):
+    fns = _draws(T.classes.group, "mean_zero_rademacher", (args.seed, 103), args.trials)
     for i, f in enumerate(fns):
-        yield _lemma_row(gamma_functional(f, T, C, tol=args.tol), i, f)
+        yield _lemma_row(gamma_functional(f, T, tol=args.tol), i, f)
 
 
-def _verify_fcmu_rows(G, C, T, args):
-    yield _lemma_row(verify_fcmu(T, C, args.tol), 0)
+def _verify_fcmu_rows(T, args):
+    yield _lemma_row(verify_fcmu(T, args.tol), 0)
 
 
-def _verify_parseval_rows(G, C, T, args):
-    fns = _draws(G, "unimodular", (args.seed, 105), args.trials)
+def _verify_parseval_rows(T, args):
+    fns = _draws(T.classes.group, "unimodular", (args.seed, 105), args.trials)
     for i, f in enumerate(fns):
-        yield _lemma_row(verify_parseval(f, T, C, args.tol), i, f)
+        yield _lemma_row(verify_parseval(f, T, args.tol), i, f)
 
 
-def _verify_chain_rows(G, C, T, args):
+def _verify_chain_rows(T, args):
+    G = T.classes.group
     pair = _draws(G, "rademacher", (args.seed, 106), 2 * args.trials)
     thirds = _draws(G, "mean_zero_rademacher", (args.seed, 107), args.trials)
     for i, triple in enumerate(zip(pair, pair, thirds)):
-        rep = cs_chain_diagnostics(*triple, T, C, tol=max(args.tol, 1e-9))
+        rep = cs_chain_diagnostics(*triple, T, tol=max(args.tol, 1e-9))
         yield {**_lemma_row(rep.lemma, i, *triple), "values": dict(rep.values)}
 
 
@@ -247,19 +247,18 @@ def cmd_verify(args) -> int:
         args.trials = DEFAULT_TRIALS
     elif suites == ["fcmu"]:
         raise QmixError("--trials does not apply to --suite fcmu, which runs once")
-    G = build_group(args.spec)
-    C = conjugacy_classes(G)
+    C = conjugacy_classes(build_group(args.spec))
     for s in suites:
         check_budget(s, C)
-    T = compute_character_table(G, C)
+    T = compute_character_table(C)
     if any(s in QUASIRANDOM_SUITES for s in suites) and T.D < 2:
         raise QmixError(f"{args.spec} is not quasirandom (D={T.D}); suite requires D >= 2")
 
     def rows():
         for s in suites:
-            for row in _SUITE_RUNNERS[s](G, C, T, args):
+            for row in _SUITE_RUNNERS[s](T, args):
                 row["group"] = args.spec
-                row["n"] = G.n
+                row["n"] = T.n
                 row["D"] = T.D
                 row["seed"] = args.seed
                 yield row
@@ -319,8 +318,7 @@ def cmd_mix(args) -> int:
     if args.sets is None and args.random is None:
         raise QmixError("mix needs either --sets or --random")
     G = build_group(args.spec)
-    C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(conjugacy_classes(G))
     if args.sets is not None:
         blocks = [[[indicator_function(G, s)] for s in _parse_sets_arg(args.sets)]]
     else:
@@ -361,8 +359,7 @@ def cmd_mix(args) -> int:
 
 def cmd_search(args) -> int:
     G = build_group(args.spec)
-    C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(conjugacy_classes(G))
     if args.budget < 3 * G.n:
         print(
             f"note: --budget {args.budget} is below 3n = {3 * G.n}, the cost of one "
@@ -370,7 +367,7 @@ def cmd_search(args) -> int:
             file=sys.stderr,
         )
     A1, A2, A3, rep = adversarial_search(
-        G, T, budget=args.budget, restarts=args.restarts, seed=args.seed
+        T, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
     row = _mixing_row(rep, 0, (len(A1), len(A2), len(A3)))
     row["group"] = args.spec
@@ -421,7 +418,8 @@ def density(text: str) -> float:
 def integer_at_least(low: int):
     """argparse type of an integer option that must be >= low: --seed
     (numpy's generators refuse a negative seed) and search --budget
-    take low = 0, search --restarts low = 1."""
+    take low = 0, search --restarts and the --trials of verify and mix
+    low = 1."""
 
     def parse(text: str) -> int:
         try:
@@ -473,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
     # None marks an option left out: fcmu refuses --trials.
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=integer_at_least(1), default=None,
                    help=f"trials per suite (default {DEFAULT_TRIALS}); "
                    "fcmu runs once and refuses it")
 
@@ -485,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=density, default=None, metavar="P",
                    help="use random density-P sets instead of --sets")
     # None marks an option left out: --sets refuses --trials and --seed.
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=integer_at_least(1), default=None,
                    help=f"random triples (default {DEFAULT_TRIALS}); --random only")
     p.set_defaults(seed=None)
 
@@ -499,16 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        raise QmixError("--trials must be >= 1")
-    return args.run(args)
-
-
 def main(argv=None) -> int:
     try:
-        return _dispatch(argv)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -12,6 +12,13 @@ with one block held, and reads no n x n table, so all of them run on
 every group.  The step from a correlation's class sums to the squared
 HS norms, _class_hs2, is shared with mixing.verify_fcmu, which reads
 those sums off the class structure constants instead.
+
+A character table carries its classes and, through them, its group, so
+spectral_profile takes f and T alone.  _table_group is the one check
+that a table belongs to the functions it is given: T.classes.group must
+be their group itself, so a table of another group of the same order is
+refused too.  Every check in mixing that takes functions with a table
+goes through it before any pass.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartab import CharacterTable, ConjugacyData, _classes_of
+from .chartab import CharacterTable, ConjugacyData
 from .errors import (
     CertificationError,
     GroupMismatchError,
@@ -79,6 +86,16 @@ def _same_group(*fs: GroupFunction) -> GroupTable:
     return G
 
 
+def _table_group(T: CharacterTable, *fs: GroupFunction) -> GroupTable:
+    """The one group G of fs (_same_group), which must be the group T was
+    computed on: T.classes.group is G.  An identity check, so a table of
+    another group of the same order is refused too."""
+    G = _same_group(*fs)
+    if T.classes.group is not G:
+        raise GroupMismatchError("character table does not match the group")
+    return G
+
+
 def _check_index_set(G: GroupTable, indices) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
@@ -97,7 +114,7 @@ def indicator_function(G: GroupTable, indices) -> GroupFunction:
     return GroupFunction(G, vals)
 
 
-def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunction:
+def mu_translated_class(C: ConjugacyData, g: int) -> GroupFunction:
     """Scaled density of the translated class {g*c : c in C(g)}.
 
     The set g^{-1} C(g^{-1}), on which the gamma functional in mixing
@@ -105,7 +122,7 @@ def mu_translated_class(G: GroupTable, C: ConjugacyData, g: int) -> GroupFunctio
     density is |G|/|C(g)| on that set, so its mean is exactly 1; the
     float64 values go to GroupFunction unconverted.
     """
-    C = _classes_of(G, C)
+    G = C.group
     g = int(G._check_indices(g))
     members = np.flatnonzero(C.class_of == C.class_of[g])
     vals = np.zeros(G.n)
@@ -185,16 +202,15 @@ def _correlation(G: GroupTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return corr
 
 
-def _class_hs2(T: CharacterTable, C: ConjugacyData, R: np.ndarray) -> np.ndarray:
+def _class_hs2(T: CharacterTable, R: np.ndarray) -> np.ndarray:
     """hs2[r] = (chi_r . R) / n^2, the squared HS norms of a function f
     from the class sums R (complex128) of its autocorrelation, R[c] = sum
-    over the pairs with x^{-1} y in class c of conj(f(x)) f(y).
+    over the pairs with x^{-1} y in class c of conj(f(x)) f(y), c a class
+    of T.classes.
 
-    T must match C.  An imaginary residue or a negative mass above 1e-8
-    raises CertificationError; masses in [-1e-8, 0) are clipped to 0.
+    An imaginary residue or a negative mass above 1e-8 raises
+    CertificationError; masses in [-1e-8, 0) are clipped to 0.
     """
-    if T.k != C.k or T.n != C.group.n:
-        raise GroupMismatchError("character table does not match the class data")
     hs2_c = (T.chi @ R) / (T.n * T.n)
     imag_residue = float(np.abs(hs2_c.imag).max())
     if imag_residue > 1e-8:
@@ -210,7 +226,7 @@ def _class_hs2(T: CharacterTable, C: ConjugacyData, R: np.ndarray) -> np.ndarray
 
 
 def spectral_profile(
-    f: GroupFunction, T: CharacterTable, C: ConjugacyData, *, tol: float = 1e-8
+    f: GroupFunction, T: CharacterTable, *, tol: float = 1e-8
 ) -> SpectralProfile:
     """Per-irreducible squared HS norms via the class-correlation kernel.
 
@@ -220,16 +236,16 @@ def spectral_profile(
     total.  An imaginary residue or a negative mass above 1e-8 raises,
     whatever ``tol``; ``tol`` bounds only the Parseval residual against
     the 2-norm (pass tol=inf to skip that raise when deliberately
-    probing).
+    probing).  T must be the table of f's group (_table_group).
     """
-    G = f.group
-    C = _classes_of(G, C)
+    G = _table_group(T, f)
+    C = T.classes
     V = f.values.astype(_kernel_dtype(f.values), copy=False)
     corr = _correlation(G, np.conj(V), V)  # corr[j] = sum_x conj f(x) f(xj)
     R = np.bincount(C.class_of, weights=corr.real, minlength=C.k) + 1j * np.bincount(
         C.class_of, weights=corr.imag, minlength=C.k
     )
-    hs2 = _class_hs2(T, C, R)
+    hs2 = _class_hs2(T, R)
     norm2_sq = float(np.mean(np.abs(V) ** 2))
     residual = abs(float(T.degrees @ hs2) - norm2_sq)
     if residual > tol:

@@ -36,6 +36,11 @@ invariant under multiplication by the central involutions
 E = {z central : z^2 = 1}: each evaluates one element per coset of E
 (_central_involutions, which reads E through compose), weighted |E|, a
 no-op where E is trivial, as on groups of trivial centre.
+
+A check reads the classes and the group from its table T (T.classes,
+T.classes.group), and the helpers below take the classes alone;
+_check_inputs refuses a T of another group (fourier._table_group)
+before any pass.
 """
 
 from __future__ import annotations
@@ -46,19 +51,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chartab import CharacterTable, ConjugacyData, _classes_of, _short_members
-from .errors import (
-    GroupMismatchError,
-    PreconditionError,
-    SizeGuardError,
-)
+from .chartab import CharacterTable, ConjugacyData, _short_members
+from .errors import PreconditionError, SizeGuardError
 from .fourier import (
     GroupFunction,
     _check_index_set,
     _class_hs2,
     _correlation,
     _kernel_dtype,
-    _same_group,
+    _table_group,
     convolve,
     mean,
     p_norm,
@@ -129,23 +130,16 @@ class ChainReport:
         return self.lemma.passed
 
 
-def _check_inputs(
-    fs, T, C=None, *, classes=False, real=False, bounded=False, mean_zero=()
-):
-    """The shared preconditions of the checks below; returns (G, C).
+def _check_inputs(fs, T, *, real=False, bounded=False, mean_zero=()):
+    """The shared preconditions of the checks below; returns the group G.
 
-    The functions fs must share one group G that T matches; ``classes``
-    fills in C = conjugacy_classes(G) when it is None and checks that it
-    belongs to G.  ``real`` and ``bounded`` ask each function to be real
-    and to have sup norm at most 1, and one fs[i], i in ``mean_zero``, must
-    be mean-zero.  Messages name the functions f1, f2, ... when fs has
-    more than one.
+    The functions fs must share one group G, the group of T
+    (fourier._table_group).  ``real`` and ``bounded`` ask each function
+    to be real and to have sup norm at most 1, and one fs[i], i in
+    ``mean_zero``, must be mean-zero.  Messages name the functions f1,
+    f2, ... when fs has more than one.
     """
-    G = _same_group(*fs)
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
-    if classes:
-        C = _classes_of(G, C)
+    G = _table_group(T, *fs)
     many = len(fs) > 1
     for i, f in enumerate(fs, start=1):
         if real and np.iscomplexobj(f.values):
@@ -158,7 +152,7 @@ def _check_inputs(
             raise PreconditionError("neither factor is mean-zero")
         name = f"f{mean_zero[0] + 1}" if many else "function"
         raise PreconditionError(f"{name} must be mean-zero")
-    return G, C
+    return G
 
 
 def theorem_bound(D: int) -> float:
@@ -313,7 +307,7 @@ def theta_defects(
         raise PreconditionError("the three function lists must have equal length")
     if not F1:
         return []
-    G, _ = _check_inputs([*F1, *F2, *F3], T)
+    G = _check_inputs([*F1, *F2, *F3], T)
     # A bool function's sup norm is at most 1: its dtype says so.
     sup = max(
         (p_norm(f, np.inf) for F in (F1, F2, F3) for f in F if f.values.dtype != np.bool_),
@@ -382,11 +376,9 @@ def verify_bnp(
     return _report("bnp", lhs, rhs, tol)
 
 
-def verify_parseval(
-    f: GroupFunction, T: CharacterTable, C: ConjugacyData, tol: float
-) -> LemmaReport:
+def verify_parseval(f: GroupFunction, T: CharacterTable, tol: float) -> LemmaReport:
     """Parseval residual |sum_r d_r ||f^(r)||_HS^2 - ||f||_2^2| <= tol."""
-    residual = spectral_profile(f, T, C, tol=math.inf).parseval_residual
+    residual = spectral_profile(f, T, tol=math.inf).parseval_residual
     return _report("parseval", residual, tol, 0.0)
 
 
@@ -404,26 +396,26 @@ def _translate_class_sums(C: ConjugacyData) -> np.ndarray:
     """
     G = C.group
     K = C.class_of.take(G.inv)
-    z = _short_members(G, C).take(K)
+    z = _short_members(C).take(K)
     cells = K.astype(np.int64) * C.k + C.class_of.take(G.compose(np.arange(G.n), z))
     counts = np.bincount(cells, minlength=C.k * C.k).reshape(C.k, C.k)
     return ((G.n // C.sizes) ** 2 * C.sizes)[:, None] * counts
 
 
-def verify_fcmu(T: CharacterTable, C: ConjugacyData, tol: float) -> LemmaReport:
+def verify_fcmu(T: CharacterTable, tol: float) -> LemmaReport:
     """Fourier mass of every translated-class density mu_g matches the
     class formula |chi_r(g)|^2 / d_r, to within tol in the worst entry.
 
     Each row of _translate_class_sums goes as complex128 through the hs2
     step of spectral_profile and its raises (fourier._class_hs2), so fcmu
-    checks the character table against the class structure constants; no
-    function, profile or table is built.
+    checks the character table against the structure constants of its
+    classes; no function, profile or table is built.
     """
-    R = _translate_class_sums(C).astype(np.complex128)
+    R = _translate_class_sums(T.classes).astype(np.complex128)
     worst = 0.0
-    for c in range(C.k):
+    for c in range(T.k):
         predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
-        worst = max(worst, float(np.abs(_class_hs2(T, C, R[c]) - predicted).max()))
+        worst = max(worst, float(np.abs(_class_hs2(T, R[c]) - predicted).max()))
     return _report("fcmu", worst, tol, 0.0)
 
 
@@ -442,7 +434,7 @@ def gather_estimate(suite: str, C: ConjugacyData) -> int:
     G = C.group
     n = G.n
     if suite == "fcmu":
-        return n * int(G.lengths[_short_members(G, C)].max())
+        return n * int(G.lengths[_short_members(C)].max())
     cost = {"gamma": 2 * n**3, "chain": 4 * n**3}
     return cost.get(suite, n * n)
 
@@ -475,13 +467,13 @@ def verify_derivative_bound(
     correlation, in float64 for real f: O(n^2) for a dense f, on every
     group.
     """
-    G, _ = _check_inputs([f], T, bounded=True, mean_zero=(0,))
+    G = _check_inputs([f], T, bounded=True, mean_zero=(0,))
     lhs = float(np.abs(_correlation(G, f.values, f.values) / G.n).mean())
     rhs = 1.0 / math.sqrt(T.D)
     return _report("derivative", lhs, rhs, tol)
 
 
-def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
+def _class_conv_sums(C: ConjugacyData, V: np.ndarray, cols):
     """Sums over g of the class-convolution integrands of f at the columns
     b in ``cols``: (sum |inner0|, sum inner0 + inner_mean, sum |inner_mean|),
     each a vector over the columns.
@@ -511,6 +503,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
     halves of the pass shrink by |E|.  Where E is trivial every g is
     evaluated, in class order, and the sums keep their bits.
     """
+    G = C.group
     t = G.mul  # at most 2.2 MB where check_budget admits this
     n, m = G.n, len(cols)
     W = V.astype(_kernel_dtype(V), copy=False)
@@ -519,7 +512,7 @@ def _class_conv_sums(G: GroupTable, C: ConjugacyData, V: np.ndarray, cols):
     bi = G.inv[cols]
     deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)  # [x, j]: D_{b_j}(x^{-1})
     VT = ft[t]
-    picked, e = _central_involutions(G, C)
+    picked, e = _central_involutions(C)
     A = np.empty_like(deriv)
     X = np.empty((m, n), dtype=ft.dtype)
     Fg = np.empty(n, dtype=ft.dtype)
@@ -558,7 +551,7 @@ def _inverse_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return R, np.where(inv[R] == R, 1.0, 2.0)
 
 
-def _central_involutions(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, int]:
+def _central_involutions(C: ConjugacyData) -> tuple[np.ndarray, int]:
     """One element of each coset gE of E = {z central : z^2 = 1}, as a
     mask over the elements, and |E|.
 
@@ -568,6 +561,7 @@ def _central_involutions(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, i
     every element is picked.  The squares and the columns x -> x z come
     from compose, so no table is read.
     """
+    G = C.group
     z = C.representatives[C.sizes == 1]
     E = z[G.compose(z, z) == 0]
     ar = np.arange(G.n)
@@ -575,9 +569,7 @@ def _central_involutions(G: GroupTable, C: ConjugacyData) -> tuple[np.ndarray, i
     return key == key[G.compose(ar[:, None], E)].min(axis=1), len(E)
 
 
-def _class_conv_stats(
-    G: GroupTable, C: ConjugacyData, V: np.ndarray
-) -> tuple[float, float, float]:
+def _class_conv_stats(C: ConjugacyData, V: np.ndarray) -> tuple[float, float, float]:
     """Exhaustive (g, b) averages of the class-convolution integrands.
 
     Returns (gamma, c4, mean_term) for f with values V:
@@ -592,18 +584,15 @@ def _class_conv_stats(
     _inverse_pairs are evaluated, with its weights, and only one g per
     coset of the central involutions, weighted |E| (_class_conv_sums).
     """
+    G = C.group
     R, w = _inverse_pairs(G)
-    gamma, c4, mean_term = (w @ s for s in _class_conv_sums(G, C, V, R))
+    gamma, c4, mean_term = (w @ s for s in _class_conv_sums(C, V, R))
     scale = float(G.n) * float(G.n)
     return float(gamma) / scale, float(abs(c4)) / scale, float(mean_term) / scale
 
 
 def gamma_functional(
-    f: GroupFunction,
-    T: CharacterTable,
-    C: ConjugacyData | None = None,
-    *,
-    tol: float = 1e-9,
+    f: GroupFunction, T: CharacterTable, *, tol: float = 1e-9
 ) -> LemmaReport:
     """Average over (g, b) of |E_x[D_b f(x) (f0_{g^{-1}bg} * mu_g)(x)]|.
 
@@ -617,9 +606,9 @@ def gamma_functional(
     involutions E, weighted |E|, so on SL_2(p) (E = {I, -I}) it does half
     the work of a pass over every g.
     """
-    G, C = _check_inputs([f], T, C, classes=True, bounded=True, mean_zero=(0,))
-    check_budget("gamma", C)
-    gamma, _, _ = _class_conv_stats(G, C, f.values)
+    _check_inputs([f], T, bounded=True, mean_zero=(0,))
+    check_budget("gamma", T.classes)
+    gamma, _, _ = _class_conv_stats(T.classes, f.values)
     return _report("gamma", gamma, 1.0 / math.sqrt(T.D), tol)
 
 
@@ -628,7 +617,6 @@ def cs_chain_diagnostics(
     f2: GroupFunction,
     f3: GroupFunction,
     T: CharacterTable,
-    C: ConjugacyData | None = None,
     *,
     tol: float = 1e-9,
 ) -> ChainReport:
@@ -649,9 +637,8 @@ def cs_chain_diagnostics(
     O(n^3), so a group whose estimate exceeds GATHER_BUDGET raises
     SizeGuardError first.
     """
-    G, C = _check_inputs(
-        [f1, f2, f3], T, C, classes=True, real=True, bounded=True, mean_zero=(2,)
-    )
+    G = _check_inputs([f1, f2, f3], T, real=True, bounded=True, mean_zero=(2,))
+    C = T.classes
     check_budget("chain", C)
 
     t = G.mul  # at most 2.2 MB where check_budget admits this
@@ -673,7 +660,7 @@ def cs_chain_diagnostics(
     # zeta in E (z zeta squares to z^2, and q(z zeta) = q(z) zeta^2), so
     # z runs over one element of each coset zE, weighted |E|.
     F3T = np.take(v3, t.T)  # C-ordered, where v3[t.T] is not
-    picked, e = _central_involutions(G, C)
+    picked, e = _central_involutions(C)
     zs = np.flatnonzero(picked)
     v3U = F3T[t[zs, zs]]  # v3U[i, y] = f3(y z^2), z = zs[i]
     X = np.empty_like(v3U)
@@ -687,7 +674,7 @@ def cs_chain_diagnostics(
     c3 = acc / (n * n)
     del F3T, v3U, X  # so that the class convolution's tables replace them
 
-    gamma_term, c4, mean_term = _class_conv_stats(G, C, f3.values)
+    gamma_term, c4, mean_term = _class_conv_stats(C, f3.values)
     split = gamma_term + mean_term
     bound = 2.0 / math.sqrt(T.D)
 
@@ -849,14 +836,14 @@ def _apply_toggle(
 
 
 def adversarial_search(
-    G: GroupTable,
     T: CharacterTable,
     *,
     budget: int = 5000,
     restarts: int = 5,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, MixingReport]:
-    """Greedy local search for a set triple with large mixing defect.
+    """Greedy local search for a set triple with large mixing defect in
+    the group of T.
 
     Each step evaluates all 3n single-element toggles (costing 3n of the
     evaluation budget), applies the best strictly improving one, and
@@ -866,14 +853,12 @@ def adversarial_search(
     per applied toggle (_apply_toggle), with y -> y^2 computed once.  No
     pass needs the n x n table built.  The defect is tracked through the
     exact progression count N, and the report is read from the best
-    restart's N (_mixing_report): ``restarts`` O(n^2) passes in all, no
-    recount, and a T of another order raises before the first.
-    Deterministic in (seed, budget, restarts); best restart wins.
+    restart's N (_mixing_report): ``restarts`` O(n^2) passes in all, and
+    no recount.  Deterministic in (seed, budget, restarts); best restart wins.
     """
     if budget < 0 or restarts < 1:
         raise PreconditionError("budget must be >= 0 and restarts >= 1")
-    if T.n != G.n:
-        raise GroupMismatchError("character table does not match the group")
+    G = T.classes.group
     n = G.n
     n2 = float(n) * float(n)
     ysq = _squares(G)

@@ -33,7 +33,7 @@ def bundle():
         if spec not in cache:
             G = build_group(spec)
             C = conjugacy_classes(G)
-            T = compute_character_table(G, C)
+            T = compute_character_table(C)
             cache[spec] = (G, C, T)
         return cache[spec]
 
@@ -51,7 +51,7 @@ def _float_character_table(G, C):
     exact table mod p, so it serves as its oracle.
     """
     n, k = G.n, C.k
-    M = class_mult_coefficients(G, C).astype(np.float64)
+    M = class_mult_coefficients(C).astype(np.float64)
     sizes = C.sizes.astype(np.float64)
     r = np.random.default_rng((42, 0)).uniform(1.0, 2.0, size=k)
     _, V = np.linalg.eig(np.tensordot(r, M, axes=1))
@@ -69,7 +69,7 @@ def float_character_table():
     return _float_character_table
 
 
-def _reference_adversarial_search(G, T, *, budget, restarts, seed):
+def _reference_adversarial_search(T, *, budget, restarts, seed):
     """adversarial_search as a plain loop that rebuilds every table per step.
 
     Each greedy step recounts S1-S3 from scratch with _toggle_gain_tables
@@ -78,6 +78,7 @@ def _reference_adversarial_search(G, T, *, budget, restarts, seed):
     recounts the final sets with theta_defect, so it also checks the count
     the search keeps and reports from.
     """
+    G = T.classes.group
     n = G.n
     n2 = float(n) * float(n)
     best = None

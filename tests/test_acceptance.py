@@ -92,7 +92,7 @@ def test_criterion_02_translated_class_profile_exhaustive(bundle, capsys):
     for spec in ("alt:5", "psl2:7"):
         G, C, T = bundle(spec)
         for g in range(G.n):
-            profile = spectral_profile(mu_translated_class(G, C, g), T, C)
+            profile = spectral_profile(mu_translated_class(C, g), T)
             predicted = (np.abs(T.chi[:, C.class_of[g]]) ** 2) / T.degrees
             worst = max(worst, float(np.abs(profile.hs2 - predicted).max()))
     elapsed = time.perf_counter() - start
@@ -164,14 +164,14 @@ def test_fcmu_per_class_matches_per_element_sweep(bundle, spec, reference_correl
     worst = 0.0
     for g in range(G.n):
         c = int(C.class_of[g])
-        mu = mu_translated_class(G, C, g).values
+        mu = mu_translated_class(C, g).values
         corr = reference_correlation(G, mu, mu, t)
         Rg = np.bincount(C.class_of, weights=corr, minlength=C.k)
         assert Rg.tobytes() == R[c].tobytes(), (spec, g)
         predicted = np.abs(T.chi[:, c]) ** 2 / T.degrees
-        hs2 = fourier._class_hs2(T, C, Rg.astype(np.complex128))
+        hs2 = fourier._class_hs2(T, Rg.astype(np.complex128))
         worst = max(worst, float(np.abs(hs2 - predicted).max()))
-    assert verify_fcmu(T, C, 1e-8).lhs_value == worst
+    assert verify_fcmu(T, 1e-8).lhs_value == worst
 
 
 @pytest.mark.parametrize("spec", CHARTAB_GROUPS)
@@ -184,7 +184,7 @@ def test_correlation_forms_agree_bit_for_bit_on_integer_terms(bundle, spec, refe
     signs = [rng.integers(0, 2, G.n) * 2 - 1 for _ in range(2)]
     pairs = [(signs[0], signs[1])]
     for rep in C.representatives:
-        mu = mu_translated_class(G, C, int(rep)).values
+        mu = mu_translated_class(C, int(rep)).values
         pairs.append((mu, mu))
     ar = np.arange(G.n)
     t = G.compose(ar[:, None], ar)
@@ -236,7 +236,7 @@ def _per_class_coefficients(G, C, i):
 def test_class_mult_stack_matches_the_per_class_count(spec):
     G = build_group(spec)
     C = conjugacy_classes(G)
-    M = class_mult_coefficients(G, C)
+    M = class_mult_coefficients(C)
     assert M.dtype == np.int64 and M.shape == (C.k, C.k, C.k)
     for i in range(C.k):
         assert np.array_equal(M[i], _per_class_coefficients(G, C, i)), i
@@ -250,8 +250,8 @@ def test_combination_is_the_weighted_stack(spec):
     C = conjugacy_classes(G)
     p = 1_000_003
     r = np.random.default_rng(7).integers(0, p, size=C.k)
-    want = np.tensordot(r, class_mult_coefficients(G, C), axes=1) % p
-    got = chartab._combination(G, C, r.tolist(), p)
+    want = np.tensordot(r, class_mult_coefficients(C), axes=1) % p
+    got = chartab._combination(C, r.tolist(), p)
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
@@ -274,7 +274,7 @@ def test_criterion_03_parseval_sweep(bundle, capsys):
     G, C, T = bundle("psl2:7")
     worst = 0.0
     for f in random_ensemble(G, "unimodular", (42, 105), 100):
-        profile = spectral_profile(f, T, C)
+        profile = spectral_profile(f, T)
         residual = abs(float(T.degrees @ profile.hs2) - p_norm(f, 2) ** 2)
         worst = max(worst, residual, profile.parseval_residual)
     ok = worst < 1e-8
@@ -333,7 +333,7 @@ def test_criterion_06_class_convolution_functional(bundle, capsys):
         assert T.D == 3
         worst[spec] = 0.0
         for f in random_ensemble(G, "mean_zero_rademacher", stream, 50):
-            rep = gamma_functional(f, T, C, tol=1e-9)
+            rep = gamma_functional(f, T, tol=1e-9)
             ok &= rep.passed and rep.lhs_value <= rhs + 1e-9
             worst[spec] = max(worst[spec], rep.lhs_value)
     announce(
@@ -352,7 +352,7 @@ def test_criterion_07_cauchy_schwarz_chain(bundle, capsys):
     ok = True
     worst_gap = 0.0
     for i in range(50):
-        rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C, tol=1e-9)
+        rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, tol=1e-9)
         v = dict(rep.values)
         worst_gap = max(worst_gap, abs(v["c3"] - v["c4"]))
         ok &= rep.passed
@@ -375,7 +375,7 @@ def test_criterion_07_cauchy_schwarz_chain(bundle, capsys):
     ok = T.D == 5
     worst_gap, worst_split = 0.0, 0.0
     for i in range(3):
-        rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C, tol=1e-9)
+        rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, tol=1e-9)
         v = dict(rep.values)
         worst_gap = max(worst_gap, abs(v["c3"] - v["c4"]))
         worst_split = max(worst_split, v["split"])
@@ -407,7 +407,7 @@ def test_criterion_08_theorem_end_to_end(bundle, capsys):
             rep = theta_defect(streams[0][i], streams[1][i], streams[2][i], T)
             max_theta = max(max_theta, rep.theta)
             ok &= rep.theta <= bound + 1e-9
-        *_, search_rep = adversarial_search(G, T, budget=5000, restarts=5, seed=42)
+        *_, search_rep = adversarial_search(T, budget=5000, restarts=5, seed=42)
         ok &= search_rep.theta <= bound + 1e-9
         details.append(f"{spec} max {max(max_theta, search_rep.theta):.2e}<={bound:.3f}")
     Gc, _, Tc = bundle("cyclic:5")

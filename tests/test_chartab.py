@@ -122,14 +122,14 @@ class TestClassMultCoefficients:
     def test_identity_class_gives_identity_matrix(self, bundle):
         for spec in ("sym:3", "alt:4"):
             G, C, _ = bundle(spec)
-            M0 = class_mult_coefficients(G, C)[0]
+            M0 = class_mult_coefficients(C)[0]
             assert np.array_equal(M0, np.eye(C.k, dtype=M0.dtype))
 
     @pytest.mark.parametrize("spec", ["sym:3", "alt:4", "dihedral:5"])
     def test_double_counting_identity(self, spec, bundle):
         G, C, _ = bundle(spec)
         h = C.sizes.astype(np.int64)
-        for i, Mi in enumerate(class_mult_coefficients(G, C)):
+        for i, Mi in enumerate(class_mult_coefficients(C)):
             assert np.issubdtype(Mi.dtype, np.integer)
             assert np.all(Mi >= 0)
             # sum over l of M_i[j][l] h_l counts all of class_i x class_j
@@ -146,7 +146,7 @@ class TestClassMultCoefficients:
                         for l in range(C.k):
                             if ab == C.representatives[l]:
                                 expected[j][l] += 1
-            assert np.array_equal(class_mult_coefficients(G, C)[i], expected)
+            assert np.array_equal(class_mult_coefficients(C)[i], expected)
 
     @pytest.mark.parametrize("spec", ["sym:3", "alt:4", "psl2:7"])
     def test_stack_is_the_pair_count(self, spec, bundle):
@@ -160,7 +160,7 @@ class TestClassMultCoefficients:
         a, b = np.nonzero(slot[ab] >= 0)
         expected = np.zeros((k, k, k), dtype=np.int64)
         np.add.at(expected, (C.class_of[a], C.class_of[b], slot[ab[a, b]]), 1)
-        M = class_mult_coefficients(G, C)
+        M = class_mult_coefficients(C)
         assert M.dtype == np.int64 and M.shape == (k, k, k)
         assert np.array_equal(M, expected)
 
@@ -171,7 +171,7 @@ class TestClassMultCoefficients:
         # the stack equals the count through the representatives' walks.
         G = build_group(spec)
         C = conjugacy_classes(G)
-        z = chartab._short_members(G, C)
+        z = chartab._short_members(C)
         assert np.array_equal(C.class_of[z], np.arange(C.k))
         for l in range(C.k):
             members = np.flatnonzero(C.class_of == l)
@@ -179,7 +179,7 @@ class TestClassMultCoefficients:
             assert z[l] == members[lengths == lengths.min()][0]
         ar = np.arange(G.n)
         row = C.class_of[G.inv].astype(np.int64) * C.k
-        M = class_mult_coefficients(G, C)
+        M = class_mult_coefficients(C)
         for l, rep in enumerate(C.representatives):
             pairs = row + C.class_of[G.compose(ar, rep)]
             counts = np.bincount(pairs, minlength=C.k * C.k).reshape(C.k, C.k)
@@ -188,7 +188,7 @@ class TestClassMultCoefficients:
     def test_stack_refuses_more_than_max_classes(self):
         G = build_group("cyclic:250")
         with pytest.raises(SizeGuardError, match="250 classes exceeds the 200 cap"):
-            class_mult_coefficients(G, conjugacy_classes(G))
+            class_mult_coefficients(conjugacy_classes(G))
 
 
 class TestCharacterTable:
@@ -204,7 +204,7 @@ class TestCharacterTable:
         # a wrong group of the right order fails here.
         degrees = closed_form_degrees(closed_form_spec)
         G = build_group(closed_form_spec)
-        T = compute_character_table(G, conjugacy_classes(G))
+        T = compute_character_table(conjugacy_classes(G))
         assert T.degrees.tolist() == degrees
         assert T.k == len(degrees) and G.n == sum(d * d for d in degrees)
         assert T.D == min(degrees[1:], default=1)
@@ -212,7 +212,10 @@ class TestCharacterTable:
     @pytest.mark.parametrize("spec", BATTERY)
     def test_certification_invariants(self, spec, bundle):
         G, C, T = bundle(spec)
-        assert T.k == C.k
+        # The table holds the classes it was computed from; n and k are
+        # read from them.
+        assert T.classes is C and C.group is G
+        assert (T.n, T.k) == (G.n, C.k)
         assert int((T.degrees.astype(np.int64) ** 2).sum()) == G.n
         assert np.allclose(T.chi[0], 1.0, atol=1e-12)
         assert T.residual < 1e-8
@@ -256,32 +259,32 @@ class TestCharacterTable:
         for spec in ("alt:5", "psl2:7", "sl2:5"):
             G = build_group(spec)
             C = conjugacy_classes(G)
-            A = compute_character_table(G, C)
-            B = compute_character_table(build_group(spec))
+            A = compute_character_table(C)
+            B = compute_character_table(conjugacy_classes(build_group(spec)))
             assert np.array_equal(A.chi, B.chi)
             assert np.array_equal(A.degrees, B.degrees)
             assert (A.prime, A.attempts) == (B.prime, B.attempts)
             with pytest.raises(TypeError, match="seed"):
-                compute_character_table(G, C, seed=42)
+                compute_character_table(C, seed=42)
 
     def test_class_count_guard(self):
         G = build_group("cyclic:250")
         C = conjugacy_classes(G)
         with pytest.raises(SizeGuardError):
-            compute_character_table(G, C)
+            compute_character_table(C)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_a_tolerance_nothing_is_checked_against(self, tol):
         # Every relation is checked mod p, so there is no tolerance to pass.
         G = build_group("psl2:7")
         with pytest.raises(TypeError, match="tol"):
-            compute_character_table(G, tol=tol)
+            compute_character_table(conjugacy_classes(G), tol=tol)
 
     def test_certificate_prime_is_least_admissible(self, product):
         # p is the least prime above max(n, k^2) that is 1 mod the exponent,
         # the lcm of the element orders (84 on psl2:7).
         G = build_group("psl2:7")
-        T = compute_character_table(G)
+        T = compute_character_table(conjugacy_classes(G))
 
         def order(x):
             y, o = x, 1
@@ -300,7 +303,7 @@ class TestCharacterTable:
     def test_lazy_group_supported(self):
         G = build_group("psl2:29")
         C = conjugacy_classes(G)
-        T = compute_character_table(G, C)
+        T = compute_character_table(C)
         assert T.k == 17
         assert T.D == 15
         assert T.residual < 1e-8
@@ -316,21 +319,21 @@ class TestExactMethod:
         combination = chartab._combination
         for i, j, l in itertools.product(range(C.k), repeat=3):
 
-            def raised(G, C, r, p):
-                A = combination(G, C, r, p)
+            def raised(C, r, p):
+                A = combination(C, r, p)
                 A[j, l] = (A[j, l] + r[i]) % p
                 return A
 
             monkeypatch.setattr(chartab, "_combination", raised)
             with pytest.raises(CertificationError):
-                compute_character_table(G, C)
+                compute_character_table(C)
 
     def test_a_repeated_eigenvalue_moves_on_to_the_next_combination(self, monkeypatch):
         # r = e_0 gives A = M_0, the identity, whose one eigenvalue repeats
         # k times; the table comes from the next combination, unchanged.
         G = build_group("psl2:7")
         C = conjugacy_classes(G)
-        T = compute_character_table(G, C)
+        T = compute_character_table(C)
         combinations = chartab._combinations
 
         def first_repeats(k, p):
@@ -338,7 +341,7 @@ class TestExactMethod:
             yield from combinations(k, p)
 
         monkeypatch.setattr(chartab, "_combinations", first_repeats)
-        U = compute_character_table(G, C)
+        U = compute_character_table(C)
         assert U.attempts == T.attempts + 1
         assert np.array_equal(U.chi, T.chi) and np.array_equal(U.degrees, T.degrees)
 
@@ -347,7 +350,7 @@ class TestExactMethod:
         # G over its degree, 0 for every nontrivial one, in every attempt.
         monkeypatch.setattr(chartab, "_combinations", lambda k, p: itertools.repeat([1] * k))
         with pytest.raises(CertificationError, match="repeats an eigenvalue"):
-            compute_character_table(build_group("sym:4"))
+            compute_character_table(conjugacy_classes(build_group("sym:4")))
 
     @pytest.mark.parametrize("p,bound", [(2**31 - 1, "2\\^63"), (10**8 + 7, "2\\^53")])
     def test_a_prime_with_inexact_products_is_refused(self, p, bound, monkeypatch):
@@ -355,7 +358,7 @@ class TestExactMethod:
         # p = 2^31 - 1 and 2^53, but not 2^63, at p = 10^8 + 7.
         monkeypatch.setattr(chartab, "_least_prime", lambda e, floor: p)
         with pytest.raises(SizeGuardError, match=bound):
-            compute_character_table(build_group("sym:3"))
+            compute_character_table(conjugacy_classes(build_group("sym:3")))
 
     def test_two_hundred_classes_hold_no_cube(self):
         # One (k, k, k) stack of class counts is 64 MB at k = 200; the exact
@@ -364,7 +367,7 @@ class TestExactMethod:
         C = conjugacy_classes(G)
         tracemalloc.start()
         try:
-            T = compute_character_table(G, C)
+            T = compute_character_table(C)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -412,7 +415,7 @@ class TestWittenZeta:
 class TestExports:
     def test_csv_layout_and_precision(self, bundle):
         G, C, T = bundle("sym:3")
-        lines = character_table_csv(T, C).strip().splitlines()
+        lines = character_table_csv(T).strip().splitlines()
         assert lines[0].startswith("class_rep,")
         assert lines[1].startswith("class_size,")
         assert len(lines) == 2 + T.k
@@ -443,7 +446,7 @@ class TestExports:
 def test_cyclic_table_properties(n):
     G = build_group(f"cyclic:{n}")
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(C)
     assert T.k == n
     assert np.all(T.degrees == 1)
     assert T.D == 1
@@ -455,7 +458,7 @@ def test_cyclic_table_properties(n):
 def test_dihedral_table_properties(n):
     G = build_group(f"dihedral:{n}")
     C = conjugacy_classes(G)
-    T = compute_character_table(G, C)
+    T = compute_character_table(C)
     assert T.D == 1
     assert int(T.degrees.max()) == 2
     one_dim = int((T.degrees == 1).sum())

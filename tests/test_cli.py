@@ -181,7 +181,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "--trials must be >= 1" in err
+        assert "argument --trials: must be an integer >= 1, got '0'" in err
 
     def test_suite_all_emits_every_lemma(self, capsys):
         code, out, _ = run(
@@ -242,7 +242,7 @@ class TestVerifyCommand:
     def test_fcmu_failure_replays_without_trials(self, capsys, monkeypatch):
         import qmix.cli as cli_module
 
-        def broken(T, C, tol):
+        def broken(T, tol):
             return LemmaReport(
                 lemma_id="fcmu", lhs_value=2.0, rhs_bound=tol, passed=False, margin=tol - 2.0
             )
@@ -359,7 +359,7 @@ class TestMixCommand:
 
         trials = CHUNK + 3
         G = build_group("sym:3")
-        T = compute_character_table(G, conjugacy_classes(G))
+        T = compute_character_table(conjugacy_classes(G))
         streams = [
             random_ensemble(G, "indicator:0.5", (42, 11 + role), trials) for role in range(3)
         ]
@@ -896,7 +896,7 @@ def test_mix_block_holds_3n_bytes_per_triple():
     # each) plus per-element terms: the packed words, the squares and the
     # walk's lists.  Held as complex128 the triples alone took 48n bytes.
     G = build_group("sl2:13")
-    T = compute_character_table(G, conjugacy_classes(G))
+    T = compute_character_table(conjugacy_classes(G))
     n = G.n
     mixing.count_progressions([0], [0], [0], G)  # the walk plan, kept on G
     tracemalloc.start()

@@ -185,13 +185,13 @@ class TestConvolve:
         h_vals = np.zeros(G.n, dtype=complex)
         h_vals[2] = 1.5 - 0.5j
         h_vals[4] = -2.0j
-        P, PC, _ = bundle("psl2:7")
+        _, PC, _ = bundle("psl2:7")
         # The kernel sums over the support of h: two points, then all six,
         # then a translated class of a nonabelian group, where x^{-1} != x.
         for h in (
             GroupFunction(G, h_vals),
             random_function(G, 8),
-            mu_translated_class(P, PC, 5),
+            mu_translated_class(PC, 5),
         ):
             G = h.group
             f = random_function(G, 7)
@@ -253,13 +253,13 @@ class TestDeltaShift:
 class TestMuTranslatedClass:
     def test_identity_gives_point_mass(self, bundle):
         G, C, _ = bundle("alt:5")
-        out = mu_translated_class(G, C, 0)
+        out = mu_translated_class(C, 0)
         assert out.values[0] == G.n
 
     def test_abelian_gives_square_point(self, bundle, product):
         G, C, _ = bundle("cyclic:6")
         for g in range(6):
-            out = mu_translated_class(G, C, g)
+            out = mu_translated_class(C, g)
             sq = product(G, g, g)
             assert out.values[sq] == 6.0
             assert np.count_nonzero(out.values) == 1
@@ -268,7 +268,7 @@ class TestMuTranslatedClass:
         G, C, _ = bundle("alt:5")
         five_cycle_class = int(np.nonzero(C.sizes == 12)[0][0])
         g = int(C.representatives[five_cycle_class])
-        out = mu_translated_class(G, C, g)
+        out = mu_translated_class(C, g)
         support = np.nonzero(out.values)[0]
         assert len(support) == 12
         assert np.allclose(out.values[support], 5.0)
@@ -294,17 +294,17 @@ class TestSpectralProfile:
                 R[C.class_of[product(G, inverse(G, x), y)]] += np.conj(v[x]) * v[y]
         expected = (T.chi @ R).real / G.n**2
         assert 0 < np.count_nonzero(v) < G.n
-        profile = spectral_profile(f, T, C)
+        profile = spectral_profile(f, T)
         assert np.abs(profile.hs2 - expected).max() < 1e-12
 
     def test_point_mass_gives_degrees(self, bundle, mu_set):
         G, C, T = bundle("alt:5")
-        profile = spectral_profile(mu_set(G, [0]), T, C)
+        profile = spectral_profile(mu_set(G, [0]), T)
         assert np.abs(profile.hs2 - T.degrees).max() < 1e-9
 
     def test_constant_concentrates_on_trivial(self, bundle, constant_function):
         G, C, T = bundle("sym:4")
-        profile = spectral_profile(constant_function(G, 1.0), T, C)
+        profile = spectral_profile(constant_function(G, 1.0), T)
         expected = np.zeros(T.k)
         expected[0] = 1.0
         assert np.abs(profile.hs2 - expected).max() < 1e-12
@@ -312,13 +312,13 @@ class TestSpectralProfile:
     def test_trivial_entry_is_squared_mean(self, bundle):
         G, C, T = bundle("psl2:5")
         f = random_function(G, 23)
-        profile = spectral_profile(f, T, C)
+        profile = spectral_profile(f, T)
         assert profile.hs2[0] == pytest.approx(abs(mean(f)) ** 2, abs=1e-10)
 
     def test_translated_class_formula(self, bundle):
         G, C, T = bundle("alt:5")
         for g in (0, 1, 17, 43):
-            profile = spectral_profile(mu_translated_class(G, C, g), T, C)
+            profile = spectral_profile(mu_translated_class(C, g), T)
             cls = int(C.class_of[g])
             predicted = (np.abs(T.chi[:, cls]) ** 2) / T.degrees
             assert np.abs(profile.hs2 - predicted).max() < 1e-9
@@ -335,7 +335,7 @@ class TestSpectralProfile:
                     c = int(C.class_of[product(G, inverse(G, x), y)])
                     total += np.conj(v[x]) * v[y] * T.chi[r, c]
             hs2[r] = (total / G.n**2).real
-        profile = spectral_profile(f, T, C)
+        profile = spectral_profile(f, T)
         assert np.abs(profile.hs2 - hs2).max() < 1e-10
 
     def test_parseval_small_battery(self, bundle):
@@ -343,7 +343,7 @@ class TestSpectralProfile:
             G, C, T = bundle(spec)
             for seed in range(10):
                 f = random_function(G, (31, seed))
-                profile = spectral_profile(f, T, C)
+                profile = spectral_profile(f, T)
                 lhs = float(T.degrees @ profile.hs2)
                 assert abs(lhs - p_norm(f, 2) ** 2) < 1e-8
                 assert profile.parseval_residual < 1e-8
@@ -361,7 +361,7 @@ class TestSpectralProfile:
         for chi, message in ((turned, "imaginary residue"), (negated, "negative HS mass")):
             bad = dataclasses.replace(T, chi=chi)
             with pytest.raises(CertificationError, match=message):
-                spectral_profile(point, bad, C, tol=math.inf)
+                spectral_profile(point, bad, tol=math.inf)
 
     def test_corrupted_table_raises(self, bundle):
         G, C, T = bundle("sym:3")
@@ -370,7 +370,7 @@ class TestSpectralProfile:
         bad = dataclasses.replace(T, chi=bad_chi)
         f = random_function(G, 37)
         with pytest.raises(CertificationError):
-            spectral_profile(f, bad, C)
+            spectral_profile(f, bad)
 
 
 class TestClassFunctionScalars:
@@ -496,7 +496,7 @@ def test_convolution_norm_contraction(seed):
     "call",
     [
         lambda f, C, T: convolve(f, f).values.mean() == pytest.approx(0.0, abs=1e-12),
-        lambda f, C, T: spectral_profile(f, T, C).parseval_residual < 1e-8,
+        lambda f, C, T: spectral_profile(f, T).parseval_residual < 1e-8,
         lambda f, C, T: verify_derivative_bound(f, T).passed,
     ],
     ids=["convolve", "spectral_profile", "verify_derivative_bound"],

@@ -15,7 +15,6 @@ from qmix import (
     SizeGuardError,
     adversarial_search,
     build_group,
-    class_mult_coefficients,
     convolve,
     count_progressions,
     compute_character_table,
@@ -35,7 +34,7 @@ from qmix import (
     verify_fcmu,
     verify_parseval,
 )
-from qmix import chartab, mixing
+from qmix import chartab, fourier, mixing
 from qmix.fourier import _correlation
 from qmix.groups import CHUNK
 from qmix.mixing import _class_conv_stats, _class_conv_sums, _toggle_gain_tables
@@ -440,7 +439,7 @@ class TestCountProgressions:
         G = build_group("sym:4")
         from qmix import compute_character_table, conjugacy_classes
 
-        T = compute_character_table(G, conjugacy_classes(G))
+        T = compute_character_table(conjugacy_classes(G))
         sets = [
             sorted(
                 data.draw(
@@ -500,18 +499,18 @@ class TestParsevalAndFcmu:
     def test_parseval_passes_and_fails_below_zero_tol(self, bundle):
         G, C, T = bundle("alt:5")
         for f in random_ensemble(G, "unimodular", 5, 3):
-            rep = verify_parseval(f, T, C, 1e-8)
+            rep = verify_parseval(f, T, 1e-8)
             assert rep.lemma_id == "parseval"
             assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
             assert rep.margin == rep.rhs_bound - rep.lhs_value
-            assert not verify_parseval(f, T, C, -1e-3).passed
+            assert not verify_parseval(f, T, -1e-3).passed
 
     def test_fcmu_passes_and_fails_below_zero_tol(self, bundle):
         G, C, T = bundle("alt:5")
-        rep = verify_fcmu(T, C, 1e-8)
+        rep = verify_fcmu(T, 1e-8)
         assert rep.lemma_id == "fcmu"
         assert rep.passed and 0.0 <= rep.lhs_value <= 1e-8
-        assert not verify_fcmu(T, C, -1e-3).passed
+        assert not verify_fcmu(T, -1e-3).passed
 
     def test_fcmu_raises_on_a_phase_turned_row(self, bundle):
         # Turning a non-real row of chi by e^{i phi} keeps every |chi|^2, so
@@ -524,7 +523,7 @@ class TestParsevalAndFcmu:
         chi[r] *= np.exp(3e-5j)
         bad = dataclasses.replace(T, chi=chi)
         with pytest.raises(CertificationError, match="imaginary residue 9.000e-05"):
-            verify_fcmu(bad, C, 1e-8)
+            verify_fcmu(bad, 1e-8)
 
     def test_fcmu_and_bnp_build_no_table(self):
         # Neither reads the table: bnp's peak is one walk block and its
@@ -533,11 +532,11 @@ class TestParsevalAndFcmu:
         # alone takes 4n^2 bytes.
         G = build_group("sl2:13")
         C = conjugacy_classes(G)
-        T = compute_character_table(G, C)
+        T = compute_character_table(C)
         f1, f2 = random_ensemble(G, "mean_zero_rademacher", 71, 2)
         tracemalloc.start()
         try:
-            reports = [verify_fcmu(T, C, 1e-8), verify_bnp(f1, f2, T)]
+            reports = [verify_fcmu(T, 1e-8), verify_bnp(f1, f2, T)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,12 +549,12 @@ class TestParsevalAndFcmu:
         # among the classes' shortest members (2 steps on alt:5);
         # verify_fcmu keeps no guard of its own, even below that.
         G, C, T = bundle("alt:5")
-        longest = max(int(G.lengths[z]) for z in chartab._short_members(G, C))
+        longest = max(int(G.lengths[z]) for z in chartab._short_members(C))
         assert mixing.gather_estimate("fcmu", C) == G.n * longest < G.n**2
         per_element = G.n * sum(int(k) ** 2 for k in C.sizes)
         for budget in (per_element - 1, 0):
             monkeypatch.setattr(mixing, "GATHER_BUDGET", budget)
-            assert verify_fcmu(T, C, 1e-8).passed
+            assert verify_fcmu(T, 1e-8).passed
 
 
 class TestPreconditions:
@@ -570,11 +569,11 @@ class TestPreconditions:
             (lambda: verify_bnp(one, one, T), "neither factor is mean-zero"),
             (lambda: verify_derivative_bound(one, T), "function must be mean-zero"),
             (lambda: verify_derivative_bound(big, T), "sup norm must be at most 1"),
-            (lambda: gamma_functional(one, T, C), "function must be mean-zero"),
-            (lambda: gamma_functional(big, T, C), "sup norm must be at most 1"),
-            (lambda: cs_chain_diagnostics(one, one, one, T, C), "f3 must be mean-zero"),
+            (lambda: gamma_functional(one, T), "function must be mean-zero"),
+            (lambda: gamma_functional(big, T), "sup norm must be at most 1"),
+            (lambda: cs_chain_diagnostics(one, one, one, T), "f3 must be mean-zero"),
             (
-                lambda: cs_chain_diagnostics(one, big, zero, T, C),
+                lambda: cs_chain_diagnostics(one, big, zero, T),
                 "f2 must have sup norm at most 1",
             ),
             (
@@ -587,29 +586,35 @@ class TestPreconditions:
                 call()
 
     def test_group_and_class_mismatch(self, bundle, constant_function, monkeypatch):
-        # Class data of another group is refused the same way everywhere.
-        G, C, T = bundle("sym:3")
-        H, CH, TH = bundle("cyclic:6")
+        # sym:3 and cyclic:6 both have order 6, so only the identity of the
+        # table's group tells cyclic:6's table from sym:3's.  Every check
+        # that takes functions with a table refuses it before any O(n^2)
+        # pass: a walk of the rows fails this test.
+        G, _, _ = bundle("sym:3")
+        H, _, TH = bundle("cyclic:6")
         zero, other = constant_function(G, 0.0), constant_function(H, 0.0)
-        TA = bundle("alt:4")[2]
-        calls = count_calls(monkeypatch, "_toggle_gain_tables")
+
+        def no_pass(G):
+            raise AssertionError("a row pass ran before the table check")
+
+        monkeypatch.setattr(fourier, "_row_blocks", no_pass)
+        monkeypatch.setattr(mixing, "_row_blocks", no_pass)
+        table = "character table does not match"
         cases = [
-            (lambda: verify_bnp(zero, other, T), "functions live on different groups"),
-            (lambda: theta_defects([zero], [zero], [other], T), "different groups"),
-            (lambda: verify_derivative_bound(zero, TA), "character table"),
-            (lambda: adversarial_search(G, TA), "character table does not match"),
-            (lambda: gamma_functional(zero, T, CH), "class data belongs"),
-            (lambda: cs_chain_diagnostics(zero, zero, zero, T, CH), "class data belongs"),
-            (lambda: compute_character_table(G, CH), "class data belongs"),
-            (lambda: spectral_profile(zero, T, CH), "class data belongs"),
-            (lambda: mu_translated_class(G, CH, 0), "class data belongs"),
-            (lambda: class_mult_coefficients(H, C), "class data belongs"),
+            (lambda: verify_bnp(zero, other, TH), "functions live on different groups"),
+            (lambda: theta_defects([zero], [zero], [other], TH), "different groups"),
+            (lambda: theta_defect(zero, zero, zero, TH), table),
+            (lambda: theta_defects([zero], [zero], [zero], TH), table),
+            (lambda: verify_bnp(zero, zero, TH), table),
+            (lambda: verify_derivative_bound(zero, TH), table),
+            (lambda: gamma_functional(zero, TH), table),
+            (lambda: cs_chain_diagnostics(zero, zero, zero, TH), table),
+            (lambda: spectral_profile(zero, TH), table),
+            (lambda: verify_parseval(zero, TH, 1e-8), table),
         ]
         for call, message in cases:
             with pytest.raises(GroupMismatchError, match=message):
                 call()
-        # The search refuses the table before its first pass.
-        assert calls == {"_toggle_gain_tables": 0}
 
 
 class TestDerivativeBound:
@@ -667,7 +672,7 @@ def class_conv_integrands(f, C, g, b, delta_shift):
     """
     G = f.group
     gi = G.inv[g]
-    mu = mu_translated_class(G, C, gi)
+    mu = mu_translated_class(C, gi)
     gbg = G.compose(G.compose(gi, b), g)
     d_b = delta_shift(f, b)
     d_c = delta_shift(f, gbg)
@@ -710,10 +715,10 @@ class TestGammaFunctional:
     def test_brute_force_oracle(self, complex_values, bundle, delta_shift):
         G, C, T = bundle("sym:3")
         f = bounded_mean_zero(G, 7, complex_values)
-        rep = gamma_functional(f, T, C)
+        rep = gamma_functional(f, T)
         want = class_conv_brute_force(f, C, delta_shift)
         assert rep.lhs_value == pytest.approx(want[0], abs=1e-12)
-        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
+        assert _class_conv_stats(C, f.values) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     # cyclic:6 has only singleton classes; sl2:3 has a center of order 2.
@@ -724,10 +729,10 @@ class TestGammaFunctional:
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 41, complex_values)
         want = class_conv_brute_force(f, C, delta_shift)
-        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
+        assert _class_conv_stats(C, f.values) == pytest.approx(want, abs=1e-12)
         # A block size of 3 splits every class average into several blocks of rows.
         monkeypatch.setattr(mixing, "CHUNK", 3)
-        assert _class_conv_stats(G, C, f.values) == pytest.approx(want, abs=1e-12)
+        assert _class_conv_stats(C, f.values) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("spec", ["sl2:3", "sym:4"])
@@ -753,15 +758,15 @@ class TestGammaFunctional:
         # over all n columns, which catches a wrong pair weight.
         G, C, _ = bundle(spec)
         f = bounded_mean_zero(G, 53, complex_values)
-        gamma, c4, mean_term = (s.sum() for s in _class_conv_sums(G, C, f.values, np.arange(G.n)))
+        gamma, c4, mean_term = (s.sum() for s in _class_conv_sums(C, f.values, np.arange(G.n)))
         want = np.array([gamma, abs(c4), mean_term]) / G.n**2
-        got = np.array(_class_conv_stats(G, C, f.values))
+        got = np.array(_class_conv_stats(C, f.values))
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_exhaustive_on_alt5(self, bundle):
         G, C, T = bundle("alt:5")
         for f in random_ensemble(G, "mean_zero_rademacher", 11, 5):
-            rep = gamma_functional(f, T, C)
+            rep = gamma_functional(f, T)
             assert rep.lhs_value <= 1 / math.sqrt(3) + 1e-9
             assert rep.passed
 
@@ -770,7 +775,7 @@ class TestGammaFunctional:
         f = random_ensemble(G, "mean_zero_rademacher", 19, 1)[0]
         assert mixing.gather_estimate("gamma", C) == 2 * G.n**3 <= mixing.GATHER_BUDGET
         monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3)
-        assert gamma_functional(f, T, C).passed
+        assert gamma_functional(f, T).passed
         # One gather short of the exhaustive pass, gamma is refused before
         # its pass starts: it has no other mode.
 
@@ -780,7 +785,7 @@ class TestGammaFunctional:
         monkeypatch.setattr(mixing, "GATHER_BUDGET", 2 * G.n**3 - 1)
         monkeypatch.setattr(mixing, "_class_conv_stats", never)
         with pytest.raises(SizeGuardError, match=f"^gamma on n={G.n} needs about"):
-            gamma_functional(f, T, C)
+            gamma_functional(f, T)
 
     # psl2:11's chain costs 4n^3 = 1.2e9 gathers and sl2:17's gamma
     # 2n^3 = 2.3e11, both above the budget.
@@ -795,7 +800,7 @@ class TestGammaFunctional:
     def test_preconditions(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         with pytest.raises(PreconditionError):
-            gamma_functional(constant_function(G, 0.5), T, C)
+            gamma_functional(constant_function(G, 0.5), T)
 
 
 class TestChain:
@@ -814,7 +819,7 @@ class TestChain:
         pair = random_ensemble(G, "rademacher", 29, 10)
         thirds = random_ensemble(G, "mean_zero_rademacher", 31, 5)
         for i in range(5):
-            rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C)
+            rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T)
             assert rep.passed
             v = dict(rep.values)
             assert v["c1"] <= v["c2"] + 1e-9
@@ -832,7 +837,7 @@ class TestChain:
         pair = random_ensemble(G, "rademacher", 29, 6)
         thirds = random_ensemble(G, "mean_zero_rademacher", 31, 3)
         for i in range(3):
-            rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T, C)
+            rep = cs_chain_diagnostics(pair[2 * i], pair[2 * i + 1], thirds[i], T)
             assert rep.passed
             v = dict(rep.values)
             assert v["bound"] < 1
@@ -853,7 +858,7 @@ class TestChain:
         assert G.mul is not None  # the group's own table, as in the other tests
         tracemalloc.start()
         try:
-            rep = cs_chain_diagnostics(f1, f2, f3, T, C)
+            rep = cs_chain_diagnostics(f1, f2, f3, T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -869,7 +874,7 @@ class TestChain:
         v3 -= v3.mean()
         v3 /= np.abs(v3).max()
         f3 = GroupFunction(G, v3)
-        rep = cs_chain_diagnostics(fs[0], fs[1], f3, T, C)
+        rep = cs_chain_diagnostics(fs[0], fs[1], f3, T)
         v = dict(rep.values)
         v1 = fs[0].values.real
 
@@ -905,11 +910,11 @@ class TestChain:
         G, C, T = bundle(spec)
         f1, f2 = random_ensemble(G, "rademacher", 41, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 43, 1)[0]
-        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T, C).values)["c3"]
+        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T).values)["c3"]
 
         t, n = G.mul, G.n
         v3 = f3.values.real.copy()
-        picked, e = mixing._central_involutions(G, C)
+        picked, e = mixing._central_involutions(C)
         t_flat = t.ravel()
 
         def sums_over(zs, weight):
@@ -946,7 +951,7 @@ class TestChain:
         v3 -= v3.mean()
         v3 /= np.abs(v3).max()
         fs = [GroupFunction(G, rng.uniform(-1, 1, n)) for _ in range(2)]
-        c3 = dict(cs_chain_diagnostics(*fs, GroupFunction(G, v3), T, C).values)["c3"]
+        c3 = dict(cs_chain_diagnostics(*fs, GroupFunction(G, v3), T).values)["c3"]
         per_a = np.zeros(n)
         for a in range(n):
             for y in range(n):
@@ -972,7 +977,7 @@ class TestChain:
         v1, v2, v3 = rng.uniform(-1, 1, (3, G.n))
         v3 = (v3 - v3.mean()) / np.abs(v3 - v3.mean()).max()
         fs = [GroupFunction(G, v) for v in (v1, v2, v3)]
-        c2 = dict(cs_chain_diagnostics(*fs, T, C).values)["c2"]
+        c2 = dict(cs_chain_diagnostics(*fs, T).values)["c2"]
 
         t = G.mul
         v1, v3 = fs[0].values.real.copy(), fs[2].values.real.copy()
@@ -983,7 +988,7 @@ class TestChain:
         G, C, T = bundle("alt:4")
         pair = random_ensemble(G, "rademacher", 35, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 36, 1)[0]
-        rep = cs_chain_diagnostics(pair[0], pair[1], f3, T, C)
+        rep = cs_chain_diagnostics(pair[0], pair[1], f3, T)
         theta = theta_defect(pair[0], pair[1], f3, T).theta
         assert dict(rep.values)["c1"] == pytest.approx(theta**4, abs=1e-12)
 
@@ -995,7 +1000,7 @@ class TestChain:
             GroupFunction(G, f2.values.real),
             GroupFunction(G, f3.values.imag - f3.values.imag.mean()),
         )
-        rep = cs_chain_diagnostics(*real_triple, T, C)
+        rep = cs_chain_diagnostics(*real_triple, T)
         assert dict(rep.values)["bound"] == pytest.approx(2.0)
         assert rep.passed
 
@@ -1005,19 +1010,19 @@ class TestChain:
         c = constant_function(G, 1.0)
         zero = constant_function(G, 0.0)
         with pytest.raises(PreconditionError):
-            cs_chain_diagnostics(f, c, zero, T, C)
+            cs_chain_diagnostics(f, c, zero, T)
 
     def test_rejects_nonzero_mean_f3(self, bundle, constant_function):
         G, C, T = bundle("sym:3")
         c = constant_function(G, 1.0)
         with pytest.raises(PreconditionError):
-            cs_chain_diagnostics(c, c, c, T, C)
+            cs_chain_diagnostics(c, c, c, T)
 
     def test_size_guard(self, bundle, constant_function):
         G, C, T = bundle("psl2:7")
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
-        assert cs_chain_diagnostics(c, c, zero, T, C).passed
+        assert cs_chain_diagnostics(c, c, zero, T).passed
         G, C, T = bundle("psl2:11")
         assert G.n == 660
         assert mixing.gather_estimate("chain", C) == 4 * 660**3 > mixing.GATHER_BUDGET
@@ -1027,13 +1032,13 @@ class TestChain:
         zero = constant_function(G, 0.0)
         c = constant_function(G, 1.0)
         with pytest.raises(SizeGuardError):
-            cs_chain_diagnostics(c, c, zero, T, C)
+            cs_chain_diagnostics(c, c, zero, T)
 
     def test_lemma_verdict(self, bundle):
         G, C, T = bundle("alt:4")
         pair = random_ensemble(G, "rademacher", 29, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 31, 1)[0]
-        rep = cs_chain_diagnostics(pair[0], pair[1], f3, T, C)
+        rep = cs_chain_diagnostics(pair[0], pair[1], f3, T)
         v = dict(rep.values)
         lemma = rep.lemma
         assert lemma.lemma_id == "chain"
@@ -1115,7 +1120,7 @@ class TestCentralQuotient:
         G, C, _ = bundle(spec)
         t = G.mul
         E = [z for z in range(G.n) if np.array_equal(t[z], t[:, z]) and t[z, z] == 0]
-        picked, e = mixing._central_involutions(G, C)
+        picked, e = mixing._central_involutions(C)
         assert e == len(E) == order
         assert picked.dtype == bool and picked.sum() * e == G.n
         # The pick of each coset gE is its member of least (class, index).
@@ -1134,10 +1139,10 @@ class TestCentralQuotient:
     @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "alt:6"])
     def test_class_conv_bits_unchanged_where_e_is_trivial(self, spec, complex_values, bundle):
         G, C, _ = bundle(spec)
-        assert mixing._central_involutions(G, C)[1] == 1
+        assert mixing._central_involutions(C)[1] == 1
         V = self._values(G, complex_values)
         cols, _ = mixing._inverse_pairs(G)
-        got = _class_conv_sums(G, C, V, cols)
+        got = _class_conv_sums(C, V, cols)
         want = class_conv_sums_every_g(G, C, V, cols)
         assert [s.dtype for s in got] == [s.dtype for s in want]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -1146,10 +1151,10 @@ class TestCentralQuotient:
     @pytest.mark.parametrize("spec", ["sl2:5", "sl2:7", "prod:sl2:3+dihedral:4"])
     def test_class_conv_within_last_bits_where_e_is_not(self, spec, complex_values, bundle):
         G, C, _ = bundle(spec)
-        assert mixing._central_involutions(G, C)[1] > 1
+        assert mixing._central_involutions(C)[1] > 1
         V = self._values(G, complex_values)
         cols, _ = mixing._inverse_pairs(G)
-        got = _class_conv_sums(G, C, V, cols)
+        got = _class_conv_sums(C, V, cols)
         want = class_conv_sums_every_g(G, C, V, cols)
         assert [s.dtype for s in got] == [s.dtype for s in want]
         # Relative to each vector's largest entry: a column sum over g can
@@ -1165,9 +1170,9 @@ class TestCentralQuotient:
         G, C, T = bundle(spec)
         f1, f2 = random_ensemble(G, "rademacher", 79, 2)
         f3 = random_ensemble(G, "mean_zero_rademacher", 83, 1)[0]
-        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T, C).values)["c3"]
+        c3 = dict(cs_chain_diagnostics(f1, f2, f3, T).values)["c3"]
         want = c3_every_z(G, f3.values.real.copy())
-        if mixing._central_involutions(G, C)[1] == 1:
+        if mixing._central_involutions(C)[1] == 1:
             assert c3 == want
         else:
             assert c3 == pytest.approx(want, rel=1e-14, abs=0)
@@ -1252,7 +1257,7 @@ class TestRandomEnsemble:
 class TestAdversarialSearch:
     def test_zero_budget_returns_seeded_start(self, bundle):
         G, _, T = bundle("sym:4")
-        A1, A2, A3, rep = adversarial_search(G, T, budget=0, restarts=2, seed=8)
+        A1, A2, A3, rep = adversarial_search(T, budget=0, restarts=2, seed=8)
         recount = count_progressions(A1, A2, A3, G)
         sizes = np.array([len(A1), len(A2), len(A3)], dtype=float)
         expected = abs(recount / G.n**2 - sizes.prod() / G.n**3)
@@ -1260,21 +1265,21 @@ class TestAdversarialSearch:
 
     def test_determinism(self, bundle):
         G, _, T = bundle("psl2:5")
-        first = adversarial_search(G, T, budget=800, restarts=2, seed=21)
-        second = adversarial_search(G, T, budget=800, restarts=2, seed=21)
+        first = adversarial_search(T, budget=800, restarts=2, seed=21)
+        second = adversarial_search(T, budget=800, restarts=2, seed=21)
         for a, b in zip(first[:3], second[:3]):
             assert np.array_equal(a, b)
         assert first[3].theta == second[3].theta
 
     def test_search_only_improves(self, bundle):
         G, _, T = bundle("psl2:5")
-        base = adversarial_search(G, T, budget=0, restarts=3, seed=13)[3].theta
-        better = adversarial_search(G, T, budget=2000, restarts=3, seed=13)[3].theta
+        base = adversarial_search(T, budget=0, restarts=3, seed=13)[3].theta
+        better = adversarial_search(T, budget=2000, restarts=3, seed=13)[3].theta
         assert better >= base
 
     def test_report_matches_exact_recount(self, bundle):
         G, _, T = bundle("psl2:5")
-        A1, A2, A3, rep = adversarial_search(G, T, budget=1500, restarts=2, seed=34)
+        A1, A2, A3, rep = adversarial_search(T, budget=1500, restarts=2, seed=34)
         recount = count_progressions(A1, A2, A3, G)
         sizes = np.array([len(A1), len(A2), len(A3)], dtype=float)
         expected = abs(recount / G.n**2 - sizes.prod() / G.n**3)
@@ -1282,7 +1287,7 @@ class TestAdversarialSearch:
 
     def test_stays_under_theorem_bound(self, bundle):
         G, _, T = bundle("psl2:7")
-        *_, rep = adversarial_search(G, T, budget=5000, restarts=5, seed=1)
+        *_, rep = adversarial_search(T, budget=5000, restarts=5, seed=1)
         assert rep.theta <= theorem_bound(T.D) + 1e-9
 
     def test_toggle_tables_match_recounts(self, bundle):
@@ -1371,8 +1376,8 @@ class TestAdversarialSearch:
     ):
         G, _, T = bundle(spec)
         args = dict(budget=budget, restarts=restarts, seed=seed)
-        got = adversarial_search(G, T, **args)
-        want = reference_search(G, T, **args)
+        got = adversarial_search(T, **args)
+        want = reference_search(T, **args)
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b)
         # The kept count's report against the oracle's recount, field by field.
@@ -1386,13 +1391,13 @@ class TestAdversarialSearch:
         # none, whatever the budget, and the report reads the kept count.
         G, _, T = bundle("psl2:5")
         calls = count_calls(monkeypatch, "_toggle_gain_tables", "_bit_pass")
-        adversarial_search(G, T, budget=budget, restarts=restarts, seed=3)
+        adversarial_search(T, budget=budget, restarts=restarts, seed=3)
         assert calls == {"_toggle_gain_tables": restarts, "_bit_pass": 0}
 
     def test_negative_budget_rejected(self, bundle):
         G, _, T = bundle("sym:4")
         with pytest.raises(PreconditionError):
-            adversarial_search(G, T, budget=-1, restarts=1, seed=0)
+            adversarial_search(T, budget=-1, restarts=1, seed=0)
 
 
 @pytest.mark.parametrize("spec", ["sl2:7", "psl2:13"])
@@ -1403,7 +1408,7 @@ def test_no_o_n2_path_builds_the_table(spec):
     G = build_group(spec)
     C = conjugacy_classes(G)
     assert G.table is None
-    T = compute_character_table(G, C)
+    T = compute_character_table(C)
     assert G.table is None
     B = random_ensemble(G, "indicator:0.5", 3, 3)
     F = random_ensemble(G, "mean_zero_rademacher", 5, 3)
@@ -1414,12 +1419,12 @@ def test_no_o_n2_path_builds_the_table(spec):
             *(np.flatnonzero(b.values) for b in B), G
         ),
         "adversarial_search": lambda: adversarial_search(
-            G, T, budget=3 * G.n, restarts=1, seed=1
+            T, budget=3 * G.n, restarts=1, seed=1
         ),
         "convolve": lambda: convolve(F[0], F[1]),
         "verify_derivative_bound": lambda: verify_derivative_bound(F[0], T),
-        "verify_parseval": lambda: verify_parseval(F[0], T, C, 1e-8),
-        "verify_fcmu": lambda: verify_fcmu(T, C, 1e-8),
+        "verify_parseval": lambda: verify_parseval(F[0], T, 1e-8),
+        "verify_fcmu": lambda: verify_fcmu(T, 1e-8),
     }
     for name, call in calls.items():
         call()
@@ -1432,7 +1437,7 @@ def test_theorem_holds_on_random_bounded_functions(seed):
     G = build_group("psl2:5")
     from qmix import compute_character_table, conjugacy_classes
 
-    T = compute_character_table(G, conjugacy_classes(G))
+    T = compute_character_table(conjugacy_classes(G))
     rng = np.random.default_rng(seed)
     fs = [GroupFunction(G, rng.uniform(-1, 1, G.n)) for _ in range(3)]
     rep = theta_defect(fs[0], fs[1], fs[2], T)

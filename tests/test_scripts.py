@@ -26,7 +26,7 @@ def load_script(name: str):
 
 def table_of(text: str):
     G = build_group(text)
-    return G, compute_character_table(G, conjugacy_classes(G))
+    return G, compute_character_table(conjugacy_classes(G))
 
 
 def test_decay_curve_writes_the_thetas_of_its_seeds(tmp_path, capsys):
@@ -52,7 +52,7 @@ def test_search_extremes_writes_the_thetas_of_its_seeds(tmp_path, capsys):
     assert "psl2:5" in capsys.readouterr().out
     (row,) = json.loads(out.read_text())
     G, T = table_of("psl2:5")
-    A1, A2, A3, rep = adversarial_search(G, T, budget=2000, restarts=3, seed=3)
+    A1, A2, A3, rep = adversarial_search(T, budget=2000, restarts=3, seed=3)
     streams = [random_ensemble(G, "indicator:0.5", (3, 77, role), 20) for role in range(3)]
     baseline = max(r.theta for r in theta_defects(*streams, T))
     assert row["best_theta"] == rep.theta

@@ -85,14 +85,12 @@ def _json_default(x):
 
 def _json_row(row: dict) -> dict:
     """A copy of row with every infinite float as None, since JSON has no
-    Infinity; a row whose rhs or bound was infinite is marked vacuous."""
-    r = dict(row)
-    for key, val in row.items():
-        if isinstance(val, float) and math.isinf(val):
-            r[key] = None
-            if key == "rhs" or key == "bound":
-                r["vacuous"] = True
-    return r
+    Infinity.  It marks nothing vacuous: mix and search rows carry
+    ``vacuous`` from their report, and every verify rhs is finite."""
+    return {
+        key: None if isinstance(val, float) and math.isinf(val) else val
+        for key, val in row.items()
+    }
 
 
 def _write_rows(rows, columns: list[str], fmt: str, out: str | None) -> list[dict]:
@@ -243,10 +241,14 @@ _SUITE_RUNNERS = {
 
 def cmd_verify(args) -> int:
     suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    if suites == ["fcmu"] and args.trials is not None:
+        raise QmixError("--trials does not apply to --suite fcmu, which runs once")
+    if suites == ["fcmu"] and args.seed is not None:
+        raise QmixError("--seed does not apply to --suite fcmu, which draws nothing")
     if args.trials is None:
         args.trials = DEFAULT_TRIALS
-    elif suites == ["fcmu"]:
-        raise QmixError("--trials does not apply to --suite fcmu, which runs once")
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
     C = conjugacy_classes(build_group(args.spec))
     for s in suites:
         check_budget(s, C)
@@ -268,8 +270,8 @@ def cmd_verify(args) -> int:
     for r in failed:
         replay = f"qmix verify {args.spec} --suite {r['lemma_id']}"
         if r["lemma_id"] != "fcmu":
-            replay += f" --trials {args.trials}"
-        replay += f" --seed {args.seed} --tol {args.tol!r}"
+            replay += f" --trials {args.trials} --seed {args.seed}"
+        replay += f" --tol {args.tol!r}"
         print(
             f"FAIL lemma={r['lemma_id']} trial={r['trial']} seed={args.seed} "
             f"hash={r.get('hash')} -- replay: {replay}",
@@ -470,10 +472,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=[*_SUITE_RUNNERS, "all"], default="all")
-    # None marks an option left out: fcmu refuses --trials.
+    # None marks an option left out: fcmu refuses --trials and --seed.
     p.add_argument("--trials", type=integer_at_least(1), default=None,
                    help=f"trials per suite (default {DEFAULT_TRIALS}); "
                    "fcmu runs once and refuses it")
+    p.set_defaults(seed=None)
 
     p = sub.add_parser("mix", help="mixing defect of set triples")
     common(p, tol=False)

@@ -1,22 +1,23 @@
 """Finite groups over element indices, built from generator columns.
 
 A group is described by a small text spec ("cyclic:6", "sl2:7",
-"prod:cyclic:2+alt:5") and built from the columns x -> x*g of its
-generators over its element indices, the identity at index 0.  A family
-model gives its elements as the rows of an integer array and its law
-vectorized over those rows; the closure labels each generator's products
-in one array pass and indexes the rows in breadth-first discovery order,
-found level by level in array passes wherever a level is wide.
-A direct product indexes its elements in mixed radix over its factors'
-indices, each factor's generators moving only that factor's digit.  A
-built group keeps its generator columns, the maps x -> x*s for repeated
-squares s of its generators and a short word over those maps per
-element.  Every group offers one product, the vectorized
-``GroupTable.compose``, a walk of the word of b from a, and one row
-provider, _row_blocks, which derives each table row from its parent's
-and serves every O(n^2) kernel: the progression passes and the row
-correlation of fourier.  Both run on every group.  The n x n table is
-that walk's cache, filled on the first read of ``GroupTable.mul`` and
+"prod:cyclic:2+alt:5"), and build_group(text) is the one way to build
+it: parse_spec checks the text once, and the group is built from the
+columns x -> x*g of its generators over its element indices, the
+identity at index 0.  A family model gives its elements as the rows of
+an integer array and its law vectorized over those rows; the closure
+labels each generator's products in one array pass and indexes the rows
+in breadth-first discovery order, found level by level in array passes
+wherever a level is wide.  A direct product indexes its elements in
+mixed radix over its factors' indices, each factor's generators moving
+only that factor's digit.  A built group keeps its generator columns,
+the maps x -> x*s for repeated squares s of its generators and a short
+word over those maps per element.  Every group offers one product, the
+vectorized ``GroupTable.compose``, a walk of the word of b from a, and
+one row provider, _row_blocks, which derives each table row from its
+parent's and serves every O(n^2) kernel: the progression passes and the
+row correlation of fourier.  Both run on every group.  The n x n table
+is that walk's cache, filled on the first read of ``GroupTable.mul`` and
 kept, for the O(n^3) kernels of mixing, which index it at random; the
 cost model of mixing.check_budget bounds the groups they run on, and so
 the table.
@@ -28,16 +29,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    GroupFormatError,
-    PreconditionError,
-    SizeGuardError,
-    SpecError,
-)
+from .errors import GroupFormatError, PreconditionError, SpecError
 
 MAX_ORDER = 50000
 # The block size of the streamed passes: _row_blocks holds about CHUNK^2
@@ -82,12 +78,6 @@ class GroupSpec:
             return out
         raise SpecError(f"unknown family {self.family!r}")
 
-    def text(self) -> str:
-        """Canonical spec string that parses back to this value."""
-        if self.family == "prod":
-            return "prod:" + "+".join(f.text() for f in self.factors)
-        return f"{self.family}:{','.join(str(v) for v in self.params)}"
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -114,16 +104,6 @@ def _check_param(family: str, value: int, position: int) -> None:
         raise SpecError(
             f"{family}:{value} has order {order}, above the {MAX_ORDER} cap", position
         )
-
-
-def validate_spec(spec: GroupSpec) -> None:
-    """Re-check a spec built by hand rather than parsed.
-
-    A valid spec is exactly what its canonical text parses to, so the
-    parser's guards (and their messages) are the only ones.
-    """
-    if parse_spec(spec.text()) != spec:
-        raise SpecError(f"{spec!r} is not what its text {spec.text()!r} parses to")
 
 
 def _parse_one(s: str, base: int, allow_prod: bool) -> GroupSpec:
@@ -452,13 +432,29 @@ def _closure_columns(
     elements: np.ndarray, law: Callable, generators, identity, spec: GroupSpec
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """cols[s][i], the index of (element i)*g_s, and the generator
-    indices (see build_closure).  A row's code is its mixed-radix number,
-    digit j in base radix[j]; a product must equal the row its code finds.
+    indices, for the group on the rows of ``elements`` that
+    ``generators`` generate.
+
+    ``elements`` is an (N, w) array of nonnegative integers, one distinct
+    element per row, and ``law(E, g)`` returns the rows x*g for every row
+    x of E and one row g.  A row's code is its mixed-radix number, digit j
+    in base radix[j]; each x*g_s is labelled by a binary search over the
+    sorted codes, so the law runs once per generator over all rows, and a
+    product must equal the row its code finds.  Indexing is
+    deterministic: identity first, then breadth-first discovery order with
+    generators applied in listed order (right multiplication), the order
+    of a plain queue loop over the labelled columns.  _breadth_first finds
+    it in O(n k) steps: runs of small levels in that loop, each wide level
+    in one array pass.
+
+    parse_spec admits orders 2..MAX_ORDER only, so the closure needs no
+    size guard of its own.  Three checks catch a faulty family model, such
+    as a wrong generator, each with GroupFormatError: a product outside
+    the rows, a closure whose order differs from ``spec.order()`` and a
+    row the generators never reach.
     """
     E = np.asarray(elements)
     N, w = E.shape
-    if N > MAX_ORDER:
-        raise SizeGuardError(f"closure exceeded the {MAX_ORDER} element cap")
     radix = E.max(axis=0).astype(np.int64) + 1
     place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
     code = E @ place
@@ -476,8 +472,6 @@ def _closure_columns(
 
     visit = _breadth_first(right, int(fixed[0]))
     n = len(visit)
-    if n == 1:
-        raise PreconditionError("trivial group rejected (n must exceed 1)")
     if n != spec.order():
         raise GroupFormatError(
             f"closure produced {n} elements, expected {spec.order()}; "
@@ -539,38 +533,6 @@ def _breadth_first(right: np.ndarray, start: int) -> np.ndarray:
         if not frontier.size:
             return np.concatenate(parts)
         visit = frontier.tolist()
-
-
-def build_closure(
-    elements: np.ndarray,
-    law: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    generators: Sequence[Sequence[int]],
-    identity: Sequence[int],
-    *,
-    spec: GroupSpec,
-) -> GroupTable:
-    """Index the group on the rows of ``elements`` generated by ``generators``.
-
-    ``elements`` is an (N, w) array of nonnegative integers, one distinct
-    element per row, and ``law(E, g)`` returns the rows x*g for every row
-    x of E and one row g.  Each x*g_s is labelled by a binary search over
-    the sorted mixed-radix codes of the rows, so the law runs once per
-    generator over all rows.  Indexing is deterministic: identity first,
-    then breadth-first discovery order with generators applied in listed
-    order (right multiplication), the order of a plain queue loop over
-    the labelled columns.  _breadth_first finds it in O(n k) steps: runs
-    of small levels in that loop, each wide level in one array pass.  The
-    group is then built from the columns cols[s][i] = index of
-    (element i)*g_s alone, as every group is (see _from_columns).
-
-    More than MAX_ORDER rows raise SizeGuardError and a closure of one
-    element PreconditionError.  A product outside the rows, a closure
-    whose order differs from ``spec.order()`` and a row the generators
-    never reach raise GroupFormatError.
-    """
-    # The helper's temporaries are freed before the word search, which sets
-    # the peak memory.
-    return _from_columns(*_closure_columns(elements, law, generators, identity, spec), spec)
 
 
 def _from_columns(
@@ -687,15 +649,21 @@ def _cycle(n: int, points: tuple[int, ...]) -> list[int]:
     return perm
 
 
-def construct_group(spec: GroupSpec) -> GroupTable:
-    """Build the group a spec describes; deterministic per spec.
+def build_group(text: str) -> GroupTable:
+    """The group a spec string describes (parse_spec); deterministic per
+    spec, and the one way to build a group.
 
-    Element x of a product has digit (x // place_i) % n_i in factor i,
-    place_i being the order of the factors after i, so (a, b) is a*n2 + b.
-    Its generators are its factors' in order, each moving only its own
-    digit through that factor's columns.  A family is its one factor.
+    Each factor of a product, or a family as its one factor, is closed
+    over its family model's rows (_closure_columns).  Digit i of element x
+    of a product is (x // place_i) % n_i, its index in factor i, place_i
+    being the order of the factors after i, so (a, b) is a*n2 + b.  Its
+    generators are its factors' in order, each moving only its own digit
+    through that factor's columns.  The group is then built from its
+    columns alone (_from_columns).
     """
-    validate_spec(spec)
+    spec = parse_spec(text)
+    # Each closure's temporaries are freed on return, before the word
+    # search, which sets the peak memory.
     parts = [_closure_columns(*_family(f), f) for f in spec.factors or (spec,)]
     sizes = [c.shape[1] for c, _ in parts]
     x = np.arange(math.prod(sizes), dtype=np.int32)
@@ -706,11 +674,6 @@ def construct_group(spec: GroupSpec) -> GroupTable:
         cols.append(x + (c[:, digit] - digit) * place)
         gens += [g_s * place for g_s in g]
     return _from_columns(np.concatenate(cols), tuple(gens), spec)
-
-
-def build_group(text: str) -> GroupTable:
-    """Parse a spec string and construct the group."""
-    return construct_group(parse_spec(text))
 
 
 def is_abelian(G: GroupTable) -> bool:

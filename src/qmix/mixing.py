@@ -767,8 +767,9 @@ def _toggle_gain_tables(
     bits: S1 of bit 1 of W and bit 2 of Wq, S2 of bit 2 of W and bit 0
     of Wi, S3 of bit 1 of W and bit 0 of Wq.  The terms are shifted to
     0/1 bytes and summed per row in uint16, which is exact because every
-    count is at most n <= MAX_ORDER < 2^16.  Rows come from _row_blocks,
-    through four byte buffers of the first, tallest block's shape.
+    count is at most n <= MAX_ORDER < 2^16, the cap of parse_spec.  Rows
+    come from _row_blocks, through four byte buffers of the first,
+    tallest block's shape.
     """
     P = _pack([v1, v2, v3])
     ysq = _squares(G)

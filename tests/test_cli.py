@@ -239,6 +239,12 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials does not apply to --suite fcmu" in err
 
+    def test_fcmu_refuses_seed(self, capsys):
+        code, out, err = run(capsys, "verify", "alt:5", "--suite", "fcmu", "--seed", "5")
+        assert code == 2
+        assert out == ""
+        assert "--seed does not apply to --suite fcmu, which draws nothing" in err
+
     def test_fcmu_failure_replays_without_trials(self, capsys, monkeypatch):
         import qmix.cli as cli_module
 
@@ -248,7 +254,7 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(cli_module, "verify_fcmu", broken)
-        argv = ("verify", "alt:5", "--suite", "fcmu", "--seed", "3", "--tol", "1e-07")
+        argv = ("verify", "alt:5", "--suite", "fcmu", "--tol", "1e-07")
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert "FAIL lemma=fcmu" in err

@@ -5,12 +5,13 @@ A group is described by a small text spec ("cyclic:6", "sl2:7",
 it: parse_spec checks the text once, and the group is built from the
 columns x -> x*g of its generators over its element indices, the
 identity at index 0.  A family model gives its elements as the rows of
-an integer array and its law vectorized over those rows; the closure
-labels each generator's products in one array pass and indexes the rows
-in breadth-first discovery order, found level by level in array passes
-wherever a level is wide.  A direct product indexes its elements in
-mixed radix over its factors' indices, each factor's generators moving
-only that factor's digit.  A built group keeps its generator columns,
+an integer array, listed in an order it ranks by O(1) arithmetic per
+row, with its law vectorized over those rows; the closure labels each
+generator's products by their rank, with no sort and no search, and
+indexes the rows in breadth-first discovery order, found level by level
+in array passes wherever a level is wide.  A direct product indexes its
+elements in mixed radix over its factors' indices, each factor's
+generators moving only that factor's digit.  A built group keeps its generator columns,
 the maps x -> x*s for repeated squares s of its generators and a short
 word over those maps per element.  Every group offers one product, the
 vectorized ``GroupTable.compose``, a walk of the word of b from a, and
@@ -429,46 +430,55 @@ def _row_blocks(G: GroupTable):
 
 
 def _closure_columns(
-    elements: np.ndarray, law: Callable, generators, identity, spec: GroupSpec
+    elements: np.ndarray,
+    law: Callable,
+    rank: Callable,
+    generators,
+    identity,
+    spec: GroupSpec,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """cols[s][i], the index of (element i)*g_s, and the generator
     indices, for the group on the rows of ``elements`` that
     ``generators`` generate.
 
-    ``elements`` is an (N, w) array of nonnegative integers, one distinct
-    element per row, and ``law(E, g)`` returns the rows x*g for every row
-    x of E and one row g.  A row's code is its mixed-radix number, digit j
-    in base radix[j]; each x*g_s is labelled by a binary search over the
-    sorted codes, so the law runs once per generator over all rows, and a
-    product must equal the row its code finds.  Indexing is
-    deterministic: identity first, then breadth-first discovery order with
-    generators applied in listed order (right multiplication), the order
-    of a plain queue loop over the labelled columns.  _breadth_first finds
-    it in O(n k) steps: runs of small levels in that loop, each wide level
-    in one array pass.
+    ``elements`` is an (N, w) integer array, one distinct element per
+    row, ``law(E, g)`` returns the rows x*g for every row x of E and one
+    row g, and ``rank(X)`` the position among the rows of ``elements``
+    of each row of X, by O(1) arithmetic per row (_family).  Each x*g_s
+    is labelled by its rank, so the law and the rank run once per
+    generator over all rows, with no sort and no search, and a product
+    must equal the row its rank names.  Indexing is deterministic:
+    identity first, then breadth-first discovery order with generators
+    applied in listed order (right multiplication), the order of a plain
+    queue loop over the labelled columns, which no labelling changes.
+    _breadth_first finds it in O(n k) steps: runs of small levels in
+    that loop, each wide level in one array pass.
 
     parse_spec admits orders 2..MAX_ORDER only, so the closure needs no
     size guard of its own.  Three checks catch a faulty family model, such
     as a wrong generator, each with GroupFormatError: a product outside
-    the rows, a closure whose order differs from ``spec.order()`` and a
-    row the generators never reach.
+    the rows (a rank out of range, or naming another row), a closure
+    whose order differs from ``spec.order()`` and a row the generators
+    never reach.
     """
     E = np.asarray(elements)
     N, w = E.shape
-    radix = E.max(axis=0).astype(np.int64) + 1
-    place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
-    code = E @ place
-    order = np.argsort(code)
-    sorted_codes = code[order]
     gens = np.asarray(generators).reshape(-1, w)
-    labels = []
-    # Each generator's products, then the identity and the generators.
-    for X in [*(law(E, g) for g in gens), np.vstack([identity, gens])]:
-        found = order.take(np.searchsorted(sorted_codes, X @ place), mode="clip")
-        if not np.array_equal(E.take(found, axis=0), X):
+
+    def label(X):
+        found = rank(X)
+        if not (
+            found.min() >= 0
+            and found.max() < N
+            and np.array_equal(E.take(found, axis=0), X)
+        ):
             raise GroupFormatError("a product lies outside the element set")
-        labels.append(found)
-    right, fixed = np.stack(labels[:-1]), labels[-1]
+        return found
+
+    # Each generator's products, one at a time, then the identity and the
+    # generators.
+    right = np.stack([label(law(E, g)) for g in gens])
+    fixed = label(np.vstack([identity, gens]))
 
     visit = _breadth_first(right, int(fixed[0]))
     n = len(visit)
@@ -548,45 +558,120 @@ def _from_columns(
     )
 
 
-def _permutations(m: int) -> np.ndarray:
-    """All m! permutations of range(m), one per row (int8)."""
-    P = np.zeros((1, 1), dtype=np.int8)
-    for j in range(1, m):
-        # Insert j at each of the j + 1 places of every permutation of range(j).
-        out = np.empty((j + 1, len(P), j + 1), dtype=np.int8)
-        for i in range(j + 1):
-            out[i, :, :i] = P[:, :i]
-            out[i, :, i] = j
-            out[i, :, i + 1 :] = P[:, i:]
-        P = out.reshape(-1, j + 1)
-    return P
+def _permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All m! permutations of range(m), one per row in lexicographic
+    order (int8), and the parity of each (True where odd).
+
+    The rows that begin with v are v followed by the permutations of
+    range(m - 1) in lexicographic order, each entry u >= v raised by one,
+    which keeps their order.  Moving v to the front costs v
+    transpositions, so such a row is odd where its tail's parity differs
+    from v's.
+    """
+    P, odd = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=bool)
+    for j in range(1, m + 1):
+        out = np.empty((j, len(P), j), dtype=np.int8)
+        for v in range(j):
+            out[v, :, 0] = v
+            out[v, :, 1:] = P + (P >= v)
+        P = out.reshape(-1, j)
+        odd = np.concatenate([odd ^ bool(v % 2) for v in range(j)])
+    return P, odd
 
 
-def _sl2_elements(p: int) -> np.ndarray:
-    """Rows (a, b, c, d) of SL(2, p): for each nonzero first column (a, c),
-    the p points (b, d) with ad - bc = 1."""
-    a, c = np.divmod(np.arange(1, p * p), p)
-    a, c = np.repeat(a, p), np.repeat(c, p)
-    t = np.tile(np.arange(p), p * p - 1)
+def _lex_rank(X: np.ndarray) -> np.ndarray:
+    """The position of each row of X, a permutation of range(m), among
+    all m! in lexicographic order (intp): its Lehmer code, the count of
+    later entries below entry i for each i, read in the factorial base.
+    That is m(m - 1)/2 comparisons of columns per row."""
+    N, m = X.shape
+    cols = np.ascontiguousarray(X.T)
+    rank = np.zeros(N, dtype=np.intp)
+    below = np.empty(N, dtype=np.int8)
+    for i in range(m - 1):
+        below[:] = 0
+        for j in range(i + 1, m):
+            below += cols[j] < cols[i]
+        rank *= m - i
+        rank += below
+    return rank
+
+
+def _leads_high(X: np.ndarray, p: int) -> np.ndarray:
+    """Whether the first nonzero entry of each row (a, b, c, d) of
+    SL(2, p) is above (p - 1)/2; a = 0 forces b != 0, so it is a or b."""
+    return np.where(X[:, 0] != 0, X[:, 0], X[:, 1]) > (p - 1) // 2
+
+
+def _sl2_elements(p: int, projective: bool) -> np.ndarray:
+    """The rows (a, b, c, d) of SL(2, p) in the order _sl2_rank counts:
+    each row M whose first nonzero entry is at most (p - 1)/2, then -M.
+    Where ``projective``, only the rows M: PSL(2, p), in the order of
+    _sl2_rank // 2.
+
+    M's key is b when a = 0 (b runs over 1..(p - 1)/2) and ap + c
+    otherwise (a over 1..(p - 1)/2, c over F_p); the keys increase, and
+    each key carries the p rows with ad - bc = 1 in increasing t, t being
+    d when a = 0 and b otherwise.
+    """
+    half = (p - 1) // 2
+    key = np.concatenate([np.arange(1, half + 1), np.arange(p, (half + 1) * p)])
+    a, u = np.divmod(np.repeat(key, p), p)
+    t = np.tile(np.arange(p), len(key))
     inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-    # a != 0: b is free and d = (1 + bc) / a; a == 0: b = -1/c and d is free.
-    b = np.where(a != 0, t, -inverse[c] % p)
-    d = np.where(a != 0, (1 + t * c) * inverse[a] % p, t)
-    return np.stack([a, b, c, d], axis=1)
+    E = np.empty((len(a), 1 if projective else 2, 4), dtype=a.dtype)
+    M = E[:, 0]
+    # a == 0: b = u, c = -1/b and d is free; a != 0: c = u, b is free and
+    # d = (1 + bc) / a.
+    M[:, 0] = a
+    M[:, 1] = np.where(a != 0, t, u)
+    M[:, 2] = np.where(a != 0, u, -inverse[u] % p)
+    M[:, 3] = np.where(a != 0, (1 + t * u) * inverse[a] % p, t)
+    if not projective:
+        # -M: p - x, or 0 where x = 0.
+        np.subtract(p, M, out=E[:, 1])
+        E[:, 1] *= M != 0
+    return E.reshape(-1, 4)
+
+
+def _sl2_rank(X: np.ndarray, p: int) -> np.ndarray:
+    """The position of each row of X in SL(2, p) as _sl2_elements lists
+    it: 2r for the r-th row M that leads low (first nonzero entry at most
+    (p - 1)/2) and 2r + 1 for -M.  r is the low member's key's place
+    among the keys, times p, plus its t; only the entries that key and t
+    read are negated, as s x mod p with s = -1 on the rows that lead
+    high."""
+    half = (p - 1) // 2
+    a, b, c, d = X.T
+    top = a != 0
+    u, t = np.where(top, c, b), np.where(top, b, d)
+    high = _leads_high(X, p)
+    s = 1 - 2 * high
+    key = (s * a % p) * p + s * u % p
+    return 2 * ((key - 1 - half * top) * p + s * t % p) + high
 
 
 def _family(spec: GroupSpec):
-    """Elements, vectorized right law, generators and identity of a family.
+    """Elements, vectorized right law, rank, generators and identity of a
+    family: ``rank(X)`` is the position of each row of X among the
+    elements, by O(1) arithmetic per row (_closure_columns).
 
-    Permutations compose as (x*g)(i) = x(g(i)), g acting first; matrices
-    (a, b, c, d) are row-major 2 x 2 over Z/p, and PSL(2, p) keeps from
-    each pair {m, -m} the one whose first nonzero entry is at most
-    (p - 1)/2.
+    Residues are listed in order, and dihedral rows (k, f) at 2k + f.
+    Permutations compose as (x*g)(i) = x(g(i)), g acting first, and are
+    listed in lexicographic order (_permutations), ranked by their
+    Lehmer code (_lex_rank).  Lexicographic neighbours 2i and 2i + 1
+    differ by one transposition, so each such pair holds one even
+    permutation, and A_m's i-th row, in order, has lex rank 2i or 2i + 1.
+    Matrices (a, b, c, d) are row-major 2 x 2 over Z/p.  PSL(2, p) keeps
+    from each pair {M, -M} the one whose first nonzero entry is at most
+    (p - 1)/2, and SL(2, p) lists each such M followed by -M, so the
+    PSL rank of M is its SL rank // 2 (_sl2_rank).
     """
     family = spec.family
     if family == "cyclic":
         n = spec.params[0]
-        return np.arange(n)[:, None], lambda E, g: (E + g) % n, [[1]], [0]
+        residues = np.arange(n)[:, None]
+        return residues, lambda E, g: (E + g) % n, lambda X: X[:, 0], [[1]], [0]
     if family == "dihedral":
         n = spec.params[0]
         k, f = np.divmod(np.arange(2 * n), 2)
@@ -595,50 +680,43 @@ def _family(spec: GroupSpec):
             k2 = np.where(E[:, 1] == 0, g[0], -g[0])
             return np.stack([(E[:, 0] + k2) % n, E[:, 1] ^ g[1]], axis=1)
 
-        return np.stack([k, f], axis=1), rotate_reflect, [[1, 0], [0, 1]], [0, 0]
+        rows, rank = np.stack([k, f], axis=1), lambda X: 2 * X[:, 0] + X[:, 1]
+        return rows, rotate_reflect, rank, [[1, 0], [0, 1]], [0, 0]
     if family in ("sym", "alt"):
         m = spec.params[0]
-        E = _permutations(m)
+        E, odd = _permutations(m)
+        permute, identity = (lambda X, g: X[:, g]), list(range(m))
         if family == "sym":
             gens = [_cycle(m, (0, 1)), _cycle(m, tuple(range(m)))]
-        else:
-            odd = np.zeros(len(E), dtype=bool)
-            for i, j in itertools.combinations(range(m), 2):
-                odd ^= E[:, i] > E[:, j]  # the parity of the inversion count
-            E = E[~odd]
-            long_cycle = tuple(range(m)) if m % 2 == 1 else tuple(range(1, m))
-            gens = [_cycle(m, (0, 1, 2)), _cycle(m, long_cycle)]
-        return E, lambda X, g: X[:, g], gens, list(range(m))
-    if family in ("sl2", "psl2"):
-        p = spec.params[0]
-        half = (p - 1) // 2
+            return E, permute, _lex_rank, gens, identity
+        long_cycle = tuple(range(m)) if m % 2 == 1 else tuple(range(1, m))
+        gens = [_cycle(m, (0, 1, 2)), _cycle(m, long_cycle)]
+        return E[~odd], permute, lambda X: _lex_rank(X) // 2, gens, identity
+    # sl2 and psl2; parse_spec admits no other family.
+    p = spec.params[0]
 
-        def matmul(E, g):
-            a, b, c, d = E.T
-            e, f, h, k = g
-            return np.stack(
-                [(a * e + b * h) % p, (a * f + b * k) % p,
-                 (c * e + d * h) % p, (c * f + d * k) % p],
-                axis=1,
-            )
+    def matmul(E, g):
+        a, b, c, d = E.T
+        e, f, h, k = g
+        return np.stack(
+            [(a * e + b * h) % p, (a * f + b * k) % p,
+             (c * e + d * h) % p, (c * f + d * k) % p],
+            axis=1,
+        )
 
-        gens, identity = [[1, 1, 0, 1], [0, 1, p - 1, 0]], [1, 0, 0, 1]
-        E = _sl2_elements(p)
-        if family == "sl2":
-            return E, matmul, gens, identity
+    gens, identity = [[1, 1, 0, 1], [0, 1, p - 1, 0]], [1, 0, 0, 1]
+    if family == "sl2":
+        E = _sl2_elements(p, projective=False)
+        return E, matmul, lambda X: _sl2_rank(X, p), gens, identity
 
-        def leads_high(X):
-            # a = 0 forces b != 0, so the first nonzero entry is a or b.
-            return np.where(X[:, 0] != 0, X[:, 0], X[:, 1]) > half
+    def projective(E, g):
+        X = matmul(E, g)
+        flip = _leads_high(X, p)
+        X[flip] = -X[flip] % p
+        return X
 
-        def projective(E, g):
-            X = matmul(E, g)
-            flip = leads_high(X)
-            X[flip] = -X[flip] % p
-            return X
-
-        return E[~leads_high(E)], projective, gens, identity
-    raise SpecError(f"unknown family {family!r}")
+    E = _sl2_elements(p, projective=True)
+    return E, projective, lambda X: _sl2_rank(X, p) // 2, gens, identity
 
 
 def _cycle(n: int, points: tuple[int, ...]) -> list[int]:

@@ -489,10 +489,11 @@ def _class_conv_sums(C: ConjugacyData, V: np.ndarray, cols):
     row of the value table ft[t], row g^{-1} for the first factor and
     rows g^{-1} b^{-1} for the second.  A_K gathers the (n x m) table of
     D_b o inv through the table rows of K, |K| n m gathers and n^2 m over
-    all classes; mu is one row correlation.  Each g then costs m + 1 rows
-    of the value table ft[t], held for the pass (8n^2 bytes, 16n^2 for
-    complex f, 4.3 MB for real f at the limit n = 736 of check_budget),
-    and one matrix-vector product.
+    all classes, written transposed, block by block, into one (m x n)
+    buffer that every class reuses; mu is one row correlation.  Each g
+    then costs m + 1 rows of the value table ft[t], held for the pass
+    (8n^2 bytes, 16n^2 for complex f, 4.3 MB for real f at the limit
+    n = 736 of check_budget), and one matrix-vector product.
 
     Both integrands are the same at g and g z for z in E = {z central :
     z^2 = 1}: (gz)^{-1} b (gz) = g^{-1} b g, and the density of gz sits
@@ -513,7 +514,7 @@ def _class_conv_sums(C: ConjugacyData, V: np.ndarray, cols):
     deriv = np.ascontiguousarray((ft[t[bi]] * ft).T)  # [x, j]: D_{b_j}(x^{-1})
     VT = ft[t]
     picked, e = _central_involutions(C)
-    A = np.empty_like(deriv)
+    AT = np.empty((m, n), dtype=deriv.dtype)  # A_K transposed, [j, u]
     X = np.empty((m, n), dtype=ft.dtype)
     Fg = np.empty(n, dtype=ft.dtype)
     abs0, full_sum, abs_mean = np.zeros(m), np.zeros(m, dtype=ft.dtype), np.zeros(m)
@@ -527,8 +528,7 @@ def _class_conv_sums(C: ConjugacyData, V: np.ndarray, cols):
         # in cache.
         step = max(1, CHUNK * CHUNK // (len(members) * m))
         for lo in range(0, n, step):
-            A[lo:lo + step] = deriv[t[members, lo:lo + step]].mean(axis=0)
-        AT = np.ascontiguousarray(A.T)
+            AT[:, lo:lo + step] = deriv[t[members, lo:lo + step]].mean(axis=0).T
         for g in gs:
             gi = G.inv[g]
             h = t[gi, bi]  # h[j] = g^{-1} b_j^{-1}

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -79,6 +80,12 @@ class TestParse:
     def test_rejected_specs(self, bad):
         with pytest.raises(SpecError):
             parse_spec(bad)
+
+    def test_order_refuses_an_unknown_family(self):
+        # parse_spec refuses "foo:3" first; a GroupSpec made by hand
+        # reaches order()'s own check.
+        with pytest.raises(SpecError, match="unknown family 'foo'"):
+            GroupSpec("foo", (3,)).order()
 
     def test_error_carries_position(self):
         with pytest.raises(SpecError) as info:
@@ -285,21 +292,42 @@ def _cyclic_rows(n):
     return np.arange(n)[:, None]
 
 
+def _residue(X):
+    """The rank of each row of _cyclic_rows: its one entry."""
+    return X[:, 0]
+
+
 class TestBuildClosure:
     # The family-fault checks of _closure_columns, which catch a faulty
     # family model (a wrong generator, a law that leaves the rows).
     def test_expected_order_mismatch(self):
-        with pytest.raises(GroupFormatError):
+        with pytest.raises(GroupFormatError, match="produced 6 elements, expected 7"):
             groups._closure_columns(
-                _cyclic_rows(6), lambda E, g: (E + g) % 6, [[1]], [0],
+                _cyclic_rows(6), lambda E, g: (E + g) % 6, _residue, [[1]], [0],
                 GroupSpec("cyclic", (7,)),
             )
 
     def test_product_outside_the_elements_rejected(self):
-        # Without the reduction mod 6, 5 + 1 = 6 is not an element row.
+        # Without the reduction mod 6, 5 + 1 = 6 is not an element row,
+        # and its rank 6 is out of range: GroupFormatError, not IndexError.
         with pytest.raises(GroupFormatError, match="outside the element set"):
             groups._closure_columns(
-                _cyclic_rows(6), lambda E, g: E + g, [[1]], [0], GroupSpec("cyclic", (6,))
+                _cyclic_rows(6), lambda E, g: E + g, _residue, [[1]], [0],
+                GroupSpec("cyclic", (6,)),
+            )
+
+    @pytest.mark.parametrize(
+        "rank",
+        [lambda X: (X[:, 0] + 1) % 6, lambda X: X[:, 0] - 1],
+        ids=["another-row", "negative"],
+    )
+    def test_a_rank_naming_no_product_rejected(self, rank):
+        # A faulty rank names another row, or a negative index, which a
+        # take would wrap to the last row.
+        with pytest.raises(GroupFormatError, match="outside the element set"):
+            groups._closure_columns(
+                _cyclic_rows(6), lambda E, g: (E + g) % 6, rank, [[1]], [0],
+                GroupSpec("cyclic", (6,)),
             )
 
     def test_unreached_elements_rejected(self):
@@ -307,9 +335,55 @@ class TestBuildClosure:
         # the closure, so the order check passes and the reach check fires.
         with pytest.raises(GroupFormatError, match="reach 3 of the 6"):
             groups._closure_columns(
-                _cyclic_rows(6), lambda E, g: (E + g) % 6, [[2]], [0],
+                _cyclic_rows(6), lambda E, g: (E + g) % 6, _residue, [[2]], [0],
                 GroupSpec("cyclic", (3,)),
             )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["cyclic:2", "cyclic:7", "cyclic:50000", "dihedral:2", "dihedral:5",
+         "dihedral:25000", "sym:3", "sym:4", "sym:5", "sym:8", "alt:3", "alt:4",
+         "alt:5", "alt:8", "sl2:3", "sl2:5", "sl2:7", "sl2:31", "psl2:3",
+         "psl2:5", "psl2:7", "psl2:43"],
+    )
+    def test_rank_counts_the_family_rows_in_order(self, text):
+        # Each family lists its rows in the order its rank counts, at small
+        # orders and at the largest that parse_spec admits.
+        spec = parse_spec(text)
+        E, law, rank, gens, identity = groups._family(spec)
+        assert len(E) == spec.order()
+        assert np.array_equal(rank(E), np.arange(len(E)))
+        # Every row is distinct, and a law's products of the first rows are
+        # rows again, ranked where they lie.
+        assert len(np.unique(E, axis=0)) == len(E)
+        X = law(E[:50], np.asarray(gens[-1]))
+        assert np.array_equal(E[rank(X)], X)
+
+    def test_permutations_are_lexicographic_with_their_parity(self):
+        for m in range(1, 7):
+            P, odd = groups._permutations(m)
+            rows = [tuple(r) for r in P.tolist()]
+            assert rows == sorted(itertools.permutations(range(m)))
+            inversions = [
+                sum(r[i] > r[j] for i, j in itertools.combinations(range(m), 2))
+                for r in rows
+            ]
+            assert odd.tolist() == [v % 2 == 1 for v in inversions]
+            # Each lexicographic pair 2i, 2i + 1 holds one even row.
+            assert np.all(odd[0::2] != odd[1::2])
+
+    @pytest.mark.parametrize("text", ["sym:6", "alt:7", "sl2:13", "psl2:13", "dihedral:9"])
+    def test_closure_labels_without_a_sort_or_a_search(self, text, monkeypatch):
+        # Products are labelled by rank alone.
+        def refused(*args, **kwargs):
+            raise AssertionError("the closure sorted or searched")
+
+        spec = parse_spec(text)
+        family = groups._family(spec)
+        monkeypatch.setattr(np, "argsort", refused)
+        monkeypatch.setattr(np, "searchsorted", refused)
+        cols, gens = groups._closure_columns(*family, spec)
+        assert cols.shape == (2, spec.order()) and len(gens) == 2
 
 
 class TestValidateGroup:
@@ -563,9 +637,10 @@ def test_flat_inverse_walk_matches_the_2d_gather(text):
     assert np.array_equal(got, G.inv)
 
 
-def _queue_closure_columns(elements, law, generators, identity, spec):
+def _queue_closure_columns(elements, law, rank, generators, identity, spec):
     """_closure_columns as it was with one plain queue loop over the
-    labelled columns and 2-D gathers."""
+    labelled columns and 2-D gathers, labelling by a binary search over
+    the rows' sorted mixed-radix codes; the family's rank is unread."""
     E = np.asarray(elements)
     N, w = E.shape
     radix = E.max(axis=0).astype(np.int64) + 1
@@ -695,7 +770,7 @@ def test_scalar_compose_takes_one_row_per_step(monkeypatch):
     assert L.table is None
 
 
-@pytest.mark.parametrize("text", ["sl2:13", "cyclic:4096", "sym:7"])
+@pytest.mark.parametrize("text", ["sl2:13", "psl2:11", "sym:6"])
 def test_table_fill_holds_the_table_and_one_row_block(text):
     # mul fills the int32 table (4n^2 bytes) from the blocks of _row_blocks,
     # so besides it only one block of about CHUNK^2 intp entries, the

@@ -763,6 +763,25 @@ class TestGammaFunctional:
         got = np.array(_class_conv_stats(C, f.values))
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
+    def test_pass_holds_one_transposed_class_average(self, bundle):
+        # With the table built first, gamma holds the value table ft[t]
+        # (8n^2 bytes) and three (m x n) float tables of about 4n^2 each,
+        # m = |R| being about n/2: the derivative table, A_K^T, written
+        # straight into one buffer that every class reuses, and the
+        # gathered rows.  An A_K transposed by a copy per class held two
+        # of them at once (29.8n^2 on psl2:11).
+        G, _, T = bundle("psl2:11")
+        f = random_ensemble(G, "mean_zero_rademacher", 23, 1)[0]
+        assert G.mul is not None
+        tracemalloc.start()
+        try:
+            rep = gamma_functional(f, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 26 * G.n**2
+
     def test_exhaustive_on_alt5(self, bundle):
         G, C, T = bundle("alt:5")
         for f in random_ensemble(G, "mean_zero_rademacher", 11, 5):

@@ -28,11 +28,6 @@ class SpecError(QmixError, ValueError):
         self.position = position
 
 
-class GroupFormatError(QmixError, ValueError):
-    """A family model's closure is inconsistent: a product outside the
-    element set, an order other than the spec's, or unreached elements."""
-
-
 class SizeGuardError(QmixError, ValueError):
     """A requested construction or operation exceeds configured size caps."""
 
@@ -46,5 +41,7 @@ class PreconditionError(QmixError, ValueError):
 
 
 class CertificationError(QmixError, ArithmeticError):
-    """A numeric certificate failed: a residual or inequality that must
-    hold up to tolerance did not."""
+    """A certificate failed: a residual or inequality that must hold up to
+    tolerance did not, or a family model's closure is inconsistent (a
+    product outside the element set, an order other than the spec's, or
+    unreached elements)."""

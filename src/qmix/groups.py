@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GroupFormatError, PreconditionError, SpecError
+from .errors import CertificationError, PreconditionError, SpecError
 
 MAX_ORDER = 50000
 # The block size of the streamed passes: _row_blocks holds about CHUNK^2
@@ -234,56 +234,84 @@ class GroupTable:
         return x
 
 
-def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps, words and word lengths from the columns x -> x*g.
+def _steps_and_words(cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Steps, words, word lengths and inverses from the columns x -> x*g.
 
     Each g is squared into x -> x*g^(2^k) until the power is the identity,
-    repeats a step, or has been squared log2(n) times.  Exponents below
-    the order of g are sums of distinct powers of two, so a level-by-level
-    search over the steps finds words of a few steps per bit of n, where
-    the generators alone may need n - 1.  Each level keeps the first
-    occurrence of every new element among its candidates (_first_seen, an
-    O(n) scan, no sort).  The word of an element found at level d fills
-    its first d columns, the rest being padding.  The word dtype fits the
-    step count, which can exceed 127.
+    repeats a step, or has been squared log2(n) times; the squares are
+    counted first, then written straight into their rows.  Exponents
+    below the order of g are sums of distinct powers of two, so a
+    level-by-level search over the steps finds words of a few steps per
+    bit of n, where the generators alone may need n - 1.  Each level keeps
+    the first occurrence of every new element among its candidates, with
+    no sort: it reads them about CHUNK^2 at a time, a slice of step rows
+    in step order, and one n-long buffer keeps the least position s F + i
+    of each new element (F frontier rows); only that level's new elements
+    are reset.  So a level holds O(CHUNK^2) transient entries.  The word
+    of an element found at level d fills its first d columns, the rest
+    being padding, in a dtype that fits the step count.  The inverses
+    come from the same levels (_inverses).
     """
     n = cols.shape[1]
-    rows, seen = [], {0}
+    counts, seen, bits = [], {0}, n.bit_length()
     for col in cols:
-        for _ in range(n.bit_length()):
-            if int(col[0]) in seen:
-                break
-            seen.add(int(col[0]))
-            rows.append(col)
-            col = col.take(col)
-    pad = len(rows)
-    steps = np.stack(rows + [np.arange(n, dtype=np.int32)])
+        k, e = 0, int(col[0])  # e: the element of the current square
+        while k < bits and e not in seen:
+            seen.add(e)
+            k += 1
+            e = int(col[e])  # the next square's col[0], read before it is taken
+            if k < bits and e not in seen:
+                col = col.take(col)
+        counts.append(k)
+    pad = sum(counts)
+    steps = np.empty((pad + 1, n), dtype=np.int32)
+    j = 0
+    for col, k in zip(cols, counts):
+        if k:
+            steps[j] = col
+        for i in range(j, j + k - 1):
+            # mode="clip" skips the bounds check; with "raise", out is buffered.
+            np.take(steps[i], steps[i], out=steps[i + 1], mode="clip")
+        j += k
+    steps[pad] = np.arange(n, dtype=np.int32)
+    word_dtype = np.min_scalar_type(pad)
     unreached = np.ones(n, dtype=bool)
     unreached[0] = False
+    unset = pad * n  # above every position s F + i
+    first = np.full(n, unset, dtype=np.intp)
     frontier = np.zeros(1, dtype=np.int32)
     levels = []
     while True:
-        # Reached candidates are dropped first; the survivors keep their
-        # positions, so each new element keeps its first occurrence.
-        candidates = steps[:pad].take(frontier, axis=1).ravel()
-        at = np.flatnonzero(unreached.take(candidates))
-        if not at.size:
+        f = frontier.size
+        h = max(1, CHUNK * CHUNK // f)
+        for lo in range(0, pad, h):
+            # Reached candidates are dropped; the survivors keep their
+            # positions, so each new element keeps its first occurrence.
+            candidates = steps[lo : lo + h].take(frontier, axis=1).ravel()
+            at = np.flatnonzero(unreached.take(candidates))
+            found = candidates.take(at)
+            at += lo * f
+            np.minimum.at(first, found, at)
+        new = np.flatnonzero(first != unset)
+        if not new.size:
             break
-        new, first = _first_seen(candidates.take(at), n)
-        via, at = np.divmod(at.take(first), frontier.size)
-        levels.append((new, frontier.take(at), via))
+        via, at = np.divmod(first.take(new), f)
+        first[new] = unset
+        unreached[new] = False
+        new = new.astype(np.int32)
+        levels.append((new, frontier.take(at), via.astype(word_dtype)))
         frontier = new
-        unreached[frontier] = False
+    del first, unreached  # freed before the words are filled
     # Each word is written once: a parent's row (its word, then padding) is
     # complete before its children's level copies it and sets step d.
-    words = np.full((n, len(levels)), pad, dtype=np.min_scalar_type(pad))
+    words = np.full((n, len(levels)), pad, dtype=word_dtype)
     lengths = np.zeros(n, dtype=np.int32)
     for d, (level, parents, via) in enumerate(levels, start=1):
         rows = words.take(parents, axis=0)
         rows[:, d - 1] = via
         words[level] = rows
         lengths[level] = d
-    return steps, words, lengths
+    return steps, words, lengths, _inverses(steps, words, lengths, levels)
 
 
 def _first_seen(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,19 +334,29 @@ def _inverted(perms: np.ndarray) -> np.ndarray:
     return back
 
 
-def _inverses(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """inv[b]: the identity pushed through the inverted steps of words[b],
-    last first.  Each word column is one flat take on the inverted steps,
-    at s n + inv, which costs less than the 2-D gather back[s, inv]."""
+def _inverses(steps: np.ndarray, words: np.ndarray, lengths: np.ndarray, levels) -> np.ndarray:
+    """inv[b] for every element, from the word search's levels (new
+    elements, their parents, their last steps): b = p*s, so inv[b] =
+    s^-1 * inv[p], the walk of the word of inv[p] from s^-1 with one flat
+    take on the steps per word column.  s^-1 is where 0 lies in the step's
+    row.  No inverted steps are built."""
     n = steps.shape[1]
-    back = _inverted(steps).ravel()
+    flat = steps.ravel()
+    # Not argmin: loading its loops, which nothing else runs, raised the
+    # peak RSS of runs on small groups.
+    step_inv = np.array([np.flatnonzero(row == 0)[0] for row in steps], dtype=np.int32)
     inv = np.zeros(n, dtype=np.int32)
-    at = np.empty(n, dtype=np.intp)
-    for s in words[:, ::-1].T:
-        np.multiply(s, n, out=at, dtype=np.intp)
-        at += inv
-        # mode="clip" skips the bounds check; with "raise", take buffers out.
-        np.take(back, at, out=inv, mode="clip")
+    for level, parents, via in levels:
+        b = inv.take(parents)
+        x = step_inv.take(via)
+        walk = words.take(b, axis=0)[:, : lengths.take(b).max()]
+        at = np.empty(len(b), dtype=np.intp)
+        for s in walk.T:
+            np.multiply(s, n, out=at, dtype=np.intp)
+            at += x
+            # mode="clip" skips the bounds check; with "raise", take buffers out.
+            np.take(flat, at, out=x, mode="clip")
+        inv[level] = x
     return inv
 
 
@@ -456,7 +494,7 @@ def _closure_columns(
 
     parse_spec admits orders 2..MAX_ORDER only, so the closure needs no
     size guard of its own.  Three checks catch a faulty family model, such
-    as a wrong generator, each with GroupFormatError: a product outside
+    as a wrong generator, each with CertificationError: a product outside
     the rows (a rank out of range, or naming another row), a closure
     whose order differs from ``spec.order()`` and a row the generators
     never reach.
@@ -472,7 +510,7 @@ def _closure_columns(
             and found.max() < N
             and np.array_equal(E.take(found, axis=0), X)
         ):
-            raise GroupFormatError("a product lies outside the element set")
+            raise CertificationError("a product lies outside the element set")
         return found
 
     # Each generator's products, one at a time, then the identity and the
@@ -483,12 +521,12 @@ def _closure_columns(
     visit = _breadth_first(right, int(fixed[0]))
     n = len(visit)
     if n != spec.order():
-        raise GroupFormatError(
+        raise CertificationError(
             f"closure produced {n} elements, expected {spec.order()}; "
             "generator set does not match the family model"
         )
     if n != N:
-        raise GroupFormatError(f"the generators reach {n} of the {N} elements")
+        raise CertificationError(f"the generators reach {n} of the {N} elements")
     index = np.empty(N, dtype=np.int32)
     index[visit] = np.arange(n, dtype=np.int32)
     return index.take(right.take(visit, axis=1)), tuple(int(i) for i in index[fixed[1:]])
@@ -549,10 +587,9 @@ def _from_columns(
     cols: np.ndarray, generator_indices: tuple[int, ...], spec: GroupSpec
 ) -> GroupTable:
     """The group whose generators have the columns cols[s][x] = x*g_s:
-    the steps and words that ``GroupTable.compose`` walks and the inverses
-    those words give.  No table is built here."""
-    steps, words, lengths = _steps_and_words(cols)
-    inv = _inverses(steps, words)
+    the steps and words that ``GroupTable.compose`` walks and the
+    inverses, all from one word search.  No table is built here."""
+    steps, words, lengths, inv = _steps_and_words(cols)
     return GroupTable(
         cols.shape[1], inv, spec, generator_indices, cols, steps, words, lengths
     )
@@ -740,9 +777,18 @@ def build_group(text: str) -> GroupTable:
     columns alone (_from_columns).
     """
     spec = parse_spec(text)
-    # Each closure's temporaries are freed on return, before the word
-    # search, which sets the peak memory.
-    parts = [_closure_columns(*_family(f), f) for f in spec.factors or (spec,)]
+    # The closures' and the product's temporaries are freed on return,
+    # so the word search holds only the columns besides its own arrays.
+    cols, gens = _product_columns(
+        [_closure_columns(*_family(f), f) for f in spec.factors or (spec,)]
+    )
+    return _from_columns(cols, gens, spec)
+
+
+def _product_columns(parts: list) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The columns and generator indices of the direct product of the
+    factors' (cols, generator indices), in the mixed radix of
+    build_group."""
     sizes = [c.shape[1] for c, _ in parts]
     x = np.arange(math.prod(sizes), dtype=np.int32)
     cols, gens = [], []
@@ -751,7 +797,7 @@ def build_group(text: str) -> GroupTable:
         digit = x // place % sizes[i]
         cols.append(x + (c[:, digit] - digit) * place)
         gens += [g_s * place for g_s in g]
-    return _from_columns(np.concatenate(cols), tuple(gens), spec)
+    return np.concatenate(cols), tuple(gens)
 
 
 def is_abelian(G: GroupTable) -> bool:

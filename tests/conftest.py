@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmix import (
-    GroupFormatError,
+    CertificationError,
     GroupFunction,
     PreconditionError,
     build_group,
@@ -485,7 +485,7 @@ def _greedy_generators(table):
         g = int(np.argmin(reached))
         gens.append(g)
         if len(gens) > n.bit_length() - 1:
-            raise GroupFormatError(
+            raise CertificationError(
                 f"table needs more than log2(n) = {n.bit_length() - 1} "
                 "greedy generators, so it is not a group"
             )
@@ -499,7 +499,7 @@ def _greedy_generators(table):
 
 
 def _validate_group(G):
-    """Check the group laws on the table G.mul; raises GroupFormatError.
+    """Check the group laws on the table G.mul; raises CertificationError.
 
     Identity and inverses are checked in full.  Associativity is checked
     exhaustively by Light's test: (x*g)*y == x*(g*y) for every x, y and
@@ -513,18 +513,18 @@ def _validate_group(G):
     n = G.n
     ar = np.arange(n, dtype=np.int32)
     if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
-        raise GroupFormatError("identity law fails: row or column 0 is not the identity")
+        raise CertificationError("identity law fails: row or column 0 is not the identity")
     if G.inv.shape != (n,) or G.inv.min() < 0 or G.inv.max() >= n:
-        raise GroupFormatError("inverse table out of range")
+        raise CertificationError("inverse table out of range")
     if not np.all(table[ar, G.inv] == 0):
-        raise GroupFormatError("inverse law fails: a * inv[a] != identity")
+        raise CertificationError("inverse law fails: a * inv[a] != identity")
     step = max(1, (1 << 20) // n)
     for g in _greedy_generators(table):
         gy = table[g]
         for lo in range(0, n, step):
             block = table[lo : lo + step]
             if not np.array_equal(table[block[:, g]], block[:, gy]):
-                raise GroupFormatError(
+                raise CertificationError(
                     f"associativity fails: (x*g)*y != x*(g*y) for generator g={g}"
                 )
 
